@@ -95,7 +95,6 @@ class TaskInstance:
         "attempts",
         "cache_key",
         "is_barrier",
-        "blocked_seq",
     )
 
     def __init__(
@@ -152,11 +151,6 @@ class TaskInstance:
         # Structural WAR fan-in collapse node (never scheduled or executed;
         # completes inside the graph when its predecessors finish).
         self.is_barrier = is_barrier
-        # Scheduler bookkeeping: capacity-ledger grow tick at which this
-        # task's demand was last proven unplaceable (None = never/cleared).
-        # A slot, not a dispatcher-side dict, because the dispatcher reads
-        # it for every ready task on every pass.
-        self.blocked_seq: Optional[int] = None
 
     @property
     def duration(self) -> Optional[float]:

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 from repro.core.graph import TaskGraph, TaskInstance, TaskState
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node
+from repro.scheduling.capacity import NodeCapacity
 from repro.scheduling.locations import DataLocationService, TransferPlanner
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.scheduler import BlockedDemandFrontier, TaskScheduler
@@ -64,6 +65,45 @@ class SimulationReport:
             f"energy={self.energy_joules / 3.6e6:.3f}kWh "
             f"resubmissions={self.resubmissions}"
         )
+
+
+class _BlockedRun:
+    """Blocked-task bookkeeping of one dispatch pass, shared by the prefix
+    walk and the ready scan so the two behave as one walk of the queue."""
+
+    __slots__ = ("frontier", "demands", "live", "failures")
+
+    def __init__(self) -> None:
+        # Demands that failed for lack of capacity this pass.  Capacity only
+        # shrinks while a pass allocates, so a demand needing at least as
+        # much as one that already failed cannot fit before the pass ends:
+        # skipping it is exact, one comparison instead of a ledger probe.
+        self.frontier = BlockedDemandFrontier()
+        # The certified head run, as (cores, memory_mb, gpus, task_id): every
+        # task passed over so far, each proven unplaceable at this pass's
+        # grow tick.  Placed, failed and cancelled tasks leave the queue, so
+        # the survivors stay contiguous from its head; the run becomes the
+        # next pass's prefix snapshot.
+        self.demands: List[tuple] = []
+        # False once a task stayed queued *without* such a proof (a policy
+        # decline): the run cannot extend past it.
+        self.live = True
+        # Consecutive unplaced tasks, counted against dispatch_window.
+        self.failures = 0
+
+
+def _free_maxima(states: List[NodeCapacity]) -> Tuple[int, int, int]:
+    """Component-wise maxima of free (cores, memory_mb, gpus) over ``states``:
+    a demand above them on any axis fits none of the nodes (-1s if empty)."""
+    cores = mem = gpus = -1
+    for state in states:
+        if state.free_cores > cores:
+            cores = state.free_cores
+        if state.free_memory_mb > mem:
+            mem = state.free_memory_mb
+        if state.free_gpus > gpus:
+            gpus = state.free_gpus
+    return cores, mem, gpus
 
 
 class SimulatedExecutor:
@@ -123,23 +163,11 @@ class SimulatedExecutor:
         # check — so a hook may submit follow-on tasks in the same breath.
         self._done_callbacks: List[Callable[[TaskInstance], None]] = []
         self._completion_events: Dict[int, Event] = {}
-        # Certified-blocked bookkeeping lives on each TaskInstance
-        # (``blocked_seq``): the grow tick at which its demand provably fit
-        # no node.  Each pass re-checks such a task against only the nodes
-        # whose capacity grew since (the ledger journals growths), instead
-        # of re-probing the whole ledger.
-        # grow_seq observed at the start of the previous dispatch pass:
-        # everything certified by that pass carries it, which lets the next
-        # pass precompute their shared grown-since set once.
-        self._last_dispatch_seq = 0
-        # Blocked-prefix cursor: the head of the ready queue is typically a
-        # stable run of certified-blocked tasks that every pass re-walks.
-        # Snapshot the run as (cores, memory_mb, gpus, task_id) tuples so
-        # the next pass can refute members against the component maxima of
-        # just the nodes grown since the snapshot's tick — three integer
-        # compares each instead of a ready-queue yield plus per-task
-        # machinery — and resume the real scan at the first member the
-        # grown capacity might actually satisfy.  Valid only while
+        # Blocked-prefix snapshot: the head of the ready queue is typically a
+        # stable run of tasks the last pass proved unplaceable.  It is kept
+        # as (cores, memory_mb, gpus, task_id) tuples with the ledger grow
+        # tick of the proof, so the next pass replays it against only the
+        # nodes grown since (see _walk_blocked_prefix).  Valid only while
         # graph.ready_epoch is unchanged: insertions are tail-only, so an
         # unchanged epoch (no removals) pins the prefix in place.
         self._prefix_demands: List[tuple] = []
@@ -249,308 +277,150 @@ class SimulatedExecutor:
             self.engine.after(0.0, self._dispatch, priority=10, label="dispatch")
 
     def _dispatch(self) -> None:
+        """One pass: walk the blocked prefix, scan the ready queue behind it,
+        refute what provably cannot fit, place the rest."""
         self._dispatch_scheduled = False
         graph = self.graph
+        ledger = self.scheduler.ledger
+        if ledger.total_free_cores <= 0:
+            # Nothing can be placed and no proof would change: the snapshot
+            # stays exactly as it was.
+            return
+        # No growth happens mid-pass (completions are separate events), so
+        # every proof this pass makes holds at this tick.
+        seq = ledger.grow_seq
+        run = _BlockedRun()
+        resume_after = None
+        if (
+            self._prefix_demands
+            and graph.ready_epoch == self._prefix_epoch
+            and not self.locations.has_lost_data
+        ):
+            resume_after = self._walk_blocked_prefix(run)
+        if run.failures < self.dispatch_window:
+            self._scan_ready(run, resume_after)
+        # The epoch is read *after* this pass's own removals (placements,
+        # lost-input failures): removed tasks are not in the run, so an
+        # unchanged counter next pass means the run itself is untouched.
+        self._prefix_demands = run.demands
+        self._prefix_seq = seq
+        self._prefix_epoch = graph.ready_epoch
+
+    def _walk_blocked_prefix(self, run: _BlockedRun) -> Optional[int]:
+        """Replay the last pass's certified head run off its snapshot.
+
+        Every member was proven unplaceable at tick ``_prefix_seq``, and a
+        node not journalled since has only shrunk.  So a member whose demand
+        exceeds, on any axis, the free maxima of the nodes grown since is
+        refuted by three integer compares — no instance fetch, no queue
+        yield.  Only a plausible member is probed against the grown nodes
+        and, if one fits, placed through the scheduler; the maxima are then
+        refreshed so later members are judged against what remains.  The
+        walk is order-identical to scanning the queue, so placements and
+        the consecutive-failure window behave exactly as if it had been.
+        Returns the last member still queued: the scan resumes behind it.
+        """
         scheduler = self.scheduler
         ledger = scheduler.ledger
-        locations = self.locations
-        window = self.dispatch_window
-        # Demands that failed for lack of capacity this pass.  Capacity only
-        # shrinks while a pass allocates (completions are separate events),
-        # so a demand needing at least as much as one that already failed
-        # cannot become placeable before the pass ends — skipping it is
-        # exact, and collapses the re-walk of a blocked prefix to one
-        # frontier comparison per task instead of a ledger probe.
-        blocked = BlockedDemandFrontier()
-        blocked_covers = blocked.covers
-        blocked_add = blocked.add
-        # Cross-pass certifications: a task that provably fit nowhere at
-        # grow tick S stays blocked unless a node that grew *after* S fits
-        # it now — every untouched node has only shrunk since the proof.
-        # No growth happens mid-pass, so within this pass a certification
-        # at cur_seq is final.  (The tick lives on the instance itself:
-        # a slot read beats a dict probe at this call frequency.)
-        grown_entries = ledger.grow_log.values()
-        cur_seq = ledger.grow_seq
         try_place = scheduler.try_place
-        free_cores = ledger.total_free_cores
-        if free_cores <= 0:
-            # Nothing can be placed and no certification would change:
-            # leave every cross-pass structure exactly as it was.
-            return
+        get_task = self.graph.task
+        window = self.dispatch_window
+        grown = ledger.grown_since(self._prefix_seq)
+        max_cores, max_mem, max_gpus = _free_maxima(grown)
+        frontier_add = run.frontier.add
+        keep = run.demands.append
+        live = True
+        failures = 0
+        resume_after = None
+        for demand in self._prefix_demands:
+            cores, memory_mb, gpus, task_id = demand
+            if cores <= max_cores and memory_mb <= max_mem and gpus <= max_gpus:
+                instance = get_task(task_id)
+                req = instance.requirements
+                if any(state.fits_now(req) for state in grown):
+                    nodes = try_place(instance)
+                    if nodes is not None:
+                        failures = 0
+                        self._start_task(instance, nodes)
+                        if ledger.total_free_cores <= 0:
+                            break
+                        max_cores, max_mem, max_gpus = _free_maxima(grown)
+                        continue
+                    if scheduler.last_failure_was_capacity:
+                        frontier_add(req)
+                    else:
+                        live = False  # declined, not refuted: caps the run
+            if live:
+                keep(demand)
+            resume_after = task_id
+            failures += 1
+            if failures >= window:
+                break
+        run.live = live
+        run.failures = failures
+        return resume_after
+
+    def _scan_ready(self, run: _BlockedRun, resume_after: Optional[int]) -> None:
+        """Scan the ready queue (behind the walked prefix) and place what fits.
+
+        A demand the frontier covers is refuted without a ledger probe; the
+        rest go through the scheduler.  Tasks left behind for lack of
+        capacity extend the certified run while it is still contiguous.
+        """
+        scheduler = self.scheduler
+        ledger = scheduler.ledger
+        try_place = scheduler.try_place
+        window = self.dispatch_window
+        covers = run.frontier.covers
+        frontier_add = run.frontier.add
+        keep = run.demands.append
+        live = run.live
+        failures = run.failures
         # Lost data can only be *recovered* mid-pass (stage-in publishes
         # copies; nothing evicts), so the check hoists out of the loop —
         # failure-free runs never pay the per-task input scan.
-        check_lost = locations.has_lost_data
-        # Blocked-prefix cursor: if the certified head run survived intact
-        # (no ready-queue removals since it was snapshot), the whole pass
-        # walks the snapshot tuples instead of the ready queue.  A member
-        # whose demand exceeds, on any axis, the component maxima of the
-        # nodes grown since the snapshot's tick is refuted by three integer
-        # compares — no instance fetch, no queue yield.  Only plausible
-        # members get the full treatment (probe the grown nodes, then
-        # try_place); after a placement the maxima are refreshed from the
-        # grown nodes' now-current state so later members are judged
-        # against what actually remains.  The walk is order-identical to
-        # the real scan, so placements and the consecutive-failure window
-        # behave exactly as if the queue had been walked.
-        start_after = None
-        consecutive_failures = 0
-        demands = self._prefix_demands
-        run_list: List[tuple] = []
-        run_append = run_list.append
-        run_live = True
-        skip_scan = False
-        if (
-            demands
-            and not check_lost
-            and graph.ready_epoch == self._prefix_epoch
-        ):
-            pseq = self._prefix_seq
-            grown_list: List[tuple] = []
-            for entry in reversed(grown_entries):
-                if entry[0] <= pseq:
-                    break
-                grown_list.append(entry)
-            pmc = pmm = pmg = -1
-            for _, g_state in grown_list:
-                if g_state.free_cores > pmc:
-                    pmc = g_state.free_cores
-                if g_state.free_memory_mb > pmm:
-                    pmm = g_state.free_memory_mb
-                if g_state.free_gpus > pmg:
-                    pmg = g_state.free_gpus
-            get_task = graph.task
-            for d in demands:
-                if d[0] > pmc or d[1] > pmm or d[2] > pmg:
-                    # Refuted against everything grown since the tick: the
-                    # member stays certified, now effectively at cur_seq.
-                    if run_live:
-                        run_append(d)
-                    start_after = d[3]
-                    consecutive_failures += 1
-                    if consecutive_failures >= window:
-                        skip_scan = True
-                        break
-                    continue
-                instance = get_task(d[3])
-                req = instance.requirements
-                refit = False
-                for _, g_state in grown_list:
-                    if g_state.fits_now(req):
-                        refit = True
-                        break
-                if not refit:
-                    if run_live:
-                        run_append(d)
-                    start_after = d[3]
-                    consecutive_failures += 1
-                    if consecutive_failures >= window:
-                        skip_scan = True
-                        break
-                    continue
-                nodes = try_place(instance)
-                if nodes is None:
-                    if scheduler.last_failure_was_capacity:
-                        blocked_add(req)
-                        if run_live:
-                            run_append(d)
-                    else:
-                        # Declined but not certified: it stays queued, so
-                        # the snapshot cannot extend past it.
-                        run_live = False
-                    start_after = d[3]
-                    consecutive_failures += 1
-                    if consecutive_failures >= window:
-                        skip_scan = True
-                        break
-                    continue
-                consecutive_failures = 0
-                instance.blocked_seq = None
-                self._start_task(instance, nodes)
-                free_cores = ledger.total_free_cores
-                if free_cores <= 0:
-                    skip_scan = True
-                    break
-                pmc = pmm = pmg = -1
-                for _, g_state in grown_list:
-                    if g_state.free_cores > pmc:
-                        pmc = g_state.free_cores
-                    if g_state.free_memory_mb > pmm:
-                        pmm = g_state.free_memory_mb
-                    if g_state.free_gpus > pmg:
-                        pmg = g_state.free_gpus
-            if skip_scan:
-                # The walk ended inside the snapshot (window exhausted or
-                # no capacity left): the queue behind it was never going
-                # to be reached, so the pass is over.
-                self._prefix_demands = run_list
-                if run_list:
-                    self._prefix_seq = cur_seq
-                self._prefix_epoch = graph.ready_epoch
-                return
-        # The snapshot for the next pass grows from the scan's certified
-        # run: placed, failed and cancelled tasks leave the queue, so the
-        # certified survivors stay contiguous from the scan's start; only
-        # a non-capacity decline (policy chose to wait) stays queued
-        # without a certification and caps the run.
-        # Tasks the previous pass re-certified all carry seq >= last_seq, so
-        # they share one grown-since set: the nodes that grew after last_seq
-        # (typically the one node a completion just freed).  Component-wise
-        # maxima over that set give an O(1) sound reject — a demand above
-        # the maxima cannot fit any grown node (maxima are taken at pass
-        # start and nodes only shrink mid-pass, so the reject never lies;
-        # a pass may only probe more than strictly needed).
-        last_seq = self._last_dispatch_seq
-        self._last_dispatch_seq = cur_seq
-        recent: List = []
-        for entry in reversed(grown_entries):
-            if entry[0] <= last_seq:
-                break
-            recent.append(entry)
-        g_max_cores = -1
-        g_max_mem = -1
-        g_max_gpus = -1
-        for _, g_state in recent:
-            if g_state.free_cores > g_max_cores:
-                g_max_cores = g_state.free_cores
-            if g_state.free_memory_mb > g_max_mem:
-                g_max_mem = g_state.free_memory_mb
-            if g_state.free_gpus > g_max_gpus:
-                g_max_gpus = g_state.free_gpus
-        # Tasks certified before last pass (their window slot rotated out)
-        # share few distinct ticks; memoize, per tick, the component maxima
-        # over the nodes grown since it.  First task with a stale tick pays
-        # one plain attribute walk; the rest reject in O(1).  Maxima are
-        # read at memo time and nodes only shrink mid-pass, so a reject
-        # never lies (a probe may just be more generous than needed).
-        cold_maxima: Dict[int, tuple] = {}
-        cold_maxima_get = cold_maxima.get
-        for instance in graph.iter_ready(start_after):
+        check_lost = self.locations.has_lost_data
+        is_lost = self.locations.is_lost
+        free_cores = ledger.total_free_cores
+        for instance in self.graph.iter_ready(resume_after):
             if free_cores <= 0:
                 break
             if check_lost:
-                lost = [d for d in instance.reads if locations.is_lost(d)]
+                lost = [d for d in instance.reads if is_lost(d)]
                 if lost:
-                    graph.mark_failed(
-                        instance.task_id,
-                        RuntimeError(f"inputs {lost[:3]} lost and not persisted"),
-                        now=self.engine.now,
-                    )
-                    self._makespan = self.engine.now
-                    if graph.finished and not self.hold_open:
-                        self.engine.stop()
+                    self._fail_lost_inputs(instance, lost)
                     continue
             req = instance.requirements
-            seq = instance.blocked_seq
-            if seq is not None:
-                if seq >= last_seq:
-                    # Hot path: certified by the previous pass, so only the
-                    # precomputed ``recent`` growths matter.  Demands above
-                    # the component maxima are rejected without a probe.
-                    if (
-                        req.cores > g_max_cores
-                        or req.memory_mb > g_max_mem
-                        or req.gpus > g_max_gpus
-                    ):
-                        refit = False
-                    else:
-                        refit = False
-                        for entry in recent:
-                            if entry[0] <= seq:
-                                break
-                            if entry[1].fits_now(req):
-                                refit = True
-                                break
-                else:
-                    # Cold path: stale certification.  Bound the grown-since
-                    # walk with the memoized suffix maxima before paying
-                    # per-node probes.
-                    m = cold_maxima_get(seq)
-                    if m is None:
-                        mc = mm = mg = -1
-                        for grown_seq, g_state in reversed(grown_entries):
-                            if grown_seq <= seq:
-                                break
-                            if g_state.free_cores > mc:
-                                mc = g_state.free_cores
-                            if g_state.free_memory_mb > mm:
-                                mm = g_state.free_memory_mb
-                            if g_state.free_gpus > mg:
-                                mg = g_state.free_gpus
-                        cold_maxima[seq] = m = (mc, mm, mg)
-                    if req.cores > m[0] or req.memory_mb > m[1] or req.gpus > m[2]:
-                        refit = False
-                    else:
-                        refit = False
-                        for grown_seq, grown_state in reversed(grown_entries):
-                            if grown_seq <= seq:
-                                break
-                            if grown_state.fits_now(req):
-                                refit = True
-                                break
-                if not refit:
-                    instance.blocked_seq = cur_seq
-                    if run_live:
-                        run_append((req.cores, req.memory_mb, req.gpus, instance.task_id))
-                    consecutive_failures += 1
-                    if consecutive_failures >= window:
-                        break
+            if not covers(req):
+                nodes = try_place(instance)
+                if nodes is not None:
+                    failures = 0
+                    self._start_task(instance, nodes)
+                    free_cores = ledger.total_free_cores
                     continue
-            elif blocked_covers(req):
-                # The dominating demand failed at this pass's capacity or
-                # more, so this one is certified at cur_seq as well.
-                instance.blocked_seq = cur_seq
-                if run_live:
-                    run_append((req.cores, req.memory_mb, req.gpus, instance.task_id))
-                consecutive_failures += 1
-                if consecutive_failures >= window:
-                    break
-                continue
-            nodes = try_place(instance)
-            if nodes is None:
                 if scheduler.last_failure_was_capacity:
-                    blocked_add(req)
-                    instance.blocked_seq = cur_seq
-                    if run_live:
-                        run_append((req.cores, req.memory_mb, req.gpus, instance.task_id))
+                    frontier_add(req)
                 else:
-                    # Declined but not certified (policy may accept later):
-                    # it stays queued, so the certified run cannot extend
-                    # past it.
-                    run_live = False
-                consecutive_failures += 1
-                if consecutive_failures >= window:
-                    break
-                continue
-            consecutive_failures = 0
-            if seq is not None:
-                instance.blocked_seq = None
-            self._start_task(instance, nodes)
-            free_cores = ledger.total_free_cores
-            # The placement may have consumed the very capacity the maxima
-            # summarize; refresh them from the (still-current) recent states
-            # so later blocked tasks are rejected by the O(1) bound again
-            # rather than falling through to per-node probes.
-            if recent:
-                g_max_cores = -1
-                g_max_mem = -1
-                g_max_gpus = -1
-                for _, g_state in recent:
-                    if g_state.free_cores > g_max_cores:
-                        g_max_cores = g_state.free_cores
-                    if g_state.free_memory_mb > g_max_mem:
-                        g_max_mem = g_state.free_memory_mb
-                    if g_state.free_gpus > g_max_gpus:
-                        g_max_gpus = g_state.free_gpus
-        # Record the certified head run for the next pass.  The epoch is
-        # read *after* this pass's own removals (placements, lost-input
-        # failures), all of which happened beyond the run, so an unchanged
-        # counter next pass means the run itself is untouched.
-        self._prefix_demands = run_list
-        if run_list:
-            self._prefix_seq = cur_seq
-        self._prefix_epoch = graph.ready_epoch
+                    # Declined but not refuted (the policy may accept
+                    # later): it stays queued without a proof, so the
+                    # certified run cannot extend past it.
+                    live = False
+            if live:
+                keep((req.cores, req.memory_mb, req.gpus, instance.task_id))
+            failures += 1
+            if failures >= window:
+                break
+
+    def _fail_lost_inputs(self, instance: TaskInstance, lost: List[str]) -> None:
+        now = self.engine.now
+        self.graph.mark_failed(
+            instance.task_id,
+            RuntimeError(f"inputs {lost[:3]} lost and not persisted"),
+            now=now,
+        )
+        self._makespan = now
+        if self.graph.finished and not self.hold_open:
+            self.engine.stop()
 
     def _start_task(self, instance: TaskInstance, nodes: List[str]) -> None:
         head = nodes[0]
@@ -613,7 +483,7 @@ class SimulatedExecutor:
             )
             self._busy_seconds[node_name] = self._busy_seconds.get(node_name, 0.0) + (
                 now - start
-            ) * 1.0
+            )
         # Outputs are born on the head node.
         head = instance.assigned_nodes[0]
         if instance.profile is not None:

@@ -15,7 +15,7 @@ from repro.core.graph import TaskInstance
 from repro.infrastructure.network import NetworkTopology
 from repro.intelligence.predictor import DurationPredictor
 from repro.scheduling.capacity import NodeCapacity
-from repro.scheduling.locations import DataLocationService
+from repro.scheduling.locations import DataLocationService, TransferPlanner
 
 
 class PredictedFinishTimePolicy:
@@ -37,44 +37,43 @@ class PredictedFinishTimePolicy:
         # node over occupying one slower than factor x the best seen.
         self.decline_slowdown_factor = decline_slowdown_factor
         self._best_speed_seen = 0.0
-
-    def _estimated_finish(self, task: TaskInstance, state: NodeCapacity) -> float:
-        node = state.node
-        size_hint = sum(self.locations.size_of(d) for d in task.reads) or None
-        compute = self.predictor.predict(task.label, size=size_hint) / node.speed_factor
-        transfer = 0.0
-        for datum_id in task.reads:
-            holders = self.locations.get_locations(datum_id)
-            if not holders or node.name in holders:
-                continue
-            size = self.locations.size_of(datum_id)
-            transfer = max(
-                transfer,
-                min(
-                    self.network.transfer_time(src, node.name, size)
-                    for src in holders
-                ),
-            )
-        return transfer + compute
+        # Best-source transfer times memoized per (datum, destination); the
+        # simulated executor shares this planner for the chosen placement's
+        # stage-in (see EarliestFinishTimePolicy).
+        self.planner = TransferPlanner(locations, network)
 
     def select(
         self, task: TaskInstance, candidates: List[NodeCapacity]
     ) -> Optional[NodeCapacity]:
         if not candidates:
             return None
-        self._best_speed_seen = max(
+        best_speed = self._best_speed_seen = max(
             self._best_speed_seen, max(s.node.speed_factor for s in candidates)
         )
-        best = min(
-            candidates,
-            key=lambda s: (self._estimated_finish(task, s), -s.free_cores),
-        )
-        if self.decline_slowdown_factor is not None and self._best_speed_seen > 0:
-            size_hint = sum(self.locations.size_of(d) for d in task.reads) or None
-            reference = (
-                self.predictor.predict(task.label, size=size_hint)
-                / self._best_speed_seen
-            )
-            if self._estimated_finish(task, best) > self.decline_slowdown_factor * reference:
+        # The learned duration depends on the task alone: predict once, then
+        # a single pass prices each candidate (inputs fetch in parallel, so
+        # the transfer term is the slowest best-source fetch) and keeps the
+        # winner's estimate for the decline check.
+        size_hint = sum(self.locations.size_of(d) for d in task.reads) or None
+        predicted = self.predictor.predict(task.label, size=size_hint)
+        best_source = self.planner.best_source
+        best = None
+        best_key = None
+        best_finish = 0.0
+        for state in candidates:
+            node = state.node
+            transfer = 0.0
+            for datum_id in task.reads:
+                seconds = best_source(datum_id, node.name)[1]
+                if seconds > transfer:
+                    transfer = seconds
+            finish = transfer + predicted / node.speed_factor
+            key = (finish, -state.free_cores)
+            if best is None or key < best_key:
+                best = state
+                best_key = key
+                best_finish = finish
+        if self.decline_slowdown_factor is not None and best_speed > 0:
+            if best_finish > self.decline_slowdown_factor * (predicted / best_speed):
                 return None
         return best

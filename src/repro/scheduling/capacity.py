@@ -6,12 +6,11 @@ property-tested guarantees in DESIGN.md §4.
 
 Everything the dispatch loop consults on every event is maintained
 incrementally: each :class:`NodeCapacity` notifies its owning ledger on
-allocate/release, which keeps ``total_free_cores`` exact, re-files the node
-in two bucket indexes (exact free-core count, log2 free-memory), and bumps
-the version that guards the per-signature candidate cache.  One placement
-query therefore touches only the nodes that plausibly fit the demand, not
-the whole platform — the difference between O(nodes) and O(candidates) per
-task at 100+ nodes (DESIGN.md §2, claim C1).
+allocate/release, which keeps ``total_free_cores`` exact and re-files the
+node in two bucket indexes (exact free-core count, log2 free-memory).  One
+placement query therefore touches only the nodes that plausibly fit the
+demand, not the whole platform — the difference between O(nodes) and
+O(candidates) per task at 100+ nodes (DESIGN.md §2, claim C1).
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.constraints import ResolvedRequirements
 from repro.infrastructure.resources import Node
-
-#: Candidate-cache entries above this count are dropped wholesale: stale
-#: versions are never reused, so the clear only trades recompute for memory.
-_CANDIDATE_CACHE_LIMIT = 4096
 
 _by_order = attrgetter("order")
 
@@ -158,14 +153,6 @@ class CapacityLedger:
         self._heap_stale: Dict[int, int] = {}
         # Monotonic registration counter (candidates() ordering contract).
         self._order_counter = 0
-        # Any capacity change invalidates cached candidate lists: the
-        # version is bumped by the allocate/release hooks and by node
-        # arrival/departure, and every cache entry records the version it
-        # was computed under.
-        self._version = 0
-        self._candidate_cache: Dict[
-            ResolvedRequirements, Tuple[int, List[NodeCapacity]]
-        ] = {}
         # Capacity-growth journal.  ``grow_seq`` ticks whenever any node's
         # free resources *grow* (a release or a node arrival — never an
         # allocation), and ``grow_log`` maps node name -> (tick, state) in
@@ -315,12 +302,10 @@ class CapacityLedger:
 
     def _note_allocated(self, state: NodeCapacity, req: ResolvedRequirements) -> None:
         self._free_cores_total -= req.cores
-        self._version += 1
         self._rebucket(state)
 
     def _note_released(self, state: NodeCapacity, req: ResolvedRequirements) -> None:
         self._free_cores_total += req.cores
-        self._version += 1
         self._journal_growth(state)
         self._rebucket(state)
 
@@ -331,6 +316,17 @@ class CapacityLedger:
         if name in log:
             del log[name]  # re-insert at the end: iteration order = recency
         log[name] = (self.grow_seq, state)
+
+    def grown_since(self, seq: int) -> List[NodeCapacity]:
+        """Nodes whose free resources grew after tick ``seq``, most recent
+        first — the only nodes a demand proven unplaceable at ``seq`` can
+        have started to fit on."""
+        grown: List[NodeCapacity] = []
+        for tick, state in reversed(self.grow_log.values()):
+            if tick <= seq:
+                break
+            grown.append(state)
+        return grown
 
     # ------------------------------------------------------------------ nodes
 
@@ -343,7 +339,6 @@ class CapacityLedger:
         self._order_counter += 1
         self._states[node.name] = state
         self._free_cores_total += state.free_cores
-        self._version += 1
         self._journal_growth(state)  # a new node is pure capacity growth
         self._bucket_insert(state)
 
@@ -355,7 +350,6 @@ class CapacityLedger:
             raise CapacityError(f"unknown node {node_name!r}") from None
         state.ledger = None
         self._free_cores_total -= state.free_cores
-        self._version += 1
         # A departed node cannot host anything: drop its journal entry so
         # blocked-demand re-checks never probe it.  (Removal is a shrink,
         # so no growth tick is owed.)
@@ -395,26 +389,16 @@ class CapacityLedger:
     def candidates(self, req: ResolvedRequirements) -> List[NodeCapacity]:
         """Nodes where ``req`` fits right now, in registration order.
 
-        Results are cached per requirement signature and served until the
-        next capacity change (any allocate/release/join/leave bumps the
-        ledger version).  Aliveness is the one axis the version cannot see
-        — a node can die without the ledger being told — so cache hits
-        re-validate it before being trusted.  Callers must not mutate the
-        returned list.
+        Every call walks the indexes afresh — aliveness is read off the node
+        itself, so a node that died without the ledger being told is never
+        returned.  Callers must not mutate the returned list (the empty
+        result is shared).
         """
         if (
             req.cores > self._top_cores_key
             or req.memory_mb.bit_length() > self._top_mem_key
         ):
             return _EMPTY_CANDIDATES
-        cached = self._candidate_cache.get(req)
-        if cached is not None and cached[0] == self._version:
-            found = cached[1]
-            for state in found:
-                if not state.node.alive:
-                    break
-            else:
-                return found
         # Walk whichever bucket axis admits fewer nodes right now.  The
         # memory axis has at most ~log2(node memory) keys, so count it in
         # full, then count the (much wider) cores axis only until it proves
@@ -455,10 +439,6 @@ class CapacityLedger:
                         )
                     ):
                         found.append(state)
-                cache = self._candidate_cache
-                if len(cache) >= _CANDIDATE_CACHE_LIMIT:
-                    cache.clear()
-                cache[req] = (self._version, found)
                 return found
             cores_plausible = 0
             cores_sparser = True
@@ -503,10 +483,6 @@ class CapacityLedger:
                                 found.append(state)
         if len(found) > 1:
             found.sort(key=_by_order)
-        cache = self._candidate_cache
-        if len(cache) >= _CANDIDATE_CACHE_LIMIT:
-            cache.clear()
-        cache[req] = (self._version, found)
         return found
 
     def best_balanced(self, req: ResolvedRequirements) -> Optional[NodeCapacity]:

@@ -52,13 +52,22 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.infrastructure.network import NetworkTopology
 from repro.simulation.engine import SimulationEngine, SimulationError
-from repro.simulation.sharded import _EPS, ShardedSimulationEngine
+from repro.simulation.sharded import (
+    ShardedSimulationEngine,
+    check_latency_floor,
+    lookahead_horizon,
+)
 from repro.simulation.sweep import _fork_context
 
 #: ``factory(api) -> result_fn | None``: builds one zone's program against a
 #: :class:`ShardApi` and optionally returns a zero-arg callable evaluated at
 #: the end of the run to produce the zone's result.
 ProgramFactory = Callable[["ShardApi"], Optional[Callable[[], Any]]]
+
+#: Adaptive window widening: after this many consecutive barrier exchanges
+#: with empty outboxes the window doubles, up to ``_MAX_WIDEN`` lookaheads.
+_WIDEN_AFTER = 4
+_MAX_WIDEN = 16.0
 
 
 @dataclass
@@ -87,33 +96,6 @@ class ChannelMessage:
     def payload(self) -> Any:
         """Unpickle a fresh copy of the payload (receivers own their copy)."""
         return pickle.loads(self.payload_bytes)
-
-
-def check_latency_floor(
-    src_zone: str,
-    dst_zone: str,
-    now: float,
-    time: float,
-    latency: float,
-    label: str = "",
-) -> None:
-    """The cross-shard causal floor, shared by every engine flavor.
-
-    Identical contract to :meth:`ShardedSimulationEngine.at`: a cross-zone
-    effect may not land earlier than ``now + effective latency`` (modulo the
-    float-round-off slack ``_EPS``).  Raising here — in both the parallel
-    and the sequential reference engines — is what keeps "schedules that
-    would break causality" an error instead of a silent corruption.
-    """
-    floor = now + latency
-    if time < floor - _EPS:
-        raise SimulationError(
-            f"cross-shard event {label!r} from {src_zone!r} "
-            f"(now {now:.6f}) to {dst_zone!r} at "
-            f"{time:.6f} undercuts the zone latency floor "
-            f"({floor:.6f}); conservative windows require every "
-            "cross-zone effect to pay the network latency"
-        )
 
 
 class ShardApi:
@@ -532,8 +514,6 @@ class ParallelShardedSimulationEngine:
         until: Optional[float] = None,
         max_events: int = 50_000_000,
         adaptive_window: bool = True,
-        widen_after: int = 4,
-        max_widen: float = 16.0,
     ) -> None:
         if not programs:
             raise SimulationError("parallel engine needs at least one zone program")
@@ -544,35 +524,8 @@ class ParallelShardedSimulationEngine:
         self.max_events = max_events
         self._until = until
         self._latency = network.zone_latency_matrix(list(self.zones))
-        floor = min(
-            (lat for (a, b), lat in self._latency.items() if a != b),
-            default=float("inf"),
-        )
-        horizon = floor if lookahead is None else lookahead
-        if not horizon > 0:
-            raise SimulationError(
-                "lookahead mode needs a positive inter-zone latency "
-                f"(got {horizon!r}); zero-latency zones cannot be "
-                "windowed — use mode='coupled'"
-            )
-        if horizon == float("inf"):
-            raise SimulationError(
-                "lookahead mode needs at least two zones to synchronize"
-            )
-        if horizon > floor:
-            raise SimulationError(
-                f"lookahead {horizon} exceeds the minimum effective "
-                f"inter-zone latency {floor}; the window would outrun "
-                "causality"
-            )
-        self.lookahead = horizon
-        if widen_after < 1:
-            raise SimulationError(f"widen_after must be >= 1, got {widen_after}")
-        if max_widen < 1.0:
-            raise SimulationError(f"max_widen must be >= 1.0, got {max_widen}")
+        self.lookahead = lookahead_horizon(self._latency, lookahead)
         self._adaptive = bool(adaptive_window)
-        self._widen_after = int(widen_after)
-        self._max_widen = float(max_widen)
         self.results: Dict[str, Any] = {}
         self.logs: Dict[str, List[Tuple[float, Any]]] = {}
         self.shard_clocks: Dict[str, float] = {}
@@ -729,10 +682,9 @@ class ParallelShardedSimulationEngine:
                     factor = 1.0
                 elif self._adaptive:
                     idle_streak += 1
-                    if idle_streak >= self._widen_after:
+                    if idle_streak >= _WIDEN_AFTER:
                         factor = min(
-                            factor * 2.0 if factor > 1.0 else 2.0,
-                            self._max_widen,
+                            factor * 2.0 if factor > 1.0 else 2.0, _MAX_WIDEN
                         )
                 if self.dispatched_events > self.max_events:
                     raise SimulationError(

@@ -62,6 +62,65 @@ CONTROL_SHARD = "control"
 _EPS = 1e-9
 
 
+def lookahead_horizon(
+    latency: Dict[tuple, float], lookahead: Optional[float]
+) -> float:
+    """Validated conservative window width for a zone latency matrix.
+
+    Defaults to the minimum effective inter-zone latency (the widest window
+    causality allows); an explicit ``lookahead`` may only be narrower.
+    """
+    floor = min(
+        (lat for (a, b), lat in latency.items() if a != b),
+        default=float("inf"),
+    )
+    horizon = floor if lookahead is None else lookahead
+    if not horizon > 0:
+        raise SimulationError(
+            "lookahead mode needs a positive inter-zone latency "
+            f"(got {horizon!r}); zero-latency zones cannot be "
+            "windowed — use mode='coupled'"
+        )
+    if horizon == float("inf"):
+        raise SimulationError(
+            "lookahead mode needs at least two zones to synchronize"
+        )
+    if horizon > floor:
+        raise SimulationError(
+            f"lookahead {horizon} exceeds the minimum effective "
+            f"inter-zone latency {floor}; the window would outrun "
+            "causality"
+        )
+    return horizon
+
+
+def check_latency_floor(
+    src_zone: str,
+    dst_zone: str,
+    now: float,
+    time: float,
+    latency: float,
+    label: str = "",
+) -> None:
+    """The cross-shard causal floor, shared by every engine flavor.
+
+    A cross-zone effect may not land earlier than ``now + effective
+    latency`` (modulo the float-round-off slack ``_EPS``).  Raising here —
+    in the sharded, the parallel and the sequential reference engines — is
+    what keeps "schedules that would break causality" an error instead of a
+    silent corruption.
+    """
+    floor = now + latency
+    if time < floor - _EPS:
+        raise SimulationError(
+            f"cross-shard event {label!r} from {src_zone!r} "
+            f"(now {now:.6f}) to {dst_zone!r} at "
+            f"{time:.6f} undercuts the zone latency floor "
+            f"({floor:.6f}); conservative windows require every "
+            "cross-zone effect to pay the network latency"
+        )
+
+
 class _Shard:
     """One zone's private timeline: a clock, a queue, a dispatch counter."""
 
@@ -124,28 +183,7 @@ class ShardedSimulationEngine:
                 raise SimulationError("lookahead mode requires a network topology")
             zone_names = [z for z in self._shards if z != CONTROL_SHARD]
             self._latency = network.zone_latency_matrix(zone_names)
-            floor = min(
-                (lat for (a, b), lat in self._latency.items() if a != b),
-                default=float("inf"),
-            )
-            horizon = floor if lookahead is None else lookahead
-            if not horizon > 0:
-                raise SimulationError(
-                    "lookahead mode needs a positive inter-zone latency "
-                    f"(got {horizon!r}); zero-latency zones cannot be "
-                    "windowed — use mode='coupled'"
-                )
-            if horizon == float("inf"):
-                raise SimulationError(
-                    "lookahead mode needs at least two zones to synchronize"
-                )
-            if horizon > floor:
-                raise SimulationError(
-                    f"lookahead {horizon} exceeds the minimum effective "
-                    f"inter-zone latency {floor}; the window would outrun "
-                    "causality"
-                )
-            self.lookahead = horizon
+            self.lookahead = lookahead_horizon(self._latency, lookahead)
 
     # ----------------------------------------------------------------- shards
 
@@ -243,17 +281,14 @@ class ShardedSimulationEngine:
                     f"which is before now ({source.clock.now:.6f})"
                 )
         else:
-            floor = source.clock.now + self._latency_between(
-                source.name, target.name
+            check_latency_floor(
+                source.name,
+                target.name,
+                source.clock.now,
+                time,
+                self._latency_between(source.name, target.name),
+                label,
             )
-            if time < floor - _EPS:
-                raise SimulationError(
-                    f"cross-shard event {label!r} from {source.name!r} "
-                    f"(now {source.clock.now:.6f}) to {target.name!r} at "
-                    f"{time:.6f} undercuts the zone latency floor "
-                    f"({floor:.6f}); conservative windows require every "
-                    "cross-zone effect to pay the network latency"
-                )
         return target.queue.push(time, action, priority=priority, label=label)
 
     def after(

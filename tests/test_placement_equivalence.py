@@ -1,11 +1,11 @@
 """Equivalence tests: indexed placement fast paths vs naive full scans.
 
 The placement hot path (DESIGN.md §2, claim C1) is a stack of pure *cost*
-optimizations — bucket-indexed ``candidates()`` with a version-guarded
-cache, single-pass policy maximizations, blocked-demand certifications and
-the blocked-prefix snapshot in ``SimulatedExecutor._dispatch``.  Every
-layer claims identical *decisions* to the definitional full scan, just
-fewer probes.  This suite pins that claim three ways:
+optimizations — bucket-indexed ``candidates()``, single-pass policy
+maximizations, the blocked-demand frontier and the blocked-prefix snapshot
+in ``SimulatedExecutor._dispatch``.  Every layer claims identical
+*decisions* to the definitional full scan, just fewer probes.  This suite
+pins that claim three ways:
 
 * hypothesis programs drive a :class:`CapacityLedger` through random
   allocate/release/join/leave/fail sequences and compare ``candidates()``
@@ -13,23 +13,26 @@ fewer probes.  This suite pins that claim three ways:
 * each policy's single-pass selection is compared against the naive
   ``max(key=...)`` / per-candidate recomputation it replaced;
 * a ``NaiveDispatchExecutor`` (full-probe ``_dispatch``: no frontier, no
-  certifications, no prefix snapshot) must produce byte-identical
-  makespans and per-task assignments on blocking GUIDANCE workloads —
-  including under an injected node failure.
+  prefix snapshot) must produce byte-identical makespans and per-task
+  assignments on generated GUIDANCE runs — any dispatch window, with or
+  without an injected node failure, under a policy that only ever fails
+  for capacity and under one that also declines.
 
 All data sizes in the strategies are integer-valued so float accumulation
 order can never manufacture a spurious argmax difference.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import ResolvedRequirements
 from repro.core.graph import SimProfile, TaskGraph, TaskInstance, TaskState
-from repro.executor.simulated import SimulatedExecutor
+from repro.executor.simulated import SimulatedExecutionError, SimulatedExecutor
 from repro.infrastructure import Node, make_hpc_cluster
 from repro.infrastructure.network import NetworkTopology
 from repro.infrastructure.resources import GpuSpec
+from repro.intelligence import DurationPredictor, PredictedFinishTimePolicy
 from repro.scheduling.capacity import CapacityLedger
 from repro.scheduling.locations import DataLocationService
 from repro.scheduling.policies import (
@@ -92,6 +95,35 @@ def naive_eft_select(task, candidates, locations, network):
         key = (finish, -state.free_cores)
         if best is None or key < best_key:
             best, best_key = state, key
+    return best
+
+
+def naive_predicted_select(task, candidates, predictor, locations, network, factor):
+    """Per-candidate x per-read x per-holder scan; inputs fetch in parallel
+    (max over reads), the winner is re-estimated for the decline check."""
+
+    def finish(state):
+        size_hint = sum(locations.size_of(d) for d in task.reads) or None
+        predicted = predictor.predict(task.label, size=size_hint)
+        compute = predicted / state.node.speed_factor
+        transfer = 0.0
+        for datum_id in task.reads:
+            holders = locations.get_locations(datum_id)
+            if not holders or state.node.name in holders:
+                continue
+            size = locations.size_of(datum_id)
+            fetch = min(
+                network.transfer_time(src, state.node.name, size) for src in holders
+            )
+            transfer = max(transfer, fetch)
+        return transfer + compute
+
+    best = min(candidates, key=lambda s: (finish(s), -s.free_cores))
+    best_speed = max(s.node.speed_factor for s in candidates)
+    size_hint = sum(locations.size_of(d) for d in task.reads) or None
+    reference = predictor.predict(task.label, size=size_hint) / best_speed
+    if factor is not None and finish(best) > factor * reference:
+        return None
     return best
 
 
@@ -180,7 +212,7 @@ class TestLedgerCandidateEquivalence:
             # unplaceable demand but must never reject a placeable one.
             if expected:
                 assert ledger.might_fit(req)
-            # A repeat query (cache hit) must not change the answer.
+            # A repeat query must not change the answer.
             again = [s.node.name for s in ledger.candidates(req)]
             assert again == expected
 
@@ -389,6 +421,49 @@ class TestPolicySelectionEquivalence:
             selected = policy.select(task, list(candidates))
             assert selected is naive_eft_select(task, candidates, locations, network)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        publishes=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 1_000_000)),
+            max_size=16,
+        ),
+        reads=st.lists(st.integers(0, 5), max_size=6),
+        speeds=st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=4, max_size=4
+        ),
+        observed=st.lists(
+            st.tuples(st.integers(1, 500), st.integers(0, 2_000_000)), max_size=5
+        ),
+        factor=st.sampled_from([None, 1.0, 1.5, 3.0]),
+    )
+    def test_predicted_finish_matches_naive_per_holder_scan(
+        self, publishes, reads, speeds, observed, factor
+    ):
+        network = NetworkTopology()
+        nodes = [
+            Node(name=f"n{i}", cores=8, memory_mb=16_000, speed_factor=speeds[i])
+            for i in range(4)
+        ]
+        ledger = CapacityLedger(nodes)
+        locations = DataLocationService()
+        for datum, node, size in publishes:
+            locations.publish(f"d{datum}", f"n{node}", size_bytes=float(size))
+        predictor = DurationPredictor(default_duration_s=30.0)
+        for duration, size in observed:
+            predictor.observe("t", float(duration), size=float(size))
+        task = TaskInstance(task_id=1, label="t", reads=[f"d{i}" for i in reads])
+        candidates = ledger.candidates(ResolvedRequirements(cores=1))
+        policy = PredictedFinishTimePolicy(
+            predictor, locations, network, decline_slowdown_factor=factor
+        )
+        for _ in range(2):  # second ask: memoized routes, then a moved datum
+            selected = policy.select(task, list(candidates))
+            assert selected is naive_predicted_select(
+                task, candidates, predictor, locations, network, factor
+            )
+            if reads:
+                locations.publish(f"d{reads[0]}", "n3", size_bytes=123.0)
+
 
 # --------------------------------------------------------------------------
 # End-to-end dispatch equivalence
@@ -398,8 +473,7 @@ class TestPolicySelectionEquivalence:
 class NaiveDispatchExecutor(SimulatedExecutor):
     """Reference dispatcher: probe every ready task, remember nothing.
 
-    No blocked-demand frontier, no cross-pass certifications, no prefix
-    snapshot — just the window and the free-core guards, which are part of
+    No blocked-demand frontier, no prefix snapshot — just the window and the free-core guards, which are part of
     the dispatch *semantics* rather than the bookkeeping.  The optimized
     ``_dispatch`` claims to place exactly the same tasks on exactly the
     same nodes at exactly the same times as this loop.
@@ -440,62 +514,208 @@ class NaiveDispatchExecutor(SimulatedExecutor):
             self._start_task(instance, nodes)
 
 
-def _run_guidance(executor_cls, config, num_nodes, fail_at=None, **kwargs):
+class ProbedExecutor(SimulatedExecutor):
+    """The optimized executor, counting the two situations in which the
+    blocked-prefix snapshot must not be trusted or extended: a pass that
+    finds it invalidated by a ready-queue removal, and a placement the
+    policy declined although capacity was there."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stale_snapshots = 0
+        self.declines = 0
+        try_place = self.scheduler.try_place
+
+        def counting_try_place(task):
+            nodes = try_place(task)
+            if nodes is None and not self.scheduler.last_failure_was_capacity:
+                self.declines += 1
+            return nodes
+
+        self.scheduler.try_place = counting_try_place
+
+    def _dispatch(self):
+        if self._prefix_demands and self.graph.ready_epoch != self._prefix_epoch:
+            self.stale_snapshots += 1
+        super()._dispatch()
+
+
+#: Node speeds by index for the declining policy: with the factor below it
+#: accepts the two faster classes and waits rather than take the slowest.
+_SPEEDS = (1.0, 0.75, 0.5)
+_DECLINE_FACTOR = 1.4
+
+
+class DeclineOncePolicy:
+    """Load balancing that turns each task down once while anything runs.
+
+    The earliest-finish-time decline is stable (a node too slow stays too
+    slow), so a dispatcher that wrongly filed a declined task as proven
+    blocked would still agree with the reference.  This one changes its
+    mind with no capacity growth at all — the case "declined, not refuted"
+    exists for.  An idle platform is never declined, so runs cannot stall.
+    """
+
+    name = "decline-once"
+
+    def __init__(self):
+        self._inner = LoadBalancingPolicy()
+        self._asked = set()
+
+    def select(self, task, candidates):
+        if task.task_id not in self._asked and not all(s.idle for s in candidates):
+            self._asked.add(task.task_id)
+            return None
+        return self._inner.select(task, candidates)
+
+
+
+def _run_guidance(
+    executor_cls, config, num_nodes, fail_at=None, policy="load-balancing", window=64
+):
     workload = build_guidance_workflow(config)
     platform = make_hpc_cluster(num_nodes)
+    locations = DataLocationService()
+    if policy == "load-balancing":
+        chosen = LoadBalancingPolicy()
+    elif policy == "decline-once":
+        chosen = DeclineOncePolicy()
+    else:
+        for index, node in enumerate(platform.alive_nodes):
+            node.speed_factor = _SPEEDS[index % len(_SPEEDS)]
+        chosen = EarliestFinishTimePolicy(
+            locations, platform.network, decline_slowdown_factor=_DECLINE_FACTOR
+        )
     executor = executor_cls(
         workload.graph,
         platform,
-        policy=LoadBalancingPolicy(),
+        policy=chosen,
+        locations=locations,
         initial_data=workload.initial_data,
-        **kwargs,
+        dispatch_window=window,
     )
     if fail_at is not None:
         executor.fail_node_at(*fail_at)
-    report = executor.run()
+    try:
+        report = executor.run()
+        outcome = (
+            report.makespan,
+            report.tasks_done,
+            report.tasks_failed,
+            report.tasks_cancelled,
+            report.resubmissions,
+        )
+    except SimulatedExecutionError as error:
+        # Every node the policy accepts died: both dispatchers must starve
+        # the same tasks at the same instant.
+        outcome = str(error)
     assignments = {
         t.task_id: (tuple(t.assigned_nodes or ()), t.start_time, t.end_time)
         for t in workload.graph.tasks
     }
-    return report, assignments
+    return executor, outcome, assignments
+
+
+def _assert_equivalent(config, num_nodes, **kwargs):
+    fast, fast_outcome, fast_assign = _run_guidance(
+        ProbedExecutor, config, num_nodes, **kwargs
+    )
+    _, naive_outcome, naive_assign = _run_guidance(
+        NaiveDispatchExecutor, config, num_nodes, **kwargs
+    )
+    assert fast_outcome == naive_outcome
+    assert fast_assign == naive_assign
+    return fast
+
+
+def _node_name(index):
+    return f"marenostrum-sim-node-{index:04d}"
 
 
 class TestDispatchEquivalence:
     """Optimized _dispatch == naive full-probe dispatch, end to end."""
 
-    def _compare(self, config, num_nodes, fail_at=None):
-        fast_report, fast_assign = _run_guidance(
-            SimulatedExecutor, config, num_nodes, fail_at=fail_at
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        chromosomes=st.integers(min_value=1, max_value=3),
+        chunks=st.integers(min_value=1, max_value=8),
+        num_nodes=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+        window=st.sampled_from([1, 3, 64]),
+        failure=st.none()
+        | st.tuples(
+            st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
+            st.integers(min_value=0, max_value=3),
+        ),
+        policy=st.sampled_from(["load-balancing", "eft-decline", "decline-once"]),
+    )
+    def test_matches_naive_dispatch(
+        self, chromosomes, chunks, num_nodes, seed, window, failure, policy
+    ):
+        fail_at = None
+        if failure is not None:
+            fail_at = (failure[0], _node_name(failure[1] % num_nodes))
+        _assert_equivalent(
+            GuidanceConfig(
+                chromosomes=chromosomes, chunks_per_chromosome=chunks, seed=seed
+            ),
+            num_nodes,
+            fail_at=fail_at,
+            policy=policy,
+            window=window,
         )
-        naive_report, naive_assign = _run_guidance(
-            NaiveDispatchExecutor, config, num_nodes, fail_at=fail_at
-        )
-        assert fast_report.makespan == naive_report.makespan
-        assert fast_report.tasks_done == naive_report.tasks_done
-        assert fast_report.tasks_failed == naive_report.tasks_failed
-        assert fast_report.resubmissions == naive_report.resubmissions
-        assert fast_assign == naive_assign
 
     def test_memory_saturated_regime(self):
         # The GUIDANCE regime the fast paths were built for: imputation
         # memory saturates the nodes while cores stay free, so the ready
         # queue grows a long certified-blocked head run.
-        self._compare(GuidanceConfig(chromosomes=3, chunks_per_chromosome=8), 3)
+        _assert_equivalent(GuidanceConfig(chromosomes=3, chunks_per_chromosome=8), 3)
 
     def test_core_saturated_regime(self):
-        self._compare(
+        _assert_equivalent(
             GuidanceConfig(chromosomes=2, chunks_per_chromosome=6, seed=7), 1
         )
 
     def test_equivalent_under_node_failure(self):
         # A mid-run failure exercises _fail_node's ledger-driven victim
-        # collection plus requeue interaction with the certifications and
-        # the prefix snapshot (requeued tasks re-enter at the tail).
-        self._compare(
+        # collection plus requeue interaction with the prefix snapshot
+        # (requeued tasks re-enter at the tail).
+        _assert_equivalent(
             GuidanceConfig(chromosomes=2, chunks_per_chromosome=6),
             3,
-            fail_at=(150.0, "marenostrum-sim-node-0001"),
+            fail_at=(150.0, _node_name(1)),
         )
+
+    @pytest.mark.parametrize("window", [1, 3, 64])
+    def test_failure_inside_blocked_run(self, window):
+        # The failure takes the only copy of inputs that blocked ready tasks
+        # were waiting to read: they are failed where they sit, inside the
+        # certified head run, so the next pass must ignore the snapshot
+        # (TestReadyQueueEpoch isolates the epoch from the lost-data guard).
+        fast = _assert_equivalent(
+            GuidanceConfig(chromosomes=1, chunks_per_chromosome=8),
+            2,
+            fail_at=(300.0, _node_name(0)),
+            window=window,
+        )
+        assert fast.stale_snapshots > 0
+
+    @pytest.mark.parametrize("policy", ["eft-decline", "decline-once"])
+    @pytest.mark.parametrize("window", [1, 3, 64])
+    def test_decline_caps_run(self, window, policy):
+        # Capacity is free on a node the policy will not take: the declined
+        # task stays queued without a proof, so the run must end before it.
+        fast = _assert_equivalent(
+            GuidanceConfig(chromosomes=2, chunks_per_chromosome=6, seed=7),
+            3,
+            policy=policy,
+            window=window,
+        )
+        assert fast.declines > 0
 
 
 # --------------------------------------------------------------------------
@@ -504,19 +724,9 @@ class TestDispatchEquivalence:
 
 
 class TestCandidateCache:
-    def test_cache_hit_returns_same_list_until_version_bump(self):
-        ledger = CapacityLedger([Node(name="a", cores=4, memory_mb=8000)])
-        req = ResolvedRequirements(cores=1)
-        first = ledger.candidates(req)
-        assert ledger.candidates(req) is first  # version unchanged: cache hit
-        ledger.state("a").allocate(1, ResolvedRequirements(cores=1))
-        second = ledger.candidates(req)
-        assert second is not first  # allocate bumped the version
-        assert [s.node.name for s in second] == ["a"]
-
     def test_cache_revalidates_aliveness(self):
-        # A node can die without the ledger hearing about it; the version
-        # cannot see that, so hits must re-check before being served.
+        # A node can die without the ledger being told: candidates() reads
+        # aliveness off the node itself and must never return it.
         nodes = [Node(name=f"n{i}", cores=4, memory_mb=8000) for i in range(3)]
         ledger = CapacityLedger(nodes)
         req = ResolvedRequirements(cores=1)
@@ -599,9 +809,33 @@ class TestReadyQueueEpoch:
         graph.mark_running(2, "node-x")  # anchor leaves the queue
         assert [t.task_id for t in graph.iter_ready(start_after=2)] == [1, 3]
 
-    def test_blocked_seq_slot_defaults_none(self):
-        instance = TaskInstance(task_id=1, label="t")
-        assert instance.blocked_seq is None
+    def test_dispatch_ignores_stale_snapshot(self):
+        # Under a node failure the lost-data guard bypasses the snapshot
+        # as well, so this isolates the epoch: a blocked ready task is
+        # withdrawn by the graph's owner between two passes.  Replaying the
+        # stale snapshot would place the withdrawn task on the freed node.
+        graph = TaskGraph()
+        for i in (1, 2, 3):
+            graph.add_task(
+                TaskInstance(
+                    task_id=i,
+                    label=f"t{i}",
+                    # Memory-bound: cores stay free, so the first pass
+                    # walks on past t1 and snapshots t2, t3 as blocked.
+                    requirements=ResolvedRequirements(cores=1, memory_mb=60_000),
+                    profile=SimProfile(duration_s=10.0),
+                )
+            )
+        platform = make_hpc_cluster(1)
+        executor = SimulatedExecutor(graph, platform, policy=LoadBalancingPolicy())
+        executor.engine.at(
+            5.0, lambda: graph.mark_failed(2, RuntimeError("withdrawn"), now=5.0)
+        )
+        report = executor.run()
+        assert graph.task(2).state is TaskState.FAILED
+        assert graph.task(3).state is TaskState.DONE
+        assert graph.task(3).start_time == 10.0
+        assert report.makespan == 20.0
 
 
 class TestRunPhaseAccounting:
