@@ -16,6 +16,7 @@ from repro.simulation.parallel import (
     ParallelShardedSimulationEngine,
     ShardApi,
     run_programs_sharded,
+    run_zone_programs,
 )
 
 __all__ = [
@@ -31,4 +32,5 @@ __all__ = [
     "ParallelShardedSimulationEngine",
     "ShardApi",
     "run_programs_sharded",
+    "run_zone_programs",
 ]

@@ -13,6 +13,7 @@ substrate) are themselves state machines that only need "call me at time t".
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Optional
 
 from repro.simulation.clock import SimClock
@@ -36,9 +37,16 @@ class SimulationEngine:
     #: route events by zone check the flag once instead of probing kwargs.
     is_sharded = False
 
-    def __init__(self, start: float = 0.0, max_events: int = 50_000_000) -> None:
+    def __init__(
+        self,
+        start: float = 0.0,
+        max_events: int = 50_000_000,
+        counter: Optional[itertools.count] = None,
+    ) -> None:
         self.clock = SimClock(start)
-        self.queue = EventQueue()
+        #: ``counter`` is the sequence source; engines serving as the shards
+        #: of one sharded engine share it (see :class:`EventQueue`).
+        self.queue = EventQueue(counter)
         self.max_events = max_events
         self._dispatched = 0
         self._lifetime_dispatched = 0
@@ -140,11 +148,26 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot run until {until:.6f}, before now ({self.clock.now:.6f})"
             )
-        while not self._stopped:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > until:
-                break
-            self.step()
+        self.drain(float("inf"), until)
         if not self._stopped and self.clock.now < until:
             self.clock.advance_to(until)
         return self.clock.now
+
+    def drain(self, window_end: float, until: Optional[float] = None) -> None:
+        """Dispatch every event before ``window_end`` and not past ``until``.
+
+        The one window loop: a horizon run is the window ``[now, inf)`` cut
+        at ``until`` (inclusive); a lane's barrier round is
+        ``[now, window_end)``.  Counts against the current run's valve —
+        unlike :meth:`run` it resets nothing.
+        """
+        peek_time = self.queue.peek_time
+        while not self._stopped:
+            next_time = peek_time()
+            if (
+                next_time is None
+                or next_time >= window_end
+                or (until is not None and next_time > until)
+            ):
+                break
+            self.step()

@@ -1,25 +1,32 @@
-"""Parallel shard execution: zone shards on real OS lanes.
+"""Parallel shard execution: zone programs, lanes, and the window barrier.
 
-:mod:`repro.simulation.sharded` proved the conservative-lookahead contract —
-each zone may independently drain the window ``[GVT, GVT + lookahead)``
-because no cross-zone effect can undercut the inter-zone network latency —
-but still dispatches every shard on one OS thread.  This module puts the
-contract to work: each *lane* (a forked worker process, or an in-process
-object where fork is unavailable) owns one or more zone shards outright —
-their clocks, event queues, and all node-local state — and cross-shard
-pushes are buffered during a window and exchanged only at window barriers,
-as pickled :class:`ChannelMessage` records over OS pipes.
+One shard core, three drivers.  A zone's shard is always a
+:class:`~repro.simulation.engine.SimulationEngine` (clock, queue, counters,
+``at``/``after``/``step``/``drain``); what differs is who steps it:
 
-The execution model is programs-per-zone rather than one global callable:
-the caller hands :class:`ParallelShardedSimulationEngine` a
-``{zone: factory}`` mapping where each ``factory(api)`` receives a
-:class:`ShardApi` — a zone-local engine facade with the familiar
+* the sequential :class:`~repro.simulation.sharded.ShardedSimulationEngine`
+  in lookahead mode (:func:`run_programs_sharded`, the equivalence suites'
+  reference): one OS thread, windows drained shard-major, a cross-zone
+  message filed onto the destination shard the moment it is sent;
+* in-process lanes, and
+* forked lanes (:class:`ParallelShardedSimulationEngine`): each *lane* owns
+  one or more zone shards outright — their engines and all node-local state
+  — drains ``[GVT, GVT + lookahead)`` per barrier round, and cross-zone
+  messages are buffered during the window and exchanged only at the barrier,
+  as pickled :class:`ChannelMessage` records (over OS pipes when forked).
+
+The execution model is programs-per-zone rather than one global callable: a
+``{zone: factory}`` mapping where each ``factory(api)`` receives the one
+:class:`ShardApi` — the zone's shard core behind the familiar
 ``at``/``after``/``now`` surface plus an explicit :meth:`ShardApi.send` for
-cross-zone effects.  ``send`` enforces the same latency floor as
-:meth:`ShardedSimulationEngine.at` (verbatim: ``time >= now + effective
-latency - _EPS``, raising :class:`SimulationError` on violation), which is
-what makes the safety argument — and the per-zone stream equivalence tests —
-carry over unchanged.
+cross-zone effects.  ``send`` validates once for all three drivers (the same
+latency floor as :meth:`ShardedSimulationEngine.at`: ``time >= now +
+effective latency - _EPS``, :class:`SimulationError` on violation) and
+hands the message to wherever its driver said validated messages go: the
+barrier outbox, or straight onto the destination shard.
+:func:`run_zone_programs` is the entry point that picks the driver by name;
+the zone workloads (``zonal``, ``hybrid_stream``, decomposed ``churn``) all
+go through it.
 
 Why a barrier for *every* cross-shard message, even between shards that
 happen to share a lane: the exchange point is part of the ordering contract.
@@ -34,10 +41,6 @@ Determinism boundary: lane placement (which zones share a process) affects
 wall-clock only, never results — zone state is never shared and message
 exchange is transport-independent.  Worker counts, core counts, and fork
 availability therefore cannot change a simulation's outcome.
-
-:func:`run_programs_sharded` runs the same ``{zone: factory}`` programs on
-the sequential :class:`ShardedSimulationEngine` (lookahead mode), giving the
-equivalence suites a reference run with the identical API surface.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.simulation.sharded import (
     check_latency_floor,
     lookahead_horizon,
 )
-from repro.simulation.sweep import _fork_context
+from repro.simulation.sweep import _fork_context, _peak_rss_kb
 
 #: ``factory(api) -> result_fn | None``: builds one zone's program against a
 #: :class:`ShardApi` and optionally returns a zero-arg callable evaluated at
@@ -99,7 +102,7 @@ class ChannelMessage:
 
 
 class ShardApi:
-    """Zone-local engine facade handed to each zone's program factory.
+    """Zone-local facade over one shard core, handed to the zone's factory.
 
     Implements the :class:`~repro.simulation.engine.SimulationEngine`
     surface a zone-local caller (e.g. :class:`SimulatedExecutor`) needs —
@@ -108,6 +111,11 @@ class ShardApi:
     :meth:`on_message` to receive.  ``is_sharded`` is False on purpose:
     everything a zone program schedules is zone-local by construction, so
     shard-routing callers bind their no-op resolver.
+
+    ``engine`` is the zone's shard — a lane's own engine, or one shard of a
+    sequential :class:`ShardedSimulationEngine`.  ``post`` is where a
+    validated message goes; by default the outbox a lane empties at the
+    window barrier (:meth:`drain_outbox`).
     """
 
     is_sharded = False
@@ -120,15 +128,17 @@ class ShardApi:
         latency: Dict[Tuple[str, str], float],
         lookahead: float,
         engine: SimulationEngine,
+        post: Optional[Callable[[ChannelMessage], Any]] = None,
     ) -> None:
         self.zone = zone
         self.zone_index = zone_index
         self._zones = frozenset(zones)
         self._latency = latency
         self._lookahead = lookahead
-        self._engine = engine
+        self.engine = engine
         self._send_seq = itertools.count()
         self._outbox: List[ChannelMessage] = []
+        self._post = post if post is not None else self._outbox.append
         self._handler: Optional[Callable[[Any], Any]] = None
         self._done = False
         #: ``(now, entry)`` records appended by :meth:`log`; the per-zone
@@ -139,11 +149,11 @@ class ShardApi:
 
     @property
     def now(self) -> float:
-        return self._engine.now
+        return self.engine.now
 
     @property
     def dispatched_events(self) -> int:
-        return self._engine.dispatched_events
+        return self.engine.dispatched_events
 
     def _check_shard(self, shard: Optional[str]) -> None:
         if shard is not None and shard != self.zone:
@@ -155,11 +165,11 @@ class ShardApi:
     def at(self, time, action, priority=0, label="", shard=None):
         """Schedule a zone-local event (same contract as the engines)."""
         self._check_shard(shard)
-        return self._engine.at(time, action, priority=priority, label=label)
+        return self.engine.at(time, action, priority=priority, label=label)
 
     def after(self, delay, action, priority=0, label="", shard=None):
         self._check_shard(shard)
-        return self._engine.after(delay, action, priority=priority, label=label)
+        return self.engine.after(delay, action, priority=priority, label=label)
 
     def stop(self) -> None:
         """Mark this zone's program done.
@@ -179,10 +189,7 @@ class ShardApi:
 
     def latency_to(self, dst_zone: str) -> float:
         """Effective latency to ``dst_zone`` (the send floor for it)."""
-        lat = self._latency.get((self.zone, dst_zone))
-        if lat is None:
-            return self._lookahead
-        return lat
+        return self._latency.get((self.zone, dst_zone), self._lookahead)
 
     def send(
         self,
@@ -193,13 +200,14 @@ class ShardApi:
         priority: int = 0,
         label: str = "",
     ) -> ChannelMessage:
-        """Emit a cross-zone message, delivered at the next window barrier.
+        """Emit a cross-zone message (lanes deliver it at the next barrier).
 
         Exactly one of ``delay`` / ``time`` picks the delivery instant
         (``delay`` is relative to :attr:`now`); it must pay the inter-zone
         latency floor or this raises :class:`SimulationError`.  The payload
         is pickled here, immediately — mutating it after send cannot affect
-        the delivered copy.
+        the delivered copy — and one that cannot be pickled is the sender's
+        error, raised here with the zones and label that identify it.
         """
         if dst_zone == self.zone:
             raise SimulationError(
@@ -217,6 +225,13 @@ class ShardApi:
         check_latency_floor(
             self.zone, dst_zone, self.now, when, self.latency_to(dst_zone), label
         )
+        try:
+            payload_bytes = pickle.dumps(payload)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise SimulationError(
+                f"send() {label!r} from zone {self.zone!r} to {dst_zone!r}: "
+                f"payload cannot be pickled ({exc})"
+            ) from exc
         message = ChannelMessage(
             time=when,
             priority=priority,
@@ -224,9 +239,9 @@ class ShardApi:
             src_index=self.zone_index,
             send_seq=next(self._send_seq),
             dst_zone=dst_zone,
-            payload_bytes=pickle.dumps(payload),
+            payload_bytes=payload_bytes,
         )
-        self._outbox.append(message)
+        self._post(message)
         return message
 
     def on_message(self, handler: Callable[[Any], Any]) -> None:
@@ -240,15 +255,17 @@ class ShardApi:
     # ---------------------------------------------------- coordinator hooks
 
     def drain_outbox(self) -> List[ChannelMessage]:
-        outbox, self._outbox = self._outbox, []
+        outbox = self._outbox[:]
+        self._outbox.clear()
         return outbox
 
     def deliver(self, message: ChannelMessage) -> None:
-        """File a barrier-delivered message onto the zone's local queue.
+        """File a message from another zone onto this zone's local queue.
 
-        Pushed directly (not through ``at``): like the sequential sharded
-        engine, a barrier delivery lands in the queue unconditionally and
-        the dispatch-time clock advance is the causality check of record.
+        Pushed directly (not through ``at``): :meth:`send` already checked
+        the floor against the sender's clock, so a delivery lands in the
+        queue unconditionally and the dispatch-time clock advance is the
+        causality check of record.
         """
         if self._handler is None:
             raise SimulationError(
@@ -257,7 +274,7 @@ class ShardApi:
             )
         handler = self._handler
         payload_bytes = message.payload_bytes
-        self._engine.queue.push(
+        self.engine.queue.push(
             message.time,
             lambda: handler(pickle.loads(payload_bytes)),
             priority=message.priority,
@@ -265,60 +282,13 @@ class ShardApi:
         )
 
 
-class _LaneShard:
-    """One zone's full state inside a lane: api + engine + result hook."""
-
-    __slots__ = ("zone", "api", "engine", "result_fn")
-
-    def __init__(
-        self,
-        zone: str,
-        zone_index: int,
-        zones: Tuple[str, ...],
-        latency: Dict[Tuple[str, str], float],
-        lookahead: float,
-        max_events: int,
-    ) -> None:
-        self.zone = zone
-        self.engine = SimulationEngine(max_events=max_events)
-        self.api = ShardApi(zone, zone_index, zones, latency, lookahead, self.engine)
-        self.result_fn: Optional[Callable[[], Any]] = None
-
-    def setup(self, factory: ProgramFactory) -> None:
-        self.result_fn = factory(self.api)
-
-    def next_time(self) -> Optional[float]:
-        return self.engine.queue.peek_time()
-
-    def run_window(self, window_end: float, until: Optional[float]) -> None:
-        """Drain every local event strictly inside ``[clock, window_end)``."""
-        engine = self.engine
-        queue = engine.queue
-        while True:
-            next_time = queue.peek_time()
-            if (
-                next_time is None
-                or next_time >= window_end
-                or (until is not None and next_time > until)
-            ):
-                break
-            engine.step()
-
-    def finalize(self, until: Optional[float]) -> Dict[str, Any]:
-        if until is not None and self.engine.clock.now < until:
-            self.engine.clock.advance_to(until)
-        result = self.result_fn() if self.result_fn is not None else None
-        return {
-            "result": result,
-            "logs": list(self.api.logs),
-            "now": self.engine.now,
-            "dispatched": self.engine.dispatched_events,
-            "done": self.api.done,
-        }
-
-
 class _InlineLane:
-    """A set of shards driven in-process; the fork worker wraps this too."""
+    """A set of zone shards driven in-process; the fork worker wraps one too.
+
+    Each shard is a :class:`ShardApi` over its own :class:`SimulationEngine`.
+    Answers the same ``send_window`` / ``recv_window`` pair as
+    :class:`_ProcessLane`, so the coordinator loop has one shape.
+    """
 
     def __init__(
         self,
@@ -331,19 +301,32 @@ class _InlineLane:
         max_events: int,
     ) -> None:
         self.index = index
+        self.zones = [zone for zone, _ in zones]
         self._programs = programs
-        self.shards = [
-            _LaneShard(zone, zone_index, all_zones, latency, lookahead, max_events)
+        self._apis = [
+            ShardApi(
+                zone,
+                zone_index,
+                all_zones,
+                latency,
+                lookahead,
+                SimulationEngine(max_events=max_events),
+            )
             for zone, zone_index in zones
         ]
+        self._result_fns: Dict[str, Optional[Callable[[], Any]]] = {}
+        self._reply: Any = None
         self.cpu_seconds = 0.0
+
+    def _next_times(self) -> Dict[str, Optional[float]]:
+        return {api.zone: api.engine.queue.peek_time() for api in self._apis}
 
     def setup(self) -> Dict[str, Optional[float]]:
         cpu_start = _time.process_time()
-        for shard in self.shards:
-            shard.setup(self._programs[shard.zone])
+        for api in self._apis:
+            self._result_fns[api.zone] = self._programs[api.zone](api)
         self.cpu_seconds += _time.process_time() - cpu_start
-        return {shard.zone: shard.next_time() for shard in self.shards}
+        return self._next_times()
 
     def window(
         self,
@@ -360,35 +343,45 @@ class _InlineLane:
         per_zone = window_end if isinstance(window_end, dict) else None
         outbox: List[ChannelMessage] = []
         dispatched = 0
-        for shard in self.shards:
-            inbox = inboxes.get(shard.zone)
+        for api in self._apis:
+            inbox = inboxes.get(api.zone)
             if inbox:
                 for message in sorted(inbox, key=lambda m: m.sort_key):
-                    shard.api.deliver(message)
-            before = shard.engine.dispatched_events
-            shard.run_window(
-                per_zone[shard.zone] if per_zone is not None else window_end,
-                until,
+                    api.deliver(message)
+            engine = api.engine
+            before = engine.dispatched_events
+            engine.drain(
+                per_zone[api.zone] if per_zone is not None else window_end, until
             )
-            dispatched += shard.engine.dispatched_events - before
-            outbox.extend(shard.api.drain_outbox())
-        next_times = {shard.zone: shard.next_time() for shard in self.shards}
+            dispatched += engine.dispatched_events - before
+            outbox.extend(api.drain_outbox())
+        next_times = self._next_times()
         self.cpu_seconds += _time.process_time() - cpu_start
         return next_times, outbox, dispatched
 
+    def send_window(self, window_end, until, inboxes) -> None:
+        self._reply = self.window(window_end, until, inboxes)
+
+    def recv_window(self):
+        return self._reply
+
     def finalize(self, until: Optional[float]) -> Dict[str, Dict[str, Any]]:
         cpu_start = _time.process_time()
-        results = {shard.zone: shard.finalize(until) for shard in self.shards}
+        results = {}
+        for api in self._apis:
+            engine = api.engine
+            if until is not None and engine.now < until:
+                engine.clock.advance_to(until)
+            result_fn = self._result_fns[api.zone]
+            results[api.zone] = {
+                "result": result_fn() if result_fn is not None else None,
+                "logs": list(api.logs),
+                "now": engine.now,
+                "dispatched": engine.dispatched_events,
+                "done": api.done,
+            }
         self.cpu_seconds += _time.process_time() - cpu_start
         return results
-
-
-def _peak_rss_kb() -> float:
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return 0.0
-    return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _lane_worker(lane: _InlineLane, conn) -> None:
@@ -428,7 +421,7 @@ class _ProcessLane:
 
     def __init__(self, lane: _InlineLane, context) -> None:
         self.index = lane.index
-        self.shards = lane.shards  # zone names only; state lives in the child
+        self.zones = lane.zones  # names only; the shards live in the child
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_lane_worker, args=(lane, child_conn), daemon=True
@@ -438,8 +431,19 @@ class _ProcessLane:
         self.cpu_seconds = 0.0
         self.peak_rss_kb = 0.0
 
+    def _pipe(self, call, *args):
+        """One pipe operation; a worker that died is an attributed error."""
+        try:
+            return call(*args)
+        except (EOFError, OSError) as exc:
+            self._process.join(timeout=5)
+            raise SimulationError(
+                f"lane {self.index} worker (zones {', '.join(self.zones)}) "
+                f"died mid-run, exit code {self._process.exitcode}"
+            ) from exc
+
     def _recv(self, expected: str):
-        reply = self._conn.recv()
+        reply = self._pipe(self._conn.recv)
         if reply[0] == "error":
             _, name, message, trace = reply
             if name == "SimulationError":
@@ -462,14 +466,13 @@ class _ProcessLane:
         until: Optional[float],
         inboxes: Dict[str, List[ChannelMessage]],
     ) -> None:
-        self._conn.send(("window", window_end, until, inboxes))
+        self._pipe(self._conn.send, ("window", window_end, until, inboxes))
 
     def recv_window(self):
-        reply = self._recv("ok")
-        return reply[1], reply[2], reply[3]
+        return self._recv("ok")[1:]
 
     def finalize(self, until: Optional[float]) -> Dict[str, Dict[str, Any]]:
-        self._conn.send(("finalize", until))
+        self._pipe(self._conn.send, ("finalize", until))
         _, results, self.cpu_seconds, self.peak_rss_kb = self._recv("result")
         self._process.join(timeout=30)
         self._conn.close()
@@ -511,7 +514,6 @@ class ParallelShardedSimulationEngine:
         programs: Dict[str, ProgramFactory],
         workers: int = 2,
         lookahead: Optional[float] = None,
-        until: Optional[float] = None,
         max_events: int = 50_000_000,
         adaptive_window: bool = True,
     ) -> None:
@@ -522,7 +524,6 @@ class ParallelShardedSimulationEngine:
         self.zones: Tuple[str, ...] = tuple(self.programs)
         self.workers = max(1, int(workers))
         self.max_events = max_events
-        self._until = until
         self._latency = network.zone_latency_matrix(list(self.zones))
         self.lookahead = lookahead_horizon(self._latency, lookahead)
         self._adaptive = bool(adaptive_window)
@@ -544,27 +545,27 @@ class ParallelShardedSimulationEngine:
             plan[index % lanes].append((zone, index))
         return plan
 
-    def _use_fork(self) -> bool:
+    def _lane_context(self):
+        """The fork context to put lanes on, or None to run them inline."""
         if self.workers <= 1 or len(self.zones) <= 1:
-            return False
-        if _fork_context() is None:
-            return False
+            return None
         # Daemonic pool workers (the sweep driver's children) may not fork
         # grandchildren; the same coordinator runs the lanes inline there.
-        return not multiprocessing.current_process().daemon
+        if multiprocessing.current_process().daemon:
+            return None
+        return _fork_context()
 
     def run(self, until: Optional[float] = None) -> float:
         """Execute the programs to quiescence (or ``until``); one-shot."""
         if self._ran:
             raise SimulationError("ParallelShardedSimulationEngine is one-shot")
         self._ran = True
-        if until is None:
-            until = self._until
         wall_start = _time.perf_counter()
         cpu_start = _time.process_time()
-        fork = self._use_fork()
+        context = self._lane_context()
+        fork = context is not None
         plan = self._plan_lanes()
-        inline_lanes = [
+        lanes: List[Any] = [
             _InlineLane(
                 index,
                 zones,
@@ -576,12 +577,8 @@ class ParallelShardedSimulationEngine:
             )
             for index, zones in enumerate(plan)
         ]
-        context = _fork_context()
-        lanes: List[Any]
         if fork:
-            lanes = [_ProcessLane(lane, context) for lane in inline_lanes]
-        else:
-            lanes = inline_lanes
+            lanes = [_ProcessLane(lane, context) for lane in lanes]
         windows = 0
         messages = 0
         widened_windows = 0
@@ -653,27 +650,17 @@ class ParallelShardedSimulationEngine:
                             inboxes[zone] = inbox
                             pending[zone] = []
                     inboxes_by_lane.append(inboxes)
-                if fork:
-                    # Broadcast first, then gather: every lane drains its
-                    # window concurrently — this is the parallel section.
-                    for lane, inboxes in zip(lanes, inboxes_by_lane):
-                        lane.send_window(window_ends, until, inboxes)
-                    replies = [lane.recv_window() for lane in lanes]
-                else:
-                    replies = [
-                        lane.window(window_ends, until, inboxes)
-                        for lane, inboxes in zip(lanes, inboxes_by_lane)
-                    ]
+                # Broadcast first, then gather: forked lanes drain their
+                # window concurrently — this is the parallel section (an
+                # inline lane drains inside send_window).
+                for lane, inboxes in zip(lanes, inboxes_by_lane):
+                    lane.send_window(window_ends, until, inboxes)
+                replies = [lane.recv_window() for lane in lanes]
                 window_messages = 0
                 for lane_next, outbox, dispatched in replies:
                     next_times.update(lane_next)
                     self.dispatched_events += dispatched
                     for message in outbox:
-                        if message.dst_zone not in pending:  # pragma: no cover
-                            raise SimulationError(
-                                f"message routed to unknown zone "
-                                f"{message.dst_zone!r}"
-                            )
                         pending[message.dst_zone].append(message)
                         messages += 1
                         window_messages += 1
@@ -737,100 +724,8 @@ class ParallelShardedSimulationEngine:
 
 
 # ---------------------------------------------------------------------------
-# Sequential reference: the same programs on ShardedSimulationEngine
+# Sequential reference, and the one place a driver is chosen by name
 # ---------------------------------------------------------------------------
-
-
-class _AdapterApi(ShardApi):
-    """ShardApi over one zone of a sequential :class:`ShardedSimulationEngine`.
-
-    Same surface, same latency-floor check, same pickle round-trip for
-    payloads — the only difference is *when* cross-zone messages enter the
-    destination queue (immediately, with the engine's own cross-shard floor
-    check, instead of at a window barrier).  Per-zone streams are equivalent
-    by the sharded engine's own proof, which is what the equivalence suites
-    assert.
-    """
-
-    def __init__(
-        self,
-        zone: str,
-        zone_index: int,
-        zones: Tuple[str, ...],
-        latency: Dict[Tuple[str, str], float],
-        lookahead: float,
-        engine: ShardedSimulationEngine,
-        peers: Dict[str, "_AdapterApi"],
-    ) -> None:
-        super().__init__(zone, zone_index, zones, latency, lookahead, engine=None)
-        self._sharded = engine
-        self._peers = peers
-
-    @property
-    def now(self) -> float:
-        return self._sharded.shard_now(self.zone)
-
-    @property
-    def dispatched_events(self) -> int:
-        return self._sharded.shard_dispatch_counts.get(self.zone, 0)
-
-    def at(self, time, action, priority=0, label="", shard=None):
-        self._check_shard(shard)
-        return self._sharded.at(
-            time, action, priority=priority, label=label, shard=self.zone
-        )
-
-    def after(self, delay, action, priority=0, label="", shard=None):
-        self._check_shard(shard)
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} for event {label!r}")
-        return self._sharded.at(
-            self.now + delay, action, priority=priority, label=label, shard=self.zone
-        )
-
-    def send(
-        self,
-        dst_zone,
-        payload,
-        delay=None,
-        time=None,
-        priority=0,
-        label="",
-    ):
-        if dst_zone == self.zone:
-            raise SimulationError(
-                f"zone {self.zone!r} cannot send() to itself; use at()/after() "
-                "for same-zone scheduling"
-            )
-        if dst_zone not in self._zones:
-            raise SimulationError(
-                f"send() to unknown zone {dst_zone!r} (zones: "
-                f"{sorted(self._zones)})"
-            )
-        if (delay is None) == (time is None):
-            raise SimulationError("send() takes exactly one of delay= or time=")
-        when = self.now + delay if time is None else time
-        check_latency_floor(
-            self.zone, dst_zone, self.now, when, self.latency_to(dst_zone), label
-        )
-        peer = self._peers[dst_zone]
-        payload_bytes = pickle.dumps(payload)
-
-        def deliver() -> None:
-            if peer._handler is None:
-                raise SimulationError(
-                    f"zone {peer.zone!r} received a message from "
-                    f"{self.zone!r} but registered no on_message handler"
-                )
-            peer._handler(pickle.loads(payload_bytes))
-
-        return self._sharded.at(
-            when,
-            deliver,
-            priority=priority,
-            label=f"channel:{self.zone}",
-            shard=dst_zone,
-        )
 
 
 def run_programs_sharded(
@@ -841,26 +736,29 @@ def run_programs_sharded(
 ) -> Dict[str, Any]:
     """Run ``{zone: factory}`` programs on the sequential lookahead engine.
 
-    The reference run for the parallel engine's equivalence suites: same
-    program API (:class:`ShardApi` surface), same floor checks, same result
-    shape — one OS thread, windows drained shard-major.
+    The reference run for the parallel engine's equivalence suites: the same
+    :class:`ShardApi` over each shard of a :class:`ShardedSimulationEngine`,
+    same floor checks, same pickle round-trip, same result shape — one OS
+    thread, windows drained shard-major.  The only difference is *when* a
+    cross-zone message enters the destination queue: immediately at send
+    instead of at a window barrier.  Per-zone streams are equivalent by the
+    sharded engine's own proof, which is what the equivalence suites assert.
     """
     zones = tuple(programs)
     engine = ShardedSimulationEngine(
         network=network, zones=list(zones), mode="lookahead", lookahead=lookahead
     )
-    latency = engine._latency
-    horizon = engine.lookahead or 0.0
-    peers: Dict[str, _AdapterApi] = {}
-    apis: Dict[str, _AdapterApi] = {}
+    apis: Dict[str, ShardApi] = {}
+
+    def post(message: ChannelMessage) -> None:
+        apis[message.dst_zone].deliver(message)
+
     for index, zone in enumerate(zones):
-        apis[zone] = _AdapterApi(
-            zone, index, zones, latency, horizon, engine, peers
+        shard = engine.shard(zone)
+        apis[zone] = ShardApi(
+            zone, index, zones, engine._latency, engine.lookahead, shard, post
         )
-    peers.update(apis)
-    result_fns = {
-        zone: programs[zone](apis[zone]) for zone in zones
-    }
+    result_fns = {zone: programs[zone](apis[zone]) for zone in zones}
     now = engine.run(until=until)
     return {
         "results": {
@@ -871,6 +769,41 @@ def run_programs_sharded(
         "now": now,
         "dispatched_events": engine.dispatched_events,
         "shard_dispatch_counts": {
-            zone: engine.shard_dispatch_counts.get(zone, 0) for zone in zones
+            zone: engine.shard(zone).lifetime_dispatched for zone in zones
         },
     }
+
+
+def run_zone_programs(
+    network: NetworkTopology,
+    programs: Dict[str, ProgramFactory],
+    engine: str = "parallel",
+    workers: int = 2,
+) -> Tuple[Dict[str, Any], int, Dict[str, Any]]:
+    """Run the programs on the named driver: ``(per_zone, events, stats)``.
+
+    * ``single``: the parallel coordinator with one in-process lane (the
+      window protocol, sequentially);
+    * ``sharded``: the sequential lookahead reference
+      (:func:`run_programs_sharded`);
+    * ``parallel``: forked lanes, ``workers`` wide.
+
+    ``per_zone`` holds the zone results in zone-name order and ``events``
+    the dispatch total — both seed-determined and identical on all three;
+    ``stats`` the non-deterministic execution metrics (empty for
+    ``sharded``).
+    """
+    stats: Dict[str, Any] = {}
+    if engine == "sharded":
+        out = run_programs_sharded(network, programs)
+        per_zone = out["results"]
+        dispatched = sum(out["shard_dispatch_counts"].values())
+    elif engine in ("single", "parallel"):
+        sim = ParallelShardedSimulationEngine(
+            network, programs, workers=1 if engine == "single" else workers
+        )
+        sim.run()
+        per_zone, dispatched, stats = sim.results, sim.dispatched_events, sim.stats
+    else:
+        raise ValueError(f"unknown engine {engine!r} (single, sharded, parallel)")
+    return {zone: per_zone[zone] for zone in sorted(per_zone)}, dispatched, stats

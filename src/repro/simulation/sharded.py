@@ -1,13 +1,19 @@
-"""Zone-sharded discrete-event engine with conservative lookahead.
+"""Zone-sharded discrete-event engine: the sequential shard driver.
 
 The single-queue :class:`~repro.simulation.engine.SimulationEngine` funnels
 every event — a completion in the fog, a message between two cloud agents —
 through one heap.  This engine partitions the platform by *network zone*
-instead: each zone gets its own clock and event queue, plus one ``control``
-shard for platform-global machinery (the scheduler's dispatch loop, stop
-conditions).
+instead.  A shard *is* a :class:`SimulationEngine` — the one shard core:
+clock, queue, counters, ``at``/``after``/``step`` — one per zone plus one
+``control`` shard for platform-global machinery (the scheduler's dispatch
+loop, stop conditions), their queues sharing one sequence counter.  What
+this class adds is the *driver*: which shard steps next, what a push from
+one shard onto another must honor, and one runaway valve over all of them.
+The other two drivers of the same shard core — in-process and forked lanes
+behind a window barrier — live in :mod:`repro.simulation.parallel`.
 
-Two execution modes, one scheduling API:
+Two execution modes, one scheduling API, one run loop (find the globally
+earliest event, then dispatch it — or the window it opens):
 
 ``coupled`` (default)
     Every dispatch pops the globally earliest event across all shard
@@ -33,24 +39,26 @@ Two execution modes, one scheduling API:
     breaking causality.  Within a shard, dispatch order is the familiar
     ``(time, priority, sequence)``; across shards inside one window it is
     shard-major, which is exactly the reordering the latency argument
-    proves unobservable.
+    proves unobservable.  This mode is the reference the lane drivers'
+    equivalence suites compare against.
 
-The engine is deliberately sequential: windows bound *logical* concurrency
-(how far shards may causally run ahead of each other), which is what the
-multiprocess sweep driver and the equivalence tests exercise.  The window
-loop is written so each shard's round drain is independent, so a thread
-per shard could be dropped in without changing any result.
+The round drains each shard event by event rather than through
+:meth:`SimulationEngine.drain`: every dispatch has to mark the executing
+shard (cross-shard pushes are judged against *its* clock) and count against
+the whole engine's ``max_events``, which bounds one :meth:`run` across all
+shards exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+import sys
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.infrastructure.network import NetworkTopology
 from repro.simulation.clock import SimClock
-from repro.simulation.engine import SimulationError
-from repro.simulation.events import Event, EventQueue
+from repro.simulation.engine import SimulationEngine, SimulationError
+from repro.simulation.events import Event
 
 #: Shard name for events that belong to no zone (``shard=None``): the
 #: scheduler's dispatch loop, stop conditions, other global machinery.
@@ -121,18 +129,6 @@ def check_latency_floor(
         )
 
 
-class _Shard:
-    """One zone's private timeline: a clock, a queue, a dispatch counter."""
-
-    __slots__ = ("name", "clock", "queue", "dispatched")
-
-    def __init__(self, name: str, start: float, counter: itertools.count) -> None:
-        self.name = name
-        self.clock = SimClock(start)
-        self.queue = EventQueue(counter)
-        self.dispatched = 0
-
-
 class ShardedSimulationEngine:
     """Drop-in engine partitioned by network zone.
 
@@ -160,22 +156,22 @@ class ShardedSimulationEngine:
         self.network = network
         self.mode = mode
         self.max_events = max_events
-        self._start = start
         #: Global clock: last dispatched time in coupled mode, the GVT
         #: (minimum over shard clocks) frontier in lookahead mode.
         self.clock = SimClock(start)
         self._counter = itertools.count()
-        self._shards: Dict[str, _Shard] = {}
+        self._shards: Dict[str, SimulationEngine] = {}
         if zones is None and network is not None:
             zones = network.zones()
         for zone in zones or ():
-            self._shard(zone)
-        self._shard(CONTROL_SHARD)
+            self.shard(zone)
+        self.shard(CONTROL_SHARD)
         self._dispatched = 0
-        self._lifetime_dispatched = 0
         self._stopped = False
-        #: Shard currently executing an event (None between dispatches).
-        self._executing: Optional[_Shard] = None
+        #: Shard currently executing an event (None between dispatches),
+        #: and its name (meaningful only while one is executing).
+        self._executing: Optional[SimulationEngine] = None
+        self._executing_name = ""
         self._latency: Dict[tuple, float] = {}
         self.lookahead: Optional[float] = None
         if mode == "lookahead":
@@ -187,42 +183,35 @@ class ShardedSimulationEngine:
 
     # ----------------------------------------------------------------- shards
 
-    def _shard(self, name: str) -> _Shard:
+    def shard(self, name: str) -> SimulationEngine:
+        """The shard core behind ``name``: its zone-local clock and queue.
+
+        During dispatch of one of the shard's events its ``now`` equals
+        :attr:`now`; between windows a shard may be ahead of the global
+        frontier, which is what a zone-local caller (a :class:`ShardApi`
+        over this shard) needs to read.
+        """
         shard = self._shards.get(name)
         if shard is None:
             # A shard born mid-run starts at the global frontier: every
-            # event it will ever receive is scheduled at or after now.
-            self._shards[name] = shard = _Shard(
-                name, self.clock.now, self._counter
+            # event it will ever receive is scheduled at or after now.  Its
+            # own valve is off — a shard is never run(), so its per-run
+            # counter is cumulative; this engine's valve bounds the run.
+            self._shards[name] = shard = SimulationEngine(
+                self.clock.now, max_events=sys.maxsize, counter=self._counter
             )
         return shard
-
-    def _latency_between(self, src: str, dst: str) -> float:
-        """Causal floor for a cross-shard push (lookahead mode only)."""
-        lat = self._latency.get((src, dst))
-        if lat is None:
-            # Control shard and late-born zones: at least one window.
-            return self.lookahead or 0.0
-        return lat
 
     @property
     def shard_names(self) -> List[str]:
         return list(self._shards)
 
-    def shard_now(self, name: str) -> float:
-        """A shard's own clock (its zone-local virtual time).
-
-        During dispatch of one of the shard's events this equals
-        :attr:`now`; between windows a shard may be ahead of the global
-        frontier, which is exactly what zone-local callers (the program
-        adapters in :mod:`repro.simulation.parallel`) need to read.
-        """
-        return self._shard(name).clock.now
-
     @property
     def shard_dispatch_counts(self) -> Dict[str, int]:
         """Events dispatched per shard (diagnostics / load-balance checks)."""
-        return {name: shard.dispatched for name, shard in self._shards.items()}
+        return {
+            name: shard.lifetime_dispatched for name, shard in self._shards.items()
+        }
 
     # ------------------------------------------------------------- scheduling
 
@@ -242,7 +231,7 @@ class ShardedSimulationEngine:
 
     @property
     def lifetime_dispatched(self) -> int:
-        return self._lifetime_dispatched
+        return sum(shard.lifetime_dispatched for shard in self._shards.values())
 
     def at(
         self,
@@ -261,34 +250,29 @@ class ShardedSimulationEngine:
         for letting the target run ahead), so ``time`` earlier than
         ``now + latency`` raises :class:`SimulationError`.
         """
-        target = self._shard(shard if shard is not None else CONTROL_SHARD)
+        name = shard if shard is not None else CONTROL_SHARD
+        target = self.shard(name)
         source = self._executing
-        if source is None:
-            # Outside dispatch (setup, between runs): only the target's own
-            # past is off-limits.
-            if time < target.clock.now:
-                raise SimulationError(
-                    f"cannot schedule event {label!r} at {time:.6f} on shard "
-                    f"{target.name!r}, which is before its now "
-                    f"({target.clock.now:.6f})"
-                )
-        elif target is source or self.mode == "coupled":
-            # Same timeline — or coupled mode, where all shards advance in
-            # global order and the single-queue rule applies verbatim.
-            if time < source.clock.now:
+        if source is None or source is target:
+            # Outside dispatch, or the executing shard's own timeline: only
+            # the target's past is off-limits — the shard core's own rule.
+            return target.at(time, action, priority=priority, label=label)
+        now = source.clock.now
+        if self.lookahead is None:
+            # Coupled: all shards advance in global order, so the
+            # single-queue rule applies against the executing clock (the
+            # target's own clock may lag it).
+            if time < now:
                 raise SimulationError(
                     f"cannot schedule event {label!r} at {time:.6f}, "
-                    f"which is before now ({source.clock.now:.6f})"
+                    f"which is before now ({now:.6f})"
                 )
         else:
-            check_latency_floor(
-                source.name,
-                target.name,
-                source.clock.now,
-                time,
-                self._latency_between(source.name, target.name),
-                label,
-            )
+            # Control shard and late-born zones are off the matrix: they
+            # pay at least one window.
+            source_name = self._executing_name
+            latency = self._latency.get((source_name, name), self.lookahead)
+            check_latency_floor(source_name, name, now, time, latency, label)
         return target.queue.push(time, action, priority=priority, label=label)
 
     def after(
@@ -312,34 +296,39 @@ class ShardedSimulationEngine:
 
     # --------------------------------------------------------------- dispatch
 
-    def _dispatch_one(self, shard: _Shard) -> None:
-        event = shard.queue.pop()
-        if event is None:  # pragma: no cover - callers peek first
-            return
-        shard.clock.advance_to(event.time)
-        shard.dispatched += 1
+    def _dispatch_one(self, name: str, shard: SimulationEngine) -> None:
+        """Step ``shard`` once (callers peeked: it has a live event)."""
         self._dispatched += 1
-        self._lifetime_dispatched += 1
         if self._dispatched > self.max_events:
             raise SimulationError(
                 f"dispatched more than {self.max_events} events; "
                 "likely a self-rescheduling loop"
             )
+        self._executing_name = name
         self._executing = shard
         try:
-            event.action()
+            shard.step()
         finally:
             self._executing = None
 
-    def _min_shard(self) -> Optional[_Shard]:
-        """Shard holding the globally earliest live event, or None."""
+    def _min_shard(self) -> Optional[Tuple[float, str, SimulationEngine]]:
+        """``(time, name, shard)`` of the globally earliest live event.
+
+        The time is the GVT; None when every queue is drained.
+        """
         best = None
         best_key = None
-        for shard in self._shards.values():
-            key = shard.queue.peek_key()
+        for item in self._shards.items():
+            key = item[1].queue.peek_key()
             if key is not None and (best_key is None or key < best_key):
-                best, best_key = shard, key
-        return best
+                best, best_key = item, key
+        if best is None:
+            return None
+        return best_key[0], best[0], best[1]
+
+    def _advance_to(self, time: float) -> None:
+        if time > self.clock.now:
+            self.clock.advance_to(time)
 
     def step(self) -> bool:
         """Dispatch the single globally earliest event (merge order).
@@ -347,13 +336,12 @@ class ShardedSimulationEngine:
         Matches the single-queue engine's ``step`` exactly; in lookahead
         mode it is simply a window of one event, which is always safe.
         """
-        shard = self._min_shard()
-        if shard is None:
+        head = self._min_shard()
+        if head is None:
             return False
-        time = shard.queue.peek_time()
-        if time > self.clock.now:
-            self.clock.advance_to(time)
-        self._dispatch_one(shard)
+        time, name, shard = head
+        self._advance_to(time)
+        self._dispatch_one(name, shard)
         return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -369,87 +357,49 @@ class ShardedSimulationEngine:
             raise SimulationError(
                 f"cannot run until {until:.6f}, before now ({self.clock.now:.6f})"
             )
-        if self.mode == "coupled":
-            self._run_coupled(until)
-        else:
-            self._run_lookahead(until)
-        if not self._stopped and until is not None:
-            for shard in self._shards.values():
-                if shard.clock.now < until:
-                    shard.clock.advance_to(until)
-            if self.clock.now < until:
-                self.clock.advance_to(until)
-        else:
-            # Quiescence (or stop): land on the single-queue engine's final
-            # time — the latest dispatched instant — not the last window's
-            # GVT.  Leaving shard clocks behind the frontier would accept
-            # at() schedules in the global past that SimulationEngine
-            # rejects; at quiescence every queue is drained, so advancing
-            # the laggards is safe.  After a stop() only the global clock
-            # moves: stopped shards may still hold earlier pending events.
-            frontier = max(
-                (shard.clock.now for shard in self._shards.values()),
-                default=self.clock.now,
-            )
-            if not self._stopped:
-                for shard in self._shards.values():
-                    if shard.clock.now < frontier:
-                        shard.clock.advance_to(frontier)
-            if self.clock.now < frontier:
-                self.clock.advance_to(frontier)
-        return self.clock.now
-
-    def _run_coupled(self, until: Optional[float]) -> None:
         shards = self._shards
-        clock = self.clock
         while not self._stopped:
-            best = None
-            best_key = None
-            for shard in shards.values():
-                key = shard.queue.peek_key()
-                if key is not None and (best_key is None or key < best_key):
-                    best, best_key = shard, key
-            if best is None:
+            # GVT: the earliest event anywhere is the next dispatch
+            # (coupled) or opens the next window (lookahead).
+            head = self._min_shard()
+            if head is None or (until is not None and head[0] > until):
                 break
-            time = best_key[0]
-            if until is not None and time > until:
-                break
-            if time > clock.now:
-                clock.advance_to(time)
-            self._dispatch_one(best)
-
-    def _run_lookahead(self, until: Optional[float]) -> None:
-        lookahead = self.lookahead
-        clock = self.clock
-        while not self._stopped:
-            # GVT: the earliest event anywhere defines the next window.
-            gvt = None
-            for shard in self._shards.values():
-                time = shard.queue.peek_time()
-                if time is not None and (gvt is None or time < gvt):
-                    gvt = time
-            if gvt is None:
-                break
-            if until is not None and gvt > until:
-                break
-            if gvt > clock.now:
-                clock.advance_to(gvt)
-            window_end = gvt + lookahead
+            gvt, name, shard = head
+            self._advance_to(gvt)
+            if self.lookahead is None:
+                self._dispatch_one(name, shard)
+                continue
+            window_end = gvt + self.lookahead
             # Each shard independently drains its slice of the window.  The
             # shard list is materialized first because a dispatched event
             # may create a new shard; events landing there this round are
             # all at/after window_end (the push contract), so the new shard
             # joins from the next round.
-            for shard in list(self._shards.values()):
-                queue = shard.queue
+            for name, shard in list(shards.items()):
+                peek_time = shard.queue.peek_time
                 while not self._stopped:
-                    time = queue.peek_time()
+                    time = peek_time()
                     if (
                         time is None
                         or time >= window_end
                         or (until is not None and time > until)
                     ):
                         break
-                    self._dispatch_one(shard)
-                if self._stopped:
-                    break
+                    self._dispatch_one(name, shard)
+        # Land the clocks.  With a horizon: exactly on ``until``.  At
+        # quiescence: on the single-queue engine's final time — the latest
+        # dispatched instant — not the last window's GVT; leaving shard
+        # clocks behind the frontier would accept at() schedules in the
+        # global past that SimulationEngine rejects, and every queue is
+        # drained, so advancing the laggards is safe.  After a stop() only
+        # the global clock moves: stopped shards may still hold earlier
+        # pending events.
+        landing = until
+        if landing is None or self._stopped:
+            landing = max(shard.clock.now for shard in shards.values())
+        if not self._stopped:
+            for shard in shards.values():
+                if shard.clock.now < landing:
+                    shard.clock.advance_to(landing)
+        self._advance_to(landing)
+        return self.clock.now

@@ -112,54 +112,16 @@ class SweepStats:
             default=0.0,
         )
 
-    def _sum_per_run(self, key: str) -> float:
+    def total(self, key: str) -> float:
+        """A per-run counter summed across the fleet.
+
+        Runners report counters through the ``_stats`` channel — the content
+        cache's ``cache_hits`` / ``cache_skipped`` / ``cache_evictions``,
+        a streaming scenario's ``stream_events`` / ``stream_dropped`` /
+        ``stream_spilled`` / ``windows_closed``; runs that do not report
+        ``key`` contribute zero.
+        """
         return sum(float(run.get(key, 0.0)) for run in self.per_run)
-
-    @property
-    def total_cache_hits(self) -> float:
-        """Content-cache hits (deduped tasks) summed across the fleet.
-
-        Runners report per-worker cache counters through the ``_stats``
-        channel (``cache_hits`` / ``cache_skipped`` / ``cache_evictions``);
-        runs without a cache contribute zero.
-        """
-        return self._sum_per_run("cache_hits")
-
-    @property
-    def total_cache_skipped(self) -> float:
-        """Invocations that opted out of content addressing, fleet-wide."""
-        return self._sum_per_run("cache_skipped")
-
-    @property
-    def total_cache_evictions(self) -> float:
-        """Cache evictions across the fleet (budget pressure indicator)."""
-        return self._sum_per_run("cache_evictions")
-
-    @property
-    def total_stream_events(self) -> float:
-        """Stream elements ingested fleet-wide (hybrid_stream scenarios).
-
-        Streaming runners report per-scenario counters through the
-        ``_stats`` channel (``stream_events`` / ``stream_dropped`` /
-        ``stream_spilled`` / ``windows_closed``); batch-only runs
-        contribute zero.
-        """
-        return self._sum_per_run("stream_events")
-
-    @property
-    def total_stream_dropped(self) -> float:
-        """Elements discarded by backpressure drop policies, fleet-wide."""
-        return self._sum_per_run("stream_dropped")
-
-    @property
-    def total_stream_spilled(self) -> float:
-        """Spill writes by backpressure spill policies, fleet-wide."""
-        return self._sum_per_run("stream_spilled")
-
-    @property
-    def total_windows_closed(self) -> float:
-        """Tumbling windows closed (tasks lowered) across the fleet."""
-        return self._sum_per_run("windows_closed")
 
     def aggregate_events_per_sec(self, basis: str = "cpu") -> float:
         """Aggregate events/sec of the sweep fleet.

@@ -24,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import Any, List, Mapping, Optional
 
 from repro import __version__
 from repro.executor import SimulatedExecutor
@@ -76,36 +76,80 @@ def _make_engine(name: str, platform):
     raise SystemExit(f"unknown engine {name!r}")
 
 
-def _build_workload(args: argparse.Namespace):
-    """Returns (builder-ish with .graph, initial_data dict)."""
-    if args.workload == "guidance":
-        workload = build_guidance_workflow(
-            GuidanceConfig(
-                chromosomes=args.chromosomes, chunks_per_chromosome=args.chunks
-            )
-        )
-        return workload.builder, workload.initial_data
-    if args.workload == "nmmb":
-        builder = build_nmmb_workflow(NmmbConfig(days=args.days))
-        return builder, builder.initial_data
-    if args.workload == "ep":
-        builder = embarrassingly_parallel(args.tasks, duration=args.duration)
-        return builder, builder.initial_data
-    if args.workload == "chain":
-        builder = task_chain(args.tasks, duration=args.duration)
-        return builder, builder.initial_data
-    if args.workload == "churn":
+#: Declared options of the static-graph workloads, ``{workload: {option:
+#: (type, default)}}`` — the flags of ``simulate``/``analyze``/``timeline``
+#: and the keys of a sweep scenario are the same names, read by the one
+#: :func:`_build_workload`.
+GRAPH_OPTIONS = {
+    "guidance": {"chromosomes": (int, 8), "chunks": (int, 8)},
+    "nmmb": {"days": (int, 2)},
+    "ep": {"tasks": (int, 100), "duration": (float, 10.0)},
+    "chain": {"tasks": (int, 100), "duration": (float, 10.0)},
+}
+
+
+def _build_workload(name: str, source: Mapping[str, Any], seed: Optional[int] = None):
+    """``(graph, initial_data)`` of a static-graph workload.
+
+    ``source`` is ``vars(args)`` or a scenario dict; undeclared keys are
+    ignored, missing ones take the declared default.  ``seed`` (the sweep's
+    derived seed) replaces the workload's own where it has one.
+    """
+    if name == "churn":
         raise SystemExit(
             "churn is a live agent-plane workload (no static graph); "
             "it only works with 'repro simulate --workload churn'"
         )
-    if args.workload == "hybrid_stream":
+    if name == "hybrid_stream":
         raise SystemExit(
             "hybrid_stream lowers its tasks at window closes (no static "
             "graph); it only works with 'repro simulate --workload "
             "hybrid_stream'"
         )
-    raise SystemExit(f"unknown workload {args.workload!r}")
+    if name not in GRAPH_OPTIONS:
+        raise ValueError(f"unknown workload {name!r}")
+    opts = {
+        option: cast(source.get(option, default))
+        for option, (cast, default) in GRAPH_OPTIONS[name].items()
+    }
+    if name == "guidance":
+        built = build_guidance_workflow(
+            GuidanceConfig(
+                chromosomes=opts["chromosomes"],
+                chunks_per_chromosome=opts["chunks"],
+                **({} if seed is None else {"seed": seed}),
+            )
+        )
+    elif name == "nmmb":
+        built = build_nmmb_workflow(NmmbConfig(days=opts["days"]))
+    else:
+        build = embarrassingly_parallel if name == "ep" else task_chain
+        built = build(opts["tasks"], duration=opts["duration"])
+    return built.graph, built.initial_data
+
+
+def _execute(graph, initial_data, nodes, cores_per_node, policy, engine, dedupe):
+    """Dedupe (optionally), build the cluster, run: the one executor path
+    of ``simulate`` and the sweep runner.  Returns ``(executor, report,
+    compile_stats)``; ``compile_stats`` is None without ``dedupe``."""
+    compile_stats = None
+    if dedupe:
+        from repro.core.compile import compile_graph
+
+        compiled = compile_graph(graph, initial_data)
+        graph = compiled.graph
+        compile_stats = compiled.stats
+    platform = make_hpc_cluster(nodes, cores_per_node=cores_per_node)
+    locations = DataLocationService()
+    executor = SimulatedExecutor(
+        graph,
+        platform,
+        policy=_make_policy(policy, locations),
+        engine=_make_engine(engine, platform),
+        locations=locations,
+        initial_data=initial_data,
+    )
+    return executor, executor.run(), compile_stats
 
 
 def _make_policy(name: str, locations: DataLocationService):
@@ -240,26 +284,16 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         return _cmd_simulate_churn(args, out)
     if args.workload == "hybrid_stream":
         return _cmd_simulate_hybrid_stream(args, out)
-    builder, initial_data = _build_workload(args)
-    graph = builder.graph
-    compile_stats = None
-    if args.dedupe:
-        from repro.core.compile import compile_graph
-
-        compiled = compile_graph(graph, initial_data)
-        graph = compiled.graph
-        compile_stats = compiled.stats
-    platform = make_hpc_cluster(args.nodes, cores_per_node=args.cores_per_node)
-    locations = DataLocationService()
-    executor = SimulatedExecutor(
+    graph, initial_data = _build_workload(args.workload, vars(args))
+    _, report, compile_stats = _execute(
         graph,
-        platform,
-        policy=_make_policy(args.policy, locations),
-        engine=_make_engine(args.engine, platform),
-        locations=locations,
-        initial_data=initial_data,
+        initial_data,
+        args.nodes,
+        args.cores_per_node,
+        args.policy,
+        args.engine,
+        args.dedupe,
     )
-    report = executor.run()
     print(f"workload : {args.workload} ({report.tasks_done} tasks)", file=out)
     print(f"platform : {args.nodes} nodes x {args.cores_per_node} cores", file=out)
     print(f"policy   : {args.policy}", file=out)
@@ -281,8 +315,8 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
-    builder, _ = _build_workload(args)
-    model = analyze_graph(builder.graph)
+    graph, _ = _build_workload(args.workload, vars(args))
+    model = analyze_graph(graph)
     print(f"workload            : {args.workload}", file=out)
     print(f"tasks               : {model.task_count}", file=out)
     print(f"total work          : {model.total_work_s / 3600:.2f} core-hours", file=out)
@@ -300,13 +334,25 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
 def cmd_timeline(args: argparse.Namespace, out) -> int:
     from repro.metrics.gantt import render_gantt
 
-    builder, initial_data = _build_workload(args)
+    graph, initial_data = _build_workload(args.workload, vars(args))
     platform = make_hpc_cluster(args.nodes, cores_per_node=args.cores_per_node)
-    SimulatedExecutor(
-        builder.graph, platform, initial_data=initial_data
-    ).run()
-    print(render_gantt(builder.graph, width=args.width), file=out)
+    SimulatedExecutor(graph, platform, initial_data=initial_data).run()
+    print(render_gantt(graph, width=args.width), file=out)
     return 0
+
+
+def _with_run_stats(result: dict, stats: dict, counters: Optional[dict] = None) -> dict:
+    """Attach the ``_stats`` channel (stripped by the sweep driver before
+    merging) to a zone-program result: the runner's own ``counters`` plus,
+    when lanes ran, the critical-path CPU cost of the run."""
+    run_stats = dict(counters or {})
+    if stats:
+        run_stats["cpu_seconds"] = (
+            stats["max_lane_cpu_seconds"] + stats["coordinator_cpu_seconds"]
+        )
+    if run_stats:
+        result["_stats"] = run_stats
+    return result
 
 
 def simulate_scenario_runner(
@@ -324,21 +370,24 @@ def simulate_scenario_runner(
     the scenario dict, so scenario keys — and therefore derived seeds and
     the merged document — are engine-independent: ``single`` and
     ``sharded`` sweeps of the same scenarios are byte-identical, which
-    ``tests/test_cli.py`` asserts.  The ``zonal`` workload (decomposed
-    multi-zone programs) additionally accepts ``parallel``; a scenario's
-    own ``engine`` field, if present, wins over the flag.
+    ``tests/test_cli.py`` asserts.  The zone-program workloads (``zonal``,
+    ``hybrid_stream``, decomposed ``churn``) additionally accept
+    ``parallel``; a scenario's own ``engine`` field, if present, wins over
+    the flag.
 
     ``dedupe`` compiles the built graph through content-addressed dedup
     (:func:`repro.core.compile.compile_graph`) before execution; a
-    scenario's own ``dedupe`` field wins over the flag.  The compile
-    counters ride the ``_stats`` channel into the sweep's per-run stats.
+    scenario's own ``dedupe`` field wins over the flag.
+
+    Anything non-deterministic or per-worker rides the reserved ``_stats``
+    key, which the sweep driver strips into its stats block before merging:
+    the compile/cache counters here, the stream counters and lane CPU cost
+    via :func:`_with_run_stats`.
     """
     workload_name = scenario.get("workload", "guidance")
     engine = scenario.get("engine", engine)
     dedupe = bool(scenario.get("dedupe", dedupe))
-    nodes = int(scenario.get("nodes", 4))
-    cores_per_node = int(scenario.get("cores_per_node", 48))
-    policy_name = scenario.get("policy", "load-balancing")
+    workers = int(scenario.get("workers", 2))
     if workload_name == "zonal":
         from repro.workloads import ZonalConfig, run_zonal
 
@@ -352,17 +401,7 @@ def simulate_scenario_runner(
             progress_interval_s=float(scenario.get("progress_interval", 25.0)),
             seed=seed,
         )
-        result, stats = run_zonal(
-            cfg, engine=engine, workers=int(scenario.get("workers", 2))
-        )
-        if stats:
-            # Runner-scoped timing for the stats block (stripped before
-            # merging): the critical-path CPU cost of the parallel run.
-            result["_stats"] = {
-                "cpu_seconds": stats["max_lane_cpu_seconds"]
-                + stats["coordinator_cpu_seconds"]
-            }
-        return result
+        return _with_run_stats(*run_zonal(cfg, engine=engine, workers=workers))
     if workload_name == "hybrid_stream":
         from repro.workloads import HybridStreamConfig, run_hybrid_stream
 
@@ -378,23 +417,13 @@ def simulate_scenario_runner(
             inter_zone_latency_s=float(scenario.get("inter_zone_latency", 0.25)),
             seed=seed,
         )
-        result, stats = run_hybrid_stream(
-            cfg, engine=engine, workers=int(scenario.get("workers", 2))
-        )
+        result, stats = run_hybrid_stream(cfg, engine=engine, workers=workers)
         # Per-scenario stream counters ride the _stats channel into the
-        # sweep's per-run stats (SweepStats.total_stream_* aggregates).
-        run_stats = {
-            "stream_events": float(result["stream_events"]),
-            "stream_dropped": float(result["stream_dropped"]),
-            "stream_spilled": float(result["stream_spilled"]),
-            "windows_closed": float(result["windows_closed"]),
-        }
-        if stats:
-            run_stats["cpu_seconds"] = (
-                stats["max_lane_cpu_seconds"] + stats["coordinator_cpu_seconds"]
-            )
-        result["_stats"] = run_stats
-        return result
+        # sweep's per-run stats (summed by SweepStats.total).
+        keys = ("stream_events", "stream_dropped", "stream_spilled", "windows_closed")
+        return _with_run_stats(
+            result, stats, {key: float(result[key]) for key in keys}
+        )
     if workload_name == "churn":
         from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
 
@@ -412,59 +441,17 @@ def simulate_scenario_runner(
         if mode == "fleet" and engine != "parallel":
             return run_churn_fleet(cfg, engine=engine)
         # Decomposed per-zone programs: the only shape forked lanes can run.
-        result, stats = run_churn(
-            cfg, engine=engine, workers=int(scenario.get("workers", 2))
-        )
-        if stats:
-            result["_stats"] = {
-                "cpu_seconds": stats["max_lane_cpu_seconds"]
-                + stats["coordinator_cpu_seconds"]
-            }
-        return result
-    if workload_name == "guidance":
-        workload = build_guidance_workflow(
-            GuidanceConfig(
-                chromosomes=int(scenario.get("chromosomes", 8)),
-                chunks_per_chromosome=int(scenario.get("chunks", 8)),
-                seed=seed,
-            )
-        )
-        graph, initial_data = workload.graph, workload.initial_data
-    elif workload_name == "nmmb":
-        builder = build_nmmb_workflow(NmmbConfig(days=int(scenario.get("days", 2))))
-        graph, initial_data = builder.graph, builder.initial_data
-    elif workload_name == "ep":
-        builder = embarrassingly_parallel(
-            int(scenario.get("tasks", 100)),
-            duration=float(scenario.get("duration", 10.0)),
-        )
-        graph, initial_data = builder.graph, builder.initial_data
-    elif workload_name == "chain":
-        builder = task_chain(
-            int(scenario.get("tasks", 100)),
-            duration=float(scenario.get("duration", 10.0)),
-        )
-        graph, initial_data = builder.graph, builder.initial_data
-    else:
-        raise ValueError(f"unknown workload {workload_name!r}")
-    compile_stats = None
-    if dedupe:
-        from repro.core.compile import compile_graph
-
-        compiled = compile_graph(graph, initial_data)
-        graph = compiled.graph
-        compile_stats = compiled.stats
-    platform = make_hpc_cluster(nodes, cores_per_node=cores_per_node)
-    locations = DataLocationService()
-    executor = SimulatedExecutor(
+        return _with_run_stats(*run_churn(cfg, engine=engine, workers=workers))
+    graph, initial_data = _build_workload(workload_name, scenario, seed=seed)
+    executor, report, compile_stats = _execute(
         graph,
-        platform,
-        policy=_make_policy(policy_name, locations),
-        engine=_make_engine(engine, platform),
-        locations=locations,
-        initial_data=initial_data,
+        initial_data,
+        int(scenario.get("nodes", 4)),
+        int(scenario.get("cores_per_node", 48)),
+        scenario.get("policy", "load-balancing"),
+        engine,
+        dedupe,
     )
-    report = executor.run()
     result = {
         "workload": workload_name,
         "tasks_done": report.tasks_done,
@@ -526,19 +513,20 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         file=out,
     )
     print(f"peak rss : {stats.max_peak_rss_kb / 1024:.0f} MB/worker", file=out)
-    if stats.total_stream_events:
+    total = stats.total
+    if total("stream_events"):
         print(
-            f"streams  : {stats.total_stream_events:.0f} events, "
-            f"{stats.total_windows_closed:.0f} windows closed, "
-            f"{stats.total_stream_dropped:.0f} dropped, "
-            f"{stats.total_stream_spilled:.0f} spilled",
+            f"streams  : {total('stream_events'):.0f} events, "
+            f"{total('windows_closed'):.0f} windows closed, "
+            f"{total('stream_dropped'):.0f} dropped, "
+            f"{total('stream_spilled'):.0f} spilled",
             file=out,
         )
-    if args.dedupe or stats.total_cache_hits or stats.total_cache_skipped:
+    if args.dedupe or total("cache_hits") or total("cache_skipped"):
         print(
-            f"reuse    : {stats.total_cache_hits:.0f} hits, "
-            f"{stats.total_cache_skipped:.0f} skipped, "
-            f"{stats.total_cache_evictions:.0f} evictions",
+            f"reuse    : {total('cache_hits'):.0f} hits, "
+            f"{total('cache_skipped'):.0f} skipped, "
+            f"{total('cache_evictions'):.0f} evictions",
             file=out,
         )
     return 0
@@ -568,11 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workload_options(sub):
         sub.add_argument("--workload", choices=WORKLOADS, default="guidance")
-        sub.add_argument("--chromosomes", type=int, default=8)
-        sub.add_argument("--chunks", type=int, default=8)
-        sub.add_argument("--days", type=int, default=2)
-        sub.add_argument("--tasks", type=int, default=100)
-        sub.add_argument("--duration", type=float, default=10.0)
+        declared = {k: v for opts in GRAPH_OPTIONS.values() for k, v in opts.items()}
+        for option, (cast, default) in declared.items():
+            sub.add_argument(f"--{option}", type=cast, default=default)
 
     simulate = subparsers.add_parser("simulate", help="run a workload on a simulated cluster")
     add_workload_options(simulate)

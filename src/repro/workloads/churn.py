@@ -50,7 +50,7 @@ from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node, NodeKind, PowerProfile
 from repro.scheduling.locations import DataLocationService
 from repro.simulation.random import DeterministicRandom
-from repro.workloads.zonal import zone_name
+from repro.workloads.zonal import make_zonal_network, zone_name
 
 #: One shared power model for the whole worker fleet (50k per-node profile
 #: objects would be pure overhead).
@@ -452,6 +452,39 @@ class _ZoneChurnDriver:
         return fields
 
 
+#: Per-zone counters a campaign result sums over its zones.
+_SUMMED = (
+    "deaths",
+    "arrivals",
+    "apps_completed",
+    "apps_failed",
+    "tasks_done",
+    "tasks_recovered",
+    "tasks_lost",
+    "data_rehomed",
+)
+
+
+def _campaign_totals(
+    cfg: ChurnConfig, mode: str, notification: str, per_zone: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The campaign-level fields both modes report from their zone results."""
+    totals = {key: sum(z[key] for z in per_zone.values()) for key in _SUMMED}
+    recovered, lost = totals["tasks_recovered"], totals["tasks_lost"]
+    return {
+        "workload": "churn",
+        "mode": mode,
+        "notification": notification,
+        "agents": cfg.agents,
+        "zones": cfg.zones,
+        "churn_per_s": cfg.churn_per_s,
+        "duration_s": cfg.duration_s,
+        **totals,
+        "recovered_work_fraction": recovered / max(1, recovered + lost),
+        "per_zone": per_zone,
+    }
+
+
 # --------------------------------------------------------------- fleet mode
 
 
@@ -501,49 +534,24 @@ def run_churn_fleet(
     for driver in drivers:
         driver.finalize()
     per_zone = {driver.zone: driver.result() for driver in drivers}
-    recovered = sum(z["tasks_recovered"] for z in per_zone.values())
-    lost = sum(z["tasks_lost"] for z in per_zone.values())
     events = eng.dispatched_events
     return {
-        "workload": "churn",
-        "mode": "fleet",
+        **_campaign_totals(cfg, "fleet", bus.notification, per_zone),
         "engine": engine,
-        "notification": bus.notification,
-        "agents": cfg.agents,
-        "zones": cfg.zones,
-        "churn_per_s": cfg.churn_per_s,
-        "duration_s": cfg.duration_s,
-        "deaths": sum(z["deaths"] for z in per_zone.values()),
-        "arrivals": sum(z["arrivals"] for z in per_zone.values()),
-        "apps_completed": sum(z["apps_completed"] for z in per_zone.values()),
-        "apps_failed": sum(z["apps_failed"] for z in per_zone.values()),
-        "tasks_done": sum(z["tasks_done"] for z in per_zone.values()),
-        "tasks_recovered": recovered,
-        "tasks_lost": lost,
-        "data_rehomed": sum(z["data_rehomed"] for z in per_zone.values()),
-        "recovered_work_fraction": recovered / max(1, recovered + lost),
         "events": events,
         "down_notices": bus.down_notices,
         "useful_events": events - bus.down_notices,
         "messages_sent": bus.messages_sent,
         "dropped": bus.dropped_count,
         "alive_agents": bus.alive_count,
-        "per_zone": per_zone,
     }
 
 
 # ---------------------------------------------------------- decomposed mode
 
 
-def make_churn_network(cfg: ChurnConfig) -> NetworkTopology:
-    """Inter-zone topology for decomposed mode: one gateway per zone."""
-    network = NetworkTopology(
-        intra_zone_link=Link(latency_s=1e-4, bandwidth_bps=10e9 / 8),
-        default_link=Link(latency_s=cfg.inter_zone_latency_s, bandwidth_bps=1e9 / 8),
-    )
-    for index in range(cfg.zones):
-        network.add_node(f"{zone_name(index)}-gw", zone_name(index))
-    return network
+#: Inter-zone topology for decomposed mode: the zonal one (a gateway per zone).
+make_churn_network = make_zonal_network
 
 
 def _zone_platform(cfg: ChurnConfig, index: int) -> Platform:
@@ -620,50 +628,14 @@ def run_churn(
     lookahead reference), or ``parallel`` (forked lanes) — byte-identical
     deterministic results on all three.
     """
-    from repro.simulation.parallel import (
-        ParallelShardedSimulationEngine,
-        run_programs_sharded,
-    )
+    from repro.simulation.parallel import run_zone_programs
 
-    network = make_churn_network(cfg)
-    programs = make_churn_programs(cfg)
-    stats: Dict[str, Any] = {}
-    if engine == "sharded":
-        out = run_programs_sharded(network, programs)
-        per_zone = out["results"]
-        dispatched = sum(out["shard_dispatch_counts"].values())
-    elif engine in ("single", "parallel"):
-        sim = ParallelShardedSimulationEngine(
-            network, programs, workers=1 if engine == "single" else workers
-        )
-        sim.run()
-        per_zone = sim.results
-        dispatched = sim.dispatched_events
-        stats = sim.stats
-    else:
-        raise ValueError(f"unknown engine {engine!r} (single, sharded, parallel)")
-    ordered = {zone: per_zone[zone] for zone in sorted(per_zone)}
-    recovered = sum(z["tasks_recovered"] for z in ordered.values())
-    lost = sum(z["tasks_lost"] for z in ordered.values())
+    ordered, dispatched, stats = run_zone_programs(
+        make_churn_network(cfg), make_churn_programs(cfg), engine, workers
+    )
     result = {
-        "workload": "churn",
-        "mode": "decomposed",
-        "notification": cfg.notification,
-        "agents": cfg.agents,
-        "zones": cfg.zones,
-        "churn_per_s": cfg.churn_per_s,
-        "duration_s": cfg.duration_s,
-        "deaths": sum(z["deaths"] for z in ordered.values()),
-        "arrivals": sum(z["arrivals"] for z in ordered.values()),
-        "apps_completed": sum(z["apps_completed"] for z in ordered.values()),
-        "apps_failed": sum(z["apps_failed"] for z in ordered.values()),
-        "tasks_done": sum(z["tasks_done"] for z in ordered.values()),
-        "tasks_recovered": recovered,
-        "tasks_lost": lost,
-        "data_rehomed": sum(z["data_rehomed"] for z in ordered.values()),
-        "recovered_work_fraction": recovered / max(1, recovered + lost),
+        **_campaign_totals(cfg, "decomposed", cfg.notification, ordered),
         "events": dispatched,
         "down_notices": sum(z["down_notices"] for z in ordered.values()),
-        "per_zone": ordered,
     }
     return result, stats

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.infrastructure.cluster import make_hpc_cluster
-from repro.infrastructure.network import Link, NetworkTopology
 from repro.scheduling.locations import DataLocationService
 from repro.scheduling.policies import LoadBalancingPolicy
 from repro.simulation.random import DeterministicRandom
 from repro.streams import CreditValve, DataflowPlane, OperatorGraph, SensorSource
-from repro.workloads.zonal import zone_name
+from repro.workloads.zonal import make_zonal_network, zone_name
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,8 @@ class HybridStreamConfig:
     seed: int = 42
 
 
-def make_hybrid_stream_network(cfg: HybridStreamConfig) -> NetworkTopology:
-    """Inter-zone topology: one gateway per zone, WAN default links."""
-    network = NetworkTopology(
-        intra_zone_link=Link(latency_s=1e-4, bandwidth_bps=10e9 / 8),
-        default_link=Link(latency_s=cfg.inter_zone_latency_s, bandwidth_bps=1e9 / 8),
-    )
-    for index in range(cfg.zones):
-        network.add_node(f"{zone_name(index)}-gw", zone_name(index))
-    return network
+#: Inter-zone topology: the zonal one (a gateway per zone, WAN default links).
+make_hybrid_stream_network = make_zonal_network
 
 
 def _hybrid_zone_factory(cfg: HybridStreamConfig, index: int):
@@ -244,29 +236,12 @@ def run_hybrid_stream(
     lookahead reference), or ``parallel`` (forked lanes) — byte-identical
     deterministic results on all three.
     """
-    from repro.simulation.parallel import (
-        ParallelShardedSimulationEngine,
-        run_programs_sharded,
-    )
+    from repro.simulation.parallel import run_zone_programs
 
-    network = make_hybrid_stream_network(cfg)
     programs = make_hybrid_stream_programs(cfg)
-    stats: Dict[str, Any] = {}
-    if engine == "sharded":
-        out = run_programs_sharded(network, programs)
-        per_zone = out["results"]
-        dispatched = sum(out["shard_dispatch_counts"].values())
-    elif engine in ("single", "parallel"):
-        sim = ParallelShardedSimulationEngine(
-            network, programs, workers=1 if engine == "single" else workers
-        )
-        sim.run()
-        per_zone = sim.results
-        dispatched = sim.dispatched_events
-        stats = sim.stats
-    else:
-        raise ValueError(f"unknown engine {engine!r} (single, sharded, parallel)")
-    ordered = {zone: per_zone[zone] for zone in sorted(per_zone)}
+    ordered, dispatched, stats = run_zone_programs(
+        make_hybrid_stream_network(cfg), programs, engine, workers
+    )
     zones = list(ordered.values())
     result = {
         "workload": "hybrid_stream",

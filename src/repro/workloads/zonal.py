@@ -56,12 +56,14 @@ def zone_name(index: int) -> str:
     return f"zone-{index}"
 
 
-def make_zonal_network(cfg: ZonalConfig) -> NetworkTopology:
+def make_zonal_network(cfg) -> NetworkTopology:
     """The inter-zone topology: one gateway per zone, WAN default links.
 
     Zone-local traffic never touches this network — each zone program owns
     its own cluster platform — so one placed node per zone is enough to
-    define the zones and their latency structure.
+    define the zones and their latency structure.  Serves every
+    zone-program campaign: ``cfg`` is any config with ``zones`` and
+    ``inter_zone_latency_s``.
     """
     network = NetworkTopology(
         intra_zone_link=Link(latency_s=1e-4, bandwidth_bps=10e9 / 8),
@@ -178,40 +180,17 @@ def run_zonal(
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Run the campaign on the chosen engine; returns (result, stats).
 
-    Engines — same programs, byte-identical deterministic results:
-
-    * ``single``: the parallel coordinator with one in-process lane (the
-      window protocol, sequentially);
-    * ``sharded``: the sequential :class:`ShardedSimulationEngine` in
-      lookahead mode via :func:`run_programs_sharded`;
-    * ``parallel``: forked lanes, ``workers`` wide.
-
+    ``engine`` names the driver (``single``, ``sharded`` or ``parallel``,
+    see :func:`repro.simulation.parallel.run_zone_programs`) — same
+    programs, byte-identical deterministic results on all three.
     ``result`` carries only seed-determined fields; ``stats`` carries the
     non-deterministic execution metrics (empty for ``sharded``).
     """
-    from repro.simulation.parallel import (
-        ParallelShardedSimulationEngine,
-        run_programs_sharded,
-    )
+    from repro.simulation.parallel import run_zone_programs
 
-    network = make_zonal_network(cfg)
-    programs = make_zone_programs(cfg)
-    stats: Dict[str, Any] = {}
-    if engine == "sharded":
-        out = run_programs_sharded(network, programs)
-        per_zone = out["results"]
-        dispatched = sum(out["shard_dispatch_counts"].values())
-    elif engine in ("single", "parallel"):
-        sim = ParallelShardedSimulationEngine(
-            network, programs, workers=1 if engine == "single" else workers
-        )
-        sim.run()
-        per_zone = sim.results
-        dispatched = sim.dispatched_events
-        stats = sim.stats
-    else:
-        raise ValueError(f"unknown engine {engine!r} (single, sharded, parallel)")
-    ordered = {zone: per_zone[zone] for zone in sorted(per_zone)}
+    ordered, dispatched, stats = run_zone_programs(
+        make_zonal_network(cfg), make_zone_programs(cfg), engine, workers
+    )
     result = {
         "workload": "zonal",
         "zones": cfg.zones,

@@ -16,7 +16,11 @@ pipe verbatim).
 """
 
 import json
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from repro.simulation import (
     ParallelShardedSimulationEngine,
     SimulationError,
     run_programs_sharded,
+    run_zone_programs,
 )
 from repro.workloads import ZonalConfig, run_zonal
 
@@ -286,6 +291,85 @@ class TestCausalityErrors:
                 engine.run()
 
 
+    @pytest.mark.parametrize("flavor", ["parallel", "inline", "adapter"])
+    def test_unpicklable_payload_attributed_at_send(self, flavor):
+        """One ``send`` serves all three drivers: the sender's mistake is a
+        SimulationError naming the zones and the label, not a bare
+        ``AttributeError("Can't pickle local object ...")``."""
+
+        def sender(api):
+            api.after(
+                0.01,
+                lambda: api.send("beta", lambda: None, delay=1.0, label="closure"),
+            )
+            return None
+
+        def quiet(api):
+            api.on_message(lambda payload: None)
+            return None
+
+        programs = {"alpha": sender, "beta": quiet}
+        with pytest.raises(SimulationError) as excinfo:
+            if flavor == "adapter":
+                run_programs_sharded(_network(self.ZONES), programs)
+            else:
+                _run_parallel(
+                    self.ZONES, programs, workers=2 if flavor == "parallel" else 1
+                )
+        message = str(excinfo.value)
+        assert "cannot be pickled" in message
+        assert "'alpha'" in message and "'beta'" in message
+        assert "'closure'" in message
+
+
+def _fork_lanes_available():
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return not multiprocessing.current_process().daemon
+
+
+class TestLaneDeath:
+    @pytest.mark.skipif(
+        not _fork_lanes_available(), reason="needs forked lanes (no fork here)"
+    )
+    def test_killed_lane_is_an_attributed_error(self):
+        """A worker SIGKILLed mid-window is a SimulationError naming the
+        lane, its zones and the exit code — not a bare ``EOFError('')`` —
+        raised promptly, with the surviving lane terminated."""
+        parent = os.getpid()
+
+        def doomed(api):
+            def die():
+                if os.getpid() != parent:  # never kill the test process
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            api.on_message(lambda payload: None)
+            api.at(5.0, die)
+            return None
+
+        def ticking(api):
+            def tick():
+                api.after(0.5, tick)
+
+            api.on_message(lambda payload: None)
+            api.at(0.0, tick)
+            return None
+
+        zones = ("alpha", "beta")
+        engine = ParallelShardedSimulationEngine(
+            _network(zones), {"alpha": ticking, "beta": doomed}, workers=2
+        )
+        started = time.monotonic()
+        with pytest.raises(
+            SimulationError, match=r"lane 1 worker \(zones beta\) died.*exit code -9"
+        ):
+            engine.run(until=20.0)
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+
+
 # --------------------------------------------------------------------------
 # Engine surface: construction validation, until, one-shot
 # --------------------------------------------------------------------------
@@ -330,6 +414,17 @@ class TestEngineSurface:
     def test_empty_programs_rejected(self):
         with pytest.raises(SimulationError, match="at least one zone"):
             ParallelShardedSimulationEngine(_network(("alpha", "beta")), {})
+
+    def test_run_zone_programs_rejects_unknown_engine(self):
+        zones = ("alpha", "beta")
+        with pytest.raises(
+            ValueError,
+            match=r"unknown engine 'threads' \(single, sharded, parallel\)",
+        ):
+            run_zone_programs(_network(zones), _noop_programs(zones), engine="threads")
+        # ... which is the one place the zone workloads choose a driver.
+        with pytest.raises(ValueError, match="unknown engine 'threads'"):
+            run_zonal(ZonalConfig(zones=2, tasks_per_zone=4), engine="threads")
 
     def test_one_shot(self):
         zones = ("alpha", "beta")

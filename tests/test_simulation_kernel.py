@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.infrastructure import Link, NetworkTopology
 from repro.simulation import (
     DeterministicRandom,
     EventQueue,
+    ShardedSimulationEngine,
     SimClock,
     SimulationEngine,
     SimulationError,
@@ -135,6 +137,72 @@ class TestSimulationEngine:
         engine.at(0.0, reschedule)
         with pytest.raises(SimulationError):
             engine.run()
+
+
+def _two_zone_network():
+    network = NetworkTopology(
+        intra_zone_link=Link(latency_s=1e-4, bandwidth_bps=1e9),
+        default_link=Link(latency_s=0.05, bandwidth_bps=1e8),
+    )
+    network.add_node("a0", "alpha")
+    network.add_node("b0", "beta")
+    return network
+
+
+class TestRunawayValve:
+    """``max_events`` bounds one ``run()`` exactly — of the single-queue
+    engine and of the sharded engine as a whole, whose shards are themselves
+    ``SimulationEngine`` objects that are stepped but never ``run()``."""
+
+    @pytest.fixture(params=["single", "coupled", "lookahead"])
+    def make(self, request):
+        if request.param == "single":
+            return lambda max_events: SimulationEngine(max_events=max_events)
+        return lambda max_events: ShardedSimulationEngine(
+            network=_two_zone_network(), mode=request.param, max_events=max_events
+        )
+
+    def test_trips_at_exactly_max_events(self, make):
+        engine = make(100)
+        fired = []
+
+        def reschedule():
+            fired.append(engine.now)
+            engine.after(1.0, reschedule, shard="alpha")
+
+        engine.at(0.0, reschedule, shard="alpha")
+        with pytest.raises(SimulationError, match="more than 100 events"):
+            engine.run()
+        assert len(fired) == 100
+
+    def test_alternating_horizon_phases_never_trip_on_cumulative_volume(self, make):
+        engine = make(10)
+        fired = []
+
+        def tick(zone):
+            fired.append((engine.now, zone))
+            engine.after(1.0, lambda: tick(zone), shard=zone)
+
+        engine.at(0.5, lambda: tick("alpha"), shard="alpha")
+        engine.at(0.75, lambda: tick("beta"), shard="beta")
+        for phase in range(1, 11):
+            assert engine.run(until=4.0 * phase) == 4.0 * phase
+            assert engine.dispatched_events == 8  # per run, under the valve
+        assert len(fired) == engine.lifetime_dispatched == 80
+
+    def test_cross_shard_ping_pong_trips_at_exactly_max_events(self, make):
+        engine = make(50)
+        hops = []
+
+        def hop(here, there):
+            hops.append(here)
+            engine.after(1.0, lambda: hop(there, here), shard=there)
+
+        engine.at(0.0, lambda: hop("alpha", "beta"), shard="alpha")
+        with pytest.raises(SimulationError, match="more than 50 events"):
+            engine.run()
+        assert len(hops) == 50
+        assert hops[:4] == ["alpha", "beta", "alpha", "beta"]
 
 
 class TestDeterministicRandom:
