@@ -61,7 +61,7 @@ SPREAD_CEILING = 1.3
 #: Absolute ingest floor (events/sec of engine-run wall time) for every
 #: campaign point — set ~5x under the local measurement so shared CI
 #: runners pass with headroom while a hot-path regression still fails.
-EVENTS_PER_SEC_FLOOR = 100_000.0
+EVENTS_PER_SEC_FLOOR = 200_000.0
 
 #: Memory acceptance: retained + buffered high-water must not scale with
 #: campaign length (both are bounded by the in-flight window span).

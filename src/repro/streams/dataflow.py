@@ -3,11 +3,12 @@
 This is where streams stop being a demo and become part of the workflow
 runtime (§I, §III — one environment for batch tasks and continuous data):
 
-* **Element path, O(1) per event** — each window operator's input chains
-  are fused into one per-batch ingestion callback (map/filter applied
-  inline, elements bucketed into their tumbling window by timestamp).  No
-  engine events, no rescans: an element is touched exactly once between
-  publication and window close.
+* **Element path, a batch at a time** — each window operator's input
+  chains are fused into one per-batch ingestion callback.  A batch is
+  timestamp-ordered, so it splits into runs of equal window index (usually
+  one); map/filter are applied to a run's value column and the window
+  bucket, counts and credits are updated once per run.  No engine events,
+  no rescans, no per-element bookkeeping between publication and close.
 * **Lowering** — a window close builds one :class:`TaskInstance` per
   non-empty window and appends it through the executor's batched
   submission path (:meth:`SimulatedExecutor.submit_tasks`), so window
@@ -45,6 +46,23 @@ from repro.streams.stream import DataStream, StreamElement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor layer)
     from repro.executor.simulated import SimulatedExecutor
+
+
+def _run_end(batch, lo: int, index: int, index_of) -> int:
+    """End of the run of window ``index`` that starts at ``batch[lo]``.
+
+    The batch's last element is known to lie in a later window.  The search
+    evaluates the index function itself: a computed boundary ``origin +
+    (index + 1) * window_s`` can round to the other side of an element.
+    """
+    hi = len(batch) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if index_of(batch[mid]) > index:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class _WindowRuntime:
@@ -210,62 +228,56 @@ class DataflowPlane:
         counts = runtime.counts
         credit_counts = runtime.credit_counts
         op = runtime.op
-        if isinstance(op, JoinNode):
-            key_fn = op.key_fn if side == 0 else op.right_key_fn
-            mode = "join"
-        elif op.key_fn is not None:
-            key_fn = op.key_fn
-            mode = "keyed"
+        if side is None:
+            key_fn = op.key_fn  # None: plain window, buckets are lists
         else:
-            key_fn = None
-            mode = "plain"
+            key_fn = op.key_fn if side == 0 else op.right_key_fn
+
+        def index_of(element) -> int:
+            return int((element.timestamp - origin) // window_s)
 
         def ingest(batch) -> None:
-            filtered = 0
-            added = 0
-            for element in batch:
-                value = element.value
-                keep = True
+            # A batch is timestamp-ordered, so it is a sequence of *runs* of
+            # equal window index; map/filter, bucketing and accounting are
+            # done once per run on the run's value column.
+            size = len(batch)
+            values = [element.value for element in batch]
+            last = index_of(batch[-1])
+            added = start = 0
+            while start < size:
+                index = index_of(batch[start])
+                end = size if index == last else _run_end(batch, start, index, index_of)
+                run = values[start:end]
+                start = end
                 for kind, fn in ops:
-                    if kind == "map":
-                        value = fn(value)
-                    elif not fn(value):
-                        keep = False
-                        break
-                if not keep:
-                    filtered += 1
+                    run = list(map(fn, run) if kind == "map" else filter(fn, run))
+                kept = len(run)
+                if not kept:
                     continue
-                index = int((element.timestamp - origin) // window_s)
                 if index < runtime.next_index:
                     # Late data (spilled or out-of-order): lands in the
                     # earliest still-open window instead of being dropped.
                     index = runtime.next_index
-                    self.late_elements += 1
-                bucket = buffers.get(index)
-                if mode == "plain":
-                    if bucket is None:
-                        bucket = buffers[index] = []
-                    bucket.append(value)
-                elif mode == "keyed":
-                    if bucket is None:
-                        bucket = buffers[index] = {}
-                    bucket.setdefault(key_fn(value), []).append(value)
+                    self.late_elements += kept
+                if key_fn is None:
+                    buffers.setdefault(index, []).extend(run)
                 else:
-                    if bucket is None:
-                        bucket = buffers[index] = ({}, {})
-                    bucket[side].setdefault(key_fn(value), []).append(value)
-                counts[index] = counts.get(index, 0) + 1
-                added += 1
+                    bucket = buffers.setdefault(
+                        index, {} if side is None else ({}, {})
+                    )
+                    groups = bucket if side is None else bucket[side]
+                    for value in run:
+                        groups.setdefault(key_fn(value), []).append(value)
+                counts[index] = counts.get(index, 0) + kept
                 if valve is not None:
-                    per_window = credit_counts.get(index)
-                    if per_window is None:
-                        per_window = credit_counts[index] = {}
-                    per_window[valve] = per_window.get(valve, 0) + 1
-            self.elements_ingested += len(batch)
-            if valve is not None and filtered:
+                    per_window = credit_counts.setdefault(index, {})
+                    per_window[valve] = per_window.get(valve, 0) + kept
+                added += kept
+            self.elements_ingested += size
+            if valve is not None and added < size:
                 # Filtered elements never reach a window task: their
                 # credits return immediately.
-                valve.grant(filtered)
+                valve.grant(size - added)
             if added:
                 self._buffered += added
                 if self._buffered > self.buffered_high_water:

@@ -150,35 +150,36 @@ class SensorSource:
             shard=self.zone,
         )
 
-    def _next_delay(self) -> float:
-        if self.jitter == 0:
-            return self.period_s
-        spread = self.period_s * self.jitter
-        return self.period_s + self.rng.uniform(-spread, spread)
-
     def _emit(self) -> None:
         now = self.engine.now
-        if self.until is not None and now > self.until:
+        until = float("inf") if self.until is None else self.until
+        if now > until:
             return
         # Generate the batch.  Element k's timestamp is exactly the engine
         # time the k-th per-element event would have fired at (same floats,
         # same rng draw order), which is what makes batched and per-element
         # ingestion byte-identical downstream.
+        reading_fn = self.reading_fn
+        rng = self.rng
+        name = self.name
+        period = self.period_s
+        spread = period * self.jitter
+        uniform = rng.uniform
+        produced = self.produced
         readings: List[StreamElement] = []
+        append = readings.append
         timestamp: Optional[float] = now
         for _ in range(self.batch):
-            readings.append(
-                StreamElement(
-                    timestamp=timestamp,
-                    value=self.reading_fn(self.produced, self.rng),
-                    source=self.name,
-                )
-            )
-            self.produced += 1
-            timestamp = timestamp + self._next_delay()
-            if self.until is not None and timestamp > self.until:
+            append(StreamElement(timestamp, reading_fn(produced, rng), name))
+            produced += 1
+            if spread:
+                timestamp = timestamp + (period + uniform(-spread, spread))
+            else:
+                timestamp = timestamp + period
+            if timestamp > until:
                 timestamp = None
                 break
+        self.produced = produced
         valve = self.valve
         if valve is not None:
             # Spilled elements re-enter first: they are older than this

@@ -17,13 +17,19 @@ production rates:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class StreamElement:
-    """One element on a stream."""
+class StreamElement(NamedTuple):
+    """One element on a stream: an immutable, hashable, picklable record.
+
+    The same record is shared by stream retention, every subscriber and a
+    valve's spill buffer, so it must not be mutable.  The dataflow plane
+    applies operator ``map``/``filter`` functions column-wise to a run of
+    elements' values (all of one function, then the next), not element by
+    element: they must be pure per element — which
+    :func:`repro.core.compile.stream_task_key` content keys already require.
+    """
 
     timestamp: float
     value: Any
@@ -45,6 +51,9 @@ class DataStream:
         # ``since`` can bisect instead of scanning the whole history (the
         # scan made every window close O(campaign) on long streams).
         self._timestamps: List[float] = []
+        # The ordering invariant is against the last *published* element,
+        # which pruning may already have discarded from the retained lists.
+        self._last_timestamp = float("-inf")
         self._subscribers: List[Callable[[StreamElement], None]] = []
         self._batch_subscribers: List[Callable[[Sequence[StreamElement]], None]] = []
         self._closed = False
@@ -89,13 +98,14 @@ class DataStream:
     def publish(self, element: StreamElement) -> None:
         if self._closed:
             raise RuntimeError(f"stream {self.name!r} is closed")
-        if self._timestamps and element.timestamp < self._timestamps[-1]:
+        if element.timestamp < self._last_timestamp:
             raise ValueError(
                 f"stream {self.name!r}: element timestamp {element.timestamp} "
-                f"precedes the last published {self._timestamps[-1]}"
+                f"precedes the last published {self._last_timestamp}"
             )
         self._elements.append(element)
         self._timestamps.append(element.timestamp)
+        self._last_timestamp = element.timestamp
         if len(self._elements) > self.max_retained:
             self.max_retained = len(self._elements)
         for subscriber in self._subscribers:
@@ -110,23 +120,25 @@ class DataStream:
 
         The batch must be internally monotone and start no earlier than the
         last published element — the same invariant ``publish`` enforces,
-        checked with one float compare per element.
+        checked on the batch's timestamp column as a whole.
         """
         if not elements:
             return
         if self._closed:
             raise RuntimeError(f"stream {self.name!r} is closed")
-        timestamps = self._timestamps
-        previous = timestamps[-1] if timestamps else float("-inf")
-        for element in elements:
-            if element.timestamp < previous:
-                raise ValueError(
-                    f"stream {self.name!r}: element timestamp "
-                    f"{element.timestamp} precedes {previous}"
-                )
-            previous = element.timestamp
+        stamps = [element.timestamp for element in elements]
+        if stamps[0] < self._last_timestamp or stamps != sorted(stamps):
+            previous = self._last_timestamp
+            for stamp in stamps:
+                if stamp < previous:
+                    raise ValueError(
+                        f"stream {self.name!r}: element timestamp "
+                        f"{stamp} precedes {previous}"
+                    )
+                previous = stamp
         self._elements.extend(elements)
-        timestamps.extend(element.timestamp for element in elements)
+        self._timestamps.extend(stamps)
+        self._last_timestamp = stamps[-1]
         if len(self._elements) > self.max_retained:
             self.max_retained = len(self._elements)
         if self._subscribers:

@@ -1,5 +1,7 @@
 """Tests for the streaming subsystem (§I/§III continuum data flows)."""
 
+import pickle
+
 import pytest
 
 from repro.infrastructure import make_fog_platform
@@ -44,6 +46,42 @@ class TestDataStream:
         for t in (1.0, 2.0, 3.0):
             stream.publish(StreamElement(t, t))
         assert [e.value for e in stream.since(2.0)] == [2.0, 3.0]
+
+
+class TestStreamElementRecord:
+    """The record is shared by retention, subscribers and spill buffers."""
+
+    def test_immutable(self):
+        element = StreamElement(1.0, "a")
+        with pytest.raises(AttributeError):
+            element.value = "b"
+        with pytest.raises(AttributeError):
+            element.extra = 1
+
+    def test_field_order_defaults_and_repr(self):
+        element = StreamElement(1.0, "a")
+        assert element == StreamElement(timestamp=1.0, value="a", source="")
+        assert (element.timestamp, element.value, element.source) == (1.0, "a", "")
+        assert repr(StreamElement(2.5, 3, "s0")) == (
+            "StreamElement(timestamp=2.5, value=3, source='s0')"
+        )
+
+    def test_hashable_by_content(self):
+        assert len({StreamElement(1.0, "a"), StreamElement(1.0, "a")}) == 1
+        assert StreamElement(1.0, "a") != StreamElement(1.0, "a", "other")
+
+    def test_survives_the_lane_channel_pickles(self):
+        from repro.simulation.parallel import ChannelMessage
+
+        batch = [StreamElement(0.5, {"k": [1, 2]}, "s0"), StreamElement(1.5, 2.0)]
+        message = ChannelMessage(
+            time=1.0, priority=0, src_zone="a", src_index=0, send_seq=0,
+            dst_zone="b", payload_bytes=pickle.dumps(batch),
+        )
+        # Send-time pickle, then the pipe pickle of the whole message.
+        delivered = pickle.loads(pickle.dumps(message)).payload()
+        assert delivered == batch
+        assert all(type(e) is StreamElement for e in delivered)
 
 
 class TestSensorSource:
@@ -232,6 +270,41 @@ class TestDataStreamBatchAndPruning:
             stream.publish_batch(
                 [StreamElement(2.0, "a"), StreamElement(1.0, "b")]
             )
+
+    def test_publish_batch_names_the_offending_timestamp(self):
+        stream = DataStream("s")
+        stream.publish(StreamElement(2.0, "a"))
+        with pytest.raises(ValueError, match="1.5 precedes 2.0"):
+            stream.publish_batch([StreamElement(1.5, "b")])
+        with pytest.raises(ValueError, match="2.5 precedes 3.0"):
+            stream.publish_batch(
+                [StreamElement(2.0, "b"), StreamElement(3.0, "c"),
+                 StreamElement(2.5, "d")]
+            )
+        assert len(stream) == 1  # a rejected batch publishes nothing
+
+    @pytest.mark.parametrize(
+        "publish",
+        [
+            lambda stream, element: stream.publish(element),
+            lambda stream, element: stream.publish_batch([element]),
+        ],
+        ids=["publish", "publish_batch"],
+    )
+    def test_ordering_check_survives_a_full_prune(self, publish):
+        stream = DataStream("s")
+        stream.publish(StreamElement(1.0, "a"))
+        stream.publish(StreamElement(2.0, "b"))
+        assert stream.prune_upto(5.0) == 2
+        assert len(stream) == 0
+        with pytest.raises(ValueError):
+            publish(stream, StreamElement(0.5, "older than the last published"))
+        # Below the watermark but not older than anything published: legal
+        # (a spilled element re-admitted after its window closed).
+        publish(stream, StreamElement(2.0, "spilled"))
+        publish(stream, StreamElement(3.0, "next"))
+        assert [e.value for e in stream.since(5.0)] == []
+        assert [e.value for e in stream.elements] == ["spilled", "next"]
 
     def test_prune_advances_watermark_and_guards_since(self):
         stream = DataStream("s")

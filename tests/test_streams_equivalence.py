@@ -68,17 +68,20 @@ def _pipeline_params(**overrides):
     return st.fixed_dictionaries(params)
 
 
-def _run_plane(params, credits=None, policy="spill"):
-    """One-sensor map/filter/window pipeline on the dataflow plane."""
-    engine = SimulationEngine()
-    platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-    executor = SimulatedExecutor(
+def _fog_executor(engine):
+    return SimulatedExecutor(
         TaskGraph(),
-        platform,
+        make_fog_platform(num_edge=0, num_fog=1, num_cloud=1),
         policy=LoadBalancingPolicy(),
         engine=engine,
         locations=DataLocationService(),
     )
+
+
+def _run_plane(params, credits=None, policy="spill"):
+    """One-sensor map/filter/window pipeline on the dataflow plane."""
+    engine = SimulationEngine()
+    executor = _fog_executor(engine)
     operators = OperatorGraph("flow")
     valve = CreditValve(credits, policy=policy) if credits else None
     source = operators.source("sensor", valve=valve)
@@ -126,29 +129,98 @@ def _emitted_elements(params):
     return stream.elements
 
 
-def _naive_reference(elements, params):
-    """Per-element evaluation of the same dataflow, no task runtime."""
-    window_s = params["window_s"]
-    buckets = {}
-    for element in elements:
-        value = element.value * params["scale"]
-        if value < params["threshold"] * params["scale"]:
-            continue
-        buckets.setdefault(int(element.timestamp // window_s), []).append(value)
-    results = []
-    for index in sorted(buckets):
-        values = buckets[index]
-        close = (index + 1) * window_s
-        results.append(
-            (
-                close - window_s,
-                close,
-                close + _duration_fn(len(values)),
-                sum(values),
-                len(values),
-            )
+class _NaiveFlow:
+    """Per-element evaluation of the same dataflow, no task runtime.
+
+    The reference for everything the plane does per *run*: one element at a
+    time through map, filter, the window-index division, late re-homing and
+    the bucket/count/credit bookkeeping.  Closes retire a window at
+    ``end + duration`` — what the task runtime does on free resources.
+    """
+
+    def __init__(self, params, start_at=0.0, key_fn=None, join=False):
+        self.params = params
+        self.start_at = start_at
+        self.key_fn = key_fn
+        self.join = join
+        self.next_index = 0
+        self.buffers = {}
+        self.counts = {}
+        self.credit_counts = {}
+        self.granted = {}
+        self.late = self.ingested = self.buffered = self.high_water = 0
+        self.results = []
+
+    def ingest(self, elements, valve=None, side=None):
+        scale, window_s = self.params["scale"], self.params["window_s"]
+        for element in elements:
+            self.ingested += 1
+            value = element.value * scale
+            if value < self.params["threshold"] * scale:
+                if valve is not None:
+                    self.granted[valve] = self.granted.get(valve, 0) + 1
+                continue
+            index = int((element.timestamp - self.start_at) // window_s)
+            if index < self.next_index:
+                index = self.next_index
+                self.late += 1
+            if self.join:
+                groups = self.buffers.setdefault(index, ({}, {}))[side]
+                groups.setdefault(self.key_fn(value), []).append(value)
+            elif self.key_fn is not None:
+                groups = self.buffers.setdefault(index, {})
+                groups.setdefault(self.key_fn(value), []).append(value)
+            else:
+                self.buffers.setdefault(index, []).append(value)
+            self.counts[index] = self.counts.get(index, 0) + 1
+            if valve is not None:
+                per_window = self.credit_counts.setdefault(index, {})
+                per_window[valve] = per_window.get(valve, 0) + 1
+            self.buffered += 1
+            self.high_water = max(self.high_water, self.buffered)
+
+    def close_next(self):
+        window_s = self.params["window_s"]
+        index = self.next_index
+        self.next_index += 1
+        bucket = self.buffers.pop(index, None)
+        count = self.counts.pop(index, 0)
+        for valve, credits in self.credit_counts.pop(index, {}).items():
+            self.granted[valve] = self.granted.get(valve, 0) + credits
+        if not count:
+            return
+        if self.join:
+            left, right = bucket
+            value = {
+                key: _join_fn(key, left[key], right[key])
+                for key in sorted(set(left) & set(right))
+            }
+        elif self.key_fn is not None:
+            value = {key: sum(bucket[key]) for key in sorted(bucket)}
+        else:
+            value = sum(bucket)
+        close = self.start_at + (index + 1) * window_s
+        self.results.append(
+            (close - window_s, close, close + _duration_fn(count), value, count)
         )
-    return results
+        self.buffered -= count
+
+    def close_through(self, time):
+        """Fire every close due by ``time`` (its task done right after)."""
+        while self.start_at + (self.next_index + 1) * self.params["window_s"] <= time:
+            self.close_next()
+
+
+def _join_fn(key, left, right):
+    return (key, sum(left), sum(right))
+
+
+def _naive_reference(elements, params):
+    flow = _NaiveFlow(params)
+    flow.ingest(elements)
+    while flow.buffers:
+        flow.close_next()
+    return flow.results
 
 
 def _plane_records(plane):
@@ -201,6 +273,229 @@ class TestLoweringMatchesNaiveReference:
         assert sensor_1.emitted == sensor_2.emitted
         # Conservation: every produced reading was published or dropped.
         assert sensor_1.produced == sensor_1.emitted + valve_1.dropped
+
+
+def _key_fn(value):
+    return int(value * 2) % 3
+
+
+def _stamp(start_at, window_s, k, fraction):
+    """A timestamp about window ``k``: fraction 0 sits exactly on its computed
+    opening boundary, fraction 1 one ulp under its computed closing one —
+    the two places where ``(t - start_at) // window_s`` may disagree with a
+    comparison against ``start_at + k * window_s``."""
+    if fraction == 0:
+        return start_at + k * window_s
+    if fraction == 1:
+        return math.nextafter(start_at + (k + 1) * window_s, -math.inf)
+    return start_at + (k + fraction) * window_s
+
+
+class _HandFedFlow:
+    """A two-source plane fed by hand, beside its per-element reference.
+
+    ``publish(slot, source, batch)`` runs the engine to the middle of window
+    ``slot`` (every close and window task due by then fires first: task
+    durations stay under half a window), publishes the batch and compares
+    the plane's whole ingestion state with the reference.  A batch whose
+    elements lie in windows above ``slot`` is ahead of time, like a sensor's
+    emission batch; one below it is late, like a re-admitted spill.
+    """
+
+    def __init__(self, params, start_at, mode):
+        self.params, self.start_at = params, start_at
+        self.engine = SimulationEngine()
+        operators = OperatorGraph("flow")
+        self.valves = [CreditValve(10**6, policy="spill") for _ in range(2)]
+        chains = [
+            operators.source(f"in-{i}", valve=valve)
+            .map(f"scale-{i}", lambda v: v * params["scale"])
+            .filter(f"qc-{i}", lambda v: v >= params["threshold"] * params["scale"])
+            for i, valve in enumerate(self.valves)
+        ]
+        if mode == "join":
+            operators.keyed_join(
+                "agg", chains[0], chains[1], params["window_s"],
+                key_fn=_key_fn, join_fn=_join_fn, duration_fn=_duration_fn,
+            )
+        else:
+            operators.tumbling_window(
+                "agg", chains, params["window_s"], compute_fn=sum,
+                key_fn=_key_fn if mode == "keyed" else None,
+                duration_fn=_duration_fn,
+            )
+        self.streams = [source.stream for source in operators.sources]
+        self.plane = DataflowPlane(
+            operators, _fog_executor(self.engine), ingest_node="fog-0",
+            start_at=start_at,
+        )
+        self.plane.start()
+        self.flow = _NaiveFlow(
+            params,
+            start_at=start_at,
+            key_fn=None if mode == "plain" else _key_fn,
+            join=mode == "join",
+        )
+        self.join = mode == "join"
+        self.last_slot = 0
+
+    def publish(self, slot, source, batch):
+        now = self.start_at + (slot + 0.5) * self.params["window_s"]
+        self.engine.run(until=now)
+        self.flow.close_through(now)
+        self.streams[source].publish_batch(batch)
+        self.flow.ingest(batch, valve=source, side=source if self.join else None)
+        self.last_slot = slot
+        self.check_state()
+
+    def check_state(self):
+        plane, flow = self.plane, self.flow
+        runtime = plane._runtimes["agg"]
+        names = {valve: i for i, valve in enumerate(self.valves)}
+        assert runtime.next_index == flow.next_index
+        assert runtime.buffers == flow.buffers
+        assert runtime.counts == flow.counts
+        assert {
+            index: {names[valve]: n for valve, n in per_window.items()}
+            for index, per_window in runtime.credit_counts.items()
+        } == flow.credit_counts
+        assert [valve.granted for valve in self.valves] == [
+            flow.granted.get(i, 0) for i in range(2)
+        ]
+        assert plane.late_elements == flow.late
+        assert plane.elements_ingested == flow.ingested
+        assert plane.buffered_high_water == flow.high_water
+
+    def finish(self):
+        self.plane.close_sources_at(
+            self.start_at + (self.last_slot + 1) * self.params["window_s"]
+        )
+        self.engine.run()
+        flow = self.flow
+        while flow.buffers:
+            flow.close_next()
+        records = _plane_records(self.plane)
+        assert records == flow.results
+        assert [r.latency for r in self.plane.results_of("agg")] == [
+            record[2] - record[1] for record in flow.results
+        ]
+        # Every credit came back: filtered at once, the rest on completion.
+        assert [valve.granted for valve in self.valves] == [
+            flow.granted.get(i, 0) for i in range(2)
+        ]
+        assert sum(valve.granted for valve in self.valves) == flow.ingested
+        return records
+
+
+@st.composite
+def _hand_fed_scripts(draw):
+    """(params, start_at, mode, steps): steps are (slot, source, batch)."""
+    window_s = draw(st.sampled_from([0.1, 1 / 3, 2.0, 3.5]))
+    start_at = draw(st.sampled_from([0.0, 0.3, 1.25]))
+    params = dict(
+        window_s=window_s,
+        scale=draw(st.sampled_from([1.0, 2.5])),
+        threshold=draw(st.sampled_from([-10.0, 1.0, 2.0])),
+    )
+    spot = st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([0, 0, 0.3, 0.7, 1]),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    steps = []
+    for source in range(2):
+        # At most 20 elements a source: a window task over all 40 lasts
+        # 0.04 s, under half of the smallest window.
+        spots = draw(st.lists(spot, max_size=20))
+        elements = sorted(
+            (StreamElement(_stamp(start_at, window_s, k, f), value, f"in-{source}")
+             for k, f, value in spots),
+            key=lambda element: element.timestamp,
+        )
+        slot = 0
+        while elements:
+            size = draw(st.integers(min_value=1, max_value=12))
+            slot += draw(st.integers(min_value=0, max_value=3))
+            steps.append((slot, source, elements[:size]))
+            elements = elements[size:]
+    steps.sort(key=lambda step: step[0])
+    mode = draw(st.sampled_from(["plain", "keyed", "join"]))
+    return params, start_at, mode, steps
+
+
+class TestRunSplittingMatchesNaiveReference:
+    """Run-at-a-time ingestion against the per-element reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_hand_fed_scripts())
+    def test_ingestion_state_and_results_match_at_every_batch(self, script):
+        params, start_at, mode, steps = script
+        fed = _HandFedFlow(params, start_at, mode)
+        for slot, source, batch in steps:
+            fed.publish(slot, source, batch)
+        fed.finish()
+
+    PARAMS = dict(window_s=0.1, scale=1.0, threshold=1.0)
+
+    @staticmethod
+    def _batch(start_at, spots):
+        return [
+            StreamElement(_stamp(start_at, 0.1, k, f), value, "in-0")
+            for k, f, value in spots
+        ]
+
+    def test_whole_batch_in_one_run(self):
+        fed = _HandFedFlow(self.PARAMS, 0.3, "plain")
+        # First element exactly on the window's opening boundary.
+        batch = self._batch(0.3, [(2, 0, 1.0), (2, 0.3, 0.5), (2, 0.7, 3.0)])
+        fed.publish(0, 0, batch)
+        runtime = fed.plane._runtimes["agg"]
+        assert runtime.buffers == {2: [1.0, 3.0]}
+        assert fed.valves[0].granted == 1  # the filtered 0.5
+        (record,) = fed.finish()
+        assert record[3:] == (4.0, 2)
+
+    def test_batch_split_in_three_with_an_emptied_run(self):
+        fed = _HandFedFlow(self.PARAMS, 0.3, "plain")
+        batch = self._batch(
+            0.3,
+            [(1, 0.7, 1.0), (2, 0, 0.5), (2, 0.7, 0.5), (3, 0, 2.0), (3, 0.3, 3.0)],
+        )
+        fed.publish(0, 0, batch)
+        runtime = fed.plane._runtimes["agg"]
+        # Window 2's run is filtered out whole: no bucket, no count.
+        assert runtime.buffers == {1: [1.0], 3: [2.0, 3.0]}
+        assert runtime.counts == {1: 1, 3: 2}
+        assert fed.valves[0].granted == 2
+        assert [record[4] for record in fed.finish()] == [1, 2]
+
+    def test_run_ends_follow_the_index_function_not_a_computed_boundary(self):
+        fed = _HandFedFlow(self.PARAMS, 0.3, "plain")
+        # 0.9 < 0.3 + 6 * 0.1 == 0.9000000000000001, yet (0.9 - 0.3) // 0.1
+        # is 6; and 0.3 + 4 * 0.1 == 0.7 itself indexes as window 3.
+        under = _stamp(0.3, 0.1, 5, 1)
+        assert under == 0.9 < 0.3 + 6 * 0.1
+        batch = self._batch(
+            0.3, [(3, 0.7, 1.0), (4, 0, 2.0), (5, 0.3, 3.0), (5, 1, 1.5), (7, 0.3, 1.0)]
+        )
+        fed.publish(0, 0, batch)
+        runtime = fed.plane._runtimes["agg"]
+        assert runtime.buffers == {3: [1.0, 2.0], 5: [3.0], 6: [1.5], 7: [1.0]}
+        fed.finish()
+
+    def test_late_runs_merge_into_the_earliest_open_window(self):
+        fed = _HandFedFlow(self.PARAMS, 0.0, "plain")
+        # Published in the middle of window 4: windows 0..3 have closed, so
+        # the runs of windows 1 and 3 both land in window 4's bucket, ahead
+        # of the batch's own window-4 element.
+        batch = self._batch(
+            0.0, [(1, 0.3, 1.0), (3, 0, 2.0), (3, 0.7, 3.0), (4, 0.3, 1.0)]
+        )
+        fed.publish(4, 0, batch)
+        runtime = fed.plane._runtimes["agg"]
+        assert runtime.buffers == {4: [1.0, 2.0, 3.0, 1.0]}
+        assert fed.plane.late_elements == 3
+        assert [record[3:] for record in fed.finish()] == [(7.0, 4)]
 
 
 class TestWatermarkPruning:
