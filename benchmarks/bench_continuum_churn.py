@@ -63,13 +63,17 @@ SPEEDUP_FLOOR = 10.0
 #: runners.
 USEFUL_EVENTS_PER_SEC_FLOOR = 1_500.0
 
-#: Per-useful-event cost spread allowed across the fleet sweep.  Locally
-#: 5k -> 50k measures ~1.8-2.5x depending on the host (the 50k working
-#: set — 100k+ agent/node objects — blows past cache and TLB reach where
-#: the 5k one does not), so the bound is 3x: wide enough for hardware,
-#: tight enough that the pathology this guards — O(fleet) work per event,
-#: which shows as >=20x here and keeps growing with scale — still trips.
-FLATNESS_BOUND = 3.0
+#: Per-useful-event cost spread allowed across the fleet sweep.  Measured
+#: 1.6-1.8x (5k -> 50k), and attributed: event handling itself (ticks,
+#: crowds, message delivery) is flat at 15-18 us per useful event at every
+#: fleet size; the rest is fleet construction, set-up plus arrivals plus
+#: deaths at ~4-6 us per agent, and the campaign builds 4.4 / 3.4 / 6.8
+#: agents per useful event at 5k / 20k / 50k because crowd work grows
+#: slower than the fleet.  So the spread is that ratio (2.0x between 20k
+#: and 50k) damped by the flat half, and the bound is 2.5x: above the
+#: ratio, far below the pathology this guards — O(fleet) work per event,
+#: which shows as >=20x here and keeps growing with scale.
+FLATNESS_BOUND = 2.5
 
 
 def fleet_targets() -> list:
@@ -218,6 +222,8 @@ def test_continuum_churn_scaling(benchmark):
         ["agents", "mode", "deaths", "useful_ev", "wall_s", "useful_ev/s", "recov_frac"],
         rows,
     )
+    costs = [p["us_per_useful_event"] for p in points]
+    flatness = {"spread": max(costs) / min(costs), "bound": FLATNESS_BOUND}
     print(
         f"  measured speedup @ {reference['agents']} agents: "
         f"{reference['measured_speedup']:.0f}x; projected broadcast @ "
@@ -228,12 +234,15 @@ def test_continuum_churn_scaling(benchmark):
 
     _merge_results(
         {
+            "scale": bench_scale(),
             "zones": ZONES,
             "churn_per_s": CHURN_PER_S,
             "duration_s": DURATION_S,
             "broadcast_reference": reference,
+            "reference_points": [broadcast, interest_ref],
             "broadcast_projection": projection,
             "points": points,
+            "flatness": flatness,
         }
     )
 
@@ -251,7 +260,7 @@ def test_continuum_churn_scaling(benchmark):
     )
     # Near-flat per-event cost across the fleet sweep: the point of O(1)
     # hot paths is that 50k agents pay what 5k pay, per event.
-    cheapest = min(p["us_per_useful_event"] for p in points)
+    cheapest = min(costs)
     for p in points:
         assert p["us_per_useful_event"] <= cheapest * FLATNESS_BOUND, (
             f"per-event cost grows with fleet size: {p['agents']} agents at "

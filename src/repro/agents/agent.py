@@ -21,12 +21,12 @@ Data model (mirrors the paper's dataClay integration, §VI-B):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.agents.bus import MessageBus
 from repro.agents.messages import Message, Op
 from repro.agents.offloading import NeverOffload, OffloadingPolicy, PeerInfo
-from repro.agents.services import ServiceMixin
+from repro.agents.services import ServiceMixin, ServiceSpec
 from repro.core.exceptions import AgentError
 from repro.core.graph import TaskGraph, TaskInstance, TaskState
 
@@ -46,15 +46,18 @@ class AgentReport:
     messages_sent: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _InFlight:
     task: TaskInstance
     executor: str
 
 
-@dataclass
+@dataclass(eq=False)
 class _QueuedWork:
-    """A task accepted by a worker agent, waiting for or holding cores."""
+    """A task accepted by a worker agent, waiting for or holding cores.
+
+    Compared by identity: equal-valued requests are still separate work.
+    """
 
     task_id: int
     origin: str
@@ -63,10 +66,60 @@ class _QueuedWork:
     stage_in_s: float
     output_sizes: Dict[str, float]
     running: bool = False
+    #: Service work replies through this instead of TASK_DONE.
+    on_complete: Optional[Callable[[], None]] = None
+
+
+@dataclass(eq=False)
+class _Orchestration:
+    """What an agent holds only because it orchestrates.
+
+    Created by its first ``start_application``; ``reset_orchestration``
+    clears the application half and keeps policy, data catalogue and
+    lifetime counters.
+    """
+
+    graph: Optional[TaskGraph] = None
+    policy: OffloadingPolicy = NeverOffload()  # stateless: one shared instance
+    peers: Dict[str, PeerInfo] = field(default_factory=dict)
+    in_flight: Dict[int, _InFlight] = field(default_factory=dict)
+    # Secondary indexes so an AGENT_DOWN notice costs O(state at the dead
+    # agent), not O(all in-flight + all data).  Inner dicts (and
+    # ``datum_persisted``) are insertion-ordered sets: iteration order =
+    # dispatch/publish order, matching what the flat scans used to produce.
+    in_flight_by_executor: Dict[str, Dict[int, None]] = field(default_factory=dict)
+    home_index: Dict[str, Dict[str, None]] = field(default_factory=dict)
+    local_outstanding: int = 0
+    datum_home: Dict[str, str] = field(default_factory=dict)
+    datum_size: Dict[str, float] = field(default_factory=dict)
+    datum_persisted: Dict[str, None] = field(default_factory=dict)
+    app_start: Optional[float] = None
+    app_end: Optional[float] = None
+    app_failed: bool = False
+    failure_reason: Optional[str] = None
+    tasks_recovered: int = 0
+    executed_by: Dict[str, int] = field(default_factory=dict)
+
+    def set_home(self, datum: str, home: str) -> None:
+        old = self.datum_home.get(datum)
+        if old is not None and old != home:
+            index = self.home_index.get(old)
+            if index is not None:
+                index.pop(datum, None)
+        self.datum_home[datum] = home
+        index = self.home_index.get(home)
+        if index is None:
+            index = self.home_index[home] = {}
+        index[datum] = None
 
 
 class Agent(ServiceMixin):
-    """One microservice runtime instance pinned to a platform node."""
+    """One microservice runtime instance pinned to a platform node.
+
+    It holds a role's state from when it first plays the role: the
+    orchestration record from ``start_application``, service tables from
+    ``publish_service``/``invoke_service``, the queue from the first request.
+    """
 
     def __init__(
         self,
@@ -81,61 +134,71 @@ class Agent(ServiceMixin):
         self.platform = bus.platform
         self.engine = bus.engine
         node = self.platform.node(node_name)
+        self.zone = self.platform.network.zone_of(node_name)
         self.cores = node.cores
         self.speed_factor = node.speed_factor
         self.kind = node.kind.value
         self.persistence_store_node = persistence_store_node
         bus.register(self)
 
-        # Worker state.
         self._free_cores = self.cores
-        self._queue: List[_QueuedWork] = []
         self.tasks_executed = 0
-
-        # Orchestrator state.
-        self.graph: Optional[TaskGraph] = None
-        self._peers: Dict[str, PeerInfo] = {}
-        self._policy: OffloadingPolicy = NeverOffload()
-        self._in_flight: Dict[int, _InFlight] = {}
-        # Secondary indexes so an AGENT_DOWN notice costs O(state at the
-        # dead agent), not O(all in-flight + all data).  Inner dicts are
-        # insertion-ordered sets (iteration order = dispatch/publish order,
-        # matching what the flat scans used to produce).
-        self._in_flight_by_executor: Dict[str, Dict[int, None]] = {}
-        self._home_index: Dict[str, Dict[str, None]] = {}
-        self._local_outstanding = 0
-        self._datum_home: Dict[str, str] = {}
-        self._datum_size: Dict[str, float] = {}
-        self._datum_persisted: Set[str] = set()
-        self.app_start: Optional[float] = None
-        self.app_end: Optional[float] = None
-        self.app_failed = False
-        self.tasks_recovered = 0
-        self.executed_by: Dict[str, int] = {}
-        self._init_services()
+        self._queue: Optional[List[_QueuedWork]] = None
+        self._orch: Optional[_Orchestration] = None
+        self._services: Optional[Dict[str, ServiceSpec]] = None
+        self._service_callbacks: Optional[Dict[int, Callable]] = None
 
     # ------------------------------------------------------------- REST API
 
     def handle(self, message: Message) -> None:
         """Entry point for every delivered message (the REST dispatcher)."""
-        handler = {
-            Op.START_APPLICATION: self._on_start_application,
-            Op.EXECUTE_TASK: self._on_execute_task,
-            Op.TASK_DONE: self._on_task_done,
-            Op.ADD_RESOURCES: self._on_add_resources,
-            Op.REMOVE_RESOURCES: self._on_remove_resources,
-            Op.QUERY_STATUS: self._on_query_status,
-            Op.STATUS_REPLY: lambda m: None,
-            Op.AGENT_DOWN: self._on_agent_down,
-            Op.TASK_REJECTED: lambda m: None,
-            Op.SERVICE_REQUEST: self._on_service_request,
-            Op.SERVICE_RESPONSE: self._on_service_response,
-        }.get(message.op)
+        handler = self._HANDLERS.get(message.op)
         if handler is None:
             raise AgentError(f"agent {self.name!r}: unhandled op {message.op}")
-        handler(message)
+        handler(self, message)
+
+    def _ignore(self, message: Message) -> None:
+        """Replies nobody acts on (STATUS_REPLY, TASK_REJECTED)."""
 
     # --------------------------------------------------------- orchestration
+
+    @property
+    def graph(self) -> Optional[TaskGraph]:
+        """The application being (or last) orchestrated; None on a worker."""
+        return self._orch.graph if self._orch is not None else None
+
+    @property
+    def app_failed(self) -> bool:
+        return self._orch is not None and self._orch.app_failed
+
+    @property
+    def failure_reason(self) -> Optional[str]:
+        return self._orch.failure_reason if self._orch is not None else None
+
+    @property
+    def tasks_recovered(self) -> int:
+        return self._orch.tasks_recovered if self._orch is not None else 0
+
+    def peer_names(self) -> List[str]:
+        """Peers of the current application not yet known dead, in order."""
+        return list(self._orch.peers) if self._orch is not None else []
+
+    def homed_data(self) -> List[Tuple[str, str, float]]:
+        """``(datum, home agent, size)`` per tracked datum, in publish order."""
+        orch = self._orch
+        if orch is None:
+            return []
+        sizes = orch.datum_size
+        return [(d, home, sizes.get(d, 0.0)) for d, home in orch.datum_home.items()]
+
+    def forget_data(self) -> None:
+        """Drop the data catalogue (it otherwise outlives the application)."""
+        orch = self._orch
+        if orch is not None:
+            orch.datum_home.clear()
+            orch.datum_size.clear()
+            orch.datum_persisted.clear()
+            orch.home_index.clear()
 
     def start_application(
         self,
@@ -145,31 +208,34 @@ class Agent(ServiceMixin):
         initial_data: Optional[Dict[str, float]] = None,
     ) -> None:
         """Begin orchestrating ``graph`` (the REST Start Application op)."""
-        if self.graph is not None:
+        orch = self._orch
+        if orch is None:
+            orch = self._orch = _Orchestration()
+        elif orch.graph is not None:
             raise AgentError(f"agent {self.name!r} is already orchestrating")
-        self.graph = graph
+        orch.graph = graph
         if policy is not None:
-            self._policy = policy
+            orch.policy = policy
         for peer_name in peers or []:
             peer = self.bus.agent(peer_name)
-            self._peers[peer_name] = PeerInfo(
+            orch.peers[peer_name] = PeerInfo(
                 name=peer_name,
                 cores=peer.cores,
                 speed_factor=peer.speed_factor,
                 kind=peer.kind,
                 outstanding=0,
-                zone=self.bus.zone_of_agent(peer_name),
+                zone=peer.zone,
             )
             # Subscribe to the peer's death notice before any message flows:
             # under interest-scoped failure notification a peer dying between
             # Start Application and the first dispatch is still detected.
             self.bus.watch(self.name, peer_name)
         for datum, size in (initial_data or {}).items():
-            self._set_datum_home(datum, self.name)
-            self._datum_size[datum] = size
+            orch.set_home(datum, self.name)
+            orch.datum_size[datum] = size
             if self.persistence_store_node is not None:
-                self._datum_persisted.add(datum)
-        self.app_start = self.engine.now
+                orch.datum_persisted[datum] = None
+        orch.app_start = self.engine.now
         self._dispatch()
 
     def _on_start_application(self, message: Message) -> None:
@@ -181,53 +247,41 @@ class Agent(ServiceMixin):
         )
 
     def _dispatch(self) -> None:
-        if self.graph is None or self.app_failed:
+        orch = self._orch
+        if orch is None or orch.graph is None or orch.app_failed:
             return
         local_info = PeerInfo(
             name=self.name,
             cores=self.cores,
             speed_factor=self.speed_factor,
             kind=self.kind,
-            outstanding=self._local_outstanding,
+            outstanding=orch.local_outstanding,
         )
-        for task in list(self.graph.ready_tasks()):
-            target = self._policy.choose(task, local_info, list(self._peers.values()))
-            self._send_task(task, target)
+        for task in list(orch.graph.ready_tasks()):
+            target = orch.policy.choose(task, local_info, list(orch.peers.values()))
+            self._send_task(orch, task, target)
             if target == self.name:
-                self._local_outstanding += 1
-                local_info.outstanding = self._local_outstanding
+                orch.local_outstanding += 1
+                local_info.outstanding = orch.local_outstanding
             else:
-                self._peers[target].outstanding += 1
+                orch.peers[target].outstanding += 1
 
-    def _set_datum_home(self, datum: str, home: str) -> None:
-        old = self._datum_home.get(datum)
-        if old is not None and old != home:
-            index = self._home_index.get(old)
-            if index is not None:
-                index.pop(datum, None)
-        self._datum_home[datum] = home
-        index = self._home_index.get(home)
-        if index is None:
-            index = self._home_index[home] = {}
-        index[datum] = None
-
-    def _send_task(self, task: TaskInstance, target: str) -> None:
-        assert self.graph is not None
-        self.graph.mark_running(task.task_id, target, now=self.engine.now)
+    def _send_task(self, orch: _Orchestration, task: TaskInstance, target: str) -> None:
+        orch.graph.mark_running(task.task_id, target, now=self.engine.now)
         task.assigned_nodes = [target]
-        self._in_flight[task.task_id] = _InFlight(task=task, executor=target)
-        by_executor = self._in_flight_by_executor.get(target)
+        orch.in_flight[task.task_id] = _InFlight(task=task, executor=target)
+        by_executor = orch.in_flight_by_executor.get(target)
         if by_executor is None:
-            by_executor = self._in_flight_by_executor[target] = {}
+            by_executor = orch.in_flight_by_executor[target] = {}
         by_executor[task.task_id] = None
 
         profile = task.profile
         input_specs = []
         shipped_bytes = 0.0
         for datum in task.reads:
-            size = self._datum_size.get(datum, 0.0)
-            persisted = datum in self._datum_persisted
-            home = self._datum_home.get(datum, self.name)
+            size = orch.datum_size.get(datum, 0.0)
+            persisted = datum in orch.datum_persisted
+            home = orch.datum_home.get(datum, self.name)
             input_specs.append(
                 {"datum": datum, "size": size, "persisted": persisted, "home": home}
             )
@@ -255,91 +309,100 @@ class Agent(ServiceMixin):
         )
 
     def _on_task_done(self, message: Message) -> None:
-        if self.graph is None:
+        orch = self._orch
+        if orch is None or orch.graph is None:
             return
         task_id = message.payload["task_id"]
         executor = message.sender
-        flight = self._in_flight.pop(task_id, None)
+        flight = orch.in_flight.pop(task_id, None)
         if flight is None:
             return  # duplicate completion after recovery re-dispatch
-        by_executor = self._in_flight_by_executor.get(flight.executor)
+        by_executor = orch.in_flight_by_executor.get(flight.executor)
         if by_executor is not None:
             by_executor.pop(task_id, None)
         if executor == self.name:
-            self._local_outstanding = max(0, self._local_outstanding - 1)
-        elif executor in self._peers:
-            self._peers[executor].outstanding = max(
-                0, self._peers[executor].outstanding - 1
-            )
+            orch.local_outstanding = max(0, orch.local_outstanding - 1)
+        elif executor in orch.peers:
+            peer = orch.peers[executor]
+            peer.outstanding = max(0, peer.outstanding - 1)
         for datum, size in message.payload.get("outputs", {}).items():
-            self._set_datum_home(datum, executor)
-            self._datum_size[datum] = size
+            orch.set_home(datum, executor)
+            orch.datum_size[datum] = size
             if message.payload.get("persisted", False):
-                self._datum_persisted.add(datum)
-        self.executed_by[executor] = self.executed_by.get(executor, 0) + 1
-        self.graph.mark_done(task_id, now=self.engine.now)
-        if self.graph.finished:
-            self.app_end = self.engine.now
+                orch.datum_persisted[datum] = None
+        orch.executed_by[executor] = orch.executed_by.get(executor, 0) + 1
+        orch.graph.mark_done(task_id, now=self.engine.now)
+        if orch.graph.finished:
+            orch.app_end = self.engine.now
         else:
             self._dispatch()
 
     def _on_agent_down(self, message: Message) -> None:
+        orch = self._orch
+        if orch is None:
+            return
         dead = message.payload["agent"]
-        peer_dropped = self._peers.pop(dead, None) is not None
-        if self.graph is None:
+        peer_dropped = orch.peers.pop(dead, None) is not None
+        if orch.graph is None:
             return
         # O(state at the dead agent): the executor/home indexes hand us the
         # affected flights and data directly, and an uninvolved orchestrator
         # (nothing in flight there, nothing homed there) exits immediately —
         # no O(in-flight) or O(data) scan per death.
-        flights = self._in_flight_by_executor.pop(dead, None)
-        homed = self._home_index.pop(dead, None)
+        flights = orch.in_flight_by_executor.pop(dead, None)
+        homed = orch.home_index.pop(dead, None)
         if not peer_dropped and not flights and not homed:
             return
         lost_data = {
-            datum for datum in (homed or ()) if datum not in self._datum_persisted
+            datum for datum in (homed or ()) if datum not in orch.datum_persisted
         }
         for task_id in flights or ():
-            flight = self._in_flight.pop(task_id, None)
+            flight = orch.in_flight.pop(task_id, None)
             if flight is None:
                 continue
             task = flight.task
             if any(d in lost_data for d in task.reads):
                 self._fail_application(
-                    f"task {task.label} inputs lost with agent {dead}"
+                    orch, f"task {task.label} inputs lost with agent {dead}"
                 )
                 return
-            self.graph.requeue(task.task_id)
-            self.tasks_recovered += 1
+            orch.graph.requeue(task.task_id)
+            orch.tasks_recovered += 1
         # Data produced by the dead agent that future tasks need:
         if lost_data:
-            for task in self.graph.tasks:
+            for task in orch.graph.tasks:
                 if task.state in (TaskState.PENDING, TaskState.READY):
                     if any(d in lost_data for d in task.reads):
                         self._fail_application(
-                            f"task {task.label} inputs lost with agent {dead}"
+                            orch, f"task {task.label} inputs lost with agent {dead}"
                         )
                         return
         self._dispatch()
 
-    def _fail_application(self, reason: str) -> None:
-        self.app_failed = True
-        self.app_end = self.engine.now
-        self.failure_reason = reason
+    def _fail_application(self, orch: _Orchestration, reason: str) -> None:
+        orch.app_failed = True
+        orch.app_end = self.engine.now
+        orch.failure_reason = reason
 
     # --------------------------------------------------------------- worker
 
     def _on_execute_task(self, message: Message) -> None:
         payload = message.payload
         stage_in = self._stage_in_time(payload["inputs"], payload["origin"])
-        work = _QueuedWork(
-            task_id=payload["task_id"],
-            origin=payload["origin"],
-            cores=min(payload["cores"], self.cores),
-            duration_s=payload["duration_s"],
-            stage_in_s=stage_in,
-            output_sizes=dict(payload["outputs"]),
+        self._enqueue(
+            _QueuedWork(
+                task_id=payload["task_id"],
+                origin=payload["origin"],
+                cores=min(payload["cores"], self.cores),
+                duration_s=payload["duration_s"],
+                stage_in_s=stage_in,
+                output_sizes=dict(payload["outputs"]),
+            )
         )
+
+    def _enqueue(self, work: _QueuedWork) -> None:
+        if self._queue is None:
+            self._queue = []
         self._queue.append(work)
         self._pump_queue()
 
@@ -376,7 +439,7 @@ class Agent(ServiceMixin):
         return worst
 
     def _pump_queue(self) -> None:
-        for work in self._queue:
+        for work in self._queue or ():
             if work.running:
                 continue
             if work.cores <= self._free_cores:
@@ -410,7 +473,7 @@ class Agent(ServiceMixin):
         )
 
     def _finish_work(self, work: _QueuedWork) -> None:
-        if work not in self._queue:
+        if not self._queue or work not in self._queue:
             return  # agent was killed; stale completion
         self._queue.remove(work)
         self._free_cores += work.cores
@@ -420,10 +483,8 @@ class Agent(ServiceMixin):
             # device — the paper's "disappeared for low battery" scenario.
             self.bus.kill_now(self.name)
             return
-        on_complete = getattr(work, "on_complete", None)
-        if on_complete is not None:
-            # Service work replies through its own completion, not TASK_DONE.
-            on_complete()
+        if work.on_complete is not None:
+            work.on_complete()
             self._pump_queue()
             return
         self.bus.send(
@@ -463,7 +524,7 @@ class Agent(ServiceMixin):
                 sender=self.name,
                 recipient=message.sender,
                 payload={
-                    "queued": len(self._queue),
+                    "queued": len(self._queue or ()),
                     "free_cores": self._free_cores,
                     "executed": self.tasks_executed,
                 },
@@ -476,45 +537,67 @@ class Agent(ServiceMixin):
         Required by application-as-a-service hosting: each request
         orchestrates a fresh graph on the same agent.
         """
-        if self.graph is not None and not self.graph.finished and not self.app_failed:
+        orch = self._orch
+        if orch is None:
+            return
+        if orch.graph is not None and not orch.graph.finished and not orch.app_failed:
             raise AgentError(
                 f"agent {self.name!r} is still orchestrating; cannot reset"
             )
-        self.graph = None
-        self._peers = {}
-        self._in_flight = {}
-        self._in_flight_by_executor = {}
-        # _home_index stays: it mirrors _datum_home, which outlives the
+        orch.graph = None
+        orch.peers = {}
+        orch.in_flight = {}
+        orch.in_flight_by_executor = {}
+        # home_index stays: it mirrors datum_home, which outlives the
         # application (data published by one app can seed the next).
-        self._local_outstanding = 0
-        self.app_start = None
-        self.app_end = None
-        self.app_failed = False
+        orch.local_outstanding = 0
+        orch.app_start = None
+        orch.app_end = None
+        orch.app_failed = False
 
     # -------------------------------------------------------------- failures
 
     def on_killed(self) -> None:
         """Bus callback: this agent crashed — drop all local state."""
-        self._queue.clear()
+        self._queue = None
         self._free_cores = self.cores
-        if self.graph is not None and not self.app_failed and self.app_end is None:
-            self._fail_application("orchestrator agent died")
+        orch = self._orch
+        # A failed application has its end stamped too: an open one has none.
+        if orch is not None and orch.graph is not None and orch.app_end is None:
+            self._fail_application(orch, "orchestrator agent died")
 
     # --------------------------------------------------------------- report
 
     def report(self) -> AgentReport:
         """Summary of the orchestrated application (orchestrator only)."""
-        if self.graph is None:
+        orch = self._orch
+        if orch is None or orch.graph is None:
             raise AgentError(f"agent {self.name!r} never orchestrated an application")
         makespan = 0.0
-        if self.app_start is not None and self.app_end is not None:
-            makespan = self.app_end - self.app_start
+        if orch.app_start is not None and orch.app_end is not None:
+            makespan = orch.app_end - orch.app_start
         return AgentReport(
-            completed=self.graph.finished and not self.app_failed,
-            failed=self.app_failed,
+            completed=orch.graph.finished and not orch.app_failed,
+            failed=orch.app_failed,
             makespan=makespan,
-            tasks_done=self.graph.completed_count,
-            tasks_recovered=self.tasks_recovered,
-            executed_by=dict(self.executed_by),
+            tasks_done=orch.graph.completed_count,
+            tasks_recovered=orch.tasks_recovered,
+            executed_by=dict(orch.executed_by),
             messages_sent=self.bus.messages_sent,
         )
+
+    #: The REST routing table, built once for the class (a subclass that
+    #: overrides a handler rebuilds it).
+    _HANDLERS = {
+        Op.START_APPLICATION: _on_start_application,
+        Op.EXECUTE_TASK: _on_execute_task,
+        Op.TASK_DONE: _on_task_done,
+        Op.ADD_RESOURCES: _on_add_resources,
+        Op.REMOVE_RESOURCES: _on_remove_resources,
+        Op.QUERY_STATUS: _on_query_status,
+        Op.STATUS_REPLY: _ignore,
+        Op.AGENT_DOWN: _on_agent_down,
+        Op.TASK_REJECTED: _ignore,
+        Op.SERVICE_REQUEST: ServiceMixin._on_service_request,
+        Op.SERVICE_RESPONSE: ServiceMixin._on_service_response,
+    }

@@ -27,6 +27,7 @@ it happens, exactly as under broadcast (see DESIGN.md's substitution table).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import TYPE_CHECKING, Deque, Dict, KeysView, List, Optional, Tuple
 
 from repro.agents.messages import Message, Op
@@ -82,18 +83,19 @@ class MessageBus:
         # Live-set bookkeeping.  Plain dicts double as insertion-ordered
         # sets: iteration order is deterministic (unlike ``set`` of strings,
         # whose order depends on the per-process hash seed), which the
-        # byte-identical engine-equivalence suites rely on.
-        self._alive: Dict[str, bool] = {}
+        # byte-identical engine-equivalence suites rely on.  An agent's
+        # zone is its own ``zone`` attribute, fixed at construction.
         self._alive_set: Dict[str, None] = {}
         self._zone_alive: Dict[str, Dict[str, None]] = {}
-        self._agent_zone: Dict[str, str] = {}
         # Interest sets: agent -> peers to notify when it dies.  Populated
         # symmetrically on every send() plus explicit watch() subscriptions.
         self._interest: Dict[str, Dict[str, None]] = {}
-        # Per-zone membership epochs and bounded change logs (epoch, name,
-        # alive) for lazy reconciliation by late observers.
+        # Per-zone membership epochs and bounded change logs (name, alive)
+        # for lazy reconciliation by late observers.  Every change bumps its
+        # zone's epoch by one, so the newest entry is the current epoch's
+        # and entry ``-k`` belongs to epoch ``current - k + 1``.
         self._zone_epoch: Dict[str, int] = {}
-        self._zone_changes: Dict[str, Deque[Tuple[int, str, bool]]] = {}
+        self._zone_changes: Dict[str, Deque[Tuple[str, bool]]] = {}
         # Service registry: service name -> ordered provider agents.  Several
         # agents may provide the same service; lookup skips dead providers in
         # registration order (deterministic failover).
@@ -113,19 +115,16 @@ class MessageBus:
         if agent.name in self._agents:
             raise AgentError(f"agent {agent.name!r} already registered")
         self._agents[agent.name] = agent
-        self._alive[agent.name] = True
         self._alive_set[agent.name] = None
-        zone = self.platform.network.zone_of(agent.node_name)
-        self._agent_zone[agent.name] = zone
+        zone = agent.zone
         members = self._zone_alive.get(zone)
         if members is None:
             members = self._zone_alive[zone] = {}
             self._zone_epoch[zone] = 0
             self._zone_changes[zone] = deque(maxlen=_EPOCH_LOG_LIMIT)
         members[agent.name] = None
-        epoch = self._zone_epoch[zone] + 1
-        self._zone_epoch[zone] = epoch
-        self._zone_changes[zone].append((epoch, agent.name, True))
+        self._zone_epoch[zone] += 1
+        self._zone_changes[zone].append((agent.name, True))
 
     def agent(self, name: str) -> "Agent":
         try:
@@ -134,7 +133,7 @@ class MessageBus:
             raise AgentError(f"unknown agent {name!r}") from None
 
     def is_alive(self, name: str) -> bool:
-        return self._alive.get(name, False)
+        return name in self._alive_set
 
     @property
     def alive_agents(self) -> List[str]:
@@ -157,10 +156,7 @@ class MessageBus:
         return members.keys() if members is not None else {}.keys()
 
     def zone_of_agent(self, name: str) -> str:
-        try:
-            return self._agent_zone[name]
-        except KeyError:
-            raise AgentError(f"unknown agent {name!r}") from None
+        return self.agent(name).zone
 
     # --------------------------------------------------- membership digests
 
@@ -179,13 +175,16 @@ class MessageBus:
         fallen out of the bounded change log; the observer must then resync
         from :meth:`alive_in_zone` (and adopt the current epoch).
         """
-        current = self._zone_epoch.get(zone, 0)
-        if epoch >= current:
+        behind = self._zone_epoch.get(zone, 0) - epoch
+        if behind <= 0:
             return []
         log = self._zone_changes.get(zone)
-        if log is None or current - epoch > len(log):
+        if log is None or behind > len(log):
             return None
-        return [(name, alive) for e, name, alive in log if e > epoch]
+        # The deltas are exactly the log's last ``behind`` entries.
+        newest_first = list(islice(reversed(log), behind))
+        newest_first.reverse()
+        return newest_first
 
     def deaths_since(self, zone: str, epoch: int) -> Optional[List[str]]:
         """Like :meth:`changes_since`, deaths only (None = resync needed)."""
@@ -218,12 +217,8 @@ class MessageBus:
         live provider takes over; ``None`` once every provider is dead or
         the service is unknown.
         """
-        providers = self._services.get(service_name)
-        if not providers:
-            return None
-        alive = self._alive
-        for provider in providers:
-            if alive.get(provider, False):
+        for provider in self._services.get(service_name, ()):
+            if provider in self._alive_set:
                 return provider
         return None
 
@@ -295,7 +290,7 @@ class MessageBus:
             peers.pop(watcher, None)
 
     def _deliver(self, message: Message) -> None:
-        if not self._alive.get(message.recipient, False):
+        if message.recipient not in self._alive_set:
             self.dropped_count += 1
             self.dropped_messages.append(message)
             return
@@ -318,24 +313,20 @@ class MessageBus:
         self._kill(name)
 
     def _kill(self, name: str) -> None:
-        if not self._alive.get(name, False):
+        if name not in self._alive_set:
             return
-        self._alive[name] = False
         del self._alive_set[name]
-        zone = self._agent_zone[name]
-        self._zone_alive[zone].pop(name, None)
-        epoch = self._zone_epoch[zone] + 1
-        self._zone_epoch[zone] = epoch
-        self._zone_changes[zone].append((epoch, name, False))
-        self.deaths += 1
         agent = self._agents[name]
+        zone = agent.zone
+        self._zone_alive[zone].pop(name, None)
+        self._zone_epoch[zone] += 1
+        self._zone_changes[zone].append((name, False))
+        self.deaths += 1
         agent.on_killed()
         if self.platform.has_node(agent.node_name):
             self.platform.fail_node(agent.node_name, at=self.engine.now)
         if self.notification == "broadcast":
-            targets = [
-                other for other in self._agents if self._alive.get(other, False)
-            ]
+            targets = list(self._alive_set)
         else:
             # Interest-scoped: only peers that exchanged messages with the
             # dead agent or watched it.  Their own interest sets drop the
@@ -347,7 +338,7 @@ class MessageBus:
                 peers = interest.get(other)
                 if peers is not None:
                     peers.pop(name, None)
-                if self._alive.get(other, False):
+                if other in self._alive_set:
                     targets.append(other)
         for other in targets:
             notice = Message(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from repro.agents.messages import Message, Op
 from repro.core.exceptions import AgentError
@@ -37,11 +37,11 @@ class ServiceSpec:
 
 
 class ServiceMixin:
-    """Service behaviour mixed into :class:`~repro.agents.agent.Agent`."""
+    """Service behaviour mixed into :class:`~repro.agents.agent.Agent`.
 
-    def _init_services(self) -> None:
-        self._services: Dict[str, ServiceSpec] = {}
-        self._service_callbacks: Dict[int, Callable[[Any], None]] = {}
+    ``_services`` and ``_service_callbacks`` start at None: the first
+    ``publish_service`` / ``invoke_service(on_reply=...)`` creates them.
+    """
 
     # ------------------------------------------------------------- provider
 
@@ -53,16 +53,22 @@ class ServiceMixin:
         cores: int = 1,
     ) -> None:
         """Instantiate a service on this agent and register it on the bus."""
-        if name in self._services:
+        if self._services is None:
+            self._services = {}
+        elif name in self._services:
             raise AgentError(f"agent {self.name!r} already publishes {name!r}")
         self._services[name] = ServiceSpec(
             name=name, handler=handler, compute_time_s=compute_time_s, cores=cores
         )
         self.bus.register_service(name, self.name)
 
+    def published_service(self, name: str) -> Optional[ServiceSpec]:
+        """The spec of a service this agent publishes, or None."""
+        return self._services.get(name) if self._services else None
+
     def _on_service_request(self, message: Message) -> None:
         payload = message.payload
-        spec = self._services.get(payload["service"])
+        spec = self.published_service(payload["service"])
         if spec is None:
             raise AgentError(
                 f"agent {self.name!r} received request for unpublished "
@@ -86,17 +92,17 @@ class ServiceMixin:
                 )
             )
 
-        work = _QueuedWork(
-            task_id=-payload["request_id"],  # negative ids: service work
-            origin=message.sender,
-            cores=min(spec.cores, self.cores),
-            duration_s=spec.compute_time_s,
-            stage_in_s=0.0,
-            output_sizes={},
+        self._enqueue(
+            _QueuedWork(
+                task_id=-payload["request_id"],  # negative ids: service work
+                origin=message.sender,
+                cores=min(spec.cores, self.cores),
+                duration_s=spec.compute_time_s,
+                stage_in_s=0.0,
+                output_sizes={},
+                on_complete=complete_service,
+            )
         )
-        work.on_complete = complete_service  # type: ignore[attr-defined]
-        self._queue.append(work)
-        self._pump_queue()
 
     # --------------------------------------------------------------- client
 
@@ -116,6 +122,8 @@ class ServiceMixin:
             raise AgentError(f"no agent publishes service {name!r}")
         request_id = next(_request_ids)
         if on_reply is not None:
+            if self._service_callbacks is None:
+                self._service_callbacks = {}
             self._service_callbacks[request_id] = on_reply
         self.bus.send(
             Message(
@@ -132,9 +140,10 @@ class ServiceMixin:
         return request_id
 
     def _on_service_response(self, message: Message) -> None:
-        callback = self._service_callbacks.pop(
-            message.payload["request_id"], None
-        )
+        callbacks = self._service_callbacks
+        if callbacks is None:
+            return  # this agent never asked for a reply
+        callback = callbacks.pop(message.payload["request_id"], None)
         if callback is not None:
             callback(message.payload["result"])
 

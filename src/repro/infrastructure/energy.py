@@ -8,7 +8,7 @@ policies by energy (experiment E9) even though absolute joules are synthetic.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from repro.infrastructure.resources import Node
 
@@ -30,19 +30,23 @@ class EnergyAccountant:
     def __init__(self) -> None:
         self._busy_core_seconds: Dict[str, float] = {}
         self._nodes: Dict[str, Node] = {}
-        # Nodes powered off (released by elasticity) stop accruing idle power.
-        self._power_on: Dict[str, List[tuple]] = {}
+        # Nodes powered off (released by elasticity) stop accruing idle
+        # power.  A node that is on has its start in ``_on_since``; its past
+        # on-intervals are one flat ``(start, end, start, end, ...)`` tuple.
+        self._on_since: Dict[str, float] = {}
+        self._was_on: Dict[str, Tuple[float, ...]] = {}
 
     def register_node(self, node: Node, on_since: float = 0.0) -> None:
-        """Start charging idle power for ``node`` from ``on_since``."""
+        """Start charging idle power for ``node`` from ``on_since`` (a node
+        that is already on stays on since its earlier start)."""
         self._nodes[node.name] = node
-        self._power_on.setdefault(node.name, []).append([on_since, None])
+        self._on_since.setdefault(node.name, on_since)
 
     def power_off(self, node_name: str, at: float) -> None:
         """Stop charging idle power for a node at virtual time ``at``."""
-        intervals = self._power_on.get(node_name, [])
-        if intervals and intervals[-1][1] is None:
-            intervals[-1][1] = at
+        start = self._on_since.pop(node_name, None)
+        if start is not None:
+            self._was_on[node_name] = self._was_on.get(node_name, ()) + (start, at)
 
     def record_busy(self, node_name: str, start: float, end: float, cores: int) -> None:
         """Record that ``cores`` cores on ``node_name`` were busy in [start, end)."""
@@ -60,10 +64,14 @@ class EnergyAccountant:
         if node is None:
             return 0.0
         on_seconds = 0.0
-        for start, end in self._power_on.get(node_name, []):
-            stop = horizon if end is None else min(end, horizon)
+        past = self._was_on.get(node_name, ())
+        for start, end in zip(past[::2], past[1::2]):
+            stop = min(end, horizon)
             if stop > start:
                 on_seconds += stop - start
+        start = self._on_since.get(node_name)
+        if start is not None and horizon > start:
+            on_seconds += horizon - start
         idle_energy = node.power.idle_watts * on_seconds
         busy_energy = node.power.busy_watts_per_core * self.busy_core_seconds(node_name)
         return idle_energy + busy_energy

@@ -75,7 +75,8 @@ class Node:
     memory_mb: int = 16_000
     gpus: tuple = ()
     speed_factor: float = 1.0
-    software: FrozenSet[str] = field(default_factory=frozenset)
+    # One shared empty set: ``frozenset()`` builds a new object per call.
+    software: FrozenSet[str] = frozenset()
     power: PowerProfile = field(default_factory=PowerProfile)
     battery_joules: Optional[float] = None
     failed: bool = False

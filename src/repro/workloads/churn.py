@@ -270,9 +270,9 @@ class _ZoneChurnDriver:
                     self.rng.random() < cfg.peer_death_bias
                     and orch.graph is not None
                     and not orch.graph.finished
-                    and orch._peers
+                    and (peers := orch.peer_names())
                 ):
-                    victim = self.rng.choice(list(orch._peers))
+                    victim = self.rng.choice(peers)
                 elif snapshot:
                     # Swap-remove keeps victim picking O(1) per death no
                     # matter how wide the zone is.
@@ -404,18 +404,14 @@ class _ZoneChurnDriver:
         # Publish completed outputs into the persisted-object catalogue at
         # their current home (the store stands in for homes that died) so
         # later deaths trigger real re-homing storms.
-        for datum, home in orch._datum_home.items():
-            size = orch._datum_size.get(datum, 0.0)
+        for datum, home, size in orch.homed_data():
             if self.bus.is_alive(home):
                 node = self.bus.agent(home).node_name
             else:
                 node = self.store_node
             self.locations.publish(datum, node, size_bytes=size)
         orch.reset_orchestration()
-        orch._datum_home.clear()
-        orch._datum_size.clear()
-        orch._datum_persisted.clear()
-        orch._home_index.clear()
+        orch.forget_data()
 
     # --------------------------------------------------------------- results
 

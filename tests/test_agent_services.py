@@ -98,7 +98,7 @@ class TestServiceInvocation:
         for i in range(4):
             agents["fog-0"].invoke_service("svc", i)
         engine.run()
-        assert agents["cloud-0"]._services["svc"].invocations == 4
+        assert agents["cloud-0"].published_service("svc").invocations == 4
 
     def test_services_coexist_with_task_execution(self):
         platform, engine, bus, agents = make_stack()
@@ -154,3 +154,77 @@ class TestApplicationAsAService:
         engine.run()
         assert first_done == 1
         assert host.report().completed
+
+
+class TestQueuedWorkIdentity:
+    """Queued work compares by identity: a completion retires its own item,
+    never an equal-valued sibling."""
+
+    def test_equal_valued_work_items_are_distinct(self):
+        from repro.agents.agent import _InFlight, _QueuedWork
+
+        def item():
+            return _QueuedWork(
+                task_id=-7, origin="fog-0", cores=1, duration_s=1.0,
+                stage_in_s=0.0, output_sizes={},
+            )
+
+        first, second = item(), item()
+        assert first != second and first == first
+        queue = [first, second]
+        assert second in queue and item() not in queue
+        queue.remove(second)
+        assert queue[0] is first and len(queue) == 1
+        assert first.on_complete is None
+        assert _InFlight(task=None, executor="a") != _InFlight(task=None, executor="a")
+
+    def test_equal_valued_requests_each_reply_once_in_order(self):
+        from repro.agents.messages import Message, Op
+        from repro.infrastructure import Platform
+        from repro.infrastructure.resources import Node
+
+        platform = Platform()
+        platform.add_node(Node("client", cores=1))
+        platform.add_node(Node("single", cores=1))
+        engine = SimulationEngine()
+        bus = MessageBus(platform, engine)
+        Agent("client", "client", bus)
+        provider = Agent("single", "single", bus)
+        calls = []
+        provider.publish_service(
+            "echo", handler=lambda x: calls.append(x) or x, compute_time_s=2.0
+        )
+        replies = []
+        deliver = bus.send
+
+        def recording_send(message):
+            if message.op is Op.SERVICE_RESPONSE:
+                replies.append((engine.now, message.payload["result"]))
+            deliver(message)
+
+        bus.send = recording_send
+
+        def request(argument):
+            # Same sender, same request id, same spec: equal-valued work.
+            bus.send(
+                Message(
+                    op=Op.SERVICE_REQUEST, sender="client", recipient="single",
+                    payload={"service": "echo", "argument": argument, "request_id": 7},
+                )
+            )
+
+        request("first")
+        request("second")
+        engine.run()
+        assert calls == ["first", "second"]
+        assert [result for _at, result in replies] == ["first", "second"]
+        assert replies[1][0] - replies[0][0] == pytest.approx(2.0)
+        assert provider.tasks_executed == 2 and provider._queue == []
+        # A completion that arrives after the agent was killed is ignored.
+        request("third")
+        engine.run(until=engine.now + 1.0)
+        assert provider._free_cores == 0
+        bus.kill_now("single")
+        engine.run()
+        assert calls == ["first", "second"] and len(replies) == 2
+        assert provider.tasks_executed == 2 and provider._free_cores == 1

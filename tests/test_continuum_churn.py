@@ -131,7 +131,7 @@ class TestInterestScoping:
         )
         bus.kill_now("cloud-0")
         engine.run()
-        assert "cloud-0" not in orch._peers
+        assert "cloud-0" not in orch.peer_names()
         assert orch.report().completed
 
 

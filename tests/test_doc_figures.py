@@ -7,6 +7,10 @@ where the JSON said 1.77; this test makes the pair inseparable: every
 printed number must equal the JSON value at the printed precision.  It is
 tier-1, so in CI it runs before the bench smoke steps rewrite the JSON and
 therefore checks the committed pair.
+
+E16 is held the same way: the table rows, the measured-speedup /
+projected-speedup sentence, the per-event cost spread, the summary row and
+the README's churn paragraph must equal ``BENCH_continuum_churn.json``.
 """
 
 import json
@@ -27,7 +31,7 @@ def _e14b():
 
 def _printed(pattern, text):
     match = re.search(pattern, text)
-    assert match, f"E14b no longer contains /{pattern}/"
+    assert match, f"the docs no longer contain /{pattern}/"
     return match.group(1)
 
 
@@ -96,4 +100,104 @@ def test_readme_dataflow_plane_figures_equal_bench_streaming_json():
     assert _printed(r"spread ([\d.]+)×", quoted) == f"{throughput['spread']:.2f}"
     assert _printed(r"([\d.]+)× cheaper than per-element", quoted) == (
         f"{throughput['speedup_vs_per_element']:.2f}"
+    )
+
+
+# --------------------------------------------------------------------- E16
+
+
+def _e16():
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## E16") :]
+    section = section[: section.index("\n## ", 1)]
+    summary = re.search(r"^\| E16 \|.*$", text, re.MULTILINE).group(0)
+    results = json.loads((ROOT / "BENCH_continuum_churn.json").read_text())
+    return " ".join(section.split()), section, summary, results
+
+
+def _e16_headline(results):
+    reference = results["broadcast_reference"]
+    projection = results["broadcast_projection"]
+    return (
+        f"{reference['measured_speedup']:.0f}× measured at "
+        f"{reference['agents'] // 1000}k agents, "
+        f"~{projection['projected_speedup']:,.0f}× projected at "
+        f"{projection['agents'] // 1000}k"
+    )
+
+
+def test_e16_table_rows_equal_bench_continuum_churn_json():
+    _sentence, section, _summary, results = _e16()
+    assert results["scale"] == "default"  # a smoke run must not be committed
+    count, number = r"([\d,]+)", r"([\d.]+)"
+    rows = re.findall(
+        rf"^\| {count} \| (broadcast|interest) \| {count} \| {count} \| "
+        rf"{number} s \| {count} \| {number} \| {number} \|$",
+        section,
+        re.MULTILINE,
+    )
+    assert rows == [
+        (
+            f"{point['agents']:,}",
+            point["notification"],
+            f"{point['deaths']:,}",
+            f"{point['useful_events']:,}",
+            f"{point['seconds']:.3f}",
+            f"{point['useful_events_per_sec']:,.0f}",
+            f"{point['us_per_useful_event']:.1f}",
+            f"{point['recovered_work_fraction']:.2f}",
+        )
+        for point in results["reference_points"] + results["points"]
+    ]
+
+
+def test_e16_speedup_and_flatness_sentences_equal_bench_continuum_churn_json():
+    sentence, _section, summary, results = _e16()
+    reference = results["broadcast_reference"]
+    projection = results["broadcast_projection"]
+    points, top = results["points"], results["points"][-1]
+    assert top["agents"] == projection["agents"]
+    assert _printed(r"reference: \*\*(\d+)×\*\* \(floor", sentence) == (
+        f"{reference['measured_speedup']:.0f}"
+    )
+    assert _printed(r"≈ (\d+)M notices", sentence) == (
+        f"{projection['projected_down_notices'] / 1e6:.0f}"
+    )
+    assert _printed(r"notices, ~([\d,]+) s at the measured", sentence) == (
+        f"{projection['projected_seconds']:,.0f}"
+    )
+    assert _printed(r"measured ([\d.]+) µs/notice", sentence) == (
+        f"{projection['per_notice_us']:.1f}"
+    )
+    assert _printed(r"\*\*~([\d,]+)× slower\*\*", sentence) == (
+        f"{projection['projected_speedup']:,.0f}"
+    )
+    assert _printed(r"than the ([\d.]+) s interest run", sentence) == (
+        f"{top['seconds']:.2f}"
+    )
+    assert _printed(r"5k→50k \(([\d.→ ]+) µs,", sentence) == " → ".join(
+        f"{point['us_per_useful_event']:.1f}" for point in points
+    )
+    costs = [point["us_per_useful_event"] for point in points]
+    assert results["flatness"]["spread"] == max(costs) / min(costs)
+    assert _printed(r"µs, spread \*\*([\d.]+)×\*\*", sentence) == (
+        f"{results['flatness']['spread']:.2f}"
+    )
+    assert _printed(r"asserted bound ([\d.]+)×", sentence) == (
+        f"{results['flatness']['bound']:g}"
+    )
+    assert _e16_headline(results) in summary
+
+
+def test_readme_churn_figures_equal_bench_continuum_churn_json():
+    results = _e16()[3]
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    quoted = readme[readme.index("`benchmarks/bench_continuum_churn.py` (E16)") :]
+    quoted = quoted[: quoted.index("`BENCH_continuum_churn.json`")]
+    headline = _e16_headline(results).replace("measured at", "at the").replace(
+        "k agents,", "k-agent reference point,"
+    )
+    assert headline in quoted
+    assert _printed(r"spread ([\d.]+)× across 5k→50k", quoted) == (
+        f"{results['flatness']['spread']:.2f}"
     )
