@@ -11,19 +11,58 @@ overhead.  Measures, on the real thread-pool backend:
   completed payloads must be released, not accumulated);
 * dependency-chain turnaround (graph bookkeeping on the critical path);
 * wait_on latency for an already-finished task.
+
+The measured figures land in ``BENCH_runtime_overhead.json`` at the repo
+root; EXPERIMENTS.md E11 and E1c quote them and ``tests/test_doc_figures.py``
+holds the pair together (a smoke-scale JSON must not be committed).
 """
 
+import json
+import os
+import platform
 import time
 
-import pytest
+from _common import bench_scale
 
 from repro import Runtime, compss_barrier, compss_wait_on, task
+
+RESULTS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_runtime_overhead.json"
+)
 
 NUM_TASKS = 2_000
 CHAIN_LENGTH = 500
 SUBMIT_TASKS = 20_000
 WAVES = 5
 WAVE_TASKS = 2_000
+#: Absolute ceiling on a dependent-task hop: ~3x the figure measured on the
+#: 2-core reference box (E11), so a slower CI host passes and a per-hop
+#: cost that triples does not.
+HOP_CEILING_US = 200.0
+
+
+def _merge_results(updates: dict) -> None:
+    """Fold ``updates`` into BENCH_runtime_overhead.json without clobbering
+    keys other tests in this module wrote (each test may run alone)."""
+    results = {}
+    try:
+        with open(RESULTS_PATH) as fh:
+            results = json.load(fh)
+    except (OSError, ValueError):
+        pass
+    results.update(updates)
+    results.update(
+        experiment="runtime_overhead",
+        scale=bench_scale(),
+        host={
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+    )
+    with open(RESULTS_PATH, "w") as fh:
+        json.dump(results, fh, indent=2)
+        fh.write("\n")
 
 
 @task(returns=1)
@@ -47,6 +86,9 @@ def test_throughput_independent_tasks(benchmark):
     count = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     per_second = count / benchmark.stats.stats.mean
     print(f"\n=== E11a: {per_second:,.0f} trivial tasks/s (submit+schedule+run+complete)")
+    _merge_results(
+        {"independent_tasks": {"tasks": NUM_TASKS, "workers": 8, "tasks_per_sec": per_second}}
+    )
     # Thousands of tasks per second, or 1M tasks would take hours of overhead.
     assert per_second > 1_000
 
@@ -81,6 +123,16 @@ def test_submission_throughput_into_graph(benchmark):
         f"{rates['submit']:,.0f} tasks/s per-call, "
         f"{rates['submit_many']:,.0f} tasks/s batched"
     )
+    _merge_results(
+        {
+            "submission": {
+                "tasks": SUBMIT_TASKS,
+                "workers": 4,
+                "submit_tasks_per_sec": rates["submit"],
+                "submit_many_tasks_per_sec": rates["submit_many"],
+            }
+        }
+    )
     # A million-task graph must be describable in minutes, not hours.
     assert rates["submit"] > 5_000
     assert rates["submit_many"] > 5_000
@@ -90,7 +142,7 @@ def test_sustained_master_memory_across_waves(benchmark):
     """Master bookkeeping must not grow with *completed* work.
 
     Submits several waves with a barrier after each; after every wave the
-    future-tracking maps must be empty and completed instances must have
+    future-tracking map must be empty and completed instances must have
     dropped their argument payloads — the PR 3 leak fixes.
     """
 
@@ -106,19 +158,18 @@ def test_sustained_master_memory_across_waves(benchmark):
                 retained.append(
                     (
                         len(rt._result_futures),
-                        len(rt.access_processor.futures_by_datum),
-                        sum(len(t.kwargs) for t in rt.graph.tasks),
+                        sum(len(t.kwargs) + len(t.future_args) for t in rt.graph.tasks),
                     )
                 )
         return retained
 
     retained = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     print(
-        f"\n=== E11e: retained (futures, datum-futures, kwargs) per wave: "
+        f"\n=== E11e: retained (futures, argument payloads) per wave: "
         f"{retained}"
     )
     # Every wave drains completely: nothing accumulates with completed work.
-    assert retained == [(0, 0, 0)] * WAVES
+    assert retained == [(0, 0)] * WAVES
 
 
 def test_dependency_chain_turnaround(benchmark):
@@ -133,7 +184,10 @@ def test_dependency_chain_turnaround(benchmark):
     assert result == CHAIN_LENGTH
     per_hop = benchmark.stats.stats.mean / CHAIN_LENGTH
     print(f"\n=== E11b: {per_hop * 1e6:,.0f} us per dependent-task hop")
-    assert per_hop < 0.01  # < 10 ms per hop
+    _merge_results(
+        {"dependency_chain": {"length": CHAIN_LENGTH, "workers": 4, "us_per_hop": per_hop * 1e6}}
+    )
+    assert per_hop * 1e6 < HOP_CEILING_US
 
 
 def test_wait_on_resolved_future_is_cheap(benchmark):
@@ -146,4 +200,6 @@ def test_wait_on_resolved_future_is_cheap(benchmark):
 
         value = benchmark(wait)
         assert value == 42
-    assert benchmark.stats.stats.mean < 0.001
+    mean = benchmark.stats.stats.mean
+    _merge_results({"wait_on_resolved": {"us": mean * 1e6}})
+    assert mean < 0.001

@@ -37,8 +37,7 @@ Two submission-scaling mechanisms live here (PR 3):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.core.constraints import ResolvedRequirements
 from repro.core.data import DataRegistry, DataVersion
@@ -64,17 +63,15 @@ _UNTRACKED_TYPES = (int, float, bool, str, bytes, complex, type(None), frozenset
 WAR_FANIN_BARRIER_THRESHOLD = 64
 
 
-@dataclass
-class RegisteredTask:
+class RegisteredTask(NamedTuple):
     """What the AP hands to the runtime for one invocation."""
 
     instance: TaskInstance
     depends_on: Set[int]
-    futures: List[Future] = field(default_factory=list)
+    futures: Sequence[Future] = ()
 
 
-@dataclass
-class PreparedTask:
+class PreparedTask(NamedTuple):
     """Lock-free half of a submission: bound call + resolved requirements.
 
     Produced by :meth:`AccessProcessor.prepare_task` (safe to run
@@ -113,9 +110,6 @@ class AccessProcessor:
             )
         self.war_fanin_threshold = war_fanin_threshold
         self._task_ids = itertools.count(1)
-        # datum id of the *current* version -> futures awaiting that value;
-        # entries are pruned by release_futures once the futures resolve.
-        self.futures_by_datum: Dict[str, List[Future]] = {}
 
     def next_task_id(self) -> int:
         return next(self._task_ids)
@@ -135,26 +129,24 @@ class AccessProcessor:
         the concrete arguments.
         """
         bound = definition.bind(args, kwargs)
-        requirements = self._resolve_requirements(definition, bound)
         return PreparedTask(
-            definition=definition, bound=bound, requirements=requirements
+            definition, bound, self._resolve_requirements(definition, bound)
         )
 
     def commit_task(self, prepared: PreparedTask) -> RegisteredTask:
         """Registry half of a submission; must run under the runtime lock."""
         definition = prepared.definition
-        bound = prepared.bound
+        arguments = prepared.bound.arguments
         task_id = self.next_task_id()
         deps: Set[int] = set()
         reads: List[str] = []
         writes: List[str] = []
         future_args: Dict[Any, Future] = {}
 
-        for pname, value in bound.arguments.items():
-            param = definition.direction_of(pname)
-            explicit = pname in definition.param_directions
+        for pname, param, explicit in definition.plan:
             self._process_argument(
-                task_id, pname, value, param, explicit, deps, reads, writes, future_args
+                task_id, pname, arguments[pname], param, explicit,
+                deps, reads, writes, future_args,
             )
 
         futures = self._mint_result_futures(definition, task_id, writes)
@@ -168,7 +160,9 @@ class AccessProcessor:
             # are rejected at definition time), so future substitution can
             # address every argument by parameter name.
             args=(),
-            kwargs=dict(bound.arguments),
+            # The bound call's own dict: nothing else holds it once the
+            # prepared task is consumed.
+            kwargs=arguments,
             future_args=future_args,
             reads=reads,
             writes=writes,
@@ -183,23 +177,6 @@ class AccessProcessor:
     ) -> RegisteredTask:
         """Process one task invocation into an instance + dependencies."""
         return self.commit_task(self.prepare_task(definition, args, kwargs))
-
-    def release_futures(self, futures: List[Future]) -> None:
-        """Drop bookkeeping for resolved/failed futures (bounded memory).
-
-        Without this, ``futures_by_datum`` grows one entry per task for the
-        lifetime of the runtime — the master-side leak that caps long runs.
-        """
-        for future in futures:
-            waiting = self.futures_by_datum.get(future.datum_id)
-            if waiting is None:
-                continue
-            try:
-                waiting.remove(future)
-            except ValueError:
-                pass
-            if not waiting:
-                del self.futures_by_datum[future.datum_id]
 
     # ------------------------------------------------------------ internals
 
@@ -306,25 +283,22 @@ class AccessProcessor:
             barrier_deps,
         )
         version.barrier_task_id = barrier_id
-        version.reader_task_ids = []
+        version.reader_task_ids.clear()
 
     def _mint_result_futures(
         self, definition: TaskDefinition, task_id: int, writes: List[str]
     ) -> List[Future]:
         futures: List[Future] = []
         for index in range(definition.returns):
-            record = self.registry.register_result(task_id, index)
-            future = Future(datum_id=record.datum_id, producer_task_id=task_id)
-            self.futures_by_datum.setdefault(record.datum_id, []).append(future)
-            writes.append(record.datum_id)
-            futures.append(future)
+            datum_id = self.registry.register_result(task_id, index).datum_id
+            writes.append(datum_id)
+            futures.append(Future(datum_id, task_id))
         return futures
 
     def _resolve_requirements(
         self, definition: TaskDefinition, bound
     ) -> ResolvedRequirements:
-        spec = definition.constraints
-        if not spec.is_dynamic:
+        if not definition.is_dynamic:
             # Static constraints resolve identically for every invocation:
             # reuse the definition-cached instance instead of allocating a
             # fresh (frozenset-carrying) requirements object per task.
@@ -334,7 +308,9 @@ class AccessProcessor:
         # Futures among the args would make the callable fail or lie, so the
         # callable must only inspect concrete arguments.
         try:
-            return spec.resolve(tuple(bound.args), dict(bound.kwargs))
+            return definition.constraints.resolve(
+                tuple(bound.args), dict(bound.kwargs)
+            )
         except Exception as error:
             if any(isinstance(v, Future) for v in bound.arguments.values()):
                 raise TypeError(

@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
+
+
+#: The reader tail of every version nobody has read yet.
+_NO_READERS: Sequence[int] = ()
 
 
 class DataVersion:
@@ -31,8 +35,9 @@ class DataVersion:
     are collapsed behind ``barrier_task_id`` by the Access Processor, so a
     write never has to walk more than one tail of bounded length.  Each
     write swaps in a fresh version with an empty tail — the O(1) reader-set
-    swap.  Slotted: registries track one version per write across
-    million-task runs.
+    swap.  Slotted, and the tail is a list only from the first reader on
+    (:meth:`DataRegistry.read` allocates it): registries track one version
+    per write across million-task runs, and most versions are never read.
     """
 
     __slots__ = (
@@ -49,18 +54,15 @@ class DataVersion:
         datum_id: str,
         version: int,
         writer_task_id: Optional[int] = None,
-        reader_task_ids: Optional[List[int]] = None,
     ) -> None:
         self.datum_id = datum_id
         self.version = version
         self.writer_task_id = writer_task_id
-        self.reader_task_ids = (
-            reader_task_ids if reader_task_ids is not None else []
-        )
+        self.reader_task_ids: Sequence[int] = _NO_READERS
         # Last flushed WAR fan-in barrier covering readers before the tail.
         self.barrier_task_id: Optional[int] = None
         # Total readers ever registered on this version (tail + flushed).
-        self.reader_count = len(self.reader_task_ids)
+        self.reader_count = 0
 
     @property
     def key(self) -> str:
@@ -74,20 +76,26 @@ class DataVersion:
 
 
 class DatumRecord:
-    """All registry state about a single datum."""
+    """All registry state about a single datum.
 
-    __slots__ = ("datum_id", "versions", "pinned_object", "is_file", "size_bytes")
+    Holds its current version directly; ``history`` (the superseded
+    versions, oldest first) exists from the first rewrite on — a task
+    result is written once, so most records never have one.
+    """
+
+    __slots__ = ("datum_id", "current", "history", "pinned_object", "is_file", "size_bytes")
 
     def __init__(
         self,
         datum_id: str,
-        versions: Optional[List[DataVersion]] = None,
+        current: DataVersion,
         pinned_object: Any = None,
         is_file: bool = False,
         size_bytes: float = 0.0,
     ) -> None:
         self.datum_id = datum_id
-        self.versions = versions if versions is not None else []
+        self.current = current
+        self.history: Optional[List[DataVersion]] = None
         # Strong reference for object data; None for file/result data.
         self.pinned_object = pinned_object
         self.is_file = is_file
@@ -96,8 +104,9 @@ class DatumRecord:
         self.size_bytes = size_bytes
 
     @property
-    def current(self) -> DataVersion:
-        return self.versions[-1]
+    def versions(self) -> List[DataVersion]:
+        """Every version so far, oldest first."""
+        return [*(self.history or ()), self.current]
 
     def __repr__(self) -> str:
         return f"DatumRecord({self.datum_id!r}, versions={len(self.versions)})"
@@ -132,8 +141,7 @@ class DataRegistry:
         if datum_id is not None:
             return self._records[datum_id]
         datum_id = f"obj-{next(self._counter)}"
-        record = DatumRecord(datum_id=datum_id, pinned_object=obj)
-        record.versions.append(DataVersion(datum_id=datum_id, version=0))
+        record = DatumRecord(datum_id, DataVersion(datum_id, 0), pinned_object=obj)
         self._records[datum_id] = record
         self._object_ids[key] = datum_id
         return record
@@ -155,19 +163,15 @@ class DataRegistry:
         datum_id = f"file:{normalized}"
         record = self._records.get(datum_id)
         if record is None:
-            record = DatumRecord(datum_id=datum_id, is_file=True)
-            record.versions.append(DataVersion(datum_id=datum_id, version=0))
+            record = DatumRecord(datum_id, DataVersion(datum_id, 0), is_file=True)
             self._records[datum_id] = record
         return record
 
     def register_result(self, task_id: int, index: int) -> DatumRecord:
         """Mint a fresh datum for return value ``index`` of task ``task_id``."""
         datum_id = f"res-{task_id}-{index}"
-        record = DatumRecord(datum_id=datum_id)
         # Result data is born at version 1, written by its producer.
-        record.versions.append(
-            DataVersion(datum_id=datum_id, version=1, writer_task_id=task_id)
-        )
+        record = DatumRecord(datum_id, DataVersion(datum_id, 1, task_id))
         self._records[datum_id] = record
         return record
 
@@ -176,7 +180,10 @@ class DataRegistry:
     def read(self, datum_id: str, reader_task_id: int) -> DataVersion:
         """Register a read of the current version; returns that version."""
         version = self._records[datum_id].current
-        version.reader_task_ids.append(reader_task_id)
+        if version.reader_task_ids is _NO_READERS:
+            version.reader_task_ids = [reader_task_id]
+        else:
+            version.reader_task_ids.append(reader_task_id)
         version.reader_count += 1
         return version
 
@@ -188,7 +195,11 @@ class DataRegistry:
             version=record.current.version + 1,
             writer_task_id=writer_task_id,
         )
-        record.versions.append(new_version)
+        if record.history is None:
+            record.history = [record.current]
+        else:
+            record.history.append(record.current)
+        record.current = new_version
         return new_version
 
     def set_size(self, datum_id: str, size_bytes: float) -> None:

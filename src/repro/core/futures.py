@@ -10,7 +10,6 @@ since identity — not value — is what the Access Processor tracks.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Any, Optional
 
 _future_ids = itertools.count()
@@ -40,7 +39,6 @@ class Future:
         "_value",
         "_resolved",
         "_error",
-        "_lock",
     )
 
     def __init__(self, datum_id: str, producer_task_id: int) -> None:
@@ -51,7 +49,6 @@ class Future:
         self._value: Any = None
         self._resolved = False
         self._error: Optional[BaseException] = None
-        self._lock = threading.Lock()
 
     @property
     def resolved(self) -> bool:
@@ -61,19 +58,21 @@ class Future:
     def error(self) -> Optional[BaseException]:
         return self._error
 
+    # ``resolve`` and ``fail`` take no lock of their own: the runtime settles
+    # futures under its master lock only, and readers test ``_resolved``,
+    # which is written last.
+
     def resolve(self, value: Any) -> None:
         """Install the produced value (called by the runtime, once)."""
-        with self._lock:
-            if self._resolved:
-                raise RuntimeError(f"future {self.future_id} resolved twice")
-            self._value = value
-            self._resolved = True
+        if self._resolved:
+            raise RuntimeError(f"future {self.future_id} resolved twice")
+        self._value = value
+        self._resolved = True
 
     def fail(self, error: BaseException) -> None:
         """Mark the future as failed (its producer task raised)."""
-        with self._lock:
-            self._error = error
-            self._resolved = True
+        self._error = error
+        self._resolved = True
 
     def value(self) -> Any:
         """Return the resolved value; raises if unresolved or failed.

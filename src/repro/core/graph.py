@@ -10,7 +10,7 @@ acyclic by construction: a task may only depend on tasks registered before it
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import ResolvedRequirements
 
@@ -106,12 +106,12 @@ class TaskInstance:
         args: tuple = (),
         kwargs: Optional[dict] = None,
         future_args: Optional[dict] = None,
-        reads: Optional[List[str]] = None,
-        writes: Optional[List[str]] = None,
+        reads: Iterable[str] = (),
+        writes: Iterable[str] = (),
         profile: Optional[SimProfile] = None,
         state: TaskState = TaskState.PENDING,
         assigned_node: Optional[str] = None,
-        assigned_nodes: Optional[List[str]] = None,
+        assigned_nodes: Sequence[str] = (),
         start_time: Optional[float] = None,
         end_time: Optional[float] = None,
         error: Optional[BaseException] = None,
@@ -132,15 +132,17 @@ class TaskInstance:
         # Which argument positions / kwarg names must be substituted by
         # resolved future values before execution ({position_or_name: Future}).
         self.future_args = future_args if future_args is not None else {}
-        # Datum ids this task reads / writes (version keys recorded by the AP).
-        self.reads = reads if reads is not None else []
-        self.writes = writes if writes is not None else []
+        # Datum ids this task reads / writes (version keys recorded by the
+        # AP), fixed at construction.  Tuples of strings, not lists: the
+        # cyclic GC stops tracking them after its first pass.
+        self.reads = tuple(reads)
+        self.writes = tuple(writes)
         # Simulation profile (None when running for real).
         self.profile = profile
         self.state = state
         self.assigned_node = assigned_node
         # For gang (multi-node / MPI-like) tasks: every node in the allocation.
-        self.assigned_nodes = assigned_nodes if assigned_nodes is not None else []
+        self.assigned_nodes = assigned_nodes
         self.start_time = start_time
         self.end_time = end_time
         self.error = error
@@ -204,8 +206,10 @@ class TaskGraph:
 
     def __init__(self) -> None:
         self._tasks: Dict[int, TaskInstance] = {}
-        self._successors: Dict[int, set] = {}
-        self._predecessors: Dict[int, set] = {}
+        # Successor sets exist from a node's first successor on (most of a
+        # wide workflow's nodes are sinks); read them with ``.get(tid, ())``.
+        self._successors: Dict[int, Set[int]] = {}
+        self._predecessors: Dict[int, Tuple[int, ...]] = {}
         self._unfinished_preds: Dict[int, int] = {}
         # Ready queue: linked list in enqueue order + task_id -> node index.
         # Unlinked nodes keep their ``next`` pointer, so an iterator holding
@@ -288,7 +292,9 @@ class TaskGraph:
         tid = instance.task_id
         if tid in self._tasks:
             raise GraphError(f"duplicate task id {tid}")
-        deps = set(depends_on)
+        deps = tuple(
+            depends_on if isinstance(depends_on, (set, frozenset)) else set(depends_on)
+        )
         for dep in deps:
             if dep not in self._tasks:
                 raise GraphError(f"task {tid} depends on unknown task {dep}")
@@ -299,11 +305,15 @@ class TaskGraph:
                 )
         self._tasks[tid] = instance
         self._predecessors[tid] = deps
-        self._successors[tid] = set()
+        successors = self._successors
         poisoned = False
         unfinished = 0
         for dep in deps:
-            self._successors[dep].add(tid)
+            dependants = successors.get(dep)
+            if dependants is None:
+                successors[dep] = {tid}
+            else:
+                dependants.add(tid)
             dep_state = self._tasks[dep].state
             if dep_state in (TaskState.FAILED, TaskState.CANCELLED):
                 poisoned = True
@@ -462,7 +472,7 @@ class TaskGraph:
         stack = [task_id]
         while stack:
             done_tid = stack.pop()
-            for succ in self._successors[done_tid]:
+            for succ in self._successors.get(done_tid, ()):
                 successor = self._tasks[succ]
                 if successor.state is not TaskState.PENDING:
                     continue
@@ -500,7 +510,7 @@ class TaskGraph:
         self.failed_count += 1
         self._terminal_count += 1
         cancelled: List[int] = []
-        frontier = list(self._successors[task_id])
+        frontier = list(self._successors.get(task_id, ()))
         # The visited set keeps the traversal linear on diamond-heavy DAGs:
         # without it every shared descendant re-enters the frontier once per
         # path, which is exponential in the worst case.
@@ -518,7 +528,7 @@ class TaskGraph:
                 if not descendant.is_barrier:
                     self.cancelled_count += 1
                     cancelled.append(tid)
-                for succ in self._successors[tid]:
+                for succ in self._successors.get(tid, ()):
                     if succ not in visited:
                         visited.add(succ)
                         frontier.append(succ)

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 
 
 class Direction(enum.Enum):
-    """How a task accesses one of its parameters."""
+    """How a task accesses one of its parameters.
+
+    ``is_file``, ``reads`` and ``writes`` are plain per-member attributes:
+    the Access Processor reads them for every argument of every task.
+    """
 
     IN = "in"
     OUT = "out"
@@ -26,17 +30,11 @@ class Direction(enum.Enum):
     FILE_OUT = "file_out"
     FILE_INOUT = "file_inout"
 
-    @property
-    def is_file(self) -> bool:
-        return self in (Direction.FILE_IN, Direction.FILE_OUT, Direction.FILE_INOUT)
-
-    @property
-    def reads(self) -> bool:
-        return self in (Direction.IN, Direction.INOUT, Direction.FILE_IN, Direction.FILE_INOUT)
-
-    @property
-    def writes(self) -> bool:
-        return self in (Direction.OUT, Direction.INOUT, Direction.FILE_OUT, Direction.FILE_INOUT)
+    def __init__(self, value: str) -> None:
+        access = value.rpartition("_")[2]
+        self.is_file = value.startswith("file_")
+        self.reads = access != "out"
+        self.writes = access != "in"
 
 
 @dataclass(frozen=True)

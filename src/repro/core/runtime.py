@@ -82,7 +82,8 @@ class Runtime:
         workers: core count of the default local platform (ignored when an
             explicit platform is passed).
         pool_size: thread-pool width of the local executor; defaults to the
-            platform's total cores (capped at 128 threads).
+            platform's total cores (at least 1, at most 128 threads), so
+            ``workers=1`` runs every task on one worker thread.
         memoizer: content-keyed result cache consulted at submission; a hit
             completes the invocation without scheduling it.
         dedupe: alias concurrent identical submissions onto one scheduled
@@ -260,7 +261,6 @@ class Runtime:
             )
             for future in registered.futures:
                 future.fail(failure)
-            self.access_processor.release_futures(registered.futures)
             self._release_payload(instance)
             return
         if registered.futures:
@@ -365,7 +365,6 @@ class Runtime:
         )
         self._tasks_from_cache += 1
         self._resolve_futures(instance, registered.futures, value)
-        self.access_processor.release_futures(registered.futures)
         self._release_payload(instance)
         self._notify_waiters_locked((instance.task_id,))
 
@@ -385,9 +384,6 @@ class Runtime:
             future = Future(datum_id=datum_id, producer_task_id=primary_tid)
             future.content_key = WorkflowCompiler.result_key(
                 key, index, definition.returns
-            )
-            self.access_processor.futures_by_datum.setdefault(datum_id, []).append(
-                future
             )
             futures.append(future)
         self._alias_futures.setdefault(primary_tid, []).append(futures)
@@ -541,30 +537,40 @@ class Runtime:
 
     # ----------------------------------------------------- executor callbacks
 
-    def on_task_done(self, instance: TaskInstance, result: Any) -> None:
-        """Called by the executor (worker thread) when a task succeeds."""
+    def on_task_done(
+        self, instance: TaskInstance, result: Any
+    ) -> Optional[TaskInstance]:
+        """Called by the executor (worker thread) when a task succeeds.
+
+        Returns the calling worker's continuation: the first task the freed
+        capacity let the executor place, already marked running, which the
+        worker must now run itself (None when nothing was placed).
+        """
         with self._cv:
             self.scheduler.release(instance)
             self.graph.mark_done(instance.task_id, now=self.now)
             futures = self._result_futures.pop(instance.task_id, ())
             self._resolve_futures(instance, futures, result)
-            if futures:
-                self.access_processor.release_futures(futures)
             # Aliased duplicates resolve from the same result, one group at
             # a time (each group carries its own submission's arity).
             for group in self._alias_futures.pop(instance.task_id, ()):
                 self._resolve_futures(instance, group, result)
-                self.access_processor.release_futures(group)
             if instance.cache_key is not None:
                 self._drop_inflight_locked(instance.task_id, instance.cache_key)
                 if self.memoizer is not None:
                     self.memoizer.store(instance.cache_key, result)
             self._release_payload(instance)
-            self.executor.kick_locked()
+            continuation = self.executor.kick_locked(keep_first=True)
             self._notify_waiters_locked((instance.task_id,))
+            return continuation
 
-    def on_task_failed(self, instance: TaskInstance, error: BaseException) -> None:
-        """Called by the executor when a task raises."""
+    def on_task_failed(
+        self, instance: TaskInstance, error: BaseException
+    ) -> Optional[TaskInstance]:
+        """Called by the executor when a task raises.
+
+        Returns the worker's continuation, as :meth:`on_task_done` does.
+        """
         with self._cv:
             self.scheduler.release(instance)
             cancelled = self.graph.mark_failed(instance.task_id, error, now=self.now)
@@ -573,12 +579,9 @@ class Runtime:
                 futures = self._result_futures.pop(tid, ())
                 for future in futures:
                     future.fail(failure)
-                if futures:
-                    self.access_processor.release_futures(futures)
                 for group in self._alias_futures.pop(tid, ()):
                     for future in group:
                         future.fail(failure)
-                    self.access_processor.release_futures(group)
                 failed_instance = self.graph.task(tid)
                 if failed_instance.cache_key is not None:
                     # The key must stop matching new submissions (they'd
@@ -586,8 +589,9 @@ class Runtime:
                     # on_task_done — is never served from the cache either.
                     self._drop_inflight_locked(tid, failed_instance.cache_key)
                 self._release_payload(failed_instance)
-            self.executor.kick_locked()
+            continuation = self.executor.kick_locked(keep_first=True)
             self._notify_waiters_locked((instance.task_id, *cancelled))
+            return continuation
 
     def _drop_inflight_locked(self, task_id: int, cache_key: str) -> None:
         entry = self._inflight.get(cache_key)

@@ -56,6 +56,15 @@ class TaskDefinition:
         self.constraints = constraints if constraints is not None else constraints_of(fn)
         self._signature = inspect.signature(fn)
         self._validate_directions()
+        # The call plan: everything about a call that is fixed per
+        # definition, derived here once instead of once per invocation.
+        self.param_names = tuple(self._signature.parameters)
+        #: One ``(name, Parameter, explicitly annotated)`` triple per
+        #: parameter, in signature order — what the Access Processor walks.
+        self.plan = tuple(
+            (name, self.param_directions.get(name, IN), name in self.param_directions)
+            for name in self.param_names
+        )
 
     @property
     def constraints(self) -> ResourceConstraints:
@@ -63,10 +72,13 @@ class TaskDefinition:
 
     @constraints.setter
     def constraints(self, spec: ResourceConstraints) -> None:
-        # @constraint applied after @task swaps the spec in late; drop the
-        # cached static resolution so the new spec takes effect.
+        # @constraint applied after @task swaps the spec in late; redo
+        # everything derived from it so the new spec takes effect.
         self._constraints = spec
         self._static_requirements = None
+        #: Whether requirements must be resolved per call (cached off
+        #: ``constraints.is_dynamic``).
+        self.is_dynamic = spec.is_dynamic
 
     def static_requirements(self):
         """Cached ``constraints.resolve()`` for non-dynamic constraints.
@@ -74,7 +86,7 @@ class TaskDefinition:
         One task type is invoked millions of times with the same static
         demand; resolving once per definition instead of once per call
         keeps the submission hot path allocation-free here.  Only valid
-        when ``constraints.is_dynamic`` is False.
+        when ``is_dynamic`` is False.
         """
         if self._static_requirements is None:
             self._static_requirements = self._constraints.resolve()
@@ -105,7 +117,17 @@ class TaskDefinition:
         return self.param_directions.get(param_name, IN)
 
     def bind(self, args: tuple, kwargs: dict) -> "inspect.BoundArguments":
-        """Bind a call to the signature (applies defaults)."""
+        """Bind a call to the signature (applies defaults).
+
+        A fully positional call needs no matching: the names are zipped
+        onto the values.  Every other shape — keywords, defaults, wrong
+        arity — goes through :meth:`inspect.Signature.bind`, so errors and
+        ``arguments`` order are ``inspect``'s own.
+        """
+        if not kwargs and len(args) == len(self.param_names):
+            return inspect.BoundArguments(
+                self._signature, dict(zip(self.param_names, args))
+            )
         bound = self._signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return bound

@@ -7,17 +7,22 @@ functions execute on threads sharing the interpreter, which is also how the
 
 Threading model: the runtime's condition variable guards graph + ledger;
 worker threads call back into the runtime on completion.  ``kick_locked`` —
-the only dispatch path — must be called with that lock held.
+the only dispatch path — must be called with that lock held.  Workers run to
+completion: the completing thread runs the next ready task itself (the first
+one its completion's kick placed); the pool only receives placements beyond
+the first, and every placement of a kick from a non-worker thread (the
+submitter).  With one core that is one worker thread and no hand-off per
+task; with N cores a completion refills its own core inline and any other
+free core through the pool.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.core.futures import Future
 from repro.core.graph import TaskInstance
+from repro.core.runtime import mark_in_task
 from repro.scheduling.scheduler import BlockedDemandFrontier
 
 if TYPE_CHECKING:
@@ -25,7 +30,12 @@ if TYPE_CHECKING:
 
 
 class LocalExecutor:
-    """Dispatches ready tasks to a thread pool under ledger capacity."""
+    """Dispatches ready tasks to a thread pool under ledger capacity.
+
+    ``pool_size`` defaults to the platform's total cores (at least 1, at
+    most 128): the ledger never lets more tasks than cores run at once, so
+    more threads than that would only idle.
+    """
 
     def __init__(
         self,
@@ -35,7 +45,7 @@ class LocalExecutor:
     ) -> None:
         self.runtime = runtime
         if pool_size is None:
-            pool_size = min(128, max(2, runtime.platform.total_cores))
+            pool_size = min(128, max(1, runtime.platform.total_cores))
         self.pool_size = pool_size
         # Stop scanning the ready queue after this many consecutive failed
         # placements: bounds each kick at O(placed + window) instead of
@@ -53,18 +63,24 @@ class LocalExecutor:
         self._shutdown = False
 
     def shutdown(self) -> None:
-        self._shutdown = True
+        # Under the master lock, so no kick is part-way through handing
+        # placements to a pool that stops accepting them.
+        with self.runtime._cv:
+            self._shutdown = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def kick_locked(self) -> None:
+    def kick_locked(self, keep_first: bool = False) -> Optional[TaskInstance]:
         """Place and launch as many ready tasks as capacity allows.
 
-        Must be called with the runtime condition lock held.
+        Must be called with the runtime condition lock held.  A worker
+        thread that just completed a task passes ``keep_first`` and gets the
+        first placed instance back to run itself; every other placement goes
+        to the pool.
         """
         if self._pool is None or self._shutdown:
-            return
+            return None
         graph = self.runtime.graph
         scheduler = self.runtime.scheduler
         ledger = scheduler.ledger
@@ -77,6 +93,7 @@ class LocalExecutor:
         # blocked backlogs (even heterogeneous ones, e.g. per-task dynamic
         # memory) to one frontier comparison per task.
         blocked = BlockedDemandFrontier()
+        kept: Optional[TaskInstance] = None
         for instance in graph.iter_ready():
             if ledger.total_free_cores <= 0:
                 break
@@ -96,25 +113,34 @@ class LocalExecutor:
                 continue
             consecutive_failures = 0
             graph.mark_running(instance.task_id, nodes[0], now=self.runtime.now)
-            instance.assigned_nodes = nodes
-            self._pool.submit(self._run, instance)
+            instance.assigned_nodes = tuple(nodes)
+            if keep_first and kept is None:
+                kept = instance
+            else:
+                self._pool.submit(self._run, instance)
+        return kept
 
     # ------------------------------------------------------------ execution
 
-    def _run(self, instance: TaskInstance) -> None:
-        from repro.core.runtime import mark_in_task
+    def _run(self, instance: Optional[TaskInstance]) -> None:
+        """Run ``instance``, then whatever each completion hands back.
 
-        try:
-            kwargs = self._materialize_arguments(instance)
-            mark_in_task(True)
+        A loop, not recursion: a dependency chain of any length runs on one
+        stack frame.
+        """
+        runtime = self.runtime
+        while instance is not None:
             try:
-                result = instance.fn(**kwargs)
-            finally:
-                mark_in_task(False)
-        except BaseException as error:  # noqa: BLE001 - task code may raise anything
-            self.runtime.on_task_failed(instance, error)
-            return
-        self.runtime.on_task_done(instance, result)
+                kwargs = self._materialize_arguments(instance)
+                mark_in_task(True)
+                try:
+                    result = instance.fn(**kwargs)
+                finally:
+                    mark_in_task(False)
+            except BaseException as error:  # noqa: BLE001 - task code may raise anything
+                instance = runtime.on_task_failed(instance, error)
+            else:
+                instance = runtime.on_task_done(instance, result)
 
     @staticmethod
     def _materialize_arguments(instance: TaskInstance) -> Dict[str, Any]:

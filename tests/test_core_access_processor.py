@@ -20,9 +20,9 @@ class TestResultFutures:
         registered = ap.register_task(d, (1,), {})
         assert len(registered.futures) == 2
         assert all(isinstance(f, Future) for f in registered.futures)
-        assert registered.instance.writes == [
+        assert registered.instance.writes == tuple(
             f.datum_id for f in registered.futures
-        ]
+        )
 
     def test_future_arg_creates_raw_dependency(self):
         ap = AccessProcessor()
@@ -82,7 +82,7 @@ class TestObjectDependencies:
         ap = AccessProcessor()
         target = {}
         writer = ap.register_task(define(lambda c: c, c=OUT), (target,), {})
-        assert writer.instance.reads == []
+        assert writer.instance.reads == ()
         assert len(writer.instance.writes) == 1
 
 
@@ -160,7 +160,7 @@ class TestDataRegistry:
         registry.read(record.datum_id, reader_task_id=2)
         assert record.current.reader_task_ids == [1, 2]
         registry.write(record.datum_id, writer_task_id=3)
-        assert record.current.reader_task_ids == []
+        assert list(record.current.reader_task_ids) == []
 
     def test_unpin_forgets_object(self):
         registry = DataRegistry()

@@ -11,6 +11,8 @@ therefore checks the committed pair.
 E16 is held the same way: the table rows, the measured-speedup /
 projected-speedup sentence, the per-event cost spread, the summary row and
 the README's churn paragraph must equal ``BENCH_continuum_churn.json``.
+So are the real-runtime figures of E11 and E1c, against
+``BENCH_runtime_overhead.json``.
 """
 
 import json
@@ -20,10 +22,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _section(text, heading):
+    section = text[text.index(f"\n## {heading} ") :]
+    return section[: section.index("\n## ", 1)]
+
+
 def _e14b():
     text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-    section = text[text.index("\n## E14b") :]
-    section = section[: section.index("\n## ", 1)]
+    section = _section(text, "E14b")
     summary = re.search(r"^\| E14b \|.*$", text, re.MULTILINE).group(0)
     results = json.loads((ROOT / "BENCH_streaming.json").read_text())
     return section, summary, results["scale"], results["throughput"]
@@ -108,8 +114,7 @@ def test_readme_dataflow_plane_figures_equal_bench_streaming_json():
 
 def _e16():
     text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-    section = text[text.index("\n## E16") :]
-    section = section[: section.index("\n## ", 1)]
+    section = _section(text, "E16")
     summary = re.search(r"^\| E16 \|.*$", text, re.MULTILINE).group(0)
     results = json.loads((ROOT / "BENCH_continuum_churn.json").read_text())
     return " ".join(section.split()), section, summary, results
@@ -200,4 +205,55 @@ def test_readme_churn_figures_equal_bench_continuum_churn_json():
     assert headline in quoted
     assert _printed(r"spread ([\d.]+)× across 5k→50k", quoted) == (
         f"{results['flatness']['spread']:.2f}"
+    )
+
+
+# --------------------------------------------------------------- E11 / E1c
+
+
+def _runtime_overhead():
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    results = json.loads((ROOT / "BENCH_runtime_overhead.json").read_text())
+    assert results["scale"] == "default"  # a smoke run must not be committed
+    return text, results
+
+
+def test_e11_rows_equal_bench_runtime_overhead_json():
+    text, results = _runtime_overhead()
+    section = _section(text, "E11")
+    independent = results["independent_tasks"]
+    chain = results["dependency_chain"]
+    assert _printed(
+        r"\| independent-task throughput \(([\d,]+) tasks, \d+ workers\)", section
+    ) == f"{independent['tasks']:,}"
+    assert _printed(r"workers\) \| ([\d,]+) tasks/s \|", section) == (
+        f"{independent['tasks_per_sec']:,.0f}"
+    )
+    assert _printed(r"hop latency \(([\d,]+)-task chain\)", section) == (
+        f"{chain['length']:,}"
+    )
+    assert _printed(r"chain\) \| ([\d.]+) µs \|", section) == (
+        f"{chain['us_per_hop']:.1f}"
+    )
+    assert _printed(r"resolved future \| ([\d.]+) µs \|", section) == (
+        f"{results['wait_on_resolved']['us']:.1f}"
+    )
+    summary = re.search(r"^\| E11 \|.*$", text, re.MULTILINE).group(0)
+    assert _printed(r"([\d,]+) tasks/s real execution", summary) == (
+        f"{independent['tasks_per_sec']:,.0f}"
+    )
+
+
+def test_e1c_submission_rates_equal_bench_runtime_overhead_json():
+    text, results = _runtime_overhead()
+    sentence = " ".join(_section(text, "E1c").split())
+    submission = results["submission"]
+    assert _printed(r"real backend \(([\d,]+) trivial tasks", sentence) == (
+        f"{submission['tasks']:,}"
+    )
+    assert _printed(r"\*\*([\d,]+) tasks/s\*\* via per-call", sentence) == (
+        f"{submission['submit_tasks_per_sec']:,.0f}"
+    )
+    assert _printed(r"\*\*([\d,]+) tasks/s\*\* via `submit_many\(\)`", sentence) == (
+        f"{submission['submit_many_tasks_per_sec']:,.0f}"
     )

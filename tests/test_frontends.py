@@ -119,8 +119,8 @@ class TestCyclingSuite:
         suite.add_task(SuiteTask("b", duration=1.0, depends=["a[-2]"]))
         builder = suite.expand(cycles=3)
         b_tasks = [t for t in builder.graph.tasks if t.label.startswith("b@")]
-        assert b_tasks[0].reads == []
-        assert b_tasks[2].reads == ["s/a@0"]
+        assert b_tasks[0].reads == ()
+        assert b_tasks[2].reads == ("s/a@0",)
 
     def test_validation_errors(self):
         suite = CyclingSuite()

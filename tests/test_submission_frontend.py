@@ -92,7 +92,7 @@ class TestBoundedMasterBookkeeping:
             compss_wait_on(list(futures))
             rt.barrier()
             assert rt._result_futures == {}
-            assert rt.access_processor.futures_by_datum == {}
+            assert all(t.kwargs == {} and t.future_args == {} for t in rt.graph.tasks)
 
     def test_completed_instances_drop_argument_payloads(self):
         payload = list(range(1000))
@@ -112,7 +112,9 @@ class TestBoundedMasterBookkeeping:
                 compss_wait_on(dependent)
             rt.barrier()
             assert rt._result_futures == {}
-            assert rt.access_processor.futures_by_datum == {}
+            for future in (bad, dependent):
+                instance = rt.graph.task(future.producer_task_id)
+                assert instance.kwargs == {} and instance.future_args == {}
         assert bad.error is not None
         assert dependent.error is not None
 

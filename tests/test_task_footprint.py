@@ -1,0 +1,110 @@
+"""A task costs what a task does on the real runtime (E17 footprint).
+
+The master keeps every task's record for the whole run, so the container
+objects a task leaves behind decide how much every full GC pass scans.
+These tests pin the per-task count of GC-tracked objects — finished and
+still queued — and that the records which became lazy (a version's reader
+tail, a datum's history, a node's successor set) behave as the eager ones
+did from the moment they are first needed.
+"""
+
+import gc
+import threading
+
+from repro import INOUT, Runtime, compss_wait_on, task
+from repro.core.access_processor import (
+    WAR_FANIN_BARRIER_THRESHOLD,
+    AccessProcessor,
+)
+from repro.core.graph import TaskGraph
+from repro.core.task_definition import TaskDefinition
+
+TASKS = 2000
+
+
+@task(returns=1)
+def add(left, right):
+    return left + right
+
+
+@task(returns=1)
+def hold(event):
+    assert event.wait(10)
+    return 0
+
+
+def _tracked():
+    gc.collect()
+    return len(gc.get_objects())
+
+
+class TestFootprint:
+    def test_objects_per_task_queued_and_finished(self):
+        with Runtime(workers=1) as rt:
+            event = threading.Event()
+            hold(event)
+            before = _tracked()
+            futures = rt.submit_many(add, [((i, i + 1),) for i in range(TASKS)])
+            queued = (_tracked() - before) / TASKS
+            event.set()
+            results = compss_wait_on(futures, timeout=30)
+            assert results == [2 * i + 1 for i in range(TASKS)]
+            assert rt._result_futures == {}
+            del futures, results
+            finished = (_tracked() - before) / TASKS
+            assert not hasattr(rt.access_processor, "futures_by_datum")
+        # Queued: TaskInstance, DatumRecord, DataVersion, Future, its list,
+        # the ready-queue node (15 before E17).  Finished: the first three
+        # (10 before: five lists and two sets more).
+        assert queued <= 9.0, queued
+        assert finished <= 5.0, finished
+
+    def test_finished_instances_hold_tuples_and_shared_defaults(self):
+        with Runtime(workers=1) as rt:
+            first = add(1, 2)
+            second = add(first, 3)
+            assert compss_wait_on(second) == 6
+            rt.barrier()
+            a, b = (rt.graph.task(f.producer_task_id) for f in (first, second))
+            assert a.reads == () and a.writes == (first.datum_id,)
+            assert b.reads == (first.datum_id,) and b.writes == (second.datum_id,)
+            assert a.assigned_nodes == b.assigned_nodes == ("localhost",)
+            assert rt.graph.predecessors(b.task_id) == {a.task_id}
+            assert rt.graph.successors(a.task_id) == {b.task_id}
+            assert rt.graph.successors(b.task_id) == set()
+            assert b.task_id not in rt.graph._successors
+
+
+class TestLazyRecords:
+    def test_sixty_fifth_reader_of_a_lazy_tail_flushes_a_barrier(self):
+        assert WAR_FANIN_BARRIER_THRESHOLD == 64
+        graph = TaskGraph()
+        ap = AccessProcessor(graph=graph)
+
+        def register(definition, *args):
+            registered = ap.register_task(definition, args, {})
+            graph.add_task(registered.instance, registered.depends_on)
+            return registered
+
+        producer = register(TaskDefinition(lambda: 1, returns=1))
+        (future,) = producer.futures
+        record = ap.registry.record(future.datum_id)
+        version = record.current
+        assert version.reader_task_ids == () and record.history is None
+        read = TaskDefinition(lambda x: None)
+        readers = [register(read, future).instance.task_id for _ in range(64)]
+        assert version.reader_task_ids == readers and version.barrier_task_id is None
+        late = register(read, future).instance.task_id
+        barrier_id = version.barrier_task_id
+        # The reader's id is minted first, the barrier's while it registers.
+        assert late == readers[-1] + 1 and barrier_id == late + 1
+        assert graph.barrier_count == 1 and graph.task(barrier_id).is_barrier
+        assert graph.predecessors(barrier_id) == set(readers)
+        assert version.reader_task_ids == [late] and version.reader_count == 65
+        # The writer waits for the producer, the barrier and the short tail.
+        writer = register(
+            TaskDefinition(lambda x: None, param_directions={"x": INOUT}), future
+        )
+        assert writer.depends_on == {producer.instance.task_id, barrier_id, late}
+        assert record.history == [version] and record.versions == [version, record.current]
+        assert record.current.version == 2 and record.current.reader_task_ids == ()
