@@ -178,19 +178,7 @@ class SimulatedExecutor:
         # Latest terminal (done/failed) task time so far: engine time is
         # monotonic, so this IS the makespan — run() never rescans the graph.
         self._makespan = 0.0
-        # Stage-in route memo, shared with the policy's planner when the
-        # policy estimated placements over the same locations and network
-        # (earliest-finish-time): the chosen node's transfer times were
-        # already computed during selection.
-        policy_planner = getattr(self.scheduler.policy, "planner", None)
-        if (
-            policy_planner is not None
-            and policy_planner.locations is self.locations
-            and policy_planner.network is platform.network
-        ):
-            self._planner = policy_planner
-        else:
-            self._planner = TransferPlanner(self.locations, platform.network)
+        self._planner = TransferPlanner(self.locations, platform.network)
         # Initial data (input files): place on the declared node, or spread
         # round-robin across alive nodes when unspecified.
         if initial_data:
@@ -426,7 +414,7 @@ class SimulatedExecutor:
         head = nodes[0]
         now = self.engine.now
         self.graph.mark_running(instance.task_id, head, now=now)
-        instance.assigned_nodes = nodes
+        instance.assigned_nodes = tuple(nodes)
         stage_in = self._stage_in_time(instance, head)
         if self.extra_stage_in is not None:
             stage_in += self.extra_stage_in(instance, head)
@@ -444,13 +432,11 @@ class SimulatedExecutor:
     def _stage_in_time(self, instance: TaskInstance, node_name: str) -> float:
         """Coalesced parallel-fetch model.
 
-        Fetches still come from each datum's memoized cheapest source
-        (under earliest-finish-time placement the exact (datum, node) pair
-        was just computed while estimating the winning candidate), but
-        same-link transfers for this task are batched into one latency
-        charge plus a summed bandwidth term, with distinct links fetching
-        in parallel — so the stage-in time is the max over links of the
-        coalesced transfer time.  Byte totals and source choices match the
+        Fetches come from each datum's cheapest source, but same-link
+        transfers for this task are batched into one latency charge plus a
+        summed bandwidth term, with distinct links fetching in parallel —
+        so the stage-in time is the max over links of the coalesced
+        transfer time.  Byte totals and source choices match the
         per-holder pricing exactly.
         """
         if not instance.reads:
@@ -459,14 +445,12 @@ class SimulatedExecutor:
         if not moves:
             return 0.0
         now = self.engine.now
-        locations = self.locations
-        network = self.platform.network
+        publish = self.locations.publish
+        record_transfer = self.platform.network.record_transfer
         for datum_id, src, size, duration in moves:
-            network.record_transfer(
-                src, node_name, size, start_time=now, duration=duration, datum=datum_id
-            )
+            record_transfer(src, node_name, size, now, duration, datum_id)
             # The fetched copy now also lives on the destination node.
-            locations.publish(datum_id, node_name, size_bytes=size)
+            publish(datum_id, node_name, size)
         return worst
 
     def _complete_task(self, task_id: int) -> None:

@@ -13,7 +13,7 @@ from repro.infrastructure.resources import (
     PowerProfile,
     GpuSpec,
 )
-from repro.infrastructure.network import NetworkTopology, Link, TransferRecord
+from repro.infrastructure.network import NetworkTopology, Link
 from repro.infrastructure.energy import EnergyAccountant
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.cluster import make_hpc_cluster, make_fog_platform
@@ -34,7 +34,6 @@ __all__ = [
     "GpuSpec",
     "NetworkTopology",
     "Link",
-    "TransferRecord",
     "EnergyAccountant",
     "Platform",
     "make_hpc_cluster",

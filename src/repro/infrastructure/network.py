@@ -12,7 +12,7 @@ than reading it where it lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -48,17 +48,8 @@ class Link:
         return self.transfer_time(total_bytes)
 
 
-@dataclass
-class TransferRecord:
-    """One completed (simulated) data movement, kept for the metrics layer."""
-
-    src_node: str
-    dst_node: str
-    size_bytes: float
-    start_time: float
-    duration: float
-    datum: str = ""
-
+#: Zone of a node that was never placed with ``add_node``.
+DEFAULT_ZONE = "default"
 
 #: Link used when source and destination are the same node: in-memory access.
 LOCAL_LINK = Link(latency_s=0.0, bandwidth_bps=float("inf"))
@@ -77,39 +68,34 @@ class NetworkTopology:
         intra_zone_link: Link = Link(latency_s=50e-6, bandwidth_bps=10e9 / 8),
         default_link: Link = Link(latency_s=20e-3, bandwidth_bps=1e9 / 8),
     ) -> None:
-        self._node_zone: Dict[str, str] = {}
+        #: node name -> zone, for every placed node.  Read-only for callers:
+        #: the transfer planner resolves holders' zones straight from it
+        #: (unplaced nodes are in ``DEFAULT_ZONE``); mutate via ``add_node``.
+        self.node_zones: Dict[str, str] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self.intra_zone_link = intra_zone_link
         self.default_link = default_link
-        self.transfers: List[TransferRecord] = []
-        # Running totals so the properties below are O(1); the record list
-        # itself is kept for the metrics layer (tracing, Gantt, Paraver).
+        # A transfer is two running totals and nothing retained: who moved
+        # what when belongs in a trace event (ROADMAP item 1), not in a
+        # list that grows with the run.
         self._total_bytes_moved = 0.0
         self._remote_transfer_count = 0
-        # Memoized (src_node, dst_node) -> Link resolution.  Route lookup is
-        # on the stage-in hot path (once per holder per input datum);
-        # topology mutations bump ``topology_version`` and drop the cache.
-        self._route_cache: Dict[Tuple[str, str], Link] = {}
+        #: Bumped by every route-affecting mutation; anything derived from
+        #: the zone/link structure (the planner's link table) checks it.
         self.topology_version = 0
-
-    def _invalidate_routes(self) -> None:
-        self.topology_version += 1
-        if self._route_cache:
-            self._route_cache.clear()
 
     def add_node(self, node_name: str, zone: str) -> None:
         """Place ``node_name`` in ``zone`` (re-placing is allowed).
 
         Every route-affecting mutation — first placement *and* zone
-        reassignment — bumps ``topology_version`` so cached routes (here
-        and in :class:`~repro.scheduling.locations.TransferPlanner`) are
-        invalidated; a re-add with an unchanged zone is a no-op and leaves
-        the caches intact.
+        reassignment — bumps ``topology_version`` so the link table in
+        :class:`~repro.scheduling.locations.TransferPlanner` is rebuilt; a
+        re-add with an unchanged zone is a no-op and leaves it intact.
         """
-        if self._node_zone.get(node_name) == zone:
+        if self.node_zones.get(node_name) == zone:
             return
-        self._node_zone[node_name] = zone
-        self._invalidate_routes()
+        self.node_zones[node_name] = zone
+        self.topology_version += 1
 
     def add_nodes(self, node_names: Iterable[str], zone: str) -> None:
         for name in node_names:
@@ -117,30 +103,27 @@ class NetworkTopology:
 
     def zone_of(self, node_name: str) -> str:
         """Return the zone a node belongs to (default zone if unplaced)."""
-        return self._node_zone.get(node_name, "default")
+        return self.node_zones.get(node_name, DEFAULT_ZONE)
 
     def connect(self, zone_a: str, zone_b: str, link: Link, symmetric: bool = True) -> None:
         """Install a link between two zones."""
         self._links[(zone_a, zone_b)] = link
         if symmetric:
             self._links[(zone_b, zone_a)] = link
-        self._invalidate_routes()
+        self.topology_version += 1
 
     def link_between(self, src_node: str, dst_node: str) -> Link:
-        """Resolve the link used for a transfer from src to dst node (cached)."""
+        """Resolve the link used for a transfer from src to dst node.
+
+        A function of the two nodes' zones alone: two zone lookups and one
+        link-table lookup, nothing kept per node pair.
+        """
         if src_node == dst_node:
             return LOCAL_LINK
-        key = (src_node, dst_node)
-        link = self._route_cache.get(key)
-        if link is None:
-            src_zone = self.zone_of(src_node)
-            dst_zone = self.zone_of(dst_node)
-            if src_zone == dst_zone:
-                link = self.intra_zone_link
-            else:
-                link = self._links.get((src_zone, dst_zone), self.default_link)
-            self._route_cache[key] = link
-        return link
+        zones = self.node_zones
+        return self.zone_link(
+            zones.get(src_node, DEFAULT_ZONE), zones.get(dst_node, DEFAULT_ZONE)
+        )
 
     def transfer_time(self, src_node: str, dst_node: str, size_bytes: float) -> float:
         """Seconds to move ``size_bytes`` from src to dst (0 if same node)."""
@@ -157,7 +140,7 @@ class NetworkTopology:
     def zones(self) -> List[str]:
         """All zones with at least one placed node, in first-placement order."""
         seen: Dict[str, None] = {}
-        for zone in self._node_zone.values():
+        for zone in self.node_zones.values():
             seen.setdefault(zone)
         return list(seen)
 
@@ -216,21 +199,11 @@ class NetworkTopology:
         start_time: float,
         duration: float,
         datum: str = "",
-    ) -> TransferRecord:
-        """Log a completed transfer for the metrics layer and return it."""
-        record = TransferRecord(
-            src_node=src_node,
-            dst_node=dst_node,
-            size_bytes=size_bytes,
-            start_time=start_time,
-            duration=duration,
-            datum=datum,
-        )
-        self.transfers.append(record)
+    ) -> None:
+        """Count a completed transfer (same-node moves count for nothing)."""
         if src_node != dst_node:
             self._total_bytes_moved += size_bytes
             self._remote_transfer_count += 1
-        return record
 
     @property
     def total_bytes_moved(self) -> float:

@@ -37,9 +37,6 @@ class PredictedFinishTimePolicy:
         # node over occupying one slower than factor x the best seen.
         self.decline_slowdown_factor = decline_slowdown_factor
         self._best_speed_seen = 0.0
-        # Best-source transfer times memoized per (datum, destination); the
-        # simulated executor shares this planner for the chosen placement's
-        # stage-in (see EarliestFinishTimePolicy).
         self.planner = TransferPlanner(locations, network)
 
     def select(
@@ -50,23 +47,23 @@ class PredictedFinishTimePolicy:
         best_speed = self._best_speed_seen = max(
             self._best_speed_seen, max(s.node.speed_factor for s in candidates)
         )
+        if len(candidates) == 1 and self.decline_slowdown_factor is None:
+            # Nothing to rank, nothing to decline (see EarliestFinishTimePolicy).
+            return candidates[0]
         # The learned duration depends on the task alone: predict once, then
         # a single pass prices each candidate (inputs fetch in parallel, so
         # the transfer term is the slowest best-source fetch) and keeps the
         # winner's estimate for the decline check.
         size_hint = sum(self.locations.size_of(d) for d in task.reads) or None
         predicted = self.predictor.predict(task.label, size=size_hint)
-        best_source = self.planner.best_source
+        read_seconds = self.planner.read_seconds
+        reads = task.reads
         best = None
         best_key = None
         best_finish = 0.0
         for state in candidates:
             node = state.node
-            transfer = 0.0
-            for datum_id in task.reads:
-                seconds = best_source(datum_id, node.name)[1]
-                if seconds > transfer:
-                    transfer = seconds
+            transfer = max(read_seconds(reads, node.name), default=0.0)
             finish = transfer + predicted / node.speed_factor
             key = (finish, -state.free_cores)
             if best is None or key < best_key:

@@ -7,17 +7,20 @@ of the data by scheduling tasks in the location where the data resides"
 node) and the storage backends (partition replicas) publish locations here;
 the locality policy consumes them.
 
-Placement is the hot consumer, so beyond the forward datum->holders map the
-service maintains:
+Placement is the hot consumer, so beyond the forward datum->holders map
+(holders kept in publication order, so everything derived from them is
+independent of the process's hash seed) the service maintains:
 
 * an inverted node->data index (evicting a failed node touches only the
   data it held, not every datum ever registered);
-* a per-datum change counter (lets :class:`TransferPlanner` memoize
-  best-source routes without a global invalidation storm);
 * per-digest locality score maps — ``local_bytes_map`` returns, for one
   input tuple, every node's locally-held byte total, updated incrementally
   on ``publish``/``evict_node``/``set_size`` instead of being recomputed
   per candidate per placement.
+
+:class:`TransferPlanner` prices moving a datum to a node from these live
+holders and the network's zone-pair links; it keeps nothing per datum, so
+no mutation here has anything to invalidate.
 """
 
 from __future__ import annotations
@@ -35,8 +38,12 @@ from typing import (
     Tuple,
 )
 
+from repro.infrastructure.network import DEFAULT_ZONE, Link, NetworkTopology
+
 #: Shared empty result for lookups of unknown data (avoids per-call allocs).
 _NO_HOLDERS: AbstractSet[str] = frozenset()
+
+_INF = float("inf")
 
 #: Most digest score maps are used by exactly the tasks sharing that input
 #: tuple; the LRU bound keeps one-shot digests (per-task unique inputs)
@@ -48,12 +55,13 @@ class DataLocationService:
     """Registry mapping datum ids to the node names that hold a copy."""
 
     def __init__(self) -> None:
-        self._locations: Dict[str, Set[str]] = {}
+        # Holders in publication order, as the keys of a str -> None dict:
+        # ordered (the planner's tie-break), smaller than a set, and never
+        # tracked by the cyclic GC — one per datum adds up.
+        self._locations: Dict[str, Dict[str, None]] = {}
         self._sizes: Dict[str, float] = {}
         # Inverted index: node name -> datum ids it currently holds.
         self._node_data: Dict[str, Set[str]] = {}
-        # Per-datum change counter (holders or size); 0 when never changed.
-        self._versions: Dict[str, int] = {}
         # Data whose every copy was evicted (the is_lost() predicate),
         # counted so failure-free hot paths can skip per-task lost checks.
         self._lost_count = 0
@@ -72,7 +80,7 @@ class DataLocationService:
         """Record that ``node_name`` now holds a copy of ``datum_id``."""
         holders = self._locations.get(datum_id)
         if holders is None:
-            holders = self._locations[datum_id] = set()
+            holders = self._locations[datum_id] = {}
         elif not holders:
             # Every copy had been evicted; this publish recovers the datum.
             self._lost_count -= 1
@@ -87,12 +95,11 @@ class DataLocationService:
         if not new_holder and not size_delta:
             return
         if new_holder:
-            holders.add(node_name)
+            holders[node_name] = None
             data = self._node_data.get(node_name)
             if data is None:
                 data = self._node_data[node_name] = set()
             data.add(datum_id)
-        self._versions[datum_id] = self._versions.get(datum_id, 0) + 1
         digests = self._datum_digests.get(datum_id)
         if digests:
             size = self._sizes.get(datum_id, 0.0)
@@ -114,7 +121,6 @@ class DataLocationService:
         self._sizes[datum_id] = size
         if size == old_size:
             return
-        self._versions[datum_id] = self._versions.get(datum_id, 0) + 1
         digests = self._datum_digests.get(datum_id)
         if digests:
             holders = self._locations.get(datum_id, ())
@@ -136,10 +142,9 @@ class DataLocationService:
             holders = self._locations.get(datum_id)
             if holders is None or node_name not in holders:
                 continue
-            holders.remove(node_name)
+            del holders[node_name]
             if not holders:
                 self._lost_count += 1
-            self._versions[datum_id] = self._versions.get(datum_id, 0) + 1
             digests = self._datum_digests.get(datum_id)
             if digests:
                 size = self._sizes.get(datum_id, 0.0)
@@ -156,9 +161,9 @@ class DataLocationService:
         node's copies, rehome redirects them — persisted objects whose
         canonical copy died are served from the store or a replica — in
         ONE pass over the inverted index (O(data held), not one lookup +
-        publish round-trip per datum).  Versions and digest scores update
-        incrementally per datum, reusing the same bookkeeping as
-        ``publish``/``evict_node``.  Returns the number of data re-homed.
+        publish round-trip per datum).  Digest scores update incrementally
+        per datum, reusing the same bookkeeping as ``publish``/
+        ``evict_node``.  Returns the number of data re-homed.
 
         Iterates in sorted datum order so repeated runs accumulate digest
         score floats identically (set iteration order is seed-dependent).
@@ -174,11 +179,10 @@ class DataLocationService:
             holders = self._locations.get(datum_id)
             if holders is None or dead_node not in holders:
                 continue
-            holders.remove(dead_node)
+            del holders[dead_node]
             already_there = target_node in holders
-            holders.add(target_node)
+            holders[target_node] = None
             target_data.add(datum_id)
-            self._versions[datum_id] = self._versions.get(datum_id, 0) + 1
             moved += 1
             digests = self._datum_digests.get(datum_id)
             if digests:
@@ -202,22 +206,17 @@ class DataLocationService:
         return set(self._locations.get(datum_id, ()))
 
     def holders_of(self, datum_id: str) -> AbstractSet[str]:
-        """Like :meth:`get_locations` but returns the live internal set.
+        """Like :meth:`get_locations` but a live view, in publication order.
 
-        Zero-copy read for hot paths (stage-in source selection runs once
-        per holder per input).  Callers must not mutate the result; it may
-        change underneath them on the next ``publish``/``evict_node``.
+        Zero-copy read for hot paths.  The view follows the next
+        ``publish``/``evict_node``; a re-homed copy counts as published at
+        the time of the re-homing.
         """
-        return self._locations.get(datum_id, _NO_HOLDERS)
+        holders = self._locations.get(datum_id)
+        return holders.keys() if holders else _NO_HOLDERS
 
     def size_of(self, datum_id: str, default: float = 0.0) -> float:
         return self._sizes.get(datum_id, default)
-
-    def datum_version(self, datum_id: str) -> int:
-        """Change counter for one datum: bumped whenever its holder set or
-        size changes.  Memo keys for anything derived from a datum's
-        locations (see :class:`TransferPlanner`)."""
-        return self._versions.get(datum_id, 0)
 
     def is_lost(self, datum_id: str) -> bool:
         """True if the datum once had holders but every copy was evicted.
@@ -296,26 +295,72 @@ class DataLocationService:
 
 
 class TransferPlanner:
-    """Memoized cheapest-source selection for (datum, destination) pairs.
+    """Cheapest-source pricing of moving data to a node, by zone pair.
 
-    Both the earliest-finish-time policy (while *estimating* placements)
-    and the simulated executor (while *staging in* the chosen placement)
-    ask the same question — which current holder of this datum reaches
-    this node fastest? — often back-to-back for the same pair.  Entries
-    are validated against the datum's change counter and the topology
-    version, so a publish/evict/re-zoning transparently invalidates only
-    the affected routes.
+    Both the finish-time policies (while *estimating* placements) and the
+    simulated executor (while *staging in* the chosen placement) ask the
+    same question — which current holder of this datum reaches this node
+    fastest?  Transfer time depends on the two nodes' zones alone, so the
+    answer is a ``min`` over the links the live holders sit behind, taken
+    afresh on every query: the planner keeps one ``{dst zone: {src zone:
+    Link}}`` table for the current ``topology_version`` and nothing per
+    datum, per node or per pair, so ``publish`` / ``evict_node`` /
+    ``rehome_node`` / ``set_size`` have nothing to invalidate.
+
+    Holders are visited in publication order and only a strictly cheaper
+    one replaces the incumbent: **the earliest publisher among the
+    cheapest holders is the source**, whatever the process's hash seed.
     """
 
-    #: Entries above this count are dropped wholesale; stale pairs (the
-    #: destination became a holder, or the datum moved on) are never
-    #: revisited, so the clear only trades recompute for memory.
-    CACHE_LIMIT = 131072
-
-    def __init__(self, locations: DataLocationService, network) -> None:
+    def __init__(self, locations: DataLocationService, network: NetworkTopology) -> None:
         self.locations = locations
         self.network = network
-        self._cache: Dict[Tuple[str, str], Tuple[int, int, str, float]] = {}
+        self._links: Dict[str, Dict[str, Link]] = {}
+        self._links_version = network.topology_version
+
+    def _routes(
+        self, datum_ids: Iterable[str], dst_node: str
+    ) -> List[Tuple[str, str, float, float, Link]]:
+        """``(datum, source, bytes, seconds, link)`` per datum to fetch, in
+        read order; data already on ``dst_node`` and ambient data (no
+        holders) are skipped."""
+        network = self.network
+        if self._links_version != network.topology_version:
+            self._links = {}
+            self._links_version = network.topology_version
+        zones = network.node_zones
+        dst_zone = zones.get(dst_node, DEFAULT_ZONE)
+        links = self._links.get(dst_zone)
+        if links is None:
+            links = self._links[dst_zone] = {}
+        holders_of = self.locations._locations.get
+        sizes = self.locations._sizes
+        routes = []
+        for datum_id in datum_ids:
+            holders = holders_of(datum_id)
+            if not holders or dst_node in holders:
+                continue
+            size = sizes.get(datum_id, 0.0)
+            best_src = best_link = link = None
+            best = _INF
+            for src in holders:
+                previous = link
+                src_zone = zones.get(src, DEFAULT_ZONE)
+                link = links.get(src_zone)
+                if link is None:
+                    link = links[src_zone] = network.zone_link(src_zone, dst_zone)
+                if link is previous:
+                    continue  # same link, same price: the earlier holder stands
+                if size > 0.0:
+                    seconds = link.latency_s + size / link.bandwidth_bps
+                else:
+                    seconds = link.transfer_time(size)  # 0.0; raises if negative
+                if seconds < best:
+                    best = seconds
+                    best_src = src
+                    best_link = link
+            routes.append((datum_id, best_src, size, best, best_link))
+        return routes
 
     def best_source(self, datum_id: str, dst_node: str) -> Tuple[Optional[str], float]:
         """(source node, seconds) of the cheapest current holder.
@@ -323,39 +368,27 @@ class TransferPlanner:
         Returns ``(None, 0.0)`` when the datum has no holders (ambient
         data) or the destination already holds a copy (no transfer).
         """
-        locations = self.locations
-        holders = locations.holders_of(datum_id)
-        if not holders or dst_node in holders:
+        routes = self._routes((datum_id,), dst_node)
+        if not routes:
             return (None, 0.0)
-        network = self.network
-        datum_version = locations.datum_version(datum_id)
-        topology_version = network.topology_version
-        key = (datum_id, dst_node)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] == datum_version and hit[1] == topology_version:
-            return (hit[2], hit[3])
-        size = locations.size_of(datum_id)
-        best_src = None
-        best = float("inf")
-        transfer_time = network.transfer_time
-        for src in holders:
-            duration = transfer_time(src, dst_node, size)
-            if duration < best:
-                best = duration
-                best_src = src
-        cache = self._cache
-        if len(cache) >= self.CACHE_LIMIT:
-            cache.clear()
-        cache[key] = (datum_version, topology_version, best_src, best)
-        return (best_src, best)
+        return (routes[0][1], routes[0][3])
+
+    def read_seconds(self, datum_ids: Iterable[str], dst_node: str) -> List[float]:
+        """Solo fetch time of every datum ``dst_node`` would have to fetch.
+
+        The batch form of :meth:`best_source` for placement estimates, in
+        read order; local and ambient reads (0.0 s) are left out, which
+        changes neither a sum nor a max.
+        """
+        return [route[3] for route in self._routes(datum_ids, dst_node)]
 
     def stage_in_plan(
         self, datum_ids: Iterable[str], dst_node: str
     ) -> Tuple[float, List[Tuple[str, str, float, float]]]:
         """Coalesced stage-in pricing for one task's missing inputs.
 
-        Each missing datum still fetches from its memoized cheapest source,
-        but same-link transfers are batched: one latency charge plus the
+        Each missing datum still fetches from its cheapest source, but
+        same-link transfers are batched: one latency charge plus the
         summed bandwidth term per physical link (``Link`` instances are
         shared per zone pair, so grouping by link is per-link shared-
         bandwidth accounting — two holders in one remote zone do not each
@@ -369,40 +402,27 @@ class TransferPlanner:
         together).  Byte totals and source choices are identical to the
         per-holder path; only the latency accounting is coalesced.
         """
-        best_source = self.best_source
-        locations = self.locations
-        moves: List[Tuple[str, str, float, float]] = []
-        for datum_id in datum_ids:
-            src, solo = best_source(datum_id, dst_node)
-            if src is None:  # no holders (ambient) or already local
-                continue
-            moves.append((datum_id, src, locations.size_of(datum_id), solo))
-        if not moves:
-            return (0.0, moves)
-        if len(moves) == 1:
-            # Solo transfer: coalesced pricing degenerates to the
-            # point-to-point time best_source already computed.
-            return (moves[0][3], moves)
-        network = self.network
-        link_between = network.link_between
-        # Group by resolved link (cached object identity): one latency +
-        # summed bytes per link.
+        routes = self._routes(datum_ids, dst_node)
+        if len(routes) < 2:
+            # Nothing to coalesce: a solo transfer costs its point-to-point
+            # time, no transfer costs nothing.
+            moves = [route[:4] for route in routes]
+            return (moves[0][3] if moves else 0.0, moves)
+        # One latency + summed bytes per link the routes resolved to, links
+        # told apart by identity (equal-valued links are still two pipes).
         link_totals: Dict[int, List] = {}
-        move_links = []
-        for datum_id, src, size, _solo in moves:
-            link = link_between(src, dst_node)
+        for _datum, _src, size, _solo, link in routes:
             entry = link_totals.get(id(link))
             if entry is None:
-                entry = link_totals[id(link)] = [link, 0.0]
-            entry[1] += size
-            move_links.append(id(link))
+                link_totals[id(link)] = [link, size]
+            else:
+                entry[1] += size
         durations = {
             key: link.coalesced_transfer_time(total)
             for key, (link, total) in link_totals.items()
         }
-        worst = max(durations.values())
         moves = [
-            (datum_id, src, size, durations[link_key])
-            for (datum_id, src, size, _solo), link_key in zip(moves, move_links)
+            (datum_id, src, size, durations[id(link)])
+            for datum_id, src, size, _solo, link in routes
         ]
-        return (worst, moves)
+        return (max(durations.values()), moves)

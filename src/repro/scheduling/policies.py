@@ -168,22 +168,7 @@ class EarliestFinishTimePolicy:
         # keeps all-slow platforms work-conserving (no starvation).
         self.decline_slowdown_factor = decline_slowdown_factor
         self._best_speed_seen = 0.0
-        # Best-source transfer times memoized per (datum, destination); the
-        # simulated executor shares this planner when it runs over the same
-        # locations/network, so the stage-in of a chosen placement reuses
-        # the routes the estimate just computed.
         self.planner = TransferPlanner(locations, network)
-
-    def _estimated_finish(self, task: TaskInstance, state: NodeCapacity) -> float:
-        profile = task.profile
-        node = state.node
-        compute = (profile.duration_s if profile else 1.0) / node.speed_factor
-        transfer = 0.0
-        best_source = self.planner.best_source
-        node_name = node.name
-        for datum_id in task.reads:
-            transfer += best_source(datum_id, node_name)[1]
-        return transfer + compute
 
     def select(
         self, task: TaskInstance, candidates: List[NodeCapacity]
@@ -196,21 +181,35 @@ class EarliestFinishTimePolicy:
             if speed > best_speed:
                 best_speed = speed
         self._best_speed_seen = best_speed
+        if len(candidates) == 1 and self.decline_slowdown_factor is None:
+            # Nothing to rank and nothing to decline: a saturated platform
+            # offers exactly the slot that just freed, so this is the
+            # common call — no estimate is worth making for it.
+            return candidates[0]
         # Single pass: each candidate's finish time is estimated exactly
-        # once per call, and the winner's estimate is reused for the
-        # decline check below instead of being recomputed.
+        # once per call (one batch pricing of its missing inputs), and the
+        # winner's estimate is reused for the decline check below.
+        profile = task.profile
+        base = profile.duration_s if profile else 1.0
+        reads = task.reads
+        read_seconds = self.planner.read_seconds
         best = None
         best_key = None
         best_finish = 0.0
         for state in candidates:
-            finish = self._estimated_finish(task, state)
+            node = state.node
+            transfer = 0.0
+            # Not sum(): Python 3.12+ compensates float sums, and an
+            # estimate must not depend on the interpreter.
+            for seconds in read_seconds(reads, node.name):
+                transfer += seconds
+            finish = transfer + base / node.speed_factor
             key = (finish, -state.free_cores)
             if best is None or key < best_key:
                 best = state
                 best_key = key
                 best_finish = finish
         if self.decline_slowdown_factor is not None and best_speed > 0:
-            base = (task.profile.duration_s if task.profile else 1.0)
             reference = base / best_speed
             if best_finish > self.decline_slowdown_factor * reference:
                 return None  # waiting for a faster node beats occupying this one

@@ -164,15 +164,17 @@ class TaskScheduler:
 
     def release(self, task: TaskInstance) -> None:
         """Free the resources a placed task held (on completion or failure)."""
-        req = task.requirements
+        task_id = task.task_id
         nodes = task.assigned_nodes or (
-            [task.assigned_node] if task.assigned_node else []
+            (task.assigned_node,) if task.assigned_node else ()
         )
+        states = self.ledger._states
         for name in nodes:
-            if self.ledger.has_node(name):
-                state = self.ledger.state(name)
-                if task.task_id in state.running_task_ids:
-                    state.release(task.task_id, req)
+            # A node that left took its allocations with it; a gang member
+            # already released (failure path) holds nothing either.
+            state = states.get(name)
+            if state is not None and task_id in state.running_task_ids:
+                state.release(task_id, task.requirements)
 
     # -------------------------------------------------------------- queries
 

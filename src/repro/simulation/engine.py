@@ -55,7 +55,7 @@ class SimulationEngine:
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def dispatched_events(self) -> int:
@@ -105,7 +105,8 @@ class SimulationEngine:
         """Schedule ``action`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r} for event {label!r}")
-        return self.at(self.clock.now + delay, action, priority=priority, label=label)
+        # now + (delay >= 0) is never in the past: at()'s check is implied.
+        return self.queue.push(self.clock._now + delay, action, priority, label)
 
     def stop(self) -> None:
         """Request the run loop to exit after the current event."""

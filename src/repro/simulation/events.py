@@ -14,15 +14,19 @@ simulation loop.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
+@functools.total_ordering
 class Event:
     """A single scheduled event.
+
+    Ordered and compared by ``(time, priority, sequence)`` alone.  Slotted
+    by hand (``dataclass(slots=True)`` needs Python 3.10): one is built per
+    push, and an instance ``__dict__`` was the larger half of it.
 
     Attributes:
         time: virtual timestamp at which the event fires.
@@ -34,12 +38,43 @@ class Event:
         cancelled: cancelled events are skipped when popped.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    action: Callable[[], Any] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "priority", "sequence", "action", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        sequence: int,
+        action: Callable[[], Any],
+        label: str = "",
+        cancelled: bool = False,
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.action = action
+        self.label = label
+        self.cancelled = cancelled
+
+    def _key(self) -> tuple:
+        return (self.time, self.priority, self.sequence)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __lt__(self, other: "Event") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, priority={self.priority!r}, "
+            f"sequence={self.sequence!r}, label={self.label!r}, "
+            f"cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Mark the event so the queue drops it instead of firing it."""
@@ -75,13 +110,7 @@ class EventQueue:
         The returned handle can be cancelled with :meth:`Event.cancel`.
         """
         sequence = next(self._counter)
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=sequence,
-            action=action,
-            label=label,
-        )
+        event = Event(time, priority, sequence, action, label)
         heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 

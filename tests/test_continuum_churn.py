@@ -18,9 +18,14 @@ from repro.agents.bus import _DROP_LOG_LIMIT
 from repro.agents.messages import Message, Op
 from repro.core.exceptions import AgentError
 from repro.executor import SimWorkflowBuilder
-from repro.infrastructure import CloudFederation, CloudProvider, make_fog_platform
+from repro.infrastructure import (
+    CloudFederation,
+    CloudProvider,
+    NetworkTopology,
+    make_fog_platform,
+)
 from repro.infrastructure.resources import Node, NodeKind
-from repro.scheduling import DataLocationService
+from repro.scheduling import DataLocationService, TransferPlanner
 from repro.simulation import SimulationEngine
 from repro.tools.cli import main, simulate_scenario_runner
 from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
@@ -220,12 +225,21 @@ class TestRehomeNode:
         assert after.get("store") == 15.0
         assert after.get("dead", 0.0) == 0.0
 
-    def test_rehome_bumps_versions(self):
+    def test_rehome_reaches_the_planner(self):
+        # The planner prices from the live holders, so a re-homed copy is
+        # the source of the very next query — there is nothing to invalidate.
+        network = NetworkTopology()
+        network.add_nodes(["dead", "dst"], "z0")
+        network.add_node("store", "z1")
         locations = DataLocationService()
         locations.publish("a", "dead", size_bytes=10.0)
-        version = locations.datum_version("a")
+        planner = TransferPlanner(locations, network)
+        assert planner.best_source("a", "dst")[0] == "dead"
         locations.rehome_node("dead", "store")
-        assert locations.datum_version("a") == version + 1
+        assert planner.best_source("a", "dst") == (
+            "store",
+            network.transfer_time("store", "dst", 10.0),
+        )
 
 
 class TestPlatformLiveIndex:

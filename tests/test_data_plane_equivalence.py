@@ -22,6 +22,9 @@ pins that claim:
 """
 
 import bisect
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,11 +350,9 @@ class TestActiveObjectEquivalence:
         assert locations.get_locations(oid) == {"a", "b"}
         size = locations.size_of(oid)
         assert size > 0
-        version_before = locations.datum_version(oid)
         store.call(oid, "add", 7)
         store.fetch(oid)  # lazy re-size pushes the new size
         assert locations.size_of(oid) > size
-        assert locations.datum_version(oid) > version_before
         store.fail_node("a")
         assert locations.get_locations(oid) == {"b"}
 
@@ -407,8 +408,8 @@ class TestCoalescedTransferEquivalence:
         duration, moves = planner.stage_in_plan(reads, "dst")
 
         # Naive per-holder reference: cheapest transfer time per datum.
-        # (Tie-breaking between equal-cost holders is unspecified, so the
-        # source assertion is "a minimal-cost holder", not a specific one.)
+        # (The tie-break between equal-cost holders is pinned by the
+        # mutation property and the hash-seed test below.)
         naive_best = {}
         for datum in reads:
             naive_best[datum] = min(
@@ -471,3 +472,161 @@ class TestCoalescedTransferEquivalence:
         assert duration == link.latency_s + 2 * 10**8 / link.bandwidth_bps
         solo = network.transfer_time("h0", "dst", 10**8)
         assert duration > solo  # shared media is slower than two solo pipes
+
+
+# --------------------------------------------------------------------------
+# Zone-pair pricing vs the per-holder model, under mutation
+# --------------------------------------------------------------------------
+
+_NODES = [f"n{i}" for i in range(6)] + ["unplaced"]
+_ZONES = [f"zone-{i}" for i in range(4)]
+_DATA = [f"d{i}" for i in range(5)]
+#: The third link makes a cross-zone hop *cheaper* than the intra-zone link;
+#: the last two are equal in value and distinct in identity (two pipes).
+_LINKS = [
+    Link(latency_s=5e-2, bandwidth_bps=1e8),
+    Link(latency_s=2e-1, bandwidth_bps=1e6),
+    Link(latency_s=1e-6, bandwidth_bps=1e11),
+    Link(latency_s=1e-2, bandwidth_bps=1e9),
+    Link(latency_s=1e-2, bandwidth_bps=1e9),
+]
+
+_sizes = st.sampled_from([0, 1, 4096, 10**6, 10**9])
+_node_ix = st.integers(0, len(_NODES) - 1)
+_zone_ix = st.integers(0, len(_ZONES) - 1)
+_datum_ix = st.integers(0, len(_DATA) - 1)
+_mutations = st.one_of(
+    st.tuples(st.just("publish"), _datum_ix, _node_ix, _sizes),
+    st.tuples(st.just("set_size"), _datum_ix, _sizes),
+    st.tuples(st.just("evict"), _node_ix),
+    st.tuples(st.just("rehome"), _node_ix, _node_ix),
+    st.tuples(st.just("rezone"), st.integers(0, len(_NODES) - 2), _zone_ix),
+    st.tuples(
+        st.just("connect"),
+        _zone_ix,
+        _zone_ix,
+        st.integers(0, len(_LINKS) - 1),
+        st.booleans(),
+    ),
+)
+
+
+def _assert_planner_equals_naive_model(planner, locations, network):
+    """best_source, read_seconds and stage_in_plan against the per-holder
+    ``min(network.transfer_time(src, dst, size))``, for every destination."""
+    reads = _DATA + ["ambient"]
+    for dst in _NODES:
+        expected = {}  # datum -> (earliest-published cheapest holder, seconds)
+        for datum in reads:
+            holders = list(locations.holders_of(datum))
+            if not holders or dst in holders:
+                assert planner.best_source(datum, dst) == (None, 0.0)
+                continue
+            size = locations.size_of(datum)
+            costs = [network.transfer_time(src, dst, size) for src in holders]
+            best = min(costs)
+            expected[datum] = (holders[costs.index(best)], best)
+            assert planner.best_source(datum, dst) == expected[datum]
+        fetched = [d for d in reads if d in expected]
+        assert planner.read_seconds(reads, dst) == [expected[d][1] for d in fetched]
+
+        duration, moves = planner.stage_in_plan(reads, dst)
+        assert [(m[0], m[1], m[2]) for m in moves] == [
+            (d, expected[d][0], locations.size_of(d)) for d in fetched
+        ]
+        if len(moves) == 1:
+            assert duration == moves[0][3] == expected[moves[0][0]][1]
+            continue
+        # One latency + summed bytes per link (by identity), links in parallel.
+        links, totals = {}, {}
+        for _datum, src, size, _seconds in moves:
+            link = network.link_between(src, dst)
+            links[id(link)] = link
+            totals[id(link)] = totals.get(id(link), 0.0) + size
+        coalesced = {key: links[key].transfer_time(totals[key]) for key in links}
+        assert duration == max(coalesced.values(), default=0.0)
+        for _datum, src, _size, seconds in moves:
+            assert seconds == coalesced[id(network.link_between(src, dst))]
+
+
+class TestZonePairPricingUnderMutation:
+    @given(
+        zones=st.lists(_zone_ix, min_size=6, max_size=6),
+        cheap_cross=st.tuples(_zone_ix, _zone_ix),
+        publishes=st.lists(st.tuples(_datum_ix, _node_ix, _sizes), max_size=12),
+        mutations=st.lists(_mutations, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planner_equals_per_holder_model_after_every_step(
+        self, zones, cheap_cross, publishes, mutations
+    ):
+        network = NetworkTopology(
+            intra_zone_link=Link(latency_s=1e-4, bandwidth_bps=1e9),
+            default_link=_LINKS[0],
+        )
+        for node, zone in zip(_NODES, zones):  # "unplaced" stays unplaced
+            network.add_node(node, _ZONES[zone])
+        network.connect(
+            _ZONES[cheap_cross[0]], _ZONES[cheap_cross[1]], _LINKS[2], symmetric=False
+        )
+        locations = DataLocationService()
+        for datum, node, size in publishes:
+            locations.publish(_DATA[datum], _NODES[node], size_bytes=size)
+        # ONE planner lives through every mutation: it holds nothing that a
+        # publish, an eviction, a re-homing, a re-zoning or a new link
+        # could leave stale.
+        planner = TransferPlanner(locations, network)
+        _assert_planner_equals_naive_model(planner, locations, network)
+        for op in mutations:
+            kind = op[0]
+            if kind == "publish":
+                locations.publish(_DATA[op[1]], _NODES[op[2]], size_bytes=op[3])
+            elif kind == "set_size":
+                locations.set_size(_DATA[op[1]], op[2])
+            elif kind == "evict":
+                locations.evict_node(_NODES[op[1]])
+            elif kind == "rehome":
+                if op[1] != op[2]:
+                    locations.rehome_node(_NODES[op[1]], _NODES[op[2]])
+            elif kind == "rezone":
+                network.add_node(_NODES[op[1]], _ZONES[op[2]])
+            else:
+                network.connect(
+                    _ZONES[op[1]], _ZONES[op[2]], _LINKS[op[3]], symmetric=op[4]
+                )
+            _assert_planner_equals_naive_model(planner, locations, network)
+
+
+_HASH_SEED_PROGRAM = """
+from repro.infrastructure.network import NetworkTopology
+from repro.scheduling.locations import DataLocationService, TransferPlanner
+
+network = NetworkTopology()
+network.add_nodes(["dst", "delta", "alpha", "gamma", "beta"], "here")
+network.add_nodes(["far-1", "far-2"], "there")
+locations = DataLocationService()
+for holder in ["far-1", "delta", "alpha", "far-2", "gamma", "beta"]:
+    locations.publish("datum", holder, size_bytes=5e6)
+print(TransferPlanner(locations, network).stage_in_plan(["datum"], "dst"))
+"""
+
+
+class TestSourceChoiceIsHashSeedIndependent:
+    def test_earliest_publisher_among_the_cheapest_wins_under_any_hash_seed(self):
+        # Four same-zone holders cost the same: with holders in a set the
+        # winner was whichever the process's string hashing put first.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROGRAM],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "('datum', 'delta', 5000000.0," in outputs[0]

@@ -92,9 +92,9 @@ class TestNetworkTopology:
         assert net.remote_transfer_count == 1
 
     def test_topology_version_bumps_on_every_mutation(self):
-        # Route caches (here and in TransferPlanner) validate against
-        # topology_version, so every route-affecting entry point must bump
-        # it — including zone *reassignment* of an existing node.
+        # TransferPlanner's link table validates against topology_version,
+        # so every route-affecting entry point must bump it — including
+        # zone *reassignment* of an existing node.
         net = NetworkTopology()
         v0 = net.topology_version
         net.add_node("a", "z1")
@@ -118,7 +118,7 @@ class TestNetworkTopology:
         net = NetworkTopology()
         net.add_node("a", "z1")
         net.add_node("b", "z1")
-        net.transfer_time("a", "b", 1.0)  # warm the route cache
+        net.transfer_time("a", "b", 1.0)
         version = net.topology_version
         net.add_node("a", "z1")  # same zone: no routes changed
         net.add_nodes(["a", "b"], zone="z1")

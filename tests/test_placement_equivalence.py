@@ -464,6 +464,128 @@ class TestPolicySelectionEquivalence:
             if reads:
                 locations.publish(f"d{reads[0]}", "n3", size_bytes=123.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        publishes=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1_000_000)),
+            max_size=16,
+        ),
+        reads=st.lists(st.integers(0, 5), max_size=6),
+        speeds=st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=6, max_size=6
+        ),
+        zones=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+        offers=st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+            min_size=1,
+            max_size=4,
+        ),
+        duration=st.integers(min_value=1, max_value=500),
+        factor=st.sampled_from([None, 1.0, 1.5, 3.0]),
+        learned=st.booleans(),
+    )
+    def test_finish_time_policies_match_naive_for_any_candidate_count(
+        self, publishes, reads, speeds, zones, offers, duration, factor, learned
+    ):
+        """One candidate or six, declining or not: the choice equals the
+        per-holder ``min(network.transfer_time ...)`` reference (summed over
+        reads for the oracle policy, max over reads for the learned one),
+        with the best speed remembered across offers — also by the
+        single-candidate shortcut, which estimates nothing."""
+        network = NetworkTopology()
+        nodes = [
+            Node(name=f"n{i}", cores=8, memory_mb=16_000, speed_factor=speeds[i])
+            for i in range(6)
+        ]
+        for node, zone in zip(nodes, zones):
+            network.add_node(node.name, f"z{zone}")
+        ledger = CapacityLedger(nodes)
+        locations = DataLocationService()
+        for datum, node, size in publishes:
+            locations.publish(f"d{datum}", f"n{node}", size_bytes=float(size))
+        task = TaskInstance(
+            task_id=1,
+            label="t",
+            reads=[f"d{i}" for i in reads],
+            profile=SimProfile(duration_s=float(duration)),
+        )
+
+        def fetch(datum_id, state):
+            holders = locations.get_locations(datum_id)
+            if not holders or state.node.name in holders:
+                return 0.0
+            size = locations.size_of(datum_id)
+            return min(
+                network.transfer_time(src, state.node.name, size) for src in holders
+            )
+
+        if learned:
+            predictor = DurationPredictor(default_duration_s=30.0)
+            predictor.observe("t", float(duration), size=None)
+            policy = PredictedFinishTimePolicy(
+                predictor, locations, network, decline_slowdown_factor=factor
+            )
+            size_hint = sum(locations.size_of(d) for d in task.reads) or None
+            base = predictor.predict("t", size=size_hint)
+
+            def finish(state):
+                slowest = max((fetch(d, state) for d in task.reads), default=0.0)
+                return slowest + base / state.node.speed_factor
+
+        else:
+            policy = EarliestFinishTimePolicy(
+                locations, network, decline_slowdown_factor=factor
+            )
+            base = float(duration)
+
+            def finish(state):
+                return naive_eft_finish(task, state, locations, network)
+
+        best_speed = 0.0
+        for offer in offers:
+            candidates = [ledger.state(f"n{i}") for i in sorted(offer)]
+            best_speed = max([best_speed] + [s.node.speed_factor for s in candidates])
+            expected = min(candidates, key=lambda s: (finish(s), -s.free_cores))
+            if factor is not None and finish(expected) > factor * (base / best_speed):
+                expected = None  # also a single slow candidate is declined
+            assert policy.select(task, list(candidates)) is expected
+            assert policy._best_speed_seen == best_speed
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_single_candidate_shortcut_remembers_speed_and_never_skips_a_decline(
+        self, learned
+    ):
+        network = NetworkTopology()
+        locations = DataLocationService()
+        fast, slow = (
+            CapacityLedger([Node(name=name, cores=4, memory_mb=8_000, speed_factor=speed)])
+            .state(name)
+            for name, speed in (("fast", 2.0), ("slow", 0.5))
+        )
+        task = TaskInstance(
+            task_id=1, label="t", profile=SimProfile(duration_s=100.0)
+        )
+
+        def make(factor):
+            if learned:
+                return PredictedFinishTimePolicy(
+                    DurationPredictor(default_duration_s=100.0),
+                    locations,
+                    network,
+                    decline_slowdown_factor=factor,
+                )
+            return EarliestFinishTimePolicy(
+                locations, network, decline_slowdown_factor=factor
+            )
+
+        eager = make(None)
+        assert eager.select(task, [fast]) is fast and eager._best_speed_seen == 2.0
+        assert eager.select(task, [slow]) is slow and eager._best_speed_seen == 2.0
+        patient = make(1.5)
+        assert patient.select(task, [slow]) is slow  # nothing faster seen yet
+        assert patient.select(task, [fast]) is fast
+        assert patient.select(task, [slow]) is None  # 200 s > 1.5 x 50 s
+
 
 # --------------------------------------------------------------------------
 # End-to-end dispatch equivalence

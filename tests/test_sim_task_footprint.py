@@ -1,0 +1,199 @@
+"""A staged-in byte costs what a transfer does on the simulated path (E18).
+
+The simulator keeps every task's record for the whole run, so the container
+objects a task — and each of its transfers — leaves behind decide how much
+every full GC pass scans.  These tests pin the per-task count of GC-tracked
+objects after a run (and how many of them the run itself created), that a
+transfer is counted and not retained, and that the slotted ``Event`` orders,
+compares and cancels as the dataclass it replaced did.
+"""
+
+import gc
+import random
+
+import pytest
+
+from repro.executor import SimulatedExecutor, SimWorkflowBuilder
+from repro.infrastructure import make_fog_platform, make_hpc_cluster
+from repro.scheduling import (
+    DataLocationService,
+    EarliestFinishTimePolicy,
+    LoadBalancingPolicy,
+    TransferPlanner,
+)
+from repro.simulation.events import Event, EventQueue
+from repro.workloads import GuidanceConfig, build_guidance_workflow
+
+WIDTH = 125
+LAYERS = 16
+FAN_IN = 4
+OUTPUT_BYTES = 5e6
+
+
+def _tracked():
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def _layered_dag(builder):
+    """continuum_dag_16k's shape at an eighth of its width: every task
+    reads FAN_IN outputs from near its own index in the previous layer."""
+    rng = random.Random(7)
+    for layer in range(LAYERS):
+        for index in range(WIDTH):
+            inputs = (
+                sorted(
+                    f"L{layer - 1}/t{(index + offset) % WIDTH}"
+                    for offset in rng.sample(range(-8, 9), FAN_IN)
+                )
+                if layer
+                else []
+            )
+            name = f"L{layer}/t{index}"
+            builder.add_task(
+                name,
+                rng.lognormvariate(2.0, 0.5),
+                inputs=inputs,
+                outputs={name: OUTPUT_BYTES},
+            )
+    return LAYERS * WIDTH
+
+
+class CountingPlanner(TransferPlanner):
+    """Sums what ``stage_in_plan`` says is moved, for the counters to match."""
+
+    bytes_planned = 0.0
+    moves_planned = 0
+
+    def stage_in_plan(self, datum_ids, dst_node):
+        duration, moves = super().stage_in_plan(datum_ids, dst_node)
+        self.bytes_planned += sum(size for _datum, _src, size, _seconds in moves)
+        self.moves_planned += len(moves)
+        return duration, moves
+
+
+class TestFootprint:
+    def test_layered_dag_with_transfers_under_earliest_finish_time(self):
+        platform = make_fog_platform(8, 24, 8, fog_battery_joules=None)
+        before = _tracked()
+        builder = SimWorkflowBuilder()
+        tasks = _layered_dag(builder)
+        locations = DataLocationService()
+        executor = SimulatedExecutor(
+            builder.graph,
+            platform,
+            policy=EarliestFinishTimePolicy(locations, platform.network),
+            locations=locations,
+        )
+        planner = executor._planner = CountingPlanner(locations, platform.network)
+        built = _tracked()
+        report = executor.run()
+        finished = _tracked()
+        assert report.tasks_done == tasks == 2000
+        # Described: TaskInstance, SimProfile, _DatumState, its reader list,
+        # a successor set.  Run: nothing per task — a datum's holders are an
+        # untracked str -> None dict, assigned_nodes an all-str tuple, a
+        # transfer two counters (9.9 and 4.9 before E18: 2.9 TransferRecords,
+        # a holder set and an assigned_nodes list per task).
+        assert (finished - before) / tasks <= 6.0
+        assert (finished - built) / tasks <= 0.1
+        network = platform.network
+        assert not hasattr(network, "transfers")
+        assert planner.moves_planned > tasks // 2  # data really moves
+        assert network.remote_transfer_count == planner.moves_planned
+        assert network.total_bytes_moved == planner.bytes_planned
+        assert report.bytes_transferred == planner.bytes_planned
+
+    def test_guidance_build_under_load_balancing(self):
+        platform = make_hpc_cluster(20)
+        before = _tracked()
+        workload = build_guidance_workflow(
+            GuidanceConfig(chromosomes=10, chunks_per_chromosome=50, seed=7)
+        )
+        executor = SimulatedExecutor(
+            workload.graph,
+            platform,
+            policy=LoadBalancingPolicy(),
+            initial_data=workload.initial_data,
+        )
+        planner = executor._planner = CountingPlanner(
+            executor.locations, platform.network
+        )
+        built = _tracked()
+        report = executor.run()
+        finished = _tracked()
+        tasks = workload.task_count
+        assert report.tasks_done == tasks and 1900 <= tasks <= 2100
+        del workload
+        assert (finished - before) / tasks <= 7.0  # 9.7 before E18
+        assert (finished - built) / tasks <= 0.1  # 3.0 before E18
+        network = platform.network
+        assert not hasattr(network, "transfers")
+        assert network.remote_transfer_count == planner.moves_planned > 0
+        assert network.total_bytes_moved == planner.bytes_planned
+
+
+class TestSlottedEvent:
+    def test_no_instance_dict_same_fields(self):
+        event = Event(1.0, 0, 3, lambda: None, "tick")
+        assert not hasattr(event, "__dict__")
+        assert (event.time, event.priority, event.sequence) == (1.0, 0, 3)
+        assert event.label == "tick" and event.cancelled is False
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    def test_orders_and_compares_by_time_priority_sequence(self):
+        def noop():
+            return None
+
+        early = Event(1.0, 5, 9, noop, "a")
+        urgent = Event(2.0, -1, 8, noop, "b")
+        late = Event(2.0, 0, 7, noop, "c")
+        later = Event(2.0, 0, 8, noop, "d")
+        assert sorted([later, late, urgent, early]) == [early, urgent, late, later]
+        assert early < urgent <= late < later and later > late >= urgent
+        # Action, label and cancellation take no part in equality.
+        twin = Event(2.0, 0, 7, print, "other", cancelled=True)
+        assert twin == late and not (twin != late) and twin != later
+        assert late != (2.0, 0, 7) and late.__lt__((2.0, 0, 7)) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(late)
+
+    def test_queue_builds_events_in_schedule_order_and_skips_cancelled(self):
+        queue = EventQueue()
+        fired = []
+        second = queue.push(1.0, lambda: fired.append("second"), label="second")
+        first = queue.push(1.0, lambda: fired.append("first"), priority=-1)
+        assert (second.sequence, first.sequence) == (0, 1)
+        assert first < second and second.label == "second"
+        second.cancel()
+        assert len(queue) == 1
+        assert queue.pop() is first and queue.pop() is None
+
+    def test_cancelled_completion_is_skipped_when_a_node_fails_mid_run(self):
+        platform = make_hpc_cluster(2)
+        builder = SimWorkflowBuilder()
+        for index in range(8):
+            builder.add_task(f"t{index}", 10.0, outputs={f"t{index}": 1e6})
+        graph = builder.graph
+        executor = SimulatedExecutor(graph, platform)
+        victim = platform.nodes[0].name
+        doomed = {}
+        fired = []
+
+        def tap_completions():
+            # Just before the failure: tap the completion events of the
+            # tasks running on the node that is about to die.
+            for task_id, event in executor._completion_events.items():
+                if graph.task(task_id).assigned_nodes == (victim,):
+                    doomed[task_id] = event
+                    action = event.action
+                    event.action = lambda a=action, t=task_id: (fired.append(t), a())
+
+        executor.engine.at(4.0, tap_completions)
+        executor.fail_node_at(5.0, victim)
+        report = executor.run()
+        assert report.tasks_done == 8 and report.resubmissions == len(doomed) > 0
+        assert all(event.cancelled for event in doomed.values())
+        assert fired == []  # popped past, never dispatched
+        assert all(t.assigned_nodes != (victim,) for t in graph.tasks)
