@@ -26,9 +26,9 @@ Throughput is counted in *useful* events (dispatched minus down-notices):
 raw events/sec would credit broadcast for its own notice flood.  Results
 land in ``BENCH_continuum_churn.json`` at the repo root.
 
-``REPRO_BENCH_ENGINE=sharded`` replays the fleet sweep on the coupled
-zone-sharded engine (byte-identical results); the decomposed test below
-covers the forked-lane parallel engine, where one shared bus cannot reach.
+The fleet sweep is one bus on one timeline; the decomposed test below covers
+the zone-program drivers (forked lanes included), where one shared bus
+cannot reach.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def broadcast_reference_agents() -> int:
     return 1_000
 
 
-def run_fleet_point(agents: int, notification: str, engine: str) -> dict:
+def run_fleet_point(agents: int, notification: str) -> dict:
     cfg = ChurnConfig(
         agents=agents,
         zones=ZONES,
@@ -113,7 +113,7 @@ def run_fleet_point(agents: int, notification: str, engine: str) -> dict:
     try:
         gc.freeze()
         start = time.perf_counter()
-        result = run_churn_fleet(cfg, engine=engine)
+        result = run_churn_fleet(cfg)
         seconds = time.perf_counter() - start
         gc.unfreeze()
     finally:
@@ -123,7 +123,7 @@ def run_fleet_point(agents: int, notification: str, engine: str) -> dict:
     return {
         "agents": agents,
         "notification": notification,
-        "engine": engine,
+        "engine": result["engine"],
         "seconds": seconds,
         "events": result["events"],
         "down_notices": result["down_notices"],
@@ -180,13 +180,10 @@ def _merge_results(updates: dict) -> None:
 
 
 def run_sweep() -> tuple:
-    engine = os.environ.get("REPRO_BENCH_ENGINE", "single")
     ref_agents = broadcast_reference_agents()
-    broadcast = run_fleet_point(ref_agents, "broadcast", engine)
-    interest_ref = run_fleet_point(ref_agents, "interest", engine)
-    points = [
-        run_fleet_point(agents, "interest", engine) for agents in fleet_targets()
-    ]
+    broadcast = run_fleet_point(ref_agents, "broadcast")
+    interest_ref = run_fleet_point(ref_agents, "interest")
+    points = [run_fleet_point(agents, "interest") for agents in fleet_targets()]
     reference = {
         "agents": ref_agents,
         "broadcast_seconds": broadcast["seconds"],

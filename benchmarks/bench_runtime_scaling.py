@@ -57,28 +57,7 @@ def _chunks_for(target_tasks: int) -> int:
     return max(1, round(target_tasks / (_CHROMOSOMES * _TASKS_PER_CHUNK)))
 
 
-def _engine_for(platform, engine: str):
-    """Engine instance for one E1 point (None = executor's default single).
-
-    ``parallel`` is rejected here on purpose: these points run a *central*
-    scheduler whose inter-zone lookahead is zero — the decomposed zonal
-    workload below is where the parallel engine applies.
-    """
-    if engine in ("single", None):
-        return None
-    if engine == "sharded":
-        from repro.simulation import ShardedSimulationEngine
-
-        return ShardedSimulationEngine(network=platform.network, mode="coupled")
-    raise ValueError(
-        f"engine {engine!r} not applicable to central-scheduler E1 points "
-        "(single or sharded; parallel needs the zonal workload)"
-    )
-
-
-def run_point(
-    target_tasks: int, nodes: int = NODES, seed: int = 42, engine: str = "single"
-) -> dict:
+def run_point(target_tasks: int, nodes: int = NODES, seed: int = 42) -> dict:
     config = GuidanceConfig(
         chromosomes=_CHROMOSOMES,
         chunks_per_chromosome=_chunks_for(target_tasks),
@@ -101,7 +80,6 @@ def run_point(
             workload.graph,
             platform,
             policy=LoadBalancingPolicy(),
-            engine=_engine_for(platform, engine),
             initial_data=workload.initial_data,
         )
         if gc_was_enabled:
@@ -158,12 +136,6 @@ def sweep_point_runner(scenario: dict, seed: int) -> dict:
         int(scenario["tasks"]),
         nodes=int(scenario.get("nodes", NODES)),
         seed=int(scenario.get("seed", seed)),
-        # Engine replay knob: a scenario's own field wins, then the
-        # environment (REPRO_BENCH_ENGINE=sharded replays every E1 point on
-        # the coupled sharded engine without touching scenario keys or
-        # derived seeds), defaulting to the single-queue engine.  Results
-        # are engine-independent by the coupled-mode equivalence proof.
-        engine=scenario.get("engine", os.environ.get("REPRO_BENCH_ENGINE", "single")),
     )
     result = {k: v for k, v in point.items() if k not in _TIMING_FIELDS}
     result["_stats"] = {k: point[k] for k in _TIMING_FIELDS}
@@ -615,8 +587,10 @@ def test_parallel_shards_speedup(benchmark):
 
     Each point checks result equality, then records both speedup bases.
     The cpu-basis floor is asserted always (it is host-independent); the
-    wall-speedup sanity bound is asserted only when the host actually has
-    a second core to run a lane on and fork lanes are in play.
+    wall-speedup sanity bound only at the default 4-zone point, when the
+    host actually has a second core to run a lane on and fork lanes are in
+    play — the 2-zone smoke point runs 0.08 s, where fork start-up
+    dominates, so there the wall figure is recorded and not gated.
     """
     tasks = _parallel_shards_tasks()
     counts = parallel_shards_zone_counts()
@@ -675,7 +649,7 @@ def test_parallel_shards_speedup(benchmark):
         f"parallel-shards speedup regressed: {headline['speedup_cpu_basis']:.2f}x "
         f"cpu-basis at {headline['zones']} zones, floor is {floor:.2f}x"
     )
-    if headline["mode"] == "fork" and _usable_cpus() >= 2:
+    if headline["zones"] >= 4 and headline["mode"] == "fork" and _usable_cpus() >= 2:
         assert headline["speedup_wall"] >= 1.0, (
             f"parallel lanes slower than sequential on a "
             f"{_usable_cpus()}-core host: {headline['speedup_wall']:.2f}x wall"

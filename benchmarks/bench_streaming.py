@@ -5,20 +5,20 @@ continuous flows of data and similarly the scientists expect results to be
 streamed out for monitoring, steering and visualization of the scientific
 results to enable interactivity."
 
-Two experiments share this module:
+Two experiments share this module, both :class:`OperatorGraph` programs
+lowered by the :class:`DataflowPlane` into the task runtime:
 
-* **E14 (latency)** — a sensor campaign of growing length; a windowed
-  stream processor publishes per-window results during the run, the batch
-  baseline processes everything at the end.  Streaming's result latency is
-  flat (window-bounded) while batch latency grows linearly with campaign
-  length.  E14b adds the operator-pipeline point: the same campaign run
-  through an :class:`OperatorGraph` lowered by the
-  :class:`DataflowPlane` into the task runtime.
-* **Throughput (production rate)** — the dataflow plane at 100k -> 1M
-  stream events per campaign, asserting *flat per-event cost* (<= 1.3x
-  spread), an absolute events/sec floor, and watermark-bounded memory.
-  The per-element ``WindowedProcessor`` path is the recorded before
-  point.  Results land in ``BENCH_streaming.json`` at the repo root.
+* **E14 (latency)** — a sensor campaign of growing length at E14's cost
+  model (0.05 s per element).  The streaming side is one
+  ``tumbling_window(WINDOW_S)``: per-window results are published during
+  the run.  The fragmented baseline is the same graph with one window as
+  long as the campaign — a window that closes once, at the end, *is*
+  collect-then-compute.  Streaming's result latency is flat
+  (window-bounded) while batch latency grows linearly with campaign length.
+* **E14b (production rate)** — the plane at 100k -> 1M stream events per
+  campaign, asserting *flat per-event cost* (<= 1.3x spread), an absolute
+  events/sec floor, and watermark-bounded memory.  Results land in
+  ``BENCH_streaming.json`` at the repo root.
 """
 
 import gc
@@ -33,15 +33,7 @@ from repro.executor.simulated import SimulatedExecutor
 from repro.infrastructure import make_fog_platform
 from repro.scheduling import DataLocationService, LoadBalancingPolicy
 from repro.simulation import SimulationEngine
-from repro.streams import (
-    BatchCollector,
-    CreditValve,
-    DataStream,
-    DataflowPlane,
-    OperatorGraph,
-    SensorSource,
-    WindowedProcessor,
-)
+from repro.streams import CreditValve, DataflowPlane, OperatorGraph, SensorSource
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_streaming.json"
@@ -74,72 +66,8 @@ def throughput_targets():
     return [100_000, 1_000_000]
 
 
-def run_streaming(campaign_s: float):
-    engine = SimulationEngine()
-    platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-    readings, results = DataStream("readings"), DataStream("results")
-    SensorSource(engine, readings, period_s=1.0, until=campaign_s).start()
-    processor = WindowedProcessor(
-        engine, platform, readings, results, "fog-0", window_s=WINDOW_S,
-        compute_fn=lambda els: sum(e.value for e in els) / len(els),
-    )
-    processor.start()
-    engine.at(campaign_s + 1e-6, readings.close)
-    engine.run()
-    return processor
-
-
-def run_batch(campaign_s: float):
-    engine = SimulationEngine()
-    platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-    readings = DataStream("readings")
-    SensorSource(engine, readings, period_s=1.0, until=campaign_s).start()
-    batch = BatchCollector(
-        engine, platform, readings, "cloud-0",
-        compute_fn=lambda els: sum(e.value for e in els) / len(els),
-    )
-    batch.process_at(campaign_s + 1e-6)
-    engine.run()
-    return batch
-
-
-def run_all():
-    return {c: (run_streaming(c), run_batch(c)) for c in CAMPAIGNS}
-
-
-def test_streaming_latency_flat_batch_latency_grows(benchmark):
-    results = run_once(benchmark, run_all)
-    rows = []
-    for campaign, (processor, batch) in results.items():
-        rows.append(
-            (
-                f"{campaign:.0f}s",
-                processor.mean_latency,
-                processor.max_latency,
-                batch.result_latency,
-                sum(r.element_count for r in processor.results),
-            )
-        )
-    print_table(
-        "E14: result freshness — streaming windows vs end-of-campaign batch",
-        ["campaign", "stream_mean_s", "stream_max_s", "batch_latency_s", "elements"],
-        rows,
-    )
-    stream_max = [p.max_latency for p, _ in results.values()]
-    batch_latency = [b.result_latency for _, b in results.values()]
-    # Streaming latency is window-bounded and flat across campaign lengths...
-    assert all(latency <= WINDOW_S for latency in stream_max)
-    assert max(stream_max) - min(stream_max) < 1.0
-    # ...batch latency grows with the campaign.
-    assert batch_latency == sorted(batch_latency)
-    assert batch_latency[-1] > 100 * max(stream_max)
-    # Both process every element.
-    for campaign, (processor, batch) in results.items():
-        assert sum(r.element_count for r in processor.results) == batch.result.element_count
-
-
 # ---------------------------------------------------------------------------
-# E14b + throughput: the operator pipeline on the dataflow plane
+# The operator pipeline both experiments run, and E14b's throughput sweep
 # ---------------------------------------------------------------------------
 
 
@@ -225,41 +153,6 @@ def run_plane_campaign(events_target: int):
     }
 
 
-def run_per_element_baseline(events_target: int):
-    """The before point: one engine event per element, per-close rescan."""
-    duration = events_target / (SENSORS * RATE_HZ)
-    engine = SimulationEngine()
-    platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-    readings, results = DataStream("readings"), DataStream("results")
-    for i in range(SENSORS):
-        SensorSource(
-            engine,
-            readings,
-            name=f"sensor-{i}",
-            period_s=1.0 / RATE_HZ,
-            until=duration,
-            seed=7 + i,
-        ).start(at=i * 1e-7)  # offset: per-stream timestamps stay monotone
-    processor = WindowedProcessor(
-        engine, platform, readings, results, "fog-0", window_s=WINDOW_S,
-        compute_fn=lambda els: sum(e.value for e in els) / len(els),
-        compute_time_fn=lambda els: 0.0005 * max(1, len(els)),
-    )
-    processor.start()
-    engine.at(duration + WINDOW_S, readings.close)
-    wall_start = time.perf_counter()
-    engine.run()
-    wall = time.perf_counter() - wall_start
-    events = sum(r.element_count for r in processor.results)
-    return {
-        "events": events,
-        "wall_s": wall,
-        "events_per_sec": events / wall,
-        "us_per_event": wall / events * 1e6,
-        "engine_events": engine.dispatched_events,
-    }
-
-
 def _merge_results(updates: dict) -> None:
     """Fold ``updates`` into BENCH_streaming.json without clobbering keys
     other tests in this module wrote (each test may run alone)."""
@@ -287,12 +180,11 @@ def run_throughput_suite():
             points.append(run_plane_campaign(target))
         finally:
             gc.enable()
-    baseline = run_per_element_baseline(throughput_targets()[0])
-    return points, baseline
+    return points
 
 
 def test_dataflow_plane_flat_per_event_cost(benchmark):
-    points, baseline = run_once(benchmark, run_throughput_suite)
+    points = run_once(benchmark, run_throughput_suite)
     rows = [
         (
             f"{p['events']:,}",
@@ -304,16 +196,6 @@ def test_dataflow_plane_flat_per_event_cost(benchmark):
         )
         for p in points
     ]
-    rows.append(
-        (
-            f"{baseline['events']:,} (per-element)",
-            baseline["us_per_event"],
-            baseline["events_per_sec"],
-            baseline["engine_events"],
-            "-",
-            "-",
-        )
-    )
     print_table(
         "Dataflow plane: per-event cost across campaign sizes",
         ["events", "us/event", "events/s", "engine_events", "windows", "retained_hw"],
@@ -337,13 +219,11 @@ def test_dataflow_plane_flat_per_event_cost(benchmark):
         assert max(values) / max(1, min(values)) <= MEMORY_SPREAD_CEILING, (
             f"{key} grew with campaign length: {values}"
         )
-    # Batched ingestion collapses the event queue: the plane spends far
-    # fewer engine events per element than the per-element baseline.
-    plane_events_per_element = points[0]["engine_events"] / points[0]["events"]
-    baseline_events_per_element = (
-        baseline["engine_events"] / baseline["events"]
-    )
-    assert plane_events_per_element < baseline_events_per_element / 5
+    # Batched ingestion collapses the event queue: one engine event per
+    # emitted batch plus the window closes and their tasks, nowhere near
+    # one per element.
+    for p in points:
+        assert p["engine_events"] / p["events"] < 2.0 / EMIT_BATCH
     _merge_results(
         {
             "scale": bench_scale(),
@@ -356,72 +236,83 @@ def test_dataflow_plane_flat_per_event_cost(benchmark):
                 "spread_ceiling": SPREAD_CEILING,
                 "events_per_sec_floor": EVENTS_PER_SEC_FLOOR,
                 "campaigns": points,
-                "before_per_element": baseline,
-                "speedup_vs_per_element": (
-                    points[0]["events_per_sec"] / baseline["events_per_sec"]
-                ),
             },
         }
     )
 
 
-def run_e14b():
-    """E14b: operator-pipeline latency points for the E14 table."""
-    out = {}
-    for campaign in CAMPAIGNS:
-        engine = SimulationEngine()
-        # Same cost model as the E14 WindowedProcessor (0.05 s/element) so
-        # the latency columns compare the *architecture*, not the task size.
-        plane, operators, _valves = _build_plane(
-            engine, duration_fn=lambda count: 0.05 * max(1, count)
-        )
-        for i, source in enumerate(operators.sources):
-            SensorSource(
-                engine,
-                source.stream,
-                name=source.name,
-                period_s=float(SENSORS),  # 1 element/s aggregate, like E14
-                until=campaign,
-                seed=7 + i,
-            ).start(at=float(i))
-        plane.start()
-        plane.close_sources_at(campaign + WINDOW_S)
-        engine.run()
-        out[campaign] = {
-            "mean_latency_s": plane.mean_latency("agg"),
-            "max_latency_s": plane.max_latency("agg"),
-            "events": plane.elements_ingested,
-            "windows": plane.windows_closed,
-        }
-    return out
+# ---------------------------------------------------------------------------
+# E14: result freshness — streaming windows vs one campaign-long window
+# ---------------------------------------------------------------------------
 
 
-def test_e14b_operator_pipeline_latency_stays_window_bounded(benchmark):
-    results = run_once(benchmark, run_e14b)
-    rows = [
-        (
-            f"{campaign:.0f}s",
-            point["mean_latency_s"],
-            point["max_latency_s"],
-            point["events"],
-            point["windows"],
-        )
-        for campaign, point in results.items()
-    ]
-    print_table(
-        "E14b: operator pipeline on the dataflow plane — result freshness",
-        ["campaign", "plane_mean_s", "plane_max_s", "elements", "windows"],
-        rows,
+def run_latency_campaign(campaign_s: float, window_s: float):
+    """One E14 campaign on the plane: 1 element/s aggregate across the
+    sensors, windows of ``window_s``, 0.05 s of compute per element."""
+    engine = SimulationEngine()
+    plane, operators, _valves = _build_plane(
+        engine, window_s=window_s, duration_fn=lambda count: 0.05 * max(1, count)
     )
-    max_latencies = [p["max_latency_s"] for p in results.values()]
-    # Same shape as E14 streaming: window-bounded and flat with campaign
-    # length — lowering through the task runtime keeps interactivity.
-    assert all(latency <= WINDOW_S for latency in max_latencies)
-    assert max(max_latencies) - min(max_latencies) < 1.0
+    for i, source in enumerate(operators.sources):
+        SensorSource(
+            engine,
+            source.stream,
+            name=source.name,
+            period_s=float(SENSORS),
+            until=campaign_s,
+            seed=7 + i,
+        ).start(at=float(i))
+    plane.start()
+    plane.close_sources_at(campaign_s + window_s)
+    engine.run()
+    return plane
+
+
+def run_all():
+    """``{campaign: (streaming plane, batch plane)}``; the batch window ends
+    just past the campaign's last reading, so it closes exactly once."""
+    return {
+        c: (run_latency_campaign(c, WINDOW_S), run_latency_campaign(c, c + 1e-6))
+        for c in CAMPAIGNS
+    }
+
+
+def test_streaming_latency_flat_batch_latency_grows(benchmark):
+    results = run_once(benchmark, run_all)
+    points = {}
+    for campaign, (streaming, batch) in results.items():
+        (batch_result,) = batch.results_of("agg")
+        points[campaign] = {
+            "stream_mean_latency_s": streaming.mean_latency("agg"),
+            "stream_max_latency_s": streaming.max_latency("agg"),
+            "batch_latency_s": batch_result.worst_element_latency,
+            "events": streaming.elements_ingested,
+            "windows": streaming.windows_closed,
+        }
+        # Both sides process every element.
+        assert batch_result.element_count == batch.elements_ingested
+        assert streaming.elements_ingested == batch.elements_ingested == sum(
+            r.element_count for r in streaming.results_of("agg")
+        )
+    print_table(
+        "E14: result freshness — streaming windows vs end-of-campaign batch",
+        ["campaign", "stream_mean_s", "stream_max_s", "batch_latency_s", "elements", "windows"],
+        [(f"{campaign:.0f}s", *point.values()) for campaign, point in points.items()],
+    )
+    stream_max = [p["stream_max_latency_s"] for p in points.values()]
+    batch_latency = [p["batch_latency_s"] for p in points.values()]
+    # Streaming latency is window-bounded and flat across campaign lengths:
+    # lowering windows through the full task runtime (placement, locality,
+    # content keys) keeps interactivity...
+    assert all(latency <= WINDOW_S for latency in stream_max)
+    assert max(stream_max) - min(stream_max) < 1.0
+    # ...batch latency grows with the campaign.
+    assert batch_latency == sorted(batch_latency)
+    assert batch_latency[-1] > 100 * max(stream_max)
     _merge_results(
         {
-            "e14b_latency": {
-                f"{campaign:.0f}": point for campaign, point in results.items()
+            "e14_latency": {
+                f"{campaign:.0f}": point for campaign, point in points.items()
             }
         }
     )

@@ -51,11 +51,6 @@ _DROP_LOG_LIMIT = 64
 _EPOCH_LOG_LIMIT = 4096
 
 
-def _no_zone(node_name: str) -> None:
-    """Shard resolver for single-timeline engines: everything is unsharded."""
-    return None
-
-
 class MessageBus:
     """Registry + virtual-time delivery between agents."""
 
@@ -70,15 +65,6 @@ class MessageBus:
         self.platform = platform
         self.engine = engine
         self.notification = notification
-        # Deliveries and kills are node-local: carry the node's zone so a
-        # sharded engine files them on the zone's own timeline.  The message
-        # delay already pays at least the zone link latency (payloads are
-        # never free), which is exactly the cross-shard causality contract
-        # lookahead mode enforces.
-        if getattr(engine, "is_sharded", False):
-            self._zone_of = platform.network.zone_of
-        else:
-            self._zone_of = _no_zone
         self._agents: Dict[str, "Agent"] = {}
         # Live-set bookkeeping.  Plain dicts double as insertion-ordered
         # sets: iteration order is deterministic (unlike ``set`` of strings,
@@ -253,7 +239,6 @@ class MessageBus:
             delay,
             lambda: self._deliver(message),
             label=f"deliver-{message.op.name}-{message.message_id}",
-            shard=self._zone_of(dst_node),
         )
 
     def _note_interest(self, a: str, b: str) -> None:
@@ -300,12 +285,12 @@ class MessageBus:
 
     def kill_agent(self, name: str, at: float) -> None:
         """Schedule an agent crash: it stops processing and peers are told."""
+        self.agent(name)  # an unknown name fails here, not at the kill
         self.engine.at(
             at,
             lambda: self._kill(name),
             priority=-10,
             label=f"kill-{name}",
-            shard=self._zone_of(self.agent(name).node_name),
         )
 
     def kill_now(self, name: str) -> None:
@@ -353,5 +338,4 @@ class MessageBus:
                 _DETECT_DELAY_S,
                 lambda m=notice: self._deliver(m),
                 label=f"detect-{name}",
-                shard=self._zone_of(self._agents[other].node_name),
             )

@@ -39,11 +39,6 @@ class SimulatedExecutionError(RuntimeError):
     """Raised when the simulation ends with unrunnable tasks."""
 
 
-def _no_shard(node_name: str) -> None:
-    """Shard resolver for single-timeline engines: everything is unsharded."""
-    return None
-
-
 @dataclass
 class SimulationReport:
     """Outcome of one simulated execution."""
@@ -127,14 +122,6 @@ class SimulatedExecutor:
         self.graph = graph
         self.platform = platform
         self.engine = engine if engine is not None else SimulationEngine()
-        # Node-local events (completions, failure injections) carry their
-        # node's zone so a sharded engine files them on the zone's own
-        # timeline; the resolver is bound once so the single-engine path
-        # pays one no-op call instead of a per-event flag test.
-        if getattr(self.engine, "is_sharded", False):
-            self._shard_of = platform.network.zone_of
-        else:
-            self._shard_of = _no_shard
         self.locations = locations if locations is not None else DataLocationService()
         self.scheduler = TaskScheduler(platform, policy)
         self.recovery_enabled = recovery_enabled
@@ -425,7 +412,6 @@ class SimulatedExecutor:
             total,
             lambda tid=instance.task_id: self._complete_task(tid),
             label=f"finish-{instance.label}",
-            shard=self._shard_of(head),
         )
         self._completion_events[instance.task_id] = event
 
@@ -506,7 +492,6 @@ class SimulatedExecutor:
             lambda: self._fail_node(node_name),
             priority=-10,  # failures preempt completions at the same instant
             label=f"fail-{node_name}",
-            shard=self._shard_of(node_name),
         )
 
     def _fail_node(self, node_name: str) -> None:

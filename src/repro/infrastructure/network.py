@@ -177,20 +177,6 @@ class NetworkTopology:
                         dist[(a, b)] = relayed
         return dist
 
-    def min_inter_zone_latency(self) -> float:
-        """Smallest effective latency between two *distinct* zones.
-
-        This is the platform-wide conservative lookahead horizon: no event
-        can cross any zone boundary faster.  Returns ``inf`` when fewer
-        than two zones exist (nothing to synchronize with).
-        """
-        matrix = self.zone_latency_matrix()
-        best = float("inf")
-        for (a, b), latency in matrix.items():
-            if a != b and latency < best:
-                best = latency
-        return best
-
     def record_transfer(
         self,
         src_node: str,

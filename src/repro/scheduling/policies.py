@@ -146,8 +146,13 @@ class EarliestFinishTimePolicy:
 
     Uses the simulation profile (duration / input sizes) plus the network
     model: finish = transfer_time(missing inputs) + duration / speed_factor.
-    Only meaningful for simulated tasks; falls back to locality ranking when
-    no profile is present.
+    Only meaningful for simulated tasks; a task without a profile counts as
+    one second of work.
+
+    The finish-time skeleton: a subclass changes the two estimates
+    (:meth:`_duration`, :meth:`_transfer`) and inherits the ranking — the
+    best-speed memory, the lone-candidate shortcut, the single pass and the
+    decline check (:class:`repro.intelligence.PredictedFinishTimePolicy`).
     """
 
     name = "earliest-finish-time"
@@ -170,6 +175,21 @@ class EarliestFinishTimePolicy:
         self._best_speed_seen = 0.0
         self.planner = TransferPlanner(locations, network)
 
+    def _duration(self, task: TaskInstance) -> float:
+        """Compute seconds of ``task`` on a unit-speed node: the profile's."""
+        profile = task.profile
+        return profile.duration_s if profile else 1.0
+
+    @staticmethod
+    def _transfer(read_seconds) -> float:
+        """Stage-in seconds from the per-read fetch seconds: their sum."""
+        transfer = 0.0
+        # Not sum(): Python 3.12+ compensates float sums, and an
+        # estimate must not depend on the interpreter.
+        for seconds in read_seconds:
+            transfer += seconds
+        return transfer
+
     def select(
         self, task: TaskInstance, candidates: List[NodeCapacity]
     ) -> Optional[NodeCapacity]:
@@ -189,8 +209,8 @@ class EarliestFinishTimePolicy:
         # Single pass: each candidate's finish time is estimated exactly
         # once per call (one batch pricing of its missing inputs), and the
         # winner's estimate is reused for the decline check below.
-        profile = task.profile
-        base = profile.duration_s if profile else 1.0
+        base = self._duration(task)
+        transfer_of = self._transfer
         reads = task.reads
         read_seconds = self.planner.read_seconds
         best = None
@@ -198,11 +218,7 @@ class EarliestFinishTimePolicy:
         best_finish = 0.0
         for state in candidates:
             node = state.node
-            transfer = 0.0
-            # Not sum(): Python 3.12+ compensates float sums, and an
-            # estimate must not depend on the interpreter.
-            for seconds in read_seconds(reads, node.name):
-                transfer += seconds
+            transfer = transfer_of(read_seconds(reads, node.name))
             finish = transfer + base / node.speed_factor
             key = (finish, -state.free_cores)
             if best is None or key < best_key:

@@ -10,7 +10,7 @@ from repro.simulation.clock import SimClock
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.random import DeterministicRandom
-from repro.simulation.sharded import CONTROL_SHARD, ShardedSimulationEngine
+from repro.simulation.sharded import ShardedSimulationEngine
 from repro.simulation.parallel import (
     ChannelMessage,
     ParallelShardedSimulationEngine,
@@ -27,7 +27,6 @@ __all__ = [
     "SimulationError",
     "DeterministicRandom",
     "ShardedSimulationEngine",
-    "CONTROL_SHARD",
     "ChannelMessage",
     "ParallelShardedSimulationEngine",
     "ShardApi",

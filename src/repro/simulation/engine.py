@@ -13,7 +13,6 @@ substrate) are themselves state machines that only need "call me at time t".
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional
 
 from repro.simulation.clock import SimClock
@@ -33,20 +32,9 @@ class SimulationEngine:
             so an accidentally self-rescheduling event cannot hang a test run.
     """
 
-    #: Engines advertising shard support set this True; callers that want to
-    #: route events by zone check the flag once instead of probing kwargs.
-    is_sharded = False
-
-    def __init__(
-        self,
-        start: float = 0.0,
-        max_events: int = 50_000_000,
-        counter: Optional[itertools.count] = None,
-    ) -> None:
+    def __init__(self, start: float = 0.0, max_events: int = 50_000_000) -> None:
         self.clock = SimClock(start)
-        #: ``counter`` is the sequence source; engines serving as the shards
-        #: of one sharded engine share it (see :class:`EventQueue`).
-        self.queue = EventQueue(counter)
+        self.queue = EventQueue()
         self.max_events = max_events
         self._dispatched = 0
         self._lifetime_dispatched = 0
@@ -79,14 +67,8 @@ class SimulationEngine:
         action: Callable[[], Any],
         priority: int = 0,
         label: str = "",
-        shard: Optional[str] = None,
     ) -> Event:
-        """Schedule ``action`` at absolute virtual ``time``.
-
-        ``shard`` is accepted for API compatibility with
-        :class:`~repro.simulation.sharded.ShardedSimulationEngine` and
-        ignored: the single-queue engine has one timeline.
-        """
+        """Schedule ``action`` at absolute virtual ``time``."""
         if time < self.clock.now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {time:.6f}, "
@@ -100,7 +82,6 @@ class SimulationEngine:
         action: Callable[[], Any],
         priority: int = 0,
         label: str = "",
-        shard: Optional[str] = None,
     ) -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""
         if delay < 0:

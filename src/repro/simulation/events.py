@@ -84,12 +84,9 @@ class Event:
 class EventQueue:
     """A deterministic priority queue of :class:`Event` objects."""
 
-    def __init__(self, counter: Optional[itertools.count] = None) -> None:
+    def __init__(self) -> None:
         self._heap: list = []
-        # Sharded engines hand every shard queue the same counter so that
-        # sequence numbers are assigned in global scheduling order — the
-        # tie-break then matches the single-queue engine exactly.
-        self._counter = counter if counter is not None else itertools.count()
+        self._counter = itertools.count()
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) events; O(n), diagnostics only."""
@@ -130,19 +127,4 @@ class EventQueue:
             heapq.heappop(heap)
         if heap:
             return heap[0][0]
-        return None
-
-    def peek_key(self) -> Optional[tuple]:
-        """``(time, priority, sequence)`` of the next live event, or None.
-
-        The key is totally ordered across queues sharing a sequence counter,
-        which is how the sharded engine merges shard heads in exactly the
-        single-queue dispatch order.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if heap:
-            entry = heap[0]
-            return (entry[0], entry[1], entry[2])
         return None

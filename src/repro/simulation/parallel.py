@@ -5,9 +5,9 @@ One shard core, three drivers.  A zone's shard is always a
 ``at``/``after``/``step``/``drain``); what differs is who steps it:
 
 * the sequential :class:`~repro.simulation.sharded.ShardedSimulationEngine`
-  in lookahead mode (:func:`run_programs_sharded`, the equivalence suites'
-  reference): one OS thread, windows drained shard-major, a cross-zone
-  message filed onto the destination shard the moment it is sent;
+  (:func:`run_programs_sharded`, the equivalence suites' reference): one OS
+  thread, windows drained shard-major, a cross-zone message filed onto the
+  destination shard the moment it is sent;
 * in-process lanes, and
 * forked lanes (:class:`ParallelShardedSimulationEngine`): each *lane* owns
   one or more zone shards outright — their engines and all node-local state
@@ -19,11 +19,11 @@ The execution model is programs-per-zone rather than one global callable: a
 ``{zone: factory}`` mapping where each ``factory(api)`` receives the one
 :class:`ShardApi` — the zone's shard core behind the familiar
 ``at``/``after``/``now`` surface plus an explicit :meth:`ShardApi.send` for
-cross-zone effects.  ``send`` validates once for all three drivers (the same
-latency floor as :meth:`ShardedSimulationEngine.at`: ``time >= now +
-effective latency - _EPS``, :class:`SimulationError` on violation) and
-hands the message to wherever its driver said validated messages go: the
-barrier outbox, or straight onto the destination shard.
+cross-zone effects.  ``send`` validates once for all three drivers (the
+latency floor of :func:`~repro.simulation.sharded.check_latency_floor`:
+``time >= now + effective latency - _EPS``, :class:`SimulationError` on
+violation) and hands the message to wherever its driver said validated
+messages go: the barrier outbox, or straight onto the destination shard.
 :func:`run_zone_programs` is the entry point that picks the driver by name;
 the zone workloads (``zonal``, ``hybrid_stream``, decomposed ``churn``) all
 go through it.
@@ -108,17 +108,14 @@ class ShardApi:
     surface a zone-local caller (e.g. :class:`SimulatedExecutor`) needs —
     ``at`` / ``after`` / ``now`` / ``stop`` / ``dispatched_events`` — plus
     the explicit cross-zone channel: :meth:`send` to emit, and
-    :meth:`on_message` to receive.  ``is_sharded`` is False on purpose:
-    everything a zone program schedules is zone-local by construction, so
-    shard-routing callers bind their no-op resolver.
+    :meth:`on_message` to receive.  Everything a zone program schedules is
+    zone-local by construction.
 
     ``engine`` is the zone's shard — a lane's own engine, or one shard of a
     sequential :class:`ShardedSimulationEngine`.  ``post`` is where a
     validated message goes; by default the outbox a lane empties at the
     window barrier (:meth:`drain_outbox`).
     """
-
-    is_sharded = False
 
     def __init__(
         self,
@@ -140,7 +137,6 @@ class ShardApi:
         self._outbox: List[ChannelMessage] = []
         self._post = post if post is not None else self._outbox.append
         self._handler: Optional[Callable[[Any], Any]] = None
-        self._done = False
         #: ``(now, entry)`` records appended by :meth:`log`; the per-zone
         #: stream the equivalence suites byte-compare.
         self.logs: List[Tuple[float, Any]] = []
@@ -155,35 +151,19 @@ class ShardApi:
     def dispatched_events(self) -> int:
         return self.engine.dispatched_events
 
-    def _check_shard(self, shard: Optional[str]) -> None:
-        if shard is not None and shard != self.zone:
-            raise SimulationError(
-                f"zone program {self.zone!r} cannot schedule directly on "
-                f"shard {shard!r}; cross-zone effects go through send()"
-            )
-
-    def at(self, time, action, priority=0, label="", shard=None):
-        """Schedule a zone-local event (same contract as the engines)."""
-        self._check_shard(shard)
+    def at(self, time, action, priority=0, label=""):
+        """Schedule a zone-local event (same contract as the engine)."""
         return self.engine.at(time, action, priority=priority, label=label)
 
-    def after(self, delay, action, priority=0, label="", shard=None):
-        self._check_shard(shard)
+    def after(self, delay, action, priority=0, label=""):
         return self.engine.after(delay, action, priority=priority, label=label)
 
     def stop(self) -> None:
-        """Mark this zone's program done.
-
-        Informational in every engine flavor: runs end at quiescence (or the
-        horizon), never by one zone halting the others — a global cut would
-        make results depend on cross-zone dispatch interleaving, which the
-        lookahead contract deliberately leaves unordered.
-        """
-        self._done = True
-
-    @property
-    def done(self) -> bool:
-        return self._done
+        """Accepted and ignored (a zone-local executor calls it when its
+        graph finishes): runs end at quiescence or the horizon, never by one
+        zone halting the others — a global cut would make results depend on
+        cross-zone dispatch interleaving, which the lookahead contract
+        deliberately leaves unordered."""
 
     # ------------------------------------------------------------- channel
 
@@ -378,7 +358,6 @@ class _InlineLane:
                 "logs": list(api.logs),
                 "now": engine.now,
                 "dispatched": engine.dispatched_events,
-                "done": api.done,
             }
         self.cpu_seconds += _time.process_time() - cpu_start
         return results
@@ -506,16 +485,12 @@ class ParallelShardedSimulationEngine:
     the transport or the lane count (see module docstring).
     """
 
-    is_sharded = True
-
     def __init__(
         self,
         network: NetworkTopology,
         programs: Dict[str, ProgramFactory],
         workers: int = 2,
-        lookahead: Optional[float] = None,
         max_events: int = 50_000_000,
-        adaptive_window: bool = True,
     ) -> None:
         if not programs:
             raise SimulationError("parallel engine needs at least one zone program")
@@ -525,8 +500,7 @@ class ParallelShardedSimulationEngine:
         self.workers = max(1, int(workers))
         self.max_events = max_events
         self._latency = network.zone_latency_matrix(list(self.zones))
-        self.lookahead = lookahead_horizon(self._latency, lookahead)
-        self._adaptive = bool(adaptive_window)
+        self.lookahead = lookahead_horizon(self._latency)
         self.results: Dict[str, Any] = {}
         self.logs: Dict[str, List[Tuple[float, Any]]] = {}
         self.shard_clocks: Dict[str, float] = {}
@@ -667,7 +641,7 @@ class ParallelShardedSimulationEngine:
                 if window_messages:
                     idle_streak = 0
                     factor = 1.0
-                elif self._adaptive:
+                else:
                     idle_streak += 1
                     if idle_streak >= _WIDEN_AFTER:
                         factor = min(
@@ -731,7 +705,6 @@ class ParallelShardedSimulationEngine:
 def run_programs_sharded(
     network: NetworkTopology,
     programs: Dict[str, ProgramFactory],
-    lookahead: Optional[float] = None,
     until: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Run ``{zone: factory}`` programs on the sequential lookahead engine.
@@ -745,9 +718,7 @@ def run_programs_sharded(
     sharded engine's own proof, which is what the equivalence suites assert.
     """
     zones = tuple(programs)
-    engine = ShardedSimulationEngine(
-        network=network, zones=list(zones), mode="lookahead", lookahead=lookahead
-    )
+    engine = ShardedSimulationEngine(network, list(zones))
     apis: Dict[str, ShardApi] = {}
 
     def post(message: ChannelMessage) -> None:
@@ -756,7 +727,7 @@ def run_programs_sharded(
     for index, zone in enumerate(zones):
         shard = engine.shard(zone)
         apis[zone] = ShardApi(
-            zone, index, zones, engine._latency, engine.lookahead, shard, post
+            zone, index, zones, engine.latency, engine.lookahead, shard, post
         )
     result_fns = {zone: programs[zone](apis[zone]) for zone in zones}
     now = engine.run(until=until)

@@ -14,35 +14,29 @@ The subsystem runs in virtual time on the DES engine:
 * :class:`DataStream` — an append-only, subscribable channel of timestamped
   elements with watermark-driven retention (pruned prefixes stay
   addressable through :meth:`DataStream.since` down to the watermark);
-* :class:`OperatorGraph` / :class:`DataflowPlane` — the production path:
+* :class:`OperatorGraph` / :class:`DataflowPlane` — the one window path:
   a described dataflow (map/filter chains into tumbling windows, keyed
   joins, and stream-fed batch stages) lowered into the task runtime, one
-  task per window, at flat per-event cost;
-* :class:`WindowedProcessor` — the earlier single-operator form: closes
-  tumbling windows over a stream and runs one processing task per window
-  on a platform node (kept as the bench baseline);
-* :class:`BatchCollector` — the fragmented-pipeline baseline: accumulate
-  everything, process once at the end, for experiment E14.
+  task per window publishing a :class:`WindowResult`, at flat per-event
+  cost.  The fragmented collect-then-compute baseline of experiment E14 is
+  the same graph with one window as long as the campaign.
 """
 
 from repro.streams.stream import DataStream, StreamElement
 from repro.streams.sources import CreditValve, SensorSource
-from repro.streams.processing import WindowedProcessor, BatchCollector, WindowResult
 from repro.streams.operators import (
     OperatorError,
     OperatorGraph,
     StreamHandle,
     WindowHandle,
 )
-from repro.streams.dataflow import DataflowPlane
+from repro.streams.dataflow import DataflowPlane, WindowResult
 
 __all__ = [
     "DataStream",
     "StreamElement",
     "CreditValve",
     "SensorSource",
-    "WindowedProcessor",
-    "BatchCollector",
     "WindowResult",
     "OperatorError",
     "OperatorGraph",

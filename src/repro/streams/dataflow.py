@@ -29,6 +29,7 @@ runtime (§I, §III — one environment for batch tasks and continuous data):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -40,12 +41,32 @@ from repro.streams.operators import (
     OperatorGraph,
     WindowNode,
 )
-from repro.streams.processing import WindowResult
 from repro.streams.sources import CreditValve
 from repro.streams.stream import DataStream, StreamElement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor layer)
     from repro.executor.simulated import SimulatedExecutor
+
+
+@dataclass(frozen=True)
+class WindowResult:
+    """Output of processing one window."""
+
+    window_start: float
+    window_end: float
+    completed_at: float
+    value: Any
+    element_count: int
+
+    @property
+    def latency(self) -> float:
+        """Freshness: produced-result age relative to the window close."""
+        return self.completed_at - self.window_end
+
+    @property
+    def worst_element_latency(self) -> float:
+        """Age of the *oldest* element when its result became available."""
+        return self.completed_at - self.window_start
 
 
 def _run_end(batch, lo: int, index: int, index_of) -> int:
@@ -111,8 +132,8 @@ class DataflowPlane:
     """Executes an :class:`OperatorGraph` on a :class:`SimulatedExecutor`.
 
     The plane owns no engine and no platform — it attaches to an existing
-    executor (whose engine may be the single-queue reference, a coupled
-    sharded engine, or one zone's ``ShardApi`` lane), holds its run open
+    executor (whose engine is a :class:`SimulationEngine` or one zone's
+    ``ShardApi``), holds its run open
     across momentary graph quiescence, and lowers window tasks as virtual
     time crosses window boundaries.
     """
@@ -123,7 +144,6 @@ class DataflowPlane:
         executor: "SimulatedExecutor",
         ingest_node: str,
         start_at: float = 0.0,
-        zone: Optional[str] = None,
         content_keys: bool = True,
     ) -> None:
         self.operators = operators
@@ -131,7 +151,6 @@ class DataflowPlane:
         self.engine = executor.engine
         self.ingest_node = ingest_node
         self.start_at = start_at
-        self.zone = zone
         self.content_keys = content_keys
         self._runtimes: Dict[str, _WindowRuntime] = {}
         self._batch_runtimes: Dict[str, _BatchRuntime] = {}
@@ -214,10 +233,7 @@ class DataflowPlane:
     def close_sources_at(self, time: float) -> None:
         """Schedule every source stream's close (ends window rescheduling)."""
         for source in self.operators.sources:
-            self.engine.at(
-                time, source.stream.close, label=f"{source.name}-close",
-                shard=self.zone,
-            )
+            self.engine.at(time, source.stream.close, label=f"{source.name}-close")
 
     # ------------------------------------------------------------ ingestion
 
@@ -293,7 +309,6 @@ class DataflowPlane:
             close_at,
             partial(self._close, runtime),
             label=f"{runtime.op.name}-close",
-            shard=self.zone,
         )
 
     def _close(self, runtime: _WindowRuntime) -> None:

@@ -97,7 +97,6 @@ class SensorSource:
             to ``batch=1`` (each still one jittered period after the last);
             only the event-queue granularity changes.
         valve: optional credit valve; without one every reading publishes.
-        zone: shard the emission events file under on sharded engines.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class SensorSource:
         seed: int = 0,
         batch: int = 1,
         valve: Optional[CreditValve] = None,
-        zone: Optional[str] = None,
     ) -> None:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
@@ -128,7 +126,6 @@ class SensorSource:
         self.until = until
         self.batch = batch
         self.valve = valve
-        self.zone = zone
         self.reading_fn = reading_fn or (
             lambda seq, rng: 1.0 + 0.1 * (rng.random() - 0.5)
         )
@@ -144,10 +141,7 @@ class SensorSource:
             raise RuntimeError(f"sensor {self.name!r} already started")
         self._started = True
         self.engine.at(
-            max(at, self.engine.now),
-            self._emit,
-            label=f"{self.name}-emit",
-            shard=self.zone,
+            max(at, self.engine.now), self._emit, label=f"{self.name}-emit"
         )
 
     def _emit(self) -> None:
@@ -200,6 +194,4 @@ class SensorSource:
             self.stream.publish_batch(to_publish)
             self.emitted += len(to_publish)
         if timestamp is not None:
-            self.engine.at(
-                timestamp, self._emit, label=f"{self.name}-emit", shard=self.zone
-            )
+            self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")

@@ -21,6 +21,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -38,11 +39,18 @@ from repro.scheduling import (
     LocalityPolicy,
 )
 from repro.workloads import (
+    ChurnConfig,
     GuidanceConfig,
+    HybridStreamConfig,
     NmmbConfig,
+    ZonalConfig,
     build_guidance_workflow,
     build_nmmb_workflow,
     embarrassingly_parallel,
+    run_churn,
+    run_churn_fleet,
+    run_hybrid_stream,
+    run_zonal,
     task_chain,
 )
 
@@ -51,29 +59,19 @@ POLICIES = ("fifo", "load-balancing", "locality", "energy")
 ENGINES = ("single", "sharded", "parallel")
 
 
-def _make_engine(name: str, platform):
-    """Engine for a global-scheduler (single-platform) workload.
+def _require_one_timeline(workload: str, engine: str) -> None:
+    """Static-graph workloads run on one ``SimulationEngine`` only.
 
-    ``single`` is the one-queue reference; ``sharded`` the zone-sharded
-    engine in coupled mode (byte-identical results by construction).
-    ``parallel`` does not apply here: a central scheduler reacts to any
-    completion instantly, so the true inter-zone lookahead is zero and
-    there is no window to run lanes under — decomposed multi-zone runs
-    (the ``zonal`` sweep workload) are where ``parallel`` pays off.
+    Their central scheduler reacts to any completion instantly, so the true
+    inter-zone lookahead is zero and there is no window to run zone shards
+    under; ``sharded`` and ``parallel`` name drivers of zone programs.
     """
-    if name == "single":
-        return None  # SimulatedExecutor's default SimulationEngine
-    if name == "sharded":
-        from repro.simulation import ShardedSimulationEngine
-
-        return ShardedSimulationEngine(network=platform.network, mode="coupled")
-    if name == "parallel":
+    if engine != "single":
         raise SystemExit(
-            "--engine parallel needs a zone-decomposed workload (its central "
-            "scheduler has zero inter-zone lookahead); use workload 'zonal' "
-            "in a sweep, or --engine sharded for the coupled equivalent"
+            f"--engine {engine} needs a zone-decomposed workload ({workload}'s "
+            "central scheduler has zero inter-zone lookahead): 'zonal' in a "
+            "sweep, 'hybrid_stream' or 'churn'"
         )
-    raise SystemExit(f"unknown engine {name!r}")
 
 
 #: Declared options of the static-graph workloads, ``{workload: {option:
@@ -128,7 +126,7 @@ def _build_workload(name: str, source: Mapping[str, Any], seed: Optional[int] = 
     return built.graph, built.initial_data
 
 
-def _execute(graph, initial_data, nodes, cores_per_node, policy, engine, dedupe):
+def _execute(graph, initial_data, nodes, cores_per_node, policy, dedupe):
     """Dedupe (optionally), build the cluster, run: the one executor path
     of ``simulate`` and the sweep runner.  Returns ``(executor, report,
     compile_stats)``; ``compile_stats`` is None without ``dedupe``."""
@@ -145,7 +143,6 @@ def _execute(graph, initial_data, nodes, cores_per_node, policy, engine, dedupe)
         graph,
         platform,
         policy=_make_policy(policy, locations),
-        engine=_make_engine(engine, platform),
         locations=locations,
         initial_data=initial_data,
     )
@@ -179,8 +176,6 @@ def cmd_info(args: argparse.Namespace, out) -> int:
 def _cmd_simulate_churn(args: argparse.Namespace, out) -> int:
     """Churn has no static graph: it drives a live agent fleet instead of a
     SimulatedExecutor, so it gets its own simulate path."""
-    from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
-
     cfg = ChurnConfig(
         agents=args.agents,
         zones=args.zones,
@@ -189,12 +184,12 @@ def _cmd_simulate_churn(args: argparse.Namespace, out) -> int:
         notification=args.notification,
         seed=args.seed,
     )
-    if args.engine == "parallel":
-        # One bus cannot span forked lanes: parallel runs the decomposed
-        # per-zone programs (byte-identical to single/sharded on them).
-        result, _stats = run_churn(cfg, engine="parallel", workers=args.zones)
+    if args.engine == "single":
+        result = run_churn_fleet(cfg)
     else:
-        result = run_churn_fleet(cfg, engine=args.engine)
+        # One bus is one timeline: the zone-program drivers run the
+        # decomposed per-zone programs (byte-identical on all of them).
+        result, _stats = run_churn(cfg, engine=args.engine, workers=args.zones)
     print(
         f"workload : churn ({result['mode']}, {args.agents} agents, "
         f"{args.zones} zones)",
@@ -229,8 +224,6 @@ def _cmd_simulate_churn(args: argparse.Namespace, out) -> int:
 
 def _cmd_simulate_hybrid_stream(args: argparse.Namespace, out) -> int:
     """Hybrid stream campaigns lower their tasks live (no static graph)."""
-    from repro.workloads import HybridStreamConfig, run_hybrid_stream
-
     cfg = HybridStreamConfig(
         zones=args.zones,
         sensors_per_zone=args.sensors,
@@ -284,6 +277,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         return _cmd_simulate_churn(args, out)
     if args.workload == "hybrid_stream":
         return _cmd_simulate_hybrid_stream(args, out)
+    _require_one_timeline(args.workload, args.engine)
     graph, initial_data = _build_workload(args.workload, vars(args))
     _, report, compile_stats = _execute(
         graph,
@@ -291,7 +285,6 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         args.nodes,
         args.cores_per_node,
         args.policy,
-        args.engine,
         args.dedupe,
     )
     print(f"workload : {args.workload} ({report.tasks_done} tasks)", file=out)
@@ -341,6 +334,54 @@ def cmd_timeline(args: argparse.Namespace, out) -> int:
     return 0
 
 
+#: The zone-program workloads of a sweep scenario: ``{workload: (config
+#: class, run, {scenario key: config field})}``.  A key the scenario leaves
+#: out keeps the dataclass default; a present one is cast to its type.
+ZONE_WORKLOADS = {
+    "zonal": (
+        ZonalConfig,
+        run_zonal,
+        {
+            "zones": "zones",
+            "nodes_per_zone": "nodes_per_zone",
+            "cores_per_node": "cores_per_node",
+            "tasks_per_zone": "tasks_per_zone",
+            "duration_median": "duration_median_s",
+            "inter_zone_latency": "inter_zone_latency_s",
+            "progress_interval": "progress_interval_s",
+        },
+    ),
+    "hybrid_stream": (
+        HybridStreamConfig,
+        run_hybrid_stream,
+        {
+            "zones": "zones",
+            "sensors": "sensors_per_zone",
+            "rate_hz": "rate_hz",
+            "batch": "batch",
+            "window": "window_s",
+            "duration": "duration_s",
+            "credits": "credits",
+            "overflow": "overflow",
+            "inter_zone_latency": "inter_zone_latency_s",
+        },
+    ),
+    "churn": (
+        ChurnConfig,
+        run_churn,
+        {
+            "agents": "agents",
+            "zones": "zones",
+            "churn_per_s": "churn_per_s",
+            "duration": "duration_s",
+            "inter_zone_latency": "inter_zone_latency_s",
+            "notification": "notification",
+            "persistence": "persistence",
+        },
+    ),
+}
+
+
 def _with_run_stats(result: dict, stats: dict, counters: Optional[dict] = None) -> dict:
     """Attach the ``_stats`` channel (stripped by the sweep driver before
     merging) to a zone-program result: the runner's own ``counters`` plus,
@@ -365,15 +406,16 @@ def simulate_scenario_runner(
     never timing.  The derived ``seed`` replaces the workload's default so
     two scenarios differing only in ``key`` simulate different instances.
 
-    ``engine`` replays the same scenario on a different execution engine.
-    It is bound with :func:`functools.partial` rather than injected into
-    the scenario dict, so scenario keys — and therefore derived seeds and
-    the merged document — are engine-independent: ``single`` and
-    ``sharded`` sweeps of the same scenarios are byte-identical, which
-    ``tests/test_cli.py`` asserts.  The zone-program workloads (``zonal``,
-    ``hybrid_stream``, decomposed ``churn``) additionally accept
-    ``parallel``; a scenario's own ``engine`` field, if present, wins over
-    the flag.
+    ``engine`` replays the zone-program workloads (``zonal``,
+    ``hybrid_stream``, decomposed ``churn`` — :data:`ZONE_WORKLOADS`) on
+    another driver; static-graph workloads and fleet churn are one timeline
+    and take ``single`` only.  It is bound with :func:`functools.partial`
+    rather than injected into the scenario dict, so scenario keys — and
+    therefore derived seeds and the merged document — are
+    engine-independent: ``single``, ``sharded`` and ``parallel`` sweeps of
+    the same zone programs are byte-identical, which ``tests/test_cli.py``
+    asserts.  A scenario's own ``engine`` field, if present, wins over the
+    flag.
 
     ``dedupe`` compiles the built graph through content-addressed dedup
     (:func:`repro.core.compile.compile_graph`) before execution; a
@@ -387,61 +429,35 @@ def simulate_scenario_runner(
     workload_name = scenario.get("workload", "guidance")
     engine = scenario.get("engine", engine)
     dedupe = bool(scenario.get("dedupe", dedupe))
-    workers = int(scenario.get("workers", 2))
-    if workload_name == "zonal":
-        from repro.workloads import ZonalConfig, run_zonal
-
-        cfg = ZonalConfig(
-            zones=int(scenario.get("zones", 4)),
-            nodes_per_zone=int(scenario.get("nodes_per_zone", 8)),
-            cores_per_node=int(scenario.get("cores_per_node", 8)),
-            tasks_per_zone=int(scenario.get("tasks_per_zone", 2400)),
-            duration_median_s=float(scenario.get("duration_median", 2.0)),
-            inter_zone_latency_s=float(scenario.get("inter_zone_latency", 1.0)),
-            progress_interval_s=float(scenario.get("progress_interval", 25.0)),
+    if workload_name in ZONE_WORKLOADS:
+        config_cls, run, keys = ZONE_WORKLOADS[workload_name]
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(config_cls)}
+        cfg = config_cls(
             seed=seed,
+            **{
+                field: kinds[field](scenario[key])
+                for key, field in keys.items()
+                if key in scenario
+            },
         )
-        return _with_run_stats(*run_zonal(cfg, engine=engine, workers=workers))
-    if workload_name == "hybrid_stream":
-        from repro.workloads import HybridStreamConfig, run_hybrid_stream
-
-        cfg = HybridStreamConfig(
-            zones=int(scenario.get("zones", 2)),
-            sensors_per_zone=int(scenario.get("sensors", 4)),
-            rate_hz=float(scenario.get("rate_hz", 10.0)),
-            batch=int(scenario.get("batch", 16)),
-            window_s=float(scenario.get("window", 5.0)),
-            duration_s=float(scenario.get("duration", 120.0)),
-            credits=int(scenario.get("credits", 4096)),
-            overflow=scenario.get("overflow", "spill"),
-            inter_zone_latency_s=float(scenario.get("inter_zone_latency", 0.25)),
-            seed=seed,
+        if (
+            workload_name == "churn"
+            and scenario.get("mode", "fleet") == "fleet"
+            and engine == "single"
+        ):
+            return run_churn_fleet(cfg)
+        # Zone programs (for churn the decomposed ones: one bus is one
+        # timeline, so only they can run on the other drivers).
+        result, stats = run(
+            cfg, engine=engine, workers=int(scenario.get("workers", 2))
         )
-        result, stats = run_hybrid_stream(cfg, engine=engine, workers=workers)
         # Per-scenario stream counters ride the _stats channel into the
         # sweep's per-run stats (summed by SweepStats.total).
-        keys = ("stream_events", "stream_dropped", "stream_spilled", "windows_closed")
+        counters = ("stream_events", "stream_dropped", "stream_spilled", "windows_closed")
         return _with_run_stats(
-            result, stats, {key: float(result[key]) for key in keys}
+            result, stats, {k: float(result[k]) for k in counters if k in result}
         )
-    if workload_name == "churn":
-        from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
-
-        cfg = ChurnConfig(
-            agents=int(scenario.get("agents", 2000)),
-            zones=int(scenario.get("zones", 4)),
-            churn_per_s=float(scenario.get("churn_per_s", 0.01)),
-            duration_s=float(scenario.get("duration", 20.0)),
-            inter_zone_latency_s=float(scenario.get("inter_zone_latency", 1.0)),
-            notification=scenario.get("notification", "interest"),
-            persistence=bool(scenario.get("persistence", True)),
-            seed=seed,
-        )
-        mode = scenario.get("mode", "fleet")
-        if mode == "fleet" and engine != "parallel":
-            return run_churn_fleet(cfg, engine=engine)
-        # Decomposed per-zone programs: the only shape forked lanes can run.
-        return _with_run_stats(*run_churn(cfg, engine=engine, workers=workers))
+    _require_one_timeline(workload_name, engine)
     graph, initial_data = _build_workload(workload_name, scenario, seed=seed)
     executor, report, compile_stats = _execute(
         graph,
@@ -449,7 +465,6 @@ def simulate_scenario_runner(
         int(scenario.get("nodes", 4)),
         int(scenario.get("cores_per_node", 48)),
         scenario.get("policy", "load-balancing"),
-        engine,
         dedupe,
     )
     result = {
@@ -480,6 +495,11 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
             scenarios = json.load(handle)
     if not isinstance(scenarios, list):
         raise SystemExit("--scenarios must be a JSON list of scenario objects")
+    for scenario in scenarios:
+        # Refused here rather than in a pool worker, which SystemExit kills.
+        workload = scenario.get("workload", "guidance")
+        if workload not in ZONE_WORKLOADS:
+            _require_one_timeline(workload, scenario.get("engine", args.engine))
     runner = simulate_scenario_runner
     if args.engine != "single" or args.dedupe:
         # partial (module-level function + plain strings/bools) stays
@@ -616,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="single",
-        help="execution engine (results are engine-independent)",
+        help="zone-program driver for churn and hybrid_stream (results are "
+        "engine-independent); static-graph workloads take 'single' only",
     )
     simulate.add_argument(
         "--dedupe",
@@ -655,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="single",
-        help="replay every scenario on this engine (merged document is "
-        "engine-independent; 'parallel' needs the zonal workload)",
+        help="replay the zone-program scenarios (zonal, hybrid_stream, "
+        "churn) on this driver; the merged document is engine-independent",
     )
     sweep.add_argument(
         "--dedupe",

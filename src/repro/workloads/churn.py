@@ -25,13 +25,14 @@ cached epoch — the consumer half of interest-scoped failure notification.
 Two execution shapes share one per-zone driver:
 
 * **fleet mode** (:func:`run_churn_fleet`) — one shared bus over a
-  multi-zone platform, on the ``single`` or coupled ``sharded`` engine.
-  This is the 50k-agent benchmark path, and where the ``interest`` vs
-  ``broadcast`` notification models are compared like-for-like.
+  multi-zone platform on one :class:`SimulationEngine` (one bus is one
+  timeline).  This is the 50k-agent benchmark path, and where the
+  ``interest`` vs ``broadcast`` notification models are compared
+  like-for-like.
 * **decomposed mode** (:func:`run_churn`) — ``{zone: factory}`` programs
   (one platform+bus per zone, epoch digests exchanged on a cross-zone
-  ring), runnable on all three engines including forked parallel lanes,
-  byte-identical across them.
+  ring), runnable on all three zone-program drivers including forked
+  lanes, byte-identical across them.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class _ZoneChurnDriver:
         self.platform = platform
         self.bus = bus
         self.engine = engine
-        self._shard = self.zone if getattr(engine, "is_sharded", False) else None
         self.rng = DeterministicRandom(cfg.seed, "churn").fork(f"zone:{index}")
         self.locations = DataLocationService()
         self.store_node = f"{self.zone}-store"
@@ -211,14 +211,9 @@ class _ZoneChurnDriver:
 
     def start(self) -> None:
         cfg = self.cfg
+        self.engine.after(cfg.tick_s, self._tick, label=f"{self.zone}-churn-tick")
         self.engine.after(
-            cfg.tick_s, self._tick, label=f"{self.zone}-churn-tick", shard=self._shard
-        )
-        self.engine.after(
-            cfg.crowd_interval_s,
-            self._crowd,
-            label=f"{self.zone}-crowd",
-            shard=self._shard,
+            cfg.crowd_interval_s, self._crowd, label=f"{self.zone}-crowd"
         )
 
     # -------------------------------------------------------- reconciliation
@@ -293,10 +288,7 @@ class _ZoneChurnDriver:
             self._correlated_outage()
         if now + cfg.tick_s <= cfg.duration_s + 1e-9:
             self.engine.after(
-                cfg.tick_s,
-                self._tick,
-                label=f"{self.zone}-churn-tick",
-                shard=self._shard,
+                cfg.tick_s, self._tick, label=f"{self.zone}-churn-tick"
             )
 
     def _kill_worker(self, victim: str) -> None:
@@ -357,10 +349,7 @@ class _ZoneChurnDriver:
         cfg = self.cfg
         if self.engine.now + cfg.crowd_interval_s <= cfg.duration_s + 1e-9:
             self.engine.after(
-                cfg.crowd_interval_s,
-                self._crowd,
-                label=f"{self.zone}-crowd",
-                shard=self._shard,
+                cfg.crowd_interval_s, self._crowd, label=f"{self.zone}-crowd"
             )
 
     def _build_crowd_graph(self, zone_agents: int) -> SimWorkflowBuilder:
@@ -501,24 +490,20 @@ def run_churn_fleet(
 ) -> Dict[str, Any]:
     """Run the whole fleet on ONE bus: the 50k-agent benchmark path.
 
-    ``engine``: ``single`` or ``sharded`` (coupled mode — byte-identical to
-    single; one bus cannot span forked lanes, use :func:`run_churn` for the
-    parallel engine).  ``notification`` overrides the config's model —
-    ``broadcast`` is the pre-optimization reference.
+    ``engine`` can only be ``single``: one bus is one timeline, and the
+    zone-program drivers need the decomposed :func:`run_churn`.
+    ``notification`` overrides the config's model — ``broadcast`` is the
+    pre-optimization reference.
     """
     from repro.simulation.engine import SimulationEngine
-    from repro.simulation.sharded import ShardedSimulationEngine
 
-    platform = make_continuum_platform(cfg)
-    if engine == "single":
-        eng: Any = SimulationEngine()
-    elif engine == "sharded":
-        eng = ShardedSimulationEngine(network=platform.network, mode="coupled")
-    else:
+    if engine != "single":
         raise ValueError(
-            f"fleet mode runs on 'single' or 'sharded' (got {engine!r}); "
-            "the forked-lane engine needs the decomposed run_churn()"
+            f"fleet mode runs on one 'single' timeline (got {engine!r}); "
+            "the zone-program drivers need the decomposed run_churn()"
         )
+    platform = make_continuum_platform(cfg)
+    eng = SimulationEngine()
     bus = MessageBus(platform, eng, notification=notification or cfg.notification)
     drivers = [
         _ZoneChurnDriver(cfg, index, platform, bus, eng)

@@ -116,7 +116,6 @@ def _hybrid_zone_factory(cfg: HybridStreamConfig, index: int):
                     seed=zone_rng.fork(f"sensor:{s}").seed,
                     batch=cfg.batch,
                     valve=valve,
-                    zone=zone,
                 )
             )
         window = operators.tumbling_window(
@@ -146,7 +145,7 @@ def _hybrid_zone_factory(cfg: HybridStreamConfig, index: int):
                 0, 95.0 + (el.value.value % 7) * 0.1
             )
         )
-        plane = DataflowPlane(operators, executor, ingest_node=f"{zone}-n0", zone=zone)
+        plane = DataflowPlane(operators, executor, ingest_node=f"{zone}-n0")
         for sensor in sensors:
             sensor.start()
         plane.start()

@@ -2,8 +2,8 @@
 
 The classic E1 workloads (GUIDANCE on one cluster) have a *central*
 scheduler: any completion anywhere can trigger a dispatch anywhere, so the
-true lookahead between zones is zero and only the coupled/single-queue
-engines apply.  The continuum deployments the paper targets (§V, fog-to-
+true lookahead between zones is zero and they run on one single-queue
+timeline.  The continuum deployments the paper targets (§V, fog-to-
 cloud) are shaped differently: each zone runs its own workload on its own
 resources and zones interact only over the WAN — which is exactly the
 decomposition the conservative-lookahead engines exploit.

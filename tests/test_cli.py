@@ -93,18 +93,15 @@ class TestErrors:
 
 
 class TestEngineFlag:
-    def test_simulate_engine_sharded_matches_single(self):
-        argv = ("simulate", "--workload", "ep", "--tasks", "10", "--nodes", "2")
-        code_single, out_single = run_cli(*argv)
-        code_sharded, out_sharded = run_cli(*argv, "--engine", "sharded")
-        assert code_single == code_sharded == 0
-        assert "engine   : sharded" in out_sharded
-
-        def strip_engine(text):
-            return [l for l in text.splitlines() if not l.startswith("engine")]
-
-        # Engine-independence: everything but the engine line is identical.
-        assert strip_engine(out_single) == strip_engine(out_sharded)
+    def test_simulate_engine_sharded_needs_zone_workload(self):
+        """A static graph has a central scheduler, hence one timeline: a
+        zone-program driver is refused, naming the workloads it runs."""
+        with pytest.raises(SystemExit, match="zonal.*hybrid_stream.*churn") as exc:
+            run_cli(
+                "simulate", "--workload", "ep", "--tasks", "5",
+                "--engine", "sharded",
+            )
+        assert exc.value.code not in (0, None)
 
     def test_simulate_engine_parallel_needs_zonal_workload(self):
         with pytest.raises(SystemExit, match="zonal"):
@@ -113,13 +110,30 @@ class TestEngineFlag:
                 "--engine", "parallel",
             )
 
+    def test_simulate_churn_sharded_runs_decomposed_programs(self):
+        code, output = run_cli(
+            "simulate", "--workload", "churn", "--agents", "100",
+            "--zones", "2", "--sim-seconds", "5", "--engine", "sharded",
+        )
+        assert code == 0
+        assert "decomposed" in output and "engine   : sharded" in output
+
+    def test_sweep_refuses_static_graph_on_zone_program_engine(self, tmp_path):
+        scenario_path = tmp_path / "scenarios.json"
+        scenario_path.write_text('[{"key": "ep-a", "workload": "ep", "tasks": 5}]')
+        with pytest.raises(SystemExit, match="zonal"):
+            run_cli("sweep", "--scenarios", str(scenario_path), "--engine", "sharded")
+
     def test_sweep_engine_replay_merged_bytes_identical(self, tmp_path):
-        """--engine sharded replays classic + zonal scenarios with the
-        merged document byte-identical to the single-engine run."""
+        """--engine sharded replays zone-program scenarios with the merged
+        document byte-identical to the single-engine run."""
         import json as _json
 
         scenarios = [
-            {"key": "ep-a", "workload": "ep", "tasks": 20, "nodes": 2},
+            {
+                "key": "stream-a", "workload": "hybrid_stream", "zones": 2,
+                "sensors": 2, "duration": 20.0,
+            },
             {
                 "key": "zonal-a", "workload": "zonal", "zones": 2,
                 "nodes_per_zone": 2, "cores_per_node": 2,

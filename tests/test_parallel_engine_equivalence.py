@@ -7,7 +7,7 @@ produce byte-identical per-zone log streams, results, and dispatch counts
 * across fork and inline transports,
 * across any lane count (zones per worker is a wall-clock knob only),
 * and against :func:`run_programs_sharded`, the same programs on the
-  sequential :class:`ShardedSimulationEngine` in lookahead mode.
+  sequential :class:`ShardedSimulationEngine`.
 
 And every schedule that would break the causal contract — a cross-zone send
 undercutting the latency floor — must raise :class:`SimulationError` with
@@ -269,8 +269,6 @@ class TestCausalityErrors:
             api.send("beta", "x", delay=1.0, time=2.0)
         with pytest.raises(SimulationError, match="exactly one of"):
             api.send("beta", "x")
-        with pytest.raises(SimulationError, match="cannot schedule directly"):
-            api.at(5.0, lambda: None, shard="beta")
 
     def test_missing_handler_raises_at_delivery(self):
         def sender(api):
@@ -401,14 +399,6 @@ class TestEngineSurface:
         with pytest.raises(SimulationError, match="at least two zones"):
             ParallelShardedSimulationEngine(
                 _network(("alpha",)), _noop_programs(("alpha",))
-            )
-
-    def test_lookahead_wider_than_latency_rejected(self):
-        with pytest.raises(SimulationError, match="exceeds"):
-            ParallelShardedSimulationEngine(
-                _network(("alpha", "beta")),
-                _noop_programs(("alpha", "beta")),
-                lookahead=LATENCY * 2,
             )
 
     def test_empty_programs_rejected(self):

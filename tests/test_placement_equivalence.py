@@ -23,7 +23,7 @@ order can never manufacture a spurious argmax difference.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import ResolvedRequirements
@@ -55,10 +55,14 @@ def naive_candidates(ledger, req):
 
 
 def naive_load_balancing(candidates):
+    if not candidates:
+        return None
     return max(candidates, key=lambda s: (s.free_cores, -s.busy_cores))
 
 
 def naive_locality(task, candidates, locations):
+    if not candidates:
+        return None
     if not task.reads:
         return max(candidates, key=lambda s: s.free_cores)
 
@@ -365,6 +369,10 @@ class TestPolicySelectionEquivalence:
         reads=st.lists(st.integers(0, 5), max_size=6),
         busy=st.lists(st.integers(min_value=0, max_value=8), max_size=5),
     )
+    # A saturated platform offers no candidate: the policy and the
+    # reference both answer None, with and without reads.
+    @example(publishes=[], reads=[0], busy=[8] * 5)
+    @example(publishes=[], reads=[], busy=[8] * 5)
     def test_locality_matches_naive_membership_sums(self, publishes, reads, busy):
         nodes = [Node(name=f"n{i}", cores=8, memory_mb=16_000) for i in range(5)]
         ledger = CapacityLedger(nodes)

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.graph import TaskGraph
 from repro.executor import SimulatedExecutor
 from repro.frontends import CyclingSuite, SuiteTask
 from repro.infrastructure import make_hpc_cluster
@@ -10,7 +11,7 @@ from repro.intelligence import DurationPredictor, TaskMemoizer, memoizable_key
 from repro.metrics.model import analyze_graph
 from repro.mpi import mpi_run
 from repro.simulation import SimulationEngine
-from repro.streams import DataStream, SensorSource, WindowedProcessor
+from repro.streams import DataflowPlane, OperatorGraph, SensorSource
 
 
 class TestSuiteProperties:
@@ -145,22 +146,28 @@ class TestStreamProperties:
     @settings(max_examples=20, deadline=None)
     def test_windows_partition_elements(self, period, window, campaign):
         engine = SimulationEngine()
-        platform = make_hpc_cluster(1)
-        readings, results = DataStream("r"), DataStream("o")
-        SensorSource(engine, readings, period_s=period, until=float(campaign)).start()
-        processor = WindowedProcessor(
-            engine, platform, readings, results, platform.nodes[0].name,
-            window_s=window, compute_fn=len,
+        executor = SimulatedExecutor(TaskGraph(), make_hpc_cluster(1), engine=engine)
+        operators = OperatorGraph("g")
+        source = operators.source("r")
+        source.tumbling_window("w", window, len)
+        SensorSource(
+            engine, source.stream, period_s=period, until=float(campaign)
+        ).start()
+        plane = DataflowPlane(
+            operators, executor, ingest_node=executor.platform.nodes[0].name
         )
-        processor.start()
-        engine.at(campaign + 1e-6, readings.close)
+        plane.start()
+        plane.close_sources_at(campaign + window)
         engine.run()
-        processed = sum(r.element_count for r in processor.results)
-        assert processed == len(readings)
-        # Windows never overlap: ordered, disjoint spans.
-        spans = [(r.window_start, r.window_end) for r in processor.results]
+        results = plane.results_of("w")
+        # Every element lands in exactly one window...
+        assert sum(r.element_count for r in results) == source.stream.total_published
+        assert [r.value for r in results] == [r.element_count for r in results]
+        # ...and windows never overlap: ordered, disjoint spans (a start is
+        # computed as end - width, so up to an ulp of the grid).
+        spans = [(r.window_start, r.window_end) for r in results]
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            assert e1 <= s2
+            assert s1 < s2 and e1 <= s2 + 1e-9
 
 
 class TestModelProperties:

@@ -1,193 +1,30 @@
-"""Equivalence: zone-sharded engine vs the single-queue reference engine.
+"""Equivalence: the sequential window driver vs one single-queue engine.
 
-The :class:`ShardedSimulationEngine` claims two things (DESIGN.md S6):
-
-* **coupled mode** is a pure re-plumbing — per-zone queues merged at pop
-  time through a shared sequence counter — so *every* observable of a
-  simulation (dispatch order, makespans, per-task timings, byte counts) is
-  identical to :class:`SimulationEngine`, on any workload, failures
-  included;
-* **lookahead mode** reorders dispatch only across zone boundaries and
-  only within the conservative latency window, so per-zone event orders
-  and all zone-local outcomes still match the single-queue run, and any
-  schedule that would break the causal contract raises instead of
-  corrupting the timeline.
-
-Each test runs the same deterministic scenario once per engine and
-compares the full outcome, mirroring the placement/data-plane equivalence
-suites.
+:class:`ShardedSimulationEngine` (DESIGN.md S6) runs one
+:class:`SimulationEngine` per zone and drains them window by window, a
+window being as wide as the smallest inter-zone latency.  Dispatch is
+reordered only across zone boundaries and only inside one window, so the
+per-zone event streams of zone programs (run through
+:func:`run_programs_sharded`, the lane drivers' reference) equal the streams
+of the same callbacks on one ``SimulationEngine``; a network that cannot
+justify a window is refused at construction.  Latency-floor refusals of
+``ShardApi.send`` are pinned for all three drivers in
+``tests/test_parallel_engine_equivalence.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.executor import SimulatedExecutor, SimWorkflowBuilder
-from repro.infrastructure import (
-    Link,
-    NetworkTopology,
-    make_fog_platform,
-    make_hpc_cluster,
-)
-from repro.scheduling import LoadBalancingPolicy
+from repro.infrastructure import Link, NetworkTopology
 from repro.simulation import (
-    CONTROL_SHARD,
     ShardedSimulationEngine,
     SimulationEngine,
     SimulationError,
+    run_programs_sharded,
 )
-from repro.workloads import GuidanceConfig, build_guidance_workflow, layered_random_dag
 
-
-# --------------------------------------------------------------------------
-# Harness
-# --------------------------------------------------------------------------
-
-
-def _task_outcomes(graph):
-    """Everything a task run leaves behind, keyed by label."""
-    return {
-        t.label: (
-            t.state.name,
-            t.start_time,
-            t.end_time,
-            tuple(t.assigned_nodes),
-            t.attempts,
-        )
-        for t in graph.tasks
-    }
-
-
-def _run_guidance(engine_factory, nodes=30, chromosomes=6, chunks=6):
-    # 36 width-phase tasks > 24 nodes in rack-0, so placements (and their
-    # completion events) provably land on both rack timelines.
-    config = GuidanceConfig(chromosomes=chromosomes, chunks_per_chromosome=chunks)
-    workload = build_guidance_workflow(config)
-    platform = make_hpc_cluster(nodes)
-    engine = engine_factory(platform)
-    executor = SimulatedExecutor(
-        workload.graph,
-        platform,
-        policy=LoadBalancingPolicy(),
-        engine=engine,
-        initial_data=workload.initial_data,
-    )
-    report = executor.run()
-    return report, _task_outcomes(workload.graph), engine
-
-
-def _run_continuum(engine_factory, fail=()):
-    builder = layered_random_dag(
-        layers=[8, 12, 12, 8], seed=7, duration_median=30.0, datum_bytes=5e6
-    )
-    platform = make_fog_platform(num_edge=0, num_fog=3, num_cloud=2)
-    engine = engine_factory(platform)
-    executor = SimulatedExecutor(
-        builder.graph, platform, policy=LoadBalancingPolicy(), engine=engine
-    )
-    for time, node in fail:
-        executor.fail_node_at(time, node)
-    report = executor.run()
-    return report, _task_outcomes(builder.graph), engine
-
-
-def _single(platform):
-    return SimulationEngine()
-
-
-def _coupled(platform):
-    return ShardedSimulationEngine(network=platform.network, mode="coupled")
-
-
-def _compare_runs(single, sharded):
-    report_a, tasks_a, engine_a = single
-    report_b, tasks_b, engine_b = sharded
-    assert report_a == report_b
-    assert tasks_a == tasks_b
-    assert engine_a.dispatched_events == engine_b.dispatched_events
-
-
-# --------------------------------------------------------------------------
-# Coupled mode: byte-identical on executor workloads
-# --------------------------------------------------------------------------
-
-
-class TestCoupledExecutorEquivalence:
-    def test_guidance_on_hpc_cluster_identical(self):
-        """E1 workload, 30 nodes / 2 rack zones: full outcome equality."""
-        _compare_runs(_run_guidance(_single), _run_guidance(_coupled))
-
-    def test_guidance_spans_multiple_shards(self):
-        """The equality above must not be vacuous: the sharded run really
-        dispatches across several zone timelines, not one."""
-        _, _, engine = _run_guidance(_coupled)
-        counts = engine.shard_dispatch_counts
-        active = [name for name, n in counts.items() if n > 0]
-        assert len(active) >= 3  # both racks plus the control shard
-        assert counts[CONTROL_SHARD] > 0
-
-    def test_continuum_identical(self):
-        """Fog + cloud zones joined by a WAN: full outcome equality."""
-        _compare_runs(_run_continuum(_single), _run_continuum(_coupled))
-
-    def test_continuum_with_node_failures_identical(self):
-        """Failure injection (cancelled completions, resubmissions) crosses
-        shard timelines; outcomes must still match event-for-event."""
-        fail = ((60.0, "cloud-0"), (90.0, "fog-1"))
-        single = _run_continuum(_single, fail=fail)
-        sharded = _run_continuum(_coupled, fail=fail)
-        _compare_runs(single, sharded)
-        assert single[0].resubmissions > 0  # the failures actually bit
-
-    def test_dispatch_order_identical_with_ties_and_cancels(self):
-        """Engine-level: same-time/same-priority ties and cancellations
-        interleaved across zones dispatch in the exact single-queue order."""
-        network = NetworkTopology()
-        network.add_node("a0", "alpha")
-        network.add_node("b0", "beta")
-
-        def drive(engine, shard_of):
-            log = []
-            handles = {}
-
-            def fire(tag):
-                log.append((engine.now, tag))
-                if tag == "a-1.0":
-                    # Same-instant chain: scheduled during dispatch at now.
-                    engine.at(1.0, lambda: fire("a-chain"), shard=shard_of("alpha"))
-                    handles["victim"].cancel()
-
-            engine.at(1.0, lambda: fire("a-1.0"), shard=shard_of("alpha"))
-            engine.at(1.0, lambda: fire("b-1.0"), shard=shard_of("beta"))
-            engine.at(1.0, lambda: fire("b-pri"), priority=-1, shard=shard_of("beta"))
-            handles["victim"] = engine.at(
-                2.0, lambda: fire("victim"), shard=shard_of("beta")
-            )
-            engine.at(2.0, lambda: fire("b-2.0"), shard=shard_of("beta"))
-            engine.at(3.0, lambda: fire("a-3.0"), shard=shard_of("alpha"))
-            end = engine.run()
-            return log, end
-
-        single_log, single_end = drive(SimulationEngine(), lambda zone: None)
-        sharded_log, sharded_end = drive(
-            ShardedSimulationEngine(network=network, mode="coupled"),
-            lambda zone: zone,
-        )
-        assert sharded_log == single_log
-        assert sharded_end == single_end
-        assert [tag for _, tag in single_log] == [
-            "b-pri",
-            "a-1.0",
-            "b-1.0",
-            "a-chain",
-            "b-2.0",
-            "a-3.0",
-        ]
-
-
-# --------------------------------------------------------------------------
-# Lookahead mode: windowed concurrency, zone-local equivalence
-# --------------------------------------------------------------------------
+ZONES = ("alpha", "beta")
 
 
 def _two_zone_network(latency=0.05):
@@ -200,78 +37,97 @@ def _two_zone_network(latency=0.05):
     return network
 
 
+def _start_chains(engine, zone, chains, log, limit, on_tick=None):
+    """Self-rescheduling chains on anything with ``at`` / ``after`` / ``now``:
+    one ``SimulationEngine`` for every zone, or a zone's ``ShardApi``."""
+
+    def fire(step, priority, count):
+        log.append((round(engine.now, 9), zone, priority, count))
+        if on_tick is not None:
+            on_tick(count)
+        if count < limit:
+            engine.after(
+                step, lambda: fire(step, priority, count + 1), priority=priority
+            )
+
+    for step, priority in chains:
+        engine.at(0.0, lambda s=step, p=priority: fire(s, p, 0), priority=priority)
+
+
+def _of_zone(log, zone):
+    return [entry for entry in log if entry[1] == zone]
+
+
+# --------------------------------------------------------------------------
+# Zone programs on the window driver: per-zone streams equal one timeline
+# --------------------------------------------------------------------------
+
+
 class TestLookaheadMode:
     def test_zone_local_chains_match_single_queue(self):
-        """Self-rescheduling chains in each zone plus latency-paying pings
-        across zones: per-zone event sequences equal the single-queue run."""
+        """A chain in each zone plus a latency-paying ping across zones:
+        per-zone event sequences equal the single-queue run."""
+        chains = {"alpha": [(0.013, 0)], "beta": [(0.017, 0)]}
 
-        def drive(engine, shard_of):
-            log = []
+        single, engine = [], SimulationEngine()
 
-            def tick(zone, step, count):
-                log.append((round(engine.now, 9), zone, count))
-                if count < 20:
-                    engine.after(
-                        step,
-                        lambda: tick(zone, step, count + 1),
-                        shard=shard_of(zone),
-                    )
-                if count == 5 and zone == "alpha":
-                    # Cross-zone ping, paying the inter-zone latency.
-                    engine.after(
-                        0.06,
-                        lambda: log.append((round(engine.now, 9), "beta", "ping")),
-                        shard=shard_of("beta"),
-                    )
+        def ping_on_one_timeline(count):
+            if count == 5:
+                engine.after(
+                    0.06, lambda: single.append((round(engine.now, 9), "beta", "ping"))
+                )
 
-            engine.at(0.0, lambda: tick("alpha", 0.013, 0), shard=shard_of("alpha"))
-            engine.at(0.0, lambda: tick("beta", 0.017, 0), shard=shard_of("beta"))
-            engine.run()
-            return log
+        _start_chains(engine, "alpha", chains["alpha"], single, 20, ping_on_one_timeline)
+        _start_chains(engine, "beta", chains["beta"], single, 20)
+        engine.run()
 
-        single = drive(SimulationEngine(), lambda zone: None)
-        sharded_engine = ShardedSimulationEngine(
-            network=_two_zone_network(), mode="lookahead"
-        )
-        sharded = drive(sharded_engine, lambda zone: zone)
+        sharded = []
+
+        def alpha(api):
+            def ping_through_channel(count):
+                if count == 5:
+                    api.send("beta", "ping", delay=0.06)
+
+            _start_chains(api, "alpha", chains["alpha"], sharded, 20, ping_through_channel)
+
+        def beta(api):
+            api.on_message(
+                lambda payload: sharded.append((round(api.now, 9), "beta", payload))
+            )
+            _start_chains(api, "beta", chains["beta"], sharded, 20)
+
+        out = run_programs_sharded(_two_zone_network(), {"alpha": alpha, "beta": beta})
         # Global interleaving may differ inside a window; per-zone streams
         # (the only causally meaningful order) must be identical.
-        for zone in ("alpha", "beta"):
-            assert [e for e in sharded if e[1] == zone] == [
-                e for e in single if e[1] == zone
-            ]
-        assert sharded_engine.dispatched_events == len(single)
+        for zone in ZONES:
+            assert _of_zone(sharded, zone) == _of_zone(single, zone)
+        assert out["dispatched_events"] == len(single)
         # The window loop really batches: both zones dispatched events.
-        counts = sharded_engine.shard_dispatch_counts
-        assert counts["alpha"] > 0 and counts["beta"] > 0
+        assert all(count > 0 for count in out["shard_dispatch_counts"].values())
+
+    def _send_once(self, delay):
+        """alpha sends one message at t=0 with ``delay``; returns beta's
+        arrival times."""
+        seen = []
+
+        def alpha(api):
+            api.at(0.0, lambda: api.send("beta", "x", delay=delay))
+
+        def beta(api):
+            api.on_message(lambda payload: seen.append(api.now))
+
+        run_programs_sharded(
+            _two_zone_network(latency=0.05), {"alpha": alpha, "beta": beta}
+        )
+        return seen
 
     def test_cross_shard_push_below_latency_raises(self):
-        engine = ShardedSimulationEngine(
-            network=_two_zone_network(latency=0.05), mode="lookahead"
-        )
-        boom = []
-
-        def violate():
-            # 1 ms into the future, but beta is 50 ms away.
-            engine.after(0.001, lambda: boom.append(True), shard="beta")
-
-        engine.at(0.0, violate, shard="alpha")
+        # 1 ms into the future, but beta is 50 ms away.
         with pytest.raises(SimulationError, match="latency floor"):
-            engine.run()
-        assert not boom
+            self._send_once(0.001)
 
     def test_cross_shard_push_at_latency_is_accepted(self):
-        engine = ShardedSimulationEngine(
-            network=_two_zone_network(latency=0.05), mode="lookahead"
-        )
-        seen = []
-        engine.at(
-            0.0,
-            lambda: engine.after(0.05, lambda: seen.append(engine.now), shard="beta"),
-            shard="alpha",
-        )
-        engine.run()
-        assert seen == [0.05]
+        assert self._send_once(0.05) == [0.05]
 
     def test_zero_latency_zones_rejected(self):
         network = NetworkTopology(
@@ -280,27 +136,19 @@ class TestLookaheadMode:
         network.add_node("a0", "alpha")
         network.add_node("b0", "beta")
         with pytest.raises(SimulationError, match="positive inter-zone latency"):
-            ShardedSimulationEngine(network=network, mode="lookahead")
+            ShardedSimulationEngine(network)
 
     def test_single_zone_rejected(self):
         network = NetworkTopology()
         network.add_node("a0", "alpha")
         with pytest.raises(SimulationError, match="at least two zones"):
-            ShardedSimulationEngine(network=network, mode="lookahead")
-
-    def test_lookahead_wider_than_latency_rejected(self):
-        with pytest.raises(SimulationError, match="exceeds"):
-            ShardedSimulationEngine(
-                network=_two_zone_network(latency=0.05),
-                mode="lookahead",
-                lookahead=0.1,
-            )
+            ShardedSimulationEngine(network)
 
     @settings(max_examples=25, deadline=None)
     @given(
         steps=st.lists(
             st.tuples(
-                st.sampled_from(["alpha", "beta"]),
+                st.sampled_from(ZONES),
                 st.floats(min_value=0.001, max_value=0.04),
                 st.integers(min_value=0, max_value=3),
             ),
@@ -310,108 +158,96 @@ class TestLookaheadMode:
     )
     def test_random_zone_local_workloads_match(self, steps):
         """Randomized zone-local chains: per-zone streams always match."""
+        chains = {
+            zone: [(step, prio) for z, step, prio in steps if z == zone]
+            for zone in ZONES
+        }
+        single, engine = [], SimulationEngine()
+        for zone in ZONES:
+            _start_chains(engine, zone, chains[zone], single, 6)
+        engine.run()
 
-        def drive(engine, shard_of):
-            log = []
-
-            def fire(zone, step, priority, count):
-                log.append((round(engine.now, 9), zone, priority, count))
-                if count < 6:
-                    engine.after(
-                        step,
-                        lambda: fire(zone, step, priority, count + 1),
-                        priority=priority,
-                        shard=shard_of(zone),
-                    )
-
-            for index, (zone, step, priority) in enumerate(steps):
-                engine.at(
-                    0.0,
-                    lambda z=zone, s=step, p=priority: fire(z, s, p, 0),
-                    priority=priority,
-                    shard=shard_of(zone),
+        sharded = []
+        run_programs_sharded(
+            _two_zone_network(),
+            {
+                zone: lambda api, zone=zone: _start_chains(
+                    api, zone, chains[zone], sharded, 6
                 )
-            engine.run()
-            return log
-
-        single = drive(SimulationEngine(), lambda zone: None)
-        sharded = drive(
-            ShardedSimulationEngine(network=_two_zone_network(), mode="lookahead"),
-            lambda zone: zone,
+                for zone in ZONES
+            },
         )
-        for zone in ("alpha", "beta"):
-            assert [e for e in sharded if e[1] == zone] == [
-                e for e in single if e[1] == zone
-            ]
+        for zone in ZONES:
+            assert _of_zone(sharded, zone) == _of_zone(single, zone)
 
 
 # --------------------------------------------------------------------------
-# Engine-surface parity (run/until/stop/step semantics)
+# The driver's own surface: horizons, counters, the runaway valve
 # --------------------------------------------------------------------------
 
 
 class TestShardedEngineSurface:
-    @pytest.fixture(params=["coupled", "lookahead"])
-    def engine(self, request):
-        return ShardedSimulationEngine(
-            network=_two_zone_network(), mode=request.param
-        )
+    # The driver has one way to run; the id names it, as in
+    # ``test_simulation_kernel.py::TestRunawayValve``'s ``[single]``.
+    @pytest.fixture(params=["lookahead"])
+    def engine(self):
+        return ShardedSimulationEngine(_two_zone_network())
 
     def test_run_until_lands_on_horizon(self, engine):
         fired = []
-        engine.at(1.0, lambda: fired.append(1), shard="alpha")
-        engine.at(5.0, lambda: fired.append(5), shard="beta")
+        engine.shard("alpha").at(1.0, lambda: fired.append(1))
+        engine.shard("beta").at(5.0, lambda: fired.append(5))
         assert engine.run(until=3.0) == 3.0
         assert engine.now == 3.0
+        assert all(engine.shard(zone).now == 3.0 for zone in ZONES)
         assert fired == [1]
         assert engine.dispatched_events == 1
-        # Resume past the horizon; the later event is still live.
+        # A second phase continues past the horizon; the later event is
+        # still live.
         assert engine.run(until=10.0) == 10.0
         assert fired == [1, 5]
         assert engine.dispatched_events == 1
 
     def test_run_until_with_cancelled_only_events(self, engine):
-        handle = engine.at(2.0, lambda: None, shard="alpha")
+        handle = engine.shard("alpha").at(2.0, lambda: None)
         handle.cancel()
         assert engine.run(until=4.0) == 4.0
         assert engine.dispatched_events == 0
 
     def test_run_until_before_now_raises(self, engine):
-        engine.at(2.0, lambda: None, shard="alpha")
+        engine.shard("alpha").at(2.0, lambda: None)
         engine.run(until=5.0)
         with pytest.raises(SimulationError):
             engine.run(until=1.0)
 
-    def test_stop_halts_before_horizon(self, engine):
-        engine.at(1.0, engine.stop, shard="alpha")
-        engine.at(2.0, lambda: None, shard="alpha")
-        end = engine.run(until=9.0)
-        assert end == 1.0
-        assert engine.dispatched_events == 1
-
-    def test_step_dispatches_global_min(self, engine):
-        fired = []
-        engine.at(2.0, lambda: fired.append("b"), shard="beta")
-        engine.at(1.0, lambda: fired.append("a"), shard="alpha")
-        assert engine.step()
-        assert fired == ["a"]
-        assert engine.step()
-        assert fired == ["a", "b"]
-        assert not engine.step()
-
     def test_scheduling_in_past_raises(self, engine):
-        engine.at(3.0, lambda: None, shard="alpha")
+        engine.shard("alpha").at(3.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
-            engine.at(1.0, lambda: None, shard="alpha")
+            engine.shard("alpha").at(1.0, lambda: None)
 
     def test_lifetime_vs_per_run_counters(self, engine):
-        engine.at(1.0, lambda: None, shard="alpha")
+        engine.shard("alpha").at(1.0, lambda: None)
         engine.run()
-        engine.at(2.0, lambda: None, shard="beta")
+        engine.shard("beta").at(2.0, lambda: None)
         engine.run()
         assert engine.dispatched_events == 1
-        assert engine.lifetime_dispatched == 2
+        assert sum(engine.shard(zone).lifetime_dispatched for zone in ZONES) == 2
+
+    @pytest.mark.parametrize("delay", [1.0, 0.0], ids=["per-round", "in-window"])
+    def test_self_rescheduling_zone_program_trips_max_events(self, delay):
+        """One window per hop trips the driver's per-round check; a
+        zero-delay loop never leaves its window and trips the shard's own
+        valve — either way the same message, and the run ends."""
+        engine = ShardedSimulationEngine(_two_zone_network(), max_events=50)
+        shard = engine.shard("alpha")
+
+        def reschedule():
+            shard.after(delay, reschedule)
+
+        shard.at(0.0, reschedule)
+        with pytest.raises(SimulationError, match="more than 50 events"):
+            engine.run()
 
 
 # --------------------------------------------------------------------------
@@ -420,54 +256,32 @@ class TestShardedEngineSurface:
 
 
 class TestQuiescenceClock:
-    """Regression tests for the run-to-quiescence clock.
-
-    A lookahead run used to end with the global clock at the final
-    window's GVT and each drained shard clock wherever its own last event
-    left it — both strictly behind the single-queue engine's final ``now``
-    whenever the last window held more than one event.  That skew let
-    callers schedule "in the past" relative to events already dispatched
-    elsewhere.  ``run()`` now advances every clock to the frontier (the
-    max shard clock) at quiescence; an early ``stop()`` advances only the
-    global clock, because lagging shards may still hold pending events.
-    """
+    """A run used to end with each drained shard clock wherever its own last
+    event left it — behind the single-queue engine's final ``now`` whenever
+    the last window held more than one event.  That skew let callers
+    schedule "in the past" relative to events already dispatched elsewhere.
+    ``run()`` lands every clock on the latest dispatched instant."""
 
     def test_quiescence_now_matches_single_queue(self):
-        def drive(engine, shard_of):
-            # Both events land inside the final 0.05-wide window, so the
-            # last GVT (7.0) undershoots the last event time (7.03).
-            engine.at(1.0, lambda: None, shard=shard_of("alpha"))
-            engine.at(7.0, lambda: None, shard=shard_of("alpha"))
-            engine.at(7.03, lambda: None, shard=shard_of("beta"))
-            return engine.run()
-
+        # Both late events land inside the final 0.05-wide window, so the
+        # last GVT (7.0) undershoots the last event time (7.03).
+        schedule = [(1.0, "alpha"), (7.0, "alpha"), (7.03, "beta")]
         single = SimulationEngine()
-        sharded = ShardedSimulationEngine(
-            network=_two_zone_network(), mode="lookahead"
-        )
-        assert drive(single, lambda z: None) == drive(sharded, lambda z: z)
+        sharded = ShardedSimulationEngine(_two_zone_network())
+        for time, zone in schedule:
+            single.at(time, lambda: None)
+            sharded.shard(zone).at(time, lambda: None)
+        assert single.run() == sharded.run()
         assert sharded.now == single.now == 7.03
 
-    @pytest.mark.parametrize("mode", ["coupled", "lookahead"])
-    def test_no_past_scheduling_on_lagging_shard(self, mode):
-        engine = ShardedSimulationEngine(network=_two_zone_network(), mode=mode)
-        engine.at(0.5, lambda: None, shard="beta")
-        engine.at(1.0, lambda: None, shard="alpha")
+    @pytest.mark.parametrize("lagging, leading", [ZONES, ZONES[::-1]])
+    def test_no_past_scheduling_on_lagging_shard(self, lagging, leading):
+        engine = ShardedSimulationEngine(_two_zone_network())
+        engine.shard(lagging).at(0.5, lambda: None)
+        engine.shard(leading).at(1.0, lambda: None)
         assert engine.run() == 1.0
-        # beta's own last event was at 0.5, but simulation time is 1.0
-        # everywhere now — a 0.75 event would rewrite dispatched history.
+        # The lagging shard's own last event was at 0.5, but simulation time
+        # is 1.0 everywhere now — a 0.75 event would rewrite dispatched
+        # history.
         with pytest.raises(SimulationError):
-            engine.at(0.75, lambda: None, shard="beta")
-
-    @pytest.mark.parametrize("mode", ["coupled", "lookahead"])
-    def test_stop_preserves_pending_shard_events(self, mode):
-        engine = ShardedSimulationEngine(network=_two_zone_network(), mode=mode)
-        fired = []
-        engine.at(1.0, engine.stop, shard="alpha")
-        engine.at(2.0, lambda: fired.append("b"), shard="beta")
-        assert engine.run() == 1.0
-        assert engine.now == 1.0
-        # The stop must not fast-forward beta's shard clock past its own
-        # pending event: resuming still fires it.
-        assert engine.run() == 2.0
-        assert fired == ["b"]
+            engine.shard(lagging).at(0.75, lambda: None)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.infrastructure import Link, NetworkTopology
 from repro.simulation import (
     DeterministicRandom,
     EventQueue,
-    ShardedSimulationEngine,
     SimClock,
     SimulationEngine,
     SimulationError,
@@ -139,28 +137,14 @@ class TestSimulationEngine:
             engine.run()
 
 
-def _two_zone_network():
-    network = NetworkTopology(
-        intra_zone_link=Link(latency_s=1e-4, bandwidth_bps=1e9),
-        default_link=Link(latency_s=0.05, bandwidth_bps=1e8),
-    )
-    network.add_node("a0", "alpha")
-    network.add_node("b0", "beta")
-    return network
-
-
 class TestRunawayValve:
-    """``max_events`` bounds one ``run()`` exactly — of the single-queue
-    engine and of the sharded engine as a whole, whose shards are themselves
-    ``SimulationEngine`` objects that are stepped but never ``run()``."""
+    """``max_events`` bounds one ``run()`` exactly (the window driver over
+    zone shards checks once per round instead:
+    ``tests/test_sharded_engine_equivalence.py``)."""
 
-    @pytest.fixture(params=["single", "coupled", "lookahead"])
+    @pytest.fixture(params=["single"])
     def make(self, request):
-        if request.param == "single":
-            return lambda max_events: SimulationEngine(max_events=max_events)
-        return lambda max_events: ShardedSimulationEngine(
-            network=_two_zone_network(), mode=request.param, max_events=max_events
-        )
+        return lambda max_events: SimulationEngine(max_events=max_events)
 
     def test_trips_at_exactly_max_events(self, make):
         engine = make(100)
@@ -168,9 +152,9 @@ class TestRunawayValve:
 
         def reschedule():
             fired.append(engine.now)
-            engine.after(1.0, reschedule, shard="alpha")
+            engine.after(1.0, reschedule)
 
-        engine.at(0.0, reschedule, shard="alpha")
+        engine.at(0.0, reschedule)
         with pytest.raises(SimulationError, match="more than 100 events"):
             engine.run()
         assert len(fired) == 100
@@ -181,10 +165,10 @@ class TestRunawayValve:
 
         def tick(zone):
             fired.append((engine.now, zone))
-            engine.after(1.0, lambda: tick(zone), shard=zone)
+            engine.after(1.0, lambda: tick(zone))
 
-        engine.at(0.5, lambda: tick("alpha"), shard="alpha")
-        engine.at(0.75, lambda: tick("beta"), shard="beta")
+        engine.at(0.5, lambda: tick("alpha"))
+        engine.at(0.75, lambda: tick("beta"))
         for phase in range(1, 11):
             assert engine.run(until=4.0 * phase) == 4.0 * phase
             assert engine.dispatched_events == 8  # per run, under the valve
@@ -196,9 +180,9 @@ class TestRunawayValve:
 
         def hop(here, there):
             hops.append(here)
-            engine.after(1.0, lambda: hop(there, here), shard=there)
+            engine.after(1.0, lambda: hop(there, here))
 
-        engine.at(0.0, lambda: hop("alpha", "beta"), shard="alpha")
+        engine.at(0.0, lambda: hop("alpha", "beta"))
         with pytest.raises(SimulationError, match="more than 50 events"):
             engine.run()
         assert len(hops) == 50
@@ -318,10 +302,8 @@ class TestEventQueueProperties:
                 expected = self._model_next(model)
                 if expected is None:
                     assert queue.peek_time() is None
-                    assert queue.peek_key() is None
                 else:
                     assert queue.peek_time() == expected["key"][0]
-                    assert queue.peek_key() == expected["key"]
         # Drain: the remainder comes out in exact model order.
         remainder = []
         while True:
@@ -353,7 +335,6 @@ class TestEventQueueProperties:
                         pushed[index].cancel()
             # pops skipped: both queues must agree on the *full* stream below
             peeked.peek_time()
-            peeked.peek_key()
         stream = lambda q: [  # noqa: E731 - local one-liner
             (e.time, e.priority, e.sequence) for e in iter(q.pop, None)
         ]

@@ -11,11 +11,9 @@ from repro.streams import (
     DataflowPlane,
     OperatorError,
     OperatorGraph,
-    BatchCollector,
     DataStream,
     SensorSource,
     StreamElement,
-    WindowedProcessor,
 )
 
 
@@ -134,121 +132,87 @@ class TestSensorSource:
             sensor.start()
 
 
+def _window_on_plane(window_s, until, compute_fn=None, reading_fn=None):
+    """One 1 Hz sensor into one tumbling window on the plane, at E14's cost
+    (0.05 s per element); returns ``(plane, window handle, source stream)``."""
+    engine = SimulationEngine()
+    executor = TestOperatorGraphAndPlane._platform_executor(engine)
+    operators = OperatorGraph("g")
+    source = operators.source("readings")
+    window = source.tumbling_window(
+        "agg",
+        window_s,
+        compute_fn or (lambda values: sum(values) / len(values)),
+        duration_fn=lambda count: 0.05 * count,
+    )
+    SensorSource(
+        engine, source.stream, period_s=1.0, until=until, reading_fn=reading_fn
+    ).start()
+    plane = DataflowPlane(operators, executor, ingest_node="fog-0")
+    plane.start()
+    plane.close_sources_at(until + window_s)
+    engine.run()
+    return plane, window, source.stream
+
+
 class TestWindowedProcessor:
-    @staticmethod
-    def run_pipeline(window_s=5.0, until=30.0, period_s=1.0):
-        engine = SimulationEngine()
-        platform = make_fog_platform(num_edge=1, num_fog=1, num_cloud=1)
-        readings = DataStream("readings")
-        results = DataStream("results")
-        SensorSource(engine, readings, period_s=period_s, until=until).start()
-        processor = WindowedProcessor(
-            engine,
-            platform,
-            readings,
-            results,
-            node_name="fog-0",
-            window_s=window_s,
-            compute_fn=lambda elements: sum(e.value for e in elements) / len(elements),
-        )
-        processor.start()
-        engine.at(until + 1e-6, readings.close)
-        engine.run()
-        return processor, results
+    """Windowed processing: one ``tumbling_window`` lowered by the plane."""
 
     def test_every_element_processed_exactly_once(self):
-        processor, _ = self.run_pipeline()
-        total = sum(r.element_count for r in processor.results)
-        assert total == 31  # t = 0..30 inclusive
+        plane, _, stream = _window_on_plane(window_s=5.0, until=30.0)
+        results = plane.results_of("agg")
+        assert sum(r.element_count for r in results) == 31  # t = 0..30 inclusive
+        assert stream.total_published == plane.elements_ingested == 31
+        # Every element in exactly one window: ordered, disjoint spans.
+        spans = [(r.window_start, r.window_end) for r in results]
+        assert all(e1 <= s2 + 1e-9 for (_, e1), (s2, _) in zip(spans, spans[1:]))
 
     def test_results_stream_out_during_the_run(self):
-        processor, results = self.run_pipeline(window_s=5.0, until=30.0)
+        plane, window, _ = _window_on_plane(window_s=5.0, until=30.0)
+        results = plane.results_of("agg")
         # First result appears shortly after the first window closes (t=5),
         # long before the campaign ends (t=30).
-        first = processor.results[0]
-        assert first.completed_at < 10.0
-        assert len(results) == len(processor.results)
+        assert results[0].completed_at < 10.0
+        assert [e.value for e in window.output.elements] == results
 
     def test_latency_bounded_by_window_plus_compute(self):
-        processor, _ = self.run_pipeline(window_s=5.0)
-        assert processor.max_latency < 5.0
+        plane, _, _ = _window_on_plane(window_s=5.0, until=30.0)
+        assert 0.0 < plane.max_latency("agg") < 5.0
 
     def test_window_values_correct(self):
-        engine = SimulationEngine()
-        platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=0)
-        readings = DataStream("r")
-        results = DataStream("out")
-        SensorSource(
-            engine, readings, period_s=1.0, until=9.0,
+        plane, _, _ = _window_on_plane(
+            window_s=5.0,
+            until=9.0,
+            compute_fn=list,
             reading_fn=lambda seq, rng: float(seq),
-        ).start()
-        processor = WindowedProcessor(
-            engine, platform, readings, results, "fog-0", window_s=5.0,
-            compute_fn=lambda els: [e.value for e in els],
         )
-        processor.start()
-        engine.at(9.0 + 1e-6, readings.close)
-        engine.run()
+        first, second = plane.results_of("agg")
         # Window [0,5) holds t=0..4 -> values 0..4; window [5,10) holds 5..9.
-        assert processor.results[0].value == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert processor.results[1].value == [5.0, 6.0, 7.0, 8.0, 9.0]
+        assert first.value == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert second.value == [5.0, 6.0, 7.0, 8.0, 9.0]
 
     def test_invalid_window_rejected(self):
-        engine = SimulationEngine()
-        platform = make_fog_platform()
-        with pytest.raises(ValueError):
-            WindowedProcessor(
-                engine, platform, DataStream("a"), DataStream("b"),
-                "fog-0", window_s=0.0, compute_fn=len,
-            )
+        for window_s in (0.0, -1.0):
+            source = OperatorGraph("g").source("readings")
+            with pytest.raises(OperatorError, match="window_s must be positive"):
+                source.tumbling_window("agg", window_s, len)
 
 
 class TestBatchBaseline:
+    """The fragmented baseline: one window as long as the campaign."""
+
     def test_batch_result_latency_spans_campaign(self):
-        engine = SimulationEngine()
-        platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-        readings = DataStream("r")
-        SensorSource(engine, readings, period_s=1.0, until=60.0).start()
-        batch = BatchCollector(
-            engine, platform, readings, node_name="cloud-0",
-            compute_fn=lambda els: len(els),
-        )
-        batch.process_at(60.0 + 1e-6)
-        engine.run()
-        assert batch.result is not None
-        assert batch.result.element_count == 61
+        plane, _, _ = _window_on_plane(window_s=60.0 + 1e-6, until=60.0)
+        (result,) = plane.results_of("agg")
+        assert result.element_count == 61
         # Oldest element is a whole campaign old when the result appears.
-        assert batch.result_latency >= 60.0
+        assert result.worst_element_latency >= 60.0
 
     def test_streaming_latency_much_lower_than_batch(self):
-        def run_streaming():
-            engine = SimulationEngine()
-            platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-            readings, results = DataStream("r"), DataStream("out")
-            SensorSource(engine, readings, period_s=1.0, until=60.0).start()
-            processor = WindowedProcessor(
-                engine, platform, readings, results, "fog-0", window_s=5.0,
-                compute_fn=lambda els: sum(e.value for e in els),
-            )
-            processor.start()
-            engine.at(60.0 + 1e-6, readings.close)
-            engine.run()
-            return processor.mean_latency
-
-        def run_batch():
-            engine = SimulationEngine()
-            platform = make_fog_platform(num_edge=0, num_fog=1, num_cloud=1)
-            readings = DataStream("r")
-            SensorSource(engine, readings, period_s=1.0, until=60.0).start()
-            batch = BatchCollector(
-                engine, platform, readings, "cloud-0",
-                compute_fn=lambda els: sum(e.value for e in els),
-            )
-            batch.process_at(60.0 + 1e-6)
-            engine.run()
-            return batch.result_latency
-
-        assert run_streaming() * 10 < run_batch()
+        streaming, _, _ = _window_on_plane(window_s=5.0, until=60.0)
+        batch, _, _ = _window_on_plane(window_s=60.0 + 1e-6, until=60.0)
+        (result,) = batch.results_of("agg")
+        assert streaming.mean_latency("agg") * 10 < result.worst_element_latency
 
 
 class TestDataStreamBatchAndPruning:

@@ -563,23 +563,22 @@ class TestEngineEquivalence:
         assert single == sharded == parallel
 
     def test_adaptive_widening_preserves_results_and_fires(self):
-        from repro.simulation.parallel import ParallelShardedSimulationEngine
+        from repro.simulation.parallel import (
+            ParallelShardedSimulationEngine,
+            run_programs_sharded,
+        )
 
-        def run(adaptive):
-            sim = ParallelShardedSimulationEngine(
-                make_hybrid_stream_network(self.CFG),
-                make_hybrid_stream_programs(self.CFG),
-                workers=2,
-                adaptive_window=adaptive,
-            )
-            sim.run()
-            return sim
-
-        widened = run(True)
-        fixed = run(False)
-        assert widened.results == fixed.results
+        widened = ParallelShardedSimulationEngine(
+            make_hybrid_stream_network(self.CFG),
+            make_hybrid_stream_programs(self.CFG),
+            workers=2,
+        )
+        widened.run()
+        # The sequential reference never widens: every round is one lookahead.
+        fixed = run_programs_sharded(
+            make_hybrid_stream_network(self.CFG),
+            make_hybrid_stream_programs(self.CFG),
+        )
+        assert widened.results == fixed["results"]
         assert widened.stats["widened_windows"] > 0
-        assert fixed.stats["widened_windows"] == 0
         assert widened.stats["max_window_factor"] > 1.0
-        # Widening may only ever merge barrier rounds, never add them.
-        assert widened.stats["windows"] <= fixed.stats["windows"]
