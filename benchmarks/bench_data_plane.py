@@ -158,6 +158,7 @@ def _baseline_for(n_objects: int) -> dict:
 def _write_results(points: list) -> None:
     results = {
         "experiment": "data_plane",
+        "scale": bench_scale(),
         "pre_pr_baseline": PRE_PR_BASELINE,
         "points": points,
         "speedup_vs_baseline": {
@@ -215,9 +216,9 @@ def test_data_plane_scaling(benchmark):
 
 
 #: Absolute ops/sec floor for the 100k-object point (CI smoke guard).
-#: Post-PR-5 the point runs at ~250k ops/s locally; the pre-PR data plane
-#: managed ~69.  The floor sits far below the optimized rate so it only
-#: trips on order-of-magnitude regressions, not on slow CI runners.
+#: The point runs at ~400k ops/s locally (~250k before PR 21); the pre-PR-5
+#: data plane managed ~69.  The floor sits far below the optimized rate so
+#: it only trips on order-of-magnitude regressions, not on slow CI runners.
 DATA_PLANE_OPS_PER_SEC_FLOOR = 40_000.0
 
 

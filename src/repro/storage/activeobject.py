@@ -15,24 +15,31 @@ bytes moved* differ exactly the way the paper claims (experiment E5):
 * :meth:`ActiveObjectStore.call` — ship only arguments and the result,
   executing the method on the node holding the object.
 
-Data-plane hot path (PR 5): each object carries a version-tagged
-size/digest computed by one serialization pass (``estimate_size_digest``)
-at most once per state version.  In-store calls execute at the primary
-replica and charge only argument/result movement — never the object state,
-which the seed re-pickled on *every* call — and merely bump the state
-version; replicas are propagated lazily (and skipped entirely when the
-post-call digest shows the state did not actually change).
+Data-plane hot path: each object carries a version-tagged size/digest
+computed by one serialization pass (``estimate_size_digest``) at most once
+per state version.  In-store calls execute at the primary replica and
+charge only argument/result movement — never the object state, which the
+seed re-pickled on *every* call — and merely bump the state version;
+replicas are propagated lazily (and skipped entirely when the post-call
+digest shows the state did not actually change).  A stored object costs
+what an object does: one slotted record whose holders are the ring's
+arc-shared tuple and whose replicas' progress is one int, in a class
+registry keyed by the class itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Type
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.core.exceptions import StorageError
 from repro.storage.interface import estimate_size, estimate_size_digest
 from repro.storage.keyvalue import ConsistentHashRing
+
+
+def _class_name(cls: Type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
 
 
 @dataclass
@@ -44,66 +51,83 @@ class RegisteredClass:
 
     @property
     def name(self) -> str:
-        return f"{self.cls.__module__}.{self.cls.__qualname__}"
+        return _class_name(self.cls)
 
 
 class ClassRegistry:
-    """Registry of classes whose methods the store may execute."""
+    """Registry of classes whose methods the store may execute.
+
+    Keyed by the class object: two classes may share a qualified name (any
+    class defined inside a function), and each must run its own methods.
+    """
 
     def __init__(self) -> None:
-        self._classes: Dict[str, RegisteredClass] = {}
+        self._classes: Dict[Type, RegisteredClass] = {}
 
     def register(self, cls: Type) -> RegisteredClass:
         """Register a class and its public methods (idempotent)."""
-        name = f"{cls.__module__}.{cls.__qualname__}"
-        if name in self._classes:
-            return self._classes[name]
-        methods = {
-            attr: value
-            for attr, value in vars(cls).items()
-            if callable(value) and not attr.startswith("_")
-        }
-        entry = RegisteredClass(cls=cls, methods=methods)
-        self._classes[name] = entry
+        entry = self._classes.get(cls)
+        if entry is None:
+            methods = {
+                attr: value
+                for attr, value in vars(cls).items()
+                if callable(value) and not attr.startswith("_")
+            }
+            entry = self._classes[cls] = RegisteredClass(cls=cls, methods=methods)
         return entry
 
     def is_registered(self, cls: Type) -> bool:
-        return f"{cls.__module__}.{cls.__qualname__}" in self._classes
+        return cls in self._classes
 
     def lookup_method(self, cls: Type, method: str) -> Callable:
-        name = f"{cls.__module__}.{cls.__qualname__}"
-        entry = self._classes.get(name)
+        entry = self._classes.get(cls)
         if entry is None:
-            raise StorageError(f"class {name!r} is not registered")
+            raise StorageError(f"class {_class_name(cls)!r} is not registered")
         fn = entry.methods.get(method)
         if fn is None:
-            raise StorageError(f"class {name!r} has no registered method {method!r}")
+            raise StorageError(
+                f"class {entry.name!r} has no registered method {method!r}"
+            )
         return fn
 
     @property
     def class_names(self) -> List[str]:
-        return list(self._classes)
+        return [entry.name for entry in self._classes.values()]
 
 
-@dataclass
 class _StoredObject:
     """One stored object, shared by all of its replica holders.
 
     ``version`` counts state mutations (every in-store call bumps it);
     ``size_version`` tags the version at which ``size_bytes``/``digest``
     were last computed, so sizing happens at most once per version and only
-    when something actually reads the size.  ``replica_versions`` tracks,
-    per holder, the state version that holder has seen — primaries advance
-    on each call, replicas catch up lazily.
+    when something actually reads the size.  ``holders`` is the ring's
+    shared preference tuple (replaced, never mutated, when a holder fails).
+    The primary, ``holders[0]``, has seen ``version`` after every
+    transition; the other holders only ever advance together, so one int,
+    ``replicas_version``, is the state version all of them have seen.
     """
 
-    value: Any
-    holders: List[str]
-    version: int = 0
-    size_version: int = 0
-    size_bytes: int = 0
-    digest: Optional[int] = None
-    replica_versions: Dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "value",
+        "holders",
+        "version",
+        "size_version",
+        "size_bytes",
+        "digest",
+        "replicas_version",
+    )
+
+    def __init__(
+        self, value: Any, holders: Tuple[str, ...], size_bytes: int, digest: Optional[int]
+    ) -> None:
+        self.value = value
+        self.holders = holders
+        self.version = 0
+        self.size_version = 0
+        self.size_bytes = size_bytes
+        self.digest = digest
+        self.replicas_version = 0
 
 
 class ActiveObjectStore:
@@ -170,17 +194,13 @@ class ActiveObjectStore:
         dropped = self._objects[node]
         self._objects[node] = {}
         for object_id, record in dropped.items():
-            if node in record.holders:
-                record.holders.remove(node)
-                record.replica_versions.pop(node, None)
+            # Survivor promotion costs nothing to record: whoever is first
+            # now serves the object's current in-memory state (the failed
+            # node can no longer be pulled from), without a sync charge.
+            record.holders = tuple(n for n in record.holders if n != node)
             if not record.holders:
                 # Every replica is gone: the object is lost.
                 del self._records[object_id]
-            else:
-                # Survivor promotion: the new primary serves the object's
-                # current in-memory state (the failed node can no longer be
-                # pulled from), so mark it current without a sync charge.
-                record.replica_versions[record.holders[0]] = record.version
         if self.location_service is not None:
             self.location_service.evict_node(node)
 
@@ -189,16 +209,11 @@ class ActiveObjectStore:
     def _place(self, object_id: str, value: Any) -> _StoredObject:
         size, digest = estimate_size_digest(value)
         self.size_computations += 1
-        holders = list(self.ring.preference_for(object_id, self.replication))
-        record = _StoredObject(
-            value=value,
-            holders=holders,
-            size_bytes=size,
-            digest=digest,
-            replica_versions={node: 0 for node in holders},
-        )
+        holders = self.ring.preference_for(object_id, self.replication)
+        record = _StoredObject(value, holders, size, digest)
+        objects = self._objects
         for node in holders:
-            self._objects[node][object_id] = record
+            objects[node][object_id] = record
         self._records[object_id] = record
         if self.location_service is not None:
             for node in holders:
@@ -230,17 +245,16 @@ class ActiveObjectStore:
 
         Recomputed (one ``pickle.dumps``) only when the version moved since
         the last computation; if the fresh digest matches, the mutating
-        calls were no-ops state-wise and every replica is retroactively
-        marked current — nothing would have needed to move.
+        calls were no-ops state-wise and replicas that had seen the sized
+        version are retroactively marked current — nothing would have
+        needed to move.
         """
         if record.size_version != record.version:
             size, digest = estimate_size_digest(record.value)
             self.size_computations += 1
             if digest is not None and digest == record.digest:
-                replica_versions = record.replica_versions
-                for node, seen in replica_versions.items():
-                    if seen == record.size_version:
-                        replica_versions[node] = record.version
+                if record.replicas_version == record.size_version:
+                    record.replicas_version = record.version
             else:
                 record.digest = digest
                 if size != record.size_bytes:
@@ -268,16 +282,17 @@ class ActiveObjectStore:
         """
         record = self._record(object_id)
         fn = self.registry.lookup_method(type(record.value), method)
-        moved = sum(estimate_size(a) for a in args)
-        moved += sum(estimate_size(v) for v in kwargs.values())
+        moved = 0
+        for arg in args:
+            moved += estimate_size(arg)
+        for arg in kwargs.values():
+            moved += estimate_size(arg)
         result = fn(record.value, *args, **kwargs)
-        moved += estimate_size(result)
-        self.bytes_moved_calls += moved
+        self.bytes_moved_calls += moved + estimate_size(result)
         self.in_store_executions += 1
-        # The call may have mutated the state: advance the version at the
-        # primary and let replicas (and the size cache) catch up lazily.
+        # The call may have mutated the state: advance the version (the
+        # primary's) and let replicas and the size cache catch up lazily.
         record.version += 1
-        record.replica_versions[record.holders[0]] = record.version
         return result
 
     def sync_replicas(self, object_id: str) -> int:
@@ -290,25 +305,20 @@ class ActiveObjectStore:
         """
         record = self._record(object_id)
         size = self._current_size(object_id, record)
-        synced = 0
-        version = record.version
-        replica_versions = record.replica_versions
-        for node in record.holders:
-            if replica_versions.get(node, 0) != version:
-                replica_versions[node] = version
-                self.bytes_moved_sync += size
-                synced += 1
+        if record.replicas_version == record.version:
+            return 0
+        record.replicas_version = record.version
+        synced = len(record.holders) - 1
+        self.bytes_moved_sync += size * synced
         self.replica_syncs += synced
         return synced
 
     def stale_replicas(self, object_id: str) -> Set[str]:
         """Holders that have not yet seen the object's current version."""
         record = self._record(object_id)
-        return {
-            node
-            for node in record.holders
-            if record.replica_versions.get(node, 0) != record.version
-        }
+        if record.replicas_version == record.version:
+            return set()
+        return set(record.holders[1:])
 
     def version_of(self, object_id: str) -> int:
         return self._record(object_id).version

@@ -13,12 +13,15 @@ needs from it — and what this module provides — is:
 * :class:`StorageDict`, the dict-as-table mapping, with Hecuba's ``split()``
   so tasks can iterate partitions data-locally (claim C4).
 
-Data-plane hot path (PR 5): ring lookups are memoized behind a ring
-version counter (bumped on every join/leave, mirroring the capacity
-ledger's candidate cache), cell sizes are pickled once at write time and
-reused by every read, and the dict-as-table layer keeps O(1) membership
-plus a per-key primary cache so ``split()`` and per-partition iteration
-resolve the ring once per key *per ring version* instead of per access.
+Data-plane hot path: a stored cell costs what a cell does.  The ring
+resolves a key by hash → bisect → one shared preference tuple *per ring
+arc* (its own state is O(arcs), never O(keys)); the cluster keeps one
+placement slot per *live* cell — that shared tuple, valid for one ring
+version — so between membership changes a key is hashed once in its life
+and a read is dict probes only; cell sizes are pickled once at write time
+and reused by every read; the dict-as-table layer maps each key to its
+cell-id string, built once.  A membership change drops the arc tables and
+the placement slots whole; nothing here has a bound to tune.
 """
 
 from __future__ import annotations
@@ -45,15 +48,12 @@ class ConsistentHashRing:
     whose arc is affected move (the property the paper's storage backends get
     from Cassandra).
 
-    Key→preference-list lookups are memoized: ``replicas_for`` walks the
-    ring once per (key, count) per ring ``version`` — the counter bumped by
-    every ``add_node``/``remove_node`` — so steady-state placement is one
-    dict probe instead of a hash + bisect + arc walk.
+    The arc is the unit of placement: every key hashing onto one arc shares
+    one preference list, so the ring keeps one lazily filled table of shared
+    tuples per ``count`` asked for (``len(ring)`` slots each) and drops them
+    whole on every ``add_node``/``remove_node`` — the membership change that
+    also bumps ``version``.  A lookup is hash + bisect + one list index.
     """
-
-    #: Memo entries beyond this are dropped wholesale (one-shot keys from
-    #: unbounded keyspaces must not accumulate forever).
-    PREFERENCE_CACHE_LIMIT = 1 << 18
 
     def __init__(self, virtual_nodes: int = 64) -> None:
         if virtual_nodes < 1:
@@ -62,10 +62,11 @@ class ConsistentHashRing:
         self._ring: List[Tuple[int, str]] = []
         self._hashes: List[int] = []
         self._nodes: Set[str] = set()
-        #: Bumped on every membership change; memoized preference lists are
-        #: only valid for the version they were computed at.
+        #: Bumped on every membership change; preference tuples handed out
+        #: are only valid for the version they were resolved at.
         self.version = 0
-        self._preference_cache: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+        #: ``{count: [preference tuple | None] per arc}``.
+        self._arc_preferences: Dict[int, List[Optional[Tuple[str, ...]]]] = {}
 
     @property
     def nodes(self) -> Set[str]:
@@ -81,8 +82,7 @@ class ConsistentHashRing:
             self._hashes.insert(index, token)
             self._ring.insert(index, (token, node))
         self.version += 1
-        if self._preference_cache:
-            self._preference_cache.clear()
+        self._arc_preferences = {}
 
     def remove_node(self, node: str) -> None:
         if node not in self._nodes:
@@ -92,36 +92,34 @@ class ConsistentHashRing:
         self._ring = keep
         self._hashes = [t for t, _ in keep]
         self.version += 1
-        if self._preference_cache:
-            self._preference_cache.clear()
+        self._arc_preferences = {}
+
+    def _arc_of(self, key: str) -> int:
+        """Index into ``_ring`` of the arc ``key`` hashes onto."""
+        if not self._ring:
+            raise StorageError("ring has no nodes")
+        return bisect.bisect(self._hashes, _hash64(str(key))) % len(self._ring)
 
     def preference_for(self, key: str, count: int) -> Tuple[str, ...]:
-        """Memoized preference list: the ``count`` distinct nodes
-        responsible for ``key``, in ring order.
+        """The ``count`` distinct nodes responsible for ``key``, in ring order.
 
-        Returns a shared tuple — callers must not rely on mutating it.
+        Returns the arc's shared tuple — callers must not rely on mutating it.
         """
-        cache = self._preference_cache
-        cache_key = (key, count)
-        chosen = cache.get(cache_key)
-        if chosen is not None:
-            return chosen
-        if not self._nodes:
-            raise StorageError("ring has no nodes")
-        count = min(count, len(self._nodes))
-        token = _hash64(str(key))
-        start = bisect.bisect(self._hashes, token) % len(self._ring)
-        picked: List[str] = []
-        index = start
-        while len(picked) < count:
-            node = self._ring[index][1]
-            if node not in picked:
-                picked.append(node)
-            index = (index + 1) % len(self._ring)
-        chosen = tuple(picked)
-        if len(cache) >= self.PREFERENCE_CACHE_LIMIT:
-            cache.clear()
-        cache[cache_key] = chosen
+        arc = self._arc_of(key)
+        table = self._arc_preferences.get(count)
+        if table is None:
+            table = self._arc_preferences[count] = [None] * len(self._ring)
+        chosen = table[arc]
+        if chosen is None:
+            count = min(count, len(self._nodes))
+            picked: List[str] = []
+            index = arc
+            while len(picked) < count:
+                node = self._ring[index][1]
+                if node not in picked:
+                    picked.append(node)
+                index = (index + 1) % len(self._ring)
+            chosen = table[arc] = tuple(picked)
         return chosen
 
     def replicas_for(self, key: str, count: int) -> List[str]:
@@ -129,7 +127,7 @@ class ConsistentHashRing:
         return list(self.preference_for(key, count))
 
     def primary_for(self, key: str) -> str:
-        return self.preference_for(key, 1)[0]
+        return self._ring[self._arc_of(key)][1]
 
 
 class KeyValueCluster:
@@ -139,9 +137,11 @@ class KeyValueCluster:
     so it can serve as an SRI backend, and additionally exposes the
     cell-level operations :class:`StorageDict` needs.
 
-    Cell sizes are computed once per write (pickle-once accounting): reads
-    charge the cached size instead of re-serializing the value on every
-    ``get``.
+    Per *live* cell (one with a replica on an alive node) the cluster keeps
+    two slots and nothing else: its serialized size, computed once per write
+    (pickle-once accounting — reads charge it instead of re-serializing), and
+    its ring preference tuple, created by the write, re-resolved at most once
+    after a membership change, dropped with the cell.
     """
 
     def __init__(
@@ -158,6 +158,9 @@ class KeyValueCluster:
         self._alive: Set[str] = set()
         # Serialized size of each live cell, computed once at write time.
         self._sizes: Dict[str, int] = {}
+        # The ring's (arc-shared) preference tuple of live cells resolved at
+        # the current ring version; emptied by every membership change.
+        self._placement: Dict[str, Tuple[str, ...]] = {}
         for node in node_names:
             self.add_node(node)
         if not self._alive:
@@ -176,6 +179,7 @@ class KeyValueCluster:
         self.ring.add_node(node)
         self._data.setdefault(node, {})
         self._alive.add(node)
+        self._placement.clear()
 
     def fail_node(self, node: str) -> None:
         """Simulate a storage node crash: its replicas become unavailable."""
@@ -183,50 +187,68 @@ class KeyValueCluster:
             raise StorageError(f"node {node!r} is not alive")
         self._alive.discard(node)
         self.ring.remove_node(node)
+        self._placement.clear()
+        dropped = self._data[node]
         self._data[node] = {}
+        # A cell whose last replica just died is gone: forget its size too.
+        survivors = [self._data[other] for other in self._alive]
+        for object_id in dropped:
+            if not any(object_id in table for table in survivors):
+                del self._sizes[object_id]
 
     # ----------------------------------------------------------- operations
 
-    def _replicas(self, key: str) -> Tuple[str, ...]:
-        return self.ring.preference_for(str(key), self.replication)
+    def preference_of(self, object_id: str) -> Tuple[str, ...]:
+        """The ring's current preference tuple for ``object_id``.
+
+        A live cell is hashed once per ring version (its placement slot);
+        an id that is not stored is resolved but never remembered.
+        """
+        holders = self._placement.get(object_id)
+        if holders is None:
+            holders = self.ring.preference_for(object_id, self.replication)
+            if object_id in self._sizes:
+                self._placement[object_id] = holders
+        return holders
 
     def put(self, object_id: str, value: Any) -> Set[str]:
-        size = estimate_size(value)
-        self._sizes[object_id] = size
-        holders = self._replicas(object_id)
-        for node in holders:
-            self._data[node][object_id] = value
-            self.bytes_written += size
-        return set(holders)
+        self.put_many({object_id: value})
+        return set(self._placement[object_id])
 
     def put_many(self, cells: Mapping[str, Any]) -> None:
-        """Batched write path: one size computation and one (memoized) ring
-        resolution per cell, no per-call holder-set materialization."""
+        """Batched write path: one size computation and one ring resolution
+        per new cell, no per-call holder-set materialization."""
         sizes = self._sizes
         data = self._data
-        replicas = self._replicas
+        placement = self._placement
+        preference_for = self.ring.preference_for
+        replication = self.replication
+        written = 0
         for object_id, value in cells.items():
             size = estimate_size(value)
+            holders = placement.get(object_id)
+            if holders is None:
+                holders = placement[object_id] = preference_for(object_id, replication)
+            if object_id in sizes:
+                # An overwrite leaves no reachable replica of the previous
+                # value: copies on former holders (the ring moved since the
+                # last write) are dropped.
+                for node, table in data.items():
+                    if node not in holders:
+                        table.pop(object_id, None)
             sizes[object_id] = size
-            holders = replicas(object_id)
             for node in holders:
                 data[node][object_id] = value
-            self.bytes_written += size * len(holders)
-
-    def _charge_read(self, object_id: str, value: Any) -> Any:
-        size = self._sizes.get(object_id)
-        if size is None:
-            # Cell written before size tracking (or size evicted): price it
-            # once now and remember.
-            size = estimate_size(value)
-            self._sizes[object_id] = size
-        self.bytes_read += size
-        return value
+            written += size * len(holders)
+        self.bytes_written += written
 
     def get(self, object_id: str) -> Any:
-        for node in self._replicas(object_id):
-            if node in self._alive and object_id in self._data[node]:
-                return self._charge_read(object_id, self._data[node][object_id])
+        data = self._data
+        for node in self._placement.get(object_id) or self.preference_of(object_id):
+            local = data[node]
+            if object_id in local:
+                self.bytes_read += self._sizes[object_id]
+                return local[object_id]
         raise StorageError(f"object {object_id!r} not found in {self.name!r}")
 
     def get_from(self, node: str, object_id: str) -> Any:
@@ -237,42 +259,32 @@ class KeyValueCluster:
         to that node's local table.  Falls back to the replica walk when
         the hint misses (e.g. the node failed since the split).
         """
-        if node in self._alive:
-            local = self._data[node]
-            if object_id in local:
-                return self._charge_read(object_id, local[object_id])
+        local = self._data.get(node)
+        if local is not None and object_id in local:
+            self.bytes_read += self._sizes[object_id]
+            return local[object_id]
         return self.get(object_id)
 
     def delete(self, object_id: str) -> None:
-        found = False
-        for node in list(self._data):
-            if object_id in self._data[node]:
-                del self._data[node][object_id]
-                found = True
-        if found:
-            self._sizes.pop(object_id, None)
-        else:
+        if self._sizes.pop(object_id, None) is None:
             raise StorageError(f"object {object_id!r} not found in {self.name!r}")
+        self._placement.pop(object_id, None)
+        for table in self._data.values():
+            table.pop(object_id, None)
 
     def exists(self, object_id: str) -> bool:
-        return any(
-            object_id in self._data[node] for node in self._alive
-        )
+        return object_id in self._sizes
 
     def get_locations(self, object_id: str) -> Set[str]:
         """SRI getLocations: alive nodes currently holding the object."""
-        return {
-            node
-            for node in self._alive
-            if object_id in self._data.get(node, {})
-        }
+        return {node for node in self._alive if object_id in self._data[node]}
 
     def keys_on_node(self, node: str) -> List[str]:
         """Keys whose *primary* replica lives on ``node`` (split support)."""
         if node not in self._alive:
             return []
-        primary_for = self.ring.primary_for
-        return [key for key in self._data[node] if primary_for(key) == node]
+        preference_of = self.preference_of
+        return [key for key in self._data[node] if preference_of(key)[0] == node]
 
 
 class StorageDict:
@@ -284,36 +296,38 @@ class StorageDict:
     task where its partition's primary replica lives (claim C4).
 
     Membership lives in an insertion-ordered dict (O(1) probes — the seed
-    kept a list, making an n-cell table O(n²) to fill), and each key's
-    primary node is cached alongside the ring version it was resolved at,
-    so a steady-state ``split()`` is a pure in-memory group-by.
+    kept a list, making an n-cell table O(n²) to fill) mapping each key to
+    its cell id: the very ``str`` the cluster's tables are keyed by, built
+    once per key.  Primaries come from the cluster's per-cell placement, so
+    a steady-state ``split()`` is a pure in-memory group-by.
     """
 
     def __init__(self, cluster: KeyValueCluster, table: str) -> None:
         self.cluster = cluster
         self.table = table
-        # Insertion-ordered key set; values are (ring_version, primary_node)
-        # or None when the primary has not been resolved yet.
-        self._keys: Dict[Any, Optional[Tuple[int, str]]] = {}
+        # Insertion-ordered key set; values are the keys' cell ids.
+        self._keys: Dict[Any, str] = {}
 
     def _cell(self, key: Any) -> str:
         return f"{self.table}:{key!r}"
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        if key not in self._keys:
-            self._keys[key] = None
-        self.cluster.put(self._cell(key), value)
+        cell = self._keys.get(key)
+        if cell is None:
+            cell = self._keys[key] = self._cell(key)
+        self.cluster.put(cell, value)
 
     def __getitem__(self, key: Any) -> Any:
-        if key not in self._keys:
+        cell = self._keys.get(key)
+        if cell is None:
             raise KeyError(key)
-        return self.cluster.get(self._cell(key))
+        return self.cluster.get(cell)
 
     def __delitem__(self, key: Any) -> None:
-        if key not in self._keys:
+        cell = self._keys.pop(key, None)
+        if cell is None:
             raise KeyError(key)
-        del self._keys[key]
-        self.cluster.delete(self._cell(key))
+        self.cluster.delete(cell)
 
     def __contains__(self, key: Any) -> bool:
         return key in self._keys
@@ -339,40 +353,31 @@ class StorageDict:
     def update(self, mapping: Dict[Any, Any]) -> None:
         """Bulk insert through the cluster's batched write path."""
         keys = self._keys
-        cell = self._cell
+        table = self.table
         cells = {}
         for key, value in mapping.items():
-            if key not in keys:
-                keys[key] = None
-            cells[cell(key)] = value
+            cell = keys.get(key)
+            if cell is None:
+                cell = keys[key] = f"{table}:{key!r}"
+            cells[cell] = value
         self.cluster.put_many(cells)
 
     def location_of(self, key: Any) -> Set[str]:
         """Nodes holding replicas of one cell (SRI passthrough)."""
-        return self.cluster.get_locations(self._cell(key))
-
-    def _primary_of(self, key: Any, ring_version: int) -> str:
-        cached = self._keys[key]
-        if cached is not None and cached[0] == ring_version:
-            return cached[1]
-        primary = self.cluster.ring.primary_for(self._cell(key))
-        self._keys[key] = (ring_version, primary)
-        return primary
+        return self.cluster.get_locations(self._keys.get(key) or self._cell(key))
 
     def split(self) -> Dict[str, List[Any]]:
         """Partition keys by the node holding their primary replica.
 
         Returns ``{node_name: [keys...]}`` — the Hecuba ``split()`` used to
-        generate one data-local task per partition.  Each key's primary is
-        cached with the ring version that produced it, so repeat splits
-        (and per-partition reads) between membership changes never touch
-        the ring.
+        generate one data-local task per partition.  Primaries are read off
+        the cluster's per-cell placement, so repeat splits (and reads)
+        between membership changes never touch the ring.
         """
-        ring_version = self.cluster.ring.version
         partitions: Dict[str, List[Any]] = {}
-        primary_of = self._primary_of
-        for key in list(self._keys):
-            primary = primary_of(key, ring_version)
+        preference_of = self.cluster.preference_of
+        for key, cell in self._keys.items():
+            primary = preference_of(cell)[0]
             bucket = partitions.get(primary)
             if bucket is None:
                 bucket = partitions[primary] = []
@@ -391,9 +396,10 @@ class StorageDict:
         """
         if keys is None:
             keys = self.split().get(node, [])
-        cell = self._cell
+        cells = self._keys
         get_from = self.cluster.get_from
         for key in keys:
-            if key not in self._keys:
+            cell = cells.get(key)
+            if cell is None:
                 raise KeyError(key)
-            yield key, get_from(node, cell(key))
+            yield key, get_from(node, cell)

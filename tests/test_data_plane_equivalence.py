@@ -1,17 +1,17 @@
 """Equivalence tests: data-plane fast paths vs naive reference paths.
 
 The data-plane hot path (ISSUE 5, claim C4) is — like the placement stack
-before it — a pile of pure *cost* optimizations: memoized ring preference
-lists behind a ring version counter, pickle-once size accounting, batched
-``StorageDict`` access, the in-store execution fast path with lazy replica
-propagation, and coalesced same-link transfer pricing.  Every layer claims
-identical *placements, locations and byte totals* to the definitional
-per-operation path, just fewer hash walks and serializations.  This suite
-pins that claim:
+before it — a pile of pure *cost* optimizations: ring preference lists
+shared per arc behind a ring version counter, pickle-once size accounting,
+batched ``StorageDict`` access, the in-store execution fast path with lazy
+replica propagation, and coalesced same-link transfer pricing.  Every layer
+claims identical *placements, locations and byte totals* to the
+definitional per-operation path, just fewer hash walks and serializations.
+This suite pins that claim:
 
-* hypothesis programs drive a long-lived (cache-warm) ring through random
-  join/leave/lookup sequences and compare every preference list against a
-  brute-force token-walk reference *and* a freshly built ring;
+* hypothesis programs drive a long-lived ring (arc tables filled) through
+  random join/leave/lookup sequences and compare every preference list
+  against a brute-force token-walk reference *and* a freshly built ring;
 * batched ``StorageDict`` writes/reads (``update``, ``partition_items``)
   must equal the per-key path cell for cell, byte for byte;
 * the in-store fast path (version bump + lazy sizing) must match an
@@ -159,8 +159,8 @@ class TestRingEquivalence:
                 versions.append(ring.version)
             elif op == "lookup":
                 key = f"key-{arg}"
-                # Warm the cache, then re-ask: both answers must equal the
-                # brute-force walk and a freshly built ring's answer.
+                # Fill the arc's slot, then re-ask: both answers must equal
+                # the brute-force walk and a freshly built ring's answer.
                 first = ring.replicas_for(key, replication)
                 cached = ring.replicas_for(key, replication)
                 assert first == cached
@@ -182,7 +182,7 @@ class TestRingEquivalence:
         for i in range(4):
             ring.add_node(f"n{i}")
         keys = [f"k{i}" for i in range(200)]
-        before = {k: ring.replicas_for(k, 2) for k in keys}  # warm the memo
+        before = {k: ring.replicas_for(k, 2) for k in keys}  # fill the arc tables
         ring.add_node("n-new")
         after = {k: ring.replicas_for(k, 2) for k in keys}
         expected = {

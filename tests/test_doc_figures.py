@@ -12,7 +12,8 @@ E16 is held the same way: the table rows, the measured-speedup /
 projected-speedup sentence, the per-event cost spread, the summary row and
 the README's churn paragraph must equal ``BENCH_continuum_churn.json``.
 So are the real-runtime figures of E11 and E1c, against
-``BENCH_runtime_overhead.json``.
+``BENCH_runtime_overhead.json``, and E2b's dated rows, against
+``BENCH_data_plane.json`` (its PR 5 before/after table stays as history).
 """
 
 import json
@@ -251,3 +252,29 @@ def test_e1c_submission_rates_equal_bench_runtime_overhead_json():
     assert _printed(r"\*\*([\d,]+) tasks/s\*\* via `submit_many\(\)`", sentence) == (
         f"{submission['submit_many_tasks_per_sec']:,.0f}"
     )
+
+
+# --------------------------------------------------------------------- E2b
+
+
+def test_e2b_dated_rows_equal_bench_data_plane_json():
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    section = _section(text, "E2b")
+    results = json.loads((ROOT / "BENCH_data_plane.json").read_text())
+    assert results["scale"] == "default"  # a smoke run must not be committed
+    count, number = r"([\d,]+)", r"([\d.]+)"
+    rows = re.findall(
+        rf"^\| \d{{4}}-\d\d-\d\d \| {count} \| {count} \| {number} s \| {count} \| {count}× \|$",
+        section,
+        re.MULTILINE,
+    )
+    assert rows == [
+        (
+            f"{point['objects']:,}",
+            f"{point['ops']:,}",
+            f"{point['seconds']:.3f}",
+            f"{point['ops_per_sec']:,.0f}",
+            f"{results['speedup_vs_baseline'][str(point['objects'])]:,.0f}",
+        )
+        for point in results["points"]
+    ]

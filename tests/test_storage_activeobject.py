@@ -72,6 +72,36 @@ class TestActiveObjectStore:
         with pytest.raises(StorageError):
             store.call(oid, "no_such_method")
 
+    def test_same_named_classes_each_run_their_own_method(self):
+        """The registry used to be keyed by ``module.qualname``: the second
+        of two classes defined in one function ran the first one's code."""
+
+        def make(step):
+            class Box:
+                def __init__(self):
+                    self.count = 0
+
+                def bump(self):
+                    self.count += step
+                    return self.count
+
+            return Box
+
+        first, second = make(1), make(100)
+        assert first.__qualname__ == second.__qualname__
+        store = ActiveObjectStore(NODES)
+        id_a, id_b = store.store(first()), store.store(second())
+        assert store.call(id_a, "bump") == 1
+        assert store.call(id_b, "bump") == 100
+        assert store.registry.is_registered(first)
+        assert store.registry.is_registered(second)
+        name = f"{first.__module__}.{first.__qualname__}"
+        assert store.registry.class_names == [name, name]
+        with pytest.raises(StorageError, match="has no registered method 'nope'"):
+            store.call(id_b, "nope")
+        with pytest.raises(StorageError, match="is not registered"):
+            store.registry.lookup_method(make(2), "bump")
+
     def test_missing_object_raises(self):
         store = ActiveObjectStore(NODES)
         with pytest.raises(StorageError):

@@ -124,6 +124,38 @@ class TestKeyValueCluster:
         cluster.get("k")
         assert cluster.bytes_read > 0
 
+    def test_overwrite_after_join_leaves_no_copy_of_the_old_value(self):
+        """A write used to go to the current preference list only: the copy
+        on a former holder outlived the overwrite and was served once both
+        current replicas had failed."""
+        cluster = KeyValueCluster(
+            [f"n{i}" for i in range(4)], replication=2, virtual_nodes=8
+        )
+        assert cluster.put("k0", "v1") == {"n0", "n1"}
+        cluster.add_node("joiner")
+        assert cluster.ring.preference_for("k0", 2) == ("joiner", "n1")
+        assert cluster.put("k0", "v2") == {"joiner", "n1"}
+        assert cluster.get_locations("k0") == {"joiner", "n1"}
+        cluster.fail_node("joiner")
+        assert cluster.get("k0") == "v2"
+        cluster.fail_node("n1")
+        with pytest.raises(StorageError):
+            cluster.get("k0")  # never "v1"
+        assert not cluster.exists("k0")
+
+    def test_batched_overwrite_after_join_drops_former_holders_too(self):
+        cluster = KeyValueCluster(
+            [f"n{i}" for i in range(4)], replication=2, virtual_nodes=8
+        )
+        keys = [f"k{i}" for i in range(40)]
+        cluster.put_many({key: "old" for key in keys})
+        cluster.add_node("joiner")
+        cluster.put_many({key: "new" for key in keys})
+        for key in keys:
+            assert cluster.get_locations(key) == set(cluster.preference_of(key))
+        for node in sorted(cluster.alive_nodes):
+            assert "old" not in cluster._data[node].values()
+
 
 class TestStorageDict:
     def test_dict_protocol(self):
