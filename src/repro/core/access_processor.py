@@ -10,8 +10,9 @@ For every task invocation the AP:
 1. binds the call to the task's signature and reads each parameter's declared
    direction (IN / OUT / INOUT / FILE_*);
 2. resolves each argument to a versioned datum in the :class:`DataRegistry`
-   (objects by identity, files by path, futures by their datum id; futures
-   inside one level of list/tuple are also tracked — PyCOMPSs collections);
+   (objects by identity, files by path, futures by their datum id — or, born
+   settled by a memo hit, as the value they hold; futures inside one level of
+   list/tuple are also tracked — PyCOMPSs collections);
 3. derives dependencies: a read depends on the writer of the version read
    (RAW); a write depends on that writer *and* on every reader of the current
    version (WAW + WAR — required because objects are mutated in place);
@@ -43,7 +44,7 @@ from repro.core.constraints import ResolvedRequirements
 from repro.core.data import DataRegistry, DataVersion
 from repro.core.futures import Future
 from repro.core.graph import TaskInstance, make_barrier_instance
-from repro.core.parameter import Direction, Parameter
+from repro.core.parameter import IN, Direction, Parameter
 from repro.core.task_definition import TaskDefinition
 
 if TYPE_CHECKING:
@@ -129,6 +130,26 @@ class AccessProcessor:
         the concrete arguments.
         """
         bound = definition.bind(args, kwargs)
+        # Whatever a call can get wrong is refused here, before a task id
+        # exists: were ``commit_task`` to raise, the reads it had already
+        # registered would name a task the graph never receives.
+        for pname, direction in definition.guarded:
+            value = bound.arguments[pname]
+            if not isinstance(value, Future):
+                if direction.is_file and not isinstance(value, str):
+                    raise TypeError(
+                        f"parameter {pname!r} is declared FILE_* but received "
+                        f"{type(value).__name__}, expected a path string"
+                    )
+            elif value.content_key is not None and not direction.is_file:
+                producer = value.producer_task_id
+                source = "a memo hit" if producer is None else f"task #{producer}"
+                raise TypeError(
+                    f"parameter {pname!r} of task {definition.name!r} is "
+                    f"{direction.name} but received a cache=True result (from "
+                    f"{source}), a value every identical submission shares: "
+                    "copy it in a task first, or drop cache=True"
+                )
         return PreparedTask(
             definition, bound, self._resolve_requirements(definition, bound)
         )
@@ -183,7 +204,7 @@ class AccessProcessor:
     def _process_argument(
         self,
         task_id: int,
-        pname: str,
+        pname: Any,
         value: Any,
         param: Parameter,
         explicit: bool,
@@ -194,15 +215,19 @@ class AccessProcessor:
     ) -> None:
         direction = param.direction
         if isinstance(value, Future):
-            self._access_datum(task_id, value.datum_id, direction, deps, reads, writes)
             future_args[pname] = value
+            datum_id = value.datum_id
+            if datum_id is None:
+                # Born settled (a memo hit): the future is the value it
+                # holds.  An immutable read orders against nothing; anything
+                # else is tracked by identity, as the object passed raw is.
+                held = value.value() if value.error is None else None
+                if isinstance(held, _UNTRACKED_TYPES) and direction is Direction.IN:
+                    return
+                datum_id = self.registry.register_object(held).datum_id
+            self._access_datum(task_id, datum_id, direction, deps, reads, writes)
             return
-        if direction.is_file:
-            if not isinstance(value, str):
-                raise TypeError(
-                    f"parameter {pname!r} is declared FILE_* but received "
-                    f"{type(value).__name__}, expected a path string"
-                )
+        if direction.is_file:  # a path string: prepare_task checked
             record = self.registry.register_file(value)
             self._access_datum(task_id, record.datum_id, direction, deps, reads, writes)
             return
@@ -212,10 +237,10 @@ class AccessProcessor:
             # tracked as a mutable object below.
             for index, element in enumerate(value):
                 if isinstance(element, Future):
-                    self._access_datum(
-                        task_id, element.datum_id, Direction.IN, deps, reads, writes
+                    self._process_argument(
+                        task_id, (pname, index), element, IN, True,
+                        deps, reads, writes, future_args,
                     )
-                    future_args[(pname, index)] = element
             return
         if isinstance(value, _UNTRACKED_TYPES) and direction is Direction.IN:
             return

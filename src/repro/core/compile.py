@@ -18,14 +18,19 @@ Because producer keys feed consumer keys, identity propagates through whole
 DAGs: two tenants submitting the same five-stage pipeline over the same
 inputs produce five pairwise-equal keys, and the runtime can resolve the
 entire repeat subgraph from the result cache (or alias it onto an in-flight
-twin) without scheduling anything.
+twin) without scheduling anything.  What is fixed per task definition about
+a key — whether its calls can be addressed at all, its identity, its static
+requirements' signature — sits in one key plan built by the first call; a
+memo hit settles at submission with no task, datum or graph node behind it.
 
 What opts out (key = ``None``): invocations with OUT/INOUT/FILE parameters
 (in-place mutation has no content identity), tracked mutable-object
 arguments, unpicklable literals, futures whose producer was itself not
 content-addressable, and tasks not declared ``cache=True`` — the
 declaration is the determinism contract; a non-deterministic task must
-never be deduplicated.
+never be deduplicated.  It also makes results *values*, handed as the same
+object to every identical submission: the Access Processor refuses a keyed
+future passed to an OUT/INOUT parameter.
 
 The second half of the module (:func:`compile_graph`) applies the same idea
 to *built* simulation workflows: the graphs emitted by the front-ends
@@ -42,6 +47,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+# _UNTRACKED_TYPES: anything else passed IN is identity-tracked mutable data,
+# which has no stable content identity.
+from repro.core.access_processor import _UNTRACKED_TYPES
 from repro.core.constraints import ResolvedRequirements
 from repro.core.futures import Future
 from repro.core.graph import SimProfile, TaskGraph, TaskInstance, TaskState
@@ -49,13 +57,7 @@ from repro.core.parameter import Direction
 from repro.core.task_definition import TaskDefinition
 from repro.storage.interface import content_fingerprint
 
-#: Immutable built-ins the Access Processor never tracks (mirrored from
-#: repro.core.access_processor to avoid a circular import; asserted equal in
-#: tests).  Anything else passed IN is identity-tracked mutable data, which
-#: has no stable content identity.
-_UNTRACKED_TYPES = (int, float, bool, str, bytes, complex, type(None), frozenset)
-
-_DEFINITION_IDENTITY_ATTR = "_repro_content_identity"
+_KEY_PLAN_ATTR = "_repro_key_plan"
 
 
 class _FutureToken:
@@ -76,10 +78,6 @@ class _FutureToken:
 
     def __setstate__(self, state: str) -> None:
         self.key = state
-
-
-class _OptOut(Exception):
-    """Internal control flow: this invocation is not content-addressable."""
 
 
 def _code_fingerprint(fn: Any) -> str:
@@ -112,7 +110,7 @@ def _code_fingerprint(fn: Any) -> str:
 
 
 def definition_identity(definition: TaskDefinition) -> str:
-    """Stable content identity of a task *type* (cached on the definition).
+    """Stable content identity of a task *type* (cached in its key plan).
 
     Two definitions share an identity only when they agree on module,
     qualified name, arity contract (returns, parameter directions) and
@@ -120,9 +118,6 @@ def definition_identity(definition: TaskDefinition) -> str:
     same decorated function imported by any number of tenant submissions
     compiles to the same identity in every process.
     """
-    cached = getattr(definition, _DEFINITION_IDENTITY_ATTR, None)
-    if cached is not None:
-        return cached
     directions = tuple(
         sorted(
             (name, param.direction.name)
@@ -140,9 +135,7 @@ def definition_identity(definition: TaskDefinition) -> str:
         )
     )
     # Unpicklable direction tuples cannot happen (strings only), so the
-    # identity is always concrete; cache it on the definition object itself
-    # — definitions are module-lived, so no id()-reuse hazard.
-    setattr(definition, _DEFINITION_IDENTITY_ATTR, identity)
+    # identity is always concrete.
     return identity
 
 
@@ -154,6 +147,28 @@ def _requirements_signature(requirements: ResolvedRequirements) -> tuple:
         tuple(sorted(requirements.software)),
         requirements.nodes,
     )
+
+
+class _KeyPlan:
+    """What is fixed per task definition about its calls' content keys.
+
+    Built by the definition's first compiled call and cached on the
+    definition itself (module-lived, so no ``id()``-reuse hazard).
+    """
+
+    __slots__ = ("identity", "addressable", "signed")
+
+    def __init__(self, definition: TaskDefinition) -> None:
+        self.identity = definition_identity(definition)
+        #: Whether any call can be addressed at all: an OUT / INOUT / FILE
+        #: parameter means in-place mutation or file side effects.
+        self.addressable = all(
+            param.direction is Direction.IN for _, param, _ in definition.plan
+        )
+        #: ``(requirements, signature)`` last signed: static constraints intern
+        #: to one object, so a lookup; swapped whole (compiling is lock-free).
+        self.signed: tuple = (None, None)
+        setattr(definition, _KEY_PLAN_ATTR, self)
 
 
 def stream_task_key(
@@ -205,50 +220,50 @@ class WorkflowCompiler:
         digest is the Merkle node over the invocation's entire upstream
         subgraph.
         """
-        try:
-            tokens = tuple(
-                (pname, self._tokenize(definition, pname, value))
-                for pname, value in bound.arguments.items()
-            )
-        except _OptOut:
+        plan = getattr(definition, _KEY_PLAN_ATTR, None) or _KeyPlan(definition)
+        if not plan.addressable:
             return None
+        arguments = bound.arguments
+        tokens = []
+        for pname, _, explicit in definition.plan:
+            value = arguments[pname]
+            if isinstance(value, Future):
+                value = value.content_key
+                if value is None:
+                    return None  # produced by a non-addressable invocation
+                value = _FutureToken(value)
+            elif not isinstance(value, _UNTRACKED_TYPES):
+                if explicit or not isinstance(value, (list, tuple)):
+                    # Identity-tracked mutable data (explicit containers,
+                    # dicts, user objects): no content identity.
+                    return None
+                value = self._tokenize_collection(value)
+                if value is None:
+                    return None
+            tokens.append((pname, value))
+        signed_for, signature = plan.signed
+        if signed_for is not requirements:
+            signature = _requirements_signature(requirements)
+            plan.signed = (requirements, signature)
         _size, key = content_fingerprint(
-            (
-                "repro-call/v1",
-                definition_identity(definition),
-                _requirements_signature(requirements),
-                tokens,
-            )
+            ("repro-call/v1", plan.identity, signature, tuple(tokens))
         )
         return key  # None when a literal argument is unpicklable
 
-    def _tokenize(self, definition: TaskDefinition, pname: str, value: Any) -> Any:
-        param = definition.direction_of(pname)
-        if param.direction is not Direction.IN or param.direction.is_file:
-            raise _OptOut  # in-place mutation / file side effects
-        if isinstance(value, Future):
-            if value.content_key is None:
-                raise _OptOut  # produced by a non-addressable invocation
-            return _FutureToken(value.content_key)
-        if isinstance(value, _UNTRACKED_TYPES):
-            return value
-        explicit = pname in definition.param_directions
-        if not explicit and isinstance(value, (list, tuple)):
-            # One-level collection scan, mirroring the Access Processor's
-            # non-explicit list/tuple semantics: future elements contribute
-            # their producer keys, everything else is hashed by content.
-            elements = []
-            for element in value:
-                if isinstance(element, Future):
-                    if element.content_key is None:
-                        raise _OptOut
-                    elements.append(_FutureToken(element.content_key))
-                else:
-                    elements.append(element)
-            return (type(value).__name__, tuple(elements))
-        # Anything else is identity-tracked mutable data (explicit
-        # containers, dicts, user objects): no content identity.
-        raise _OptOut
+    @staticmethod
+    def _tokenize_collection(value: Any) -> Optional[tuple]:
+        """One-level collection scan, mirroring the Access Processor's
+        non-explicit list/tuple semantics: future elements contribute their
+        producer keys, everything else is hashed by content."""
+        elements = []
+        for element in value:
+            if isinstance(element, Future):
+                element = element.content_key
+                if element is None:
+                    return None
+                element = _FutureToken(element)
+            elements.append(element)
+        return (type(value).__name__, tuple(elements))
 
     @staticmethod
     def result_key(invocation_key: str, index: int, returns: int) -> str:

@@ -5,6 +5,11 @@ Invoking a ``@task`` function returns immediately with one
 calls (creating dependencies) or are synchronized with ``compss_wait_on``.
 They are also valid dictionary keys and survive being stored in containers,
 since identity — not value — is what the Access Processor tracks.
+
+A future may also be *born settled*: a submission served from the memo
+cache returns futures that already hold their value.  No task produced
+them in this runtime, so ``datum_id`` and ``producer_task_id`` are None and
+the Access Processor treats such a future as the value it holds.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ class Future:
         datum_id: the data-registry identifier of the value this future will
             hold; the Access Processor uses it to wire dependencies.
         producer_task_id: id of the task instance that produces the value.
+            Both are None for a future born settled (a memo hit).
         content_key: Merkle-style content identity of the value, assigned by
             the workflow compiler when the producing invocation is content
             addressable (None otherwise).  Set once at submission, before
@@ -41,7 +47,7 @@ class Future:
         "_error",
     )
 
-    def __init__(self, datum_id: str, producer_task_id: int) -> None:
+    def __init__(self, datum_id: Optional[str], producer_task_id: Optional[int]):
         self.future_id = next(_future_ids)
         self.datum_id = datum_id
         self.producer_task_id = producer_task_id

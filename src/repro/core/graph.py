@@ -358,32 +358,6 @@ class TaskGraph:
             count += 1
         return count
 
-    def add_completed_task(
-        self,
-        instance: TaskInstance,
-        depends_on: Iterable[int] = (),
-        origin: str = "memo-cache",
-        now: float = 0.0,
-    ) -> None:
-        """Insert a task and complete it in the same breath.
-
-        The cache-hit path of content-addressed compilation: the invocation
-        is real (it appears in the graph, counts as completed, keeps
-        provenance) but its result came from the memoizer, so it never
-        enters the ready queue or touches a worker.  All dependencies must
-        already be DONE — callers check this before choosing the cached
-        path, because a cached value whose producer is still running would
-        let a consumer observe a datum "from the future".
-        """
-        self.add_task(instance, depends_on)
-        if instance.state is not TaskState.READY:
-            raise GraphError(
-                f"add_completed_task({instance.task_id}): dependencies not "
-                "all DONE — cannot serve this task from cache"
-            )
-        self.mark_running(instance.task_id, origin, now)
-        self.mark_done(instance.task_id, now)
-
     # ------------------------------------------------------------ scheduling
 
     def ready_tasks(self) -> List[TaskInstance]:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.intelligence.memoization import TaskMemoizer
@@ -40,6 +41,10 @@ from repro.infrastructure.resources import Node, NodeKind
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.scheduler import TaskScheduler
 
+#: What a finished instance's ``kwargs`` / ``future_args`` are released to:
+#: one shared read-only empty mapping instead of two fresh dicts per task.
+_RELEASED: Mapping[str, Any] = MappingProxyType({})
+
 _current: Optional["Runtime"] = None
 _in_task = threading.local()
 
@@ -55,6 +60,17 @@ def current_runtime() -> Optional["Runtime"]:
     if getattr(_in_task, "active", False):
         return None
     return _current
+
+
+def _producers_finished(arguments: Mapping[str, Any]) -> bool:
+    """Whether every future a keyed call consumes is resolved without error:
+    top level and one level into lists / tuples, exactly the futures the
+    compiler accepts — which for a keyed call is exactly its dependency set."""
+    for value in arguments.values():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, Future) and not (item.resolved and item.error is None):
+                return False
+    return True
 
 
 def _make_local_platform(workers: Optional[int]) -> Platform:
@@ -242,12 +258,11 @@ class Runtime:
             # Content keys are pure functions of the prepared call, so the
             # whole batch compiles outside the lock too.
             prepared_batch.append((prepared, self._compile_key(prepared)))
-        results: List[Any] = []
         with self._cv:
-            for prepared, key in prepared_batch:
-                results.append(self._admit_locked(prepared, key))
-            self.executor.kick_locked()
-        return results
+            try:
+                return [self._admit_locked(*entry) for entry in prepared_batch]
+            finally:  # a batch that raises part-way still runs what it admitted
+                self.executor.kick_locked()
 
     def _track_locked(self, registered: RegisteredTask) -> None:
         """Insert a committed task into the graph and track its futures."""
@@ -274,8 +289,7 @@ class Runtime:
         million-task run must not also retain every argument dict for the
         lifetime of the runtime.
         """
-        instance.kwargs = {}
-        instance.future_args = {}
+        instance.kwargs = instance.future_args = _RELEASED
         instance.args = ()
 
     @staticmethod
@@ -323,23 +337,19 @@ class Runtime:
             entry = self._inflight.get(key)
             if entry is not None:
                 return self._alias_locked(definition, key, entry)
-        registered = self.access_processor.commit_task(prepared)
-        instance = registered.instance
-        instance.cache_key = key
-        for index, future in enumerate(registered.futures):
-            future.content_key = WorkflowCompiler.result_key(
-                key, index, definition.returns
-            )
         # Serve from cache only when every producer already finished: a
         # cached value whose producer is still running (possible after the
         # producer's own entry was evicted) must not complete out of order,
         # and a failed/cancelled producer must poison this task exactly as
         # it would without a cache.
-        if self.memoizer is not None and self._deps_done_locked(registered.depends_on):
+        if self.memoizer is not None and _producers_finished(prepared.bound.arguments):
             hit, value = self.memoizer.lookup(key)
             if hit:
-                self._complete_from_cache_locked(registered, value)
-                return self._shape_returns(definition, registered.futures)
+                return self._hit_locked(definition, key, value)
+        registered = self.access_processor.commit_task(prepared)
+        instance = registered.instance
+        instance.cache_key = key
+        self._stamp_keys(registered.futures, key)
         self._track_locked(registered)
         if self.dedupe and instance.state is not TaskState.CANCELLED:
             self._inflight[key] = (
@@ -348,25 +358,25 @@ class Runtime:
             )
         return self._shape_returns(definition, registered.futures)
 
-    def _deps_done_locked(self, depends_on) -> bool:
-        return all(
-            self.graph.task(dep).state is TaskState.DONE for dep in depends_on
-        )
+    @staticmethod
+    def _stamp_keys(futures: Sequence[Future], key: str) -> None:
+        """Give each return value of a keyed invocation its content key."""
+        for index, future in enumerate(futures):
+            future.content_key = WorkflowCompiler.result_key(key, index, len(futures))
 
-    def _complete_from_cache_locked(self, registered: RegisteredTask, value: Any) -> None:
-        """Finish an invocation from the memo cache without scheduling it.
+    def _hit_locked(self, definition: TaskDefinition, key: str, value: Any) -> Any:
+        """Serve a submission from the memo cache: an alias onto a finished value.
 
-        The instance still enters the graph (statistics, DOT exports and
-        provenance see it) but completes in the same breath.
+        Like an in-flight alias it mints no task id and touches neither the
+        Access Processor nor the graph; unlike one there is nothing left to
+        wait for, so the fresh futures are born settled (``datum_id`` and
+        ``producer_task_id`` None) and nobody needs waking.
         """
-        instance = registered.instance
-        self.graph.add_completed_task(
-            instance, registered.depends_on, origin="memo-cache", now=self.now
-        )
+        futures = [Future(None, None) for _ in range(definition.returns)]
+        self._stamp_keys(futures, key)
+        self._resolve_futures(definition.name, futures, value)
         self._tasks_from_cache += 1
-        self._resolve_futures(instance, registered.futures, value)
-        self._release_payload(instance)
-        self._notify_waiters_locked((instance.task_id,))
+        return self._shape_returns(definition, futures)
 
     def _alias_locked(
         self, definition: TaskDefinition, key: str, entry: tuple
@@ -379,13 +389,8 @@ class Runtime:
         ``on_task_failed`` settle them with everyone else.
         """
         primary_tid, datum_ids = entry
-        futures: List[Future] = []
-        for index, datum_id in enumerate(datum_ids):
-            future = Future(datum_id=datum_id, producer_task_id=primary_tid)
-            future.content_key = WorkflowCompiler.result_key(
-                key, index, definition.returns
-            )
-            futures.append(future)
+        futures = [Future(datum_id, primary_tid) for datum_id in datum_ids]
+        self._stamp_keys(futures, key)
         self._alias_futures.setdefault(primary_tid, []).append(futures)
         self._tasks_aliased += 1
         return self._shape_returns(definition, futures)
@@ -550,11 +555,11 @@ class Runtime:
             self.scheduler.release(instance)
             self.graph.mark_done(instance.task_id, now=self.now)
             futures = self._result_futures.pop(instance.task_id, ())
-            self._resolve_futures(instance, futures, result)
+            self._resolve_futures(instance.label, futures, result)
             # Aliased duplicates resolve from the same result, one group at
             # a time (each group carries its own submission's arity).
             for group in self._alias_futures.pop(instance.task_id, ()):
-                self._resolve_futures(instance, group, result)
+                self._resolve_futures(instance.label, group, result)
             if instance.cache_key is not None:
                 self._drop_inflight_locked(instance.task_id, instance.cache_key)
                 if self.memoizer is not None:
@@ -598,9 +603,7 @@ class Runtime:
         if entry is not None and entry[0] == task_id:
             del self._inflight[cache_key]
 
-    def _resolve_futures(
-        self, instance: TaskInstance, futures, result: Any
-    ) -> None:
+    def _resolve_futures(self, label: str, futures, result: Any) -> None:
         if not futures:
             return
         if len(futures) == 1:
@@ -615,7 +618,7 @@ class Runtime:
             values = tuple(result)
         except TypeError:
             failure = TaskFailedError(
-                instance.label,
+                label,
                 TypeError(
                     f"task declared returns={len(futures)} but returned "
                     f"non-iterable {type(result).__name__}"
@@ -623,7 +626,7 @@ class Runtime:
             )
         if failure is None and len(values) != len(futures):
             failure = TaskFailedError(
-                instance.label,
+                label,
                 ValueError(
                     f"task declared returns={len(futures)} but returned "
                     f"{len(values)} values"
@@ -654,9 +657,10 @@ class Runtime:
                 "tasks_running": self.graph.running_count,
                 "tasks_ready": self.graph.ready_count,
                 "total_cores": self.platform.total_cores,
-                # Content-addressed compilation: invocations that never
-                # reached a worker because an in-flight twin (aliased) or a
-                # cached result (from_cache) stood in for them.
+                # Content-addressed compilation: submissions that never
+                # became a graph node because an in-flight twin (aliased) or
+                # a cached result (from_cache) stood in for them — submitted
+                # = tasks_total + tasks_aliased + tasks_from_cache.
                 "tasks_aliased": self._tasks_aliased,
                 "tasks_from_cache": self._tasks_from_cache,
             }

@@ -65,6 +65,13 @@ class TaskDefinition:
             (name, self.param_directions.get(name, IN), name in self.param_directions)
             for name in self.param_names
         )
+        #: The parameters whose argument ``prepare_task`` must validate — a
+        #: path (``FILE_*``) or written in place — as ``(name, Direction)``.
+        self.guarded = tuple(
+            (name, param.direction)
+            for name, param, _explicit in self.plan
+            if param.direction.is_file or param.direction.writes
+        )
 
     @property
     def constraints(self) -> ResourceConstraints:
@@ -166,10 +173,7 @@ def task(returns: int = 0, cache: bool = False, **param_directions: Parameter) -
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            # Imported here to avoid a circular import at module load.
-            from repro.core.runtime import current_runtime
-
-            runtime = current_runtime()
+            runtime = _current_runtime()
             if runtime is None:
                 return fn(*args, **kwargs)
             return runtime.submit(definition, args, kwargs)
@@ -180,6 +184,16 @@ def task(returns: int = 0, cache: bool = False, **param_directions: Parameter) -
         return wrapper
 
     return decorate
+
+
+def _current_runtime() -> Any:
+    """``runtime.current_runtime``, imported on the first task call (that
+    module imports this one) and bound over this global for the later ones."""
+    global _current_runtime
+    from repro.core.runtime import current_runtime
+
+    _current_runtime = current_runtime
+    return current_runtime()
 
 
 def definition_of(fn: Callable) -> Optional[TaskDefinition]:

@@ -2,9 +2,11 @@
 
 The cheapest form of "learning from previous executions" (§VI-C): a
 deterministic task invoked twice with equal arguments need not run twice.
-The memoizer is consulted by the runtime *before* submission — a hit
-resolves the futures immediately with the cached value, skipping scheduling
-entirely — and is content-addressed, so it composes with the
+The memoizer is consulted by the runtime *at* submission, once every future
+among the arguments is resolved without error — a hit returns futures born
+settled with the cached value (no task id, datum or graph node; nothing
+retained once dropped; ``tasks_from_cache`` counts them) — and is
+content-addressed, so it composes with the
 store-vs-recompute metrics of :mod:`repro.metrics.data_metrics` (a cache
 entry is a "stored intermediate" whose regeneration cost is the task).
 

@@ -41,10 +41,14 @@ def _run_batch(chains, dedupe: bool) -> bytes:
     fail is deterministic, but whether a downstream task is cancelled
     before or after submission (and hence its recorded cause) races with
     the executor in both modes alike.
+
+    Either way every submission is accounted for exactly once: as a graph
+    node (failed and cancelled ones included; these chains mint no barrier),
+    an in-flight alias or a memo hit.
     """
     outcomes = []
     memoizer = TaskMemoizer() if dedupe else None
-    with Runtime(workers=4, memoizer=memoizer, dedupe=dedupe):
+    with Runtime(workers=4, memoizer=memoizer, dedupe=dedupe) as runtime:
         tails = []
         for root, depth in chains:
             value = root
@@ -56,6 +60,11 @@ def _run_batch(chains, dedupe: bool) -> bytes:
                 outcomes.append(("ok", compss_wait_on(future)))
             except TaskFailedError:
                 outcomes.append(("failed",))
+        stats = runtime.statistics()
+    submitted = sum(depth for _root, depth in chains)
+    reused = stats["tasks_aliased"] + stats["tasks_from_cache"]
+    assert submitted == stats["tasks_total"] + reused, stats
+    assert dedupe or reused == 0
     return pickle.dumps(outcomes)
 
 

@@ -14,6 +14,8 @@ the README's churn paragraph must equal ``BENCH_continuum_churn.json``.
 So are the real-runtime figures of E11 and E1c, against
 ``BENCH_runtime_overhead.json``, and E2b's dated rows, against
 ``BENCH_data_plane.json`` (its PR 5 before/after table stays as history).
+E15's table is held to ``BENCH_compile_reuse.json`` on the columns that
+repeat from run to run (counts of tasks, not wall time).
 """
 
 import json
@@ -278,3 +280,34 @@ def test_e2b_dated_rows_equal_bench_data_plane_json():
         )
         for point in results["points"]
     ]
+
+
+# --------------------------------------------------------------------- E15
+
+
+def test_e15_counts_equal_bench_compile_reuse_json():
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    results = json.loads((ROOT / "BENCH_compile_reuse.json").read_text())
+    assert results["scale"] == "default"  # a smoke run must not be committed
+    count, number = r"(\d+)", r"([\d.]+)"
+    rows = re.findall(
+        rf"^\| {number} \| {count} \| {count} \| {count} \| {count} \| {count} "
+        rf"\| {number} \| {number} \|$",
+        _section(text, "E15"),
+        re.MULTILINE,
+    )
+    assert len(rows) == len(results["points"]) == 4
+    for row, point in zip(rows, results["points"]):
+        overlap, submitted, off, on, aliased, from_cache, fewer, _faster = row
+        assert (overlap, submitted, off, on, fewer) == (
+            f"{point['overlap']:.2f}",
+            f"{point['submitted']}",
+            f"{point['executed_off']}",
+            f"{point['executed_on']}",
+            f"{point['exec_ratio']:.1f}",
+        )
+        # Alias or hit depends on how far the workers had got; the sum —
+        # every submission that never became a task — does not.
+        reused = point["submitted"] - point["executed_on"]
+        assert int(aliased) + int(from_cache) == reused
+        assert point["aliased"] + point["from_cache"] == reused

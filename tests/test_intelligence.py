@@ -236,7 +236,14 @@ class TestRuntimeMemoization:
             compss_wait_on(fn(1))
             compss_wait_on(fn(1))
             stats = runtime.statistics()
-        assert stats["tasks_done"] == 2  # hit also recorded as a done task
+        # A hit is a submission that never became a graph node: every
+        # submission is a node, an in-flight alias or a hit.
+        assert stats["tasks_done"] == stats["tasks_total"] == 1
+        assert stats["tasks_from_cache"] == 1 and stats["tasks_aliased"] == 0
+        submitted = 2
+        assert submitted == (
+            stats["tasks_total"] + stats["tasks_aliased"] + stats["tasks_from_cache"]
+        )
 
     def test_without_memoizer_cache_flag_is_inert(self):
         calls = []

@@ -1,0 +1,340 @@
+"""A hit costs what a lookup does (E22).
+
+A submission served from the memo cache is an alias onto a finished value:
+it settles at submission with no task id, no datum and no graph node.  These
+tests pin what a hit leaves behind (objects, bytes, registry and graph
+size), when a hit may be served at all, how a settled future behaves as an
+argument, and the two submission bugs fixed alongside (a bad ``FILE_*``
+argument poisoning its neighbours; in-place writes through a cached value).
+"""
+
+import gc
+import sys
+import threading
+import time
+import tracemalloc
+
+import pytest
+
+from repro import FILE_IN, INOUT, Runtime, compss_wait_on, task
+from repro.core.exceptions import TaskFailedError
+from repro.intelligence import TaskMemoizer
+
+HITS = 5000
+
+
+@task(returns=1, cache=True)
+def square(x):
+    return x * x
+
+
+@task(returns=2, cache=True)
+def pair(x):
+    return x, x + 1
+
+
+@task(returns=1, cache=True)
+def make(n):
+    return [n, 0, 0]
+
+
+@task(returns=1)
+def total(x, xs):
+    return x + sum(xs)
+
+
+@task(returns=1, xs=INOUT)
+def bump(xs):
+    xs[0] += 1
+    return list(xs)
+
+
+def _tracked():
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def _repro_bytes():
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*/repro/*")]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def _identity(stats, submitted):
+    assert submitted == (
+        stats["tasks_total"] + stats["tasks_aliased"] + stats["tasks_from_cache"]
+    ), stats
+
+
+class TestFootprint:
+    def test_a_hit_retains_nothing(self):
+        calls = [((i,),) for i in range(HITS)]
+        with Runtime(workers=1, memoizer=TaskMemoizer()) as rt:
+            # Traced from before the warm-up, so what the cache frees while
+            # it re-inserts looked-up entries is seen going.
+            tracemalloc.start()
+            try:
+                warm = compss_wait_on(rt.submit_many(square, calls))
+                assert warm[-1] == (HITS - 1) ** 2
+                del warm
+                rt.barrier()
+                tasks, datums = rt.graph.task_count, len(rt.registry.datum_ids)
+                before, before_bytes = _tracked(), _repro_bytes()
+                futures = rt.submit_many(square, calls)
+                held = (_tracked() - before) / HITS
+                assert all(f.resolved and f.datum_id is None for f in futures)
+                assert compss_wait_on(futures[7]) == 49
+                del futures
+                dropped = (_tracked() - before) / HITS
+                dropped_bytes = (_repro_bytes() - before_bytes) / HITS
+            finally:
+                tracemalloc.stop()
+            stats = rt.statistics()
+            assert rt.graph.task_count == tasks == HITS
+            assert len(rt.registry.datum_ids) == datums
+        # Held: the future.  Dropped: nothing (4.0 / 3.0 objects and ~900
+        # bytes before E22: instance, record and version stayed for good).
+        # The ~100 bytes left are the cache's own, once per entry and not per
+        # hit: a lookup re-inserts the entry under the looked-up key string
+        # while the task that stored it keeps the equal string it was keyed by.
+        assert held <= 1.1, held
+        assert dropped <= 0.1, dropped
+        assert dropped_bytes <= 200, dropped_bytes
+        assert stats["tasks_from_cache"] == HITS and stats["memo"]["hits"] == HITS
+        _identity(stats, 2 * HITS)
+
+
+class TestWhenAHitIsServed:
+    def test_not_while_a_producer_is_unresolved(self):
+        gate = threading.Event()
+        gate.set()
+        ran = []
+
+        @task(returns=1, cache=True)
+        def slow(x):
+            assert gate.wait(10)
+            return x + 1
+
+        @task(returns=1, cache=True)
+        def inc(y):
+            ran.append(y)
+            return y + 1
+
+        # One entry: storing the consumer's result evicts the producer's.
+        with Runtime(workers=2, memoizer=TaskMemoizer(max_entries=1)) as rt:
+            assert compss_wait_on(inc(slow(1))) == 3
+            rt.barrier()
+            gate.clear()
+            producer = slow(1)  # evicted: runs again, and blocks
+            lookups = rt.memoizer.hits + rt.memoizer.misses
+            consumer = inc(producer)  # its entry is cached, its input is not there
+            assert not consumer.resolved and consumer.datum_id is not None
+            assert rt.memoizer.hits + rt.memoizer.misses == lookups
+            gate.set()
+            assert compss_wait_on(consumer) == 3
+            stats = rt.statistics()
+        assert ran == [2, 2]
+        assert stats["tasks_from_cache"] == 0
+        _identity(stats, 4)
+
+    def test_not_behind_a_failed_producer(self):
+        outcomes = iter([None, ValueError("second run fails")])
+
+        @task(returns=1, cache=True)
+        def flaky(x):
+            error = next(outcomes)
+            if error is not None:
+                raise error
+            return x + 1
+
+        @task(returns=1, cache=True)
+        def inc(y):
+            return y + 1
+
+        with Runtime(workers=2, memoizer=TaskMemoizer(max_entries=1)) as rt:
+            assert compss_wait_on(inc(flaky(1))) == 3
+            rt.barrier()
+            producer = flaky(1)
+            with pytest.raises(TaskFailedError):
+                compss_wait_on(producer)
+            # The consumer's result is cached, but a failed producer poisons
+            # its consumers exactly as without a cache.
+            consumer = inc(producer)
+            with pytest.raises(TaskFailedError):
+                compss_wait_on(consumer)
+            stats = rt.statistics()
+        assert stats["tasks_from_cache"] == 0 and stats["memo"]["hits"] == 0
+        assert stats["tasks_failed"] == 1 and stats["tasks_cancelled"] == 1
+        _identity(stats, 4)
+
+    def test_multi_return_hit_keeps_arity_and_keys(self):
+        with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+            a1, a2 = pair(3)
+            assert compss_wait_on(a1, a2) == [3, 4]
+            b1, b2 = pair(3)
+            assert b1.resolved and b2.resolved
+            assert b1.producer_task_id is None and b2.datum_id is None
+            assert compss_wait_on(b1, b2) == [3, 4]
+            stats = rt.statistics()
+        assert (b1.content_key, b2.content_key) == (a1.content_key, a2.content_key)
+        assert b1.content_key != b2.content_key
+        assert stats["tasks_from_cache"] == 1 and stats["tasks_total"] == 1
+
+    def test_cached_value_of_wrong_arity_fails_the_futures(self):
+        with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+            a1, _a2 = pair(3)
+            compss_wait_on(a1)
+            rt.barrier()
+            rt.memoizer.store(a1.content_key.rsplit(":", 1)[0], 7)
+            b1, b2 = pair(3)  # the submitter is not the one who fails
+            for future in (b1, b2):
+                with pytest.raises(TaskFailedError, match="returns=2"):
+                    compss_wait_on(future)
+            # ... and a task fed the failed future fails when it runs.
+            with pytest.raises(TaskFailedError):
+                compss_wait_on(square(b1))
+            assert rt.statistics()["tasks_from_cache"] == 1
+
+
+    def test_concurrent_tenants_run_each_computation_once(self):
+        executed, results, tenants, rounds, width = [], [], 6, 15, 20
+
+        @task(returns=1, cache=True)
+        def double(x):
+            executed.append(x)
+            return 2 * x
+
+        def tenant():
+            for _ in range(rounds):
+                futures = [double(x) for x in range(width)]
+                results.append(compss_wait_on(futures, timeout=30))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+                threads = [threading.Thread(target=tenant) for _ in range(tenants)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = rt.statistics()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(executed) == list(range(width))
+        assert results == [[2 * x for x in range(width)]] * (tenants * rounds)
+        assert stats["tasks_total"] == width
+        _identity(stats, tenants * rounds * width)
+
+
+class TestSettledFutureAsArgument:
+    def test_hit_adds_no_dependency_and_substitutes_its_value(self):
+        with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+            compss_wait_on(square(3))
+            hit = square(3)
+            assert hit.resolved and hit.datum_id is None
+            datums = len(rt.registry.datum_ids)
+            result = total(hit, [hit, 4])
+            assert compss_wait_on(result) == 9 + 9 + 4
+            rt.barrier()
+            instance = rt.graph.task(result.producer_task_id)
+            assert rt.graph.predecessors(instance.task_id) == set()
+            assert instance.reads == () and instance.writes == (result.datum_id,)
+            assert len(rt.registry.datum_ids) == datums + 1  # its own result
+
+    def test_wait_on_settled_futures_registers_no_waiter(self, monkeypatch):
+        with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+            compss_wait_on(square(5), pair(5))
+            hits = [square(5), *pair(5)]
+
+            def refuse(task_id):
+                raise AssertionError(f"waited on task {task_id}")
+
+            monkeypatch.setattr(rt, "_add_waiter_locked", refuse)
+            assert compss_wait_on(hits) == [25, 5, 6]
+            assert rt._waiting_on == {}
+
+    def test_read_through_a_hit_orders_against_a_raw_write(self):
+        seen = []
+
+        @task(returns=1)
+        def slow_read(xs):
+            time.sleep(0.1)
+            seen.append(list(xs))
+            return 0
+
+        with Runtime(workers=4, memoizer=TaskMemoizer()) as rt:
+            compss_wait_on(make(3))
+            hit = make(3)
+            assert hit.datum_id is None
+            reader = slow_read(hit)
+            cached = compss_wait_on(hit)
+            writer = bump(cached)  # the same object, passed raw
+            assert compss_wait_on(writer) == [4, 0, 0]
+            rt.barrier()
+            assert rt.graph.predecessors(writer.producer_task_id) == {
+                reader.producer_task_id
+            }
+        assert seen == [[3, 0, 0]]
+
+
+class TestSubmissionValidation:
+    def test_bad_file_argument_leaves_its_neighbours_usable(self):
+        class Box:
+            v = 0
+
+        @task(path=FILE_IN)
+        def read_both(box, path):
+            pass
+
+        @task(box=INOUT)
+        def bump_box(box):
+            box.v += 1
+
+        box = Box()
+        with Runtime(workers=2) as rt:
+            with pytest.raises(TypeError, match="FILE_"):
+                read_both(box, 123)
+            assert rt.graph.task_count == 0 and rt.registry.datum_ids == []
+            bump_box(box)
+            rt.barrier()
+            with pytest.raises(TypeError, match="FILE_"):
+                rt.submit_many(read_both, [((box, "ok.txt"),), ((box, None),)])
+            assert rt.graph.task_count == 1
+            assert rt.statistics()["tasks_failed"] == 0
+        assert box.v == 1
+
+    def test_write_through_a_content_keyed_future_is_refused(self):
+        with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+            executed = make(3)
+            compss_wait_on(executed)
+            hit = make(3)
+            rt.barrier()
+            state = (
+                rt.graph.task_count,
+                rt.registry.datum_ids,
+                rt.statistics()["memo"],
+                next(rt.access_processor._task_ids),
+            )
+            for future, producer in ((executed, "task #1"), (hit, "a memo hit")):
+                with pytest.raises(TypeError) as refusal:
+                    bump(future)
+                message = str(refusal.value)
+                assert "'xs'" in message and "INOUT" in message and producer in message
+                assert "copy it in a task first, or drop cache=True" in message
+            assert state == (
+                rt.graph.task_count,
+                rt.registry.datum_ids,
+                rt.statistics()["memo"],
+                next(rt.access_processor._task_ids) - 1,
+            )
+            # The cache still serves the value its key describes.
+            assert compss_wait_on(make(3)) == [3, 0, 0]
+
+    def test_without_a_compiler_nothing_changes(self):
+        with Runtime(workers=2) as rt:
+            first = make(3)
+            assert first.content_key is None and rt.compiler is None
+            assert compss_wait_on(bump(first)) == [4, 0, 0]
