@@ -18,6 +18,7 @@ a reproduction check.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Callable, Iterable, List, Sequence
 
@@ -47,6 +48,21 @@ def runtime_scaling_targets() -> List[int]:
     if scale == "large":
         return [10_000, 50_000, 200_000, 500_000]
     return [10_000, 50_000, 200_000]
+
+
+def merge_results(path: str, updates: dict) -> None:
+    """Fold ``updates`` into the JSON artifact at ``path`` without clobbering
+    keys other tests of the module wrote (each test may run alone)."""
+    results = {}
+    try:
+        with open(path) as fh:
+            results = json.load(fh)
+    except (OSError, ValueError):
+        pass
+    results.update(updates)
+    with open(path, "w") as fh:
+        json.dump(results, fh, indent=2)
+        fh.write("\n")
 
 
 def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -34,12 +34,11 @@ cannot reach.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import time
 
-from _common import bench_scale, print_table, run_once
+from _common import bench_scale, merge_results, print_table, run_once
 
 from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
 
@@ -165,18 +164,7 @@ def project_broadcast(reference: dict, interest_top: dict) -> dict:
 
 
 def _merge_results(updates: dict) -> None:
-    """Fold ``updates`` into BENCH_continuum_churn.json without clobbering
-    keys other tests in this module wrote (each test may run alone)."""
-    results = {"experiment": "continuum_churn"}
-    try:
-        with open(RESULTS_PATH) as fh:
-            results = json.load(fh)
-    except (OSError, ValueError):
-        pass
-    results.update(updates)
-    with open(RESULTS_PATH, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    merge_results(RESULTS_PATH, {"experiment": "continuum_churn", **updates})
 
 
 def run_sweep() -> tuple:

@@ -17,12 +17,11 @@ root; EXPERIMENTS.md E11 and E1c quote them and ``tests/test_doc_figures.py``
 holds the pair together (a smoke-scale JSON must not be committed).
 """
 
-import json
 import os
 import platform
 import time
 
-from _common import bench_scale
+from _common import bench_scale, merge_results
 
 from repro import Runtime, compss_barrier, compss_wait_on, task
 
@@ -42,27 +41,20 @@ HOP_CEILING_US = 200.0
 
 
 def _merge_results(updates: dict) -> None:
-    """Fold ``updates`` into BENCH_runtime_overhead.json without clobbering
-    keys other tests in this module wrote (each test may run alone)."""
-    results = {}
-    try:
-        with open(RESULTS_PATH) as fh:
-            results = json.load(fh)
-    except (OSError, ValueError):
-        pass
-    results.update(updates)
-    results.update(
-        experiment="runtime_overhead",
-        scale=bench_scale(),
-        host={
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
+    """Fold ``updates`` and this host's stamp into BENCH_runtime_overhead.json."""
+    merge_results(
+        RESULTS_PATH,
+        {
+            **updates,
+            "experiment": "runtime_overhead",
+            "scale": bench_scale(),
+            "host": {
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
+                "platform": platform.platform(),
+            },
         },
     )
-    with open(RESULTS_PATH, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
 
 
 @task(returns=1)

@@ -27,7 +27,7 @@ import pickle
 import sys
 import time
 
-from _common import bench_scale, print_table, run_once, runtime_scaling_targets
+from _common import bench_scale, merge_results, print_table, run_once, runtime_scaling_targets
 
 from repro.executor import SimulatedExecutor
 from repro.infrastructure import make_hpc_cluster
@@ -215,18 +215,7 @@ def parallel_sweep_spec() -> tuple:
 
 
 def _merge_results(updates: dict) -> None:
-    """Fold ``updates`` into BENCH_runtime_scaling.json without clobbering
-    the keys other tests in this module wrote (each test may run alone)."""
-    results = {"experiment": "runtime_scaling"}
-    try:
-        with open(RESULTS_PATH) as fh:
-            results = json.load(fh)
-    except (OSError, ValueError):
-        pass
-    results.update(updates)
-    with open(RESULTS_PATH, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    merge_results(RESULTS_PATH, {"experiment": "runtime_scaling", **updates})
 
 
 def test_runtime_overhead_scaling(benchmark):

@@ -22,11 +22,10 @@ lowered by the :class:`DataflowPlane` into the task runtime:
 """
 
 import gc
-import json
 import os
 import time
 
-from _common import bench_scale, print_table, run_once
+from _common import bench_scale, merge_results, print_table, run_once
 
 from repro.core.graph import TaskGraph
 from repro.executor.simulated import SimulatedExecutor
@@ -154,18 +153,7 @@ def run_plane_campaign(events_target: int):
 
 
 def _merge_results(updates: dict) -> None:
-    """Fold ``updates`` into BENCH_streaming.json without clobbering keys
-    other tests in this module wrote (each test may run alone)."""
-    results = {"experiment": "streaming"}
-    try:
-        with open(RESULTS_PATH) as fh:
-            results = json.load(fh)
-    except (OSError, ValueError):
-        pass
-    results.update(updates)
-    with open(RESULTS_PATH, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    merge_results(RESULTS_PATH, {"experiment": "streaming", **updates})
 
 
 def run_throughput_suite():

@@ -13,26 +13,19 @@ For every task invocation the AP:
    (objects by identity, files by path, futures by their datum id — or, born
    settled by a memo hit, as the value they hold; futures inside one level of
    list/tuple are also tracked — PyCOMPSs collections);
-3. derives dependencies: a read depends on the writer of the version read
-   (RAW); a write depends on that writer *and* on every reader of the current
-   version (WAW + WAR — required because objects are mutated in place);
+3. registers each access with the :class:`~repro.core.data.DependencyTracker`,
+   which owns the RAW / WAW / WAR rule and the WAR fan-in barriers (the rule
+   is written once, in :mod:`repro.core.data`, and shared with the simulated
+   workflow builder);
 4. mints result datums and futures for declared return values;
 5. emits a :class:`TaskInstance` carrying the dependency set, the argument
    substitution map for futures, and the per-invocation resolved resource
    requirements.
 
-Two submission-scaling mechanisms live here (PR 3):
-
-* **prepare/commit split** — ``prepare_task`` does everything that needs no
-  shared state (signature binding, dynamic-constraint evaluation) so the
-  runtime can run it outside its lock; ``commit_task`` performs only the
-  registry mutations and id minting that must serialize.
-* **WAR fan-in barriers** — a datum read by thousands of tasks and then
-  written (the GUIDANCE 120k-file shape) would naively give the writer
-  O(readers) dependencies.  With a graph attached, the AP flushes every
-  ``war_fanin_threshold`` readers into a chained structural barrier node, so
-  each read stays O(1) amortized and the writer depends on one barrier plus
-  a bounded tail instead of every reader.
+**prepare/commit split** (PR 3) — ``prepare_task`` does everything that needs
+no shared state (signature binding, dynamic-constraint evaluation) so the
+runtime can run it outside its lock; ``commit_task`` performs only the
+registry mutations and id minting that must serialize.
 """
 
 from __future__ import annotations
@@ -41,9 +34,13 @@ import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.core.constraints import ResolvedRequirements
-from repro.core.data import DataRegistry, DataVersion
+from repro.core.data import (
+    WAR_FANIN_BARRIER_THRESHOLD,
+    DataRegistry,
+    DependencyTracker,
+)
 from repro.core.futures import Future
-from repro.core.graph import TaskInstance, make_barrier_instance
+from repro.core.graph import TaskInstance
 from repro.core.parameter import IN, Direction, Parameter
 from repro.core.task_definition import TaskDefinition
 
@@ -56,12 +53,6 @@ if TYPE_CHECKING:
 #: tracking them would only bloat the registry (and small ints are interned,
 #: so identity-based tracking would alias them anyway).
 _UNTRACKED_TYPES = (int, float, bool, str, bytes, complex, type(None), frozenset)
-
-#: Readers accumulated on one version before they are collapsed behind a
-#: structural barrier node.  Bounds every writer's WAR dependency set at
-#: threshold + 2 (tail + previous barrier + previous writer) regardless of
-#: fan-in width.
-WAR_FANIN_BARRIER_THRESHOLD = 64
 
 
 class RegisteredTask(NamedTuple):
@@ -104,13 +95,8 @@ class AccessProcessor:
         war_fanin_threshold: int = WAR_FANIN_BARRIER_THRESHOLD,
     ) -> None:
         self.registry = registry if registry is not None else DataRegistry()
-        self.graph = graph
-        if war_fanin_threshold < 1:
-            raise ValueError(
-                f"war_fanin_threshold must be >= 1, got {war_fanin_threshold}"
-            )
-        self.war_fanin_threshold = war_fanin_threshold
         self._task_ids = itertools.count(1)
+        self._tracker = DependencyTracker(graph, self._task_ids, war_fanin_threshold)
 
     def next_task_id(self) -> int:
         return next(self._task_ids)
@@ -216,22 +202,19 @@ class AccessProcessor:
         direction = param.direction
         if isinstance(value, Future):
             future_args[pname] = value
-            datum_id = value.datum_id
-            if datum_id is None:
+            if value.datum_id is not None:
+                datum = self.registry.record(value.datum_id)
+            else:
                 # Born settled (a memo hit): the future is the value it
                 # holds.  An immutable read orders against nothing; anything
                 # else is tracked by identity, as the object passed raw is.
                 held = value.value() if value.error is None else None
                 if isinstance(held, _UNTRACKED_TYPES) and direction is Direction.IN:
                     return
-                datum_id = self.registry.register_object(held).datum_id
-            self._access_datum(task_id, datum_id, direction, deps, reads, writes)
-            return
-        if direction.is_file:  # a path string: prepare_task checked
-            record = self.registry.register_file(value)
-            self._access_datum(task_id, record.datum_id, direction, deps, reads, writes)
-            return
-        if isinstance(value, (list, tuple)) and not explicit:
+                datum = self.registry.register_object(held)
+        elif direction.is_file:  # a path string: prepare_task checked
+            datum = self.registry.register_file(value)
+        elif isinstance(value, (list, tuple)) and not explicit:
             # One-level collection scan (PyCOMPSs COLLECTION_IN semantics).
             # An *explicitly* annotated container (e.g. c=INOUT) is instead
             # tracked as a mutable object below.
@@ -242,73 +225,16 @@ class AccessProcessor:
                         deps, reads, writes, future_args,
                     )
             return
-        if isinstance(value, _UNTRACKED_TYPES) and direction is Direction.IN:
+        elif isinstance(value, _UNTRACKED_TYPES) and direction is Direction.IN:
             return
-        record = self.registry.register_object(value)
-        self._access_datum(task_id, record.datum_id, direction, deps, reads, writes)
-
-    def _access_datum(
-        self,
-        task_id: int,
-        datum_id: str,
-        direction: Direction,
-        deps: Set[int],
-        reads: List[str],
-        writes: List[str],
-    ) -> None:
-        record = self.registry.record(datum_id)
-        current = record.current
+        else:
+            datum = self.registry.register_object(value)
         if direction.reads:
-            if current.writer_task_id is not None:
-                deps.add(current.writer_task_id)
-            # Flush the tail into a barrier *before* appending this reader:
-            # the flushed readers are all already in the graph, while this
-            # task's instance is not yet, so the barrier's dependency set
-            # stays well-formed.  INOUT accesses must not flush — the
-            # barrier would be minted *after* this task's id, and the write
-            # below would then depend on a later id (unrepresentable); the
-            # write consumes the still-bounded tail directly instead.
-            if (
-                self.graph is not None
-                and not direction.writes
-                and len(current.reader_task_ids) >= self.war_fanin_threshold
-            ):
-                self._flush_war_barrier(current)
-            self.registry.read(datum_id, task_id)
-            reads.append(datum_id)
+            self._tracker.read(datum, task_id, deps, not direction.writes)
+            reads.append(datum.datum_id)
         if direction.writes:
-            # WAW on the previous writer, WAR on every reader of the current
-            # version: in-place mutation forbids reordering around them.
-            # Readers beyond the tail are represented by the version's
-            # barrier, so this loop is bounded by the flush threshold.
-            if current.writer_task_id is not None:
-                deps.add(current.writer_task_id)
-            if current.barrier_task_id is not None:
-                deps.add(current.barrier_task_id)
-            for reader in current.reader_task_ids:
-                if reader != task_id:
-                    deps.add(reader)
-            self.registry.write(datum_id, task_id)
-            writes.append(datum_id)
-        deps.discard(task_id)
-
-    def _flush_war_barrier(self, version: DataVersion) -> None:
-        """Collapse the version's reader tail behind one structural node.
-
-        Chaining (the new barrier depends on the previous one) keeps every
-        graph edge pointing from an earlier-minted id to a later one, so the
-        DAG's program-order invariant survives without any special casing.
-        """
-        barrier_id = self.next_task_id()
-        barrier_deps: Set[int] = set(version.reader_task_ids)
-        if version.barrier_task_id is not None:
-            barrier_deps.add(version.barrier_task_id)
-        self.graph.add_task(
-            make_barrier_instance(barrier_id, f"war-barrier/{version.key}"),
-            barrier_deps,
-        )
-        version.barrier_task_id = barrier_id
-        version.reader_task_ids.clear()
+            self._tracker.write(datum, task_id, deps)
+            writes.append(datum.datum_id)
 
     def _mint_result_futures(
         self, definition: TaskDefinition, task_id: int, writes: List[str]

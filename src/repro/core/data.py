@@ -1,8 +1,8 @@
-"""Data registry: versioned identities for every datum tasks touch.
+"""One record per datum, one rule for which tasks an access waits for.
 
 The Access Processor needs a stable identity for each piece of data so it can
 derive read-after-write, write-after-read and write-after-write dependencies.
-Three families of data exist:
+Three families of data exist on the real runtime:
 
 * **objects** — tracked by Python identity.  The registry keeps a strong
   reference to every registered object so ``id()`` reuse after garbage
@@ -11,122 +11,179 @@ Three families of data exist:
 * **task results** — born inside the runtime; their identity is minted when
   the producing task is registered and carried around by the Future.
 
-Every datum has a monotonically increasing *version*.  Readers depend on the
-writer of the version they read; each write creates a new version.  This is
-exactly the renaming scheme COMPSs applies to detect dependencies.
+Simulated workflows (:class:`~repro.executor.workflow_builder.SimWorkflowBuilder`)
+name their data and keep them in a plain dict.  Either way a datum is one
+:class:`Datum`, and every access to it goes through the one
+:class:`DependencyTracker`:
+
+* a **read** depends on the writer of the version it reads (RAW);
+* a **write** depends on that writer *and* on every reader of that version
+  (WAW + WAR — required because objects are mutated in place), then starts
+  the next version.  This is the renaming scheme COMPSs applies;
+* **WAR fan-in barriers** — a datum read by thousands of tasks and then
+  written (the GUIDANCE 120k-file shape) would naively give the writer
+  O(readers) dependencies.  With a graph attached, every ``threshold``
+  readers are flushed into a chained structural barrier node, so each read
+  stays O(1) amortized and the writer depends on one barrier plus a bounded
+  tail instead of every reader.
+
+Only the current version can gain readers or be superseded, so a write
+resets the record in place: nothing a dependency is derived from lives in an
+older version, and a datum rewritten N times costs one record, not N + 1.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.graph import make_barrier_instance
+
+if TYPE_CHECKING:
+    from repro.core.graph import TaskGraph
+
+#: Readers accumulated on one version before they are collapsed behind a
+#: structural barrier node.  Bounds every writer's WAR dependency set at
+#: threshold + 2 (tail + previous barrier + previous writer) regardless of
+#: fan-in width.
+WAR_FANIN_BARRIER_THRESHOLD = 64
 
 #: The reader tail of every version nobody has read yet.
 _NO_READERS: Sequence[int] = ()
 
 
-class DataVersion:
-    """One version of a datum: who wrote it, who reads it.
+class Datum:
+    """Everything tracked about one datum: the state of its current version.
 
-    ``reader_task_ids`` holds only the readers registered since the last
-    WAR barrier was flushed for this version (the *tail*); earlier readers
-    are collapsed behind ``barrier_task_id`` by the Access Processor, so a
-    write never has to walk more than one tail of bounded length.  Each
-    write swaps in a fresh version with an empty tail — the O(1) reader-set
-    swap.  Slotted, and the tail is a list only from the first reader on
-    (:meth:`DataRegistry.read` allocates it): registries track one version
-    per write across million-task runs, and most versions are never read.
+    ``readers`` holds only the readers registered since the last WAR barrier
+    was flushed for this version (the *tail*); earlier readers are collapsed
+    behind ``barrier``, so a write never walks more than one tail of bounded
+    length.  Slotted, and the tail is a list only from the first reader on:
+    there is one record per datum across million-task runs, and most
+    versions are never read.
     """
 
-    __slots__ = (
-        "datum_id",
-        "version",
-        "writer_task_id",
-        "reader_task_ids",
-        "barrier_task_id",
-        "reader_count",
-    )
+    __slots__ = ("datum_id", "version", "writer", "readers", "barrier", "size_bytes")
 
     def __init__(
         self,
         datum_id: str,
-        version: int,
-        writer_task_id: Optional[int] = None,
-    ) -> None:
-        self.datum_id = datum_id
-        self.version = version
-        self.writer_task_id = writer_task_id
-        self.reader_task_ids: Sequence[int] = _NO_READERS
-        # Last flushed WAR fan-in barrier covering readers before the tail.
-        self.barrier_task_id: Optional[int] = None
-        # Total readers ever registered on this version (tail + flushed).
-        self.reader_count = 0
-
-    @property
-    def key(self) -> str:
-        return f"{self.datum_id}#v{self.version}"
-
-    def __repr__(self) -> str:
-        return (
-            f"DataVersion({self.datum_id!r}, v{self.version}, "
-            f"writer={self.writer_task_id}, readers={self.reader_count})"
-        )
-
-
-class DatumRecord:
-    """All registry state about a single datum.
-
-    Holds its current version directly; ``history`` (the superseded
-    versions, oldest first) exists from the first rewrite on — a task
-    result is written once, so most records never have one.
-    """
-
-    __slots__ = ("datum_id", "current", "history", "pinned_object", "is_file", "size_bytes")
-
-    def __init__(
-        self,
-        datum_id: str,
-        current: DataVersion,
-        pinned_object: Any = None,
-        is_file: bool = False,
+        version: int = 0,
+        writer: Optional[int] = None,
         size_bytes: float = 0.0,
     ) -> None:
         self.datum_id = datum_id
-        self.current = current
-        self.history: Optional[List[DataVersion]] = None
-        # Strong reference for object data; None for file/result data.
-        self.pinned_object = pinned_object
-        self.is_file = is_file
-        # Estimated size in bytes, used by the simulation and locality
-        # scheduling.
+        self.version = version
+        self.writer = writer
+        self.readers: Sequence[int] = _NO_READERS
+        # Last flushed WAR fan-in barrier covering readers before the tail.
+        self.barrier: Optional[int] = None
+        # What a simulated transfer of the datum moves; unused on the real side.
         self.size_bytes = size_bytes
 
-    @property
-    def versions(self) -> List[DataVersion]:
-        """Every version so far, oldest first."""
-        return [*(self.history or ()), self.current]
-
     def __repr__(self) -> str:
-        return f"DatumRecord({self.datum_id!r}, versions={len(self.versions)})"
+        return f"Datum({self.datum_id!r}, v{self.version}, writer={self.writer})"
+
+
+class DependencyTracker:
+    """The rule: which earlier tasks a data access must wait for.
+
+    Args:
+        graph: where fan-in barriers are added.  Without one the tracker
+            derives exact per-reader dependencies (the naive O(R) rule) —
+            semantically identical, just slower on hot data.
+        ids: the caller's task-id counter; barriers take their ids from it
+            so every edge keeps pointing from an earlier id to a later one.
+        threshold: tail length that triggers a barrier flush.
+    """
+
+    __slots__ = ("graph", "ids", "threshold")
+
+    def __init__(
+        self,
+        graph: Optional["TaskGraph"],
+        ids: Iterator[int],
+        threshold: int = WAR_FANIN_BARRIER_THRESHOLD,
+    ) -> None:
+        if threshold < 1:
+            raise ValueError(f"war_fanin_threshold must be >= 1, got {threshold}")
+        self.graph = graph
+        self.ids = ids
+        self.threshold = threshold
+
+    def read(
+        self, datum: Datum, task_id: int, deps: Set[int], may_flush: bool = True
+    ) -> None:
+        """Register a read of the current version; adds the RAW edge.
+
+        A full tail is flushed into a barrier *before* this reader joins it:
+        the flushed readers are all in the graph already, this task is not.
+        ``may_flush`` is False when the task also rewrites the datum — the
+        barrier's id would postdate the task's own, and its write would then
+        depend on a later id (unrepresentable); the write consumes the
+        still-bounded tail directly instead.
+        """
+        writer = datum.writer
+        if writer is not None and writer != task_id:
+            deps.add(writer)
+        readers = datum.readers
+        if readers is _NO_READERS:
+            readers = datum.readers = []
+        elif len(readers) >= self.threshold and may_flush and self.graph is not None:
+            self._flush(datum)
+        readers.append(task_id)
+
+    def write(self, datum: Datum, task_id: int, deps: Set[int]) -> None:
+        """Register a write: WAW on the writer, WAR on the barrier and the
+        tail (in-place mutation forbids reordering around either), then the
+        record starts the next version."""
+        if datum.writer is not None:
+            deps.add(datum.writer)
+        if datum.barrier is not None:
+            deps.add(datum.barrier)
+        deps.update(datum.readers)
+        deps.discard(task_id)
+        datum.version += 1
+        datum.writer = task_id
+        datum.readers = _NO_READERS
+        datum.barrier = None
+
+    def _flush(self, datum: Datum) -> None:
+        """Collapse the datum's reader tail behind one structural node.
+
+        Chaining (the new barrier depends on the previous one) keeps every
+        graph edge pointing from an earlier-minted id to a later one, so the
+        DAG's program-order invariant survives without any special casing.
+        """
+        barrier_id = next(self.ids)
+        barrier_deps: Set[int] = set(datum.readers)
+        if datum.barrier is not None:
+            barrier_deps.add(datum.barrier)
+        self.graph.add_task(
+            make_barrier_instance(
+                barrier_id, f"war-barrier/{datum.datum_id}#v{datum.version}"
+            ),
+            barrier_deps,
+        )
+        datum.barrier = barrier_id
+        datum.readers.clear()
 
 
 class DataRegistry:
-    """Maps objects/files/results to versioned datum records."""
+    """Maps objects/files/results of the real runtime to their records."""
 
     def __init__(self) -> None:
-        self._records: Dict[str, DatumRecord] = {}
-        self._object_ids: Dict[int, str] = {}
+        self._records: Dict[str, Datum] = {}
+        # id(obj) -> (obj, record): the strong reference keeps the id from
+        # being reused while the object is tracked.
+        self._by_object: Dict[int, Tuple[Any, Datum]] = {}
         self._counter = itertools.count()
 
     # ---------------------------------------------------------------- lookup
 
-    def record(self, datum_id: str) -> DatumRecord:
+    def record(self, datum_id: str) -> Datum:
         return self._records[datum_id]
-
-    def has(self, datum_id: str) -> bool:
-        return datum_id in self._records
 
     @property
     def datum_ids(self) -> List[str]:
@@ -134,86 +191,43 @@ class DataRegistry:
 
     # ------------------------------------------------------------ registration
 
-    def register_object(self, obj: Any) -> DatumRecord:
+    def register_object(self, obj: Any) -> Datum:
         """Return the record for ``obj``, creating it on first sight."""
-        key = id(obj)
-        datum_id = self._object_ids.get(key)
-        if datum_id is not None:
-            return self._records[datum_id]
-        datum_id = f"obj-{next(self._counter)}"
-        record = DatumRecord(datum_id, DataVersion(datum_id, 0), pinned_object=obj)
-        self._records[datum_id] = record
-        self._object_ids[key] = datum_id
+        record = self.record_for_object(obj)
+        if record is None:
+            record = Datum(f"obj-{next(self._counter)}")
+            self._records[record.datum_id] = record
+            self._by_object[id(obj)] = (obj, record)
         return record
 
-    def record_for_object(self, obj: Any) -> Optional[DatumRecord]:
+    def record_for_object(self, obj: Any) -> Optional[Datum]:
         """The record tracking ``obj``, or None if it was never registered."""
-        datum_id = self._object_ids.get(id(obj))
-        if datum_id is None:
-            return None
-        record = self._records.get(datum_id)
-        # Guard against id() reuse: the record must still pin this object.
-        if record is not None and record.pinned_object is obj:
-            return record
-        return None
+        pinned, record = self._by_object.get(id(obj), (None, None))
+        # Guard against id() reuse: the entry must still pin this object.
+        return record if pinned is obj else None
 
-    def register_file(self, path: str) -> DatumRecord:
+    def register_file(self, path: str) -> Datum:
         """Return the record for file ``path``, creating it on first sight."""
-        normalized = os.path.normpath(path)
-        datum_id = f"file:{normalized}"
+        datum_id = f"file:{os.path.normpath(path)}"
         record = self._records.get(datum_id)
         if record is None:
-            record = DatumRecord(datum_id, DataVersion(datum_id, 0), is_file=True)
-            self._records[datum_id] = record
+            record = self._records[datum_id] = Datum(datum_id)
         return record
 
-    def register_result(self, task_id: int, index: int) -> DatumRecord:
+    def register_result(self, task_id: int, index: int) -> Datum:
         """Mint a fresh datum for return value ``index`` of task ``task_id``."""
         datum_id = f"res-{task_id}-{index}"
         # Result data is born at version 1, written by its producer.
-        record = DatumRecord(datum_id, DataVersion(datum_id, 1, task_id))
-        self._records[datum_id] = record
+        record = self._records[datum_id] = Datum(datum_id, 1, task_id)
         return record
 
-    # ------------------------------------------------------------- accesses
-
-    def read(self, datum_id: str, reader_task_id: int) -> DataVersion:
-        """Register a read of the current version; returns that version."""
-        version = self._records[datum_id].current
-        if version.reader_task_ids is _NO_READERS:
-            version.reader_task_ids = [reader_task_id]
-        else:
-            version.reader_task_ids.append(reader_task_id)
-        version.reader_count += 1
-        return version
-
-    def write(self, datum_id: str, writer_task_id: int) -> DataVersion:
-        """Register a write: creates and returns the next version."""
-        record = self._records[datum_id]
-        new_version = DataVersion(
-            datum_id=datum_id,
-            version=record.current.version + 1,
-            writer_task_id=writer_task_id,
-        )
-        if record.history is None:
-            record.history = [record.current]
-        else:
-            record.history.append(record.current)
-        record.current = new_version
-        return new_version
-
-    def set_size(self, datum_id: str, size_bytes: float) -> None:
-        """Attach a size estimate (locality scheduling, simulation)."""
-        self._records[datum_id].size_bytes = float(size_bytes)
-
     def unpin_object(self, obj: Any) -> None:
-        """Drop the strong reference to a registered object.
+        """Forget a registered object: its record and the strong reference.
 
-        After this the registry stops tracking the object; a later
-        registration of the same (or an aliased) object starts a fresh
-        datum.  Exposed as ``compss_delete_object`` at the API level.
+        Nothing can name the record again — a later registration of the same
+        (or an aliased) object starts a fresh datum.  Exposed as
+        ``compss_delete_object`` at the API level.
         """
-        key = id(obj)
-        datum_id = self._object_ids.pop(key, None)
-        if datum_id is not None and datum_id in self._records:
-            self._records[datum_id].pinned_object = None
+        record = self.record_for_object(obj)
+        if record is not None:
+            del self._by_object[id(obj)], self._records[record.datum_id]

@@ -427,7 +427,7 @@ class Runtime:
         key_record = self.registry.record_for_object(obj)
         if key_record is None:
             return obj  # never touched by a task; already consistent
-        writer = key_record.current.writer_task_id
+        writer = key_record.writer
         if writer is None:
             return obj
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -721,7 +721,7 @@ def compss_open(path: str, mode: str = "r", timeout: Optional[float] = None):
     runtime = current_runtime()
     if runtime is not None:
         record = runtime.registry.register_file(path)
-        writer = record.current.writer_task_id
+        writer = record.writer
         if writer is not None:
             runtime.wait_for_task(writer, timeout=timeout)
     return open(path, mode)

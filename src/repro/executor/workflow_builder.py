@@ -1,42 +1,21 @@
 """Builder for simulated workflows: profiled task DAGs without decorators.
 
 Benchmarks describe workloads as tasks with synthetic profiles (duration,
-cores, memory, named data inputs/outputs).  The builder applies the same
-RAW/WAR/WAW dependency semantics the Access Processor applies to real
-programs, so the simulated graphs exercise the identical graph machinery.
+cores, memory, named data inputs/outputs).  The builder registers every
+access with the same code the Access Processor registers real programs'
+accesses with — :class:`repro.core.data.DependencyTracker` over one
+:class:`repro.core.data.Datum` per name — so the simulated graphs carry the
+identical RAW/WAR/WAW edges and fan-in barriers.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
-from repro.core.access_processor import WAR_FANIN_BARRIER_THRESHOLD
 from repro.core.constraints import ResolvedRequirements
-from repro.core.graph import (
-    SimProfile,
-    TaskGraph,
-    TaskInstance,
-    make_barrier_instance,
-)
-
-
-class _DatumState:
-    """Per-datum dependency state; slotted — one per datum in 200k+ builds."""
-
-    __slots__ = ("writer", "readers", "size_bytes", "barrier")
-
-    def __init__(
-        self,
-        writer: Optional[int] = None,
-        readers: Optional[List[int]] = None,
-        size_bytes: float = 0.0,
-    ) -> None:
-        self.writer = writer
-        self.readers = readers if readers is not None else []
-        self.size_bytes = size_bytes
-        #: last flushed WAR fan-in barrier covering readers before the tail
-        self.barrier: Optional[int] = None
+from repro.core.data import Datum, DependencyTracker
+from repro.core.graph import SimProfile, TaskGraph, TaskInstance
 
 
 class SimWorkflowBuilder:
@@ -49,11 +28,11 @@ class SimWorkflowBuilder:
     read-by-thousands-then-write datum costs the writer O(1) edges.
     """
 
-    def __init__(self, war_fanin_threshold: int = WAR_FANIN_BARRIER_THRESHOLD) -> None:
+    def __init__(self) -> None:
         self.graph = TaskGraph()
-        self._data: Dict[str, _DatumState] = {}
+        self._data: Dict[str, Datum] = {}
         self._ids = itertools.count(1)
-        self.war_fanin_threshold = war_fanin_threshold
+        self._tracker = DependencyTracker(self.graph, self._ids)
         # Simulated workloads submit thousands of tasks sharing a handful of
         # distinct resource demands; interning the frozen requirements
         # objects keeps per-task build allocations (and the blocked-reqs
@@ -64,7 +43,7 @@ class SimWorkflowBuilder:
 
     def add_initial_datum(self, name: str, size_bytes: float) -> None:
         """Declare a datum that exists before any task runs (e.g. input files)."""
-        self._data[name] = _DatumState(size_bytes=float(size_bytes))
+        self._data[name] = Datum(name, size_bytes=float(size_bytes))
         self.initial_data[name] = float(size_bytes)
 
     def add_task(
@@ -96,42 +75,29 @@ class SimWorkflowBuilder:
         output_sizes: Dict[str, float] = {}
 
         output_names = outputs or {}
+        data = self._data
+        read = self._tracker.read
         for name in inputs:
-            state = self._data.get(name)
-            if state is None:
+            datum = data.get(name)
+            if datum is None:
                 raise ValueError(
                     f"task {label!r} reads unknown datum {name!r}; declare it "
                     "with add_initial_datum or produce it with an earlier task"
                 )
-            if state.writer is not None:
-                deps.add(state.writer)
-            # Flush a full reader tail behind a barrier before appending
-            # this reader — but never when this task also rewrites the
-            # datum (the barrier id would postdate this task's own id; the
-            # write consumes the bounded tail directly instead).
-            if (
-                name not in output_names
-                and len(state.readers) >= self.war_fanin_threshold
-            ):
-                self._flush_war_barrier(name, state)
-            state.readers.append(task_id)
+            read(datum, task_id, deps, name not in output_names)
             reads.append(name)
-            input_sizes[name] = state.size_bytes
+            input_sizes[name] = datum.size_bytes
 
         for name, size in output_names.items():
-            state = self._data.get(name)
-            if state is not None:
-                if state.writer is not None:
-                    deps.add(state.writer)
-                if state.barrier is not None:
-                    deps.add(state.barrier)
-                deps.update(r for r in state.readers if r != task_id)
-            # Fresh state per write: the O(1) reader-set swap.
-            self._data[name] = _DatumState(writer=task_id, size_bytes=float(size))
+            datum = data.get(name)
+            if datum is None:
+                # Born written, as a task result is on the real runtime.
+                datum = data[name] = Datum(name, 1, task_id)
+            else:
+                self._tracker.write(datum, task_id, deps)
+            datum.size_bytes = output_sizes[name] = float(size)
             writes.append(name)
-            output_sizes[name] = float(size)
 
-        deps.discard(task_id)
         instance = TaskInstance(
             task_id=task_id,
             label=f"{label}#{task_id}",
@@ -149,18 +115,6 @@ class SimWorkflowBuilder:
         )
         self.graph.add_task(instance, depends_on=deps)
         return instance
-
-    def _flush_war_barrier(self, name: str, state: _DatumState) -> None:
-        """Collapse the datum's reader tail behind one structural node."""
-        barrier_id = next(self._ids)
-        barrier_deps: Set[int] = set(state.readers)
-        if state.barrier is not None:
-            barrier_deps.add(state.barrier)
-        self.graph.add_task(
-            make_barrier_instance(barrier_id, f"war-barrier/{name}"), barrier_deps
-        )
-        state.barrier = barrier_id
-        state.readers = []
 
     def _intern_requirements(
         self,
@@ -182,6 +136,3 @@ class SimWorkflowBuilder:
             )
             self._requirements_cache[key] = cached
         return cached
-
-    def datum_size(self, name: str) -> float:
-        return self._data[name].size_bytes

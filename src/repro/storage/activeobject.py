@@ -222,11 +222,8 @@ class ActiveObjectStore:
 
     def store(self, value: Any, object_id: Optional[str] = None) -> str:
         """Persist a live object; registers its class; returns the object id."""
-        self.registry.register(type(value))
         oid = object_id if object_id is not None else f"{self.name}-obj-{next(self._ids)}"
-        if oid in self._records:
-            self._unplace(oid)
-        self._place(oid, value)
+        self.put(oid, value)
         return oid
 
     def _unplace(self, object_id: str) -> None:

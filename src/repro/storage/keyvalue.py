@@ -307,6 +307,8 @@ class StorageDict:
         self.table = table
         # Insertion-ordered key set; values are the keys' cell ids.
         self._keys: Dict[Any, str] = {}
+        # Ring version at which dead keys were last dropped.
+        self._pruned_at = cluster.ring.version
 
     def _cell(self, key: Any) -> str:
         return f"{self.table}:{key!r}"
@@ -329,24 +331,39 @@ class StorageDict:
             raise KeyError(key)
         self.cluster.delete(cell)
 
+    def _live_keys(self) -> Dict[Any, str]:
+        """The key → cell map, less the keys whose cell died.
+
+        A cell dies when ``fail_node`` takes its last replica, and every
+        membership change bumps the ring version: the dead keys are dropped
+        once per version (one ``exists`` probe per key, no ring work).
+        """
+        version = self.cluster.ring.version
+        if version != self._pruned_at:
+            keys, exists = self._keys, self.cluster.exists
+            for key in [key for key, cell in keys.items() if not exists(cell)]:
+                del keys[key]
+            self._pruned_at = version
+        return self._keys
+
     def __contains__(self, key: Any) -> bool:
-        return key in self._keys
+        return key in self._live_keys()
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._live_keys())
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(list(self._keys))
+        return iter(self.keys())
 
     def keys(self) -> List[Any]:
-        return list(self._keys)
+        return list(self._live_keys())
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
-        for key in list(self._keys):
+        for key in self.keys():
             yield key, self[key]
 
     def get(self, key: Any, default: Any = None) -> Any:
-        if key in self._keys:
+        if key in self:
             return self[key]
         return default
 
@@ -376,7 +393,7 @@ class StorageDict:
         """
         partitions: Dict[str, List[Any]] = {}
         preference_of = self.cluster.preference_of
-        for key, cell in self._keys.items():
+        for key, cell in self._live_keys().items():
             primary = preference_of(cell)[0]
             bucket = partitions.get(primary)
             if bucket is None:

@@ -1,9 +1,11 @@
 """Unit tests for the Access Processor: dependency derivation from accesses."""
 
+import itertools
+
 import pytest
 
 from repro.core.access_processor import AccessProcessor
-from repro.core.data import DataRegistry
+from repro.core.data import DataRegistry, DependencyTracker
 from repro.core.futures import Future
 from repro.core.parameter import FILE_IN, FILE_OUT, IN, INOUT, OUT
 from repro.core.task_definition import TaskDefinition
@@ -147,20 +149,24 @@ class TestDataRegistry:
 
     def test_versions_bump_on_write(self):
         registry = DataRegistry()
+        tracker = DependencyTracker(None, itertools.count(1))
         record = registry.register_object([])
-        assert record.current.version == 0
-        registry.write(record.datum_id, writer_task_id=7)
-        assert record.current.version == 1
-        assert record.current.writer_task_id == 7
+        assert record.version == 0 and record.writer is None
+        tracker.write(record, 7, set())
+        assert record.version == 1 and record.writer == 7
+        assert registry.record(record.datum_id) is record  # reset in place
 
     def test_readers_recorded_per_version(self):
         registry = DataRegistry()
+        tracker = DependencyTracker(None, itertools.count(1))
         record = registry.register_object([])
-        registry.read(record.datum_id, reader_task_id=1)
-        registry.read(record.datum_id, reader_task_id=2)
-        assert record.current.reader_task_ids == [1, 2]
-        registry.write(record.datum_id, writer_task_id=3)
-        assert list(record.current.reader_task_ids) == []
+        tracker.read(record, 1, set())
+        tracker.read(record, 2, set())
+        assert record.readers == [1, 2]
+        deps = set()
+        tracker.write(record, 3, deps)
+        assert deps == {1, 2}
+        assert list(record.readers) == []
 
     def test_unpin_forgets_object(self):
         registry = DataRegistry()

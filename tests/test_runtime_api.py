@@ -136,6 +136,22 @@ class TestDeleteObject:
             # After deletion the registry no longer tracks the object.
             assert runtime.registry.record_for_object(data) is None
 
+    def test_delete_cycles_leave_no_record_behind(self):
+        from repro import INOUT
+
+        @task(c=INOUT)
+        def push(c, item):
+            c.append(item)
+
+        with Runtime(workers=1) as runtime:
+            before = len(runtime.registry.datum_ids)
+            for cycle in range(1000):
+                data = []
+                push(data, cycle)
+                assert runtime.wait_on(data) == [cycle]
+                compss_delete_object(data)
+            assert len(runtime.registry.datum_ids) == before
+
     def test_delete_without_runtime_is_noop(self):
         compss_delete_object([1, 2, 3])
 

@@ -209,3 +209,36 @@ class TestStorageDict:
         t2["k"] = "two"
         assert t1["k"] == "one"
         assert t2["k"] == "two"
+
+    def test_keys_whose_cell_died_are_forgotten(self):
+        # Unreplicated: every cell on the failed node loses its last replica.
+        cluster = KeyValueCluster(NODES, replication=1)
+        table = StorageDict(cluster, "t")
+        table.update({f"k{i}": i for i in range(200)})
+        victim = "sn-0"
+        dead = set(table.split()[victim])
+        assert dead and len(dead) < 200
+        cluster.fail_node(victim)
+        alive = [key for key in (f"k{i}" for i in range(200)) if key not in dead]
+        assert all(key not in table for key in dead)
+        assert all(key in table for key in alive)
+        assert len(table) == len(alive) and table.keys() == alive
+        assert table.get(next(iter(dead)), "gone") == "gone"
+        partitions = table.split()
+        assert sorted(k for keys in partitions.values() for k in keys) == sorted(alive)
+        # Every partition is readable: no task built from the split fails.
+        for node, keys in partitions.items():
+            assert dict(table.partition_items(node)) == {k: int(k[1:]) for k in keys}
+        # A dead key can be written again and is a member again.
+        revived = next(iter(dead))
+        table[revived] = -1
+        assert revived in table and table[revived] == -1
+        assert len(table) == len(alive) + 1
+
+    def test_replicated_cells_survive_a_failure_as_members(self):
+        cluster = KeyValueCluster(NODES, replication=2)
+        table = StorageDict(cluster, "t")
+        table.update({f"k{i}": i for i in range(100)})
+        cluster.fail_node("sn-1")
+        assert len(table) == 100
+        assert dict(table.items()) == {f"k{i}": i for i in range(100)}

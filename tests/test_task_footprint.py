@@ -3,9 +3,9 @@
 The master keeps every task's record for the whole run, so the container
 objects a task leaves behind decide how much every full GC pass scans.
 These tests pin the per-task count of GC-tracked objects — finished and
-still queued — and that the records which became lazy (a version's reader
-tail, a datum's history, a node's successor set) behave as the eager ones
-did from the moment they are first needed.
+still queued — and that the records which became lazy (a datum's reader
+tail, a node's successor set) behave as the eager ones did from the moment
+they are first needed.
 """
 
 import gc
@@ -16,6 +16,7 @@ from repro.core.access_processor import (
     WAR_FANIN_BARRIER_THRESHOLD,
     AccessProcessor,
 )
+from repro.core.data import Datum
 from repro.core.graph import TaskGraph
 from repro.core.task_definition import TaskDefinition
 
@@ -53,12 +54,13 @@ class TestFootprint:
             del futures, results
             finished = (_tracked() - before) / TASKS
             assert not hasattr(rt.access_processor, "futures_by_datum")
-        # Queued: TaskInstance, DatumRecord, DataVersion, Future, its list,
-        # the ready-queue node (15 before E17).  Finished: the first three
-        # (10 before: five lists and two sets more; 5 until E22 released the
-        # payload to one shared empty mapping instead of two fresh dicts).
-        assert queued <= 9.0, queued
-        assert finished <= 3.5, finished
+        # Queued: TaskInstance, Datum, Future, its list, the ready-queue node
+        # (15 before E17).  Finished: the first two (10 before: five lists
+        # and two sets more; 5 until E22 released the payload to one shared
+        # empty mapping instead of two fresh dicts; 3 until E23 folded the
+        # datum's record and its current version into one).
+        assert queued <= 7.0, queued
+        assert finished <= 2.5, finished
 
     def test_finished_instances_hold_tuples_and_shared_defaults(self):
         with Runtime(workers=1) as rt:
@@ -90,22 +92,30 @@ class TestLazyRecords:
         producer = register(TaskDefinition(lambda: 1, returns=1))
         (future,) = producer.futures
         record = ap.registry.record(future.datum_id)
-        version = record.current
-        assert version.reader_task_ids == () and record.history is None
+        assert record.readers == () and record.version == 1
         read = TaskDefinition(lambda x: None)
         readers = [register(read, future).instance.task_id for _ in range(64)]
-        assert version.reader_task_ids == readers and version.barrier_task_id is None
+        assert record.readers == readers and record.barrier is None
         late = register(read, future).instance.task_id
-        barrier_id = version.barrier_task_id
+        barrier_id = record.barrier
         # The reader's id is minted first, the barrier's while it registers.
         assert late == readers[-1] + 1 and barrier_id == late + 1
         assert graph.barrier_count == 1 and graph.task(barrier_id).is_barrier
         assert graph.predecessors(barrier_id) == set(readers)
-        assert version.reader_task_ids == [late] and version.reader_count == 65
+        assert record.readers == [late]
         # The writer waits for the producer, the barrier and the short tail.
-        writer = register(
-            TaskDefinition(lambda x: None, param_directions={"x": INOUT}), future
-        )
+        update = TaskDefinition(lambda x: None, param_directions={"x": INOUT})
+        writer = register(update, future)
         assert writer.depends_on == {producer.instance.task_id, barrier_id, late}
-        assert record.history == [version] and record.versions == [version, record.current]
-        assert record.current.version == 2 and record.current.reader_task_ids == ()
+        assert record.version == 2 and record.writer == writer.instance.task_id
+        assert record.readers == () and record.barrier is None
+        # A rewrite resets the one record in place: N more leave no trace.
+        def records():
+            gc.collect()
+            return sum(isinstance(o, Datum) for o in gc.get_objects())
+
+        datums, before = len(ap.registry.datum_ids), records()
+        for _ in range(50):
+            register(update, future)
+        assert ap.registry.record(future.datum_id) is record and record.version == 52
+        assert len(ap.registry.datum_ids) == datums and records() == before
