@@ -224,7 +224,6 @@ class Agent(ServiceMixin):
                 speed_factor=peer.speed_factor,
                 kind=peer.kind,
                 outstanding=0,
-                zone=peer.zone,
             )
             # Subscribe to the peer's death notice before any message flows:
             # under interest-scoped failure notification a peer dying between

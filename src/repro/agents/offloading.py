@@ -10,7 +10,7 @@ the peer agents it knows — and picks an executor agent per task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import TYPE_CHECKING, List, Protocol
 
 from repro.core.graph import TaskInstance
 
@@ -27,40 +27,6 @@ class PeerInfo:
     speed_factor: float
     kind: str  # "edge" | "fog" | "cloud" | "hpc"
     outstanding: int  # tasks this orchestrator has sent there and not heard back
-    zone: Optional[str] = None  # network zone, for zone-local peer selection
-
-
-class ZoneLocalOffload:
-    """Offload within the orchestrator's zone; spill to remote peers only
-    when every zone-local peer is saturated.
-
-    Fleet-scale policy: at ~50k agents an orchestrator's candidate set is
-    the O(zone) live membership (``MessageBus.alive_in_zone``), not the
-    whole continuum, and this policy keeps the traffic there too.
-    """
-
-    name = "zone-local"
-
-    def __init__(self, zone: str, threshold: float = 4.0) -> None:
-        self.zone = zone
-        self.threshold = threshold
-
-    def choose(self, task: TaskInstance, local: PeerInfo, peers: List[PeerInfo]) -> str:
-        if not peers:
-            return local.name
-
-        def load(p: PeerInfo) -> float:
-            return p.outstanding / max(1, p.cores)
-
-        locals_ = [p for p in peers if p.zone == self.zone]
-        if locals_:
-            best = min(locals_, key=load)
-            if load(best) < self.threshold:
-                return best.name
-        remote = [p for p in peers if p.zone != self.zone]
-        if remote:
-            return min(remote, key=load).name
-        return min(peers, key=load).name if locals_ else local.name
 
 
 class OffloadingPolicy(Protocol):

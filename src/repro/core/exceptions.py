@@ -29,10 +29,6 @@ class ConstraintUnsatisfiableError(ReproError):
     """No node in the platform can ever satisfy a task's constraints."""
 
 
-class DataNotFoundError(ReproError):
-    """A datum id was looked up in a registry/store that does not hold it."""
-
-
 class StorageError(ReproError):
     """Base class for persistent-storage errors (SOI/SRI layer)."""
 

@@ -7,17 +7,11 @@ all folds train concurrently under an active runtime.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.dislib.array import DsArray, array
-
-
-def _block_rows(a: DsArray) -> List[Any]:
-    if a.n_block_cols != 1:
-        raise ValueError("model_selection expects row-partitioned ds-arrays")
-    return [a.blocks[i][0] for i in range(a.n_block_rows)]
 
 
 def train_test_split(

@@ -84,10 +84,6 @@ class CyclingSuite:
         self._order.append(task.name)
         return self
 
-    @property
-    def task_names(self) -> List[str]:
-        return list(self._order)
-
     def _datum(self, task_name: str, cycle: int) -> str:
         return f"{self.name}/{task_name}@{cycle}"
 

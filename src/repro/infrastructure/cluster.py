@@ -8,7 +8,7 @@ Fig. 5 for the mF2C agents work.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.infrastructure.network import Link, NetworkTopology
 from repro.infrastructure.platform import Platform
@@ -120,8 +120,3 @@ def make_fog_platform(
             zone="cloud",
         )
     return platform
-
-
-def hpc_node_names(platform: Platform) -> List[str]:
-    """Names of all HPC nodes in a platform (test helper)."""
-    return [n.name for n in platform.nodes_of_kind(NodeKind.HPC)]

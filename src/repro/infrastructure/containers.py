@@ -56,10 +56,6 @@ class ImageRegistry:
             raise ContainerError(f"unknown image {name!r}; push it to the registry first")
         return image
 
-    @property
-    def image_names(self) -> Set[str]:
-        return set(self._images)
-
 
 class ContainerRuntime:
     """Per-platform container state: node-local image caches and pulls."""

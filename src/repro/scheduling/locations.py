@@ -281,14 +281,6 @@ class DataLocationService:
         self._digest_scores[digest] = scores
         return scores
 
-    def missing_bytes(self, node_name: str, datum_ids: Iterable[str]) -> float:
-        """Bytes that would have to be transferred to run on ``node_name``."""
-        total = 0.0
-        for datum_id in datum_ids:
-            if node_name not in self._locations.get(datum_id, ()):
-                total += self._sizes.get(datum_id, 0.0)
-        return total
-
     def snapshot(self) -> Mapping[str, Set[str]]:
         """A copy of the full location map (diagnostics/tests)."""
         return {k: set(v) for k, v in self._locations.items()}

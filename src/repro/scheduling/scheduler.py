@@ -72,7 +72,6 @@ class TaskScheduler:
         self,
         platform: Platform,
         policy: Optional[SchedulingPolicy] = None,
-        track_platform_changes: bool = True,
     ) -> None:
         self.platform = platform
         self.policy = policy if policy is not None else FifoPolicy()
@@ -87,9 +86,8 @@ class TaskScheduler:
         # never sees (or pays for) a materialized candidate list.  Such a
         # policy must return None only when nothing fits.
         self._select_indexed = getattr(self.policy, "select_indexed", None)
-        if track_platform_changes:
-            platform.on_node_join(self._on_node_join)
-            platform.on_node_leave(self._on_node_leave)
+        platform.on_node_join(self._on_node_join)
+        platform.on_node_leave(self._on_node_leave)
 
     # --------------------------------------------------------------- events
 

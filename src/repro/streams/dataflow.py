@@ -144,14 +144,12 @@ class DataflowPlane:
         executor: "SimulatedExecutor",
         ingest_node: str,
         start_at: float = 0.0,
-        content_keys: bool = True,
     ) -> None:
         self.operators = operators
         self.executor = executor
         self.engine = executor.engine
         self.ingest_node = ingest_node
         self.start_at = start_at
-        self.content_keys = content_keys
         self._runtimes: Dict[str, _WindowRuntime] = {}
         self._batch_runtimes: Dict[str, _BatchRuntime] = {}
         self._inflight: Dict[int, tuple] = {}
@@ -375,11 +373,7 @@ class DataflowPlane:
             )
             input_sizes[datum_in] = in_size
             reads.append(datum_in)
-        cache_key = None
-        if self.content_keys:
-            cache_key = stream_task_key(
-                op.name, index, window_start, window_end, buffer
-            )
+        cache_key = stream_task_key(op.name, index, window_start, window_end, buffer)
         profile = SimProfile(
             duration_s=op.duration_fn(count),
             input_sizes=input_sizes,

@@ -4,6 +4,13 @@ Synthetic equivalents of the applications the paper evaluates the COMPSs
 model on — the substitution rule in action (DESIGN.md §2): the DAG shapes,
 duration distributions and memory demands follow §VI-A's description, while
 absolute magnitudes are scaled to simulate quickly.
+
+What the front doors need to know about a workload — its config dataclass,
+its options (one word as scenario key and as flag, defaulted from the
+config) and how to build or run it — is one :class:`Workload` record in
+:data:`WORKLOADS` (:mod:`repro.workloads.table`): registering a record is all
+it takes for ``repro simulate`` / ``analyze`` / ``timeline`` / ``sweep`` to
+know a new workload.
 """
 
 from repro.workloads.guidance import (
@@ -36,8 +43,12 @@ from repro.workloads.hybrid_stream import (
     make_hybrid_stream_programs,
     run_hybrid_stream,
 )
+from repro.workloads.table import WORKLOADS, Workload, WorkloadError
 
 __all__ = [
+    "WORKLOADS",
+    "Workload",
+    "WorkloadError",
     "ChurnConfig",
     "HybridStreamConfig",
     "make_hybrid_stream_programs",

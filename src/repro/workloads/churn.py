@@ -51,7 +51,13 @@ from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node, NodeKind, PowerProfile
 from repro.scheduling.locations import DataLocationService
 from repro.simulation.random import DeterministicRandom
-from repro.workloads.zonal import make_zonal_network, zone_name
+from repro.workloads.zonal import (
+    make_zonal_network,
+    run_campaign,
+    start_ring_report,
+    zone_name,
+    zone_programs,
+)
 
 #: One shared power model for the whole worker fleet (50k per-node profile
 #: objects would be pure overhead).
@@ -96,6 +102,12 @@ class ChurnConfig:
     persistence: bool = True
     notification: str = "interest"
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.notification not in ("interest", "broadcast"):
+            raise ValueError(
+                f"unknown notification model {self.notification!r} (interest, broadcast)"
+            )
 
 
 def _crowd_tasks(cfg: ChurnConfig, zone_agents: int) -> int:
@@ -543,61 +555,45 @@ def _zone_platform(cfg: ChurnConfig, index: int) -> Platform:
     return Platform(name=f"continuum-{zone_name(index)}", network=network)
 
 
-def _churn_zone_factory(cfg: ChurnConfig, index: int):
-    """One zone's program: local fleet + churn driver + epoch-digest ring.
+def _churn_zone_program(cfg: ChurnConfig, index: int, api):
+    """One zone's program: local fleet + churn driver + epoch-digest ring."""
+    zone = zone_name(index)
+    platform = _zone_platform(cfg, index)
+    bus = MessageBus(platform, api, notification=cfg.notification)
+    driver = _ZoneChurnDriver(cfg, index, platform, bus, api)
+    driver.start()
 
-    The factory closes over plain config only, so fork lanes inherit it
-    cheaply and nothing but channel messages is pickled.
-    """
+    def digest() -> Dict[str, Any]:
+        # The zone's membership digest crosses the WAN: what a remote
+        # observer would reconcile against instead of a full sync.
+        epoch = bus.membership_epoch(zone)
+        crc = zlib.crc32(pickle.dumps((zone, epoch, driver.deaths, driver.arrivals)))
+        return {"epoch": epoch, "crc": crc}
 
-    def factory(api) -> Any:
-        zone = zone_name(index)
-        platform = _zone_platform(cfg, index)
-        bus = MessageBus(platform, api, notification=cfg.notification)
-        driver = _ZoneChurnDriver(cfg, index, platform, bus, api)
-        driver.start()
-        peer = zone_name((index + 1) % cfg.zones)
+    start_ring_report(
+        api,
+        cfg,
+        index,
+        cfg.digest_interval_s,
+        ("peer-epoch", "epoch-digest", "digest-tick"),
+        digest,
+        lambda: api.now + cfg.digest_interval_s <= cfg.duration_s + 1e-9,
+    )
 
-        def on_digest(payload: Dict[str, Any]) -> None:
-            api.log(("peer-epoch", payload["zone"], payload["epoch"], payload["crc"]))
+    def result() -> Dict[str, Any]:
+        driver.finalize()
+        out = driver.result()
+        out["events"] = api.dispatched_events
+        out["down_notices"] = bus.down_notices
+        out["dropped"] = bus.dropped_count
+        return out
 
-        api.on_message(on_digest)
-
-        def ping() -> None:
-            # The zone's membership digest crosses the WAN: what a remote
-            # observer would reconcile against instead of a full sync.
-            epoch = bus.membership_epoch(zone)
-            crc = zlib.crc32(
-                pickle.dumps((zone, epoch, driver.deaths, driver.arrivals))
-            )
-            api.send(
-                peer,
-                {"zone": zone, "epoch": epoch, "crc": crc},
-                delay=cfg.inter_zone_latency_s,
-                label="epoch-digest",
-            )
-            if api.now + cfg.digest_interval_s <= cfg.duration_s + 1e-9:
-                api.after(cfg.digest_interval_s, ping, label="digest-tick")
-
-        if cfg.zones > 1:
-            api.after(cfg.digest_interval_s, ping, label="digest-tick")
-
-        def result() -> Dict[str, Any]:
-            driver.finalize()
-            out = driver.result()
-            out["events"] = api.dispatched_events
-            out["down_notices"] = bus.down_notices
-            out["dropped"] = bus.dropped_count
-            return out
-
-        return result
-
-    return factory
+    return result
 
 
 def make_churn_programs(cfg: ChurnConfig) -> Dict[str, Any]:
     """``{zone: factory}`` churn programs for the sharded/parallel engines."""
-    return {zone_name(i): _churn_zone_factory(cfg, i) for i in range(cfg.zones)}
+    return zone_programs(cfg, _churn_zone_program)
 
 
 def run_churn(
@@ -609,10 +605,8 @@ def run_churn(
     lookahead reference), or ``parallel`` (forked lanes) — byte-identical
     deterministic results on all three.
     """
-    from repro.simulation.parallel import run_zone_programs
-
-    ordered, dispatched, stats = run_zone_programs(
-        make_churn_network(cfg), make_churn_programs(cfg), engine, workers
+    ordered, dispatched, stats = run_campaign(
+        cfg, make_churn_programs(cfg), engine, workers
     )
     result = {
         **_campaign_totals(cfg, "decomposed", cfg.notification, ordered),

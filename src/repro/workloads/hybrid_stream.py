@@ -28,12 +28,18 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.infrastructure.cluster import make_hpc_cluster
-from repro.scheduling.locations import DataLocationService
-from repro.scheduling.policies import LoadBalancingPolicy
+from repro.core.graph import TaskGraph
 from repro.simulation.random import DeterministicRandom
 from repro.streams import CreditValve, DataflowPlane, OperatorGraph, SensorSource
-from repro.workloads.zonal import make_zonal_network, zone_name
+from repro.workloads.zonal import (
+    make_zonal_network,
+    outcome_rows,
+    run_campaign,
+    start_ring_report,
+    zone_executor,
+    zone_name,
+    zone_programs,
+)
 
 
 @dataclass(frozen=True)
@@ -61,169 +67,132 @@ class HybridStreamConfig:
     bytes_per_element: float = 64.0
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        if self.overflow not in ("drop", "spill"):
+            raise ValueError(f"unknown overflow policy {self.overflow!r} (drop, spill)")
+
 
 #: Inter-zone topology: the zonal one (a gateway per zone, WAN default links).
 make_hybrid_stream_network = make_zonal_network
 
 
-def _hybrid_zone_factory(cfg: HybridStreamConfig, index: int):
-    """One zone's program: sensors + operator graph + plane + digest ring.
-
-    Closes over plain config only, so fork lanes inherit it cheaply.
-    """
-
-    def factory(api) -> Any:
-        zone = zone_name(index)
-        platform = make_hpc_cluster(
-            cfg.nodes_per_zone, cores_per_node=cfg.cores_per_node, name=zone
+def _hybrid_zone_program(cfg: HybridStreamConfig, index: int, api):
+    """One zone's program: sensors + operator graph + plane + digest ring."""
+    zone = zone_name(index)
+    graph = TaskGraph()
+    executor = zone_executor(api, cfg, index, graph)
+    operators = OperatorGraph(f"{zone}-flow")
+    # Batch->stream feedback cell: the recalibration stage retunes the
+    # QC threshold mid-campaign (deterministic, so engines agree).
+    qc_threshold = [95.0]
+    sensors = []
+    chains = []
+    zone_rng = DeterministicRandom(cfg.seed, "hybrid").fork(f"zone:{index}")
+    for s in range(cfg.sensors_per_zone):
+        valve = CreditValve(cfg.credits, policy=cfg.overflow)
+        src = operators.source(f"sensor-{s}", valve=valve)
+        chain = src.map(f"calib-{s}", lambda v: v * 100.0).filter(
+            f"qc-{s}", lambda v: v >= qc_threshold[0]
         )
-        # Local import breaks the executor<->workloads module cycle.
-        from repro.core.graph import TaskGraph
-        from repro.executor.simulated import SimulatedExecutor
-
-        graph = TaskGraph()
-        executor = SimulatedExecutor(
-            graph,
-            platform,
-            policy=LoadBalancingPolicy(),
-            engine=api,
-            locations=DataLocationService(),
+        chains.append(chain)
+        sensors.append(
+            SensorSource(
+                api,
+                src.stream,
+                name=f"{zone}-sensor-{s}",
+                period_s=1.0 / cfg.rate_hz,
+                jitter=cfg.jitter,
+                until=cfg.duration_s,
+                seed=zone_rng.fork(f"sensor:{s}").seed,
+                batch=cfg.batch,
+                valve=valve,
+            )
         )
-        operators = OperatorGraph(f"{zone}-flow")
-        # Batch->stream feedback cell: the recalibration stage retunes the
-        # QC threshold mid-campaign (deterministic, so engines agree).
-        qc_threshold = [95.0]
-        valves = []
-        sensors = []
-        chains = []
-        zone_rng = DeterministicRandom(cfg.seed, "hybrid").fork(f"zone:{index}")
-        for s in range(cfg.sensors_per_zone):
-            valve = CreditValve(cfg.credits, policy=cfg.overflow)
-            valves.append(valve)
-            src = operators.source(f"sensor-{s}", valve=valve)
-            chain = src.map(f"calib-{s}", lambda v: v * 100.0).filter(
-                f"qc-{s}", lambda v: v >= qc_threshold[0]
-            )
-            chains.append(chain)
-            sensors.append(
-                SensorSource(
-                    api,
-                    src.stream,
-                    name=f"{zone}-sensor-{s}",
-                    period_s=1.0 / cfg.rate_hz,
-                    jitter=cfg.jitter,
-                    until=cfg.duration_s,
-                    seed=zone_rng.fork(f"sensor:{s}").seed,
-                    batch=cfg.batch,
-                    valve=valve,
-                )
-            )
-        window = operators.tumbling_window(
-            "agg",
-            chains,
+    window = operators.tumbling_window(
+        "agg",
+        chains,
+        cfg.window_s,
+        compute_fn=lambda values: sum(values) / len(values),
+        bytes_per_element=cfg.bytes_per_element,
+    )
+    if cfg.sensors_per_zone >= 2:
+        operators.keyed_join(
+            "pair",
+            chains[0],
+            chains[1],
             cfg.window_s,
-            compute_fn=lambda values: sum(values) / len(values),
+            key_fn=lambda v: int(v) & 3,
+            join_fn=lambda key, left, right: (key, len(left), len(right)),
             bytes_per_element=cfg.bytes_per_element,
         )
-        if cfg.sensors_per_zone >= 2:
-            operators.keyed_join(
-                "pair",
-                chains[0],
-                chains[1],
-                cfg.window_s,
-                key_fn=lambda v: int(v) & 3,
-                join_fn=lambda key, left, right: (key, len(left), len(right)),
-                bytes_per_element=cfg.bytes_per_element,
-            )
-        recal = window.batch_every(
-            "recal",
-            cfg.batch_every,
-            fn=lambda results: sum(r.element_count for r in results),
+    recal = window.batch_every(
+        "recal",
+        cfg.batch_every,
+        fn=lambda results: sum(r.element_count for r in results),
+    )
+    recal.output.subscribe(
+        lambda el: qc_threshold.__setitem__(
+            0, 95.0 + (el.value.value % 7) * 0.1
         )
-        recal.output.subscribe(
-            lambda el: qc_threshold.__setitem__(
-                0, 95.0 + (el.value.value % 7) * 0.1
-            )
-        )
-        plane = DataflowPlane(operators, executor, ingest_node=f"{zone}-n0")
-        for sensor in sensors:
-            sensor.start()
-        plane.start()
-        # Sources close one window past the horizon so the final window's
-        # close event (scheduled at setup, same-timestamp but earlier
-        # sequence) still finds live streams when they coincide.
-        plane.close_sources_at(cfg.duration_s + cfg.window_s)
-        peer = zone_name((index + 1) % cfg.zones)
-
-        def on_digest(payload: Dict[str, Any]) -> None:
-            api.log(("peer-digest", payload["zone"], payload["crc"]))
-
-        api.on_message(on_digest)
-
-        def ping() -> None:
-            crc = zlib.crc32(
+    )
+    plane = DataflowPlane(operators, executor, ingest_node=f"{zone}-n0")
+    for sensor in sensors:
+        sensor.start()
+    plane.start()
+    # Sources close one window past the horizon so the final window's
+    # close event (scheduled at setup, same-timestamp but earlier
+    # sequence) still finds live streams when they coincide.
+    plane.close_sources_at(cfg.duration_s + cfg.window_s)
+    start_ring_report(
+        api,
+        cfg,
+        index,
+        cfg.digest_interval_s,
+        ("peer-digest", "stream-digest", "digest-tick"),
+        lambda: {
+            "crc": zlib.crc32(
                 pickle.dumps((zone, plane.windows_closed, plane.elements_ingested))
             )
-            api.send(
-                peer,
-                {"zone": zone, "crc": crc},
-                delay=cfg.inter_zone_latency_s,
-                label="stream-digest",
-            )
-            if api.now + cfg.digest_interval_s <= cfg.duration_s + 1e-9:
-                api.after(cfg.digest_interval_s, ping, label="digest-tick")
+        },
+        lambda: api.now + cfg.digest_interval_s <= cfg.duration_s + 1e-9,
+    )
 
-        if cfg.zones > 1:
-            api.after(cfg.digest_interval_s, ping, label="digest-tick")
+    def result() -> Dict[str, Any]:
+        report = executor.report()
+        task_records = outcome_rows(graph.tasks, cache_keys=True)
+        window_records = [
+            (r.window_start, r.window_end, r.completed_at, repr(r.value))
+            for r in plane.results_of("agg")
+        ]
+        digest = zlib.crc32(pickle.dumps((task_records, window_records)))
+        stats = plane.stats()
+        return {
+            "zone": zone,
+            "produced": sum(s.produced for s in sensors),
+            "emitted": sum(s.emitted for s in sensors),
+            "stream_events": stats["elements_ingested"],
+            "dropped": stats["dropped"],
+            "spilled": stats["spilled"],
+            "windows_closed": stats["windows_closed"],
+            "tasks_lowered": stats["tasks_lowered"],
+            "batch_tasks": stats["batch_tasks"],
+            "late_elements": stats["late_elements"],
+            "buffered_high_water": stats["buffered_high_water"],
+            "retained_high_water": stats["retained_high_water"],
+            "mean_latency_s": plane.mean_latency("agg"),
+            "max_latency_s": plane.max_latency("agg"),
+            "tasks_done": report.tasks_done,
+            "makespan_s": report.makespan,
+            "events": api.dispatched_events,
+            "outcome_crc32": digest,
+        }
 
-        def result() -> Dict[str, Any]:
-            report = executor.report()
-            task_records = sorted(
-                (
-                    t.label,
-                    t.state.name,
-                    t.start_time,
-                    t.end_time,
-                    tuple(t.assigned_nodes),
-                    t.cache_key,
-                )
-                for t in graph.tasks
-            )
-            window_records = [
-                (r.window_start, r.window_end, r.completed_at, repr(r.value))
-                for r in plane.results_of("agg")
-            ]
-            digest = zlib.crc32(pickle.dumps((task_records, window_records)))
-            stats = plane.stats()
-            return {
-                "zone": zone,
-                "produced": sum(s.produced for s in sensors),
-                "emitted": sum(s.emitted for s in sensors),
-                "stream_events": stats["elements_ingested"],
-                "dropped": stats["dropped"],
-                "spilled": stats["spilled"],
-                "windows_closed": stats["windows_closed"],
-                "tasks_lowered": stats["tasks_lowered"],
-                "batch_tasks": stats["batch_tasks"],
-                "late_elements": stats["late_elements"],
-                "buffered_high_water": stats["buffered_high_water"],
-                "retained_high_water": stats["retained_high_water"],
-                "mean_latency_s": plane.mean_latency("agg"),
-                "max_latency_s": plane.max_latency("agg"),
-                "tasks_done": report.tasks_done,
-                "makespan_s": report.makespan,
-                "events": api.dispatched_events,
-                "outcome_crc32": digest,
-            }
-
-        return result
-
-    return factory
+    return result
 
 
 def make_hybrid_stream_programs(cfg: HybridStreamConfig) -> Dict[str, Any]:
     """``{zone: factory}`` programs for the sharded/parallel engines."""
-    return {zone_name(i): _hybrid_zone_factory(cfg, i) for i in range(cfg.zones)}
+    return zone_programs(cfg, _hybrid_zone_program)
 
 
 def run_hybrid_stream(
@@ -235,11 +204,8 @@ def run_hybrid_stream(
     lookahead reference), or ``parallel`` (forked lanes) — byte-identical
     deterministic results on all three.
     """
-    from repro.simulation.parallel import run_zone_programs
-
-    programs = make_hybrid_stream_programs(cfg)
-    ordered, dispatched, stats = run_zone_programs(
-        make_hybrid_stream_network(cfg), programs, engine, workers
+    ordered, dispatched, stats = run_campaign(
+        cfg, make_hybrid_stream_programs(cfg), engine, workers
     )
     zones = list(ordered.values())
     result = {

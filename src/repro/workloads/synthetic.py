@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.executor.workflow_builder import SimWorkflowBuilder
 from repro.simulation.random import DeterministicRandom
+
+
+@dataclass(frozen=True)
+class SyntheticConfig:
+    """``tasks`` tasks of ``duration`` seconds each: the whole description of
+    an :func:`embarrassingly_parallel` or :func:`task_chain` workload."""
+
+    tasks: int = 100
+    duration: float = 10.0
 
 
 def embarrassingly_parallel(
@@ -98,32 +108,4 @@ def layered_random_dag(
             )
             current_outputs.append(name)
         previous_outputs = current_outputs
-    return builder
-
-
-def staged_spec_to_builder(
-    stages: Sequence[Sequence[Dict]],
-    barriers: bool,
-) -> SimWorkflowBuilder:
-    """Build a DAG from a stage spec, with or without global stage barriers.
-
-    Each stage is a list of ``add_task`` kwargs.  With ``barriers=True`` every
-    task additionally depends on *all* tasks of the previous stage — the
-    fragmented-pipeline execution model (see :mod:`repro.baselines`).  With
-    ``barriers=False`` only the declared data dependencies apply (the
-    holistic single-flow model the paper argues for).
-    """
-    builder = SimWorkflowBuilder()
-    previous_ids: List[int] = []
-    for stage in stages:
-        current_ids: List[int] = []
-        for spec in stage:
-            kwargs = dict(spec)
-            if barriers:
-                extra = list(kwargs.get("depends_on", ()))
-                extra.extend(previous_ids)
-                kwargs["depends_on"] = extra
-            instance = builder.add_task(**kwargs)
-            current_ids.append(instance.task_id)
-        previous_ids = current_ids
     return builder

@@ -21,7 +21,8 @@ from __future__ import annotations
 import pickle
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.infrastructure.cluster import make_hpc_cluster
 from repro.infrastructure.network import Link, NetworkTopology
@@ -74,6 +75,73 @@ def make_zonal_network(cfg) -> NetworkTopology:
     return network
 
 
+def zone_executor(api, cfg, index: int, graph):
+    """A :class:`SimulatedExecutor` for ``graph`` on zone ``index``'s own
+    cluster (``cfg.nodes_per_zone`` x ``cfg.cores_per_node``), driven by the
+    zone's ``api``."""
+    # Local import breaks the executor<->workloads module cycle.
+    from repro.executor.simulated import SimulatedExecutor
+
+    platform = make_hpc_cluster(
+        cfg.nodes_per_zone, cores_per_node=cfg.cores_per_node, name=zone_name(index)
+    )
+    return SimulatedExecutor(
+        graph,
+        platform,
+        policy=LoadBalancingPolicy(),
+        engine=api,
+        locations=DataLocationService(),
+    )
+
+
+def start_ring_report(api, cfg, index: int, interval_s, labels, fields, keep_going):
+    """The cross-zone ring every zone program carries: every ``interval_s``
+    zone ``index`` sends ``{"zone": its name, **fields()}`` to zone ``index +
+    1``, paying ``cfg.inter_zone_latency_s``, and logs what its predecessor
+    sent as ``(tag, *payload values)``.  ``labels`` is ``(tag, send label,
+    tick label)``; ``keep_going()`` is asked after each send — a zone that
+    stops answering yes goes quiet, which is what lets the run quiesce."""
+    zone = zone_name(index)
+    peer = zone_name((index + 1) % cfg.zones)
+    tag, send_label, tick_label = labels
+    api.on_message(lambda payload: api.log((tag, *payload.values())))
+
+    def ping() -> None:
+        payload = {"zone": zone, **fields()}
+        api.send(peer, payload, delay=cfg.inter_zone_latency_s, label=send_label)
+        if keep_going():
+            api.after(interval_s, ping, label=tick_label)
+
+    if cfg.zones > 1:
+        api.after(interval_s, ping, label=tick_label)
+
+
+def outcome_rows(tasks: Iterable[Any], cache_keys: bool = False) -> List[tuple]:
+    """Per-task outcome rows, sorted: what an ``outcome_crc32`` over a zone
+    executor's graph digests (``cache_keys`` appends each content key)."""
+    return sorted(
+        (t.label, t.state.name, t.start_time, t.end_time, tuple(t.assigned_nodes))
+        + ((t.cache_key,) if cache_keys else ())
+        for t in tasks
+    )
+
+
+def zone_programs(cfg, program) -> Dict[str, Any]:
+    """``{zone: factory}`` for every zone of ``cfg``, ``factory(api)`` being
+    ``program(cfg, index, api)``: a partial of a module-level function over
+    plain config, so fork lanes inherit it cheaply and nothing but channel
+    messages is pickled."""
+    return {zone_name(i): partial(program, cfg, i) for i in range(cfg.zones)}
+
+
+def run_campaign(cfg, programs: Dict[str, Any], engine: str, workers: int):
+    """``run_zone_programs`` of ``{zone: factory}`` programs over ``cfg``'s
+    zonal network: ``(per_zone, events, stats)``."""
+    from repro.simulation.parallel import run_zone_programs
+
+    return run_zone_programs(make_zonal_network(cfg), programs, engine, workers)
+
+
 def _layers(cfg: ZonalConfig) -> List[int]:
     """Split the zone's task budget into cluster-width layers."""
     width = max(1, cfg.nodes_per_zone * cfg.cores_per_node)
@@ -86,93 +154,49 @@ def _layers(cfg: ZonalConfig) -> List[int]:
     return layers
 
 
-def _zone_factory(cfg: ZonalConfig, index: int):
-    """One zone's program: local DAG + executor + ring progress reports.
+def _zone_program(cfg: ZonalConfig, index: int, api):
+    """One zone's program: local DAG + executor + ring progress reports."""
+    zone = zone_name(index)
+    seed = DeterministicRandom(cfg.seed, "zonal").fork(f"zone:{index}").seed
+    builder = layered_random_dag(
+        _layers(cfg),
+        seed=seed,
+        duration_median=cfg.duration_median_s,
+        duration_sigma=cfg.duration_sigma,
+        datum_bytes=cfg.datum_bytes,
+    )
+    executor = zone_executor(api, cfg, index, builder.graph)
+    start_ring_report(
+        api,
+        cfg,
+        index,
+        cfg.progress_interval_s,
+        ("peer-progress", "progress", "progress-tick"),
+        lambda: {"done": executor.graph.completed_count},
+        # Reschedule only while the local workload is live.
+        lambda: not executor.graph.finished,
+    )
+    executor.prime()
 
-    Module-level state only (the factory closes over plain config), so fork
-    lanes inherit it cheaply and nothing but channel messages is pickled.
-    """
+    def result() -> Dict[str, Any]:
+        report = executor.report()
+        digest = zlib.crc32(pickle.dumps(outcome_rows(builder.graph.tasks)))
+        return {
+            "zone": zone,
+            "tasks_done": report.tasks_done,
+            "tasks_failed": report.tasks_failed,
+            "makespan_s": report.makespan,
+            "bytes_transferred": report.bytes_transferred,
+            "events": api.dispatched_events,
+            "outcome_crc32": digest,
+        }
 
-    def factory(api) -> Any:
-        zone = zone_name(index)
-        seed = DeterministicRandom(cfg.seed, "zonal").fork(f"zone:{index}").seed
-        builder = layered_random_dag(
-            _layers(cfg),
-            seed=seed,
-            duration_median=cfg.duration_median_s,
-            duration_sigma=cfg.duration_sigma,
-            datum_bytes=cfg.datum_bytes,
-        )
-        platform = make_hpc_cluster(
-            cfg.nodes_per_zone, cores_per_node=cfg.cores_per_node, name=zone
-        )
-        # Local import breaks the executor<->workloads module cycle.
-        from repro.executor.simulated import SimulatedExecutor
-
-        executor = SimulatedExecutor(
-            builder.graph,
-            platform,
-            policy=LoadBalancingPolicy(),
-            engine=api,
-            locations=DataLocationService(),
-        )
-        peer = zone_name((index + 1) % cfg.zones)
-
-        def on_progress(payload: Dict[str, Any]) -> None:
-            api.log(("peer-progress", payload["zone"], payload["done"]))
-
-        api.on_message(on_progress)
-
-        def ping() -> None:
-            api.send(
-                peer,
-                {"zone": zone, "done": executor.graph.completed_count},
-                delay=cfg.inter_zone_latency_s,
-                label="progress",
-            )
-            # Reschedule only while the local workload is live: a finished
-            # zone goes quiet, which is what lets the whole run quiesce.
-            if not executor.graph.finished:
-                api.after(cfg.progress_interval_s, ping, label="progress-tick")
-
-        if cfg.zones > 1:
-            api.after(cfg.progress_interval_s, ping, label="progress-tick")
-        executor.prime()
-
-        def result() -> Dict[str, Any]:
-            report = executor.report()
-            digest = zlib.crc32(
-                pickle.dumps(
-                    sorted(
-                        (
-                            t.label,
-                            t.state.name,
-                            t.start_time,
-                            t.end_time,
-                            tuple(t.assigned_nodes),
-                        )
-                        for t in builder.graph.tasks
-                    )
-                )
-            )
-            return {
-                "zone": zone,
-                "tasks_done": report.tasks_done,
-                "tasks_failed": report.tasks_failed,
-                "makespan_s": report.makespan,
-                "bytes_transferred": report.bytes_transferred,
-                "events": api.dispatched_events,
-                "outcome_crc32": digest,
-            }
-
-        return result
-
-    return factory
+    return result
 
 
 def make_zone_programs(cfg: ZonalConfig) -> Dict[str, Any]:
     """``{zone: factory}`` programs for the parallel/sharded engines."""
-    return {zone_name(i): _zone_factory(cfg, i) for i in range(cfg.zones)}
+    return zone_programs(cfg, _zone_program)
 
 
 def run_zonal(
@@ -186,10 +210,8 @@ def run_zonal(
     ``result`` carries only seed-determined fields; ``stats`` carries the
     non-deterministic execution metrics (empty for ``sharded``).
     """
-    from repro.simulation.parallel import run_zone_programs
-
-    ordered, dispatched, stats = run_zone_programs(
-        make_zonal_network(cfg), make_zone_programs(cfg), engine, workers
+    ordered, dispatched, stats = run_campaign(
+        cfg, make_zone_programs(cfg), engine, workers
     )
     result = {
         "workload": "zonal",
