@@ -111,6 +111,13 @@ class EventQueue:
         heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
+    def push_sequenced(self, time, action, priority, sequence, label="") -> Event:
+        """:meth:`push` under a caller-drawn, never repeated ``sequence``: the
+        caller decides how it ties with every event at ``(time, priority)``."""
+        event = Event(time, priority, sequence, action, label)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
+        return event
+
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or None."""
         heap = self._heap

@@ -35,7 +35,11 @@ at the window boundary regardless of transport, so the fork and inline
 transports are byte-identical by construction — the inline mode is not a
 degraded fallback but the same coordinator loop over in-process lanes, and
 payloads take the identical pickle round-trip either way (a handler always
-receives a *copy*, never the sender's object).
+receives a *copy*, never the sender's object).  Delivery is the one place
+the drivers differ in *when* a message enters its queue (at send, at the
+barrier), so :meth:`ShardApi.deliver` fixes the tie rule for all of them:
+at equal ``(time, priority)`` a zone's own events dispatch first, delivered
+messages after them in delivery order.
 
 Determinism boundary: lane placement (which zones share a process) affects
 wall-clock only, never results — zone state is never shared and message
@@ -48,10 +52,11 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import pickle
+import sys
 import time as _time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.infrastructure.network import NetworkTopology
 from repro.simulation.engine import SimulationEngine, SimulationError
@@ -66,11 +71,6 @@ from repro.simulation.sweep import _fork_context, _peak_rss_kb
 #: :class:`ShardApi` and optionally returns a zero-arg callable evaluated at
 #: the end of the run to produce the zone's result.
 ProgramFactory = Callable[["ShardApi"], Optional[Callable[[], Any]]]
-
-#: Adaptive window widening: after this many consecutive barrier exchanges
-#: with empty outboxes the window doubles, up to ``_MAX_WIDEN`` lookaheads.
-_WIDEN_AFTER = 4
-_MAX_WIDEN = 16.0
 
 
 @dataclass
@@ -134,6 +134,9 @@ class ShardApi:
         self._lookahead = lookahead
         self.engine = engine
         self._send_seq = itertools.count()
+        # Deliveries draw queue sequence numbers from a band above any the
+        # shard's own counter reaches: the tie rule of :meth:`deliver`.
+        self._delivery_seq = itertools.count(sys.maxsize)
         self._outbox: List[ChannelMessage] = []
         self._post = post if post is not None else self._outbox.append
         self._handler: Optional[Callable[[Any], Any]] = None
@@ -246,6 +249,12 @@ class ShardApi:
         the floor against the sender's clock, so a delivery lands in the
         queue unconditionally and the dispatch-time clock advance is the
         causality check of record.
+
+        The tie rule of every driver: at equal ``(time, priority)`` the
+        zone's own events dispatch first and deliveries after them, in
+        delivery order.  The reference delivers at send and the lanes at
+        the barrier, so a plain push would order a delivery against the
+        zone's own events by when its driver happened to file it.
         """
         if self._handler is None:
             raise SimulationError(
@@ -254,43 +263,36 @@ class ShardApi:
             )
         handler = self._handler
         payload_bytes = message.payload_bytes
-        self.engine.queue.push(
+        self.engine.queue.push_sequenced(
             message.time,
             lambda: handler(pickle.loads(payload_bytes)),
-            priority=message.priority,
-            label=f"channel:{message.src_zone}",
+            message.priority,
+            next(self._delivery_seq),
+            f"channel:{message.src_zone}",
         )
 
 
 class _InlineLane:
     """A set of zone shards driven in-process; the fork worker wraps one too.
 
-    Each shard is a :class:`ShardApi` over its own :class:`SimulationEngine`.
+    Each shard is a :class:`ShardApi` over its own :class:`SimulationEngine`,
+    built from the coordinating engine's programs and latency table.
     Answers the same ``send_window`` / ``recv_window`` pair as
     :class:`_ProcessLane`, so the coordinator loop has one shape.
     """
 
-    def __init__(
-        self,
-        index: int,
-        zones: List[Tuple[str, int]],
-        programs: Dict[str, ProgramFactory],
-        all_zones: Tuple[str, ...],
-        latency: Dict[Tuple[str, str], float],
-        lookahead: float,
-        max_events: int,
-    ) -> None:
+    def __init__(self, index: int, zones: List[Tuple[str, int]], engine) -> None:
         self.index = index
         self.zones = [zone for zone, _ in zones]
-        self._programs = programs
+        self._programs = engine.programs
         self._apis = [
             ShardApi(
                 zone,
                 zone_index,
-                all_zones,
-                latency,
-                lookahead,
-                SimulationEngine(max_events=max_events),
+                engine.zones,
+                engine._latency,
+                engine.lookahead,
+                SimulationEngine(max_events=engine.max_events),
             )
             for zone, zone_index in zones
         ]
@@ -308,31 +310,18 @@ class _InlineLane:
         self.cpu_seconds += _time.process_time() - cpu_start
         return self._next_times()
 
-    def window(
-        self,
-        window_end: Union[float, Dict[str, float]],
-        until: Optional[float],
-        inboxes: Dict[str, List[ChannelMessage]],
-    ) -> Tuple[Dict[str, Optional[float]], List[ChannelMessage], int]:
-        """One barrier round: deliver, drain, collect the outboxes.
-
-        ``window_end`` is a single horizon for every shard, or (when the
-        coordinator widened adaptively) a per-zone map of horizons.
-        """
+    def window(self, window_end: float, until: Optional[float], inboxes: dict):
+        """One barrier round: deliver the ``{zone: messages}`` inboxes, drain
+        to ``window_end``, collect the outboxes."""
         cpu_start = _time.process_time()
-        per_zone = window_end if isinstance(window_end, dict) else None
         outbox: List[ChannelMessage] = []
         dispatched = 0
         for api in self._apis:
-            inbox = inboxes.get(api.zone)
-            if inbox:
-                for message in sorted(inbox, key=lambda m: m.sort_key):
-                    api.deliver(message)
+            for message in sorted(inboxes.get(api.zone, ()), key=lambda m: m.sort_key):
+                api.deliver(message)
             engine = api.engine
             before = engine.dispatched_events
-            engine.drain(
-                per_zone[api.zone] if per_zone is not None else window_end, until
-            )
+            engine.drain(window_end, until)
             dispatched += engine.dispatched_events - before
             outbox.extend(api.drain_outbox())
         next_times = self._next_times()
@@ -380,11 +369,8 @@ def _lane_worker(lane: _InlineLane, conn) -> None:
                 _, window_end, until, inboxes = command
                 conn.send(("ok",) + lane.window(window_end, until, inboxes))
             elif op == "finalize":
-                _, until = command
-                results = lane.finalize(until)
-                conn.send(
-                    ("result", results, lane.cpu_seconds, _peak_rss_kb())
-                )
+                results = lane.finalize(command[1])
+                conn.send(("result", results, lane.cpu_seconds, _peak_rss_kb()))
                 return
             else:  # pragma: no cover - protocol misuse
                 raise SimulationError(f"unknown lane command {op!r}")
@@ -439,12 +425,7 @@ class _ProcessLane:
     def setup(self) -> Dict[str, Optional[float]]:
         return self._recv("ready")[1]
 
-    def send_window(
-        self,
-        window_end: Union[float, Dict[str, float]],
-        until: Optional[float],
-        inboxes: Dict[str, List[ChannelMessage]],
-    ) -> None:
+    def send_window(self, window_end, until, inboxes) -> None:
         self._pipe(self._conn.send, ("window", window_end, until, inboxes))
 
     def recv_window(self):
@@ -494,7 +475,6 @@ class ParallelShardedSimulationEngine:
     ) -> None:
         if not programs:
             raise SimulationError("parallel engine needs at least one zone program")
-        self.network = network
         self.programs = dict(programs)
         self.zones: Tuple[str, ...] = tuple(self.programs)
         self.workers = max(1, int(workers))
@@ -530,7 +510,13 @@ class ParallelShardedSimulationEngine:
         return _fork_context()
 
     def run(self, until: Optional[float] = None) -> float:
-        """Execute the programs to quiescence (or ``until``); one-shot."""
+        """Execute the programs to quiescence (or ``until``); one-shot.
+
+        Every round is grant, exchange, route: the window ``[GVT, GVT +
+        lookahead)`` is granted to every lane, the lanes deliver their
+        inboxes and drain it, and their outboxes are routed to the
+        destination zones' inboxes for the next barrier.  Land finalizes.
+        """
         if self._ran:
             raise SimulationError("ParallelShardedSimulationEngine is one-shot")
         self._ran = True
@@ -538,163 +524,114 @@ class ParallelShardedSimulationEngine:
         cpu_start = _time.process_time()
         context = self._lane_context()
         fork = context is not None
-        plan = self._plan_lanes()
         lanes: List[Any] = [
-            _InlineLane(
-                index,
-                zones,
-                self.programs,
-                self.zones,
-                self._latency,
-                self.lookahead,
-                self.max_events,
-            )
-            for index, zones in enumerate(plan)
+            _InlineLane(index, zones, self)
+            for index, zones in enumerate(self._plan_lanes())
         ]
         if fork:
             lanes = [_ProcessLane(lane, context) for lane in lanes]
-        windows = 0
-        messages = 0
-        widened_windows = 0
-        max_window_factor = 1.0
-        idle_streak = 0
-        factor = 1.0
+        windows = messages = 0
         try:
-            next_times: Dict[str, Optional[float]] = {}
+            heads: Dict[str, Optional[float]] = {}
             for lane in lanes:
-                next_times.update(lane.setup())
-            pending: Dict[str, List[ChannelMessage]] = {z: [] for z in self.zones}
-            while True:
-                # Per-zone earliest dispatchable time: the zone's own next
-                # event or any pending barrier message awaiting delivery.
-                earliest: Dict[str, float] = {}
-                for zone, zone_time in next_times.items():
-                    if zone_time is not None:
-                        earliest[zone] = zone_time
-                for zone, inbox in pending.items():
-                    for message in inbox:
-                        current = earliest.get(zone)
-                        if current is None or message.time < current:
-                            earliest[zone] = message.time
-                if not earliest:
-                    break
-                gvt = min(earliest.values())
-                if until is not None and gvt > until:
-                    break
-                window_end = gvt + self.lookahead
-                window_ends: Any = window_end
-                if factor > 1.0:
-                    # Adaptive widening: after enough barrier exchanges with
-                    # empty outboxes, drain each zone up to its *per-pair*
-                    # safe bound — the earliest instant any other zone's
-                    # next dispatchable event could deliver a message to it
-                    # (the latency matrix is shortest-path effective
-                    # latency, so indirect relays can never arrive earlier).
-                    # Always >= gvt + lookahead: per-zone event order (and
-                    # hence results) is unchanged, only barrier count drops.
-                    cap = gvt + factor * self.lookahead
-                    ends: Dict[str, float] = {}
-                    any_widened = False
-                    for dst in self.zones:
-                        bound = min(
-                            (
-                                earliest[src] + self._latency[(src, dst)]
-                                for src in self.zones
-                                if src != dst and src in earliest
-                            ),
-                            default=cap,
-                        )
-                        end = max(window_end, min(cap, bound))
-                        ends[dst] = end
-                        if end > window_end:
-                            any_widened = True
-                            applied = (end - gvt) / self.lookahead
-                            if applied > max_window_factor:
-                                max_window_factor = applied
-                    if any_widened:
-                        window_ends = ends
-                        widened_windows += 1
+                heads.update(lane.setup())
+            pending: Dict[str, List[ChannelMessage]] = {}
+            while (window_end := self._grant(heads, pending, until)) is not None:
                 windows += 1
-                inboxes_by_lane: List[Dict[str, List[ChannelMessage]]] = []
-                for lane, zones in zip(lanes, plan):
-                    inboxes = {}
-                    for zone, _ in zones:
-                        inbox = pending[zone]
-                        if inbox:
-                            inboxes[zone] = inbox
-                            pending[zone] = []
-                    inboxes_by_lane.append(inboxes)
-                # Broadcast first, then gather: forked lanes drain their
-                # window concurrently — this is the parallel section (an
-                # inline lane drains inside send_window).
-                for lane, inboxes in zip(lanes, inboxes_by_lane):
-                    lane.send_window(window_ends, until, inboxes)
-                replies = [lane.recv_window() for lane in lanes]
-                window_messages = 0
-                for lane_next, outbox, dispatched in replies:
-                    next_times.update(lane_next)
-                    self.dispatched_events += dispatched
-                    for message in outbox:
-                        pending[message.dst_zone].append(message)
-                        messages += 1
-                        window_messages += 1
-                if window_messages:
-                    idle_streak = 0
-                    factor = 1.0
-                else:
-                    idle_streak += 1
-                    if idle_streak >= _WIDEN_AFTER:
-                        factor = min(
-                            factor * 2.0 if factor > 1.0 else 2.0, _MAX_WIDEN
-                        )
-                if self.dispatched_events > self.max_events:
-                    raise SimulationError(
-                        f"dispatched more than {self.max_events} events; "
-                        "likely a self-rescheduling loop"
-                    )
-            for lane in lanes:
-                for zone, info in lane.finalize(until).items():
-                    self.results[zone] = info["result"]
-                    self.logs[zone] = info["logs"]
-                    self.shard_clocks[zone] = info["now"]
-                    self.shard_dispatch_counts[zone] = info["dispatched"]
+                replies = self._exchange(lanes, pending, window_end, until)
+                messages += self._route(replies, heads, pending)
+            self._land(lanes, until)
         except BaseException:
             if fork:
                 for lane in lanes:
                     lane.terminate()
             raise
-        self.dispatched_events = sum(self.shard_dispatch_counts.values())
         total_cpu = _time.process_time() - cpu_start
         lane_cpu = [lane.cpu_seconds for lane in lanes]
-        if fork:
-            coordinator_cpu = total_cpu
-        else:
-            # Inline: the parent's own process_time includes the lane work;
-            # subtract it so the coordinator figure means the same thing in
-            # both transports (barrier + routing overhead only).
-            coordinator_cpu = max(0.0, total_cpu - sum(lane_cpu))
         self.stats = {
             "mode": "fork" if fork else "inline",
             "workers": len(lanes),
             "zones": len(self.zones),
             "windows": windows,
-            "widened_windows": widened_windows,
-            "max_window_factor": max_window_factor,
+            # Every window is one lookahead wide; kept for its readers.
+            "widened_windows": 0,
             "messages": messages,
             "dispatched_events": self.dispatched_events,
             "wall_seconds": _time.perf_counter() - wall_start,
             "lane_cpu_seconds": lane_cpu,
             "max_lane_cpu_seconds": max(lane_cpu, default=0.0),
-            "coordinator_cpu_seconds": coordinator_cpu,
+            # Barrier and routing overhead only: inline, the parent's own
+            # process time includes the lane work, so take it out.
+            "coordinator_cpu_seconds": (
+                total_cpu if fork else max(0.0, total_cpu - sum(lane_cpu))
+            ),
             "peak_rss_kb_per_lane": [
                 lane.peak_rss_kb if fork else _peak_rss_kb() for lane in lanes
             ],
         }
-        if until is not None:
-            self.now = until
-        else:
-            self.now = max(self.shard_clocks.values(), default=0.0)
         return self.now
+
+    def _grant(self, heads, pending, until) -> Optional[float]:
+        """The next window's end, or None when the run is over.
+
+        GVT is the earliest dispatchable instant anywhere — a shard's next
+        event or a message waiting at the barrier — as in
+        :meth:`ShardedSimulationEngine.run`, whose queues hold both.
+        """
+        times = [time for time in heads.values() if time is not None]
+        times.extend(message.time for inbox in pending.values() for message in inbox)
+        if not times:
+            return None
+        gvt = min(times)
+        if until is not None and gvt > until:
+            return None
+        return gvt + self.lookahead
+
+    @staticmethod
+    def _exchange(lanes, pending, window_end, until) -> list:
+        """Hand every lane its inboxes and the window; gather the replies.
+
+        Broadcast first, then gather: forked lanes drain their window
+        concurrently — this is the parallel section (an inline lane drains
+        inside ``send_window``).
+        """
+        for lane in lanes:
+            inboxes = {z: pending.pop(z) for z in lane.zones if z in pending}
+            lane.send_window(window_end, until, inboxes)
+        return [lane.recv_window() for lane in lanes]
+
+    def _route(self, replies, heads, pending) -> int:
+        """File the lanes' outboxes for the next barrier; returns the count.
+
+        ``heads`` takes each shard's next event time, ``pending`` each
+        message under its destination zone until the next exchange.
+        """
+        routed = 0
+        for lane_heads, outbox, dispatched in replies:
+            heads.update(lane_heads)
+            self.dispatched_events += dispatched
+            for message in outbox:
+                pending.setdefault(message.dst_zone, []).append(message)
+            routed += len(outbox)
+        if self.dispatched_events > self.max_events:
+            raise SimulationError(
+                f"dispatched more than {self.max_events} events; "
+                "likely a self-rescheduling loop"
+            )
+        return routed
+
+    def _land(self, lanes: List[Any], until: Optional[float]) -> None:
+        """Finalize every lane: clocks to ``until``, results and logs in."""
+        for lane in lanes:
+            for zone, info in lane.finalize(until).items():
+                self.results[zone] = info["result"]
+                self.logs[zone] = info["logs"]
+                self.shard_clocks[zone] = info["now"]
+                self.shard_dispatch_counts[zone] = info["dispatched"]
+        self.dispatched_events = sum(self.shard_dispatch_counts.values())
+        # With a horizon every clock landed on ``until`` (finalize advances
+        # it, a drain never passes it); at quiescence on the latest event.
+        self.now = max(self.shard_clocks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +704,7 @@ def run_zone_programs(
     stats: Dict[str, Any] = {}
     if engine == "sharded":
         out = run_programs_sharded(network, programs)
-        per_zone = out["results"]
-        dispatched = sum(out["shard_dispatch_counts"].values())
+        per_zone, dispatched = out["results"], out["dispatched_events"]
     elif engine in ("single", "parallel"):
         sim = ParallelShardedSimulationEngine(
             network, programs, workers=1 if engine == "single" else workers

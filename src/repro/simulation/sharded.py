@@ -12,10 +12,14 @@ inter-zone latency.  That latency is what lets every zone run ahead on its
 own: an event in zone A cannot affect zone B sooner than the shortest-path
 latency between them, so each round every shard may drain the window
 ``[GVT, GVT + lookahead)``, GVT being the earliest pending event anywhere
-and the lookahead the smallest inter-zone latency.  Within a shard dispatch
-order is the familiar ``(time, priority, sequence)``; across shards inside
-one window it is shard-major — exactly the reordering the latency argument
-proves unobservable.
+and the lookahead the smallest inter-zone latency.  Every round on every
+driver is exactly that window: a message sent inside it lands at or after
+its end whatever the traffic, while a wider one would also have to bound
+round trips that start at the receiver itself.  Within a shard dispatch
+order is the familiar ``(time, priority, sequence)``, a delivered message
+after the shard's own events at equal ``(time, priority)``; across shards
+inside one window it is shard-major — exactly the reordering the latency
+argument proves unobservable.
 
 :class:`ShardedSimulationEngine` is that round run sequentially, a cross-zone
 message filed on its destination shard the moment it is sent: the reference

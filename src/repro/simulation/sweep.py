@@ -58,6 +58,16 @@ def scenario_key(scenario: Dict[str, Any]) -> str:
     return json.dumps(scenario, sort_keys=True, separators=(",", ":"))
 
 
+def scenario_keys(scenarios: Sequence[Dict[str, Any]]) -> List[str]:
+    """Every scenario's key; a ``ValueError`` if two share one (they would
+    silently share a seed)."""
+    keys = [scenario_key(s) for s in scenarios]
+    if len(set(keys)) != len(keys):
+        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        raise ValueError(f"duplicate scenario keys: {dupes[:3]}")
+    return keys
+
+
 def derive_seed(base_seed: int, key: str) -> int:
     """Per-scenario seed: the base seed forked through the sweep stream."""
     return DeterministicRandom(seed=base_seed, name="sweep-root").fork(
@@ -256,10 +266,7 @@ def run_sweep(
     Returns a :class:`SweepResult` whose ``merged`` document lists runs in
     scenario order regardless of completion order.
     """
-    keys = [scenario_key(s) for s in scenarios]
-    if len(set(keys)) != len(keys):
-        dupes = sorted({k for k in keys if keys.count(k) > 1})
-        raise ValueError(f"duplicate scenario keys: {dupes[:3]}")
+    keys = scenario_keys(scenarios)
     tasks = [
         (index, dict(scenario), key, derive_seed(base_seed, key), runner)
         for index, (scenario, key) in enumerate(zip(scenarios, keys))

@@ -274,13 +274,16 @@ def cmd_timeline(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
-    from repro.simulation.sweep import run_sweep
+    from repro.simulation.sweep import run_sweep, scenario_keys
 
-    if args.scenarios == "-":
-        scenarios = json.load(sys.stdin)
-    else:
-        with open(args.scenarios) as handle:
-            scenarios = json.load(handle)
+    try:
+        if args.scenarios == "-":
+            scenarios = json.load(sys.stdin)
+        else:
+            with open(args.scenarios) as handle:
+                scenarios = json.load(handle)
+    except json.JSONDecodeError as err:
+        raise WorkloadError(f"--scenarios is not valid JSON: {err}") from None
     if not isinstance(scenarios, list):
         raise WorkloadError("--scenarios must be a JSON list of scenario objects")
     for index, scenario in enumerate(scenarios):
@@ -290,6 +293,10 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         except WorkloadError as err:
             key = scenario.get("key", index) if isinstance(scenario, Mapping) else index
             raise WorkloadError(f"scenario {key!r}: {err}") from None
+    try:
+        scenario_keys(scenarios)
+    except ValueError as err:
+        raise WorkloadError(str(err)) from None
     # partial (module-level function + plain values) stays picklable for
     # forked workers and leaves scenario keys and derived seeds untouched.
     runner = functools.partial(

@@ -40,7 +40,11 @@ from repro.workloads import ZonalConfig, run_zonal
 # Harness
 # --------------------------------------------------------------------------
 
-LATENCY = 0.05
+#: Dyadic, like the step grid below: sums of grid steps and latencies are
+#: exact in binary, so a reply and a local event can share an instant.
+LATENCY = 0.0625
+#: Chain steps are whole multiples of a quarter lookahead.
+GRID = LATENCY / 4
 
 
 def _network(zones, latency=LATENCY):
@@ -57,43 +61,44 @@ def _chain_programs(zones, steps, chain_len=6):
     """Zone programs from a plain spec (picklable-free: closures are fine,
     factories ride through fork, never through a pipe).
 
-    ``steps``: list of ``(zone_index, step, priority, ping)`` — each starts
-    a self-rescheduling chain in that zone; chains with ``ping`` True send
-    a cross-zone message (paying exactly the latency floor) at hop 2.
+    ``steps``: list of ``(zone_index, step, priority, ping_hop, reply)`` —
+    each starts a self-rescheduling chain in that zone.  At hop
+    ``ping_hop`` (None: never) the chain sends the next zone a message at
+    its own priority, paying exactly the latency floor; with ``reply`` the
+    receiver answers back the same way.
     """
 
     def make_factory(zone, index):
         def factory(api):
+            def send(peer, tag, priority, reply):
+                api.send(
+                    peer,
+                    {"from": zone, "tag": tag, "priority": priority, "reply": reply},
+                    delay=api.latency_to(peer),
+                    priority=priority,
+                    label=f"msg-{tag}",
+                )
+
             def on_msg(payload):
-                api.log(("msg", payload["from"], payload["tag"]))
+                api.log(("msg", payload["from"], payload["tag"], payload["reply"]))
+                if payload["reply"]:
+                    send(payload["from"], payload["tag"], payload["priority"], False)
 
             api.on_message(on_msg)
 
-            def fire(step, priority, tag, ping, count):
-                api.log(("tick", tag, count))
-                if ping and count == 2:
-                    peer = zones[(index + 1) % len(zones)]
-                    api.send(
-                        peer,
-                        {"from": zone, "tag": tag},
-                        delay=api.latency_to(peer),
-                        label=f"ping-{tag}",
-                    )
-                if count < chain_len:
-                    api.after(
-                        step,
-                        lambda: fire(step, priority, tag, ping, count + 1),
-                        priority=priority,
-                    )
+            def start(tag, step, priority, ping_hop, reply):
+                def fire(count):
+                    api.log(("tick", tag, count))
+                    if count == ping_hop:
+                        send(zones[(index + 1) % len(zones)], tag, priority, reply)
+                    if count < chain_len:
+                        api.after(step, lambda: fire(count + 1), priority=priority)
 
-            for tag, (zone_index, step, priority, ping) in enumerate(steps):
-                if zone_index % len(zones) != index:
-                    continue
-                api.at(
-                    0.0,
-                    lambda s=step, p=priority, t=tag, g=ping: fire(s, p, t, g, 0),
-                    priority=priority,
-                )
+                api.at(0.0, lambda: fire(0), priority=priority)
+
+            for tag, (zone_index, *chain) in enumerate(steps):
+                if zone_index % len(zones) == index:
+                    start(tag, *chain)
             return lambda: ("done", zone, api.dispatched_events)
 
         return factory
@@ -124,16 +129,26 @@ def _assert_streams_equal(reference, engine, zones):
 # --------------------------------------------------------------------------
 
 
-STEP_SPECS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),  # zone index (mod zone count)
-        st.floats(min_value=0.003, max_value=0.04),
-        st.integers(min_value=0, max_value=3),  # priority
-        st.booleans(),  # cross-zone ping at hop 2
-    ),
-    min_size=1,
-    max_size=8,
-)
+def _step_specs(chain_len):
+    """Chains whose steps sit on a quarter-lookahead grid (so messages and
+    local events tie exactly), pinging at any hop, replies optional."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # zone index (mod zone count)
+            st.integers(min_value=1, max_value=8).map(lambda k: k * GRID),
+            st.integers(min_value=0, max_value=3),  # priority
+            st.one_of(st.none(), st.integers(min_value=0, max_value=chain_len)),
+            st.booleans(),  # the receiver replies
+        ),
+        min_size=1,
+        max_size=8,
+    )
+
+
+STEP_SPECS = _step_specs(6)
+#: Long enough for several barrier rounds in a row with no message crossing:
+#: a coordinator that grows its window over a quiet stretch is caught here.
+REPLY_CHAIN_LEN = 40
 
 
 class TestRandomProgramEquivalence:
@@ -173,12 +188,111 @@ class TestRandomProgramEquivalence:
 
 
 # --------------------------------------------------------------------------
+# Request/reply traffic: a round trip that starts at the receiver
+# --------------------------------------------------------------------------
+
+
+def _assert_drivers_match_reference(network, make_programs, zones):
+    """Inline and fork lanes, and the ``single`` driver, against
+    :func:`run_programs_sharded` on the same programs."""
+    seq = run_programs_sharded(network, make_programs())
+    for workers in (1, 2):
+        engine = ParallelShardedSimulationEngine(
+            network, make_programs(), workers=workers
+        )
+        engine.run()
+        _assert_streams_equal(seq, engine, zones)
+        assert engine.now == seq["now"]
+    per_zone, events, _ = run_zone_programs(network, make_programs(), engine="single")
+    assert per_zone == seq["results"]
+    assert events == seq["dispatched_events"]
+
+
+def _ping_pong_programs(zones, ticker_index, step, ping_at, end=100.0):
+    """The ticker zone ticks every ``step`` s up to ``end`` and pings the
+    other zone once, at ``ping_at``; the responder's only own event is at
+    ``end``, and it answers every ping.  Both pay exactly the floor."""
+    ticker_zone, responder_zone = zones[ticker_index], zones[1 - ticker_index]
+
+    def ticker(api):
+        api.on_message(lambda payload: api.log(("reply", payload)))
+
+        def tick():
+            api.log(("tick",))
+            if api.now == ping_at:
+                api.send(responder_zone, "ping", delay=api.latency_to(responder_zone))
+            if api.now + step <= end:
+                api.after(step, tick)
+
+        api.at(0.0, tick)
+        return lambda: len(api.logs)
+
+    def responder(api):
+        def on_ping(payload):
+            api.log(("ping", payload))
+            api.send(ticker_zone, "pong", delay=api.latency_to(ticker_zone))
+
+        api.on_message(on_ping)
+        api.at(end, lambda: api.log(("own",)))
+        return lambda: len(api.logs)
+
+    roles = {ticker_zone: ticker, responder_zone: responder}
+    return {zone: roles[zone] for zone in zones}
+
+
+class TestRequestReplyEquivalence:
+    @settings(max_examples=25, deadline=None)
+    @given(steps=_step_specs(REPLY_CHAIN_LEN))
+    def test_request_reply_programs_match_reference(self, steps):
+        """Pings with replies, exact ties on a quarter-lookahead grid, long
+        idle stretches: every driver dispatches what the reference does."""
+        zones = ("alpha", "beta")
+        _assert_drivers_match_reference(
+            _network(zones),
+            lambda: _chain_programs(zones, steps, chain_len=REPLY_CHAIN_LEN),
+            zones,
+        )
+
+    @pytest.mark.parametrize("step, ping_at", [(0.25, 6.0), (0.5, 30.0), (0.25, 4.25)])
+    def test_round_trip_from_the_receiver_stays_inside_one_window(self, step, ping_at):
+        """Over a 1 s link the reply lands two lookaheads after the ping: a
+        window wider than one lookahead let the ticker run past it (a
+        ``ClockError``, or a log that differs from the reference)."""
+        zones = ("z0", "z1")
+        _assert_drivers_match_reference(
+            _network(zones, latency=1.0),
+            lambda: _ping_pong_programs(zones, 0, step, ping_at),
+            zones,
+        )
+
+    @pytest.mark.parametrize("step, ping_at", [(0.25, 1.0), (0.25, 5.0), (0.5, 7.0)])
+    def test_own_event_precedes_delivery_at_a_tie(self, step, ping_at):
+        """The ticker is the higher zone index: its tick and the reply share
+        ``(time, priority)``, and the tick — pushed after the reply in the
+        reference, before its delivery on the lanes — dispatches first on
+        every driver."""
+        zones = ("z0", "z1")
+        _assert_drivers_match_reference(
+            _network(zones, latency=1.0),
+            lambda: _ping_pong_programs(zones, 1, step, ping_at),
+            zones,
+        )
+        reference = run_programs_sharded(
+            _network(zones, latency=1.0), _ping_pong_programs(zones, 1, step, ping_at)
+        )
+        at_reply = [
+            entry for now, entry in reference["logs"]["z1"] if now == ping_at + 2.0
+        ]
+        assert at_reply == [("tick",), ("reply", "pong")]
+
+
+# --------------------------------------------------------------------------
 # Causality and surface errors: identical in every flavor
 # --------------------------------------------------------------------------
 
 
 def _violating_programs(zones):
-    """Zone 0 sends 1 ms into the future across a 50 ms WAN."""
+    """Zone 0 sends 1 ms into the future across a 62.5 ms WAN."""
 
     def violator(api):
         api.after(0.01, lambda: api.send(zones[1], "boom", delay=0.001))
@@ -425,7 +539,7 @@ class TestEngineSurface:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_until_clamps_all_clocks_and_matches_reference(self, workers):
         zones = ("alpha", "beta")
-        steps = [(0, 0.02, 0, False), (1, 0.03, 0, True)]
+        steps = [(0, 0.02, 0, None, False), (1, 0.03, 0, 2, True)]
         until = 0.07
         seq = run_programs_sharded(
             _network(zones), _chain_programs(zones, steps, chain_len=50), until=until

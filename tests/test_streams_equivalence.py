@@ -17,7 +17,8 @@ The plane's performance machinery must be invisible to results:
    watermark exactly as the unpruned stream would, and refuses queries
    below it.
 5. **Engines** — the hybrid campaign is byte-identical across
-   single/sharded/parallel, with adaptive GVT widening on or off.
+   single/sharded/parallel: every window one lookahead wide, and at equal
+   ``(time, priority)`` a zone's own events before delivered messages.
 
 Example counts stay small: every example runs one or more full
 simulations.
@@ -41,12 +42,7 @@ from repro.streams import (
     SensorSource,
     StreamElement,
 )
-from repro.workloads import (
-    HybridStreamConfig,
-    make_hybrid_stream_programs,
-    run_hybrid_stream,
-)
-from repro.workloads.hybrid_stream import make_hybrid_stream_network
+from repro.workloads import HybridStreamConfig, run_hybrid_stream
 
 
 def _duration_fn(count: int) -> float:
@@ -561,24 +557,3 @@ class TestEngineEquivalence:
         sharded, _ = run_hybrid_stream(self.CFG, engine="sharded")
         parallel, _ = run_hybrid_stream(self.CFG, engine="parallel", workers=2)
         assert single == sharded == parallel
-
-    def test_adaptive_widening_preserves_results_and_fires(self):
-        from repro.simulation.parallel import (
-            ParallelShardedSimulationEngine,
-            run_programs_sharded,
-        )
-
-        widened = ParallelShardedSimulationEngine(
-            make_hybrid_stream_network(self.CFG),
-            make_hybrid_stream_programs(self.CFG),
-            workers=2,
-        )
-        widened.run()
-        # The sequential reference never widens: every round is one lookahead.
-        fixed = run_programs_sharded(
-            make_hybrid_stream_network(self.CFG),
-            make_hybrid_stream_programs(self.CFG),
-        )
-        assert widened.results == fixed["results"]
-        assert widened.stats["widened_windows"] > 0
-        assert widened.stats["max_window_factor"] > 1.0

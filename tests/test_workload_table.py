@@ -289,8 +289,14 @@ class TestRecordedProvenanceIsWhatRan:
         }
 
 
-#: ``(what, argv or scenario list, fragment of the one-line message)``.
+#: ``(what, argv or scenario list or scenario file text, fragment of the
+#: one-line message)``.
 MALFORMED = [
+    ("scenario file is not JSON", '[{"key": "a", "workload": "zonal"',
+     "repro sweep: --scenarios is not valid JSON: Expecting ','"),
+    ("two scenarios share a key",
+     [{"key": "k", "workload": "zonal"}, {"key": "k", "workload": "hybrid_stream"}],
+     "repro sweep: duplicate scenario keys: ['k']"),
     ("scenario is not an object", [[1, 2]], "scenario 0: a scenario is a JSON object"),
     ("unknown workload", [{"key": "w", "workload": "nope"}], "scenario 'w': unknown workload 'nope'"),
     ("uncastable value", [{"key": "c", "workload": "churn", "agents": "many"}],
@@ -318,11 +324,11 @@ def test_malformed_input_is_one_line_from_the_parent_process(
         raise AssertionError("malformed input reached the sweep's workers")
 
     monkeypatch.setattr("repro.simulation.sweep.run_sweep", forked)
-    if isinstance(given[0], str):
+    if isinstance(given, list) and isinstance(given[0], str):
         argv = given
     else:
         path = tmp_path / "scenarios.json"
-        path.write_text(json.dumps(given))
+        path.write_text(given if isinstance(given, str) else json.dumps(given))
         argv = ["sweep", "--scenarios", str(path), "--workers", "2", "--engine", "parallel"]
     with pytest.raises(SystemExit) as refused:
         run_cli(*argv)
