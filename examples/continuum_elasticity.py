@@ -1,16 +1,15 @@
-"""Elasticity across the continuum: clouds, federations, SLURM (claim C6).
+"""Elasticity across the continuum: clouds and SLURM (claim C6).
 
 Run:  python examples/continuum_elasticity.py
 
 Drives the same bursty workload through three resource-management regimes —
-a fixed cluster, an elastic cloud federation (cheap-but-slow-boot +
-expensive-but-fast-boot providers), and a SLURM allocation that grows
-mid-job — printing the makespan/cost trade-off of each.
+a fixed cluster, an elastic cloud provider that boots VMs under backlog and
+releases idle ones, and a SLURM allocation that grows mid-job — printing the
+makespan/cost trade-off of each.
 """
 
 from repro.executor import SimulatedExecutor
 from repro.infrastructure import (
-    CloudFederation,
     CloudProvider,
     ElasticityPolicy,
     SlurmManager,
@@ -31,26 +30,21 @@ def run_fixed():
     return report.makespan, 0.0
 
 
-def run_federated_elastic():
+def run_cloud_elastic():
     builder = embarrassingly_parallel(BURST, duration=TASK_S)
     platform = make_hpc_cluster(1, cores_per_node=8)
     engine = SimulationEngine()
     executor = SimulatedExecutor(builder.graph, platform, engine=engine)
-    cheap = CloudProvider(
-        platform, engine, name="cheap", startup_delay_s=90.0,
-        cost_per_node_second=0.00005, template=VmTemplate(cores=16), max_nodes=4,
+    cloud = CloudProvider(
+        platform, engine, startup_delay_s=60.0,
+        cost_per_node_second=0.0001, template=VmTemplate(cores=16), max_nodes=8,
     )
-    fast = CloudProvider(
-        platform, engine, name="fast", startup_delay_s=20.0,
-        cost_per_node_second=0.0005, template=VmTemplate(cores=16), max_nodes=8,
-    )
-    federation = CloudFederation([cheap, fast], placement=CloudFederation.CHEAPEST_FIRST)
     policy = ElasticityPolicy(
-        federation,
+        cloud,
         engine,
         backlog_fn=lambda: executor.graph.ready_count,
         idle_nodes_fn=lambda: [
-            name for name in federation.active_nodes
+            name for name in cloud.active_nodes
             if executor.scheduler.ledger.has_node(name)
             and executor.scheduler.ledger.state(name).idle
         ],
@@ -60,8 +54,8 @@ def run_federated_elastic():
     policy.start()
     report = executor.run()
     policy.stop()
-    federation.shutdown()
-    return report.makespan, federation.total_cost
+    cloud.shutdown()
+    return report.makespan, cloud.total_cost
 
 
 def run_slurm_growing():
@@ -114,7 +108,7 @@ def main():
     print(f"Bursty workload: {BURST} x {TASK_S:.0f}s tasks\n")
     rows = [
         ("fixed 1x8 cores", *run_fixed()),
-        ("elastic federation", *run_federated_elastic()),
+        ("elastic cloud", *run_cloud_elastic()),
         ("SLURM job, 2->6 nodes", *run_slurm_growing()),
     ]
     print(f"{'regime':<24} {'makespan':>12} {'cloud cost':>12}")

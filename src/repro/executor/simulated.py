@@ -117,7 +117,6 @@ class SimulatedExecutor:
         max_attempts: int = 3,
         dispatch_window: int = 64,
         predictor: Optional["DurationPredictor"] = None,
-        extra_stage_in=None,
     ) -> None:
         self.graph = graph
         self.platform = platform
@@ -135,9 +134,6 @@ class SimulatedExecutor:
         # Optional intelligent-runtime hook: completed tasks feed an online
         # duration model that prediction-driven policies consult (§VI-C).
         self.predictor = predictor
-        # Optional extra stage-in charge: callable(instance, node) -> seconds,
-        # e.g. container image pulls (repro.infrastructure.containers).
-        self.extra_stage_in = extra_stage_in
         self.resubmissions = 0
         # Streaming campaigns add tasks while the engine runs: with
         # ``hold_open`` set, a momentarily finished graph (all lowered
@@ -403,8 +399,6 @@ class SimulatedExecutor:
         self.graph.mark_running(instance.task_id, head, now=now)
         instance.assigned_nodes = tuple(nodes)
         stage_in = self._stage_in_time(instance, head)
-        if self.extra_stage_in is not None:
-            stage_in += self.extra_stage_in(instance, head)
         node = self.platform.node(head)
         compute = (instance.profile.duration_s if instance.profile else 0.0) / node.speed_factor
         total = stage_in + compute

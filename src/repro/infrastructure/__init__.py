@@ -18,13 +18,6 @@ from repro.infrastructure.energy import EnergyAccountant
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.cluster import make_hpc_cluster, make_fog_platform
 from repro.infrastructure.cloud import CloudProvider, ElasticityPolicy
-from repro.infrastructure.federation import CloudFederation
-from repro.infrastructure.containers import (
-    ContainerImage,
-    ContainerRuntime,
-    ImageRegistry,
-    container_stage_in,
-)
 from repro.infrastructure.slurm import SlurmManager, SlurmJob
 
 __all__ = [
@@ -40,11 +33,6 @@ __all__ = [
     "make_fog_platform",
     "CloudProvider",
     "ElasticityPolicy",
-    "CloudFederation",
-    "ContainerImage",
-    "ContainerRuntime",
-    "ImageRegistry",
-    "container_stage_in",
     "SlurmManager",
     "SlurmJob",
 ]

@@ -86,10 +86,6 @@ class CloudProvider:
         """O(1): is this VM active under this provider?"""
         return node_name in self._active
 
-    @property
-    def pending_nodes(self) -> int:
-        return self._pending
-
     def request_nodes(
         self, count: int, on_ready: Optional[Callable[[Node], None]] = None
     ) -> int:

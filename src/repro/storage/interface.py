@@ -48,6 +48,17 @@ def _shallow_size(obj: Any) -> int:
     return size
 
 
+def _pickled(obj: Any) -> Tuple[int, Optional[bytes]]:
+    """``(size, payload)`` from one ``pickle.dumps``, the serialization pass
+    every size and digest below is taken from.  An unpicklable object has no
+    payload and is sized by the ``sys.getsizeof``-based shallow estimate."""
+    try:
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return (_shallow_size(obj), None)
+    return (len(payload), payload)
+
+
 def estimate_size(obj: Any) -> int:
     """Approximate in-memory size of an object via its pickled length.
 
@@ -56,10 +67,7 @@ def estimate_size(obj: Any) -> int:
     back to a ``sys.getsizeof``-based shallow estimate (a flat charge would
     price a gigabyte callback registry like an int).
     """
-    try:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return _shallow_size(obj)
+    return _pickled(obj)[0]
 
 
 def estimate_size_digest(obj: Any) -> Tuple[int, Optional[int]]:
@@ -71,11 +79,10 @@ def estimate_size_digest(obj: Any) -> Tuple[int, Optional[int]]:
     The digest is None for unpicklable objects (sized via the shallow
     fallback), which callers must treat as "always changed".
     """
-    try:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return (_shallow_size(obj), None)
-    return (len(payload), zlib.crc32(payload))
+    size, payload = _pickled(obj)
+    if payload is None:
+        return (size, None)
+    return (size, zlib.crc32(payload))
 
 
 def content_fingerprint(obj: Any) -> Tuple[int, Optional[str]]:
@@ -91,11 +98,10 @@ def content_fingerprint(obj: Any) -> Tuple[int, Optional[str]]:
     addressable"; the size is still the shallow estimate so byte accounting
     stays proportional either way.
     """
-    try:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return (_shallow_size(obj), None)
-    return (len(payload), hashlib.blake2b(payload, digest_size=16).hexdigest())
+    size, payload = _pickled(obj)
+    if payload is None:
+        return (size, None)
+    return (size, hashlib.blake2b(payload, digest_size=16).hexdigest())
 
 
 class StorageBackend(Protocol):

@@ -22,9 +22,7 @@ every command resolves ``--workload`` / a scenario's ``workload`` to a
 record's options are the scenario keys *and* the flags (``inter_zone_latency``
 ↔ ``--inter-zone-latency``), typed and defaulted from the workload's config
 dataclass, so ``simulate --workload W`` and the scenario ``{"workload": "W"}``
-run the same thing.  The old spellings (``--sim-seconds``, ``--rate``,
-``--stream-batch``, ``--stream-window``, ``--churn-rate``) still parse, for one
-more round.  Malformed input ends in ``repro <command>: <what, where>``.
+run the same thing.  Malformed input ends in ``repro <command>: <what, where>``.
 """
 
 from __future__ import annotations
@@ -367,8 +365,7 @@ def build_parser(workload_name: str = DEFAULT_WORKLOAD) -> argparse.ArgumentPars
     def add_workload(sub, names):
         sub.add_argument("--workload", choices=names, default=DEFAULT_WORKLOAD)
         for option, field in record.options.items() if record.name in names else ():
-            flag = "--" + option.replace("_", "-")
-            sub.add_argument(flag, *record.legacy.get(option, ()), dest=option, help=field)
+            sub.add_argument("--" + option.replace("_", "-"), help=field)
 
     def add_cluster(sub):
         sub.add_argument("--nodes", type=int, default=RunSettings.nodes)

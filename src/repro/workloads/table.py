@@ -20,7 +20,7 @@ Kept import-light (no ``argparse``, no engine or compiler import): every
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.workloads.churn import ChurnConfig, run_churn, run_churn_fleet
@@ -81,9 +81,6 @@ class Workload:
     fleet: Optional[Callable[[Any], Dict[str, Any]]] = None
     #: ``(result, engine) -> lines`` of ``simulate``'s report.
     summary: Optional[Callable[[Dict[str, Any], str], List[str]]] = None
-    #: ``{option: pre-unification flags}``, parsed onto the option for one
-    #: more round.
-    legacy: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def seeded(self) -> bool:
@@ -224,12 +221,6 @@ WORKLOADS: Dict[str, Workload] = {
             ),
             run=run_hybrid_stream,
             summary=_hybrid_stream_summary,
-            legacy={
-                "rate_hz": ("--rate",),
-                "batch": ("--stream-batch",),
-                "window": ("--stream-window",),
-                "duration": ("--sim-seconds",),
-            },
         ),
         Workload(
             "churn",
@@ -244,7 +235,6 @@ WORKLOADS: Dict[str, Workload] = {
             # unless the scenario says `mode: decomposed` (as_zone_programs).
             fleet=run_churn_fleet,
             summary=_churn_summary,
-            legacy={"churn_per_s": ("--churn-rate",), "duration": ("--sim-seconds",)},
         ),
     )
 }

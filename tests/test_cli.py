@@ -113,7 +113,7 @@ class TestEngineFlag:
     def test_simulate_churn_sharded_runs_decomposed_programs(self):
         code, output = run_cli(
             "simulate", "--workload", "churn", "--agents", "100",
-            "--zones", "2", "--sim-seconds", "5", "--engine", "sharded",
+            "--zones", "2", "--duration", "5", "--engine", "sharded",
         )
         assert code == 0
         assert "decomposed" in output and "engine   : sharded" in output

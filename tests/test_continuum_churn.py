@@ -19,7 +19,6 @@ from repro.agents.messages import Message, Op
 from repro.core.exceptions import AgentError
 from repro.executor import SimWorkflowBuilder
 from repro.infrastructure import (
-    CloudFederation,
     CloudProvider,
     NetworkTopology,
     make_fog_platform,
@@ -268,9 +267,6 @@ class TestPlatformLiveIndex:
         assert provider.owns(first) and not provider.owns("fog-0")
         provider.release_node(first)
         assert provider.active_nodes == [second]
-        federation = CloudFederation([provider])
-        assert federation.owner_of(second) == "aws"
-        assert federation.owner_of("fog-0") is None
 
 
 class TestChurnWorkload:
@@ -319,7 +315,7 @@ class TestChurnCli:
     def test_simulate_churn(self):
         code, output = self.run_cli(
             "simulate", "--workload", "churn", "--agents", "200",
-            "--zones", "2", "--sim-seconds", "8",
+            "--zones", "2", "--duration", "8",
         )
         assert code == 0
         assert "churn" in output and "deaths" in output
@@ -328,7 +324,7 @@ class TestChurnCli:
     def test_simulate_churn_broadcast_reference(self):
         code, output = self.run_cli(
             "simulate", "--workload", "churn", "--agents", "100",
-            "--zones", "2", "--sim-seconds", "5",
+            "--zones", "2", "--duration", "5",
             "--notification", "broadcast",
         )
         assert code == 0
@@ -337,7 +333,7 @@ class TestChurnCli:
     def test_simulate_churn_parallel_engine_uses_decomposed_mode(self):
         code, output = self.run_cli(
             "simulate", "--workload", "churn", "--agents", "100",
-            "--zones", "2", "--sim-seconds", "5", "--engine", "parallel",
+            "--zones", "2", "--duration", "5", "--engine", "parallel",
         )
         assert code == 0
         assert "decomposed" in output

@@ -1,9 +1,9 @@
 """Cross-layer integration tests: the holistic flows the paper envisions.
 
 Each test composes several subsystems end to end — programming model +
-storage, simulation + storage-driven locality + steering, agents +
-containers-style platforms — checking the layers interoperate the way §IV's
-"single flow" requires.
+storage, simulation + storage-driven locality, dislib + memoization,
+persisted objects across a node failure — checking the layers interoperate
+the way §IV's "single flow" requires.
 """
 
 import numpy as np
@@ -15,14 +15,12 @@ from repro.executor import SimulatedExecutor, SimWorkflowBuilder
 from repro.infrastructure import make_hpc_cluster
 from repro.intelligence import TaskMemoizer
 from repro.scheduling import DataLocationService, LocalityPolicy
-from repro.steering import SteeringAction, SteeringMonitor
 from repro.storage import (
     KeyValueCluster,
     StorageDict,
     StorageRuntime,
     set_storage_runtime,
 )
-from repro.workloads import GuidanceConfig, build_guidance_workflow
 
 
 class TestTasksOverStorageDict:
@@ -85,36 +83,6 @@ class TestTasksOverStorageDict:
         ).run()
         assert report.tasks_done == len(partitions)
         assert report.bytes_transferred == 0.0
-
-
-class TestSteeredGuidanceCampaign:
-    """Steering a (simulated) GUIDANCE run that goes wrong mid-campaign."""
-
-    def test_abort_saves_most_of_the_allocation(self):
-        workload = build_guidance_workflow(
-            GuidanceConfig(chromosomes=4, chunks_per_chromosome=8)
-        )
-        platform = make_hpc_cluster(2)
-        executor = SimulatedExecutor(
-            workload.graph, platform, initial_data=workload.initial_data
-        )
-        seen = {"imputations": 0}
-
-        def inspector(instance, recent):
-            if instance.label.startswith("imputation"):
-                seen["imputations"] += 1
-                if seen["imputations"] >= 5:
-                    return SteeringAction.ABORT  # "results look wrong"
-            return SteeringAction.CONTINUE
-
-        monitor = SteeringMonitor(executor, inspector)
-        executor.run()
-        assert monitor.report.aborted
-        assert workload.graph.finished
-        # A meaningful share of the campaign never ran (in-flight wide waves
-        # still drain, so the savings are the not-yet-started tail).
-        assert monitor.report.saved_task_count > 0
-        assert workload.graph.completed_count < 0.8 * workload.task_count
 
 
 class TestMemoizedMlWorkflow:

@@ -1,11 +1,10 @@
-"""Tests for workflow modelling metrics and computational steering (§VI-C)."""
+"""Tests for workflow modelling metrics (§VI-C)."""
 
 import pytest
 
-from repro.executor import SimulatedExecutor, SimWorkflowBuilder
+from repro.executor import SimulatedExecutor
 from repro.infrastructure import make_hpc_cluster
 from repro.metrics.model import analyze_graph
-from repro.steering import SteeringAction, SteeringMonitor
 from repro.workloads import embarrassingly_parallel, fork_join_dag, task_chain
 
 
@@ -54,87 +53,3 @@ class TestWorkflowModel:
         platform = make_hpc_cluster(1, cores_per_node=8)
         report = SimulatedExecutor(builder.graph, platform).run()
         assert report.makespan >= model.makespan_lower_bound(8) - 1e-6
-
-
-class TestSteering:
-    @staticmethod
-    def diverging_simulation(num_steps=50):
-        builder = SimWorkflowBuilder()
-        previous = None
-        for step in range(num_steps):
-            inputs = [previous] if previous else []
-            builder.add_task(
-                f"step/{step}",
-                duration=60.0,
-                inputs=inputs,
-                outputs={f"state/{step}": 1e6},
-            )
-            previous = f"state/{step}"
-        return builder
-
-    def test_abort_on_divergence_saves_remaining_work(self):
-        builder = self.diverging_simulation()
-        platform = make_hpc_cluster(1)
-        executor = SimulatedExecutor(builder.graph, platform)
-
-        def inspector(task, recent):
-            # "Partial results look wrong" after the 10th step.
-            step = int(task.label.split("/")[1].split("#")[0])
-            if step >= 9:
-                return SteeringAction.ABORT
-            return SteeringAction.CONTINUE
-
-        monitor = SteeringMonitor(executor, inspector)
-        executor.run()
-        report = monitor.report
-        assert report.aborted
-        assert report.abort_time == pytest.approx(600.0)  # 10 steps x 60 s
-        assert report.saved_task_count == 40
-        assert executor.graph.completed_count == 10
-
-    def test_abort_drains_inflight_parallel_tasks(self):
-        builder = embarrassingly_parallel(40, duration=10.0)
-        platform = make_hpc_cluster(1, cores_per_node=8)
-        executor = SimulatedExecutor(builder.graph, platform)
-
-        calls = {"count": 0}
-
-        def inspector(task, recent):
-            calls["count"] += 1
-            if calls["count"] == 5:
-                return SteeringAction.ABORT
-            return SteeringAction.CONTINUE
-
-        SteeringMonitor(executor, inspector)
-        executor.run()
-        graph = executor.graph
-        # Everything reached a terminal state; no zombies.
-        assert graph.finished
-        assert graph.completed_count < 40
-
-    def test_intervention_counted(self):
-        builder = embarrassingly_parallel(10, duration=1.0)
-        platform = make_hpc_cluster(1)
-        executor = SimulatedExecutor(builder.graph, platform)
-
-        def inspector(task, recent):
-            if task.label.startswith("ep/3"):
-                return lambda graph: None  # a (no-op) steering intervention
-            return SteeringAction.CONTINUE
-
-        monitor = SteeringMonitor(executor, inspector)
-        executor.run()
-        assert monitor.report.interventions == 1
-        assert monitor.report.inspected == 10
-        assert not monitor.report.aborted
-
-    def test_continue_never_disturbs_run(self):
-        builder = self.diverging_simulation(num_steps=8)
-        platform = make_hpc_cluster(1)
-        executor = SimulatedExecutor(builder.graph, platform)
-        monitor = SteeringMonitor(
-            executor, lambda task, recent: SteeringAction.CONTINUE
-        )
-        report = executor.run()
-        assert report.tasks_done == 8
-        assert monitor.report.inspected == 8

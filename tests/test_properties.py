@@ -10,7 +10,6 @@ from repro.core.constraints import ResolvedRequirements
 from repro.core.graph import TaskGraph, TaskInstance, TaskState
 from repro.executor import SimulatedExecutor, SimWorkflowBuilder
 from repro.infrastructure import Node, make_hpc_cluster
-from repro.patterns import parallel_reduce
 from repro.scheduling import LoadBalancingPolicy
 from repro.scheduling.capacity import NodeCapacity
 from repro.storage import ConsistentHashRing, KeyValueCluster, StorageDict
@@ -264,6 +263,12 @@ class TestRuntimeSemanticsProperty:
         def add(a, b):
             return a + b
 
+        # A pairwise tree: each level's adds read the futures of the level
+        # below, an odd tail is carried up unchanged.
         with Runtime(workers=4):
-            total = compss_wait_on(parallel_reduce(add, values))
+            level = list(values)
+            while len(level) > 1:
+                pairs = [add(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+                level = pairs + level[len(pairs) * 2:]
+            total = compss_wait_on(level[0])
         assert total == functools.reduce(lambda a, b: a + b, values)

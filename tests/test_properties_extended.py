@@ -9,7 +9,6 @@ from repro.frontends import CyclingSuite, SuiteTask
 from repro.infrastructure import make_hpc_cluster
 from repro.intelligence import DurationPredictor, TaskMemoizer, memoizable_key
 from repro.metrics.model import analyze_graph
-from repro.mpi import mpi_run
 from repro.simulation import SimulationEngine
 from repro.streams import DataflowPlane, OperatorGraph, SensorSource
 
@@ -110,31 +109,6 @@ class TestPredictorProperties:
         predicted = predictor.predict("scan#9", size=probe)
         expected = intercept + slope * probe
         assert abs(predicted - expected) <= max(1e-5, 1e-5 * expected)
-
-
-class TestMpiProperties:
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=6),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_allreduce_matches_sequential_sum(self, size, values):
-        values = (values * size)[:size]
-
-        def kernel(rank):
-            return rank.allreduce(values[rank.rank])
-
-        results = mpi_run(kernel, size)
-        assert results == [sum(values)] * size
-
-    @given(st.integers(min_value=1, max_value=5))
-    @settings(max_examples=15, deadline=None)
-    def test_gather_orders_by_rank(self, size):
-        def kernel(rank):
-            return rank.gather(rank.rank * rank.rank, root=0)
-
-        results = mpi_run(kernel, size)
-        assert results[0] == [r * r for r in range(size)]
 
 
 class TestStreamProperties:

@@ -8,7 +8,7 @@ workload is covered by being registered:
   configs, and so do ``--<option> v`` and ``{"<option>": v}`` — one spelling,
   one set of defaults (the parent ran 4 zones x 20 s from the flag door and
   2 zones x 120 s from the scenario door for ``hybrid_stream``);
-* the pre-unification flags still parse onto their options;
+* the pre-unification flags are gone: one is an argparse error;
 * the shared zone-program scaffold (ring report, outcome rows, campaign
   runner) reproduces the per-zone logs and CRCs recorded from the parent;
 * the four provenance / hostile-input defects of E24 stay fixed.
@@ -17,6 +17,9 @@ workload is covered by being registered:
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +39,7 @@ from repro.workloads import (
 )
 
 RECORDS = sorted(WORKLOADS)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 #: A non-default value for the options an increment cannot produce.
 OTHER_VALUE = {"overflow": "drop", "notification": "broadcast"}
 
@@ -87,7 +91,6 @@ class TestEveryRecord:
         for option, field in record.options.items():
             assert field in fields, f"{name}.{option} -> {field}"
             assert type(fields[field].default) in (int, float, str, bool)
-        assert set(record.legacy) <= set(record.options)
 
     def test_both_doors_share_the_configs_defaults(self, name, monkeypatch):
         record = WORKLOADS[name]
@@ -108,14 +111,6 @@ class TestEveryRecord:
                 record.config(), record.options[option]
             )
 
-    def test_legacy_flags_parse_onto_their_option(self, name, monkeypatch):
-        record = WORKLOADS[name]
-        for option, flags in record.legacy.items():
-            value = non_default(record, option)
-            for flag in flags:
-                cfg, _ = simulate_resolves(monkeypatch, "--workload", name, flag, str(value))
-                assert getattr(cfg, record.options[option]) == value
-
     def test_derived_seed_reaches_every_seeded_config(self, name, monkeypatch):
         record = WORKLOADS[name]
         _, cfg, _ = cli.resolve({"workload": name}, seed=1234)
@@ -124,13 +119,6 @@ class TestEveryRecord:
         if record.seeded:
             flagged, _ = simulate_resolves(monkeypatch, "--workload", name, "--seed", "1234")
             assert flagged == cfg
-
-
-def test_the_five_legacy_flags_are_all_still_there():
-    legacy = {flag for r in WORKLOADS.values() for flags in r.legacy.values() for flag in flags}
-    assert legacy == {
-        "--sim-seconds", "--rate", "--stream-batch", "--stream-window", "--churn-rate",
-    }
 
 
 def test_info_lists_every_record():
@@ -344,6 +332,18 @@ def test_a_flag_of_another_workload_is_an_argparse_error(capsys):
         run_cli("simulate", "--workload", "guidance", "--agents", "5")
     assert refused.value.code == 2
     assert "unrecognized arguments: --agents 5" in capsys.readouterr().err
+
+
+def test_a_removed_legacy_flag_is_an_argparse_error():
+    """``--sim-seconds`` parsed onto ``duration`` until the aliases were
+    dropped; now it is refused like any unknown flag, without a traceback."""
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro", "simulate", "--workload", "churn", "--sim-seconds", "5"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert refused.returncode == 2
+    assert "unrecognized arguments: --sim-seconds 5" in refused.stderr
+    assert "Traceback" not in refused.stderr
 
 
 def test_fleet_churn_keeps_accepting_one_zone():
