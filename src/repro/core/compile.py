@@ -31,28 +31,18 @@ declaration is the determinism contract; a non-deterministic task must
 never be deduplicated.  It also makes results *values*, handed as the same
 object to every identical submission: the Access Processor refuses a keyed
 future passed to an OUT/INOUT parameter.
-
-The second half of the module (:func:`compile_graph`) applies the same idea
-to *built* simulation workflows: the graphs emitted by the front-ends
-(:mod:`repro.frontends`), the workload generators, and
-:class:`~repro.executor.workflow_builder.SimWorkflowBuilder` are recompiled
-so content-identical subgraphs across tenant submissions collapse into one
-scheduled instance, with the duplicates' output datums aliased onto the
-survivor's.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Optional
 
 # _UNTRACKED_TYPES: anything else passed IN is identity-tracked mutable data,
 # which has no stable content identity.
 from repro.core.access_processor import _UNTRACKED_TYPES
 from repro.core.constraints import ResolvedRequirements
 from repro.core.futures import Future
-from repro.core.graph import SimProfile, TaskGraph, TaskInstance, TaskState
 from repro.core.parameter import Direction
 from repro.core.task_definition import TaskDefinition
 from repro.storage.interface import content_fingerprint
@@ -272,223 +262,3 @@ class WorkflowCompiler:
             return invocation_key
         return f"{invocation_key}:{index}"
 
-
-# --------------------------------------------------------------------------
-# Graph-level compilation: cross-submission subgraph dedup for built
-# simulation workflows (the simulate/sweep ``--dedupe`` path).
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class GraphCompileStats:
-    """What one :func:`compile_graph` pass did."""
-
-    tasks_in: int = 0
-    tasks_out: int = 0
-    deduped: int = 0
-    #: tasks that could not be content-addressed (non-deterministic flag,
-    #: control/WAR/WAW edges, missing profile) and were passed through.
-    opted_out: int = 0
-    barriers: int = 0
-
-    def as_stats(self) -> Dict[str, float]:
-        """The cache-style counter dict sweep summaries aggregate."""
-        return {
-            "cache_hits": float(self.deduped),
-            "cache_skipped": float(self.opted_out),
-            "cache_evictions": 0.0,
-        }
-
-
-@dataclass
-class CompiledWorkflow:
-    """Result of compiling a built workflow graph."""
-
-    graph: TaskGraph
-    stats: GraphCompileStats
-    #: new task id -> content key, for keyed (dedupable) tasks only.
-    content_keys: Dict[int, str] = field(default_factory=dict)
-    #: duplicate output datum name -> surviving canonical datum name.
-    datum_aliases: Dict[str, str] = field(default_factory=dict)
-
-
-def _instance_key(
-    instance: TaskInstance,
-    read_identities: List[tuple],
-) -> str:
-    profile = instance.profile
-    _size, key = content_fingerprint(
-        (
-            "repro-sim/v1",
-            profile.duration_s,
-            _requirements_signature(instance.requirements),
-            tuple(read_identities),
-            # Transfer costs, aligned by read position (datum *names* differ
-            # across tenants even when the data identity matches).
-            tuple(profile.input_sizes.get(name, 0.0) for name in instance.reads),
-            tuple(
-                (index, profile.output_sizes.get(name, 0.0))
-                for index, name in enumerate(instance.writes)
-            ),
-        )
-    )
-    # Simulation payloads are floats/strings — always picklable.
-    assert key is not None
-    return key
-
-
-def compile_graph(
-    graph: TaskGraph,
-    initial_data: Optional[Dict[str, float]] = None,
-    dedupe: bool = True,
-) -> CompiledWorkflow:
-    """Recompile a built (not yet executed) workflow, deduping subgraphs.
-
-    Walks the graph in program order replaying the builder's datum state.
-    Each pure dataflow task — deterministic, profiled, and whose only
-    predecessors are the writers of its declared reads — gets a content key
-    over (profile signature, resolved requirements, input identities,
-    output shape); input identities are ``("data", name, size)`` for
-    initial datums and ``("out", producer_key, index)`` for produced ones,
-    so identity propagates through whole pipelines exactly like the
-    runtime compiler's Merkle keys.
-
-    A task whose key was already seen is dropped: its output datum names
-    become aliases of the survivor's, downstream reads are rewritten
-    through the alias map, and every consumer of any duplicate feeds off
-    the single scheduled instance.  Tasks with control dependencies,
-    WAR/WAW edges, or ``deterministic=False`` profiles are passed through
-    untouched (conservative opt-out), as are structural barriers.
-
-    With ``dedupe=False`` the pass is a pure rebuild — same tasks, same
-    dependencies, fresh ids — which the equivalence tests use to pin the
-    rebuild itself as behavior-preserving.
-    """
-    initial_data = initial_data or {}
-    for instance in graph.tasks:
-        if instance.state not in (TaskState.PENDING, TaskState.READY):
-            raise ValueError(
-                "compile_graph requires an unexecuted graph; task "
-                f"{instance.label!r} is {instance.state.value}"
-            )
-    out = TaskGraph()
-    stats = GraphCompileStats()
-    compiled = CompiledWorkflow(graph=out, stats=stats)
-    next_id = 1
-    canon: Dict[int, int] = {}  # old id -> new id of the surviving instance
-    seen: Dict[str, int] = {}  # content key -> new id of canonical task
-    key_by_old: Dict[int, Optional[str]] = {}
-    datum_alias: Dict[str, str] = {}
-    #: datum name -> (identity tuple, old writer id | None)
-    datum_state: Dict[str, Tuple[tuple, Optional[int]]] = {
-        name: (("data", name, float(size)), None)
-        for name, size in initial_data.items()
-    }
-
-    for instance in graph.tasks:  # insertion order == program order
-        old_id = instance.task_id
-        old_preds = graph.predecessors(old_id)
-        if instance.is_barrier:
-            stats.barriers += 1
-            new_id = next_id
-            next_id += 1
-            barrier = TaskInstance(
-                task_id=new_id, label=instance.label, is_barrier=True
-            )
-            out.add_task(barrier, {canon[p] for p in old_preds})
-            canon[old_id] = new_id
-            continue
-        stats.tasks_in += 1
-
-        # Replay the datum reads against the current alias/identity state.
-        read_names: List[str] = []
-        read_identities: List[tuple] = []
-        data_preds: Set[int] = set()
-        resolvable = instance.profile is not None
-        for name in instance.reads:
-            canonical_name = datum_alias.get(name, name)
-            read_names.append(canonical_name)
-            state = datum_state.get(canonical_name)
-            if state is None:
-                resolvable = False  # datum born outside the replayed state
-                continue
-            identity, writer = state
-            read_identities.append(identity)
-            if writer is not None:
-                data_preds.add(writer)
-
-        # Compare dependencies in the output id-space: once a duplicate has
-        # been dropped, old ids and new ids diverge, and a consumer of the
-        # deduped output legitimately points at the surviving instance.
-        mapped_preds = {canon[p] for p in old_preds}
-        eligible = (
-            dedupe
-            and resolvable
-            and instance.profile is not None
-            and getattr(instance.profile, "deterministic", True)
-            and mapped_preds == data_preds
-            # Rewriting an existing datum (WAW) adds non-read deps, caught
-            # by the predecessor equality above; fresh output names are the
-            # remaining requirement for a side-effect-free merge.
-            and all(name not in datum_state for name in instance.writes)
-        )
-        key = _instance_key(instance, read_identities) if eligible else None
-        key_by_old[old_id] = key
-
-        if key is not None and key in seen:
-            canonical_new_id = seen[key]
-            canonical = out.task(canonical_new_id)
-            canon[old_id] = canonical_new_id
-            for index, name in enumerate(instance.writes):
-                canonical_name = canonical.writes[index]
-                datum_alias[name] = canonical_name
-                compiled.datum_aliases[name] = canonical_name
-            stats.deduped += 1
-            continue
-
-        new_id = next_id
-        next_id += 1
-        profile = instance.profile
-        new_profile = None
-        if profile is not None:
-            new_profile = SimProfile(
-                duration_s=profile.duration_s,
-                input_sizes={
-                    datum_alias.get(name, name): size
-                    for name, size in profile.input_sizes.items()
-                },
-                output_sizes=dict(profile.output_sizes),
-                deterministic=profile.deterministic,
-            )
-        replica = TaskInstance(
-            task_id=new_id,
-            label=instance.label,
-            requirements=instance.requirements,
-            fn=instance.fn,
-            args=instance.args,
-            kwargs=dict(instance.kwargs),
-            future_args=dict(instance.future_args),
-            reads=read_names,
-            writes=list(instance.writes),
-            profile=new_profile,
-        )
-        out.add_task(replica, {canon[p] for p in old_preds})
-        canon[old_id] = new_id
-        stats.tasks_out += 1
-        if key is not None:
-            seen[key] = new_id
-            compiled.content_keys[new_id] = key
-        else:
-            stats.opted_out += 1
-        # Writes establish fresh datum identities: keyed outputs are
-        # addressable by (producer key, index) so downstream tasks across
-        # tenants agree; unkeyed outputs get an identity unique to this
-        # instance, which correctly blocks dedup past an opted-out node.
-        for index, name in enumerate(instance.writes):
-            datum_alias.pop(name, None)
-            identity = (
-                ("out", key, index) if key is not None else ("uniq", new_id, index)
-            )
-            datum_state[name] = (identity, new_id)
-
-    return compiled

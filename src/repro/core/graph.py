@@ -38,24 +38,19 @@ class SimProfile:
     allocator's resident-set cliff (see bench_runtime_scaling).
     """
 
-    __slots__ = ("duration_s", "input_sizes", "output_sizes", "deterministic")
+    __slots__ = ("duration_s", "input_sizes", "output_sizes")
 
     def __init__(
         self,
         duration_s: float = 1.0,
         input_sizes: Optional[Dict[str, float]] = None,
         output_sizes: Optional[Dict[str, float]] = None,
-        deterministic: bool = True,
     ) -> None:
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
         self.duration_s = duration_s
         self.input_sizes = input_sizes if input_sizes is not None else {}
         self.output_sizes = output_sizes if output_sizes is not None else {}
-        # deterministic=False opts the task out of content-addressed dedup
-        # (repro.core.compile): its outputs differ per invocation even for
-        # identical inputs, so two instances must both be scheduled.
-        self.deterministic = deterministic
 
     def __repr__(self) -> str:
         return (

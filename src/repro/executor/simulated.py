@@ -35,6 +35,10 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event
 
 
+#: Runs a task may start before a node failure fails it for good.
+_MAX_ATTEMPTS = 3
+
+
 class SimulatedExecutionError(RuntimeError):
     """Raised when the simulation ends with unrunnable tasks."""
 
@@ -113,8 +117,6 @@ class SimulatedExecutor:
         locations: Optional[DataLocationService] = None,
         initial_data: Optional[Dict[str, float]] = None,
         initial_data_nodes: Optional[Dict[str, str]] = None,
-        recovery_enabled: bool = True,
-        max_attempts: int = 3,
         dispatch_window: int = 64,
         predictor: Optional["DurationPredictor"] = None,
     ) -> None:
@@ -123,8 +125,6 @@ class SimulatedExecutor:
         self.engine = engine if engine is not None else SimulationEngine()
         self.locations = locations if locations is not None else DataLocationService()
         self.scheduler = TaskScheduler(platform, policy)
-        self.recovery_enabled = recovery_enabled
-        self.max_attempts = max_attempts
         # Stop scanning the ready queue after this many consecutive failed
         # placements: bounds dispatch cost at O(placed + window) per event
         # instead of O(ready), which is what makes 100-node x 10^4-task
@@ -514,30 +514,18 @@ class SimulatedExecutor:
             # The (now gone) ledger entry was removed with the node; release
             # co-allocated capacity on surviving gang nodes.
             self.scheduler.release(instance)
-            if self.recovery_enabled and self._inputs_recoverable(instance):
-                if instance.attempts < self.max_attempts:
-                    self.graph.requeue(instance.task_id)
-                    self.resubmissions += 1
-                else:
-                    self.graph.mark_failed(
-                        instance.task_id,
-                        RuntimeError(
-                            f"node {node_name} failed and task exceeded "
-                            f"{self.max_attempts} attempts"
-                        ),
-                        now=now,
-                    )
-                    self._makespan = now
+            if not self._inputs_recoverable(instance):
+                reason = f"node {node_name} failed"
+            elif instance.attempts < _MAX_ATTEMPTS:
+                self.graph.requeue(instance.task_id)
+                self.resubmissions += 1
+                continue
             else:
-                self.graph.mark_failed(
-                    instance.task_id,
-                    RuntimeError(
-                        f"node {node_name} failed"
-                        + ("" if self.recovery_enabled else " (recovery disabled)")
-                    ),
-                    now=now,
+                reason = (
+                    f"node {node_name} failed and task exceeded {_MAX_ATTEMPTS} attempts"
                 )
-                self._makespan = now
+            self.graph.mark_failed(instance.task_id, RuntimeError(reason), now=now)
+            self._makespan = now
         # Ready tasks whose inputs were lost with the node can never
         # execute: fail them now so the run ends with an explicit verdict
         # instead of a drained-but-unfinished simulation.  (Pending readers

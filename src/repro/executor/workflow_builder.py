@@ -58,15 +58,9 @@ class SimWorkflowBuilder:
         nodes: int = 1,
         software: Iterable[str] = (),
         depends_on: Iterable[int] = (),
-        deterministic: bool = True,
     ) -> TaskInstance:
         """Append a task; returns its instance (its ``task_id`` can be used
-        in later ``depends_on`` for pure control dependencies).
-
-        ``deterministic=False`` opts the task out of content-addressed
-        dedup (:func:`repro.core.compile.compile_graph`): identical inputs
-        do not imply identical outputs, so twin submissions must both run.
-        """
+        in later ``depends_on`` for pure control dependencies)."""
         task_id = next(self._ids)
         deps: Set[int] = set(depends_on)
         reads: List[str] = []
@@ -110,7 +104,6 @@ class SimWorkflowBuilder:
                 duration_s=duration,
                 input_sizes=input_sizes,
                 output_sizes=output_sizes,
-                deterministic=deterministic,
             ),
         )
         self.graph.add_task(instance, depends_on=deps)

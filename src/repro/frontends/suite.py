@@ -42,9 +42,6 @@ class SuiteTask:
     nodes: int = 1
     software: Sequence[str] = ()
     output_bytes: float = 1e6
-    #: False opts every cycle instance of this type out of content-addressed
-    #: dedup (e.g. ensemble members drawing fresh random seeds).
-    deterministic: bool = True
 
     def parsed_depends(self) -> List[Tuple[str, int]]:
         """[(task_name, cycle_offset <= 0), ...]"""
@@ -121,6 +118,5 @@ class CyclingSuite:
                     memory_mb=suite_task.memory_mb,
                     nodes=suite_task.nodes,
                     software=suite_task.software,
-                    deterministic=suite_task.deterministic,
                 )
         return builder

@@ -5,7 +5,6 @@ Grammar (one declaration per line, ``#`` comments):
     data  <name> size=<bytes>
     task  <label> duration=<seconds> [cores=N] [memory_mb=N] [gpus=N]
           [nodes=N] [software=a,b] [reads=d1,d2] [writes=d1:size,d2:size]
-          [deterministic=true|false]
 
 Example::
 
@@ -115,14 +114,6 @@ def parse_workflow_text(text: str) -> SimWorkflowBuilder:
                     kwargs["inputs"] = value.split(",")
                 elif field_name == "writes":
                     kwargs["outputs"] = _parse_writes(value, line_number)
-                elif field_name == "deterministic":
-                    lowered = value.lower()
-                    if lowered not in ("true", "false"):
-                        raise WorkflowSyntaxError(
-                            line_number,
-                            f"deterministic must be true or false, got {value!r}",
-                        )
-                    kwargs["deterministic"] = lowered == "true"
                 else:
                     raise WorkflowSyntaxError(
                         line_number, f"unknown task field {field_name!r}"

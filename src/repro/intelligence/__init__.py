@@ -19,13 +19,12 @@ Concretely buildable pieces of that vision:
 """
 
 from repro.intelligence.predictor import DurationPredictor, TaskTypeStats
-from repro.intelligence.memoization import TaskMemoizer, memoizable_key
+from repro.intelligence.memoization import TaskMemoizer
 from repro.intelligence.policy import PredictedFinishTimePolicy
 
 __all__ = [
     "DurationPredictor",
     "TaskTypeStats",
     "TaskMemoizer",
-    "memoizable_key",
     "PredictedFinishTimePolicy",
 ]

@@ -10,37 +10,18 @@ content-addressed, so it composes with the
 store-vs-recompute metrics of :mod:`repro.metrics.data_metrics` (a cache
 entry is a "stored intermediate" whose regeneration cost is the task).
 
-Keys come from the same pickle-once primitive the data plane uses for size
-accounting (:func:`repro.storage.interface.content_fingerprint`): one
-serialization pass yields both the byte size (charged against the cache's
-byte budget) and a collision-resistant digest.  The runtime's workflow
-compiler (:mod:`repro.core.compile`) builds Merkle-style *content keys* on
-top of the same primitive, so whole repeated subgraphs — not just leaf
-calls — resolve through this cache.
+Keys are the runtime's Merkle-style *content keys*
+(:meth:`repro.core.compile.WorkflowCompiler.compile_call`), built on the
+pickle-once primitive the data plane uses for size accounting
+(:func:`repro.storage.interface.content_fingerprint`), so whole repeated
+subgraphs — not just leaf calls — resolve through this cache.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.storage.interface import content_fingerprint, estimate_size
-
-
-def memoizable_key(
-    task_name: str, kwargs: Dict[str, Any], args: tuple = ()
-) -> Optional[str]:
-    """Content hash of an invocation, or None if any argument is unhashable.
-
-    Positional arguments participate in the identity — ``f(1, 2)`` and
-    ``f(2, 1)`` are different invocations even when no keyword is passed.
-    Futures, open files, and other stateful arguments make an invocation
-    non-memoizable; pickling failure is the (conservative) detector, the
-    same single serialization pass that prices the invocation's bytes.
-    """
-    _size, digest = content_fingerprint(
-        (task_name, tuple(args), tuple(sorted(kwargs.items())))
-    )
-    return digest
+from repro.storage.interface import estimate_size
 
 
 class _CacheEntry:

@@ -125,9 +125,8 @@ class SweepStats:
     def total(self, key: str) -> float:
         """A per-run counter summed across the fleet.
 
-        Runners report counters through the ``_stats`` channel — the content
-        cache's ``cache_hits`` / ``cache_skipped`` / ``cache_evictions``,
-        a streaming scenario's ``stream_events`` / ``stream_dropped`` /
+        Runners report counters through the ``_stats`` channel — a
+        streaming scenario's ``stream_events`` / ``stream_dropped`` /
         ``stream_spilled`` / ``windows_closed``; runs that do not report
         ``key`` contribute zero.
         """

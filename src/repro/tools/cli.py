@@ -66,7 +66,6 @@ class RunSettings:
     engine: str = "single"
     #: Lanes of a zone-program run under ``parallel``.
     workers: int = 2
-    dedupe: bool = False
     #: ``fleet`` or ``decomposed``, for a workload that has both assemblies.
     mode: str = "fleet"
     # The cluster a static graph runs on.
@@ -84,7 +83,7 @@ RUN_KEYS = {f.name: f.name for f in dataclasses.fields(RunSettings)}
 
 
 def resolve(
-    scenario: Any, seed: Optional[int] = None, engine: str = "single", dedupe: bool = False
+    scenario: Any, seed: Optional[int] = None, engine: str = "single"
 ) -> Tuple[Workload, Any, RunSettings]:
     """``(record, config, settings)`` of one scenario, or a
     :class:`WorkloadError` saying what is wrong with it.
@@ -93,7 +92,7 @@ def resolve(
     before anything forks: the scenario is an object, its workload exists,
     each key is the workload's option or a :class:`RunSettings` field, each
     value casts to its type, the config accepts it, the engine can run it.
-    A scenario's own ``engine`` / ``dedupe`` win over the flags'.
+    A scenario's own ``engine`` wins over the flag's.
     """
     if not isinstance(scenario, Mapping):
         raise WorkloadError(f"a scenario is a JSON object, not {scenario!r}")
@@ -108,46 +107,36 @@ def resolve(
             f"{', '.join(record.options)}; any scenario: key, workload, "
             f"{', '.join(RUN_KEYS)})"
         )
-    settings = configure(
-        RunSettings, RUN_KEYS, {"engine": engine, "dedupe": dedupe, **scenario}, "run"
-    )
+    settings = configure(RunSettings, RUN_KEYS, {"engine": engine, **scenario}, "run")
     cfg = record.configure(scenario, seed)
     record.as_zone_programs(cfg, settings.engine, settings.mode)
     return record, cfg, settings
 
 
-def run_graph(built, nodes, cores_per_node, policy="fifo", dedupe=False):
+def run_graph(built, nodes, cores_per_node, policy="fifo"):
     """Run a built workflow (``.graph``, ``.initial_data``) on one timeline —
-    the cluster + executor construction of every command — after merging
-    identical subgraphs (:func:`repro.core.compile.compile_graph`) if
-    ``dedupe``: ``(executor, report, compile_stats or None)``."""
-    graph, initial_data, compile_stats = built.graph, built.initial_data, None
-    if dedupe:
-        from repro.core.compile import compile_graph
-
-        compiled = compile_graph(graph, initial_data)
-        graph, compile_stats = compiled.graph, compiled.stats
+    the cluster + executor construction of every command:
+    ``(executor, report)``."""
     locations = DataLocationService()
     executor = SimulatedExecutor(
-        graph,
+        built.graph,
         make_hpc_cluster(nodes, cores_per_node=cores_per_node),
         policy=POLICIES[policy](locations),
         locations=locations,
-        initial_data=initial_data,
+        initial_data=built.initial_data,
     )
-    return executor, executor.run(), compile_stats
+    return executor, executor.run()
 
 
-def run(record: Workload, cfg: Any, settings: RunSettings):
-    """Execute a resolved scenario: ``(result, compile_stats)``.  ``result``
-    carries only seed-determined outcomes; what is non-deterministic or
-    per-worker rides its reserved ``_stats`` key, which the sweep driver
-    strips into its stats block before merging: a deduped graph's cache
-    counters, the stream counters and, when lanes ran, their critical-path
+def run(record: Workload, cfg: Any, settings: RunSettings) -> dict:
+    """Execute a resolved scenario.  The result carries only seed-determined
+    outcomes; what is non-deterministic or per-worker rides its reserved
+    ``_stats`` key, which the sweep driver strips into its stats block before
+    merging: the stream counters and, when lanes ran, their critical-path
     CPU cost."""
     if record.build is None:
         if not record.as_zone_programs(cfg, settings.engine, settings.mode):
-            return record.fleet(cfg), None
+            return record.fleet(cfg)
         result, stats = record.run(cfg, settings.engine, settings.workers)
         counters = ("stream_events", "stream_dropped", "stream_spilled", "windows_closed")
         run_stats = {k: float(result[k]) for k in counters if k in result}
@@ -157,15 +146,11 @@ def run(record: Workload, cfg: Any, settings: RunSettings):
             )
         if run_stats:
             result["_stats"] = run_stats
-        return result, None
-    executor, report, compile_stats = run_graph(
-        record.build(cfg),
-        settings.nodes,
-        settings.cores_per_node,
-        settings.policy,
-        settings.dedupe,
+        return result
+    executor, report = run_graph(
+        record.build(cfg), settings.nodes, settings.cores_per_node, settings.policy
     )
-    result = {
+    return {
         "workload": record.name,
         "tasks_done": report.tasks_done,
         "tasks_failed": report.tasks_failed,
@@ -174,17 +159,9 @@ def run(record: Workload, cfg: Any, settings: RunSettings):
         "energy_joules": report.energy_joules,
         "events": executor.engine.dispatched_events,
     }
-    if compile_stats is not None:
-        # Seed-determined (same scenario -> same graph -> same merge), so it
-        # may live in the deterministic document.
-        result["tasks_deduped"] = compile_stats.deduped
-        result["_stats"] = compile_stats.as_stats()
-    return result, compile_stats
 
 
-def simulate_scenario_runner(
-    scenario: dict, seed: int, engine: str = "single", dedupe: bool = False
-) -> dict:
+def simulate_scenario_runner(scenario: dict, seed: int, engine: str = "single") -> dict:
     """Sweep runner: one ``simulate``-style run from a scenario dict.
 
     Module-level (worker processes resolve it by reference) and deterministic
@@ -195,7 +172,7 @@ def simulate_scenario_runner(
     alone: ``single``, ``sharded`` and ``parallel`` sweeps are byte-identical
     (``tests/test_cli.py``).
     """
-    return run(*resolve(scenario, seed, engine, dedupe))[0]
+    return run(*resolve(scenario, seed, engine))
 
 
 def cmd_info(args: argparse.Namespace, out) -> int:
@@ -214,7 +191,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
     # The flags project the scenario keys: they make a scenario, the sweep's path runs it.
     scenario = {k: v for k, v in vars(args).items() if k not in ("command", "seed")}
     record, cfg, settings = resolve(scenario, getattr(args, "seed", None))
-    result, compile_stats = run(record, cfg, settings)
+    result = run(record, cfg, settings)
     if record.summary is not None:
         lines = record.summary(result, settings.engine)
     else:
@@ -223,13 +200,6 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
             f"platform : {settings.nodes} nodes x {settings.cores_per_node} cores",
             f"policy   : {settings.policy}",
             f"engine   : {settings.engine}",
-        ]
-        if compile_stats is not None:
-            lines.append(
-                f"dedupe   : {compile_stats.tasks_in} -> {compile_stats.tasks_out} tasks "
-                f"({compile_stats.deduped} deduped, {compile_stats.opted_out} opted out)"
-            )
-        lines += [
             f"makespan : {result['makespan_s']:.1f} s ({result['makespan_s'] / 3600:.2f} h)",
             f"moved    : {result['bytes_transferred'] / 1e9:.2f} GB",
             f"energy   : {result['energy_joules'] / 3.6e6:.3f} kWh",
@@ -287,7 +257,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     for index, scenario in enumerate(scenarios):
         # Refused here, before anything forks, rather than in a pool worker.
         try:
-            resolve(scenario, engine=args.engine, dedupe=args.dedupe)
+            resolve(scenario, engine=args.engine)
         except WorkloadError as err:
             key = scenario.get("key", index) if isinstance(scenario, Mapping) else index
             raise WorkloadError(f"scenario {key!r}: {err}") from None
@@ -297,9 +267,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         raise WorkloadError(str(err)) from None
     # partial (module-level function + plain values) stays picklable for
     # forked workers and leaves scenario keys and derived seeds untouched.
-    runner = functools.partial(
-        simulate_scenario_runner, engine=args.engine, dedupe=args.dedupe
-    )
+    runner = functools.partial(simulate_scenario_runner, engine=args.engine)
     result = run_sweep(scenarios, runner, workers=args.workers, base_seed=args.base_seed)
     if args.out:
         result.write_merged(args.out)
@@ -327,13 +295,6 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
             f"{total('stream_spilled'):.0f} spilled",
             file=out,
         )
-    if args.dedupe or total("cache_hits") or total("cache_skipped"):
-        print(
-            f"reuse    : {total('cache_hits'):.0f} hits, "
-            f"{total('cache_skipped'):.0f} skipped, "
-            f"{total('cache_evictions'):.0f} evictions",
-            file=out,
-        )
     return 0
 
 
@@ -342,7 +303,7 @@ def cmd_run_text(args: argparse.Namespace, out) -> int:
 
     with open(args.path) as handle:
         builder = parse_workflow_text(handle.read())
-    _, report, _ = run_graph(builder, args.nodes, args.cores_per_node)
+    _, report = run_graph(builder, args.nodes, args.cores_per_node)
     print(f"tasks    : {report.tasks_done}", file=out)
     print(f"makespan : {report.makespan:.1f} s", file=out)
     return 0
@@ -384,12 +345,6 @@ def build_parser(workload_name: str = DEFAULT_WORKLOAD) -> argparse.ArgumentPars
     if record.build is not None:
         add_cluster(simulate)
         simulate.add_argument("--policy", choices=tuple(POLICIES))
-        simulate.add_argument(
-            "--dedupe",
-            action="store_true",
-            help="content-addressed compilation: merge identical subgraphs "
-            "before execution (fewer scheduled tasks, same data products)",
-        )
 
     graphs = [name for name, w in WORKLOADS.items() if w.build is not None]
     analyze = subparsers.add_parser("analyze", help="print workflow-model metrics")
@@ -422,12 +377,6 @@ def build_parser(workload_name: str = DEFAULT_WORKLOAD) -> argparse.ArgumentPars
         default="single",
         help="replay the zone-program scenarios on this driver; the merged "
         "document is engine-independent",
-    )
-    sweep.add_argument(
-        "--dedupe",
-        action="store_true",
-        help="compile every scenario's graph through content-addressed "
-        "dedup before execution (cache counters land in the stats block)",
     )
     sweep.add_argument("--out", help="write the merged document here (else stdout)")
     return parser

@@ -4,8 +4,7 @@ Dedup is an optimization, never a semantics change: randomized batches of
 overlapping task chains must produce byte-identical outcomes with dedup on
 vs off — including failure paths (a deterministically-raising task fails
 its consumers identically either way, and its content key is never served
-from the cache).  The same property holds one layer down for
-:func:`repro.core.compile.compile_graph` on built simulation workflows.
+from the cache).
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Runtime, compss_wait_on, task
-from repro.core.compile import compile_graph
 from repro.core.exceptions import TaskFailedError
-from repro.executor import SimulatedExecutor, SimWorkflowBuilder
-from repro.infrastructure import make_hpc_cluster
 from repro.intelligence import TaskMemoizer
 
 
@@ -151,113 +147,3 @@ class TestRuntimeEquivalence:
         assert calls == [9, 9]
         assert stats["tasks_from_cache"] == 0
         assert stats["tasks_aliased"] == 0
-
-
-def _build_tenants(
-    tenants: int, stages: int, deterministic: bool = True
-) -> SimWorkflowBuilder:
-    """N identical per-tenant pipelines off one shared initial datum."""
-    builder = SimWorkflowBuilder()
-    builder.add_initial_datum("shared-in", 1e6)
-    for tenant in range(tenants):
-        previous = "shared-in"
-        for stage in range(stages):
-            name = f"t{tenant}/d{stage}"
-            builder.add_task(
-                f"t{tenant}-s{stage}",
-                duration=1.0 + stage,
-                inputs=[previous],
-                outputs={name: 1e5},
-                deterministic=deterministic,
-            )
-            previous = name
-    return builder
-
-
-def _run_sim(graph, initial_data):
-    platform = make_hpc_cluster(2, cores_per_node=8)
-    return SimulatedExecutor(graph, platform, initial_data=initial_data).run()
-
-
-class TestGraphCompileEquivalence:
-    @given(tenants=st.integers(1, 4), stages=st.integers(1, 4))
-    @settings(max_examples=10, deadline=None)
-    def test_identical_tenants_collapse_to_one(self, tenants, stages):
-        one = _build_tenants(1, stages)
-        many = _build_tenants(tenants, stages)
-        compiled_one = compile_graph(one.graph, one.initial_data)
-        compiled_many = compile_graph(many.graph, many.initial_data)
-        assert compiled_many.stats.tasks_out == compiled_one.stats.tasks_out == stages
-        assert compiled_many.stats.deduped == (tenants - 1) * stages
-        report_one = _run_sim(compiled_one.graph, one.initial_data)
-        report_many = _run_sim(compiled_many.graph, many.initial_data)
-        assert report_many.makespan == report_one.makespan
-
-    @given(stages=st.integers(1, 4))
-    @settings(max_examples=10, deadline=None)
-    def test_disjoint_tenants_share_nothing(self, stages):
-        # Tenant-private initial datums: same shapes, different data
-        # identities — the compile pass must not invent sharing.
-        builder = SimWorkflowBuilder()
-        for tenant in range(3):
-            root = f"t{tenant}/in"
-            builder.add_initial_datum(root, 1e6)
-            previous = root
-            for stage in range(stages):
-                name = f"t{tenant}/d{stage}"
-                builder.add_task(
-                    f"t{tenant}-s{stage}",
-                    duration=1.0,
-                    inputs=[previous],
-                    outputs={name: 1e5},
-                )
-                previous = name
-        compiled = compile_graph(builder.graph, builder.initial_data)
-        assert compiled.stats.deduped == 0
-        assert compiled.stats.tasks_out == 3 * stages
-
-    def test_rebuild_without_dedupe_preserves_behavior(self):
-        builder = _build_tenants(3, 3)
-        baseline = _run_sim(builder.graph, builder.initial_data)
-        rebuilt = _build_tenants(3, 3)
-        compiled = compile_graph(rebuilt.graph, rebuilt.initial_data, dedupe=False)
-        assert compiled.stats.deduped == 0
-        report = _run_sim(compiled.graph, rebuilt.initial_data)
-        assert report.makespan == baseline.makespan
-        assert report.tasks_done == baseline.tasks_done
-
-    def test_nondeterministic_tasks_never_dedup(self):
-        builder = _build_tenants(3, 2, deterministic=False)
-        compiled = compile_graph(builder.graph, builder.initial_data)
-        assert compiled.stats.deduped == 0
-        assert compiled.stats.opted_out == 6
-        assert compiled.stats.tasks_out == 6
-
-    def test_war_rewrite_opts_out_and_preserves_behavior(self):
-        def build():
-            builder = SimWorkflowBuilder()
-            builder.add_initial_datum("d", 1e6)
-            builder.add_task("r1", duration=2.0, inputs=["d"])
-            builder.add_task("r2", duration=2.0, inputs=["d"])
-            builder.add_task("w", duration=1.0, inputs=["d"], outputs={"d": 2e6})
-            builder.add_task("after1", duration=3.0, inputs=["d"])
-            builder.add_task("after2", duration=3.0, inputs=["d"])
-            return builder
-
-        baseline = build()
-        baseline_report = _run_sim(baseline.graph, baseline.initial_data)
-        builder = build()
-        compiled = compile_graph(builder.graph, builder.initial_data)
-        # The WAR/WAW rewriter cannot be content-addressed (its extra
-        # reader/writer edges are not data-derived), but the identical
-        # readers on either side of it still merge.
-        assert compiled.stats.opted_out == 1
-        assert compiled.stats.deduped == 2
-        report = _run_sim(compiled.graph, builder.initial_data)
-        assert report.makespan == baseline_report.makespan
-
-    def test_compile_rejects_executed_graphs(self):
-        builder = _build_tenants(1, 1)
-        _run_sim(builder.graph, builder.initial_data)
-        with pytest.raises(ValueError):
-            compile_graph(builder.graph, builder.initial_data)

@@ -56,6 +56,7 @@ class TestTextFrontend:
             ("task t duration=abc", "bad duration"),
             ("task t duration=1 cores=x", "bad integer"),
             ("task t duration=1 colour=red", "unknown task field"),
+            ("task t duration=1 deterministic=true", "unknown task field 'deterministic'"),
             ("data d", "size"),
             ("data d size=big", "bad data size"),
             ("frobnicate x", "unknown declaration"),

@@ -11,7 +11,6 @@ from repro.intelligence import (
     DurationPredictor,
     PredictedFinishTimePolicy,
     TaskMemoizer,
-    memoizable_key,
 )
 from repro.scheduling import DataLocationService
 
@@ -73,19 +72,14 @@ class TestDurationPredictor:
 class TestTaskMemoizer:
     def test_lookup_miss_then_hit(self):
         memo = TaskMemoizer()
-        key = memoizable_key("f", {"x": 1})
+        key = "f/x=1"
         assert memo.lookup(key) == (False, None)
         memo.store(key, 42)
         assert memo.lookup(key) == (True, 42)
         assert memo.hit_rate == pytest.approx(0.5)
 
-    def test_key_depends_on_name_and_args(self):
-        assert memoizable_key("f", {"x": 1}) != memoizable_key("g", {"x": 1})
-        assert memoizable_key("f", {"x": 1}) != memoizable_key("f", {"x": 2})
-        assert memoizable_key("f", {"x": 1}) == memoizable_key("f", {"x": 1})
-
     def test_unpicklable_args_not_memoizable(self):
-        assert memoizable_key("f", {"x": lambda: None}) is None
+        # An invocation without a content key (compile_call returned None).
         memo = TaskMemoizer()
         assert memo.lookup(None) == (False, None)
         memo.store(None, 1)  # no-op
@@ -93,23 +87,12 @@ class TestTaskMemoizer:
 
     def test_fifo_eviction(self):
         memo = TaskMemoizer(max_entries=2)
-        keys = [memoizable_key("f", {"x": i}) for i in range(3)]
+        keys = [f"f/x={i}" for i in range(3)]
         for i, key in enumerate(keys):
             memo.store(key, i)
         assert len(memo) == 2
         assert memo.lookup(keys[0]) == (False, None)
         assert memo.lookup(keys[2]) == (True, 2)
-
-    def test_positional_args_distinguish_keys(self):
-        # Regression: positional arguments must participate in the digest.
-        assert memoizable_key("f", {}, args=(1, 2)) != memoizable_key(
-            "f", {}, args=(2, 1)
-        )
-        assert memoizable_key("f", {}, args=(1, 2)) == memoizable_key(
-            "f", {}, args=(1, 2)
-        )
-        # A positional 1 and a keyword x=1 are different invocations.
-        assert memoizable_key("f", {}, args=(1,)) != memoizable_key("f", {"x": 1})
 
     def test_lookup_none_counts_skipped_not_missed(self):
         memo = TaskMemoizer()
@@ -123,7 +106,7 @@ class TestTaskMemoizer:
 
     def test_stats_snapshot(self):
         memo = TaskMemoizer()
-        key = memoizable_key("f", {"x": 1})
+        key = "f/x=1"
         memo.lookup(key)  # miss
         memo.store(key, "value")
         memo.lookup(key)  # hit
@@ -143,7 +126,7 @@ class TestTaskMemoizer:
 
     def test_lru_lookup_refreshes_recency(self):
         memo = TaskMemoizer(max_entries=2)
-        keys = [memoizable_key("f", {"x": i}) for i in range(3)]
+        keys = [f"f/x={i}" for i in range(3)]
         memo.store(keys[0], 0)
         memo.store(keys[1], 1)
         memo.lookup(keys[0])  # refresh: keys[1] is now least recently used
@@ -154,7 +137,7 @@ class TestTaskMemoizer:
 
     def test_byte_budget_eviction(self):
         memo = TaskMemoizer(max_bytes=1)
-        keys = [memoizable_key("f", {"x": i}) for i in range(2)]
+        keys = [f"f/x={i}" for i in range(2)]
         memo.store(keys[0], "a" * 64)
         memo.store(keys[1], "b" * 64)
         # Over budget: older entry evicted, the newest always survives.

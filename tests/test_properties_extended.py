@@ -7,7 +7,7 @@ from repro.core.graph import TaskGraph
 from repro.executor import SimulatedExecutor
 from repro.frontends import CyclingSuite, SuiteTask
 from repro.infrastructure import make_hpc_cluster
-from repro.intelligence import DurationPredictor, TaskMemoizer, memoizable_key
+from repro.intelligence import DurationPredictor, TaskMemoizer
 from repro.metrics.model import analyze_graph
 from repro.simulation import SimulationEngine
 from repro.streams import DataflowPlane, OperatorGraph, SensorSource
@@ -66,7 +66,7 @@ class TestMemoizerProperties:
         memo = TaskMemoizer(max_entries=1000)
         reference = {}
         for op, arg, value in ops:
-            key = memoizable_key("task", {"x": arg})
+            key = f"task/x={arg}"
             if op == "store":
                 memo.store(key, value)
                 reference[key] = value
@@ -80,10 +80,10 @@ class TestMemoizerProperties:
     def test_eviction_bounds_size(self, max_entries, inserts):
         memo = TaskMemoizer(max_entries=max_entries)
         for i in range(inserts):
-            memo.store(memoizable_key("t", {"i": i}), i)
+            memo.store(f"t/i={i}", i)
         assert len(memo) <= max_entries
         # The most recent insert always survives.
-        found, value = memo.lookup(memoizable_key("t", {"i": inserts - 1}))
+        found, value = memo.lookup(f"t/i={inserts - 1}")
         assert found and value == inserts - 1
 
 

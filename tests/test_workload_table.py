@@ -289,6 +289,8 @@ MALFORMED = [
     ("unknown workload", [{"key": "w", "workload": "nope"}], "scenario 'w': unknown workload 'nope'"),
     ("uncastable value", [{"key": "c", "workload": "churn", "agents": "many"}],
      "scenario 'c': churn option 'agents': 'many' is not of type int"),
+    ("dedupe is no scenario key", [{"workload": "ep", "dedupe": True}],
+     "scenario 0: ep has no option dedupe"),
     ("config rejects value", [{"key": "g", "workload": "guidance", "chromosomes": 0}],
      "scenario 'g': guidance: chromosomes"),
     ("one zone on a window driver", [{"key": "z", "workload": "zonal", "zones": 1}],
@@ -343,6 +345,18 @@ def test_a_removed_legacy_flag_is_an_argparse_error():
     )
     assert refused.returncode == 2
     assert "unrecognized arguments: --sim-seconds 5" in refused.stderr
+    assert "Traceback" not in refused.stderr
+
+
+def test_dedupe_is_an_argparse_error():
+    """The dedupe flag rebuilt the graph with identical subgraphs merged;
+    the pass is gone, and so is the flag."""
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro", "simulate", "--workload", "ep", "--dedupe"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert refused.returncode == 2
+    assert "unrecognized arguments: --dedupe" in refused.stderr
     assert "Traceback" not in refused.stderr
 
 
