@@ -10,7 +10,21 @@ acyclic by construction: a task may only depend on tasks registered before it
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.constraints import ResolvedRequirements
 
@@ -26,36 +40,50 @@ class TaskState(enum.Enum):
     CANCELLED = "cancelled"  # skipped because an ancestor failed
 
 
+#: The one read-only empty mapping an absent payload or output map is: a
+#: simulated task's ``kwargs`` / ``future_args`` and empty ``output_sizes``,
+#: and a finished real task's released payload — not fresh dicts per task.
+_RELEASED: Mapping[str, Any] = MappingProxyType({})
+
+
 class SimProfile:
     """Synthetic execution profile for simulated tasks (DESIGN.md S6).
 
-    ``duration_s`` is the compute time on a ``speed_factor == 1.0`` core;
-    slower nodes stretch it.  Input/output datum sizes drive the network
-    model.
+    Only what the executor reads:
+
+    * ``duration_s`` — compute time on a ``speed_factor == 1.0`` core;
+      slower nodes stretch it.
+    * ``input_bytes`` — the summed size of the task's distinct inputs, in
+      first-read order, at build time (the runtime predictor's size
+      feature).  Stage-in prices the inputs from ``reads`` and the data
+      plane, not from here.
+    * ``output_sizes`` — datum name -> bytes, published on the head node
+      at completion; absent outputs share one read-only empty mapping.
 
     Slotted (not a dataclass): million-task graphs hold one profile per
     task, and per-instance ``__dict__``s are what pushed the build past the
     allocator's resident-set cliff (see bench_runtime_scaling).
     """
 
-    __slots__ = ("duration_s", "input_sizes", "output_sizes")
+    __slots__ = ("duration_s", "input_bytes", "output_sizes")
 
     def __init__(
         self,
         duration_s: float = 1.0,
-        input_sizes: Optional[Dict[str, float]] = None,
-        output_sizes: Optional[Dict[str, float]] = None,
+        input_bytes: float = 0.0,
+        output_sizes: Optional[Mapping[str, float]] = None,
     ) -> None:
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
         self.duration_s = duration_s
-        self.input_sizes = input_sizes if input_sizes is not None else {}
-        self.output_sizes = output_sizes if output_sizes is not None else {}
+        self.input_bytes = input_bytes
+        self.output_sizes = output_sizes if output_sizes is not None else _RELEASED
 
     def __repr__(self) -> str:
         return (
             f"SimProfile(duration_s={self.duration_s!r}, "
-            f"input_sizes={self.input_sizes!r}, output_sizes={self.output_sizes!r})"
+            f"input_bytes={self.input_bytes!r}, "
+            f"output_sizes={dict(self.output_sizes)!r})"
         )
 
 
@@ -123,10 +151,10 @@ class TaskInstance:
         # Real execution payload (None for simulated tasks).
         self.fn = fn
         self.args = args
-        self.kwargs = kwargs if kwargs is not None else {}
+        self.kwargs = kwargs if kwargs is not None else _RELEASED
         # Which argument positions / kwarg names must be substituted by
         # resolved future values before execution ({position_or_name: Future}).
-        self.future_args = future_args if future_args is not None else {}
+        self.future_args = future_args if future_args is not None else _RELEASED
         # Datum ids this task reads / writes (version keys recorded by the
         # AP), fixed at construction.  Tuples of strings, not lists: the
         # cyclic GC stops tracking them after its first pass.
@@ -201,9 +229,12 @@ class TaskGraph:
 
     def __init__(self) -> None:
         self._tasks: Dict[int, TaskInstance] = {}
-        # Successor sets exist from a node's first successor on (most of a
-        # wide workflow's nodes are sinks); read them with ``.get(tid, ())``.
-        self._successors: Dict[int, Set[int]] = {}
+        # A node's successors, from its first one on (most of a wide
+        # workflow's nodes are sinks): the lone successor's id until a
+        # second arrives, then the set ``{first, second}`` — built in that
+        # order, so its table and iteration order are those of ``{first}``
+        # plus ``.add(second)``.  Read them through ``_successor_ids``.
+        self._successors: Dict[int, Union[int, Set[int]]] = {}
         self._predecessors: Dict[int, Tuple[int, ...]] = {}
         self._unfinished_preds: Dict[int, int] = {}
         # Ready queue: linked list in enqueue order + task_id -> node index.
@@ -248,7 +279,11 @@ class TaskGraph:
         return set(self._predecessors.get(task_id, ()))
 
     def successors(self, task_id: int) -> Set[int]:
-        return set(self._successors.get(task_id, ()))
+        return set(self._successor_ids(task_id))
+
+    def _successor_ids(self, task_id: int) -> Iterable[int]:
+        dependants = self._successors.get(task_id, ())
+        return (dependants,) if dependants.__class__ is int else dependants
 
     # ---------------------------------------------------------- ready queue
 
@@ -306,7 +341,9 @@ class TaskGraph:
         for dep in deps:
             dependants = successors.get(dep)
             if dependants is None:
-                successors[dep] = {tid}
+                successors[dep] = tid
+            elif dependants.__class__ is int:
+                successors[dep] = {dependants, tid}
             else:
                 dependants.add(tid)
             dep_state = self._tasks[dep].state
@@ -440,8 +477,7 @@ class TaskGraph:
         newly_ready: List[TaskInstance] = []
         stack = [task_id]
         while stack:
-            done_tid = stack.pop()
-            for succ in self._successors.get(done_tid, ()):
+            for succ in self._successor_ids(stack.pop()):
                 successor = self._tasks[succ]
                 if successor.state is not TaskState.PENDING:
                     continue
@@ -479,7 +515,7 @@ class TaskGraph:
         self.failed_count += 1
         self._terminal_count += 1
         cancelled: List[int] = []
-        frontier = list(self._successors.get(task_id, ()))
+        frontier = list(self._successor_ids(task_id))
         # The visited set keeps the traversal linear on diamond-heavy DAGs:
         # without it every shared descendant re-enters the frontier once per
         # path, which is exponential in the worst case.
@@ -497,7 +533,7 @@ class TaskGraph:
                 if not descendant.is_barrier:
                     self.cancelled_count += 1
                     cancelled.append(tid)
-                for succ in self._successors.get(tid, ()):
+                for succ in self._successor_ids(tid):
                     if succ not in visited:
                         visited.add(succ)
                         frontier.append(succ)

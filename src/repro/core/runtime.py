@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -34,16 +33,12 @@ from repro.core.exceptions import (
     TaskFailedError,
 )
 from repro.core.futures import Future
-from repro.core.graph import TaskGraph, TaskInstance, TaskState
+from repro.core.graph import _RELEASED, TaskGraph, TaskInstance, TaskState
 from repro.core.task_definition import TaskDefinition, definition_of
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node, NodeKind
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.scheduler import TaskScheduler
-
-#: What a finished instance's ``kwargs`` / ``future_args`` are released to:
-#: one shared read-only empty mapping instead of two fresh dicts per task.
-_RELEASED: Mapping[str, Any] = MappingProxyType({})
 
 _current: Optional["Runtime"] = None
 _in_task = threading.local()

@@ -457,7 +457,7 @@ class SimulatedExecutor:
             self.predictor.observe(
                 instance.label,
                 instance.profile.duration_s,
-                size=sum(instance.profile.input_sizes.values()) or None,
+                size=instance.profile.input_bytes or None,
             )
         self.scheduler.release(instance)
         self.graph.mark_done(task_id, now=now)

@@ -11,11 +11,15 @@ identical RAW/WAR/WAW edges and fan-in barriers.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, Optional, Set
 
 from repro.core.constraints import ResolvedRequirements
 from repro.core.data import Datum, DependencyTracker
 from repro.core.graph import SimProfile, TaskGraph, TaskInstance
+
+#: The software set of every task that names none (since Python 3.10 each
+#: empty ``frozenset(...)`` is a new object).
+_NO_SOFTWARE: frozenset = frozenset()
 
 
 class SimWorkflowBuilder:
@@ -63,8 +67,9 @@ class SimWorkflowBuilder:
         in later ``depends_on`` for pure control dependencies)."""
         task_id = next(self._ids)
         deps: Set[int] = set(depends_on)
-        reads: List[str] = []
-        writes: List[str] = []
+        # Each input once, in first-read order, with the size it has now:
+        # naming one twice neither registers a second read nor fetches it
+        # twice.  Its keys are the task's reads.
         input_sizes: Dict[str, float] = {}
         output_sizes: Dict[str, float] = {}
 
@@ -72,6 +77,8 @@ class SimWorkflowBuilder:
         data = self._data
         read = self._tracker.read
         for name in inputs:
+            if name in input_sizes:
+                continue
             datum = data.get(name)
             if datum is None:
                 raise ValueError(
@@ -79,7 +86,6 @@ class SimWorkflowBuilder:
                     "with add_initial_datum or produce it with an earlier task"
                 )
             read(datum, task_id, deps, name not in output_names)
-            reads.append(name)
             input_sizes[name] = datum.size_bytes
 
         for name, size in output_names.items():
@@ -90,20 +96,19 @@ class SimWorkflowBuilder:
             else:
                 self._tracker.write(datum, task_id, deps)
             datum.size_bytes = output_sizes[name] = float(size)
-            writes.append(name)
 
         instance = TaskInstance(
             task_id=task_id,
             label=f"{label}#{task_id}",
             requirements=self._intern_requirements(
-                cores, memory_mb, gpus, frozenset(software), nodes
+                cores, memory_mb, gpus, frozenset(software) or _NO_SOFTWARE, nodes
             ),
-            reads=reads,
-            writes=writes,
+            reads=input_sizes,
+            writes=output_sizes,
             profile=SimProfile(
                 duration_s=duration,
-                input_sizes=input_sizes,
-                output_sizes=output_sizes,
+                input_bytes=sum(input_sizes.values()),
+                output_sizes=output_sizes or None,
             ),
         )
         self.graph.add_task(instance, depends_on=deps)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import (
-    AbstractSet,
     Dict,
     Iterable,
     List,
@@ -39,9 +38,6 @@ from typing import (
 )
 
 from repro.infrastructure.network import DEFAULT_ZONE, Link, NetworkTopology
-
-#: Shared empty result for lookups of unknown data (avoids per-call allocs).
-_NO_HOLDERS: AbstractSet[str] = frozenset()
 
 _INF = float("inf")
 
@@ -55,10 +51,11 @@ class DataLocationService:
     """Registry mapping datum ids to the node names that hold a copy."""
 
     def __init__(self) -> None:
-        # Holders in publication order, as the keys of a str -> None dict:
-        # ordered (the planner's tie-break), smaller than a set, and never
-        # tracked by the cyclic GC — one per datum adds up.
-        self._locations: Dict[str, Dict[str, None]] = {}
+        # Holders in publication order, as a tuple: ordered (the planner's
+        # tie-break), a quarter of a one-key dict, and untracked by the
+        # cyclic GC once it has seen it — one per datum adds up.  Mutations
+        # replace it: publishing appends, eviction filters.
+        self._locations: Dict[str, Tuple[str, ...]] = {}
         self._sizes: Dict[str, float] = {}
         # Inverted index: node name -> datum ids it currently holds.
         self._node_data: Dict[str, Set[str]] = {}
@@ -80,7 +77,7 @@ class DataLocationService:
         """Record that ``node_name`` now holds a copy of ``datum_id``."""
         holders = self._locations.get(datum_id)
         if holders is None:
-            holders = self._locations[datum_id] = {}
+            holders = ()
         elif not holders:
             # Every copy had been evicted; this publish recovers the datum.
             self._lost_count -= 1
@@ -95,7 +92,7 @@ class DataLocationService:
         if not new_holder and not size_delta:
             return
         if new_holder:
-            holders[node_name] = None
+            self._locations[datum_id] = holders + (node_name,)
             data = self._node_data.get(node_name)
             if data is None:
                 data = self._node_data[node_name] = set()
@@ -107,11 +104,11 @@ class DataLocationService:
                 scores = self._digest_scores[digest]
                 multiplicity = digest.count(datum_id)
                 if size_delta:
-                    # Existing holders' totals shift by the size change.
+                    # Existing holders' totals (``holders`` is the tuple
+                    # before this publish) shift by the size change.
                     delta = size_delta * multiplicity
                     for holder in holders:
-                        if holder != node_name or not new_holder:
-                            scores[holder] = scores.get(holder, 0.0) + delta
+                        scores[holder] = scores.get(holder, 0.0) + delta
                 if new_holder and size:
                     scores[node_name] = scores.get(node_name, 0.0) + size * multiplicity
 
@@ -142,7 +139,9 @@ class DataLocationService:
             holders = self._locations.get(datum_id)
             if holders is None or node_name not in holders:
                 continue
-            del holders[node_name]
+            holders = self._locations[datum_id] = tuple(
+                holder for holder in holders if holder != node_name
+            )
             if not holders:
                 self._lost_count += 1
             digests = self._datum_digests.get(datum_id)
@@ -179,9 +178,12 @@ class DataLocationService:
             holders = self._locations.get(datum_id)
             if holders is None or dead_node not in holders:
                 continue
-            del holders[dead_node]
+            holders = tuple(holder for holder in holders if holder != dead_node)
+            # A target that already held a copy keeps its earlier position.
             already_there = target_node in holders
-            holders[target_node] = None
+            if not already_there:
+                holders += (target_node,)
+            self._locations[datum_id] = holders
             target_data.add(datum_id)
             moved += 1
             digests = self._datum_digests.get(datum_id)
@@ -205,15 +207,15 @@ class DataLocationService:
         """SRI getLocations: every node holding a copy (empty set if unknown)."""
         return set(self._locations.get(datum_id, ()))
 
-    def holders_of(self, datum_id: str) -> AbstractSet[str]:
-        """Like :meth:`get_locations` but a live view, in publication order.
+    def holders_of(self, datum_id: str) -> Tuple[str, ...]:
+        """Like :meth:`get_locations` but a snapshot, in publication order.
 
-        Zero-copy read for hot paths.  The view follows the next
-        ``publish``/``evict_node``; a re-homed copy counts as published at
-        the time of the re-homing.
+        Zero-copy read for hot paths: the tuple the service holds, which
+        later ``publish``/``evict_node``/``rehome_node`` calls replace
+        rather than change.  A re-homed copy counts as published at the
+        time of the re-homing unless the target already held one.
         """
-        holders = self._locations.get(datum_id)
-        return holders.keys() if holders else _NO_HOLDERS
+        return self._locations.get(datum_id, ())
 
     def size_of(self, datum_id: str, default: float = 0.0) -> float:
         return self._sizes.get(datum_id, default)

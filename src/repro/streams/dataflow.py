@@ -363,20 +363,18 @@ class DataflowPlane:
         prefix = f"{self.operators.name}/{op.name}"
         datum_in = f"{prefix}.w{index}.in"
         datum_out = f"{prefix}.w{index}.out"
-        input_sizes: Dict[str, float] = {}
-        reads: List[str] = []
         bytes_per_element = getattr(op, "bytes_per_element", 0.0)
+        in_size = bytes_per_element * count
+        reads: List[str] = []
         if bytes_per_element:
-            in_size = bytes_per_element * count
             self.executor.locations.publish(
                 datum_in, self.ingest_node, size_bytes=in_size
             )
-            input_sizes[datum_in] = in_size
             reads.append(datum_in)
         cache_key = stream_task_key(op.name, index, window_start, window_end, buffer)
         profile = SimProfile(
             duration_s=op.duration_fn(count),
-            input_sizes=input_sizes,
+            input_bytes=in_size,
             output_sizes={datum_out: op.output_bytes},
         )
         return TaskInstance(

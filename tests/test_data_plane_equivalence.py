@@ -597,6 +597,88 @@ class TestZonePairPricingUnderMutation:
             _assert_planner_equals_naive_model(planner, locations, network)
 
 
+#: Few nodes and data, so most re-homings land on a datum the target holds.
+_HOLDER_NODES = _NODES[:3]
+_HOLDER_DATA = _DATA[:2]
+_holder_node = st.sampled_from(_HOLDER_NODES)
+_holder_mutations = st.one_of(
+    st.tuples(st.just("publish"), st.sampled_from(_HOLDER_DATA), _holder_node, _sizes),
+    st.tuples(st.just("set_size"), st.sampled_from(_HOLDER_DATA), _sizes),
+    st.tuples(st.just("evict"), _holder_node),
+    st.tuples(st.just("rehome"), _holder_node, _holder_node),
+)
+
+
+class TestHolderOrderUnderMutation:
+    """Holders are a tuple replaced on every change; the model is the
+    str -> None dict they used to be, mutated in place."""
+
+    @given(
+        orders=st.lists(
+            st.permutations(_HOLDER_NODES),
+            min_size=len(_HOLDER_DATA),
+            max_size=len(_HOLDER_DATA),
+        ),
+        mutations=st.lists(_holder_mutations, max_size=16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_holders_equal_dict_model_keys_in_order(self, orders, mutations):
+        locations = DataLocationService()
+        digest = _HOLDER_DATA + [_HOLDER_DATA[0]]  # one member counted twice
+        locations.local_bytes_map(digest)
+        model, sizes = {}, {}
+        # Every datum starts on every node, published in a drawn order.
+        initial = [
+            ("publish", datum, node, 4096)
+            for datum, order in zip(_HOLDER_DATA, orders)
+            for node in order
+        ]
+        for op in initial + mutations:
+            kind = op[0]
+            if kind == "publish":
+                _kind, datum, node, size = op
+                locations.publish(datum, node, size_bytes=size)
+                model.setdefault(datum, {})[node] = None
+                if size:
+                    sizes[datum] = float(size)
+            elif kind == "set_size":
+                locations.set_size(op[1], op[2])
+                sizes[op[1]] = float(op[2])
+            elif kind == "evict":
+                locations.evict_node(op[1])
+                for holders in model.values():
+                    holders.pop(op[1], None)
+            elif op[1] != op[2]:  # a re-homing onto another node
+                _kind, dead, target = op
+                locations.rehome_node(dead, target)
+                for holders in model.values():
+                    if dead in holders:
+                        del holders[dead]
+                        holders[target] = None
+            for datum in _HOLDER_DATA:
+                holders = tuple(model.get(datum, ()))
+                assert locations.holders_of(datum) == holders
+                assert locations.is_lost(datum) == (datum in model and not holders)
+            scores = {}
+            for datum in digest:
+                for node in model.get(datum, ()):
+                    scores[node] = scores.get(node, 0.0) + sizes.get(datum, 0.0)
+            live = {n: v for n, v in locations.local_bytes_map(digest).items() if v}
+            assert live == {n: v for n, v in scores.items() if v}
+        assert locations.has_lost_data == any(not h for h in model.values())
+
+    def test_rehoming_onto_a_holder_keeps_its_earlier_position(self):
+        locations = DataLocationService()
+        for node in ("target", "other", "dead"):
+            locations.publish("d", node, size_bytes=10)
+        holders = locations.holders_of("d")
+        assert locations.rehome_node("dead", "target") == 1
+        assert holders == ("target", "other", "dead")  # a snapshot
+        assert locations.holders_of("d") == ("target", "other")
+        locations.rehome_node("other", "late")
+        assert locations.holders_of("d") == ("target", "late")
+
+
 _HASH_SEED_PROGRAM = """
 from repro.infrastructure.network import NetworkTopology
 from repro.scheduling.locations import DataLocationService, TransferPlanner

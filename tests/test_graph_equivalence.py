@@ -7,12 +7,19 @@ O(tasks)-per-operation semantics (full-graph scans for ``finished`` /
 ``pending_count`` / ``running_count``, a plain list with ``list.remove``
 for the ready queue).  A hypothesis-driven interpreter executes random
 add/start/done/fail/requeue programs against both and asserts identical
-ready order, counters and ``finished`` after every single step.
+ready order, counters and ``finished`` after every single step, plus the
+order of ``mark_done``'s newly-ready list, of ``mark_failed``'s cancelled
+cone and of every ``successors()`` set.  The optimized graph keeps a lone
+successor as its bare id and builds the set on the second; the model keeps
+a set from the start.  Successor ids that collide in a set table land
+where the build order puts them, so any drift in that order shows up as a
+different order here.
 
 Also here: regression coverage for ``dispatch_window`` head-of-line
 semantics, which must survive the indexed-queue rewrite.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +78,9 @@ class NaiveTaskGraph:
     def ready_ids(self):
         return list(self._ready)
 
+    def successors(self, task_id):
+        return set(self._successors[task_id])
+
     def mark_running(self, task_id, node_name, now=0.0):
         self._ready.remove(task_id)
         self._tasks[task_id].state = TaskState.RUNNING
@@ -82,6 +92,7 @@ class NaiveTaskGraph:
     def mark_done(self, task_id, now=0.0):
         self._tasks[task_id].state = TaskState.DONE
         self.completed_count += 1
+        newly_ready = []
         for succ in self._successors[task_id]:
             successor = self._tasks[succ]
             if successor.state is not TaskState.PENDING:
@@ -90,6 +101,8 @@ class NaiveTaskGraph:
             if self._unfinished_preds[succ] == 0:
                 successor.state = TaskState.READY
                 self._ready.append(succ)
+                newly_ready.append(succ)
+        return newly_ready
 
     def mark_failed(self, task_id, error, now=0.0):
         instance = self._tasks[task_id]
@@ -97,6 +110,7 @@ class NaiveTaskGraph:
             self._ready.remove(task_id)
         instance.state = TaskState.FAILED
         self.failed_count += 1
+        cancelled = []
         frontier = list(self._successors[task_id])
         seen = set(frontier)  # bound the walk; cancellation set is identical
         while frontier:
@@ -107,10 +121,12 @@ class NaiveTaskGraph:
                     self._ready.remove(tid)
                 descendant.state = TaskState.CANCELLED
                 self.cancelled_count += 1
+                cancelled.append(tid)
                 for succ in self._successors[tid]:
                     if succ not in seen:
                         seen.add(succ)
                         frontier.append(succ)
+        return cancelled
 
     @property
     def finished(self):
@@ -126,12 +142,15 @@ class NaiveTaskGraph:
 
 
 # One program step: an opcode plus draws used to pick targets/dependencies.
+dep_picks = st.lists(st.integers(min_value=0, max_value=10 ** 9), max_size=3)
 op = st.tuples(
     st.sampled_from(["add", "start", "done", "fail", "requeue"]),
     st.integers(min_value=0, max_value=10 ** 9),
-    st.lists(st.integers(min_value=1, max_value=8), max_size=3),
+    dep_picks,
 )
 programs = st.lists(op, min_size=1, max_size=60)
+#: Tasks added before a program runs, so most nodes have several successors.
+prefixes = st.lists(dep_picks, max_size=24)
 
 
 def check_agreement(optimized, naive):
@@ -143,19 +162,34 @@ def check_agreement(optimized, naive):
     assert optimized.failed_count == naive.failed_count
     assert optimized.cancelled_count == naive.cancelled_count
     assert optimized.finished == naive.finished
+    for tid in naive._tasks:
+        assert list(optimized.successors(tid)) == list(naive.successors(tid))
+
+
+def _fan_out(graph, root, successors):
+    graph.add_task(TaskInstance(task_id=root, label=f"t{root}"))
+    for tid in successors:
+        graph.add_task(TaskInstance(task_id=tid, label=f"t{tid}"), depends_on=[root])
 
 
 class TestOptimizedGraphMatchesNaiveReference:
-    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
-    @given(programs)
-    def test_random_programs_agree_at_every_step(self, program):
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(programs, st.integers(min_value=1, max_value=64), prefixes)
+    def test_random_programs_agree_at_every_step(self, program, first_id, prefix):
+        # Ids from ``first_id`` on, dependencies on any earlier task: a
+        # node's successor ids wrap and collide in a small set table, so a
+        # set no longer iterates in insertion order and build order decides
+        # where colliding ids land.
         optimized = TaskGraph()
         naive = NaiveTaskGraph()
-        next_id = 1
+        next_id = first_id
         running = []
-        for opcode, pick, dep_offsets in program:
+        for opcode, pick, picks in [("add", 0, p) for p in prefix] + program:
             if opcode == "add":
-                deps = {next_id - off for off in dep_offsets if next_id - off >= 1}
+                earlier = next_id - first_id
+                deps = {first_id + p % earlier for p in picks} if earlier else set()
                 optimized.add_task(
                     TaskInstance(task_id=next_id, label=f"t{next_id}"),
                     depends_on=deps,
@@ -175,14 +209,15 @@ class TestOptimizedGraphMatchesNaiveReference:
             elif opcode == "done":
                 if running:
                     tid = running.pop(pick % len(running))
-                    optimized.mark_done(tid)
-                    naive.mark_done(tid)
+                    newly_ready = optimized.mark_done(tid)
+                    assert [t.task_id for t in newly_ready] == naive.mark_done(tid)
             elif opcode == "fail":
                 candidates = naive.ready_ids() + running
                 if candidates:
                     tid = candidates[pick % len(candidates)]
-                    optimized.mark_failed(tid, RuntimeError("boom"))
-                    naive.mark_failed(tid, RuntimeError("boom"))
+                    assert optimized.mark_failed(
+                        tid, RuntimeError("boom")
+                    ) == naive.mark_failed(tid, RuntimeError("boom"))
                     if tid in running:
                         running.remove(tid)
             elif opcode == "requeue":
@@ -191,6 +226,42 @@ class TestOptimizedGraphMatchesNaiveReference:
                     optimized.requeue(tid)
                     naive.requeue(tid)
             check_agreement(optimized, naive)
+
+    @pytest.mark.parametrize(
+        "successors, set_order",
+        [
+            ((13, 17), [17, 13]),  # 17 % 8 < 13 % 8: the set iterates 17 first
+            # Both hash to slot 5: 13 keeps it, 21 probes on to slot 2 (built
+            # as 21 then 13, the set would iterate 13 first).
+            ((13, 21), [21, 13]),
+        ],
+    )
+    def test_second_successor_builds_the_set_in_arrival_order(
+        self, successors, set_order
+    ):
+        # The lone id must become exactly the set {first} + .add(second).
+        for fail in (False, True):
+            optimized, naive = TaskGraph(), NaiveTaskGraph()
+            for graph in (optimized, naive):
+                _fan_out(graph, 10, successors)
+                graph.mark_running(10, "n")
+            assert list(optimized.successors(10)) == set_order
+            check_agreement(optimized, naive)
+            if fail:
+                cancelled = optimized.mark_failed(10, RuntimeError("boom"))
+                assert cancelled == naive.mark_failed(10, RuntimeError("boom"))
+                assert cancelled == set_order[::-1]  # popped from the tail
+            else:
+                newly_ready = [t.task_id for t in optimized.mark_done(10)]
+                assert newly_ready == naive.mark_done(10) == set_order
+                assert [t.task_id for t in optimized.ready_tasks()] == set_order
+            check_agreement(optimized, naive)
+
+    def test_a_lone_successor_is_still_a_set(self):
+        graph = TaskGraph()
+        _fan_out(graph, 10, (13,))
+        assert graph.successors(10) == {13} and graph.successors(13) == set()
+        assert graph._successors[10] == 13  # no one-element set is kept
 
     def test_requeue_moves_task_to_queue_tail(self):
         graph = TaskGraph()

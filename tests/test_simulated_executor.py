@@ -105,6 +105,27 @@ def test_transfer_time_charged_for_remote_inputs():
     assert report.remote_transfers == 1
 
 
+@pytest.mark.parametrize("inputs", [["a", "b"], ["a", "a", "b", "a"]])
+def test_an_input_named_twice_is_read_and_fetched_once(inputs):
+    builder = SimWorkflowBuilder()
+    builder.add_initial_datum("a", 1e6)
+    builder.add_initial_datum("b", 5.0)
+    task = builder.add_task("t", 1.0, inputs=inputs)
+    assert task.reads == ("a", "b")
+    assert task.profile.input_bytes == 1e6 + 5.0
+    assert builder._data["a"].readers == [task.task_id]
+    platform = make_hpc_cluster(2)
+    report = SimulatedExecutor(
+        builder.graph,
+        platform,
+        policy=FifoPolicy(),
+        initial_data=builder.initial_data,
+        initial_data_nodes={"a": platform.nodes[1].name, "b": platform.nodes[0].name},
+    ).run()
+    assert report.bytes_transferred == 1e6
+    assert report.remote_transfers == 1
+
+
 def test_locality_policy_avoids_transfer():
     def build():
         builder = SimWorkflowBuilder()
