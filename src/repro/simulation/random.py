@@ -9,9 +9,10 @@ workload generator produces.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
-from typing import Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -49,8 +50,9 @@ class DeterministicRandom:
     def choice(self, items: Sequence[T]) -> T:
         return self._rng.choice(items)
 
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
+    def sample(self, items: Sequence[T], k: int) -> List[T]:
+        """``k`` distinct picks of ``items`` in draw order, in O(k) draws."""
+        return self._rng.sample(items, k)
 
     def exponential(self, mean: float) -> float:
         """Exponentially distributed sample with the given mean."""
@@ -62,8 +64,6 @@ class DeterministicRandom:
         """Log-normal sample, parameterized by its median (heavy-tailed durations)."""
         if median <= 0:
             raise ValueError(f"median must be positive, got {median!r}")
-        import math
-
         return self._rng.lognormvariate(math.log(median), sigma)
 
     def pareto(self, shape: float, scale: float = 1.0) -> float:

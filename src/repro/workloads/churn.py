@@ -17,10 +17,11 @@ workload models that churn directly:
   objects to the zone store in one :meth:`DataLocationService.rehome_node`
   pass (O(data held), not one round-trip per datum).
 
-Peer selection never scans the fleet: each zone driver keeps a candidate
-pool reconciled lazily against the bus's per-zone membership-epoch digest
-(:meth:`MessageBus.changes_since`), folding in only the deltas since its
-cached epoch — the consumer half of interest-scoped failure notification.
+Each zone driver keeps a candidate pool reconciled lazily against the bus's
+per-zone membership-epoch digest (:meth:`MessageBus.changes_since`), folding
+in only the deltas since its cached epoch — the consumer half of
+interest-scoped failure notification.  A crowd costs one copy of that pool
+and ``peers_per_crowd`` seeded draws; an outage, a copy and a draw per victim.
 
 Two execution shapes share one per-zone driver:
 
@@ -108,6 +109,8 @@ class ChurnConfig:
             raise ValueError(
                 f"unknown notification model {self.notification!r} (interest, broadcast)"
             )
+        if not 0.0 <= self.outage_fraction <= 1.0:
+            raise ValueError(f"outage_fraction must be in [0, 1], got {self.outage_fraction!r}")
 
 
 def _crowd_tasks(cfg: ChurnConfig, zone_agents: int) -> int:
@@ -329,9 +332,7 @@ class _ZoneChurnDriver:
 
     def _correlated_outage(self) -> None:
         pool = list(self._candidates)
-        count = int(len(pool) * self.cfg.outage_fraction)
-        self.rng.shuffle(pool)
-        for victim in pool[:count]:
+        for victim in self.rng.sample(pool, int(len(pool) * self.cfg.outage_fraction)):
             self._kill_worker(victim)
             self.outage_killed += 1
 
@@ -349,8 +350,7 @@ class _ZoneChurnDriver:
                 return
         pool = list(self._reconcile())
         if pool:
-            self.rng.shuffle(pool)
-            peers = pool[: min(cfg.peers_per_crowd, len(pool))]
+            peers = self.rng.sample(pool, min(cfg.peers_per_crowd, len(pool)))
             builder = self._build_crowd_graph(len(self._candidates))
             orch.start_application(
                 builder.graph, policy=AlwaysOffload(), peers=peers

@@ -82,22 +82,21 @@ def layered_random_dag(
     datum_bytes: float = 1e6,
     memory_mb: int = 0,
 ) -> SimWorkflowBuilder:
-    """A layered random DAG: each task reads up to ``fan_in`` outputs of the
-    previous layer.  Deterministic for a given seed."""
+    """A layered random DAG: each task reads ``min(fan_in, previous width)``
+    distinct outputs of the previous layer, drawn in O(fan_in) whatever the
+    width.  Deterministic for a given seed."""
     if not layers:
         raise ValueError("layers must be non-empty")
+    if fan_in < 0:
+        raise ValueError(f"fan_in must be >= 0, got {fan_in!r}")
     rng = DeterministicRandom(seed=seed, name="layered-dag")
     builder = SimWorkflowBuilder()
     previous_outputs: List[str] = []
     for layer_index, width in enumerate(layers):
         current_outputs: List[str] = []
+        count = min(fan_in, len(previous_outputs))
         for i in range(width):
-            inputs: List[str] = []
-            if previous_outputs:
-                count = min(fan_in, len(previous_outputs))
-                pool = list(previous_outputs)
-                rng.shuffle(pool)
-                inputs = pool[:count]
+            inputs = rng.sample(previous_outputs, count)
             name = f"L{layer_index}/t{i}"
             builder.add_task(
                 name,

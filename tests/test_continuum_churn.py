@@ -28,6 +28,7 @@ from repro.scheduling import DataLocationService, TransferPlanner
 from repro.simulation import SimulationEngine
 from repro.tools.cli import main, simulate_scenario_runner
 from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
+from repro.workloads.churn import _ZoneChurnDriver, make_continuum_platform
 
 
 def make_stack(num_fog=3, num_cloud=2):
@@ -304,6 +305,43 @@ class TestChurnWorkload:
     def test_fleet_mode_rejects_parallel_engine(self):
         with pytest.raises(ValueError):
             run_churn_fleet(ChurnConfig(agents=50, zones=1), engine="parallel")
+
+    def test_outage_fraction_outside_unit_interval_is_rejected(self):
+        for fraction in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=f"got {fraction!r}"):
+                ChurnConfig(outage_fraction=fraction)
+
+
+def make_driver(agents, **overrides):
+    """One zone's churn driver over its own fleet, on a fresh engine."""
+    cfg = ChurnConfig(agents=agents, zones=1, **overrides)
+    platform = make_continuum_platform(cfg)
+    engine = SimulationEngine()
+    bus = MessageBus(platform, engine)
+    return _ZoneChurnDriver(cfg, 0, platform, bus, engine), bus
+
+
+class TestChurnPicks:
+    @pytest.mark.parametrize("agents", [3, 8, 40, 500])
+    def test_a_crowd_picks_distinct_live_workers_of_its_zone(self, agents):
+        driver, bus = make_driver(agents)
+        for i in range(0, agents, 3):
+            bus.kill_now(f"{driver.zone}-w{i}")
+        live = {name for name in bus.alive_in_zone(driver.zone) if name != driver.orch_name}
+        driver._crowd()
+        peers = driver.orch.peer_names()
+        assert len(peers) == len(set(peers)) == min(driver.cfg.peers_per_crowd, len(live))
+        assert set(peers) <= live
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 1.0])
+    def test_an_outage_kills_its_fraction_of_distinct_workers(self, fraction):
+        driver, bus = make_driver(203, outage_fraction=fraction)
+        before = set(bus.alive_in_zone(driver.zone))
+        pool = len(before) - 1  # the orchestrator is not a candidate
+        driver._correlated_outage()
+        killed = before - set(bus.alive_in_zone(driver.zone))
+        assert len(killed) == driver.outage_killed == int(pool * fraction)
+        assert driver.orch_name not in killed
 
 
 class TestChurnCli:

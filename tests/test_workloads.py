@@ -1,6 +1,10 @@
 """Tests for the workload generators and the fragmented baseline."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import FragmentedPipeline, run_fragmented, run_holistic
 from repro.core.graph import TaskState
@@ -16,6 +20,8 @@ from repro.workloads import (
     layered_random_dag,
     task_chain,
 )
+from repro.simulation.random import DeterministicRandom
+from repro.workloads import synthetic
 from repro.workloads.guidance import WORST_CASE_MEMORY_MB
 
 
@@ -146,6 +152,83 @@ class TestSyntheticGenerators:
         builder = layered_random_dag([8, 16, 8, 1], seed=5)
         report = SimulatedExecutor(builder.graph, make_hpc_cluster(2)).run()
         assert report.tasks_done == 33
+
+    def test_layered_dag_rejects_a_negative_fan_in(self):
+        with pytest.raises(ValueError, match="fan_in must be >= 0, got -1"):
+            layered_random_dag([4, 4], fan_in=-1)
+
+
+def _tasks(builder):
+    """The generator's tasks in submission order, without the fan-in
+    barriers the dependency rule adds for widely read outputs."""
+    return [t for t in builder.graph.tasks if t.profile is not None]
+
+
+def _wiring(builder):
+    return [(t.label, t.reads, t.profile.duration_s) for t in _tasks(builder)]
+
+
+class _CountingRandom(random.Random):
+    """The standard generator, counting the ``getrandbits`` calls behind
+    every index it draws (``lognormvariate`` goes through ``random()`` and is
+    not counted)."""
+
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+class TestLayeredDagDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.lists(st.integers(1, 200), min_size=1, max_size=3),
+        fan_in=st.integers(0, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_each_task_reads_distinct_outputs_of_the_previous_layer(
+        self, layers, fan_in, seed
+    ):
+        builder = layered_random_dag(layers, seed=seed, fan_in=fan_in)
+        tasks = _tasks(builder)
+        assert len(tasks) == sum(layers)
+        previous = set()
+        for width in layers:
+            layer, tasks = tasks[:width], tasks[width:]
+            for task in layer:
+                assert len(task.reads) == min(fan_in, len(previous))
+                assert len(set(task.reads)) == len(task.reads)
+                assert set(task.reads) <= previous
+            previous = {name for task in layer for name in task.writes}
+        again = layered_random_dag(layers, seed=seed, fan_in=fan_in)
+        assert _wiring(again) == _wiring(builder)
+
+    def test_draws_per_task_do_not_grow_with_the_previous_layer(self, monkeypatch):
+        streams = []
+
+        class CountingStream(DeterministicRandom):
+            def __init__(self, seed=0, name="root"):
+                super().__init__(seed, name)
+                self._rng = _CountingRandom(seed)
+                streams.append(self._rng)
+
+        readers, fan_in = 200, 3
+        per_task = {}
+        for width in (5, 64, 1000):
+            plain = layered_random_dag([width, readers], seed=3, fan_in=fan_in)
+            with monkeypatch.context() as patch:
+                patch.setattr(synthetic, "DeterministicRandom", CountingStream)
+                counted = layered_random_dag([width, readers], seed=3, fan_in=fan_in)
+            # The counter is a spectator: the same stream, the same DAG.
+            assert _wiring(counted) == _wiring(plain)
+            per_task[width] = streams.pop().draws / readers
+        # Each pick costs a few draws (rejection sampling); a shuffle of the
+        # whole layer would cost about one per previous output.
+        assert max(per_task.values()) <= 4 * fan_in, per_task
+        assert per_task[1000] <= 1.5 * per_task[5], per_task
 
 
 class TestFragmentedBaseline:
