@@ -69,10 +69,10 @@ class SimulationEngine:
         label: str = "",
     ) -> Event:
         """Schedule ``action`` at absolute virtual ``time``."""
-        if time < self.clock.now:
+        if not time >= self.clock.now:  # negated: refuses NaN too
             raise SimulationError(
                 f"cannot schedule event {label!r} at {time:.6f}, "
-                f"which is before now ({self.clock.now:.6f})"
+                f"which is not at or after now ({self.clock.now:.6f})"
             )
         return self.queue.push(time, action, priority=priority, label=label)
 
@@ -84,8 +84,10 @@ class SimulationEngine:
         label: str = "",
     ) -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} for event {label!r}")
+        if not delay >= 0:  # negated: refuses NaN too
+            raise SimulationError(
+                f"delay {delay!r} for event {label!r} is negative or NaN"
+            )
         # now + (delay >= 0) is never in the past: at()'s check is implied.
         return self.queue.push(self.clock._now + delay, action, priority, label)
 
@@ -126,9 +128,10 @@ class SimulationEngine:
             while not self._stopped and self.step():
                 pass
             return self.clock.now
-        if until < self.clock.now:
+        if not until >= self.clock.now:  # negated: refuses NaN too
             raise SimulationError(
-                f"cannot run until {until:.6f}, before now ({self.clock.now:.6f})"
+                f"cannot run until {until:.6f}, which is not at or after now "
+                f"({self.clock.now:.6f})"
             )
         self.drain(float("inf"), until)
         if not self._stopped and self.clock.now < until:

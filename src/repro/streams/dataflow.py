@@ -4,11 +4,11 @@ This is where streams stop being a demo and become part of the workflow
 runtime (§I, §III — one environment for batch tasks and continuous data):
 
 * **Element path, a batch at a time** — each window operator's input
-  chains are fused into one per-batch ingestion callback.  A batch is
-  timestamp-ordered, so it splits into runs of equal window index (usually
-  one); map/filter are applied to a run's value column and the window
-  bucket, counts and credits are updated once per run.  No engine events,
-  no rescans, no per-element bookkeeping between publication and close.
+  chains are fused into one callback taking a batch's timestamp and value
+  columns.  The timestamp column splits into runs of equal window index
+  (usually one); map/filter are applied to a run's value slice and the
+  window bucket, counts and credits are updated once per run.  No engine
+  events, no rescans, no per-element record between publication and close.
 * **Lowering** — a window close builds one :class:`TaskInstance` per
   non-empty window and appends it through the executor's batched
   submission path (:meth:`SimulatedExecutor.submit_tasks`), so window
@@ -18,8 +18,8 @@ runtime (§I, §III — one environment for batch tasks and continuous data):
   deterministic content identity (:func:`repro.core.compile.stream_task_key`),
   and batch stages depend on window tasks through ordinary DAG edges.
 * **Incremental accounting** — window buffers are built at ingestion time
-  (seeded from :meth:`DataStream.since`'s bisection for elements published
-  before the plane attached), so a close is a dict pop, never a scan of
+  (seeded from :meth:`DataStream.since_columns`' bisection for elements
+  published before the plane attached), so a close is a dict pop, never a scan of
   the stream history.
 * **Backpressure + retention** — completed window tasks grant credits back
   to their source valves (drop/spill policies applied at the source), and
@@ -42,7 +42,7 @@ from repro.streams.operators import (
     WindowNode,
 )
 from repro.streams.sources import CreditValve
-from repro.streams.stream import DataStream, StreamElement
+from repro.streams.stream import DataStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor layer)
     from repro.executor.simulated import SimulatedExecutor
@@ -69,17 +69,17 @@ class WindowResult:
         return self.completed_at - self.window_start
 
 
-def _run_end(batch, lo: int, index: int, index_of) -> int:
-    """End of the run of window ``index`` that starts at ``batch[lo]``.
+def _run_end(stamps, lo: int, index: int, index_of) -> int:
+    """End of the run of window ``index`` that starts at ``stamps[lo]``.
 
-    The batch's last element is known to lie in a later window.  The search
-    evaluates the index function itself: a computed boundary ``origin +
-    (index + 1) * window_s`` can round to the other side of an element.
+    Bisects the timestamp column, whose last element lies in a later window,
+    on the index function itself: a computed boundary ``origin + (index + 1)
+    * window_s`` can round to the other side of an element.
     """
-    hi = len(batch) - 1
+    hi = len(stamps) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if index_of(batch[mid]) > index:
+        if index_of(stamps[mid]) > index:
             hi = mid
         else:
             lo = mid
@@ -210,10 +210,10 @@ class DataflowPlane:
                 ingest = self._make_ingest(window, ops, valve, side)
                 stream.subscribe_batch(ingest)
                 # Seed from elements published before the plane attached —
-                # the since() bisection instead of a history scan.
-                backlog = stream.since(self.start_at)
-                if backlog:
-                    ingest(backlog)
+                # the retained columns' bisection instead of a history scan.
+                stamps, values, _sources = stream.since_columns(self.start_at)
+                if stamps:
+                    ingest(stamps, values)
             self._schedule_close(window)
         # Link batch stages to their upstream window runtimes (batch-on-batch
         # stacking is rejected at graph-construction time).
@@ -247,20 +247,19 @@ class DataflowPlane:
         else:
             key_fn = op.key_fn if side == 0 else op.right_key_fn
 
-        def index_of(element) -> int:
-            return int((element.timestamp - origin) // window_s)
+        def index_of(stamp: float) -> int:
+            return int((stamp - origin) // window_s)
 
-        def ingest(batch) -> None:
+        def ingest(stamps, values) -> None:
             # A batch is timestamp-ordered, so it is a sequence of *runs* of
             # equal window index; map/filter, bucketing and accounting are
-            # done once per run on the run's value column.
-            size = len(batch)
-            values = [element.value for element in batch]
-            last = index_of(batch[-1])
+            # done once per run on the run's slice of the value column.
+            size = len(stamps)
+            last = index_of(stamps[-1])
             added = start = 0
             while start < size:
-                index = index_of(batch[start])
-                end = size if index == last else _run_end(batch, start, index, index_of)
+                index = index_of(stamps[start])
+                end = size if index == last else _run_end(stamps, start, index, index_of)
                 run = values[start:end]
                 start = end
                 for kind, fn in ops:
@@ -417,9 +416,7 @@ class DataflowPlane:
             element_count=count,
         )
         runtime.results.append(result)
-        op.output.publish(
-            StreamElement(timestamp=now, value=result, source=op.name)
-        )
+        op.output.publish_batch([now], [result], op.name)
         if credits:
             for valve, granted in credits.items():
                 valve.grant(granted)

@@ -92,8 +92,8 @@ class WindowNode:
         output_bytes: float = 1024.0,
         requirements: Optional[ResolvedRequirements] = None,
     ) -> None:
-        if window_s <= 0:
-            raise OperatorError(f"window_s must be positive, got {window_s}")
+        if not 0 < window_s < float("inf"):  # NaN fails too
+            raise OperatorError(f"window_s must be positive and finite, got {window_s}")
         if not inputs:
             raise OperatorError(f"window {name!r} needs at least one input")
         self.graph = graph
@@ -134,8 +134,8 @@ class JoinNode:
         output_bytes: float = 1024.0,
         requirements: Optional[ResolvedRequirements] = None,
     ) -> None:
-        if window_s <= 0:
-            raise OperatorError(f"window_s must be positive, got {window_s}")
+        if not 0 < window_s < float("inf"):  # NaN fails too
+            raise OperatorError(f"window_s must be positive and finite, got {window_s}")
         self.graph = graph
         self.name = name
         self.left = left

@@ -3,23 +3,24 @@
 Production-rate emission rides two mechanisms:
 
 * **Batched ingestion** — ``batch=N`` publishes N readings per engine event
-  (timestamps still spaced by the jittered period, bit-identical to
+  as two columns (timestamps spaced by the jittered period, bit-identical to
   per-element emission), so the event-queue cost is one event per batch.
 * **Credit-based backpressure** — a :class:`CreditValve` between the source
   and its consumers: every admitted element spends a credit, consumers
   grant credits back as window tasks complete, and when credits run out
   the configured policy applies — ``drop`` discards the newest readings,
-  ``spill`` defers them (a disk-spill stand-in) for re-ingestion ahead of
+  ``spill`` defers them (a disk-spill stand-in, kept as the same two columns) for re-ingestion ahead of
   the next batch once credits return.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import math
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import DeterministicRandom
-from repro.streams.stream import DataStream, StreamElement
+from repro.streams.stream import DataStream
 
 
 class CreditValve:
@@ -46,32 +47,34 @@ class CreditValve:
         #: time, like repeated disk writes would).
         self.spilled = 0
         self.granted = 0
-        self._spill: List[StreamElement] = []
+        self._spill_stamps: List[float] = []
+        self._spill_values: List[Any] = []
 
     @property
     def spill_depth(self) -> int:
         """Elements currently parked in the spill buffer."""
-        return len(self._spill)
+        return len(self._spill_stamps)
 
     def admit(self, requested: int) -> int:
         taken = self.credits if requested > self.credits else requested
         self.credits -= taken
         return taken
 
-    def overflow(self, elements: List[StreamElement]) -> None:
-        """Apply the policy to elements that found no credit."""
+    def overflow(self, timestamps: List[float], values: List[Any]) -> None:
+        """Apply the policy to the elements (two columns) that found no credit."""
         if self.policy == "drop":
-            self.dropped += len(elements)
+            self.dropped += len(timestamps)
         else:
-            self.spilled += len(elements)
-            self._spill.extend(elements)
+            self.spilled += len(timestamps)
+            self._spill_stamps += timestamps
+            self._spill_values += values
 
-    def take_spilled(self) -> List[StreamElement]:
-        """Drain the spill buffer (oldest first) for re-admission."""
-        if not self._spill:
-            return []
-        spilled = self._spill
-        self._spill = []
+    def take_spilled(self) -> Tuple[List[float], List[Any]]:
+        """Drain the spill columns (oldest first) for re-admission."""
+        if not self._spill_stamps:
+            return [], []
+        spilled = self._spill_stamps, self._spill_values
+        self._spill_stamps, self._spill_values = [], []
         return spilled
 
     def grant(self, count: int) -> None:
@@ -112,8 +115,10 @@ class SensorSource:
         batch: int = 1,
         valve: Optional[CreditValve] = None,
     ) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not period_s > 0:
+            raise ValueError(f"period_s must be positive, got {period_s}")
+        if until is not None and math.isnan(until):
+            raise ValueError("until must be a time or None, got nan")
         if not 0 <= jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
         if batch < 1:
@@ -149,22 +154,23 @@ class SensorSource:
         until = float("inf") if self.until is None else self.until
         if now > until:
             return
-        # Generate the batch.  Element k's timestamp is exactly the engine
-        # time the k-th per-element event would have fired at (same floats,
-        # same rng draw order), which is what makes batched and per-element
-        # ingestion byte-identical downstream.
+        # Generate the batch as two columns: element k's timestamp is the
+        # engine time the k-th per-element event would have fired at (same
+        # floats, same rng draw order), so both ingest byte-identically.
         reading_fn = self.reading_fn
         rng = self.rng
-        name = self.name
         period = self.period_s
         spread = period * self.jitter
         uniform = rng.uniform
         produced = self.produced
-        readings: List[StreamElement] = []
-        append = readings.append
+        stamps: List[float] = []
+        values: List[Any] = []
+        add_stamp = stamps.append
+        add_value = values.append
         timestamp: Optional[float] = now
         for _ in range(self.batch):
-            append(StreamElement(timestamp, reading_fn(produced, rng), name))
+            add_stamp(timestamp)
+            add_value(reading_fn(produced, rng))
             produced += 1
             if spread:
                 timestamp = timestamp + (period + uniform(-spread, spread))
@@ -178,20 +184,18 @@ class SensorSource:
         if valve is not None:
             # Spilled elements re-enter first: they are older than this
             # batch's readings, so admission order preserves timestamp
-            # monotonicity; overflow takes the (newest) tail.
-            candidates = valve.take_spilled()
-            if candidates:
-                candidates.extend(readings)
-            else:
-                candidates = readings
-            admitted = valve.admit(len(candidates))
-            to_publish = candidates[:admitted]
-            if admitted < len(candidates):
-                valve.overflow(candidates[admitted:])
-        else:
-            to_publish = readings
-        if to_publish:
-            self.stream.publish_batch(to_publish)
-            self.emitted += len(to_publish)
+            # monotonicity; overflow takes the (newest) column tails.
+            spilled_stamps, spilled_values = valve.take_spilled()
+            if spilled_stamps:
+                spilled_stamps += stamps
+                spilled_values += values
+                stamps, values = spilled_stamps, spilled_values
+            admitted = valve.admit(len(stamps))
+            if admitted < len(stamps):
+                valve.overflow(stamps[admitted:], values[admitted:])
+                del stamps[admitted:], values[admitted:]
+        if stamps:
+            self.stream.publish_batch(stamps, values, self.name)
+            self.emitted += len(stamps)
         if timestamp is not None:
             self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")

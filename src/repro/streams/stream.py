@@ -3,9 +3,12 @@
 Two properties make this the dataflow plane's hot path viable at
 production rates:
 
-* **Batched publication** — :meth:`DataStream.publish_batch` appends a whole
-  emission batch and notifies batch subscribers once, so the per-element
-  cost is a list append plus a share of one callback, not a callback each.
+* **Batched columns** — :meth:`DataStream.publish_batch` appends a batch's
+  timestamp and value columns (plus one source name) to three parallel
+  retained lists and notifies batch subscribers once, so no element becomes
+  a record on its way to a window bucket.  A :class:`StreamElement` is
+  built, in C, only for callers that ask for elements (``elements``,
+  ``since``, per-element ``subscribe``).
 * **Watermark pruning** — :meth:`DataStream.prune_upto` discards the
   consumed prefix (everything below the consumers' watermark), so retained
   memory is bounded by in-flight windows instead of campaign length.
@@ -17,23 +20,28 @@ production rates:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, List, NamedTuple, Sequence
+from functools import partial
+from itertools import repeat
+from typing import Any, Callable, List, NamedTuple, Tuple
 
 
 class StreamElement(NamedTuple):
     """One element on a stream: an immutable, hashable, picklable record.
 
-    The same record is shared by stream retention, every subscriber and a
-    valve's spill buffer, so it must not be mutable.  The dataflow plane
-    applies operator ``map``/``filter`` functions column-wise to a run of
-    elements' values (all of one function, then the next), not element by
-    element: they must be pure per element — which
+    The plane applies ``map``/``filter`` to a run's value column, not element
+    by element: they must be pure per element — which
     :func:`repro.core.compile.stream_task_key` content keys already require.
     """
 
     timestamp: float
     value: Any
     source: str = ""
+
+
+#: ``(timestamp, value, source)`` -> :class:`StreamElement`, built in C.
+_element = partial(tuple.__new__, StreamElement)
+
+BatchCallback = Callable[[List[float], List[Any]], None]
 
 
 class DataStream:
@@ -46,16 +54,16 @@ class DataStream:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._elements: List[StreamElement] = []
-        # Parallel timestamp list: publish() enforces monotonicity, so
-        # ``since`` can bisect instead of scanning the whole history (the
-        # scan made every window close O(campaign) on long streams).
+        # Parallel retained columns; publish_batch() keeps timestamps monotone,
+        # so ``since`` and ``prune_upto`` bisect instead of scanning history.
         self._timestamps: List[float] = []
+        self._values: List[Any] = []
+        self._sources: List[str] = []
         # The ordering invariant is against the last *published* element,
         # which pruning may already have discarded from the retained lists.
         self._last_timestamp = float("-inf")
         self._subscribers: List[Callable[[StreamElement], None]] = []
-        self._batch_subscribers: List[Callable[[Sequence[StreamElement]], None]] = []
+        self._batch_subscribers: List[BatchCallback] = []
         self._closed = False
         # Watermark-pruning bookkeeping: elements with timestamp < the
         # watermark may have been discarded; ``_pruned`` counts them.
@@ -68,12 +76,12 @@ class DataStream:
 
     def __len__(self) -> int:
         """Retained element count (equals total published until pruning)."""
-        return len(self._elements)
+        return len(self._timestamps)
 
     @property
     def elements(self) -> List[StreamElement]:
         """The retained suffix (everything, until :meth:`prune_upto` runs)."""
-        return list(self._elements)
+        return list(map(_element, zip(self._timestamps, self._values, self._sources)))
 
     @property
     def closed(self) -> bool:
@@ -82,7 +90,7 @@ class DataStream:
     @property
     def total_published(self) -> int:
         """Lifetime element count, pruned prefix included."""
-        return self._pruned + len(self._elements)
+        return self._pruned + len(self._timestamps)
 
     @property
     def pruned_count(self) -> int:
@@ -96,67 +104,53 @@ class DataStream:
     # ------------------------------------------------------------- publish
 
     def publish(self, element: StreamElement) -> None:
-        if self._closed:
-            raise RuntimeError(f"stream {self.name!r} is closed")
-        if element.timestamp < self._last_timestamp:
-            raise ValueError(
-                f"stream {self.name!r}: element timestamp {element.timestamp} "
-                f"precedes the last published {self._last_timestamp}"
-            )
-        self._elements.append(element)
-        self._timestamps.append(element.timestamp)
-        self._last_timestamp = element.timestamp
-        if len(self._elements) > self.max_retained:
-            self.max_retained = len(self._elements)
-        for subscriber in self._subscribers:
-            subscriber(element)
-        if self._batch_subscribers:
-            batch = (element,)
-            for subscriber in self._batch_subscribers:
-                subscriber(batch)
+        self.publish_batch([element.timestamp], [element.value], element.source)
 
-    def publish_batch(self, elements: Sequence[StreamElement]) -> None:
-        """Append a timestamp-ordered batch; one notification per batch.
+    def publish_batch(
+        self, timestamps: List[float], values: List[Any], source: str = ""
+    ) -> None:
+        """Append ``(timestamps[k], values[k], source)`` for every ``k``.
 
-        The batch must be internally monotone and start no earlier than the
-        last published element — the same invariant ``publish`` enforces,
-        checked on the batch's timestamp column as a whole.
+        The timestamp column must be monotone and start no earlier than the
+        last published element.  Subscribers must not mutate the columns.
         """
-        if not elements:
-            return
         if self._closed:
             raise RuntimeError(f"stream {self.name!r} is closed")
-        stamps = [element.timestamp for element in elements]
-        if stamps[0] < self._last_timestamp or stamps != sorted(stamps):
+        if not timestamps:
+            return
+        size = len(timestamps)
+        if len(values) != size:
+            raise ValueError(f"{size} timestamps for {len(values)} values")
+        if timestamps[0] < self._last_timestamp or timestamps != sorted(timestamps):
             previous = self._last_timestamp
-            for stamp in stamps:
+            for stamp in timestamps:
                 if stamp < previous:
                     raise ValueError(
                         f"stream {self.name!r}: element timestamp "
                         f"{stamp} precedes {previous}"
                     )
                 previous = stamp
-        self._elements.extend(elements)
-        self._timestamps.extend(stamps)
-        self._last_timestamp = stamps[-1]
-        if len(self._elements) > self.max_retained:
-            self.max_retained = len(self._elements)
+        self._timestamps.extend(timestamps)
+        self._values.extend(values)
+        self._sources.extend(repeat(source, size))
+        self._last_timestamp = timestamps[-1]
+        if len(self._timestamps) > self.max_retained:
+            self.max_retained = len(self._timestamps)
         if self._subscribers:
+            elements = list(map(_element, zip(timestamps, values, repeat(source))))
             for subscriber in self._subscribers:
                 for element in elements:
                     subscriber(element)
         for subscriber in self._batch_subscribers:
-            subscriber(elements)
+            subscriber(timestamps, values)
 
     # ----------------------------------------------------------- subscribe
 
     def subscribe(self, callback: Callable[[StreamElement], None]) -> None:
         self._subscribers.append(callback)
 
-    def subscribe_batch(
-        self, callback: Callable[[Sequence[StreamElement]], None]
-    ) -> None:
-        """Receive whole emission batches (one call per publish_batch)."""
+    def subscribe_batch(self, callback: BatchCallback) -> None:
+        """Receive whole batches as ``callback(timestamps, values)``."""
         self._batch_subscribers.append(callback)
 
     def close(self) -> None:
@@ -164,6 +158,17 @@ class DataStream:
         self._closed = True
 
     # ------------------------------------------------------------- queries
+
+    def since_columns(self, timestamp: float) -> Tuple[list, list, list]:
+        """:meth:`since` as its ``(timestamps, values, sources)`` columns."""
+        if self._pruned and timestamp < self._watermark:
+            raise ValueError(
+                f"stream {self.name!r}: since({timestamp}) reaches below the "
+                f"prune watermark {self._watermark} ({self._pruned} elements "
+                "already discarded)"
+            )
+        start = bisect.bisect_left(self._timestamps, timestamp)
+        return self._timestamps[start:], self._values[start:], self._sources[start:]
 
     def since(self, timestamp: float) -> List[StreamElement]:
         """Elements with timestamp >= the given instant (bisected suffix).
@@ -173,14 +178,7 @@ class DataStream:
         Queries reaching into the pruned region raise instead of silently
         missing elements.
         """
-        if self._pruned and timestamp < self._watermark:
-            raise ValueError(
-                f"stream {self.name!r}: since({timestamp}) reaches below the "
-                f"prune watermark {self._watermark} ({self._pruned} elements "
-                "already discarded)"
-            )
-        start = bisect.bisect_left(self._timestamps, timestamp)
-        return self._elements[start:]
+        return list(map(_element, zip(*self.since_columns(timestamp))))
 
     def prune_upto(self, timestamp: float) -> int:
         """Discard elements with timestamp < ``timestamp``; returns count.
@@ -191,8 +189,9 @@ class DataStream:
         """
         index = bisect.bisect_left(self._timestamps, timestamp)
         if index:
-            del self._elements[:index]
             del self._timestamps[:index]
+            del self._values[:index]
+            del self._sources[:index]
             self._pruned += index
         if timestamp > self._watermark:
             self._watermark = timestamp

@@ -110,6 +110,27 @@ class TestSimulationEngine:
         with pytest.raises(SimulationError):
             engine.after(-1.0, lambda: None)
 
+    # A NaN time defeats both the heap order and the horizon test, so each
+    # door refuses it before anything is queued or run.
+    def test_nan_time_refused_by_at(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="'tick' at nan"):
+            engine.at(float("nan"), lambda: None, label="tick")
+        assert len(engine.queue) == 0
+
+    def test_nan_delay_refused_by_after(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="'tick' is negative or NaN"):
+            engine.after(float("nan"), lambda: None, label="tick")
+        assert len(engine.queue) == 0
+
+    def test_nan_horizon_refused_by_run(self):
+        engine = SimulationEngine()
+        engine.at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="cannot run until nan"):
+            engine.run(until=float("nan"))
+        assert engine.now == 0.0 and engine.lifetime_dispatched == 0
+
     def test_run_until_stops_early(self):
         engine = SimulationEngine()
         fired = []

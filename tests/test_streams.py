@@ -1,5 +1,6 @@
 """Tests for the streaming subsystem (§I/§III continuum data flows)."""
 
+import gc
 import pickle
 
 import pytest
@@ -131,6 +132,13 @@ class TestSensorSource:
         with pytest.raises(RuntimeError):
             sensor.start()
 
+    @pytest.mark.parametrize("field", ["period_s", "until"])
+    def test_nan_period_or_horizon_refused(self, field):
+        # Every emission time would be NaN, which defeats both the heap
+        # order and the horizon test: the run would never return.
+        with pytest.raises(ValueError, match=field):
+            SensorSource(SimulationEngine(), DataStream("r"), **{field: float("nan")})
+
 
 def _window_on_plane(window_s, until, compute_fn=None, reading_fn=None):
     """One 1 Hz sensor into one tumbling window on the plane, at E14's cost
@@ -197,6 +205,15 @@ class TestWindowedProcessor:
             with pytest.raises(OperatorError, match="window_s must be positive"):
                 source.tumbling_window("agg", window_s, len)
 
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, window_s):
+        operators = OperatorGraph("g")
+        left, right = operators.source("left"), operators.source("right")
+        with pytest.raises(OperatorError, match="positive and finite"):
+            left.tumbling_window("agg", window_s, len)
+        with pytest.raises(OperatorError, match="positive and finite"):
+            operators.keyed_join("join", left, right, window_s, key_fn=id, join_fn=len)
+
 
 class TestBatchBaseline:
     """The fragmented baseline: one window as long as the campaign."""
@@ -220,10 +237,8 @@ class TestDataStreamBatchAndPruning:
         stream = DataStream("s")
         per_element, batches = [], []
         stream.subscribe(per_element.append)
-        stream.subscribe_batch(batches.append)
-        stream.publish_batch(
-            [StreamElement(1.0, "a"), StreamElement(2.0, "b")]
-        )
+        stream.subscribe_batch(lambda stamps, values: batches.append(values))
+        stream.publish_batch([1.0, 2.0], ["a", "b"])
         stream.publish(StreamElement(3.0, "c"))
         assert [e.value for e in per_element] == ["a", "b", "c"]
         assert [len(b) for b in batches] == [2, 1]
@@ -231,27 +246,24 @@ class TestDataStreamBatchAndPruning:
     def test_publish_batch_enforces_monotone_timestamps(self):
         stream = DataStream("s")
         with pytest.raises(ValueError):
-            stream.publish_batch(
-                [StreamElement(2.0, "a"), StreamElement(1.0, "b")]
-            )
+            stream.publish_batch([2.0, 1.0], ["a", "b"])
 
     def test_publish_batch_names_the_offending_timestamp(self):
         stream = DataStream("s")
         stream.publish(StreamElement(2.0, "a"))
         with pytest.raises(ValueError, match="1.5 precedes 2.0"):
-            stream.publish_batch([StreamElement(1.5, "b")])
+            stream.publish_batch([1.5], ["b"])
         with pytest.raises(ValueError, match="2.5 precedes 3.0"):
-            stream.publish_batch(
-                [StreamElement(2.0, "b"), StreamElement(3.0, "c"),
-                 StreamElement(2.5, "d")]
-            )
+            stream.publish_batch([2.0, 3.0, 2.5], ["b", "c", "d"])
         assert len(stream) == 1  # a rejected batch publishes nothing
 
     @pytest.mark.parametrize(
         "publish",
         [
             lambda stream, element: stream.publish(element),
-            lambda stream, element: stream.publish_batch([element]),
+            lambda stream, element: stream.publish_batch(
+                [element.timestamp], [element.value], element.source
+            ),
         ],
         ids=["publish", "publish_batch"],
     )
@@ -303,17 +315,17 @@ class TestCreditValve:
     def test_drop_policy_counts_overflow(self):
         valve = CreditValve(1, policy="drop")
         valve.admit(1)
-        valve.overflow([StreamElement(0.0, "x"), StreamElement(1.0, "y")])
+        valve.overflow([0.0, 1.0], ["x", "y"])
         assert valve.dropped == 2
-        assert valve.take_spilled() == []
+        assert valve.take_spilled() == ([], [])
 
     def test_spill_policy_requeues_in_order(self):
         valve = CreditValve(1, policy="spill")
         valve.admit(1)
-        valve.overflow([StreamElement(0.0, "x"), StreamElement(1.0, "y")])
+        valve.overflow([0.0, 1.0], ["x", "y"])
         assert valve.spilled == 2
         assert valve.spill_depth == 2
-        assert [e.value for e in valve.take_spilled()] == ["x", "y"]
+        assert valve.take_spilled() == ([0.0, 1.0], ["x", "y"])
         assert valve.spill_depth == 0
 
     def test_grant_restores_credits(self):
@@ -497,3 +509,91 @@ class TestOperatorGraphAndPlane:
         description = operators.describe()
         assert description["sources"] == ["in"]
         assert any("agg" in str(v) for v in description.values())
+
+
+class TestColumnStream:
+    """A stream keeps columns; records are built only when asked for."""
+
+    def test_elements_and_since_round_trip_publish_and_publish_batch(self):
+        stream = DataStream("s")
+        stream.publish(StreamElement(0.5, "a", "s0"))
+        stream.publish_batch([1.0, 1.0, 2.0], ["b", {"k": 1}, None], "s1")
+        assert stream.prune_upto(1.0) == 1
+        assert stream.elements == [
+            StreamElement(1.0, "b", "s1"),
+            StreamElement(1.0, {"k": 1}, "s1"),
+            StreamElement(2.0, None, "s1"),
+        ]
+        stream.publish(StreamElement(2.5, 3))
+        stream.publish_batch([3.0], [4.5], "s2")
+        assert stream.prune_upto(2.25) == 3
+        stream.publish_batch([4.0, 5.0], ["x", "y"])
+        expected = [
+            StreamElement(2.5, 3, ""),
+            StreamElement(3.0, 4.5, "s2"),
+            StreamElement(4.0, "x", ""),
+            StreamElement(5.0, "y", ""),
+        ]
+        assert stream.elements == expected
+        assert all(type(e) is StreamElement for e in stream.elements)
+        assert stream.since(2.25) == expected
+        assert stream.since(3.0) == expected[1:]
+        assert stream.since(6.0) == []
+        assert stream.total_published == 8
+
+    def test_columns_of_unequal_length_are_refused(self):
+        stream = DataStream("s")
+        with pytest.raises(ValueError, match="2 timestamps for 1 values"):
+            stream.publish_batch([1.0, 2.0], ["a"])
+        assert len(stream) == 0
+
+    def test_closed_check_comes_before_the_empty_batch(self):
+        stream = DataStream("s")
+        stream.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            stream.publish_batch([], [])
+
+
+class TestHotPathAllocations:
+    def test_a_sensor_campaign_leaves_the_collector_idle(self):
+        """100k elements from four 250 Hz sensors through map, filter and a
+        5 s window: the path from source to window bucket allocates no
+        per-element container, so the cyclic GC almost never runs (about
+        140 collections when every element was a record)."""
+        engine = SimulationEngine()
+        executor = TestOperatorGraphAndPlane._platform_executor(engine)
+        operators = OperatorGraph("g")
+        valves = [CreditValve(3750, policy="spill") for _ in range(4)]
+        chains = [
+            operators.source(f"sensor-{s}", valve=valves[s])
+            .map(f"scale-{s}", lambda v: v * 100.0)
+            .filter(f"qc-{s}", lambda v: v > 0.0)
+            for s in range(4)
+        ]
+        operators.tumbling_window(
+            "agg", chains, 5.0, compute_fn=lambda values: sum(values) / len(values),
+            bytes_per_element=64.0,
+        )
+        duration = 100_000 / (4 * 250.0)
+        for s, source in enumerate(operators.sources):
+            SensorSource(
+                engine, source.stream, name=source.name, period_s=1 / 250.0,
+                until=duration, seed=s, batch=50, valve=valves[s],
+            ).start()
+        plane = DataflowPlane(operators, executor, ingest_node="fog-0")
+        plane.start()
+        plane.close_sources_at(duration + 5.0)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            engine.run()
+        finally:
+            gc.callbacks.remove(count)
+        assert plane.elements_ingested >= 100_000
+        assert len(collections) <= 10, collections

@@ -339,7 +339,9 @@ class _HandFedFlow:
         now = self.start_at + (slot + 0.5) * self.params["window_s"]
         self.engine.run(until=now)
         self.flow.close_through(now)
-        self.streams[source].publish_batch(batch)
+        self.streams[source].publish_batch(
+            [e.timestamp for e in batch], [e.value for e in batch], f"in-{source}"
+        )
         self.flow.ingest(batch, valve=source, side=source if self.join else None)
         self.last_slot = slot
         self.check_state()
