@@ -166,8 +166,9 @@ class Runtime:
         global _current
         if wait and self._started:
             self.barrier()
+        with self._cv:  # a submission admitted from here on would never run
+            self._started = False
         self.executor.shutdown()
-        self._started = False
         if _current is self:
             _current = None
 
@@ -192,14 +193,12 @@ class Runtime:
         (dynamic) constraint resolution run before the lock is taken; only
         registry commits, graph insertion and dispatch serialize.
         """
-        if not self._started:
-            raise RuntimeNotStartedError(
-                f"cannot submit {definition.name!r}: runtime not started"
-            )
+        self._require_started(definition)
         prepared = self.access_processor.prepare_task(definition, args, kwargs)
         self.scheduler.check_satisfiable(prepared.requirements)
         key = self._compile_key(prepared)
         with self._cv:
+            self._require_started(definition)
             shaped = self._admit_locked(prepared, key)
             self.executor.kick_locked()
         return shaped
@@ -233,10 +232,7 @@ class Runtime:
                 "submit_many expects a @task-decorated function or a "
                 f"TaskDefinition, got {task_or_definition!r}"
             )
-        if not self._started:
-            raise RuntimeNotStartedError(
-                f"cannot submit {definition.name!r}: runtime not started"
-            )
+        self._require_started(definition)
         prepared_batch: List[tuple] = []
         last_checked = None
         for call in calls:
@@ -254,10 +250,19 @@ class Runtime:
             # whole batch compiles outside the lock too.
             prepared_batch.append((prepared, self._compile_key(prepared)))
         with self._cv:
+            self._require_started(definition)
             try:
                 return [self._admit_locked(*entry) for entry in prepared_batch]
             finally:  # a batch that raises part-way still runs what it admitted
                 self.executor.kick_locked()
+
+    def _require_started(self, definition: TaskDefinition) -> None:
+        # Checked before preparing and again under the lock: a stop() that
+        # ran in between must not leave the batch admitted to a dead executor.
+        if not self._started:
+            raise RuntimeNotStartedError(
+                f"cannot submit {definition.name!r}: runtime not started"
+            )
 
     def _track_locked(self, registered: RegisteredTask) -> None:
         """Insert a committed task into the graph and track its futures."""

@@ -7,7 +7,9 @@ functions execute on threads sharing the interpreter, which is also how the
 
 Threading model: the runtime's condition variable guards graph + ledger;
 worker threads call back into the runtime on completion.  ``kick_locked`` —
-the only dispatch path — must be called with that lock held.  Workers run to
+one run of the scheduler's :class:`PlacementPass`, as the simulated
+executor's ``_dispatch`` is — must be called with that lock held, so
+capacity cannot grow during a pass.  Workers run to
 completion: the completing thread runs the next ready task itself (the first
 one its completion's kick placed); the pool only receives placements beyond
 the first, and every placement of a kick from a non-worker thread (the
@@ -19,11 +21,11 @@ free core through the pool.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.graph import TaskInstance
 from repro.core.runtime import mark_in_task
-from repro.scheduling.scheduler import BlockedDemandFrontier
+from repro.scheduling.scheduler import PlacementPass
 
 if TYPE_CHECKING:
     from repro.core.runtime import Runtime
@@ -37,23 +39,18 @@ class LocalExecutor:
     more threads than that would only idle.
     """
 
-    def __init__(
-        self,
-        runtime: "Runtime",
-        pool_size: Optional[int] = None,
-        dispatch_window: int = 64,
-    ) -> None:
+    def __init__(self, runtime: "Runtime", pool_size: Optional[int] = None) -> None:
         self.runtime = runtime
         if pool_size is None:
             pool_size = min(128, max(1, runtime.platform.total_cores))
         self.pool_size = pool_size
-        # Stop scanning the ready queue after this many consecutive failed
-        # placements: bounds each kick at O(placed + window) instead of
-        # O(ready), which is what keeps a million-task submission loop from
-        # re-walking the whole backlog on every submit.
-        self.dispatch_window = dispatch_window
+        self._placement = PlacementPass(runtime.graph, runtime.scheduler)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._shutdown = False
+        # The kick in progress: whether its first placement is still to be
+        # kept for the calling worker, and the one kept.
+        self._keep_first = False
+        self._kept: Optional[TaskInstance] = None
 
     def start(self) -> None:
         if self._pool is None:
@@ -81,44 +78,19 @@ class LocalExecutor:
         """
         if self._pool is None or self._shutdown:
             return None
-        graph = self.runtime.graph
-        scheduler = self.runtime.scheduler
-        ledger = scheduler.ledger
-        window = self.dispatch_window
-        consecutive_failures = 0
-        # Demands that failed for lack of capacity this pass.  The lock is
-        # held, so capacity only shrinks while this pass allocates — any
-        # demand needing at least as much as one that already failed cannot
-        # become placeable before the pass ends, and skipping it collapses
-        # blocked backlogs (even heterogeneous ones, e.g. per-task dynamic
-        # memory) to one frontier comparison per task.
-        blocked = BlockedDemandFrontier()
-        kept: Optional[TaskInstance] = None
-        for instance in graph.iter_ready():
-            if ledger.total_free_cores <= 0:
-                break
-            req = instance.requirements
-            if blocked.covers(req):
-                consecutive_failures += 1
-                if consecutive_failures >= window:
-                    break
-                continue
-            nodes = scheduler.try_place(instance)
-            if nodes is None:
-                if scheduler.last_failure_was_capacity:
-                    blocked.add(req)
-                consecutive_failures += 1
-                if consecutive_failures >= window:
-                    break
-                continue
-            consecutive_failures = 0
-            graph.mark_running(instance.task_id, nodes[0], now=self.runtime.now)
-            instance.assigned_nodes = tuple(nodes)
-            if keep_first and kept is None:
-                kept = instance
-            else:
-                self._pool.submit(self._run, instance)
-        return kept
+        self._keep_first = keep_first
+        self._kept = None
+        self._placement.run(self._start)
+        return self._kept
+
+    def _start(self, instance: TaskInstance, nodes: List[str]) -> None:
+        self.runtime.graph.mark_running(instance.task_id, nodes[0], now=self.runtime.now)
+        instance.assigned_nodes = tuple(nodes)
+        if self._keep_first:
+            self._keep_first = False
+            self._kept = instance
+        else:
+            self._pool.submit(self._run, instance)
 
     # ------------------------------------------------------------ execution
 

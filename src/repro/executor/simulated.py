@@ -27,10 +27,9 @@ if TYPE_CHECKING:
 from repro.core.graph import TaskGraph, TaskInstance, TaskState
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node
-from repro.scheduling.capacity import NodeCapacity
 from repro.scheduling.locations import DataLocationService, TransferPlanner
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.scheduler import BlockedDemandFrontier, TaskScheduler
+from repro.scheduling.scheduler import PlacementPass, TaskScheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event
 
@@ -66,45 +65,6 @@ class SimulationReport:
         )
 
 
-class _BlockedRun:
-    """Blocked-task bookkeeping of one dispatch pass, shared by the prefix
-    walk and the ready scan so the two behave as one walk of the queue."""
-
-    __slots__ = ("frontier", "demands", "live", "failures")
-
-    def __init__(self) -> None:
-        # Demands that failed for lack of capacity this pass.  Capacity only
-        # shrinks while a pass allocates, so a demand needing at least as
-        # much as one that already failed cannot fit before the pass ends:
-        # skipping it is exact, one comparison instead of a ledger probe.
-        self.frontier = BlockedDemandFrontier()
-        # The certified head run, as (cores, memory_mb, gpus, task_id): every
-        # task passed over so far, each proven unplaceable at this pass's
-        # grow tick.  Placed, failed and cancelled tasks leave the queue, so
-        # the survivors stay contiguous from its head; the run becomes the
-        # next pass's prefix snapshot.
-        self.demands: List[tuple] = []
-        # False once a task stayed queued *without* such a proof (a policy
-        # decline): the run cannot extend past it.
-        self.live = True
-        # Consecutive unplaced tasks, counted against dispatch_window.
-        self.failures = 0
-
-
-def _free_maxima(states: List[NodeCapacity]) -> Tuple[int, int, int]:
-    """Component-wise maxima of free (cores, memory_mb, gpus) over ``states``:
-    a demand above them on any axis fits none of the nodes (-1s if empty)."""
-    cores = mem = gpus = -1
-    for state in states:
-        if state.free_cores > cores:
-            cores = state.free_cores
-        if state.free_memory_mb > mem:
-            mem = state.free_memory_mb
-        if state.free_gpus > gpus:
-            gpus = state.free_gpus
-    return cores, mem, gpus
-
-
 class SimulatedExecutor:
     """Event-driven executor over a profiled task graph."""
 
@@ -125,12 +85,7 @@ class SimulatedExecutor:
         self.engine = engine if engine is not None else SimulationEngine()
         self.locations = locations if locations is not None else DataLocationService()
         self.scheduler = TaskScheduler(platform, policy)
-        # Stop scanning the ready queue after this many consecutive failed
-        # placements: bounds dispatch cost at O(placed + window) per event
-        # instead of O(ready), which is what makes 100-node x 10^4-task
-        # simulations (E1) tractable.  Large enough that realistic
-        # heterogeneous mixes don't suffer head-of-line blocking.
-        self.dispatch_window = dispatch_window
+        self._placement = PlacementPass(graph, self.scheduler, dispatch_window)
         # Optional intelligent-runtime hook: completed tasks feed an online
         # duration model that prediction-driven policies consult (§VI-C).
         self.predictor = predictor
@@ -146,16 +101,6 @@ class SimulatedExecutor:
         # check — so a hook may submit follow-on tasks in the same breath.
         self._done_callbacks: List[Callable[[TaskInstance], None]] = []
         self._completion_events: Dict[int, Event] = {}
-        # Blocked-prefix snapshot: the head of the ready queue is typically a
-        # stable run of tasks the last pass proved unplaceable.  It is kept
-        # as (cores, memory_mb, gpus, task_id) tuples with the ledger grow
-        # tick of the proof, so the next pass replays it against only the
-        # nodes grown since (see _walk_blocked_prefix).  Valid only while
-        # graph.ready_epoch is unchanged: insertions are tail-only, so an
-        # unchanged epoch (no removals) pins the prefix in place.
-        self._prefix_demands: List[tuple] = []
-        self._prefix_seq = 0
-        self._prefix_epoch = -1
         self._busy_seconds: Dict[str, float] = {}
         self._dispatch_scheduled = False
         # Latest terminal (done/failed) task time so far: engine time is
@@ -172,6 +117,11 @@ class SimulatedExecutor:
                 self.locations.publish(name, node, size_bytes=size)
         # New nodes (elasticity) should trigger a dispatch attempt.
         platform.on_node_join(lambda node: self._request_dispatch())
+
+    @property
+    def dispatch_window(self) -> int:
+        """Consecutive unplaced tasks after which a pass stops."""
+        return self._placement.window
 
     # ------------------------------------------------------------------ run
 
@@ -248,141 +198,19 @@ class SimulatedExecutor:
             self.engine.after(0.0, self._dispatch, priority=10, label="dispatch")
 
     def _dispatch(self) -> None:
-        """One pass: walk the blocked prefix, scan the ready queue behind it,
-        refute what provably cannot fit, place the rest."""
+        """One placement pass (the engine callback traces charge to)."""
         self._dispatch_scheduled = False
-        graph = self.graph
-        ledger = self.scheduler.ledger
-        if ledger.total_free_cores <= 0:
-            # Nothing can be placed and no proof would change: the snapshot
-            # stays exactly as it was.
-            return
-        # No growth happens mid-pass (completions are separate events), so
-        # every proof this pass makes holds at this tick.
-        seq = ledger.grow_seq
-        run = _BlockedRun()
-        resume_after = None
-        if (
-            self._prefix_demands
-            and graph.ready_epoch == self._prefix_epoch
-            and not self.locations.has_lost_data
-        ):
-            resume_after = self._walk_blocked_prefix(run)
-        if run.failures < self.dispatch_window:
-            self._scan_ready(run, resume_after)
-        # The epoch is read *after* this pass's own removals (placements,
-        # lost-input failures): removed tasks are not in the run, so an
-        # unchanged counter next pass means the run itself is untouched.
-        self._prefix_demands = run.demands
-        self._prefix_seq = seq
-        self._prefix_epoch = graph.ready_epoch
-
-    def _walk_blocked_prefix(self, run: _BlockedRun) -> Optional[int]:
-        """Replay the last pass's certified head run off its snapshot.
-
-        Every member was proven unplaceable at tick ``_prefix_seq``, and a
-        node not journalled since has only shrunk.  So a member whose demand
-        exceeds, on any axis, the free maxima of the nodes grown since is
-        refuted by three integer compares — no instance fetch, no queue
-        yield.  Only a plausible member is probed against the grown nodes
-        and, if one fits, placed through the scheduler; the maxima are then
-        refreshed so later members are judged against what remains.  The
-        walk is order-identical to scanning the queue, so placements and
-        the consecutive-failure window behave exactly as if it had been.
-        Returns the last member still queued: the scan resumes behind it.
-        """
-        scheduler = self.scheduler
-        ledger = scheduler.ledger
-        try_place = scheduler.try_place
-        get_task = self.graph.task
-        window = self.dispatch_window
-        grown = ledger.grown_since(self._prefix_seq)
-        max_cores, max_mem, max_gpus = _free_maxima(grown)
-        frontier_add = run.frontier.add
-        keep = run.demands.append
-        live = True
-        failures = 0
-        resume_after = None
-        for demand in self._prefix_demands:
-            cores, memory_mb, gpus, task_id = demand
-            if cores <= max_cores and memory_mb <= max_mem and gpus <= max_gpus:
-                instance = get_task(task_id)
-                req = instance.requirements
-                if any(state.fits_now(req) for state in grown):
-                    nodes = try_place(instance)
-                    if nodes is not None:
-                        failures = 0
-                        self._start_task(instance, nodes)
-                        if ledger.total_free_cores <= 0:
-                            break
-                        max_cores, max_mem, max_gpus = _free_maxima(grown)
-                        continue
-                    if scheduler.last_failure_was_capacity:
-                        frontier_add(req)
-                    else:
-                        live = False  # declined, not refuted: caps the run
-            if live:
-                keep(demand)
-            resume_after = task_id
-            failures += 1
-            if failures >= window:
-                break
-        run.live = live
-        run.failures = failures
-        return resume_after
-
-    def _scan_ready(self, run: _BlockedRun, resume_after: Optional[int]) -> None:
-        """Scan the ready queue (behind the walked prefix) and place what fits.
-
-        A demand the frontier covers is refuted without a ledger probe; the
-        rest go through the scheduler.  Tasks left behind for lack of
-        capacity extend the certified run while it is still contiguous.
-        """
-        scheduler = self.scheduler
-        ledger = scheduler.ledger
-        try_place = scheduler.try_place
-        window = self.dispatch_window
-        covers = run.frontier.covers
-        frontier_add = run.frontier.add
-        keep = run.demands.append
-        live = run.live
-        failures = run.failures
         # Lost data can only be *recovered* mid-pass (stage-in publishes
-        # copies; nothing evicts), so the check hoists out of the loop —
+        # copies; nothing evicts), so the check hoists out of the pass —
         # failure-free runs never pay the per-task input scan.
-        check_lost = self.locations.has_lost_data
-        is_lost = self.locations.is_lost
-        free_cores = ledger.total_free_cores
-        for instance in self.graph.iter_ready(resume_after):
-            if free_cores <= 0:
-                break
-            if check_lost:
-                lost = [d for d in instance.reads if is_lost(d)]
-                if lost:
-                    self._fail_lost_inputs(instance, lost)
-                    continue
-            req = instance.requirements
-            if not covers(req):
-                nodes = try_place(instance)
-                if nodes is not None:
-                    failures = 0
-                    self._start_task(instance, nodes)
-                    free_cores = ledger.total_free_cores
-                    continue
-                if scheduler.last_failure_was_capacity:
-                    frontier_add(req)
-                else:
-                    # Declined but not refuted (the policy may accept
-                    # later): it stays queued without a proof, so the
-                    # certified run cannot extend past it.
-                    live = False
-            if live:
-                keep((req.cores, req.memory_mb, req.gpus, instance.task_id))
-            failures += 1
-            if failures >= window:
-                break
+        screen = self._screen_lost_inputs if self.locations.has_lost_data else None
+        self._placement.run(self._start_task, screen)
 
-    def _fail_lost_inputs(self, instance: TaskInstance, lost: List[str]) -> None:
+    def _screen_lost_inputs(self, instance: TaskInstance) -> bool:
+        """Fail ``instance`` if an input is lost; True when it was failed."""
+        lost = [d for d in instance.reads if self.locations.is_lost(d)]
+        if not lost:
+            return False
         now = self.engine.now
         self.graph.mark_failed(
             instance.task_id,
@@ -392,6 +220,7 @@ class SimulatedExecutor:
         self._makespan = now
         if self.graph.finished and not self.hold_open:
             self.engine.stop()
+        return True
 
     def _start_task(self, instance: TaskInstance, nodes: List[str]) -> None:
         head = nodes[0]

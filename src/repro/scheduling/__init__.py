@@ -18,7 +18,7 @@ from repro.scheduling.policies import (
     EnergyAwarePolicy,
     EarliestFinishTimePolicy,
 )
-from repro.scheduling.scheduler import BlockedDemandFrontier, TaskScheduler
+from repro.scheduling.scheduler import BlockedDemandFrontier, PlacementPass, TaskScheduler
 
 __all__ = [
     "NodeCapacity",
@@ -26,6 +26,7 @@ __all__ = [
     "DataLocationService",
     "TransferPlanner",
     "BlockedDemandFrontier",
+    "PlacementPass",
     "SchedulingPolicy",
     "FifoPolicy",
     "LoadBalancingPolicy",

@@ -665,7 +665,7 @@ class ProbedExecutor(SimulatedExecutor):
         self.scheduler.try_place = counting_try_place
 
     def _dispatch(self):
-        if self._prefix_demands and self.graph.ready_epoch != self._prefix_epoch:
+        if self._placement.prefix and self.graph.ready_epoch != self._placement.prefix_epoch:
             self.stale_snapshots += 1
         super()._dispatch()
 

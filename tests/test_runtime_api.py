@@ -1,6 +1,7 @@
 """Tests for runtime API surface: files, compss_open, lifecycle, DOT export."""
 
 import os
+import threading
 
 import pytest
 
@@ -81,6 +82,47 @@ class TestLifecycle:
 
         with pytest.raises(RuntimeNotStartedError):
             runtime.submit(fn._repro_task_definition, (1,), {})
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_submit_racing_stop_is_refused(self, batched):
+        # The submitter passes the started check, then stop(wait=False) runs
+        # to the end before it reaches the lock: admitting the call then
+        # would hand back futures that a shut-down executor never resolves.
+        @task(returns=1)
+        def fn(x):
+            return x
+
+        runtime = Runtime(workers=2).start()
+        prepare = runtime.access_processor.prepare_task
+        reached, resume = threading.Event(), threading.Event()
+
+        def paused_prepare(*args, **kwargs):
+            reached.set()
+            assert resume.wait(10)
+            return prepare(*args, **kwargs)
+
+        runtime.access_processor.prepare_task = paused_prepare
+        outcome = []
+
+        def submitter():
+            try:
+                if batched:
+                    outcome.extend(runtime.submit_many(fn, [((1,),)]))
+                else:
+                    outcome.append(runtime.submit(fn._repro_task_definition, (1,), {}))
+            except RuntimeNotStartedError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=submitter)
+        thread.start()
+        assert reached.wait(10)
+        runtime.stop(wait=False)
+        resume.set()
+        thread.join(10)
+        for result in outcome:  # every future handed back must resolve
+            if not isinstance(result, RuntimeNotStartedError):
+                assert runtime.wait_on(result, timeout=0.5) == 1
+        assert outcome and runtime.statistics()["tasks_ready"] == 0
 
     def test_two_runtimes_rejected(self):
         with Runtime(workers=2):
