@@ -140,6 +140,8 @@ class SimulatedExecutor:
         loop): ``prime()`` during program setup, then :meth:`report` once
         the coordinator declares the run over.
         """
+        # A location service handed in may already have lost data.
+        self._fail_lost_readers(self.graph.iter_ready())
         self._request_dispatch()
 
     def report(self) -> SimulationReport:
@@ -184,8 +186,10 @@ class SimulatedExecutor:
         kicked once — ``_request_dispatch`` already coalesces per
         timestamp, so the per-batch scheduling overhead is a single event.
         """
+        batch = list(batch)
         count = self.graph.add_tasks(batch)
         if count:
+            self._fail_lost_readers(instance for instance, _ in batch)
             self._request_dispatch()
         return count
 
@@ -200,27 +204,7 @@ class SimulatedExecutor:
     def _dispatch(self) -> None:
         """One placement pass (the engine callback traces charge to)."""
         self._dispatch_scheduled = False
-        # Lost data can only be *recovered* mid-pass (stage-in publishes
-        # copies; nothing evicts), so the check hoists out of the pass —
-        # failure-free runs never pay the per-task input scan.
-        screen = self._screen_lost_inputs if self.locations.has_lost_data else None
-        self._placement.run(self._start_task, screen)
-
-    def _screen_lost_inputs(self, instance: TaskInstance) -> bool:
-        """Fail ``instance`` if an input is lost; True when it was failed."""
-        lost = [d for d in instance.reads if self.locations.is_lost(d)]
-        if not lost:
-            return False
-        now = self.engine.now
-        self.graph.mark_failed(
-            instance.task_id,
-            RuntimeError(f"inputs {lost[:3]} lost and not persisted"),
-            now=now,
-        )
-        self._makespan = now
-        if self.graph.finished and not self.hold_open:
-            self.engine.stop()
-        return True
+        self._placement.run(self._start_task)
 
     def _start_task(self, instance: TaskInstance, nodes: List[str]) -> None:
         head = nodes[0]
@@ -289,7 +273,7 @@ class SimulatedExecutor:
                 size=instance.profile.input_bytes or None,
             )
         self.scheduler.release(instance)
-        self.graph.mark_done(task_id, now=now)
+        self._fail_lost_readers(self.graph.mark_done(task_id, now=now))
         self._makespan = now
         # Completion hooks run before the finished check: a hook may lower
         # follow-on tasks (the dataflow plane's batch stages), un-finishing
@@ -343,7 +327,9 @@ class SimulatedExecutor:
             # The (now gone) ledger entry was removed with the node; release
             # co-allocated capacity on surviving gang nodes.
             self.scheduler.release(instance)
-            if not self._inputs_recoverable(instance):
+            # evict_node has taken the failed node out of every holder
+            # tuple: an input with no holder left is lost for good.
+            if any(self.locations.is_lost(d) for d in instance.reads):
                 reason = f"node {node_name} failed"
             elif instance.attempts < _MAX_ATTEMPTS:
                 self.graph.requeue(instance.task_id)
@@ -355,49 +341,35 @@ class SimulatedExecutor:
                 )
             self.graph.mark_failed(instance.task_id, RuntimeError(reason), now=now)
             self._makespan = now
-        # Ready tasks whose inputs were lost with the node can never
-        # execute: fail them now so the run ends with an explicit verdict
-        # instead of a drained-but-unfinished simulation.  (Pending readers
-        # of lost data are cancelled when their ancestor fails, or fail
-        # here once they become ready.)  The ready queue is snapshotted
-        # because mark_failed unlinks entries; pending tasks — the bulk of
-        # a large graph — are never touched.
-        if self.locations.has_lost_data:
-            for instance in list(self.graph.iter_ready()):
-                if any(self.locations.is_lost(d) for d in instance.reads):
-                    self.graph.mark_failed(
-                        instance.task_id,
-                        RuntimeError(
-                            f"inputs lost with node {node_name} and no "
-                            "persistent copy exists"
-                        ),
-                        now=now,
-                    )
-                    self._makespan = now
+        # Pending tasks — the bulk of a large graph — are never touched:
+        # a pending reader of lost data is failed once it becomes ready.
+        self._fail_lost_readers(self.graph.iter_ready())
         if self.graph.finished:
             if not self.hold_open:
                 self.engine.stop()
         else:
             self._request_dispatch()
 
-    def _inputs_recoverable(self, instance: TaskInstance) -> bool:
-        """Every input still has a copy on an alive node (or in a store)."""
-        for datum_id in instance.reads:
-            if self.locations.is_lost(datum_id):
-                return False
-            holders = self.locations.get_locations(datum_id)
-            alive = {
-                h
-                for h in holders
-                if self._holder_alive(h)
-            }
-            if holders and not alive:
-                return False
-        return True
+    def _fail_lost_readers(self, instances: Iterable[TaskInstance]) -> None:
+        """Fail every READY task in ``instances`` that reads lost data.
 
-    def _holder_alive(self, holder: str) -> bool:
-        """A holder is alive if it is an alive platform node, or an external
-        store location (e.g. a persistent backend) not modeled as a node."""
-        if self.platform.has_node(holder):
-            return self.platform.node(holder).alive
-        return True
+        Such a task can never run.  Called wherever data is lost (a node
+        failure; a location service handed to :meth:`prime`) and wherever
+        a task becomes ready (completions, :meth:`submit_tasks`), so the
+        ready queue never holds one and the placement pass never looks.
+        The failure time is the instant the rule is applied.  O(1) on a
+        run without lost data.
+        """
+        locations = self.locations
+        if not locations.has_lost_data:
+            return
+        now = self.engine.now
+        for instance in instances:
+            lost = [d for d in instance.reads if locations.is_lost(d)]
+            if lost and instance.state is TaskState.READY:
+                self.graph.mark_failed(
+                    instance.task_id,
+                    RuntimeError(f"inputs {lost[:3]} lost and not persisted"),
+                    now=now,
+                )
+                self._makespan = now

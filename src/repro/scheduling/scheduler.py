@@ -87,12 +87,17 @@ class PlacementPass:
     executors call it with capacity unable to grow mid-pass (completions
     are separate events; the real runtime holds its lock), so a demand that
     found no capacity refutes every demand needing at least as much for the
-    rest of the pass (:class:`BlockedDemandFrontier`).
+    rest of the pass (:class:`BlockedDemandFrontier`).  Every queued task
+    is one the caller would run: an executor fails a task that never can
+    (it reads lost data) before it waits in the queue, not here, so the
+    pass has one path in every regime.
     """
 
     __slots__ = ("graph", "scheduler", "window", "prefix", "prefix_seq", "prefix_epoch")
 
     def __init__(self, graph: TaskGraph, scheduler: TaskScheduler, window: int = 64) -> None:
+        if window < 1:
+            raise ValueError(f"dispatch window must be at least 1, got {window}")
         self.graph = graph
         self.scheduler = scheduler
         # Stop after this many consecutive unplaced tasks: bounds a pass at
@@ -112,18 +117,9 @@ class PlacementPass:
         self.prefix_seq = 0
         self.prefix_epoch = -1
 
-    def run(
-        self,
-        start: Callable[[TaskInstance, List[str]], None],
-        screen: Optional[Callable[[TaskInstance], bool]] = None,
-    ) -> None:
+    def run(self, start: Callable[[TaskInstance, List[str]], None]) -> None:
         """One pass: replay the blocked prefix, scan the ready queue behind
-        it, refute what provably cannot fit, ``start`` the rest.
-
-        ``screen(instance)`` runs before each scanned task is probed and
-        returns True when it took the task off the queue; a screened pass
-        rescans the prefix instead of replaying it.
-        """
+        it, refute what provably cannot fit, ``start`` the rest."""
         graph = self.graph
         scheduler = self.scheduler
         ledger = scheduler.ledger
@@ -145,7 +141,7 @@ class PlacementPass:
         live = True
         failures = 0
         resume_after = None
-        if self.prefix and screen is None and graph.ready_epoch == self.prefix_epoch:
+        if self.prefix and graph.ready_epoch == self.prefix_epoch:
             # Every member was proven unplaceable at ``prefix_seq``, and a
             # node not journalled since has only shrunk: a member above the
             # free maxima of the grown nodes on any axis is refuted by three
@@ -183,8 +179,6 @@ class PlacementPass:
             for instance in graph.iter_ready(resume_after):
                 if free_cores <= 0:
                     break
-                if screen is not None and screen(instance):
-                    continue
                 req = instance.requirements
                 if not frontier.covers(req):
                     nodes = try_place(instance)
@@ -204,9 +198,9 @@ class PlacementPass:
                 failures += 1
                 if failures >= window:
                     break
-        # The epoch is read *after* this pass's own removals (placements,
-        # screened tasks): removed tasks are not in the run, so an unchanged
-        # counter next pass means the run itself is untouched.
+        # The epoch is read *after* this pass's own placements: placed tasks
+        # are not in the run, so an unchanged counter next pass means the
+        # run itself is untouched.
         self.prefix = demands
         self.prefix_seq = seq
         self.prefix_epoch = graph.ready_epoch

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.graph import SimProfile, TaskInstance, TaskState
 from repro.executor import SimulatedExecutor, SimWorkflowBuilder
 from repro.infrastructure import make_hpc_cluster, make_fog_platform
 from repro.scheduling import (
@@ -10,6 +11,7 @@ from repro.scheduling import (
     LoadBalancingPolicy,
     LocalityPolicy,
 )
+from repro.workloads.guidance import GuidanceConfig, build_guidance_workflow
 
 
 def test_single_task_makespan():
@@ -176,21 +178,109 @@ def test_node_failure_requeues_running_task():
 
 def test_failure_without_surviving_copy_fails_workflow():
     builder = SimWorkflowBuilder()
-    builder.add_task("produce", duration=10.0, outputs={"x": 1e6})
-    builder.add_task("slow_sibling", duration=200.0)
-    builder.add_task("consume", duration=10.0, inputs=["x"], depends_on=())
+    produce = builder.add_task("produce", duration=10.0, outputs={"x": 1e6})
+    slow_sibling = builder.add_task("slow_sibling", duration=200.0)
+    consume = builder.add_task("consume", duration=10.0, inputs=["x"], depends_on=())
     platform = make_hpc_cluster(2, cores_per_node=1)
     executor = SimulatedExecutor(builder.graph, platform, policy=FifoPolicy())
     # "produce" runs on node 0 and finishes at t=10; its output only lives
-    # there.  Node 0 dies at t=15 while "consume" has not started (node 0
-    # busy? consume could start on node 0 right after produce).  Use a
-    # deterministic check on the report instead of exact scheduling.
-    executor.fail_node_at(15.0, platform.nodes[0].name)
+    # there, so "consume" starts on node 0 at once.  Node 0 dies at t=15
+    # mid-run: the victim's input went with the node, so it is failed
+    # where it ran instead of being resubmitted.
+    node0 = platform.nodes[0].name
+    executor.fail_node_at(15.0, node0)
     report = executor.run(until=1_000.0)
-    # Either consume ran before the failure (done) or it was failed due to
-    # lost data; both are valid deterministic outcomes — assert the executor
-    # made an explicit decision rather than hanging.
-    assert report.tasks_done + report.tasks_failed + report.tasks_cancelled == 3
+    assert produce.state is TaskState.DONE
+    assert slow_sibling.state is TaskState.DONE
+    assert consume.state is TaskState.FAILED
+    assert consume.assigned_nodes == (node0,)
+    assert (consume.start_time, consume.end_time) == (10.0, 15.0)
+    assert (report.tasks_done, report.tasks_failed, report.tasks_cancelled) == (2, 1, 0)
+    assert report.resubmissions == 0
+    assert report.makespan == 200.0
+
+
+def test_lost_reader_fails_when_it_becomes_ready():
+    # "R" reads "x", whose only copy dies with node 0 at t=15; it becomes
+    # ready with W1 and W2 at t=100, when the one surviving core goes to
+    # W1.  The loss rule fails it at its readiness instant, not when a
+    # later pass first reaches it (t=110, once W1 frees the core).
+    builder = SimWorkflowBuilder()
+    builder.add_task("P", duration=10.0, outputs={"x": 1e6})
+    long = builder.add_task("L", duration=100.0)
+    w1 = builder.add_task("W1", duration=10.0, depends_on=[long.task_id])
+    reader = builder.add_task("R", duration=10.0, inputs=["x"], depends_on=[long.task_id])
+    w2 = builder.add_task("W2", duration=10.0, depends_on=[long.task_id])
+    platform = make_hpc_cluster(2, cores_per_node=1)
+    executor = SimulatedExecutor(builder.graph, platform, policy=FifoPolicy())
+    executor.fail_node_at(15.0, platform.nodes[0].name)
+    report = executor.run()
+    assert reader.state is TaskState.FAILED
+    assert reader.start_time is None
+    assert reader.end_time == 100.0
+    assert (w1.start_time, w2.start_time) == (100.0, 110.0)
+    assert (report.tasks_done, report.tasks_failed, report.makespan) == (4, 1, 120.0)
+
+
+def test_lost_reader_is_failed_at_prime_and_on_submission():
+    # A location service handed in already holding lost data, and a reader
+    # of it submitted mid-run: neither ever waits in the ready queue.
+    locations = DataLocationService()
+    locations.publish("x", "gone", size_bytes=1e6)
+    locations.evict_node("gone")
+    builder = SimWorkflowBuilder()
+    builder.add_initial_datum("x", 1e6)
+    reader = builder.add_task("reader", duration=10.0, inputs=["x"])
+    other = builder.add_task("other", duration=10.0)
+    executor = SimulatedExecutor(
+        builder.graph, make_hpc_cluster(1), policy=FifoPolicy(), locations=locations
+    )
+    late = TaskInstance(
+        task_id=99, label="late", reads=("x",), profile=SimProfile(duration_s=10.0)
+    )
+    executor.engine.at(5.0, lambda: executor.submit_tasks([(late, ())]))
+    report = executor.run()
+    assert (reader.state, reader.end_time) == (TaskState.FAILED, 0.0)
+    assert (late.state, late.end_time) == (TaskState.FAILED, 5.0)
+    assert other.state is TaskState.DONE
+    assert (report.tasks_done, report.tasks_failed, report.makespan) == (1, 2, 10.0)
+
+
+def test_blocked_prefix_replays_while_data_is_lost():
+    # Lost data is not a placement mode: with no ready task reading lost
+    # data, the pass keeps replaying its blocked prefix after the failure.
+    workload = build_guidance_workflow(GuidanceConfig(chromosomes=22, chunks_per_chromosome=24))
+    platform = make_hpc_cluster(100)
+    locations = DataLocationService()
+    executor = SimulatedExecutor(
+        workload.graph,
+        platform,
+        policy=LoadBalancingPolicy(),
+        locations=locations,
+        initial_data=workload.initial_data,
+    )
+    ledger = executor.scheduler.ledger
+    grown_since = ledger.grown_since
+    replays_while_lost = []
+
+    def spy(seq):
+        if locations.has_lost_data:
+            replays_while_lost.append(len(executor._placement.prefix))
+        return grown_since(seq)
+
+    ledger.grown_since = spy
+    executor.fail_node_at(60.0, platform.nodes[0].name)
+    report = executor.run()
+    assert report.tasks_failed > 0 and locations.has_lost_data
+    assert replays_while_lost and min(replays_while_lost) > 0
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_dispatch_window_below_one_is_refused(window):
+    builder = SimWorkflowBuilder()
+    builder.add_task("t", duration=1.0)
+    with pytest.raises(ValueError, match=f"got {window}"):
+        SimulatedExecutor(builder.graph, make_hpc_cluster(1), dispatch_window=window)
 
 
 def test_energy_accounting_positive_and_monotone_with_work():
