@@ -23,6 +23,38 @@ Quickstart::
         print(sum(compss_wait_on(partial)))
 """
 
+import importlib
+
+
+def _export_lazily(namespace, table):
+    """PEP 562 exports for the subpackage whose globals are ``namespace``.
+
+    ``table`` maps each public name to the submodule that defines it, in
+    ``__all__`` order.  A name's submodule is imported on first access and
+    the value is then bound in the package, so later lookups are plain
+    attribute reads.  A name that is also its own submodule's name is bound
+    now: importing that submodule later would otherwise rebind it to the
+    module.  Defined before ``repro.core`` is imported, because importing
+    the core runs some subpackages' ``__init__``.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{package}.{table[name]}")
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    namespace.update(__all__=list(table), __getattr__=__getattr__, __dir__=__dir__)
+    for name, submodule in table.items():
+        if name == submodule:
+            __getattr__(name)
+
+
 from repro.core import (
     IN,
     OUT,

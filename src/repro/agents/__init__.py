@@ -15,27 +15,21 @@ and recover work lost to agent failures from those persisted copies
 (claims C5, E6, E7, E13).
 """
 
-from repro.agents.messages import Message, Op
-from repro.agents.bus import MessageBus
-from repro.agents.offloading import (
-    OffloadingPolicy,
-    NeverOffload,
-    AlwaysOffload,
-    LoadThresholdOffload,
-)
-from repro.agents.agent import Agent, AgentReport
-from repro.agents.services import ServiceSpec, publish_application_service
+from repro import _export_lazily
 
-__all__ = [
-    "ServiceSpec",
-    "publish_application_service",
-    "Message",
-    "Op",
-    "MessageBus",
-    "OffloadingPolicy",
-    "NeverOffload",
-    "AlwaysOffload",
-    "LoadThresholdOffload",
-    "Agent",
-    "AgentReport",
-]
+_export_lazily(
+    globals(),
+    {
+        "ServiceSpec": "services",
+        "publish_application_service": "services",
+        "Message": "messages",
+        "Op": "messages",
+        "MessageBus": "bus",
+        "OffloadingPolicy": "offloading",
+        "NeverOffload": "offloading",
+        "AlwaysOffload": "offloading",
+        "LoadThresholdOffload": "offloading",
+        "Agent": "agent",
+        "AgentReport": "agent",
+    },
+)

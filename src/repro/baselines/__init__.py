@@ -7,10 +7,13 @@ implements that status quo as a comparator: stage-batch execution with
 global barriers and hand-managed (worst-case) resource reservations.
 """
 
-from repro.baselines.fragmented import (
-    FragmentedPipeline,
-    run_fragmented,
-    run_holistic,
-)
+from repro import _export_lazily
 
-__all__ = ["FragmentedPipeline", "run_fragmented", "run_holistic"]
+_export_lazily(
+    globals(),
+    {
+        "FragmentedPipeline": "fragmented",
+        "run_fragmented": "fragmented",
+        "run_holistic": "fragmented",
+    },
+)

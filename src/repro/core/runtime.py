@@ -34,14 +34,14 @@ from repro.core.exceptions import (
 )
 from repro.core.futures import Future
 from repro.core.graph import _RELEASED, TaskGraph, TaskInstance, TaskState
-from repro.core.task_definition import TaskDefinition, definition_of
+from repro.core.task_definition import TaskDefinition, _in_task, definition_of
+from repro.executor.local import LocalExecutor
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node, NodeKind
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.scheduler import TaskScheduler
 
 _current: Optional["Runtime"] = None
-_in_task = threading.local()
 
 
 def current_runtime() -> Optional["Runtime"]:
@@ -143,9 +143,6 @@ class Runtime:
         self._barrier_waiters = 0
         self._started = False
         self._t0 = time.monotonic()
-        # Imported lazily to avoid a core <-> executor import cycle.
-        from repro.executor.local import LocalExecutor
-
         self.executor = LocalExecutor(self, pool_size=pool_size)
 
     # ------------------------------------------------------------- lifecycle
@@ -732,8 +729,3 @@ def compss_delete_object(obj: Any) -> None:
     runtime = current_runtime()
     if runtime is not None:
         runtime.delete_object(obj)
-
-
-def mark_in_task(active: bool) -> None:
-    """Executor hook: flags the current thread as running inside a task."""
-    _in_task.active = active

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import threading
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.constraints import (
@@ -31,6 +32,15 @@ from repro.core.constraints import (
 from repro.core.parameter import IN, Direction, Parameter
 
 DEFINITION_ATTR = "_repro_task_definition"
+
+# Set on a thread while it runs a task body: a ``@task`` call made there runs
+# inline (``runtime.current_runtime`` answers None).
+_in_task = threading.local()
+
+
+def mark_in_task(active: bool) -> None:
+    """Executor hook: flags the current thread as running inside a task."""
+    _in_task.active = active
 
 
 class TaskDefinition:

@@ -12,23 +12,21 @@ they parallelize under an active :class:`~repro.Runtime` and degrade to
 sequential execution without one.
 """
 
-from repro.dislib.array import DsArray, array, random_array, zeros
-from repro.dislib.kmeans import KMeans
-from repro.dislib.linear_regression import LinearRegression
-from repro.dislib.pca import PCA
-from repro.dislib.preprocessing import StandardScaler
-from repro.dislib.model_selection import KFold, cross_val_score, train_test_split
+from repro import _export_lazily
 
-__all__ = [
-    "DsArray",
-    "array",
-    "random_array",
-    "zeros",
-    "KMeans",
-    "LinearRegression",
-    "PCA",
-    "StandardScaler",
-    "KFold",
-    "cross_val_score",
-    "train_test_split",
-]
+_export_lazily(
+    globals(),
+    {
+        "DsArray": "array",
+        "array": "array",
+        "random_array": "array",
+        "zeros": "array",
+        "KMeans": "kmeans",
+        "LinearRegression": "linear_regression",
+        "PCA": "pca",
+        "StandardScaler": "preprocessing",
+        "KFold": "model_selection",
+        "cross_val_score": "model_selection",
+        "train_test_split": "model_selection",
+    },
+)

@@ -8,13 +8,14 @@ Two backends share the scheduler and graph machinery:
   profiles — the substitute for the paper's physical testbeds.
 """
 
-from repro.executor.local import LocalExecutor
-from repro.executor.simulated import SimulatedExecutor, SimulationReport
-from repro.executor.workflow_builder import SimWorkflowBuilder
+from repro import _export_lazily
 
-__all__ = [
-    "LocalExecutor",
-    "SimulatedExecutor",
-    "SimulationReport",
-    "SimWorkflowBuilder",
-]
+_export_lazily(
+    globals(),
+    {
+        "LocalExecutor": "local",
+        "SimulatedExecutor": "simulated",
+        "SimulationReport": "simulated",
+        "SimWorkflowBuilder": "workflow_builder",
+    },
+)

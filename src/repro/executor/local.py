@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.graph import TaskInstance
-from repro.core.runtime import mark_in_task
+from repro.core.task_definition import mark_in_task
 from repro.scheduling.scheduler import PlacementPass
 
 if TYPE_CHECKING:

@@ -14,12 +14,14 @@ graph machinery:
   (dated cycles, inter-cycle dependencies like ``sim[-1]``).
 """
 
-from repro.frontends.text import parse_workflow_text, WorkflowSyntaxError
-from repro.frontends.suite import CyclingSuite, SuiteTask
+from repro import _export_lazily
 
-__all__ = [
-    "parse_workflow_text",
-    "WorkflowSyntaxError",
-    "CyclingSuite",
-    "SuiteTask",
-]
+_export_lazily(
+    globals(),
+    {
+        "parse_workflow_text": "text",
+        "WorkflowSyntaxError": "text",
+        "CyclingSuite": "suite",
+        "SuiteTask": "suite",
+    },
+)

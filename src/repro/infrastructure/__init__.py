@@ -7,32 +7,24 @@ Everything is a plain-Python description consumed by the schedulers and the
 simulated executor; nothing here talks to real hardware.
 """
 
-from repro.infrastructure.resources import (
-    Node,
-    NodeKind,
-    PowerProfile,
-    GpuSpec,
-)
-from repro.infrastructure.network import NetworkTopology, Link
-from repro.infrastructure.energy import EnergyAccountant
-from repro.infrastructure.platform import Platform
-from repro.infrastructure.cluster import make_hpc_cluster, make_fog_platform
-from repro.infrastructure.cloud import CloudProvider, ElasticityPolicy
-from repro.infrastructure.slurm import SlurmManager, SlurmJob
+from repro import _export_lazily
 
-__all__ = [
-    "Node",
-    "NodeKind",
-    "PowerProfile",
-    "GpuSpec",
-    "NetworkTopology",
-    "Link",
-    "EnergyAccountant",
-    "Platform",
-    "make_hpc_cluster",
-    "make_fog_platform",
-    "CloudProvider",
-    "ElasticityPolicy",
-    "SlurmManager",
-    "SlurmJob",
-]
+_export_lazily(
+    globals(),
+    {
+        "Node": "resources",
+        "NodeKind": "resources",
+        "PowerProfile": "resources",
+        "GpuSpec": "resources",
+        "NetworkTopology": "network",
+        "Link": "network",
+        "EnergyAccountant": "energy",
+        "Platform": "platform",
+        "make_hpc_cluster": "cluster",
+        "make_fog_platform": "cluster",
+        "CloudProvider": "cloud",
+        "ElasticityPolicy": "cloud",
+        "SlurmManager": "slurm",
+        "SlurmJob": "slurm",
+    },
+)

@@ -18,13 +18,14 @@ Concretely buildable pieces of that vision:
   come from the predictor instead of oracle profiles.
 """
 
-from repro.intelligence.predictor import DurationPredictor, TaskTypeStats
-from repro.intelligence.memoization import TaskMemoizer
-from repro.intelligence.policy import PredictedFinishTimePolicy
+from repro import _export_lazily
 
-__all__ = [
-    "DurationPredictor",
-    "TaskTypeStats",
-    "TaskMemoizer",
-    "PredictedFinishTimePolicy",
-]
+_export_lazily(
+    globals(),
+    {
+        "DurationPredictor": "predictor",
+        "TaskTypeStats": "predictor",
+        "TaskMemoizer": "memoization",
+        "PredictedFinishTimePolicy": "policy",
+    },
+)

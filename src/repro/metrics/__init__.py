@@ -6,24 +6,19 @@ build: execution traces/utilization over task graphs, and the
 storing data generated or re-computing them" (experiment E10).
 """
 
-from repro.metrics.tracing import TaskTrace, TraceCollector, utilization
-from repro.metrics.dot import graph_to_dot
-from repro.metrics.data_metrics import (
-    IntermediateDatum,
-    StoreAllPolicy,
-    RecomputeAllPolicy,
-    CostModelPolicy,
-    evaluate_policy,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "TaskTrace",
-    "TraceCollector",
-    "utilization",
-    "graph_to_dot",
-    "IntermediateDatum",
-    "StoreAllPolicy",
-    "RecomputeAllPolicy",
-    "CostModelPolicy",
-    "evaluate_policy",
-]
+_export_lazily(
+    globals(),
+    {
+        "TaskTrace": "tracing",
+        "TraceCollector": "tracing",
+        "utilization": "tracing",
+        "graph_to_dot": "dot",
+        "IntermediateDatum": "data_metrics",
+        "StoreAllPolicy": "data_metrics",
+        "RecomputeAllPolicy": "data_metrics",
+        "CostModelPolicy": "data_metrics",
+        "evaluate_policy": "data_metrics",
+    },
+)

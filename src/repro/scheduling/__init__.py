@@ -8,30 +8,23 @@ placement policies (FIFO first-fit, load balancing, data locality,
 energy-aware, earliest-finish-time).
 """
 
-from repro.scheduling.capacity import NodeCapacity, CapacityLedger
-from repro.scheduling.locations import DataLocationService, TransferPlanner
-from repro.scheduling.policies import (
-    SchedulingPolicy,
-    FifoPolicy,
-    LoadBalancingPolicy,
-    LocalityPolicy,
-    EnergyAwarePolicy,
-    EarliestFinishTimePolicy,
-)
-from repro.scheduling.scheduler import BlockedDemandFrontier, PlacementPass, TaskScheduler
+from repro import _export_lazily
 
-__all__ = [
-    "NodeCapacity",
-    "CapacityLedger",
-    "DataLocationService",
-    "TransferPlanner",
-    "BlockedDemandFrontier",
-    "PlacementPass",
-    "SchedulingPolicy",
-    "FifoPolicy",
-    "LoadBalancingPolicy",
-    "LocalityPolicy",
-    "EnergyAwarePolicy",
-    "EarliestFinishTimePolicy",
-    "TaskScheduler",
-]
+_export_lazily(
+    globals(),
+    {
+        "NodeCapacity": "capacity",
+        "CapacityLedger": "capacity",
+        "DataLocationService": "locations",
+        "TransferPlanner": "locations",
+        "BlockedDemandFrontier": "scheduler",
+        "PlacementPass": "scheduler",
+        "SchedulingPolicy": "policies",
+        "FifoPolicy": "policies",
+        "LoadBalancingPolicy": "policies",
+        "LocalityPolicy": "policies",
+        "EnergyAwarePolicy": "policies",
+        "EarliestFinishTimePolicy": "policies",
+        "TaskScheduler": "scheduler",
+    },
+)

@@ -6,30 +6,22 @@ that advances a virtual clock through task starts/ends, data transfers, node
 failures and elasticity actions.  See DESIGN.md (S6).
 """
 
-from repro.simulation.clock import SimClock
-from repro.simulation.events import Event, EventQueue
-from repro.simulation.engine import SimulationEngine, SimulationError
-from repro.simulation.random import DeterministicRandom
-from repro.simulation.sharded import ShardedSimulationEngine
-from repro.simulation.parallel import (
-    ChannelMessage,
-    ParallelShardedSimulationEngine,
-    ShardApi,
-    run_programs_sharded,
-    run_zone_programs,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "SimClock",
-    "Event",
-    "EventQueue",
-    "SimulationEngine",
-    "SimulationError",
-    "DeterministicRandom",
-    "ShardedSimulationEngine",
-    "ChannelMessage",
-    "ParallelShardedSimulationEngine",
-    "ShardApi",
-    "run_programs_sharded",
-    "run_zone_programs",
-]
+_export_lazily(
+    globals(),
+    {
+        "SimClock": "clock",
+        "Event": "events",
+        "EventQueue": "events",
+        "SimulationEngine": "engine",
+        "SimulationError": "engine",
+        "DeterministicRandom": "random",
+        "ShardedSimulationEngine": "sharded",
+        "ChannelMessage": "parallel",
+        "ParallelShardedSimulationEngine": "parallel",
+        "ShardApi": "parallel",
+        "run_programs_sharded": "parallel",
+        "run_zone_programs": "parallel",
+    },
+)

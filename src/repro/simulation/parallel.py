@@ -72,6 +72,12 @@ from repro.simulation.sweep import _fork_context, _peak_rss_kb
 #: the end of the run to produce the zone's result.
 ProgramFactory = Callable[["ShardApi"], Optional[Callable[[], Any]]]
 
+#: A forked lane's window reply is due within the longer of this floor and
+#: ``_DEADLINE_FACTOR`` times the lane's longest window so far; a lane that
+#: misses it has hung, and the run fails naming it.
+_DEADLINE_FLOOR_S = 60.0
+_DEADLINE_FACTOR = 100.0
+
 
 @dataclass
 class ChannelMessage:
@@ -395,6 +401,10 @@ class _ProcessLane:
         child_conn.close()
         self.cpu_seconds = 0.0
         self.peak_rss_kb = 0.0
+        self._windows = 0
+        self._window_end = 0.0
+        self._sent_at = 0.0
+        self._longest_window_s = 0.0
 
     def _pipe(self, call, *args):
         """One pipe operation; a worker that died is an attributed error."""
@@ -426,10 +436,24 @@ class _ProcessLane:
         return self._recv("ready")[1]
 
     def send_window(self, window_end, until, inboxes) -> None:
+        self._windows += 1
+        self._window_end = window_end
+        self._sent_at = _time.perf_counter()
         self._pipe(self._conn.send, ("window", window_end, until, inboxes))
 
     def recv_window(self):
-        return self._recv("ok")[1:]
+        timeout = max(_DEADLINE_FLOOR_S, _DEADLINE_FACTOR * self._longest_window_s)
+        left = self._sent_at + timeout - _time.perf_counter()
+        if not self._pipe(self._conn.poll, max(0.0, left)):
+            raise SimulationError(
+                f"lane {self.index} worker (zones {', '.join(self.zones)}) hung in "
+                f"window {self._windows} (ending at t={self._window_end:g}): "
+                f"no reply within {timeout:.1f} s"
+            )
+        reply = self._recv("ok")
+        elapsed = _time.perf_counter() - self._sent_at
+        self._longest_window_s = max(self._longest_window_s, elapsed)
+        return reply[1:]
 
     def finalize(self, until: Optional[float]) -> Dict[str, Dict[str, Any]]:
         self._pipe(self._conn.send, ("finalize", until))

@@ -38,6 +38,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.random import DeterministicRandom
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None
+
 #: Fork namespace separating sweep seeds from every other consumer of the
 #: base seed (workload generators fork their own names off the same root).
 _SWEEP_STREAM = "sweep"
@@ -212,9 +217,7 @@ def _peak_rss_kb() -> float:
     figure is the memory cost of the run's own working set (plus the warmed
     parent image it forked from), not the whole fleet's.
     """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
+    if resource is None:  # pragma: no cover - non-POSIX platforms
         return 0.0
     return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 

@@ -13,32 +13,24 @@ scheduling), and two backends mirroring the BSC storage stack of Fig. 4:
   minimizing data transfers.
 """
 
-from repro.storage.interface import (
-    StorageBackend,
-    StorageObject,
-    StorageRuntime,
-    get_storage_runtime,
-    set_storage_runtime,
-    content_fingerprint,
-    estimate_size,
-    estimate_size_digest,
-)
-from repro.storage.keyvalue import ConsistentHashRing, KeyValueCluster, StorageDict
-from repro.storage.activeobject import ActiveObject, ActiveObjectStore, ClassRegistry
+from repro import _export_lazily
 
-__all__ = [
-    "StorageBackend",
-    "StorageObject",
-    "StorageRuntime",
-    "get_storage_runtime",
-    "set_storage_runtime",
-    "content_fingerprint",
-    "estimate_size",
-    "estimate_size_digest",
-    "ConsistentHashRing",
-    "KeyValueCluster",
-    "StorageDict",
-    "ActiveObject",
-    "ActiveObjectStore",
-    "ClassRegistry",
-]
+_export_lazily(
+    globals(),
+    {
+        "StorageBackend": "interface",
+        "StorageObject": "interface",
+        "StorageRuntime": "interface",
+        "get_storage_runtime": "interface",
+        "set_storage_runtime": "interface",
+        "content_fingerprint": "interface",
+        "estimate_size": "interface",
+        "estimate_size_digest": "interface",
+        "ConsistentHashRing": "keyvalue",
+        "KeyValueCluster": "keyvalue",
+        "StorageDict": "keyvalue",
+        "ActiveObject": "activeobject",
+        "ActiveObjectStore": "activeobject",
+        "ClassRegistry": "activeobject",
+    },
+)

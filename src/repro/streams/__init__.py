@@ -22,25 +22,20 @@ The subsystem runs in virtual time on the DES engine:
   the same graph with one window as long as the campaign.
 """
 
-from repro.streams.stream import DataStream, StreamElement
-from repro.streams.sources import CreditValve, SensorSource
-from repro.streams.operators import (
-    OperatorError,
-    OperatorGraph,
-    StreamHandle,
-    WindowHandle,
-)
-from repro.streams.dataflow import DataflowPlane, WindowResult
+from repro import _export_lazily
 
-__all__ = [
-    "DataStream",
-    "StreamElement",
-    "CreditValve",
-    "SensorSource",
-    "WindowResult",
-    "OperatorError",
-    "OperatorGraph",
-    "StreamHandle",
-    "WindowHandle",
-    "DataflowPlane",
-]
+_export_lazily(
+    globals(),
+    {
+        "DataStream": "stream",
+        "StreamElement": "stream",
+        "CreditValve": "sources",
+        "SensorSource": "sources",
+        "WindowResult": "dataflow",
+        "OperatorError": "operators",
+        "OperatorGraph": "operators",
+        "StreamHandle": "operators",
+        "WindowHandle": "operators",
+        "DataflowPlane": "dataflow",
+    },
+)

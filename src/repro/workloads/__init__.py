@@ -13,61 +13,34 @@ it takes for ``repro simulate`` / ``analyze`` / ``timeline`` / ``sweep`` to
 know a new workload.
 """
 
-from repro.workloads.guidance import (
-    GuidanceConfig,
-    GuidanceWorkload,
-    build_guidance_workflow,
-)
-from repro.workloads.nmmb import NmmbConfig, build_nmmb_workflow
-from repro.workloads.synthetic import (
-    embarrassingly_parallel,
-    task_chain,
-    fork_join_dag,
-    layered_random_dag,
-)
-from repro.workloads.zonal import (
-    ZonalConfig,
-    make_zonal_network,
-    make_zone_programs,
-    run_zonal,
-    zone_name,
-)
-from repro.workloads.churn import (
-    ChurnConfig,
-    make_churn_programs,
-    run_churn,
-    run_churn_fleet,
-)
-from repro.workloads.hybrid_stream import (
-    HybridStreamConfig,
-    make_hybrid_stream_programs,
-    run_hybrid_stream,
-)
-from repro.workloads.table import WORKLOADS, Workload, WorkloadError
+from repro import _export_lazily
 
-__all__ = [
-    "WORKLOADS",
-    "Workload",
-    "WorkloadError",
-    "ChurnConfig",
-    "HybridStreamConfig",
-    "make_hybrid_stream_programs",
-    "run_hybrid_stream",
-    "make_churn_programs",
-    "run_churn",
-    "run_churn_fleet",
-    "GuidanceConfig",
-    "GuidanceWorkload",
-    "build_guidance_workflow",
-    "NmmbConfig",
-    "build_nmmb_workflow",
-    "embarrassingly_parallel",
-    "task_chain",
-    "fork_join_dag",
-    "layered_random_dag",
-    "ZonalConfig",
-    "make_zonal_network",
-    "make_zone_programs",
-    "run_zonal",
-    "zone_name",
-]
+_export_lazily(
+    globals(),
+    {
+        "WORKLOADS": "table",
+        "Workload": "table",
+        "WorkloadError": "table",
+        "ChurnConfig": "churn",
+        "HybridStreamConfig": "hybrid_stream",
+        "make_hybrid_stream_programs": "hybrid_stream",
+        "run_hybrid_stream": "hybrid_stream",
+        "make_churn_programs": "churn",
+        "run_churn": "churn",
+        "run_churn_fleet": "churn",
+        "GuidanceConfig": "guidance",
+        "GuidanceWorkload": "guidance",
+        "build_guidance_workflow": "guidance",
+        "NmmbConfig": "nmmb",
+        "build_nmmb_workflow": "nmmb",
+        "embarrassingly_parallel": "synthetic",
+        "task_chain": "synthetic",
+        "fork_join_dag": "synthetic",
+        "layered_random_dag": "synthetic",
+        "ZonalConfig": "zonal",
+        "make_zonal_network": "zonal",
+        "make_zone_programs": "zonal",
+        "run_zonal": "zonal",
+        "zone_name": "zonal",
+    },
+)

@@ -51,6 +51,7 @@ from repro.infrastructure.network import Link, NetworkTopology
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.resources import Node, NodeKind, PowerProfile
 from repro.scheduling.locations import DataLocationService
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import DeterministicRandom
 from repro.workloads.zonal import (
     make_zonal_network,
@@ -507,8 +508,6 @@ def run_churn_fleet(
     ``notification`` overrides the config's model — ``broadcast`` is the
     pre-optimization reference.
     """
-    from repro.simulation.engine import SimulationEngine
-
     if engine != "single":
         raise ValueError(
             f"fleet mode runs on one 'single' timeline (got {engine!r}); "

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Tuple
 
+from repro.executor.simulated import SimulatedExecutor
 from repro.infrastructure.cluster import make_hpc_cluster
 from repro.infrastructure.network import Link, NetworkTopology
 from repro.scheduling.locations import DataLocationService
 from repro.scheduling.policies import LoadBalancingPolicy
+from repro.simulation.parallel import run_zone_programs
 from repro.simulation.random import DeterministicRandom
 from repro.workloads.synthetic import layered_random_dag
 
@@ -79,9 +81,6 @@ def zone_executor(api, cfg, index: int, graph):
     """A :class:`SimulatedExecutor` for ``graph`` on zone ``index``'s own
     cluster (``cfg.nodes_per_zone`` x ``cfg.cores_per_node``), driven by the
     zone's ``api``."""
-    # Local import breaks the executor<->workloads module cycle.
-    from repro.executor.simulated import SimulatedExecutor
-
     platform = make_hpc_cluster(
         cfg.nodes_per_zone, cores_per_node=cfg.cores_per_node, name=zone_name(index)
     )
@@ -137,8 +136,6 @@ def zone_programs(cfg, program) -> Dict[str, Any]:
 def run_campaign(cfg, programs: Dict[str, Any], engine: str, workers: int):
     """``run_zone_programs`` of ``{zone: factory}`` programs over ``cfg``'s
     zonal network: ``(per_zone, events, stats)``."""
-    from repro.simulation.parallel import run_zone_programs
-
     return run_zone_programs(make_zonal_network(cfg), programs, engine, workers)
 
 

@@ -1,0 +1,215 @@
+"""What importing ``repro`` loads, and what a timed region may still load.
+
+Subpackages export their names lazily (PEP 562, ``repro._export_lazily``):
+``from repro import task`` loads the programming model — ``repro.core`` and
+the few scheduling / infrastructure / storage modules it stands on — and
+nothing of the continuum simulator.  Every check runs in a fresh
+interpreter (``sys.executable`` with ``PYTHONPATH=src``), because the test
+process has long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Every subpackage's ``__all__``, in order, as it was when the subpackages
+#: still imported their submodules eagerly.
+EXPORTS = {
+    "infrastructure": [
+        "Node", "NodeKind", "PowerProfile", "GpuSpec", "NetworkTopology", "Link",
+        "EnergyAccountant", "Platform", "make_hpc_cluster", "make_fog_platform",
+        "CloudProvider", "ElasticityPolicy", "SlurmManager", "SlurmJob",
+    ],
+    "simulation": [
+        "SimClock", "Event", "EventQueue", "SimulationEngine", "SimulationError",
+        "DeterministicRandom", "ShardedSimulationEngine", "ChannelMessage",
+        "ParallelShardedSimulationEngine", "ShardApi", "run_programs_sharded",
+        "run_zone_programs",
+    ],
+    "storage": [
+        "StorageBackend", "StorageObject", "StorageRuntime", "get_storage_runtime",
+        "set_storage_runtime", "content_fingerprint", "estimate_size",
+        "estimate_size_digest", "ConsistentHashRing", "KeyValueCluster",
+        "StorageDict", "ActiveObject", "ActiveObjectStore", "ClassRegistry",
+    ],
+    "scheduling": [
+        "NodeCapacity", "CapacityLedger", "DataLocationService", "TransferPlanner",
+        "BlockedDemandFrontier", "PlacementPass", "SchedulingPolicy", "FifoPolicy",
+        "LoadBalancingPolicy", "LocalityPolicy", "EnergyAwarePolicy",
+        "EarliestFinishTimePolicy", "TaskScheduler",
+    ],
+    "executor": [
+        "LocalExecutor", "SimulatedExecutor", "SimulationReport", "SimWorkflowBuilder",
+    ],
+    "workloads": [
+        "WORKLOADS", "Workload", "WorkloadError", "ChurnConfig", "HybridStreamConfig",
+        "make_hybrid_stream_programs", "run_hybrid_stream", "make_churn_programs",
+        "run_churn", "run_churn_fleet", "GuidanceConfig", "GuidanceWorkload",
+        "build_guidance_workflow", "NmmbConfig", "build_nmmb_workflow",
+        "embarrassingly_parallel", "task_chain", "fork_join_dag", "layered_random_dag",
+        "ZonalConfig", "make_zonal_network", "make_zone_programs", "run_zonal",
+        "zone_name",
+    ],
+    "agents": [
+        "ServiceSpec", "publish_application_service", "Message", "Op", "MessageBus",
+        "OffloadingPolicy", "NeverOffload", "AlwaysOffload", "LoadThresholdOffload",
+        "Agent", "AgentReport",
+    ],
+    "streams": [
+        "DataStream", "StreamElement", "CreditValve", "SensorSource", "WindowResult",
+        "OperatorError", "OperatorGraph", "StreamHandle", "WindowHandle",
+        "DataflowPlane",
+    ],
+    "intelligence": [
+        "DurationPredictor", "TaskTypeStats", "TaskMemoizer", "PredictedFinishTimePolicy",
+    ],
+    "metrics": [
+        "TaskTrace", "TraceCollector", "utilization", "graph_to_dot",
+        "IntermediateDatum", "StoreAllPolicy", "RecomputeAllPolicy", "CostModelPolicy",
+        "evaluate_policy",
+    ],
+    "dislib": [
+        "DsArray", "array", "random_array", "zeros", "KMeans", "LinearRegression",
+        "PCA", "StandardScaler", "KFold", "cross_val_score", "train_test_split",
+    ],
+    "frontends": ["parse_workflow_text", "WorkflowSyntaxError", "CyclingSuite", "SuiteTask"],
+    "baselines": ["FragmentedPipeline", "run_fragmented", "run_holistic"],
+}
+
+
+def _fresh(code):
+    """Run ``code`` in a new interpreter; its last stdout line, as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_import_repro_loads_the_programming_model_only():
+    loaded = _fresh(
+        """
+        import json, sys
+        import repro
+        print(json.dumps(sorted(sys.modules)))
+        """
+    )
+    ours = [name for name in loaded if name.split(".")[0] == "repro"]
+    simulator = [
+        name
+        for name in ours
+        if name.split(".")[1:2] in (["simulation"], ["workloads"], ["agents"], ["streams"])
+        or name
+        in (
+            "repro.storage.keyvalue",
+            "repro.storage.activeobject",
+            "repro.infrastructure.cloud",
+            "repro.infrastructure.slurm",
+        )
+    ]
+    assert simulator == []
+    assert "multiprocessing" not in loaded
+    assert len(ours) <= 26, ours
+
+
+def test_first_runtime_imports_nothing():
+    """The runtime's executor is imported with ``repro``, not inside the
+    first ``Runtime()``: constructing, starting and stopping one adds no
+    module."""
+    added = _fresh(
+        """
+        import json, sys
+        import repro
+        before = set(sys.modules)
+        runtime = repro.Runtime(workers=1)
+        runtime.start()
+        runtime.stop()
+        print(json.dumps(sorted(set(sys.modules) - before)))
+        """
+    )
+    assert added == []
+
+
+@pytest.mark.parametrize("package", sorted(EXPORTS))
+def test_exports_are_unchanged_and_resolve(package):
+    seen = _fresh(
+        f"""
+        import json, types
+        namespace = {{}}
+        exec("from repro.{package} import *", namespace)
+        import repro.{package} as package
+        values = [getattr(package, name) for name in package.__all__]
+        print(json.dumps({{
+            "all": package.__all__,
+            "star": sorted(set(namespace) - {{"__builtins__"}}),
+            "modules": [name for name, value in zip(package.__all__, values)
+                        if isinstance(value, types.ModuleType)],
+            "undir": sorted(set(package.__all__) - set(dir(package))),
+        }}))
+        """
+    )
+    assert seen["all"] == EXPORTS[package]
+    assert seen["star"] == sorted(EXPORTS[package])
+    assert seen["modules"] == []
+    assert seen["undir"] == []
+
+
+def test_dislib_array_stays_the_function_whatever_loads_first():
+    """``repro.dislib.array`` is both a submodule and an exported function;
+    loading another dislib module (which imports the submodule) first must
+    not leave the package attribute pointing at the module."""
+    kinds = _fresh(
+        """
+        import json
+        from repro.dislib import KMeans
+        import repro.dislib
+        import repro.dislib.array
+        from repro.dislib import array
+        print(json.dumps([type(repro.dislib.array).__name__, type(array).__name__]))
+        """
+    )
+    assert kinds == ["function", "function"]
+
+
+def _workload_names():
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perf.workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT))
+    return sorted(WORKLOADS)
+
+
+@pytest.mark.parametrize("workload", _workload_names())
+def test_no_timed_region_pays_a_first_import(workload):
+    """Each ``perf/`` workload at its quick size: ``setup()`` and then the
+    timed ``run()`` add no module to ``sys.modules`` once the workload's
+    module is imported."""
+    added = _fresh(
+        f"""
+        import contextlib, importlib, json, sys
+        sys.path.insert(0, ".")
+        from perf.workloads import WORKLOADS
+        spec = WORKLOADS[{workload!r}]
+        module = importlib.import_module("perf.workloads." + spec["module"])
+
+        @contextlib.contextmanager
+        def phase(name):
+            yield
+
+        before = set(sys.modules)
+        state = module.setup(7, dict(spec["quick"]))
+        module.run(state, phase)
+        print(json.dumps(sorted(set(sys.modules) - before)))
+        """
+    )
+    assert added == []

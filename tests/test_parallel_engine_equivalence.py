@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulation.parallel as parallel_module
 from repro.infrastructure import Link, NetworkTopology
 from repro.simulation import (
     ParallelShardedSimulationEngine,
@@ -476,6 +477,47 @@ class TestLaneDeath:
         started = time.monotonic()
         with pytest.raises(
             SimulationError, match=r"lane 1 worker \(zones beta\) died.*exit code -9"
+        ):
+            engine.run(until=20.0)
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not _fork_lanes_available(), reason="needs forked lanes (no fork here)"
+    )
+    def test_hung_lane_is_an_attributed_error(self, monkeypatch):
+        """A worker that blocks inside a window is a SimulationError naming
+        the lane, its zones and the window once the lane's deadline passes
+        (floor shrunk to half a second here), with every lane terminated."""
+        monkeypatch.setattr(parallel_module, "_DEADLINE_FLOOR_S", 0.5)
+        parent = os.getpid()
+
+        def stuck(api):
+            def hang():
+                if os.getpid() != parent:  # never block the test process
+                    time.sleep(60.0)
+
+            api.on_message(lambda payload: None)
+            api.at(5.0, hang)
+            return None
+
+        def ticking(api):
+            def tick():
+                api.after(0.5, tick)
+
+            api.on_message(lambda payload: None)
+            api.at(0.0, tick)
+            return None
+
+        zones = ("alpha", "beta")
+        engine = ParallelShardedSimulationEngine(
+            _network(zones), {"alpha": ticking, "beta": stuck}, workers=2
+        )
+        started = time.monotonic()
+        with pytest.raises(
+            SimulationError,
+            match=r"lane 1 worker \(zones beta\) hung in window \d+ "
+            r"\(ending at t=5\.\d+\): no reply within \d+\.\d s",
         ):
             engine.run(until=20.0)
         assert time.monotonic() - started < 10.0

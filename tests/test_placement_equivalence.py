@@ -622,18 +622,9 @@ class NaiveDispatchExecutor(SimulatedExecutor):
         for instance in graph.iter_ready():
             if ledger.total_free_cores <= 0:
                 break
-            if locations.has_lost_data:
-                lost = [d for d in instance.reads if locations.is_lost(d)]
-                if lost:
-                    graph.mark_failed(
-                        instance.task_id,
-                        RuntimeError(f"inputs {lost[:3]} lost and not persisted"),
-                        now=self.engine.now,
-                    )
-                    self._makespan = self.engine.now
-                    if graph.finished:
-                        self.engine.stop()
-                    continue
+            # A reader of lost data is failed when the data is lost or when
+            # it becomes ready, so none is ever READY here.
+            assert not any(locations.is_lost(d) for d in instance.reads), instance
             nodes = scheduler.try_place(instance)
             if nodes is None:
                 consecutive_failures += 1
