@@ -150,7 +150,7 @@ def test_sustained_master_memory_across_waves(benchmark):
                 retained.append(
                     (
                         len(rt._result_futures),
-                        sum(len(t.kwargs) + len(t.future_args) for t in rt.graph.tasks),
+                        sum(len(t.payload) for t in rt.graph.tasks),
                     )
                 )
         return retained

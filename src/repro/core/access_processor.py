@@ -18,9 +18,10 @@ For every task invocation the AP:
    is written once, in :mod:`repro.core.data`, and shared with the simulated
    workflow builder);
 4. mints result datums and futures for declared return values;
-5. emits a :class:`TaskInstance` carrying the dependency set, the argument
-   substitution map for futures, and the per-invocation resolved resource
-   requirements.
+5. emits a :class:`TaskInstance` carrying the dependency set, the call's
+   payload — one argument value per parameter, in the plan's order, futures
+   left in place for the executor to substitute by the same rule as step 2
+   — and the per-invocation resolved resource requirements.
 
 **prepare/commit split** (PR 3) — ``prepare_task`` does everything that needs
 no shared state (signature binding, dynamic-constraint evaluation) so the
@@ -31,7 +32,7 @@ registry mutations and id minting that must serialize.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import ResolvedRequirements
 from repro.core.data import (
@@ -45,8 +46,6 @@ from repro.core.parameter import IN, Direction, Parameter
 from repro.core.task_definition import TaskDefinition
 
 if TYPE_CHECKING:
-    import inspect
-
     from repro.core.graph import TaskGraph
 
 #: Immutable built-ins that cannot carry dependencies when passed IN:
@@ -64,7 +63,7 @@ class RegisteredTask(NamedTuple):
 
 
 class PreparedTask(NamedTuple):
-    """Lock-free half of a submission: bound call + resolved requirements.
+    """Lock-free half of a submission: payload + resolved requirements.
 
     Produced by :meth:`AccessProcessor.prepare_task` (safe to run
     concurrently, touches no shared state) and consumed by
@@ -72,7 +71,8 @@ class PreparedTask(NamedTuple):
     """
 
     definition: TaskDefinition
-    bound: "inspect.BoundArguments"
+    #: One argument value per parameter, in ``definition.plan`` order.
+    payload: tuple
     requirements: ResolvedRequirements
 
 
@@ -98,9 +98,6 @@ class AccessProcessor:
         self._task_ids = itertools.count(1)
         self._tracker = DependencyTracker(graph, self._task_ids, war_fanin_threshold)
 
-    def next_task_id(self) -> int:
-        return next(self._task_ids)
-
     # ------------------------------------------------------------------ API
 
     def prepare_task(
@@ -115,12 +112,12 @@ class AccessProcessor:
         (dynamic) constraint evaluation depend only on the definition and
         the concrete arguments.
         """
-        bound = definition.bind(args, kwargs)
+        payload = definition.bind(args, kwargs)
         # Whatever a call can get wrong is refused here, before a task id
         # exists: were ``commit_task`` to raise, the reads it had already
         # registered would name a task the graph never receives.
-        for pname, direction in definition.guarded:
-            value = bound.arguments[pname]
+        for index, pname, direction in definition.guarded:
+            value = payload[index]
             if not isinstance(value, Future):
                 if direction.is_file and not isinstance(value, str):
                     raise TypeError(
@@ -137,24 +134,20 @@ class AccessProcessor:
                     "copy it in a task first, or drop cache=True"
                 )
         return PreparedTask(
-            definition, bound, self._resolve_requirements(definition, bound)
+            definition, payload, self._resolve_requirements(definition, payload)
         )
 
     def commit_task(self, prepared: PreparedTask) -> RegisteredTask:
         """Registry half of a submission; must run under the runtime lock."""
         definition = prepared.definition
-        arguments = prepared.bound.arguments
-        task_id = self.next_task_id()
+        payload = prepared.payload
+        task_id = next(self._task_ids)
         deps: Set[int] = set()
         reads: List[str] = []
         writes: List[str] = []
-        future_args: Dict[Any, Future] = {}
 
-        for pname, param, explicit in definition.plan:
-            self._process_argument(
-                task_id, pname, arguments[pname], param, explicit,
-                deps, reads, writes, future_args,
-            )
+        for (_pname, param, explicit), value in zip(definition.plan, payload):
+            self._process_argument(task_id, value, param, explicit, deps, reads, writes)
 
         futures = self._mint_result_futures(definition, task_id, writes)
 
@@ -162,15 +155,8 @@ class AccessProcessor:
             task_id=task_id,
             label=f"{definition.name}#{task_id}",
             requirements=prepared.requirements,
-            fn=definition.fn,
-            # Execution is always by keyword (signatures with *args/**kwargs
-            # are rejected at definition time), so future substitution can
-            # address every argument by parameter name.
-            args=(),
-            # The bound call's own dict: nothing else holds it once the
-            # prepared task is consumed.
-            kwargs=arguments,
-            future_args=future_args,
+            definition=definition,
+            payload=payload,
             reads=reads,
             writes=writes,
         )
@@ -190,18 +176,15 @@ class AccessProcessor:
     def _process_argument(
         self,
         task_id: int,
-        pname: Any,
         value: Any,
         param: Parameter,
         explicit: bool,
         deps: Set[int],
         reads: List[str],
         writes: List[str],
-        future_args: Dict[Any, Future],
     ) -> None:
         direction = param.direction
         if isinstance(value, Future):
-            future_args[pname] = value
             if value.datum_id is not None:
                 datum = self.registry.record(value.datum_id)
             else:
@@ -218,11 +201,10 @@ class AccessProcessor:
             # One-level collection scan (PyCOMPSs COLLECTION_IN semantics).
             # An *explicitly* annotated container (e.g. c=INOUT) is instead
             # tracked as a mutable object below.
-            for index, element in enumerate(value):
+            for element in value:
                 if isinstance(element, Future):
                     self._process_argument(
-                        task_id, (pname, index), element, IN, True,
-                        deps, reads, writes, future_args,
+                        task_id, element, IN, True, deps, reads, writes
                     )
             return
         elif isinstance(value, _UNTRACKED_TYPES) and direction is Direction.IN:
@@ -238,16 +220,16 @@ class AccessProcessor:
 
     def _mint_result_futures(
         self, definition: TaskDefinition, task_id: int, writes: List[str]
-    ) -> List[Future]:
+    ) -> Tuple[Future, ...]:
         futures: List[Future] = []
         for index in range(definition.returns):
             datum_id = self.registry.register_result(task_id, index).datum_id
             writes.append(datum_id)
             futures.append(Future(datum_id, task_id))
-        return futures
+        return tuple(futures)
 
     def _resolve_requirements(
-        self, definition: TaskDefinition, bound
+        self, definition: TaskDefinition, payload: tuple
     ) -> ResolvedRequirements:
         if not definition.is_dynamic:
             # Static constraints resolve identically for every invocation:
@@ -259,11 +241,9 @@ class AccessProcessor:
         # Futures among the args would make the callable fail or lie, so the
         # callable must only inspect concrete arguments.
         try:
-            return definition.constraints.resolve(
-                tuple(bound.args), dict(bound.kwargs)
-            )
+            return definition.constraints.resolve(*definition.split(payload))
         except Exception as error:
-            if any(isinstance(v, Future) for v in bound.arguments.values()):
+            if any(isinstance(v, Future) for v in payload):
                 raise TypeError(
                     f"dynamic constraint of task {definition.name!r} failed "
                     f"({error!r}); dynamic constraints are evaluated at "

@@ -200,10 +200,11 @@ class WorkflowCompiler:
     def compile_call(
         self,
         definition: TaskDefinition,
-        bound: Any,
+        payload: tuple,
         requirements: ResolvedRequirements,
     ) -> Optional[str]:
-        """Content key of one bound invocation, or None if it opts out.
+        """Content key of one invocation — its argument values in
+        ``definition.plan`` order — or None if it opts out.
 
         One serialization pass over the whole tokenized call — futures are
         replaced by their producers' content keys first, so the resulting
@@ -213,10 +214,8 @@ class WorkflowCompiler:
         plan = getattr(definition, _KEY_PLAN_ATTR, None) or _KeyPlan(definition)
         if not plan.addressable:
             return None
-        arguments = bound.arguments
         tokens = []
-        for pname, _, explicit in definition.plan:
-            value = arguments[pname]
+        for (pname, _, explicit), value in zip(definition.plan, payload):
             if isinstance(value, Future):
                 value = value.content_key
                 if value is None:

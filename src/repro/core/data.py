@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.graph import make_barrier_instance
 
@@ -59,9 +59,11 @@ class Datum:
     ``readers`` holds only the readers registered since the last WAR barrier
     was flushed for this version (the *tail*); earlier readers are collapsed
     behind ``barrier``, so a write never walks more than one tail of bounded
-    length.  Slotted, and the tail is a list only from the first reader on:
-    there is one record per datum across million-task runs, and most
-    versions are never read.
+    length.  Slotted, and the tail costs what it holds: there is one record
+    per datum across million-task runs, most versions are never read, and
+    most of the rest are read once.  So the tail is the shared empty tuple,
+    then a lone reader's id, and a list only from the second reader on;
+    read it through :func:`reader_ids`.
     """
 
     __slots__ = ("datum_id", "version", "writer", "readers", "barrier", "size_bytes")
@@ -76,7 +78,7 @@ class Datum:
         self.datum_id = datum_id
         self.version = version
         self.writer = writer
-        self.readers: Sequence[int] = _NO_READERS
+        self.readers: Union[int, Sequence[int]] = _NO_READERS
         # Last flushed WAR fan-in barrier covering readers before the tail.
         self.barrier: Optional[int] = None
         # What a simulated transfer of the datum moves; unused on the real side.
@@ -84,6 +86,12 @@ class Datum:
 
     def __repr__(self) -> str:
         return f"Datum({self.datum_id!r}, v{self.version}, writer={self.writer})"
+
+
+def reader_ids(datum: Datum) -> Sequence[int]:
+    """The ids in a datum's reader tail, in registration order."""
+    readers = datum.readers
+    return (readers,) if readers.__class__ is int else readers
 
 
 class DependencyTracker:
@@ -129,8 +137,11 @@ class DependencyTracker:
             deps.add(writer)
         readers = datum.readers
         if readers is _NO_READERS:
-            readers = datum.readers = []
-        elif len(readers) >= self.threshold and may_flush and self.graph is not None:
+            datum.readers = task_id
+            return
+        if readers.__class__ is int:
+            readers = datum.readers = [readers]
+        if len(readers) >= self.threshold and may_flush and self.graph is not None:
             self._flush(datum)
         readers.append(task_id)
 
@@ -142,7 +153,7 @@ class DependencyTracker:
             deps.add(datum.writer)
         if datum.barrier is not None:
             deps.add(datum.barrier)
-        deps.update(datum.readers)
+        deps.update(reader_ids(datum))
         deps.discard(task_id)
         datum.version += 1
         datum.writer = task_id

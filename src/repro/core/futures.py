@@ -14,14 +14,12 @@ the Access Processor treats such a future as the value it holds.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
-
-_future_ids = itertools.count()
 
 
 class Future:
-    """A single not-yet-available task result.
+    """A single not-yet-available task result, known by identity: two
+    futures are the same future only if they are the same object.
 
     Attributes:
         datum_id: the data-registry identifier of the value this future will
@@ -38,7 +36,6 @@ class Future:
     """
 
     __slots__ = (
-        "future_id",
         "datum_id",
         "producer_task_id",
         "content_key",
@@ -48,7 +45,6 @@ class Future:
     )
 
     def __init__(self, datum_id: Optional[str], producer_task_id: Optional[int]):
-        self.future_id = next(_future_ids)
         self.datum_id = datum_id
         self.producer_task_id = producer_task_id
         self.content_key: Optional[str] = None
@@ -71,7 +67,7 @@ class Future:
     def resolve(self, value: Any) -> None:
         """Install the produced value (called by the runtime, once)."""
         if self._resolved:
-            raise RuntimeError(f"future {self.future_id} resolved twice")
+            raise RuntimeError(f"{self!r} resolved twice")
         self._value = value
         self._resolved = True
 
@@ -88,7 +84,7 @@ class Future:
         """
         if not self._resolved:
             raise RuntimeError(
-                f"future {self.future_id} accessed before resolution; "
+                f"{self!r} accessed before resolution; "
                 "synchronize with compss_wait_on first"
             )
         if self._error is not None:
@@ -97,4 +93,4 @@ class Future:
 
     def __repr__(self) -> str:
         state = "resolved" if self._resolved else "pending"
-        return f"Future(id={self.future_id}, datum={self.datum_id!r}, {state})"
+        return f"Future(datum={self.datum_id!r}, {state})"

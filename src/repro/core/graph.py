@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from types import MappingProxyType
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -28,6 +29,9 @@ from typing import (
 
 from repro.core.constraints import ResolvedRequirements
 
+if TYPE_CHECKING:
+    from repro.core.task_definition import TaskDefinition
+
 
 class TaskState(enum.Enum):
     """Lifecycle of a task instance."""
@@ -40,10 +44,9 @@ class TaskState(enum.Enum):
     CANCELLED = "cancelled"  # skipped because an ancestor failed
 
 
-#: The one read-only empty mapping an absent payload or output map is: a
-#: simulated task's ``kwargs`` / ``future_args`` and empty ``output_sizes``,
-#: and a finished real task's released payload — not fresh dicts per task.
-_RELEASED: Mapping[str, Any] = MappingProxyType({})
+#: The one read-only empty mapping an absent output map is: a simulated
+#: task's empty ``output_sizes`` — not a fresh dict per task.
+_NO_OUTPUTS: Mapping[str, Any] = MappingProxyType({})
 
 
 class SimProfile:
@@ -77,7 +80,7 @@ class SimProfile:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
         self.duration_s = duration_s
         self.input_bytes = input_bytes
-        self.output_sizes = output_sizes if output_sizes is not None else _RELEASED
+        self.output_sizes = output_sizes if output_sizes is not None else _NO_OUTPUTS
 
     def __repr__(self) -> str:
         return (
@@ -102,10 +105,8 @@ class TaskInstance:
         "task_id",
         "label",
         "requirements",
-        "fn",
-        "args",
-        "kwargs",
-        "future_args",
+        "definition",
+        "payload",
         "reads",
         "writes",
         "profile",
@@ -125,20 +126,11 @@ class TaskInstance:
         task_id: int,
         label: str,
         requirements: Optional[ResolvedRequirements] = None,
-        fn: Optional[Callable] = None,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        future_args: Optional[dict] = None,
+        definition: Optional["TaskDefinition"] = None,
+        payload: tuple = (),
         reads: Iterable[str] = (),
         writes: Iterable[str] = (),
         profile: Optional[SimProfile] = None,
-        state: TaskState = TaskState.PENDING,
-        assigned_node: Optional[str] = None,
-        assigned_nodes: Sequence[str] = (),
-        start_time: Optional[float] = None,
-        end_time: Optional[float] = None,
-        error: Optional[BaseException] = None,
-        attempts: int = 0,
         cache_key: Optional[str] = None,
         is_barrier: bool = False,
     ) -> None:
@@ -148,13 +140,11 @@ class TaskInstance:
         self.requirements = (
             requirements if requirements is not None else _DEFAULT_REQUIREMENTS
         )
-        # Real execution payload (None for simulated tasks).
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs if kwargs is not None else _RELEASED
-        # Which argument positions / kwarg names must be substituted by
-        # resolved future values before execution ({position_or_name: Future}).
-        self.future_args = future_args if future_args is not None else _RELEASED
+        # Real execution: the task type, and one argument value per
+        # parameter in its plan's order, futures still in place (None and
+        # empty for simulated tasks; emptied once a real task finishes).
+        self.definition = definition
+        self.payload = payload
         # Datum ids this task reads / writes (version keys recorded by the
         # AP), fixed at construction.  Tuples of strings, not lists: the
         # cyclic GC stops tracking them after its first pass.
@@ -162,15 +152,16 @@ class TaskInstance:
         self.writes = tuple(writes)
         # Simulation profile (None when running for real).
         self.profile = profile
-        self.state = state
-        self.assigned_node = assigned_node
+        # Born pending and unplaced; the graph and the executors move it on.
+        self.state = TaskState.PENDING
+        self.assigned_node: Optional[str] = None
         # For gang (multi-node / MPI-like) tasks: every node in the allocation.
-        self.assigned_nodes = assigned_nodes
-        self.start_time = start_time
-        self.end_time = end_time
-        self.error = error
+        self.assigned_nodes: Sequence[str] = ()
+        self.start_time: Optional[float] = None
+        self.end_time: Optional[float] = None
+        self.error: Optional[BaseException] = None
         # How many times this instance has been (re)submitted — recovery metric.
-        self.attempts = attempts
+        self.attempts = 0
         # Content hash for memoizable invocations (set by the runtime).
         self.cache_key = cache_key
         # Structural WAR fan-in collapse node (never scheduled or executed;

@@ -17,9 +17,10 @@ makes task code debuggable with a plain interpreter.
 from __future__ import annotations
 
 import os
+import reprlib
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.intelligence.memoization import TaskMemoizer
@@ -33,7 +34,7 @@ from repro.core.exceptions import (
     TaskFailedError,
 )
 from repro.core.futures import Future
-from repro.core.graph import _RELEASED, TaskGraph, TaskInstance, TaskState
+from repro.core.graph import TaskGraph, TaskInstance, TaskState
 from repro.core.task_definition import TaskDefinition, _in_task, definition_of
 from repro.executor.local import LocalExecutor
 from repro.infrastructure.platform import Platform
@@ -57,15 +58,27 @@ def current_runtime() -> Optional["Runtime"]:
     return _current
 
 
-def _producers_finished(arguments: Mapping[str, Any]) -> bool:
+def _producers_finished(payload: Sequence[Any]) -> bool:
     """Whether every future a keyed call consumes is resolved without error:
     top level and one level into lists / tuples, exactly the futures the
     compiler accepts — which for a keyed call is exactly its dependency set."""
-    for value in arguments.values():
+    for value in payload:
         for item in value if isinstance(value, (list, tuple)) else (value,):
             if isinstance(item, Future) and not (item.resolved and item.error is None):
                 return False
     return True
+
+
+def _call_shape(definition: TaskDefinition, index: int, call: Any) -> tuple:
+    """``(args, kwargs)`` of one ``submit_many`` call, ``(args,)`` or ``(args, kwargs)``."""
+    if isinstance(call, (tuple, list)) and 0 < len(call) < 3:
+        args, kwargs = call[0], call[1] if len(call) == 2 else {}
+        if isinstance(args, (tuple, list)) and isinstance(kwargs, dict):
+            return args, kwargs
+    raise TypeError(
+        f"submit_many call {index} of {definition.name!r} is not (args,) or (args, "
+        f"kwargs), args a tuple or list, kwargs a dict: {reprlib.repr(call)}"
+    )
 
 
 def _make_local_platform(workers: Optional[int]) -> Platform:
@@ -126,7 +139,9 @@ class Runtime:
         self.access_processor = AccessProcessor(self.registry, graph=self.graph)
         self.scheduler = TaskScheduler(self.platform, policy)
         self._cv = threading.Condition()
-        self._result_futures: Dict[int, List[Future]] = {}
+        # A queued task's result futures: the lone future of a one-value
+        # task, the tuple of a task returning several.
+        self._result_futures: Dict[int, Union[Future, tuple]] = {}
         # In-flight index: content key -> (primary task id, result datum
         # ids).  A submission whose key is already here never commits — its
         # futures alias the primary's result datums instead.
@@ -210,9 +225,10 @@ class Runtime:
         Args:
             task_or_definition: a ``@task``-decorated function or its
                 :class:`TaskDefinition`.
-            calls: a sequence of ``(args, kwargs)`` pairs, one per
-                invocation (``kwargs`` may be omitted by passing
-                ``(args,)``).
+            calls: one ``(args, kwargs)`` or ``(args,)`` per invocation,
+                ``args`` a tuple or list and ``kwargs`` a dict.  Any other
+                shape is refused with a ``TypeError`` naming the call's
+                index, before any call of the batch is admitted.
 
         Returns the shaped return value (None / Future / tuple of Futures)
         of each invocation, in order.  Amortizes the per-call lock round
@@ -232,11 +248,8 @@ class Runtime:
         self._require_started(definition)
         prepared_batch: List[tuple] = []
         last_checked = None
-        for call in calls:
-            if len(call) == 2 and isinstance(call[1], dict):
-                args, kwargs = call
-            else:
-                args, kwargs = call[0] if len(call) == 1 else call, {}
+        for index, call in enumerate(calls):
+            args, kwargs = _call_shape(definition, index, call)
             prepared = self.access_processor.prepare_task(definition, args, kwargs)
             # Static constraints intern to one requirements object, so the
             # satisfiability pre-flight runs once per distinct demand.
@@ -273,24 +286,20 @@ class Runtime:
             )
             for future in registered.futures:
                 future.fail(failure)
-            self._release_payload(instance)
+            instance.payload = ()
             return
-        if registered.futures:
-            self._result_futures[instance.task_id] = registered.futures
+        futures = registered.futures
+        if futures:
+            self._result_futures[instance.task_id] = (
+                futures[0] if len(futures) == 1 else futures
+            )
+
+    def _pop_result_futures_locked(self, task_id: int) -> Sequence[Future]:
+        futures = self._result_futures.pop(task_id, ())
+        return (futures,) if futures.__class__ is Future else futures
 
     @staticmethod
-    def _release_payload(instance: TaskInstance) -> None:
-        """Drop a finished instance's execution payload (bounded memory).
-
-        The graph keeps every instance for statistics and exports, but a
-        million-task run must not also retain every argument dict for the
-        lifetime of the runtime.
-        """
-        instance.kwargs = instance.future_args = _RELEASED
-        instance.args = ()
-
-    @staticmethod
-    def _shape_returns(definition: TaskDefinition, futures: List[Future]) -> Any:
+    def _shape_returns(definition: TaskDefinition, futures: Sequence[Future]) -> Any:
         if definition.returns == 0:
             return None
         if definition.returns == 1:
@@ -311,7 +320,7 @@ class Runtime:
         if not definition.cache or definition.returns < 1:
             return None
         return self.compiler.compile_call(
-            definition, prepared.bound, prepared.requirements
+            definition, prepared.payload, prepared.requirements
         )
 
     def _admit_locked(self, prepared: PreparedTask, key: Optional[str]) -> Any:
@@ -339,7 +348,7 @@ class Runtime:
         # producer's own entry was evicted) must not complete out of order,
         # and a failed/cancelled producer must poison this task exactly as
         # it would without a cache.
-        if self.memoizer is not None and _producers_finished(prepared.bound.arguments):
+        if self.memoizer is not None and _producers_finished(prepared.payload):
             hit, value = self.memoizer.lookup(key)
             if hit:
                 return self._hit_locked(definition, key, value)
@@ -421,30 +430,11 @@ class Runtime:
         return self._wait_object(item, timeout)
 
     def _wait_object(self, obj: Any, timeout: Optional[float]) -> Any:
-        key_record = self.registry.record_for_object(obj)
-        if key_record is None:
-            return obj  # never touched by a task; already consistent
-        writer = key_record.writer
-        if writer is None:
-            return obj
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cv:
-            self._add_waiter_locked(writer)
-            try:
-                while True:
-                    state = self.graph.task(writer).state
-                    if state is TaskState.DONE:
-                        return obj
-                    if state in (TaskState.FAILED, TaskState.CANCELLED):
-                        error = self.graph.task(writer).error
-                        raise TaskFailedError(
-                            self.graph.task(writer).label,
-                            error if error is not None else ReproError("cancelled"),
-                        )
-                    self._check_progress_possible(writer)
-                    self._cv_wait(deadline)
-            finally:
-                self._remove_waiter_locked(writer)
+        record = self.registry.record_for_object(obj)
+        # Never touched by a task, or never written: already consistent.
+        if record is not None and record.writer is not None:
+            self.wait_for_task(record.writer, timeout)
+        return obj
 
     def _block_until_resolved(self, future: Future, timeout: Optional[float]) -> None:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -551,7 +541,7 @@ class Runtime:
         with self._cv:
             self.scheduler.release(instance)
             self.graph.mark_done(instance.task_id, now=self.now)
-            futures = self._result_futures.pop(instance.task_id, ())
+            futures = self._pop_result_futures_locked(instance.task_id)
             self._resolve_futures(instance.label, futures, result)
             # Aliased duplicates resolve from the same result, one group at
             # a time (each group carries its own submission's arity).
@@ -561,7 +551,9 @@ class Runtime:
                 self._drop_inflight_locked(instance.task_id, instance.cache_key)
                 if self.memoizer is not None:
                     self.memoizer.store(instance.cache_key, result)
-            self._release_payload(instance)
+            # The graph keeps every instance for statistics and exports; a
+            # finished one need not keep its arguments too (bounded memory).
+            instance.payload = ()
             continuation = self.executor.kick_locked(keep_first=True)
             self._notify_waiters_locked((instance.task_id,))
             return continuation
@@ -578,8 +570,7 @@ class Runtime:
             cancelled = self.graph.mark_failed(instance.task_id, error, now=self.now)
             failure = TaskFailedError(instance.label, error)
             for tid in (instance.task_id, *cancelled):
-                futures = self._result_futures.pop(tid, ())
-                for future in futures:
+                for future in self._pop_result_futures_locked(tid):
                     future.fail(failure)
                 for group in self._alias_futures.pop(tid, ()):
                     for future in group:
@@ -590,7 +581,7 @@ class Runtime:
                     # alias a corpse) and — because store() only runs in
                     # on_task_done — is never served from the cache either.
                     self._drop_inflight_locked(tid, failed_instance.cache_key)
-                self._release_payload(failed_instance)
+                failed_instance.payload = ()
             continuation = self.executor.kick_locked(keep_first=True)
             self._notify_waiters_locked((instance.task_id, *cancelled))
             return continuation

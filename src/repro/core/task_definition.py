@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.constraints import (
     CONSTRAINT_ATTR,
@@ -75,11 +75,18 @@ class TaskDefinition:
             (name, self.param_directions.get(name, IN), name in self.param_directions)
             for name in self.param_names
         )
+        #: How many leading parameters a call may pass by position; the
+        #: keyword-only ones after them are passed by name.
+        self.positional = sum(
+            parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            for parameter in self._signature.parameters.values()
+        )
         #: The parameters whose argument ``prepare_task`` must validate — a
-        #: path (``FILE_*``) or written in place — as ``(name, Direction)``.
+        #: path (``FILE_*``) or written in place — as ``(index, name,
+        #: Direction)``.
         self.guarded = tuple(
-            (name, param.direction)
-            for name, param, _explicit in self.plan
+            (index, name, param.direction)
+            for index, (name, param, _explicit) in enumerate(self.plan)
             if param.direction.is_file or param.direction.writes
         )
 
@@ -120,7 +127,7 @@ class TaskDefinition:
                 raise TypeError(
                     f"task {self.name!r}: *args/**kwargs/positional-only "
                     "parameters are not supported on tasks — the runtime "
-                    "substitutes futures by parameter name"
+                    "tracks one argument per named parameter"
                 )
         for pname in self.param_directions:
             if pname not in names:
@@ -133,21 +140,31 @@ class TaskDefinition:
         """Declared direction of a parameter; defaults to IN."""
         return self.param_directions.get(param_name, IN)
 
-    def bind(self, args: tuple, kwargs: dict) -> "inspect.BoundArguments":
-        """Bind a call to the signature (applies defaults).
+    def bind(self, args: Sequence[Any], kwargs: dict) -> tuple:
+        """A call's argument values, one per parameter in signature order
+        (defaults applied): the payload a task instance runs on.
 
-        A fully positional call needs no matching: the names are zipped
-        onto the values.  Every other shape — keywords, defaults, wrong
-        arity — goes through :meth:`inspect.Signature.bind`, so errors and
-        ``arguments`` order are ``inspect``'s own.
+        A fully positional call needs no matching: the caller's tuple is
+        the payload.  Every other shape — keywords, defaults, wrong arity,
+        keyword-only parameters — goes through
+        :meth:`inspect.Signature.bind`, so errors are ``inspect``'s own.
         """
-        if not kwargs and len(args) == len(self.param_names):
-            return inspect.BoundArguments(
-                self._signature, dict(zip(self.param_names, args))
-            )
+        if not kwargs and len(args) == self.positional == len(self.param_names):
+            return tuple(args)  # a tuple is returned as it is
         bound = self._signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        return bound
+        return tuple(bound.arguments.values())
+
+    def split(self, payload: Sequence[Any]) -> Tuple[Sequence[Any], Dict[str, Any]]:
+        """``(args, kwargs)`` that call the function with ``payload``: the
+        keyword-only parameters by name, the rest by position — what
+        ``inspect.BoundArguments.args`` / ``.kwargs`` give."""
+        positional = self.positional
+        if positional == len(payload):
+            return payload, {}
+        return payload[:positional], dict(
+            zip(self.param_names[positional:], payload[positional:])
+        )
 
     def __repr__(self) -> str:
         return f"TaskDefinition({self.name!r}, returns={self.returns})"

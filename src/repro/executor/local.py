@@ -21,8 +21,9 @@ free core through the pool.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
+from repro.core.futures import Future
 from repro.core.graph import TaskInstance
 from repro.core.task_definition import mark_in_task
 from repro.scheduling.scheduler import PlacementPass
@@ -103,10 +104,11 @@ class LocalExecutor:
         runtime = self.runtime
         while instance is not None:
             try:
-                kwargs = self._materialize_arguments(instance)
+                definition = instance.definition
+                args, kwargs = definition.split(self._materialize_arguments(instance))
                 mark_in_task(True)
                 try:
-                    result = instance.fn(**kwargs)
+                    result = definition.fn(*args, **kwargs)
                 finally:
                     mark_in_task(False)
             except BaseException as error:  # noqa: BLE001 - task code may raise anything
@@ -115,18 +117,24 @@ class LocalExecutor:
                 instance = runtime.on_task_done(instance, result)
 
     @staticmethod
-    def _materialize_arguments(instance: TaskInstance) -> Dict[str, Any]:
-        """Substitute resolved futures into the task's keyword arguments."""
-        kwargs = dict(instance.kwargs)
-        copied_lists = set()
-        for key, future in instance.future_args.items():
-            value = future.value()  # producer finished: resolution is certain
-            if isinstance(key, tuple):
-                pname, index = key
-                if pname not in copied_lists:
-                    kwargs[pname] = list(kwargs[pname])
-                    copied_lists.add(pname)
-                kwargs[pname][index] = value
-            else:
-                kwargs[key] = value
-        return kwargs
+    def _materialize_arguments(instance: TaskInstance) -> List[Any]:
+        """The task's argument values with each future replaced by its value.
+
+        The Access Processor's rule: a future at the top level, and one
+        level into a list or tuple whose parameter is not annotated.  Such
+        a container holding a future is rebuilt as a list or a tuple, as
+        it was passed; one holding none is passed as it is.
+        """
+        values = list(instance.payload)
+        plan = instance.definition.plan
+        for index, value in enumerate(values):
+            if isinstance(value, Future):
+                values[index] = value.value()  # producer finished: resolution is certain
+            elif isinstance(value, (list, tuple)) and not plan[index][2]:
+                if any(isinstance(element, Future) for element in value):
+                    items = [
+                        element.value() if isinstance(element, Future) else element
+                        for element in value
+                    ]
+                    values[index] = items if isinstance(value, list) else tuple(items)
+        return values

@@ -4,7 +4,8 @@
 names, per-parameter direction and explicitness, whether constraints are
 dynamic, and a positional fast path in ``bind``.  Whatever the call shape,
 ``bind`` must give ``inspect.Signature.bind`` + ``apply_defaults``' answer
-— the same ``arguments`` in the same order, or the same exception.
+— the same argument values in the same order, or the same exception — and
+``split`` must turn those values back into the same ``args`` / ``kwargs``.
 """
 
 import inspect
@@ -21,12 +22,15 @@ from repro.core.task_definition import TaskDefinition, definition_of
 NAMES = ["a", "b", "c", "d", "e"]
 
 
-def _function(arity, defaults):
-    """``def f(a, b, c=102, ...)`` with ``defaults`` trailing defaults."""
+def _function(arity, defaults, keyword_only=0):
+    """``def f(a, b, c=102, ...)`` with ``defaults`` trailing defaults, the
+    last ``keyword_only`` parameters after a ``*``."""
     params = [
         name if index < arity - defaults else f"{name}={100 + index}"
         for index, name in enumerate(NAMES[:arity])
     ]
+    if keyword_only:
+        params.insert(arity - keyword_only, "*")
     namespace = {}
     exec(f"def f({', '.join(params)}):\n    return None", namespace)
     return namespace["f"]
@@ -36,20 +40,20 @@ def _function(arity, defaults):
 def calls(draw):
     arity = draw(st.integers(0, 5))
     defaults = draw(st.integers(0, arity))
+    keyword_only = draw(st.integers(0, arity))
     # Too few and too many positionals; keywords that are missing, repeat a
     # positional, or name no parameter.
     args = tuple(draw(st.lists(st.integers(), max_size=arity + 1)))
     keywords = draw(st.lists(st.sampled_from(NAMES + ["zz"]), unique=True, max_size=4))
-    return _function(arity, defaults), args, {name: -index for index, name in enumerate(keywords)}
+    fn = _function(arity, defaults, keyword_only)
+    return fn, args, {name: -index for index, name in enumerate(keywords)}
 
 
 def _outcome(bind):
     try:
-        bound = bind()
+        return ("binds", bind())
     except TypeError as error:
         return ("raises", type(error), str(error))
-    assert isinstance(bound, inspect.BoundArguments)
-    return ("binds", list(bound.arguments.items()), bound.args, bound.kwargs)
 
 
 class TestBindEqualsInspect:
@@ -63,16 +67,30 @@ class TestBindEqualsInspect:
         def reference():
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            return bound
+            return tuple(bound.arguments.values()), (bound.args, bound.kwargs)
 
-        assert _outcome(lambda: definition.bind(args, kwargs)) == _outcome(reference)
+        def bind():
+            payload = definition.bind(args, kwargs)
+            return payload, definition.split(payload)
+
+        assert _outcome(bind) == _outcome(reference)
 
     def test_positional_call_skips_inspect_and_still_matches(self):
         definition = TaskDefinition(lambda a, b=2: None)
-        bound = definition.bind((7, 8), {})
-        assert list(bound.arguments.items()) == [("a", 7), ("b", 8)]
-        assert bound.signature is definition._signature
-        assert definition.bind((7,), {}).arguments == {"a": 7, "b": 2}
+        args = (7, 8)
+        assert definition.bind(args, {}) is args  # the caller's tuple, kept
+        assert definition.bind([7, 8], {}) == args
+        assert definition.bind((7,), {}) == (7, 2)
+        assert definition.split(args) == ((7, 8), {})
+
+    def test_keyword_only_parameters_bind_and_split_by_name(self):
+        definition = TaskDefinition(lambda a, *, b=2: None)
+        assert definition.positional == 1
+        with pytest.raises(TypeError):
+            definition.bind((7, 8), {})  # no positional fast path past a *
+        payload = definition.bind((7,), {"b": 8})
+        assert payload == (7, 8)
+        assert definition.split(payload) == ((7,), {"b": 8})
 
 
 class TestPlan:

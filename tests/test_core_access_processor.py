@@ -9,6 +9,7 @@ from repro.core.data import DataRegistry, DependencyTracker
 from repro.core.futures import Future
 from repro.core.parameter import FILE_IN, FILE_OUT, IN, INOUT, OUT
 from repro.core.task_definition import TaskDefinition
+from repro.executor.local import LocalExecutor
 
 
 def define(fn, returns=0, **directions):
@@ -33,7 +34,7 @@ class TestResultFutures:
             define(lambda x: x, returns=1), (producer.futures[0],), {}
         )
         assert consumer.depends_on == {producer.instance.task_id}
-        assert "x" in consumer.instance.future_args or consumer.instance.future_args
+        assert consumer.instance.payload == (producer.futures[0],)
 
     def test_independent_tasks_have_no_dependencies(self):
         ap = AccessProcessor()
@@ -124,7 +125,11 @@ class TestCollections:
         futures = [p.futures[0] for p in producers]
         consumer = ap.register_task(define(lambda items: items, returns=1), (futures,), {})
         assert consumer.depends_on == {p.instance.task_id for p in producers}
-        assert len(consumer.instance.future_args) == 3
+        # All three are substituted when the task runs.
+        for value, future in enumerate(futures):
+            future.resolve(value)
+        materialize = LocalExecutor._materialize_arguments
+        assert materialize(consumer.instance) == [[0, 1, 2]]
 
     def test_mixed_list_only_tracks_futures(self):
         ap = AccessProcessor()

@@ -10,6 +10,8 @@ must return exactly the same key — ``None`` (opted out) included.
 
 from __future__ import annotations
 
+import inspect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,14 +145,15 @@ values = st.one_of(
 
 
 def _both(definition, args, kwargs, compiler):
-    bound = definition.bind(args, kwargs)
+    bound = inspect.signature(definition.fn).bind(*args, **kwargs)
+    bound.apply_defaults()
     requirements = (
         definition.constraints.resolve(tuple(bound.args), dict(bound.kwargs))
         if definition.is_dynamic
         else definition.static_requirements()
     )
     return (
-        compiler.compile_call(definition, bound, requirements),
+        compiler.compile_call(definition, definition.bind(args, kwargs), requirements),
         _oracle_key(definition, bound, requirements),
     )
 

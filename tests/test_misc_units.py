@@ -38,9 +38,12 @@ class TestFuture:
             future.value()
 
     def test_unique_ids(self):
+        # A future is known by identity: two over the same datum stay two.
         a = Future(datum_id="x", producer_task_id=1)
         b = Future(datum_id="x", producer_task_id=1)
-        assert a.future_id != b.future_id
+        assert a != b and len({a, b}) == 2
+        a.resolve(1)
+        assert not b.resolved
 
 
 def peer(name, cores=4, kind="fog", outstanding=0, speed=1.0):

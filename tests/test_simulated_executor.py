@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.data import reader_ids
 from repro.core.graph import SimProfile, TaskInstance, TaskState
 from repro.executor import SimulatedExecutor, SimWorkflowBuilder
 from repro.infrastructure import make_hpc_cluster, make_fog_platform
@@ -115,7 +116,7 @@ def test_an_input_named_twice_is_read_and_fetched_once(inputs):
     task = builder.add_task("t", 1.0, inputs=inputs)
     assert task.reads == ("a", "b")
     assert task.profile.input_bytes == 1e6 + 5.0
-    assert builder._data["a"].readers == [task.task_id]
+    assert reader_ids(builder._data["a"]) == (task.task_id,)
     platform = make_hpc_cluster(2)
     report = SimulatedExecutor(
         builder.graph,

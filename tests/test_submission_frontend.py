@@ -84,6 +84,62 @@ class TestSubmitMany:
         with pytest.raises(RuntimeNotStartedError):
             rt.submit_many(add, [((1, 2), {})])
 
+    @pytest.mark.parametrize(
+        "calls, index",
+        [
+            ([(7, {"k": 1})], 0),  # a dict argument is not kwargs
+            ([(5,)], 0),  # args must be a tuple or list
+            ([(1, 2)], 0),  # bare args: no guessing
+            ([((1, 2),), ((1, 2), {}, {})], 1),
+            ([((1, 2),), ((1, 2), {}), 3], 2),
+            ([((1, 2), [])], 0),
+            ([()], 0),
+        ],
+    )
+    def test_other_call_shapes_are_refused_before_any_is_admitted(self, calls, index):
+        with Runtime(workers=2) as rt:
+            with pytest.raises(TypeError, match=rf"submit_many call {index} of 'add'"):
+                rt.submit_many(add, calls)
+            assert rt.graph.task_count == 0
+
+    def test_both_shapes_and_list_args_are_accepted(self):
+        with Runtime(workers=2) as rt:
+            calls = [((1, 2),), ((1,), {"b": 5}), ([3, 4],), ([], {"a": 1, "b": 1})]
+            assert compss_wait_on(rt.submit_many(add, calls)) == [3, 6, 7, 2]
+
+
+@task(returns=1)
+def kinds(first, second=()):
+    return type(first).__name__, list(first), type(second).__name__, list(second)
+
+
+class TestContainersOfFutures:
+    """Futures one level into a list or tuple reach the task as their
+    values, in a container of the type that was passed."""
+
+    def test_tuple_list_and_mixed_containers_keep_their_type(self):
+        plain = (1, 2)
+        with Runtime(workers=2):
+            a, b = add(0, 1), add(1, 1)
+            assert compss_wait_on(kinds((a, b))) == ("tuple", [1, 2], "tuple", [])
+            assert compss_wait_on(kinds([a, b])) == ("list", [1, 2], "tuple", [])
+            assert compss_wait_on(kinds((a, 5, "x"), [None, b])) == (
+                "tuple", [1, 5, "x"], "list", [None, 2]
+            )
+            assert compss_wait_on(kinds(plain, (b,))) == ("tuple", [1, 2], "tuple", [2])
+        # The same answers as with no runtime, where the call runs inline.
+        assert kinds((1, 2), [None, 2]) == ("tuple", [1, 2], "list", [None, 2])
+
+    def test_a_container_without_futures_is_passed_as_it_is(self):
+        values = [1, 2]
+
+        @task(returns=1)
+        def same(items):
+            return items is values
+
+        with Runtime(workers=2):
+            assert compss_wait_on(same(values)) is True
+
 
 class TestBoundedMasterBookkeeping:
     def test_future_tracking_is_released_after_completion(self):
@@ -92,7 +148,7 @@ class TestBoundedMasterBookkeeping:
             compss_wait_on(list(futures))
             rt.barrier()
             assert rt._result_futures == {}
-            assert all(t.kwargs == {} and t.future_args == {} for t in rt.graph.tasks)
+            assert all(t.payload == () for t in rt.graph.tasks)
 
     def test_completed_instances_drop_argument_payloads(self):
         payload = list(range(1000))
@@ -101,8 +157,7 @@ class TestBoundedMasterBookkeeping:
             compss_wait_on(future)
             rt.barrier()
             instance = rt.graph.task(future.producer_task_id)
-            assert instance.kwargs == {}
-            assert instance.future_args == {}
+            assert instance.payload == ()
 
     def test_failed_and_cancelled_tasks_release_tracking_too(self):
         with Runtime(workers=2) as rt:
@@ -114,7 +169,7 @@ class TestBoundedMasterBookkeeping:
             assert rt._result_futures == {}
             for future in (bad, dependent):
                 instance = rt.graph.task(future.producer_task_id)
-                assert instance.kwargs == {} and instance.future_args == {}
+                assert instance.payload == ()
         assert bad.error is not None
         assert dependent.error is not None
 

@@ -2,14 +2,15 @@
 
 The master keeps every task's record for the whole run, so the container
 objects a task leaves behind decide how much every full GC pass scans.
-These tests pin the per-task count of GC-tracked objects — finished and
-still queued — and that the records which became lazy (a datum's reader
-tail, a node's successor set) behave as the eager ones did from the moment
-they are first needed.
+These tests pin the per-task count of GC-tracked objects and the per-task
+traced heap — finished and still queued — and that the records which
+became lazy (a datum's reader tail, a node's successor set) behave as the
+eager ones did from the moment they are first needed.
 """
 
 import gc
 import threading
+import tracemalloc
 
 from repro import INOUT, Runtime, compss_wait_on, task
 from repro.core.access_processor import (
@@ -54,13 +55,46 @@ class TestFootprint:
             del futures, results
             finished = (_tracked() - before) / TASKS
             assert not hasattr(rt.access_processor, "futures_by_datum")
-        # Queued: TaskInstance, Datum, Future, its list, the ready-queue node
-        # (15 before E17).  Finished: the first two (10 before: five lists
-        # and two sets more; 5 until E22 released the payload to one shared
-        # empty mapping instead of two fresh dicts; 3 until E23 folded the
-        # datum's record and its current version into one).
-        assert queued <= 7.0, queued
+        # Queued: TaskInstance, Datum, Future, the ready-queue node (15
+        # before E17; 5 until E37 dropped the list behind the future).
+        # Finished: the first two (10 before: five lists and two sets more;
+        # 5 until E22 released the payload to one shared empty mapping
+        # instead of two fresh dicts; 3 until E23 folded the datum's record
+        # and its current version into one).
+        assert queued <= 4.5, queued
         assert finished <= 2.5, finished
+
+    def test_traced_bytes_per_task_queued_and_finished(self):
+        with Runtime(workers=1) as rt:
+            event = threading.Event()
+            hold(event)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                calls = [((i, i + 1),) for i in range(TASKS)]
+                futures = rt.submit_many(add, calls)
+                del calls
+                gc.collect()
+                queued = (tracemalloc.get_traced_memory()[0] - before) / TASKS
+                event.set()
+                assert compss_wait_on(futures, timeout=30)[-1] == 2 * TASKS - 1
+                rt.barrier()
+                del futures
+                gc.collect()
+                finished = (tracemalloc.get_traced_memory()[0] - before) / TASKS
+            finally:
+                tracemalloc.stop()
+        # 910 / 742 B on Python 3.11, 913 / 753 on 3.9, for one
+        # ``add(i, i + 1)``.  Queued: the instance (168 B)
+        # with the caller's argument tuple as its payload, the result datum
+        # and its id, the future, the label, the ready-queue node and the
+        # index slots (1,238 B before E37: a ``kwargs`` dict of 184 B, a
+        # ``future_args`` dict of 64, two slots more, the future's id and
+        # the list behind ``_result_futures``).  Finished: the payload and
+        # the future are gone (759 B before E37).
+        assert queued <= 1000, queued
+        assert finished <= 780, finished
 
     def test_finished_instances_hold_tuples_and_shared_defaults(self):
         with Runtime(workers=1) as rt:
