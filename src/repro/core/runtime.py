@@ -151,11 +151,11 @@ class Runtime:
         self._alias_futures: Dict[int, List[List[Future]]] = {}
         self._tasks_aliased = 0
         self._tasks_from_cache = 0
-        # Targeted wakeups: completions only notify when a thread actually
-        # waits on the finished task (or on the barrier with the graph
-        # drained), so a million unrelated completions wake nobody.
-        self._waiting_on: Dict[int, int] = {}
-        self._barrier_waiters = 0
+        # Waiter counts by awaited task id, None for the barrier: a
+        # completion notifies only when a thread waits on the settled task
+        # (or on the barrier with the graph drained), so a million
+        # unrelated completions wake nobody.
+        self._waiting_on: Dict[Optional[int], int] = {}
         self._started = False
         self._t0 = time.monotonic()
         self.executor = LocalExecutor(self, pool_size=pool_size)
@@ -174,12 +174,17 @@ class Runtime:
         return self
 
     def stop(self, wait: bool = True) -> None:
-        """Drain outstanding tasks (optionally) and deactivate the runtime."""
+        """Drain outstanding tasks (optionally) and deactivate the runtime.
+
+        A wait still blocked on an unsettled task (or the barrier) then
+        raises :class:`RuntimeNotStartedError`.
+        """
         global _current
         if wait and self._started:
             self.barrier()
         with self._cv:  # a submission admitted from here on would never run
             self._started = False
+            self._cv.notify_all()  # a waiter on an unsettled target now raises
         self.executor.shutdown()
         if _current is self:
             _current = None
@@ -278,25 +283,16 @@ class Runtime:
         """Insert a committed task into the graph and track its futures."""
         instance = registered.instance
         self.graph.add_task(instance, registered.depends_on)
-        if instance.state is TaskState.CANCELLED:
-            # Poisoned at birth (an ancestor already failed): settle the
-            # futures immediately instead of tracking them forever.
-            failure = TaskFailedError(
-                instance.label, ReproError("cancelled: an ancestor task failed")
-            )
-            for future in registered.futures:
-                future.fail(failure)
-            instance.payload = ()
-            return
         futures = registered.futures
         if futures:
             self._result_futures[instance.task_id] = (
                 futures[0] if len(futures) == 1 else futures
             )
-
-    def _pop_result_futures_locked(self, task_id: int) -> Sequence[Future]:
-        futures = self._result_futures.pop(task_id, ())
-        return (futures,) if futures.__class__ is Future else futures
+        if instance.state is TaskState.CANCELLED:
+            # Poisoned at birth (an ancestor already failed): settle it now
+            # instead of tracking its futures forever.
+            cause = ReproError("cancelled: an ancestor task failed")
+            self._settle_locked(instance, None, TaskFailedError(instance.label, cause))
 
     @staticmethod
     def _shape_returns(definition: TaskDefinition, futures: Sequence[Future]) -> Any:
@@ -380,7 +376,7 @@ class Runtime:
         """
         futures = [Future(None, None) for _ in range(definition.returns)]
         self._stamp_keys(futures, key)
-        self._resolve_futures(definition.name, futures, value)
+        self._settle_futures(definition.name, futures, value, None)
         self._tasks_from_cache += 1
         return self._shape_returns(definition, futures)
 
@@ -408,47 +404,31 @@ class Runtime:
 
         Returns the resolved value(s): a single value for one argument, a
         list for several.  Failed producers re-raise :class:`TaskFailedError`
-        here.
+        here.  ``timeout`` bounds the whole call, not each item.
         """
-        results = [self._wait_one(item, timeout) for item in items]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        results = [self._wait_one(item, timeout, deadline) for item in items]
         if len(results) == 1:
             return results[0]
         return results
 
-    def _wait_one(self, item: Any, timeout: Optional[float]) -> Any:
+    def _wait_one(self, item: Any, timeout: Optional[float], deadline: Optional[float]) -> Any:
         if isinstance(item, Future):
-            self._block_until_resolved(item, timeout)
+            if not item.resolved:
+                try:
+                    self._await(item.producer_task_id, timeout, deadline)
+                except TaskFailedError:
+                    pass  # the future carries the failure that reached it
             return item.value()
         # An object tasks mutate in place (tracked by identity) must be
         # synchronized as a datum — even if it happens to be a list.
-        if self.registry.record_for_object(item) is not None:
-            return self._wait_object(item, timeout)
-        if isinstance(item, (list, tuple)):
-            resolved = [self._wait_one(element, timeout) for element in item]
-            return type(item)(resolved)
-        # A plain object: wait for its last writer, then hand it back.
-        return self._wait_object(item, timeout)
-
-    def _wait_object(self, obj: Any, timeout: Optional[float]) -> Any:
-        record = self.registry.record_for_object(obj)
-        # Never touched by a task, or never written: already consistent.
+        record = self.registry.record_for_object(item)
+        if record is None and isinstance(item, (list, tuple)):
+            return type(item)([self._wait_one(each, timeout, deadline) for each in item])
+        # A tracked object waits for its last writer; an untouched one is consistent.
         if record is not None and record.writer is not None:
-            self.wait_for_task(record.writer, timeout)
-        return obj
-
-    def _block_until_resolved(self, future: Future, timeout: Optional[float]) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        producer = future.producer_task_id
-        with self._cv:
-            if future.resolved:
-                return
-            self._add_waiter_locked(producer)
-            try:
-                while not future.resolved:
-                    self._check_progress_possible(producer)
-                    self._cv_wait(deadline)
-            finally:
-                self._remove_waiter_locked(producer)
+            self._await(record.writer, timeout, deadline)
+        return item
 
     def wait_for_task(self, task_id: int, timeout: Optional[float] = None) -> None:
         """Block until ``task_id`` reaches a terminal state.
@@ -456,76 +436,58 @@ class Runtime:
         Raises :class:`TaskFailedError` if it failed or was cancelled, and
         :class:`TimeoutError` on deadline expiry.  Backs ``compss_open``.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cv:
-            self._add_waiter_locked(task_id)
-            try:
-                while True:
-                    # Failure/cancellation checks run *inside* the loop so a
-                    # writer that dies mid-wait raises instead of hanging.
-                    self._check_progress_possible(task_id)
-                    if self.graph.task(task_id).state is TaskState.DONE:
-                        return
-                    self._cv_wait(deadline)
-            finally:
-                self._remove_waiter_locked(task_id)
-
-    # Targeted-wakeup bookkeeping: waiters register the task id they block
-    # on; completions call _notify_waiters_locked with the ids that just
-    # settled and skip the notify_all entirely when nobody cares.  The 1.0s
-    # poll in _cv_wait stays as a backstop against a missed notification.
-
-    def _add_waiter_locked(self, task_id: int) -> None:
-        self._waiting_on[task_id] = self._waiting_on.get(task_id, 0) + 1
-
-    def _remove_waiter_locked(self, task_id: int) -> None:
-        count = self._waiting_on.get(task_id, 0) - 1
-        if count <= 0:
-            self._waiting_on.pop(task_id, None)
-        else:
-            self._waiting_on[task_id] = count
-
-    def _notify_waiters_locked(self, task_ids) -> None:
-        if self._barrier_waiters and self.graph.finished:
-            self._cv.notify_all()
-            return
-        if self._waiting_on:
-            for task_id in task_ids:
-                if task_id in self._waiting_on:
-                    self._cv.notify_all()
-                    return
-
-    def _cv_wait(self, deadline: Optional[float]) -> None:
-        if deadline is None:
-            self._cv.wait(timeout=1.0)
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("wait_on timed out")
-        self._cv.wait(timeout=min(remaining, 1.0))
-
-    def _check_progress_possible(self, awaited_task_id: int) -> None:
-        """Raise instead of hanging when the awaited task can never run."""
-        if awaited_task_id not in self.graph:
-            raise ReproError(f"awaited task {awaited_task_id} was never registered")
-        state = self.graph.task(awaited_task_id).state
-        if state in (TaskState.FAILED, TaskState.CANCELLED):
-            instance = self.graph.task(awaited_task_id)
-            raise TaskFailedError(
-                instance.label,
-                instance.error if instance.error is not None else ReproError("cancelled"),
-            )
+        self._await(task_id, timeout)
 
     def barrier(self, timeout: Optional[float] = None) -> None:
         """Block until every registered task has finished."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        self._await(None, timeout)
+
+    def _await(
+        self, task_id: Optional[int], timeout: Optional[float], deadline: Optional[float] = None
+    ) -> None:
+        """The one wait: until task ``task_id`` is DONE, or (None, the
+        barrier) until the graph has finished.  Raises on a failed or
+        cancelled task, past ``deadline`` (now + ``timeout`` if not given)
+        and once the runtime stops with the target unsettled.  The waiter
+        registers in ``_waiting_on`` and sleeps with no timeout of its own:
+        only ``_settle_locked`` and ``stop`` wake it."""
+        if deadline is None and timeout is not None:
+            deadline = time.monotonic() + timeout
         with self._cv:
-            self._barrier_waiters += 1
+            if task_id is not None and task_id not in self.graph:
+                raise ReproError(f"awaited task {task_id} was never registered")
+            waiting = self._waiting_on
+            waiting[task_id] = waiting.get(task_id, 0) + 1
             try:
-                while not self.graph.finished:
-                    self._cv_wait(deadline)
+                while True:
+                    if task_id is None:
+                        if self.graph.finished:
+                            return
+                        target = "barrier"
+                    else:
+                        instance = self.graph.task(task_id)
+                        if instance.state is TaskState.DONE:
+                            return
+                        if instance.state in (TaskState.FAILED, TaskState.CANCELLED):
+                            error = instance.error
+                            cause = ReproError("cancelled") if error is None else error
+                            raise TaskFailedError(instance.label, cause)
+                        target = f"task {instance.label}"
+                    if not self._started:
+                        raise RuntimeNotStartedError(f"runtime stopped while waiting on {target}")
+                    if deadline is None:
+                        self._cv.wait()
+                        continue
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError(f"wait on {target} timed out after {timeout} s")
+                    self._cv.wait(remaining)
             finally:
-                self._barrier_waiters -= 1
+                count = waiting[task_id] - 1
+                if count:
+                    waiting[task_id] = count
+                else:
+                    del waiting[task_id]
 
     # ----------------------------------------------------- executor callbacks
 
@@ -541,22 +503,8 @@ class Runtime:
         with self._cv:
             self.scheduler.release(instance)
             self.graph.mark_done(instance.task_id, now=self.now)
-            futures = self._pop_result_futures_locked(instance.task_id)
-            self._resolve_futures(instance.label, futures, result)
-            # Aliased duplicates resolve from the same result, one group at
-            # a time (each group carries its own submission's arity).
-            for group in self._alias_futures.pop(instance.task_id, ()):
-                self._resolve_futures(instance.label, group, result)
-            if instance.cache_key is not None:
-                self._drop_inflight_locked(instance.task_id, instance.cache_key)
-                if self.memoizer is not None:
-                    self.memoizer.store(instance.cache_key, result)
-            # The graph keeps every instance for statistics and exports; a
-            # finished one need not keep its arguments too (bounded memory).
-            instance.payload = ()
-            continuation = self.executor.kick_locked(keep_first=True)
-            self._notify_waiters_locked((instance.task_id,))
-            return continuation
+            self._settle_locked(instance, result, None)
+            return self.executor.kick_locked(keep_first=True)
 
     def on_task_failed(
         self, instance: TaskInstance, error: BaseException
@@ -569,63 +517,75 @@ class Runtime:
             self.scheduler.release(instance)
             cancelled = self.graph.mark_failed(instance.task_id, error, now=self.now)
             failure = TaskFailedError(instance.label, error)
-            for tid in (instance.task_id, *cancelled):
-                for future in self._pop_result_futures_locked(tid):
-                    future.fail(failure)
-                for group in self._alias_futures.pop(tid, ()):
-                    for future in group:
-                        future.fail(failure)
-                failed_instance = self.graph.task(tid)
-                if failed_instance.cache_key is not None:
-                    # The key must stop matching new submissions (they'd
-                    # alias a corpse) and — because store() only runs in
-                    # on_task_done — is never served from the cache either.
-                    self._drop_inflight_locked(tid, failed_instance.cache_key)
-                failed_instance.payload = ()
-            continuation = self.executor.kick_locked(keep_first=True)
-            self._notify_waiters_locked((instance.task_id, *cancelled))
-            return continuation
+            self._settle_locked(instance, None, failure)
+            for tid in cancelled:
+                self._settle_locked(self.graph.task(tid), None, failure)
+            return self.executor.kick_locked(keep_first=True)
 
-    def _drop_inflight_locked(self, task_id: int, cache_key: str) -> None:
-        entry = self._inflight.get(cache_key)
-        if entry is not None and entry[0] == task_id:
-            del self._inflight[cache_key]
+    def _settle_locked(
+        self, instance: TaskInstance, result: Any, failure: Optional[TaskFailedError]
+    ) -> None:
+        """Settle a task the graph just finished, with ``result`` or (given
+        ``failure``) as failed: its futures and its aliases', the memo cache
+        on success, its in-flight key and arguments, and whoever waits on it
+        or on the barrier."""
+        task_id = instance.task_id
+        futures = self._result_futures.pop(task_id, ())
+        if futures.__class__ is Future:
+            futures = (futures,)
+        self._settle_futures(instance.label, futures, result, failure)
+        # Aliased duplicates settle with the primary, one group at a time
+        # (each group carries its own submission's arity).
+        for group in self._alias_futures.pop(task_id, ()):
+            self._settle_futures(instance.label, group, result, failure)
+        key = instance.cache_key
+        if key is not None:
+            # A failed key must stop matching new submissions (they'd alias a
+            # corpse) and, never stored, is never served from the cache.
+            entry = self._inflight.get(key)
+            if entry is not None and entry[0] == task_id:
+                del self._inflight[key]
+            if failure is None and self.memoizer is not None:
+                self.memoizer.store(key, result)
+        # The graph keeps every instance for statistics and exports; a
+        # finished one need not keep its arguments too (bounded memory).
+        instance.payload = ()
+        waiting = self._waiting_on
+        if waiting and (task_id in waiting or (None in waiting and self.graph.finished)):
+            self._cv.notify_all()
 
-    def _resolve_futures(self, label: str, futures, result: Any) -> None:
+    @staticmethod
+    def _settle_futures(
+        label: str, futures, result: Any, failure: Optional[TaskFailedError]
+    ) -> None:
+        """Resolve ``futures`` from ``result`` or fail them with ``failure``.
+
+        An arity mismatch fails them too, never raises: this runs in the
+        completion callback, where an escaped exception would leave the
+        futures unresolved and their waiters hung forever.
+        """
         if not futures:
             return
-        if len(futures) == 1:
-            futures[0].resolve(result)
-            return
-        # Arity mismatches must FAIL the futures, never raise here: this
-        # runs in the completion callback, and an escaped exception would
-        # leave the futures unresolved and waiters hung forever.
-        failure: Optional[TaskFailedError] = None
-        values: tuple = ()
-        try:
-            values = tuple(result)
-        except TypeError:
-            failure = TaskFailedError(
-                label,
-                TypeError(
-                    f"task declared returns={len(futures)} but returned "
-                    f"non-iterable {type(result).__name__}"
-                ),
-            )
-        if failure is None and len(values) != len(futures):
-            failure = TaskFailedError(
-                label,
-                ValueError(
-                    f"task declared returns={len(futures)} but returned "
-                    f"{len(values)} values"
-                ),
-            )
-        if failure is not None:
-            for future in futures:
-                future.fail(failure)
-            return
-        for future, value in zip(futures, values):
-            future.resolve(value)
+        if failure is None:
+            if len(futures) == 1:
+                futures[0].resolve(result)
+                return
+            declared = f"task declared returns={len(futures)} but returned"
+            try:
+                values = tuple(result)
+            except TypeError:
+                cause: Exception = TypeError(
+                    f"{declared} non-iterable {type(result).__name__}"
+                )
+            else:
+                if len(values) == len(futures):
+                    for future, value in zip(futures, values):
+                        future.resolve(value)
+                    return
+                cause = ValueError(f"{declared} {len(values)} values")
+            failure = TaskFailedError(label, cause)
+        for future in futures:
+            future.fail(failure)
 
     # ---------------------------------------------------------------- extras
 
@@ -679,7 +639,10 @@ def stop_runtime(wait: bool = True) -> None:
 
 
 def compss_wait_on(*items: Any, timeout: Optional[float] = None) -> Any:
-    """Synchronize on futures / tracked objects; pass-through with no runtime."""
+    """Synchronize on futures / tracked objects; pass-through with no runtime.
+
+    ``timeout`` bounds the whole call, however many items it waits on.
+    """
     runtime = current_runtime()
     if runtime is None:
         if len(items) == 1:

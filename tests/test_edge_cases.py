@@ -1,9 +1,13 @@
 """Targeted error-path and edge-case tests across the library."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro import FILE_OUT, Runtime, TaskFailedError, compss_open, compss_wait_on, task
-from repro.core.exceptions import StorageError
+from repro.core.exceptions import RuntimeNotStartedError, StorageError
 from repro.executor import SimulatedExecutor, SimWorkflowBuilder
 from repro.executor.simulated import SimulatedExecutionError
 from repro.infrastructure import Node, Platform, make_hpc_cluster
@@ -107,6 +111,137 @@ class TestRuntimeErrorPaths:
         # A fresh runtime still works afterwards.
         with Runtime(workers=2):
             assert compss_wait_on(slow(2)) == 2
+
+
+@task(returns=1)
+def _pause(seconds, x):
+    time.sleep(seconds)
+    return x
+
+
+@task(returns=1)
+def _held(seconds):
+    threading.Event().wait(seconds)  # blocks on an Event nobody sets
+    return seconds
+
+
+@task(out=FILE_OUT)
+def _held_write(seconds, out):
+    threading.Event().wait(seconds)
+    with open(out, "w") as handle:
+        handle.write("done")
+
+
+class TestOneWait:
+    def test_stop_without_wait_fails_a_stranded_waiter(self):
+        outcome = []
+
+        def waiter():
+            try:
+                outcome.append(rt.wait_on(futures[-1]))
+            except RuntimeNotStartedError as error:
+                outcome.append((error, time.monotonic()))
+
+        rt = Runtime(workers=1).start()
+        try:
+            futures = rt.submit_many(_pause, [((0.01, i),) for i in range(200)])
+            thread = threading.Thread(target=waiter, daemon=True)  # fails, not hangs
+            thread.start()
+            give_up = time.monotonic() + 5
+            while futures[-1].producer_task_id not in rt._waiting_on:
+                assert time.monotonic() < give_up
+                time.sleep(0.005)
+        finally:
+            stopped = time.monotonic()
+            rt.stop(wait=False)
+        thread.join(5)
+        assert not thread.is_alive()
+        (error, raised_at), = outcome
+        assert raised_at - stopped < 1.0
+        assert f"task _pause#{futures[-1].producer_task_id}" in str(error)
+        # An unplaced task does not burn its timeout; a settled one still returns.
+        start = time.monotonic()
+        with pytest.raises(RuntimeNotStartedError, match="_pause#"):
+            rt.wait_on(futures[-2], timeout=2.5)
+        assert time.monotonic() - start < 1.0
+        assert rt.wait_on(futures[0]) == 0
+        with pytest.raises(RuntimeNotStartedError, match="barrier"):
+            rt.barrier()
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_wait_on_timeout_bounds_the_whole_call(self, listed):
+        with Runtime(workers=1) as rt:
+            futures = [_pause(0.25, i) for i in range(4)]
+            start = time.monotonic()
+            with pytest.raises(TimeoutError, match=r"task _pause#\d+ timed out after 0\.3 s"):
+                rt.wait_on(futures, timeout=0.3) if listed else rt.wait_on(*futures, timeout=0.3)
+            assert time.monotonic() - start < 0.75  # not 0.3 s per item
+
+    def test_barrier_and_compss_open_timeouts_name_their_target(self, tmp_path):
+        path = str(tmp_path / "late.txt")
+        with Runtime(workers=2) as rt:
+            _held_write(1.0, path)
+            with pytest.raises(TimeoutError, match=r"wait on barrier timed out after 0\.05 s"):
+                rt.barrier(timeout=0.05)
+            with pytest.raises(
+                TimeoutError, match=r"wait on task _held_write#\d+ timed out after 0\.05 s"
+            ):
+                compss_open(path, timeout=0.05)
+
+    @pytest.mark.parametrize("sync", ["wait_on", "barrier", "compss_open"])
+    def test_an_untimed_wait_sleeps_until_notified(self, sync, tmp_path, monkeypatch):
+        path = str(tmp_path / "held.txt")
+        with Runtime(workers=2) as rt:
+            timeouts = []
+            wait = rt._cv.wait
+
+            def counting_wait(timeout=None):
+                timeouts.append(timeout)
+                return wait(timeout)
+
+            def synchronize():
+                if sync == "compss_open":
+                    compss_open(path).close()
+                elif sync == "wait_on":
+                    rt.wait_on(future)
+                else:
+                    rt.barrier()
+
+            monkeypatch.setattr(rt._cv, "wait", counting_wait)
+            future = _held_write(2.0, path) if sync == "compss_open" else _held(2.0)
+            # Untimed, so run it on a thread: a missed wakeup fails the join.
+            start = time.monotonic()
+            thread = threading.Thread(target=synchronize, daemon=True)
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive()
+            waited, calls = time.monotonic() - start, list(timeouts)
+        assert waited >= 1.5
+        assert calls and len(calls) <= 2 and all(timeout is None for timeout in calls)
+
+    def test_concurrent_waiters_wake_and_unregister(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Runtime(workers=4) as rt:
+                futures = rt.submit_many(_pause, [((0.0005 * (i % 7), i),) for i in range(400)])
+                results = {}
+
+                def waiter(index):
+                    picked = futures[index::16]
+                    results[index] = rt.wait_on(picked, timeout=30)
+                    rt.barrier(timeout=30)
+
+                threads = [threading.Thread(target=waiter, args=(i,)) for i in range(16)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == {i: list(range(400))[i::16] for i in range(16)}
+                assert rt._waiting_on == {}
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSimulatedExecutorEdges:

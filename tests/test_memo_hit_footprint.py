@@ -249,11 +249,12 @@ class TestSettledFutureAsArgument:
             compss_wait_on(square(5), pair(5))
             hits = [square(5), *pair(5)]
 
-            def refuse(task_id):
+            def refuse(task_id, *args):
                 raise AssertionError(f"waited on task {task_id}")
 
-            monkeypatch.setattr(rt, "_add_waiter_locked", refuse)
+            monkeypatch.setattr(rt, "_await", refuse)
             assert compss_wait_on(hits) == [25, 5, 6]
+            monkeypatch.undo()  # stop()'s barrier waits as usual
             assert rt._waiting_on == {}
 
     def test_read_through_a_hit_orders_against_a_raw_write(self):
