@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from typing import Callable, Iterable, List, Sequence
 
 
@@ -48,6 +49,15 @@ def runtime_scaling_targets() -> List[int]:
     if scale == "large":
         return [10_000, 50_000, 200_000, 500_000]
     return [10_000, 50_000, 200_000]
+
+
+def host_facts() -> dict:
+    """The host a figure was measured on, stamped beside it in a JSON artifact."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def merge_results(path: str, updates: dict) -> None:

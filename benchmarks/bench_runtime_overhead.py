@@ -18,10 +18,9 @@ holds the pair together (a smoke-scale JSON must not be committed).
 """
 
 import os
-import platform
 import time
 
-from _common import bench_scale, merge_results
+from _common import bench_scale, host_facts, merge_results
 
 from repro import Runtime, compss_barrier, compss_wait_on, task
 
@@ -48,11 +47,7 @@ def _merge_results(updates: dict) -> None:
             **updates,
             "experiment": "runtime_overhead",
             "scale": bench_scale(),
-            "host": {
-                "cpus": os.cpu_count(),
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-            },
+            "host": host_facts(),
         },
     )
 

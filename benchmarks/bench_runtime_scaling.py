@@ -27,7 +27,14 @@ import pickle
 import sys
 import time
 
-from _common import bench_scale, merge_results, print_table, run_once, runtime_scaling_targets
+from _common import (
+    bench_scale,
+    host_facts,
+    merge_results,
+    print_table,
+    run_once,
+    runtime_scaling_targets,
+)
 
 from repro.executor import SimulatedExecutor
 from repro.infrastructure import make_hpc_cluster
@@ -215,7 +222,16 @@ def parallel_sweep_spec() -> tuple:
 
 
 def _merge_results(updates: dict) -> None:
-    merge_results(RESULTS_PATH, {"experiment": "runtime_scaling", **updates})
+    """Fold ``updates`` and this host's stamp into BENCH_runtime_scaling.json."""
+    merge_results(
+        RESULTS_PATH,
+        {
+            **updates,
+            "experiment": "runtime_scaling",
+            "scale": bench_scale(),
+            "host": host_facts(),
+        },
+    )
 
 
 def test_runtime_overhead_scaling(benchmark):

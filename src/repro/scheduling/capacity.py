@@ -15,7 +15,7 @@ O(candidates) per task at 100+ nodes (DESIGN.md §2, claim C1).
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -48,6 +48,11 @@ class NodeCapacity:
     # Current bucket keys within the owning ledger (meaningless otherwise).
     cores_key: int = field(default=0, repr=False, compare=False)
     mem_key: int = field(default=0, repr=False, compare=False)
+    # This node's entry in its cores bucket, ``(node.cores, order, self)``:
+    # built once per registration, so a re-file allocates nothing.
+    tie: Optional[Tuple[int, int, "NodeCapacity"]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def for_node(cls, node: Node) -> "NodeCapacity":
@@ -72,13 +77,16 @@ class NodeCapacity:
         return req.fits_node(self.node)
 
     def fits_now(self, req: ResolvedRequirements) -> bool:
-        """Dynamic feasibility against current free resources."""
+        """Dynamic feasibility against current free resources (``alive``
+        read off the node's fields: the property is a call per probe)."""
+        node = self.node
         return (
-            self.node.alive
-            and self.free_cores >= req.cores
+            self.free_cores >= req.cores
             and self.free_memory_mb >= req.memory_mb
             and self.free_gpus >= req.gpus
-            and req.software <= self.node.software
+            and req.software <= node.software
+            and not node.failed
+            and (node.battery_joules is None or node.battery_joules > 0)
         )
 
     def allocate(self, task_id: int, req: ResolvedRequirements) -> None:
@@ -92,28 +100,44 @@ class NodeCapacity:
         self.free_memory_mb -= req.memory_mb
         self.free_gpus -= req.gpus
         self.running_task_ids.add(task_id)
-        if self.ledger is not None:
-            self.ledger._note_allocated(self, req)
+        ledger = self.ledger
+        if ledger is not None:
+            ledger._free_cores_total -= req.cores
+            ledger._rebucket(self)
 
     def release(self, task_id: int, req: ResolvedRequirements) -> None:
-        if task_id not in self.running_task_ids:
-            raise CapacityError(
-                f"task {task_id} is not running on {self.node.name}"
-            )
-        self.running_task_ids.remove(task_id)
-        self.free_cores += req.cores
-        self.free_memory_mb += req.memory_mb
-        self.free_gpus += req.gpus
+        """Give back what ``task_id`` held; a refused release (unknown task,
+        or more than the node's capacity) changes nothing."""
+        node = self.node
+        cores = self.free_cores + req.cores
+        memory_mb = self.free_memory_mb + req.memory_mb
+        gpus = self.free_gpus + req.gpus
+        running = self.running_task_ids
+        # Refuse before mutating anything; an unknown task is refused as
+        # unknown (by ``remove``), whatever it would give back.
         if (
-            self.free_cores > self.node.cores
-            or self.free_memory_mb > self.node.memory_mb
-            or self.free_gpus > self.node.gpu_count
-        ):
+            cores > node.cores or memory_mb > node.memory_mb or gpus > len(node.gpus)
+        ) and task_id in running:
             raise CapacityError(
-                f"release of task {task_id} overflowed capacity on {self.node.name}"
+                f"release of task {task_id} would overflow capacity on {node.name}"
             )
-        if self.ledger is not None:
-            self.ledger._note_released(self, req)
+        try:
+            running.remove(task_id)
+        except KeyError:
+            raise CapacityError(f"task {task_id} is not running on {node.name}") from None
+        self.free_cores = cores
+        self.free_memory_mb = memory_mb
+        self.free_gpus = gpus
+        ledger = self.ledger
+        if ledger is not None:
+            ledger._free_cores_total += req.cores
+            ledger.grow_seq = seq = ledger.grow_seq + 1
+            log = ledger.grow_log
+            name = node.name
+            if name in log:
+                del log[name]  # re-insert at the end: iteration order = recency
+            log[name] = (seq, self)
+            ledger._rebucket(self)
 
 
 class CapacityLedger:
@@ -122,7 +146,10 @@ class CapacityLedger:
     Placement queries run against two bucket indexes instead of the full
     node map:
 
-    * ``_cores_buckets`` files each node under its exact free-core count;
+    * ``_cores_buckets`` files each node under its exact free-core count,
+      in a list kept sorted in tie order ``(node.cores, order)`` — the
+      load-balancing tie-break — so the first fitting member of a bucket
+      is its winner;
     * ``_mem_buckets`` files it under ``free_memory_mb.bit_length()`` (log2
       buckets — memory values are too fine-grained for exact keys).
 
@@ -138,19 +165,14 @@ class CapacityLedger:
         self._states: Dict[str, NodeCapacity] = {}
         # Incremental aggregate: free cores summed over every tracked node.
         self._free_cores_total = 0
-        # Bucket indexes (key -> {node name -> state}) and their top
-        # nonempty keys, maintained eagerly on every capacity change.
-        self._cores_buckets: Dict[int, Dict[str, NodeCapacity]] = {}
+        # Bucket indexes (cores key -> tie-ordered ``state.tie`` list,
+        # memory key -> {node name -> state}) and their top nonempty keys,
+        # maintained eagerly on every capacity change: a change is one
+        # bisect-delete plus one insort.
+        self._cores_buckets: Dict[int, List[Tuple[int, int, NodeCapacity]]] = {}
         self._mem_buckets: Dict[int, Dict[str, NodeCapacity]] = {}
         self._top_cores_key = 0
         self._top_mem_key = 0
-        # Per-cores-bucket lazy min-heaps of (node.cores, order, state);
-        # see _heap_insert.  ``_heap_stale`` counts invalidated entries per
-        # heap so staleness stays bounded (see _heap_retire) — without the
-        # bound a long run strands one dead tuple per rebucket, O(tasks)
-        # live garbage that taxes every gen-2 GC pass for the whole run.
-        self._cores_heaps: Dict[int, List[Tuple[int, int, NodeCapacity]]] = {}
-        self._heap_stale: Dict[int, int] = {}
         # Monotonic registration counter (candidates() ordering contract).
         self._order_counter = 0
         # Capacity-growth journal.  ``grow_seq`` ticks whenever any node's
@@ -168,68 +190,21 @@ class CapacityLedger:
     # ---------------------------------------------------------- bucket index
 
     def _bucket_insert(self, state: NodeCapacity) -> None:
-        name = state.node.name
         cores_key = state.free_cores
         mem_key = state.free_memory_mb.bit_length()
         state.cores_key = cores_key
         state.mem_key = mem_key
-        self._cores_buckets.setdefault(cores_key, {})[name] = state
-        self._mem_buckets.setdefault(mem_key, {})[name] = state
-        self._heap_insert(cores_key, state)
+        insort(self._cores_buckets.setdefault(cores_key, []), state.tie)
+        self._mem_buckets.setdefault(mem_key, {})[state.node.name] = state
         if cores_key > self._top_cores_key:
             self._top_cores_key = cores_key
         if mem_key > self._top_mem_key:
             self._top_mem_key = mem_key
 
-    def _heap_insert(self, cores_key: int, state: NodeCapacity) -> None:
-        """File a bucket arrival in the bucket's tie-order heap.
-
-        The heap mirrors bucket membership lazily: entries are added on
-        every arrival and invalidated (never removed) on departure, so the
-        first *valid* head is the bucket's min-(total cores, order) member.
-        ``best_balanced`` uses that head as an O(log) winner when it fits,
-        and falls back to scanning the bucket dict when it doesn't.
-        """
-        heap = self._cores_heaps.get(cores_key)
-        if heap is None:
-            self._cores_heaps[cores_key] = heap = []
-        heapq.heappush(heap, (state.node.cores, state.order, state))
-
-    def _heap_retire(self, cores_key: int) -> None:
-        """Account one departure from ``cores_key``'s tie-order heap.
-
-        Departures invalidate lazily (the entry stays until a head
-        inspection drops it), so once invalidated entries reach half the
-        heap it is rebuilt from the bucket — O(bucket) amortized against
-        the departures that created the staleness.  This caps each heap at
-        2x its bucket's live membership; the rebuild cost is the price of
-        not letting dead tuples pile up in the GC's old generation.
-        """
-        heap = self._cores_heaps.get(cores_key)
-        if heap is None:
-            return
-        stale = self._heap_stale.get(cores_key, 0) + 1
-        if 2 * stale < len(heap):
-            self._heap_stale[cores_key] = stale
-            return
-        bucket = self._cores_buckets.get(cores_key)
-        if bucket:
-            rebuilt = [(s.node.cores, s.order, s) for s in bucket.values()]
-            heapq.heapify(rebuilt)
-            self._cores_heaps[cores_key] = rebuilt
-        else:
-            del self._cores_heaps[cores_key]
-        self._heap_stale[cores_key] = 0
-
     def _bucket_remove(self, state: NodeCapacity) -> None:
-        name = state.node.name
-        bucket = self._cores_buckets.get(state.cores_key)
-        if bucket is not None:
-            bucket.pop(name, None)
-        bucket = self._mem_buckets.get(state.mem_key)
-        if bucket is not None:
-            bucket.pop(name, None)
-        self._heap_retire(state.cores_key)
+        bucket = self._cores_buckets[state.cores_key]
+        del bucket[bisect_left(bucket, state.tie)]
+        del self._mem_buckets[state.mem_key][state.node.name]
         self._settle_tops()
 
     def _rebucket(self, state: NodeCapacity) -> None:
@@ -237,28 +212,24 @@ class CapacityLedger:
 
         The top keys only need settling when this move emptied the bucket
         currently holding a top key — checked inline so the steady state
-        pays two dict moves and nothing else.
+        pays one list move and one dict move and nothing else.
         """
-        name = state.node.name
         cores_key = state.free_cores
         old_cores_key = state.cores_key
         if cores_key != old_cores_key:
-            old = self._cores_buckets.get(old_cores_key)
-            if old is not None:
-                old.pop(name, None)
-            # Not setdefault: that allocates a throwaway dict on every call,
-            # and nearly every rebucket lands in an existing bucket.
-            new = self._cores_buckets.get(cores_key)
+            buckets = self._cores_buckets
+            tie = state.tie
+            old = buckets[old_cores_key]
+            del old[bisect_left(old, tie)]
+            new = buckets.get(cores_key)
             if new is None:
-                self._cores_buckets[cores_key] = new = {}
-            new[name] = state
+                buckets[cores_key] = [tie]
+            else:
+                insort(new, tie)
             state.cores_key = cores_key
-            self._heap_insert(cores_key, state)
-            self._heap_retire(old_cores_key)
             if cores_key > self._top_cores_key:
                 self._top_cores_key = cores_key
             elif old_cores_key == self._top_cores_key and not old:
-                buckets = self._cores_buckets
                 top = old_cores_key
                 while top > 0 and not buckets.get(top):
                     top -= 1
@@ -266,18 +237,20 @@ class CapacityLedger:
         mem_key = state.free_memory_mb.bit_length()
         old_mem_key = state.mem_key
         if mem_key != old_mem_key:
-            old = self._mem_buckets.get(old_mem_key)
-            if old is not None:
-                old.pop(name, None)
-            new = self._mem_buckets.get(mem_key)
+            name = state.node.name
+            buckets = self._mem_buckets
+            old = buckets[old_mem_key]
+            del old[name]
+            # Not setdefault: that allocates a throwaway dict on every call,
+            # and nearly every rebucket lands in an existing bucket.
+            new = buckets.get(mem_key)
             if new is None:
-                self._mem_buckets[mem_key] = new = {}
+                buckets[mem_key] = new = {}
             new[name] = state
             state.mem_key = mem_key
             if mem_key > self._top_mem_key:
                 self._top_mem_key = mem_key
             elif old_mem_key == self._top_mem_key and not old:
-                buckets = self._mem_buckets
                 top = old_mem_key
                 while top > 0 and not buckets.get(top):
                     top -= 1
@@ -298,24 +271,7 @@ class CapacityLedger:
             top -= 1
         self._top_mem_key = top
 
-    # --------------------------------------------------- aggregate bookkeeping
-
-    def _note_allocated(self, state: NodeCapacity, req: ResolvedRequirements) -> None:
-        self._free_cores_total -= req.cores
-        self._rebucket(state)
-
-    def _note_released(self, state: NodeCapacity, req: ResolvedRequirements) -> None:
-        self._free_cores_total += req.cores
-        self._journal_growth(state)
-        self._rebucket(state)
-
-    def _journal_growth(self, state: NodeCapacity) -> None:
-        self.grow_seq += 1
-        log = self.grow_log
-        name = state.node.name
-        if name in log:
-            del log[name]  # re-insert at the end: iteration order = recency
-        log[name] = (self.grow_seq, state)
+    # --------------------------------------------------------- growth journal
 
     def grown_since(self, seq: int) -> List[NodeCapacity]:
         """Nodes whose free resources grew after tick ``seq``, most recent
@@ -336,10 +292,14 @@ class CapacityLedger:
         state = NodeCapacity.for_node(node)
         state.ledger = self
         state.order = self._order_counter
+        state.tie = (node.cores, state.order, state)
         self._order_counter += 1
         self._states[node.name] = state
         self._free_cores_total += state.free_cores
-        self._journal_growth(state)  # a new node is pure capacity growth
+        # A new node is pure capacity growth (NodeCapacity.release journals
+        # the other kind).
+        self.grow_seq += 1
+        self.grow_log[node.name] = (self.grow_seq, state)
         self._bucket_insert(state)
 
     def remove_node(self, node_name: str) -> NodeCapacity:
@@ -453,7 +413,7 @@ class CapacityLedger:
                 # implied by the key filter.
                 for key, bucket in self._cores_buckets.items():
                     if key >= need_cores:
-                        for state in bucket.values():
+                        for _, _, state in bucket:
                             if (
                                 state.free_memory_mb >= need_mem
                                 and state.free_gpus >= need_gpus
@@ -493,8 +453,9 @@ class CapacityLedger:
         registration order — without materializing the candidate list.  The
         winner has the highest free-core count of any fitting node, so it
         lives in the highest cores bucket that contains one: descend the
-        cores keys from the top and return the min-(total cores, order)
-        fitting member of the first bucket that has any.  The walk prices a
+        cores keys from the top and return the first fitting member of the
+        first bucket that has any — each bucket is kept in tie order, so
+        that member is the min-(total cores, order) one.  The walk prices a
         placement at the few top buckets actually inspected instead of the
         O(nodes) full-platform filter, which is what restores flat per-event
         cost on wide platforms (the 400-node regime of E1d).  Returns None
@@ -517,10 +478,9 @@ class CapacityLedger:
                 mem_plausible += len(bucket)
         if not mem_plausible:
             return None
-        best = None
-        best_key = None
         if 2 * mem_plausible < len(self._states):
             # Sparse regime: filter by the memory axis, then single-pass max.
+            best = best_key = None
             for state in self.candidates(req):
                 key = (-state.free_cores, state.node.cores, state.order)
                 if best is None or key < best_key:
@@ -530,24 +490,11 @@ class CapacityLedger:
         need_gpus = req.gpus
         software = req.software
         buckets = self._cores_buckets
-        heaps = self._cores_heaps
         for cores_key in range(self._top_cores_key, req.cores - 1, -1):
-            bucket = buckets.get(cores_key)
-            if not bucket:
-                continue
-            # Fast path: the bucket's tie-order heap head.  An underloaded
-            # platform piles hundreds of equal-free-cores nodes into one
-            # bucket; the head is the exact min-(total, order) member, so
-            # when it also fits the demand there is nothing to scan.
-            heap = heaps.get(cores_key)
-            while heap:
-                entry = heap[0]
-                state = entry[2]
-                if state.cores_key != cores_key or state.ledger is not self:
-                    heapq.heappop(heap)  # stale: re-bucketed or removed
-                    if self._heap_stale.get(cores_key, 0) > 0:
-                        self._heap_stale[cores_key] -= 1
-                    continue
+            # An underloaded platform piles hundreds of equal-free-cores
+            # nodes into one bucket; its head is the tie winner, so the
+            # walk stops at the first member that fits.
+            for _, _, state in buckets.get(cores_key, ()):
                 if (
                     state.free_memory_mb >= need_mem
                     and state.free_gpus >= need_gpus
@@ -556,20 +503,6 @@ class CapacityLedger:
                     and (node.battery_joules is None or node.battery_joules > 0)
                 ):
                     return state
-                break  # head is the tie winner but does not fit: scan
-            for state in bucket.values():
-                if (
-                    state.free_memory_mb >= need_mem
-                    and state.free_gpus >= need_gpus
-                    and software <= (node := state.node).software
-                    and not node.failed
-                    and (node.battery_joules is None or node.battery_joules > 0)
-                ):
-                    key = (state.node.cores, state.order)
-                    if best is None or key < best_key:
-                        best, best_key = state, key
-            if best is not None:
-                return best
         return None
 
     def any_ever_fits(self, req: ResolvedRequirements) -> bool:

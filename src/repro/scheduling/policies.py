@@ -51,11 +51,12 @@ class LoadBalancingPolicy:
     name = "load-balancing"
 
     def select_indexed(self, task: TaskInstance, ledger) -> Optional[NodeCapacity]:
-        """Indexed fast path: read the winner off the ledger's cores-bucket
-        heaps instead of ranking a materialized candidate list.  Same choice
-        as :meth:`select` over ``ledger.candidates(req)`` by construction
-        (pinned by the placement-equivalence suite); returns None only when
-        no node fits — this policy never declines a viable node."""
+        """Indexed fast path: read the winner off the ledger's tie-ordered
+        cores buckets instead of ranking a materialized candidate list.
+        Same choice as :meth:`select` over ``ledger.candidates(req)`` by
+        construction (pinned by the placement-equivalence suite); returns
+        None only when no node fits — this policy never declines a viable
+        node."""
         return ledger.best_balanced(task.requirements)
 
     def select(

@@ -33,7 +33,7 @@ class BlockedDemandFrontier:
     single entry, making the skip test one comparison instead of a ledger
     walk per blocked task.
 
-    :class:`PlacementPass` builds a fresh one per pass.
+    :class:`PlacementPass` builds a fresh one per pass, on its first refusal.
     """
 
     __slots__ = ("_exact", "_minimal")
@@ -131,7 +131,8 @@ class PlacementPass:
         try_place = scheduler.try_place
         window = self.window
         seq = ledger.grow_seq
-        frontier = BlockedDemandFrontier()
+        # Built on the first refusal: most passes place what they probe.
+        frontier = None
         # The certified head run: every task passed over so far, each proven
         # unplaceable at tick ``seq``.  Placed and failed tasks leave the
         # queue, so the survivors stay contiguous from its head; the run
@@ -166,6 +167,8 @@ class PlacementPass:
                             max_cores, max_mem, max_gpus = _free_maxima(grown)
                             continue
                         if scheduler.last_failure_was_capacity:
+                            if frontier is None:
+                                frontier = BlockedDemandFrontier()
                             frontier.add(req)
                         else:
                             live = False
@@ -180,7 +183,7 @@ class PlacementPass:
                 if free_cores <= 0:
                     break
                 req = instance.requirements
-                if not frontier.covers(req):
+                if frontier is None or not frontier.covers(req):
                     nodes = try_place(instance)
                     if nodes is not None:
                         failures = 0
@@ -188,6 +191,8 @@ class PlacementPass:
                         free_cores = ledger.total_free_cores
                         continue
                     if scheduler.last_failure_was_capacity:
+                        if frontier is None:
+                            frontier = BlockedDemandFrontier()
                         frontier.add(req)
                     else:
                         # Declined but not refuted (the policy may accept

@@ -9,7 +9,8 @@ pins that claim three ways:
 
 * hypothesis programs drive a :class:`CapacityLedger` through random
   allocate/release/join/leave/fail sequences and compare ``candidates()``
-  against the brute-force registration-order filter after every step;
+  against the brute-force registration-order filter after every step, and
+  check the bucket indexes behind it against the tracked nodes;
 * each policy's single-pass selection is compared against the naive
   ``max(key=...)`` / per-candidate recomputation it replaced;
 * a ``NaiveDispatchExecutor`` (full-probe ``_dispatch``: no frontier, no
@@ -259,6 +260,110 @@ class TestLedgerCandidateEquivalence:
             check(probe_req)
 
 
+def assert_index_invariant(ledger):
+    """The bucket indexes hold exactly the tracked nodes, each where its
+    free resources say, every cores list in tie order, tops exact."""
+    states = ledger.states
+    cores_buckets = ledger._cores_buckets
+    mem_buckets = ledger._mem_buckets
+    for state in states:
+        entries = [e for e in cores_buckets.get(state.free_cores, ()) if e[2] is state]
+        assert entries == [(state.node.cores, state.order, state)]
+        assert state.cores_key == state.free_cores
+        mem_key = state.free_memory_mb.bit_length()
+        assert mem_buckets.get(mem_key, {}).get(state.node.name) is state
+        assert state.mem_key == mem_key
+    for bucket in cores_buckets.values():
+        ties = [(cores, order) for cores, order, _ in bucket]
+        assert ties == sorted(set(ties))
+    assert ledger._top_cores_key == max(
+        (key for key, bucket in cores_buckets.items() if bucket), default=0
+    )
+    assert ledger._top_mem_key == max(
+        (key for key, bucket in mem_buckets.items() if bucket), default=0
+    )
+    # No stale entries: every index entry is a tracked node, once.
+    indexed = [e[2] for bucket in cores_buckets.values() for e in bucket]
+    assert sorted(s.order for s in indexed) == sorted(s.order for s in states)
+    assert all(ledger.state(s.node.name) is s for s in indexed)
+    filed = [s for bucket in mem_buckets.values() for s in bucket.values()]
+    assert sorted(s.order for s in filed) == sorted(s.order for s in states)
+    assert all(ledger.state(s.node.name) is s for s in filed)
+    assert ledger.total_free_cores == sum(s.free_cores for s in states)
+
+
+class TestLedgerIndexInvariant:
+    """The bucket indexes stay exact after every step of a ledger program."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(initial=st.lists(node_specs, min_size=1, max_size=6), ops=ledger_ops)
+    # Two equal nodes entering one bucket against registration order, a
+    # top bucket emptied by an allocation, a removal and a wider arrival:
+    # random programs place few demands, so these are pinned.
+    @example(
+        initial=[(4, 1000, 0, frozenset()), (4, 1000, 0, frozenset())],
+        ops=[
+            ("alloc", 1, (1, 0, 0, frozenset())),
+            ("alloc", 0, (1, 0, 0, frozenset())),
+            ("alloc", 1, (3, 0, 0, frozenset())),
+            ("release", 0),
+            ("remove", 0),
+            ("add", (8, 500, 0, frozenset())),
+            ("release", 0),
+            ("query", (1, 0, 0, frozenset())),
+        ],
+    )
+    def test_indexes_match_tracked_nodes_after_every_op(self, initial, ops):
+        ledger = CapacityLedger(
+            _make_node(f"n{i}", spec) for i, spec in enumerate(initial)
+        )
+        next_name = len(initial)
+        next_task = 0
+        running = []
+        assert_index_invariant(ledger)
+        for op in ops:
+            kind = op[0]
+            if kind == "alloc":
+                names = ledger.node_names
+                if not names:
+                    continue
+                state = ledger.state(names[op[1] % len(names)])
+                req = _make_req(op[2])
+                if state.fits_now(req):
+                    state.allocate(next_task, req)
+                    running.append((next_task, state.node.name, req))
+                    next_task += 1
+            elif kind == "release":
+                if not running:
+                    continue
+                task_id, node_name, req = running.pop(op[1] % len(running))
+                if ledger.has_node(node_name):
+                    ledger.state(node_name).release(task_id, req)
+            elif kind == "add":
+                ledger.add_node(_make_node(f"n{next_name}", op[1]))
+                next_name += 1
+            elif kind == "remove":
+                names = ledger.node_names
+                if len(names) <= 1:
+                    continue
+                gone = names[op[1] % len(names)]
+                ledger.remove_node(gone)
+                running = [r for r in running if r[1] != gone]
+            elif kind == "fail":
+                names = ledger.node_names
+                if not names:
+                    continue
+                ledger.state(names[op[1] % len(names)]).node.fail()
+            else:  # query: must not touch the indexes
+                ledger.best_balanced(_make_req(op[1]))
+                ledger.candidates(_make_req(op[1]))
+            assert_index_invariant(ledger)
+
+
 class TestPolicySelectionEquivalence:
     """Single-pass / cached policy selections == naive maximizations."""
 
@@ -300,8 +405,9 @@ class TestPolicySelectionEquivalence:
     def test_best_balanced_matches_naive_under_churn(self, initial, ops, probe):
         """``best_balanced`` == naive max over the full scan, through
         arbitrary allocate/release/join/leave/fail programs — the churn is
-        what exercises the lazy tie-order heaps (stale entries from
-        rebucketing and node removal) and the dense/sparse regime switch."""
+        what exercises the tie-ordered cores buckets (every rebucket and
+        node removal is a bisect-delete, every arrival an insort) and the
+        dense/sparse regime switch."""
         ledger = CapacityLedger(
             _make_node(f"n{i}", spec) for i, spec in enumerate(initial)
         )

@@ -94,6 +94,43 @@ class TestCapacityLedger:
         ledger.state("a").allocate(1, req())
         assert ledger.idle_nodes() == ["b"]
 
+    @pytest.mark.parametrize(
+        "task_id, cores",
+        [(1, 2), (99, 1), (99, 2)],
+        ids=["overflow", "unknown-task", "unknown-task-overflowing"],
+    )
+    def test_refused_release_leaves_ledger_untouched(self, task_id, cores):
+        # 1 of a's 4 cores is taken: giving back 2 would leave 5 free of 4,
+        # and task 99 holds nothing.  Either refusal must change nothing.
+        ledger = CapacityLedger([Node("a", cores=4), Node("b", cores=2)])
+        ledger.state("a").allocate(1, req())
+
+        def snapshot():
+            state = ledger.state("a")
+            return (
+                state.free_cores,
+                state.free_memory_mb,
+                state.free_gpus,
+                set(state.running_task_ids),
+                state.cores_key,
+                state.mem_key,
+                {k: [(c, o, s.node.name) for c, o, s in b] for k, b in ledger._cores_buckets.items()},
+                {k: sorted(b) for k, b in ledger._mem_buckets.items()},
+                ledger._top_cores_key,
+                ledger._top_mem_key,
+                ledger.total_free_cores,
+                ledger.grow_seq,
+                list(ledger.grow_log),
+            )
+
+        before = snapshot()
+        with pytest.raises(CapacityError):
+            ledger.state("a").release(task_id, req(cores=cores))
+        assert snapshot() == before
+        assert ledger.total_free_cores == 5
+        ledger.state("a").release(1, req())  # the real release still works
+        assert ledger.total_free_cores == 6
+
 
 class TestPolicies:
     @staticmethod
