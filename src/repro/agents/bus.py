@@ -6,9 +6,9 @@ failure detector.  Two notification models are supported:
 
 * ``interest`` (default) — when an agent dies, only its *interest set* is
   notified: the peers that have exchanged messages with it plus any explicit
-  :meth:`watch` subscribers.  Every other agent learns of the death lazily,
-  by reconciling against the per-zone membership-epoch digest
-  (:meth:`membership_epoch` / :meth:`changes_since`).  Per-death cost is
+  :meth:`watch` subscribers.  Every other observer reads membership when
+  it needs it, off the per-zone live set (:meth:`alive_in_zone`) and its
+  epoch (:meth:`membership_epoch`).  Per-death cost is
   O(interest set), not O(agents) — the property that lets a ~50k-agent
   continuum sustain 1%/s churn at flat per-event cost.
 * ``broadcast`` — the original perfect-failure-detector reference: one
@@ -171,13 +171,6 @@ class MessageBus:
         newest_first = list(islice(reversed(log), behind))
         newest_first.reverse()
         return newest_first
-
-    def deaths_since(self, zone: str, epoch: int) -> Optional[List[str]]:
-        """Like :meth:`changes_since`, deaths only (None = resync needed)."""
-        changes = self.changes_since(zone, epoch)
-        if changes is None:
-            return None
-        return [name for name, alive in changes if not alive]
 
     # -------------------------------------------------------------- services
 

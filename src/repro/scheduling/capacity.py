@@ -153,12 +153,12 @@ class CapacityLedger:
     * ``_mem_buckets`` files it under ``free_memory_mb.bit_length()`` (log2
       buckets — memory values are too fine-grained for exact keys).
 
-    ``candidates()`` walks whichever axis currently admits fewer nodes, so a
-    memory-saturated cluster (the GUIDANCE regime: free cores everywhere,
-    no free memory anywhere) is filtered down by the memory axis and a
-    core-packed cluster by the core axis.  The top nonempty key of each
-    index doubles as the O(1) ``might_fit`` bound: exact for cores, within
-    2x for memory (log buckets never under-estimate).
+    ``candidates()`` walks the memory axis when fewer than half the nodes
+    are memory-plausible (the GUIDANCE regime: free cores everywhere, no
+    free memory anywhere) and the registration-ordered state map otherwise;
+    ``best_balanced`` descends the cores axis.  The top nonempty key of
+    each index doubles as the O(1) ``might_fit`` bound: exact for cores,
+    within 2x for memory (log buckets never under-estimate).
     """
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
@@ -359,88 +359,57 @@ class CapacityLedger:
             or req.memory_mb.bit_length() > self._top_mem_key
         ):
             return _EMPTY_CANDIDATES
-        # Walk whichever bucket axis admits fewer nodes right now.  The
-        # memory axis has at most ~log2(node memory) keys, so count it in
-        # full, then count the (much wider) cores axis only until it proves
-        # denser — both walks filter with fits_now, so the choice affects
-        # cost, never the result.
-        need_cores = req.cores
+        # Count the memory-plausible nodes (at most ~log2(node memory)
+        # keys) to pick the walk: both filter with fits_now, so the choice
+        # affects cost, never the result.
         mem_floor = req.memory_mb.bit_length()
         mem_plausible = 0
         for key, bucket in self._mem_buckets.items():
             if key >= mem_floor:
                 mem_plausible += len(bucket)
+        if not mem_plausible:
+            return _EMPTY_CANDIDATES
+        # The filters below are fits_now() unrolled: at up to ~platform
+        # size probes per query, the method call and the ``alive`` property
+        # are a measurable share of the simulation loop.  Memory is tested
+        # first because it is the binding resource in the saturated regimes
+        # this index exists for.
+        need_mem = req.memory_mb
+        need_cores = req.cores
+        need_gpus = req.gpus
+        software = req.software
+        states = self._states
         found: List[NodeCapacity] = []
-        if mem_plausible:
-            # The filter below is fits_now() unrolled: at up to ~platform
-            # size probes per query, the method call and the ``alive``
-            # property are a measurable share of the simulation loop.
-            # Memory is tested first because it is the binding resource in
-            # the saturated regimes this index exists for.
-            need_mem = req.memory_mb
-            need_gpus = req.gpus
-            software = req.software
-            states = self._states
-            if 2 * mem_plausible >= len(states):
-                # Dense regime (idle or draining platform): most nodes are
-                # plausible anyway, so walking the state map — already in
-                # registration order, so no sort afterwards — beats the
-                # bucket walk plus the O(n log n) order restoration.
-                for state in states.values():
+        if 2 * mem_plausible >= len(states):
+            # Dense regime (idle or draining platform): most nodes are
+            # plausible anyway, so walking the state map — already in
+            # registration order, so no sort afterwards — beats the bucket
+            # walk plus the O(n log n) order restoration.
+            for state in states.values():
+                if (
+                    state.free_memory_mb >= need_mem
+                    and state.free_cores >= need_cores
+                    and state.free_gpus >= need_gpus
+                    and software <= (node := state.node).software
+                    and not node.failed
+                    and (node.battery_joules is None or node.battery_joules > 0)
+                ):
+                    found.append(state)
+            return found
+        # Sparse regime: only the memory-plausible buckets can hold a fit,
+        # and the sort below restores registration order.
+        for key, bucket in self._mem_buckets.items():
+            if key >= mem_floor:
+                for state in bucket.values():
                     if (
                         state.free_memory_mb >= need_mem
                         and state.free_cores >= need_cores
                         and state.free_gpus >= need_gpus
                         and software <= (node := state.node).software
                         and not node.failed
-                        and (
-                            node.battery_joules is None
-                            or node.battery_joules > 0
-                        )
+                        and (node.battery_joules is None or node.battery_joules > 0)
                     ):
                         found.append(state)
-                return found
-            cores_plausible = 0
-            cores_sparser = True
-            for key, bucket in self._cores_buckets.items():
-                if key >= need_cores:
-                    cores_plausible += len(bucket)
-                    if cores_plausible >= mem_plausible:
-                        cores_sparser = False
-                        break
-            if cores_sparser:
-                # Bucket key == exact free cores, so the cores check is
-                # implied by the key filter.
-                for key, bucket in self._cores_buckets.items():
-                    if key >= need_cores:
-                        for _, _, state in bucket:
-                            if (
-                                state.free_memory_mb >= need_mem
-                                and state.free_gpus >= need_gpus
-                                and software <= (node := state.node).software
-                                and not node.failed
-                                and (
-                                    node.battery_joules is None
-                                    or node.battery_joules > 0
-                                )
-                            ):
-                                found.append(state)
-            else:
-                for key, bucket in self._mem_buckets.items():
-                    if key >= mem_floor:
-                        for state in bucket.values():
-                            if (
-                                state.free_memory_mb >= need_mem
-                                and state.free_cores >= need_cores
-                                and state.free_gpus >= need_gpus
-                                and software <= (node := state.node).software
-                                and not node.failed
-                                and (
-                                    node.battery_joules is None
-                                    or node.battery_joules > 0
-                                )
-                            ):
-                                found.append(state)
         if len(found) > 1:
             found.sort(key=_by_order)
         return found

@@ -7,26 +7,25 @@ what makes simulated schedules reproducible run-to-run.
 
 The heap holds ``(time, priority, sequence, event)`` tuples rather than the
 events themselves: every sift comparison then resolves on the first three
-fields in C, instead of re-entering a Python ``__lt__`` — at millions of
-heap operations per run the comparator is a measurable share of the whole
-simulation loop.
+fields in C, never in Python — at millions of heap operations per run a
+Python comparator would be a measurable share of the whole simulation
+loop.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from typing import Any, Callable, Optional
 
 
-@functools.total_ordering
 class Event:
     """A single scheduled event.
 
-    Ordered and compared by ``(time, priority, sequence)`` alone.  Slotted
-    by hand (``dataclass(slots=True)`` needs Python 3.10): one is built per
-    push, and an instance ``__dict__`` was the larger half of it.
+    The queue orders events by their ``(time, priority, sequence)`` heap
+    entry; an event itself defines no ordering.  Slotted by hand
+    (``dataclass(slots=True)`` needs Python 3.10): one is built per push,
+    and an instance ``__dict__`` was the larger half of it.
 
     Attributes:
         time: virtual timestamp at which the event fires.
@@ -55,19 +54,6 @@ class Event:
         self.action = action
         self.label = label
         self.cancelled = cancelled
-
-    def _key(self) -> tuple:
-        return (self.time, self.priority, self.sequence)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: "Event") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() < other._key()
 
     def __repr__(self) -> str:
         return (

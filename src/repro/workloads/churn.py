@@ -17,11 +17,11 @@ workload models that churn directly:
   objects to the zone store in one :meth:`DataLocationService.rehome_node`
   pass (O(data held), not one round-trip per datum).
 
-Each zone driver keeps a candidate pool reconciled lazily against the bus's
-per-zone membership-epoch digest (:meth:`MessageBus.changes_since`), folding
-in only the deltas since its cached epoch — the consumer half of
-interest-scoped failure notification.  A crowd costs one copy of that pool
-and ``peers_per_crowd`` seeded draws; an outage, a copy and a draw per victim.
+Each zone driver draws its victims and peers from the bus's live set for
+its zone (:meth:`MessageBus.alive_in_zone`), less the orchestrator: the
+driver is the only thing that changes a churn zone's membership, so there
+is no second copy to keep in step.  A tick, a crowd and an outage each cost
+one copy of that set plus their seeded draws.
 
 Two execution shapes share one per-zone driver:
 
@@ -173,10 +173,6 @@ class _ZoneChurnDriver:
         self.store_node = f"{self.zone}-store"
         self.orch_name = f"{self.zone}-orch"
 
-        # Candidate pool: zone workers believed alive, reconciled lazily
-        # against the bus's membership-epoch digest (insertion-ordered).
-        self._candidates: Dict[str, None] = {}
-        self._epoch = 0
         self._death_debt = 0.0
         self._arrival_debt = 0.0
         self._next_arrival = 0
@@ -195,7 +191,6 @@ class _ZoneChurnDriver:
         self.tasks_recovered = 0
         self.tasks_lost = 0
         self.data_rehomed = 0
-        self.epoch_resyncs = 0
 
         self._build_zone()
 
@@ -217,11 +212,13 @@ class _ZoneChurnDriver:
             name = f"{self.zone}-w{i}"
             self.platform.add_node(_worker_node(name), zone=self.zone)
             Agent(name, name, self.bus, persistence_store_node=store)
-            self._candidates[name] = None
-        self._epoch = self.bus.membership_epoch(self.zone)
 
-    def _is_worker(self, agent_name: str) -> bool:
-        return agent_name != self.orch_name
+    def _workers(self) -> List[str]:
+        """The zone's live workers in registration order: the bus's live set
+        less the orchestrator, which registered first and is never killed."""
+        workers = list(self.bus.alive_in_zone(self.zone))
+        workers.remove(self.orch_name)
+        return workers
 
     # ------------------------------------------------------------ lifecycle
 
@@ -232,50 +229,18 @@ class _ZoneChurnDriver:
             cfg.crowd_interval_s, self._crowd, label=f"{self.zone}-crowd"
         )
 
-    # -------------------------------------------------------- reconciliation
-
-    def _reconcile(self) -> Dict[str, None]:
-        """Fold membership deltas since the cached epoch into the pool.
-
-        O(changes since last look), with a full O(zone) resync only when
-        the bounded change log has been outrun (``changes_since`` -> None).
-        """
-        bus, zone = self.bus, self.zone
-        epoch = bus.membership_epoch(zone)
-        if epoch != self._epoch:
-            changes = bus.changes_since(zone, self._epoch)
-            if changes is None:
-                self.epoch_resyncs += 1
-                self._candidates = {
-                    name: None
-                    for name in bus.alive_in_zone(zone)
-                    if self._is_worker(name)
-                }
-            else:
-                pool = self._candidates
-                for name, alive in changes:
-                    if not self._is_worker(name):
-                        continue
-                    if alive:
-                        pool[name] = None
-                    else:
-                        pool.pop(name, None)
-            self._epoch = epoch
-        return self._candidates
-
     # ----------------------------------------------------------- churn tick
 
     def _tick(self) -> None:
         cfg = self.cfg
         now = self.engine.now
-        pool = self._reconcile()
-        quota = cfg.churn_per_s * len(pool) * cfg.tick_s
+        snapshot = self._workers()
+        quota = cfg.churn_per_s * len(snapshot) * cfg.tick_s
         self._death_debt += quota
         kills = int(self._death_debt)
         self._death_debt -= kills
         if kills:
             orch = self.orch
-            snapshot = list(pool)
             for _ in range(kills):
                 if (
                     self.rng.random() < cfg.peer_death_bias
@@ -313,7 +278,6 @@ class _ZoneChurnDriver:
         node = self.bus.agent(victim).node_name
         self.bus.kill_now(victim)
         self.deaths += 1
-        self._candidates.pop(victim, None)
         # Recovery storm: every persisted object the dead node held re-homes
         # to the zone store in one batched pass.
         self.data_rehomed += self.locations.rehome_node(node, self.store_node)
@@ -329,10 +293,9 @@ class _ZoneChurnDriver:
             persistence_store_node=self.store_node if self.cfg.persistence else None,
         )
         self.arrivals += 1
-        self._candidates[name] = None
 
     def _correlated_outage(self) -> None:
-        pool = list(self._candidates)
+        pool = self._workers()
         for victim in self.rng.sample(pool, int(len(pool) * self.cfg.outage_fraction)):
             self._kill_worker(victim)
             self.outage_killed += 1
@@ -349,10 +312,10 @@ class _ZoneChurnDriver:
                 self.crowds_skipped += 1
                 self._schedule_next_crowd()
                 return
-        pool = list(self._reconcile())
+        pool = self._workers()
         if pool:
             peers = self.rng.sample(pool, min(cfg.peers_per_crowd, len(pool)))
-            builder = self._build_crowd_graph(len(self._candidates))
+            builder = self._build_crowd_graph(len(pool))
             orch.start_application(
                 builder.graph, policy=AlwaysOffload(), peers=peers
             )
@@ -423,7 +386,6 @@ class _ZoneChurnDriver:
             self.orch.graph.finished or self.orch.app_failed
         ):
             self._harvest()
-        self._reconcile()
 
     def result(self) -> Dict[str, Any]:
         recovered, lost = self.tasks_recovered, self.tasks_lost
@@ -439,8 +401,7 @@ class _ZoneChurnDriver:
             "tasks_recovered": recovered,
             "tasks_lost": lost,
             "data_rehomed": self.data_rehomed,
-            "epoch_resyncs": self.epoch_resyncs,
-            "alive_workers": len(self._candidates),
+            "alive_workers": len(self._workers()),
             "final_epoch": self.bus.membership_epoch(self.zone),
             "recovered_work_fraction": recovered / max(1, recovered + lost),
         }

@@ -59,14 +59,12 @@ class _Fleet:
             kept = history[-self.limit:]
             for epoch in range(-1, current + 2):
                 changes = bus.changes_since(zone, epoch)
-                deaths = bus.deaths_since(zone, epoch)
                 if epoch >= current:
-                    assert changes == [] and deaths == []
+                    assert changes == []
                 elif current - epoch > len(kept):
-                    assert changes is None and deaths is None
+                    assert changes is None
                 else:
                     assert changes == [(n, a) for e, n, a in kept if e > epoch]
-                    assert deaths == [n for e, n, a in kept if e > epoch and not a]
 
 
 _OPS = st.lists(
@@ -107,7 +105,6 @@ def test_one_change():
     bus = _five_changes(limit=4)
     assert bus.membership_epoch("z0") == 5
     assert bus.changes_since("z0", 4) == [("z0-a1", False)]
-    assert bus.deaths_since("z0", 4) == ["z0-a1"]
 
 
 def test_whole_log():
@@ -115,7 +112,6 @@ def test_whole_log():
     assert bus.changes_since("z0", 1) == [
         ("z0-a1", True), ("z0-a2", True), ("z0-a0", False), ("z0-a1", False)
     ]
-    assert bus.deaths_since("z0", 1) == ["z0-a0", "z0-a1"]
     # An unbounded-enough log serves epoch 0: every change ever made.
     assert len(_five_changes(limit=5).changes_since("z0", 0)) == 5
 
@@ -123,7 +119,6 @@ def test_whole_log():
 def test_one_past_the_log():
     bus = _five_changes(limit=4)
     assert bus.changes_since("z0", 0) is None
-    assert bus.deaths_since("z0", 0) is None
     assert bus.changes_since("z0", -1) is None
     # A zone nobody registered in has epoch 0 and nothing to report.
     assert bus.changes_since("z2", 0) == [] and bus.changes_since("z2", 3) == []

@@ -10,10 +10,12 @@ equivalence properties live in ``test_churn_equivalence.py``.
 """
 
 import io
+from unittest import mock
 
 import pytest
 
 from repro.agents import Agent, MessageBus, NeverOffload
+from repro.agents import bus as bus_module
 from repro.agents.bus import _DROP_LOG_LIMIT
 from repro.agents.messages import Message, Op
 from repro.core.exceptions import AgentError
@@ -161,14 +163,11 @@ class TestMembershipEpochs:
         assert bus.changes_since("fog-area", epoch) == [
             ("fog-1", False), ("fog-9", True)
         ]
-        assert bus.deaths_since("fog-area", epoch) == ["fog-1"]
         # Caught-up (and future) epochs yield no deltas.
         assert bus.changes_since("fog-area", bus.membership_epoch("fog-area")) == []
         assert bus.changes_since("fog-area", 99) == []
 
     def test_outrun_change_log_demands_resync(self):
-        from repro.agents import bus as bus_module
-
         platform, engine, bus, agents = make_stack()
         original = bus_module._EPOCH_LOG_LIMIT
         # Shrink the log via the deque itself: replace with a tiny one.
@@ -188,7 +187,6 @@ class TestMembershipEpochs:
             Agent(f"fog-n{i}", f"fog-n{i}", bus)
         # 5 changes through a 4-entry log: the observer's epoch fell out.
         assert bus.changes_since("fog-area", epoch) is None
-        assert bus.deaths_since("fog-area", epoch) is None
         # Resync from the live view, adopt the current epoch, and deltas
         # flow again.
         assert list(bus.alive_in_zone("fog-area")) == ["fog-n0", "fog-n1"]
@@ -301,6 +299,23 @@ class TestChurnWorkload:
         assert result["mode"] == "decomposed"
         assert set(result["per_zone"]) == {"zone-0", "zone-1"}
         assert result["deaths"] > 0
+
+    @pytest.mark.parametrize("mode", ["fleet", "decomposed"])
+    def test_outcomes_do_not_depend_on_the_change_log_length(self, mode):
+        # The drivers read the bus's live set, so a one-entry change log —
+        # outrun by every membership change — moves no outcome.
+        cfg = ChurnConfig(
+            agents=2000, zones=4, duration_s=30.0, outage_at_s=10.0, seed=5
+        )
+        run = {
+            "fleet": run_churn_fleet,
+            "decomposed": lambda cfg: run_churn(cfg, engine="single")[0],
+        }[mode]
+        default = run(cfg)
+        with mock.patch.object(bus_module, "_EPOCH_LOG_LIMIT", 1):
+            shortest = run(cfg)
+        assert default["per_zone"]["zone-0"]["outage_killed"] > 0
+        assert shortest == default
 
     def test_fleet_mode_rejects_parallel_engine(self):
         with pytest.raises(ValueError):

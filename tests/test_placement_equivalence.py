@@ -364,8 +364,44 @@ class TestLedgerIndexInvariant:
             assert_index_invariant(ledger)
 
 
+def _busy_ledger(specs, busy):
+    """A ledger over ``specs`` with ``busy[i]`` cores taken on node ``i``."""
+    ledger = CapacityLedger(
+        _make_node(f"n{i}", spec) for i, spec in enumerate(specs)
+    )
+    for i, b in enumerate(busy[: len(specs)]):
+        state = ledger.state(f"n{i}")
+        take = min(b, state.free_cores)
+        if take:
+            state.allocate(1000 + i, ResolvedRequirements(cores=take))
+    return ledger
+
+
+#: Fewer than half the nodes memory-plausible (three of seven), and fewer
+#: of them cores-plausible (two) than memory-plausible: the regime a
+#: cores-axis walk of ``candidates()`` once served.
+_CORES_SPARSER = dict(
+    specs=[(8, 4_000, 0, frozenset())] * 4
+    + [(4, 32_000, 0, frozenset()), (8, 32_000, 0, frozenset()),
+       (12, 32_000, 0, frozenset())],
+    busy=[8, 8, 8, 8, 0, 0, 4],
+    req=(6, 16_000, 0, frozenset()),
+)
+
+
 class TestPolicySelectionEquivalence:
     """Single-pass / cached policy selections == naive maximizations."""
+
+    def test_cores_sparser_example_is_in_its_regime(self):
+        ledger = _busy_ledger(_CORES_SPARSER["specs"], _CORES_SPARSER["busy"])
+        cores, memory_mb, _, _ = _CORES_SPARSER["req"]
+        mem_plausible = sum(
+            s.free_memory_mb.bit_length() >= memory_mb.bit_length()
+            for s in ledger.states
+        )
+        cores_plausible = sum(s.free_cores >= cores for s in ledger.states)
+        assert 2 * mem_plausible < len(ledger.states)
+        assert cores_plausible < mem_plausible
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -373,16 +409,13 @@ class TestPolicySelectionEquivalence:
         busy=st.lists(st.integers(min_value=0, max_value=16), max_size=8),
         req=req_specs,
     )
+    @example(**_CORES_SPARSER)
     def test_load_balancing_matches_naive_max(self, specs, busy, req):
-        ledger = CapacityLedger(
-            _make_node(f"n{i}", spec) for i, spec in enumerate(specs)
-        )
-        for i, b in enumerate(busy[: len(specs)]):
-            state = ledger.state(f"n{i}")
-            take = min(b, state.free_cores)
-            if take:
-                state.allocate(1000 + i, ResolvedRequirements(cores=take))
+        ledger = _busy_ledger(specs, busy)
         candidates = ledger.candidates(_make_req(req))
+        assert [s.node.name for s in candidates] == naive_candidates(
+            ledger, _make_req(req)
+        )
         task = TaskInstance(task_id=1, label="t")
         selected = LoadBalancingPolicy().select(task, list(candidates))
         if not candidates:

@@ -145,8 +145,10 @@ def test_simulate_zonal_prints_one_result_on_every_driver():
 #: three hand-written ring copies) at these sizes.  The zonal entry was
 #: re-recorded once, when ``layered_random_dag`` moved from a whole-layer
 #: shuffle per task to ``DeterministicRandom.sample``: the same DAG family,
-#: another seeded instance.  The hybrid_stream and churn entries are the
-#: original recordings.
+#: another seeded instance.  The churn CRCs were re-based once, when the
+#: always-zero ``epoch_resyncs`` field left each zone's result (a tree that
+#: puts it back reproduces the old CRCs); its rings, and the hybrid_stream
+#: entry, are the original recordings.
 PARENT_ZONES = {
     "zonal": (
         ZonalConfig(
@@ -207,7 +209,7 @@ PARENT_ZONES = {
                     (5.0, ("peer-epoch", "zone-1", 31, 3019509094)),
                     (7.0, ("peer-epoch", "zone-1", 33, 1348335849)),
                 ],
-                316409940,
+                760647048,
             ),
             "zone-1": (
                 [
@@ -215,7 +217,7 @@ PARENT_ZONES = {
                     (5.0, ("peer-epoch", "zone-0", 31, 1920258726)),
                     (7.0, ("peer-epoch", "zone-0", 33, 2446534441)),
                 ],
-                3649100785,
+                3859439149,
             ),
         },
     ),
