@@ -7,8 +7,10 @@ overhead.  Measures, on the real thread-pool backend:
 * task submission + execution throughput for trivial tasks;
 * submission throughput into the graph (PR 3: the lock-lean front-end,
   per-call ``submit`` vs batched ``submit_many``);
-* sustained master memory across repeated waves (PR 3: resolved futures and
-  completed payloads must be released, not accumulated);
+* sustained master memory across repeated waves — the soak: the traced
+  heap and the resident set after each wave must stay flat, because a
+  settled task leaves the master, not only its futures and arguments
+  (E41);
 * dependency-chain turnaround (graph bookkeeping on the critical path);
 * wait_on latency for an already-finished task.
 
@@ -17,8 +19,12 @@ root; EXPERIMENTS.md E11 and E1c quote them and ``tests/test_doc_figures.py``
 holds the pair together (a smoke-scale JSON must not be committed).
 """
 
+import gc
 import os
+import resource
 import time
+import tracemalloc
+from array import array
 
 from _common import bench_scale, host_facts, merge_results
 
@@ -31,8 +37,13 @@ RESULTS_PATH = os.path.join(
 NUM_TASKS = 2_000
 CHAIN_LENGTH = 500
 SUBMIT_TASKS = 20_000
-WAVES = 5
-WAVE_TASKS = 2_000
+#: The soak: waves of ``runtime_tasks_30k``'s shape (leaves, then a pairwise
+#: reduction tree over their futures), a barrier after each.  Growth is
+#: bounded from the second wave on: the first warms the allocator and the
+#: index tables up to the wave's size.
+SOAK_WAVES = 10
+SOAK_LEAVES = 1_500 if bench_scale() == "smoke" else 15_000
+SOAK_GROWTH_PER_WAVE = 0.02
 #: Absolute ceiling on a dependent-task hop: ~3x the figure measured on the
 #: 2-core reference box (E11), so a slower CI host passes and a per-hop
 #: cost that triples does not.
@@ -125,38 +136,116 @@ def test_submission_throughput_into_graph(benchmark):
     assert rates["submit_many"] > 5_000
 
 
-def test_sustained_master_memory_across_waves(benchmark):
-    """Master bookkeeping must not grow with *completed* work.
+@task(returns=1)
+def add(left, right):
+    return left + right
 
-    Submits several waves with a barrier after each; after every wave the
-    future-tracking map must be empty and completed instances must have
-    dropped their argument payloads — the PR 3 leak fixes.
+
+def _rss_mb() -> float:
+    """The resident set now (Linux), else the peak so far."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _wave(rt) -> int:
+    level = rt.submit_many(noop, [((i,),) for i in range(SOAK_LEAVES)])
+    while len(level) > 1:
+        reduced = rt.submit_many(
+            add, [((level[i], level[i + 1]),) for i in range(0, len(level) - 1, 2)]
+        )
+        if len(level) % 2:
+            reduced.append(level[-1])
+        level = reduced
+    return compss_wait_on(level[0])
+
+
+def _growth_per_wave(samples):
+    """The least-squares slope of ``samples`` from the second wave on, as a
+    share of the second wave's level: a leak is a trend, while a table
+    resize moves single samples either way by a few per cent."""
+    level = samples[1:]
+    mid, mean = (len(level) - 1) / 2, sum(level) / len(level)
+    slope = sum((x - mid) * (y - mean) for x, y in enumerate(level)) / sum(
+        (x - mid) ** 2 for x in range(len(level))
+    )
+    return slope / level[0]
+
+
+def _soak(traced: bool):
+    """One soak pass on a fresh runtime: after every wave, a sample (the
+    traced heap when ``traced``, else the resident set), and the count of
+    what the waves left behind (tracked futures, held argument values,
+    graph nodes).
+
+    The samples go into an array allocated before the first wave: a Python
+    object kept per wave lands in an allocator arena the wave just emptied
+    and pins it, which reads as ≈ 1 MB of RSS growth per wave at default
+    scale while the heap is flat.
+    """
+    samples = array("d", [0.0] * SOAK_WAVES)
+    left = 0
+    gc.collect()
+    if traced:
+        tracemalloc.start()
+    try:
+        with Runtime(workers=1) as rt:
+            for wave in range(SOAK_WAVES):
+                assert _wave(rt) == SOAK_LEAVES * (SOAK_LEAVES - 1) // 2
+                rt.barrier()
+                gc.collect()
+                samples[wave] = (
+                    tracemalloc.get_traced_memory()[0] / 2**20 if traced else _rss_mb()
+                )
+                left += len(rt._result_futures) + len(rt.graph)
+                left += sum(len(t.payload) for t in rt.graph.tasks)
+    finally:
+        tracemalloc.stop()
+    return list(samples), left
+
+
+def test_sustained_master_memory_across_waves(benchmark):
+    """The soak: master memory must not grow with *completed* work.
+
+    Runs ``SOAK_WAVES`` waves with a barrier after each, twice: untraced,
+    sampling the resident set after every wave, then under tracemalloc,
+    sampling the traced heap (so the tracer's own bookkeeping is not in the
+    resident set).  From the second wave on, neither may grow by more than
+    ``SOAK_GROWTH_PER_WAVE`` per wave; nor may a wave leave a future
+    tracked, an argument value held or a DONE task in the graph.
     """
 
     def run():
-        retained = []
-        with Runtime(workers=4) as rt:
-            for _ in range(WAVES):
-                futures = rt.submit_many(
-                    noop, [((i,), {}) for i in range(WAVE_TASKS)]
-                )
-                compss_wait_on(list(futures))
-                rt.barrier()
-                retained.append(
-                    (
-                        len(rt._result_futures),
-                        sum(len(t.payload) for t in rt.graph.tasks),
-                    )
-                )
-        return retained
+        rss, untraced_left = _soak(traced=False)
+        traced, traced_left = _soak(traced=True)
+        return rss, traced, untraced_left + traced_left
 
-    retained = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    rss, traced, left = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    tasks = 2 * SOAK_LEAVES - 1
     print(
-        f"\n=== E11e: retained (futures, argument payloads) per wave: "
-        f"{retained}"
+        f"\n=== E11e: soak, {SOAK_WAVES} waves of {tasks:,} tasks — traced heap MB "
+        f"{[round(mb, 3) for mb in traced]}, RSS MB {[round(mb, 1) for mb in rss]}"
+    )
+    _merge_results(
+        {
+            "soak": {
+                "waves": SOAK_WAVES,
+                "tasks_per_wave": tasks,
+                "workers": 1,
+                "traced_mb": traced,
+                "rss_mb": rss,
+                "traced_growth_per_wave": _growth_per_wave(traced),
+                "rss_growth_per_wave": _growth_per_wave(rss),
+            }
+        }
     )
     # Every wave drains completely: nothing accumulates with completed work.
-    assert retained == [(0, 0)] * WAVES
+    assert left == 0, left
+    assert _growth_per_wave(traced) <= SOAK_GROWTH_PER_WAVE, traced
+    assert _growth_per_wave(rss) <= SOAK_GROWTH_PER_WAVE, rss
 
 
 def test_dependency_chain_turnaround(benchmark):

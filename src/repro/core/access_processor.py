@@ -9,10 +9,11 @@ For every task invocation the AP:
 
 1. binds the call to the task's signature and reads each parameter's declared
    direction (IN / OUT / INOUT / FILE_*);
-2. resolves each argument to a versioned datum in the :class:`DataRegistry`
-   (objects by identity, files by path, futures by their datum id — or, born
-   settled by a memo hit, as the value they hold; futures inside one level of
-   list/tuple are also tracked — PyCOMPSs collections);
+2. resolves each argument to a versioned datum (objects by identity and
+   files by path, through the :class:`DataRegistry`; futures by the datum
+   they carry — or, born settled by a memo hit, as the value they hold;
+   futures inside one level of list/tuple are also tracked — PyCOMPSs
+   collections);
 3. registers each access with the :class:`~repro.core.data.DependencyTracker`,
    which owns the RAW / WAW / WAR rule and the WAR fan-in barriers (the rule
    is written once, in :mod:`repro.core.data`, and shared with the simulated
@@ -38,6 +39,7 @@ from repro.core.constraints import ResolvedRequirements
 from repro.core.data import (
     WAR_FANIN_BARRIER_THRESHOLD,
     DataRegistry,
+    Datum,
     DependencyTracker,
 )
 from repro.core.futures import Future
@@ -185,9 +187,8 @@ class AccessProcessor:
     ) -> None:
         direction = param.direction
         if isinstance(value, Future):
-            if value.datum_id is not None:
-                datum = self.registry.record(value.datum_id)
-            else:
+            datum = value.datum
+            if datum is None:
                 # Born settled (a memo hit): the future is the value it
                 # holds.  An immutable read orders against nothing; anything
                 # else is tracked by identity, as the object passed raw is.
@@ -221,11 +222,14 @@ class AccessProcessor:
     def _mint_result_futures(
         self, definition: TaskDefinition, task_id: int, writes: List[str]
     ) -> Tuple[Future, ...]:
+        # A result datum is born at version 1, written by its producer, and
+        # lives exactly as long as the futures that carry it: the registry
+        # keeps no entry for it.
         futures: List[Future] = []
         for index in range(definition.returns):
-            datum_id = self.registry.register_result(task_id, index).datum_id
-            writes.append(datum_id)
-            futures.append(Future(datum_id, task_id))
+            datum = Datum(f"res-{task_id}-{index}", 1, task_id)
+            writes.append(datum.datum_id)
+            futures.append(Future(datum, task_id))
         return tuple(futures)
 
     def _resolve_requirements(

@@ -8,8 +8,9 @@ Three families of data exist on the real runtime:
   reference to every registered object so ``id()`` reuse after garbage
   collection cannot alias two different objects;
 * **files** — tracked by (normalized) path string;
-* **task results** — born inside the runtime; their identity is minted when
-  the producing task is registered and carried around by the Future.
+* **task results** — born inside the runtime; their record is minted when
+  the producing task is registered and carried around by the Future, not
+  the registry, so it lives exactly as long as the futures that hold it.
 
 Simulated workflows (:class:`~repro.executor.workflow_builder.SimWorkflowBuilder`)
 name their data and keep them in a plain dict.  Either way a datum is one
@@ -182,7 +183,8 @@ class DependencyTracker:
 
 
 class DataRegistry:
-    """Maps objects/files/results of the real runtime to their records."""
+    """Maps the objects and files of the real runtime to their records
+    (a task result's record travels with its futures instead)."""
 
     def __init__(self) -> None:
         self._records: Dict[str, Datum] = {}
@@ -192,9 +194,6 @@ class DataRegistry:
         self._counter = itertools.count()
 
     # ---------------------------------------------------------------- lookup
-
-    def record(self, datum_id: str) -> Datum:
-        return self._records[datum_id]
 
     @property
     def datum_ids(self) -> List[str]:
@@ -223,13 +222,6 @@ class DataRegistry:
         record = self._records.get(datum_id)
         if record is None:
             record = self._records[datum_id] = Datum(datum_id)
-        return record
-
-    def register_result(self, task_id: int, index: int) -> Datum:
-        """Mint a fresh datum for return value ``index`` of task ``task_id``."""
-        datum_id = f"res-{task_id}-{index}"
-        # Result data is born at version 1, written by its producer.
-        record = self._records[datum_id] = Datum(datum_id, 1, task_id)
         return record
 
     def unpin_object(self, obj: Any) -> None:

@@ -6,15 +6,22 @@ calls (creating dependencies) or are synchronized with ``compss_wait_on``.
 They are also valid dictionary keys and survive being stored in containers,
 since identity — not value — is what the Access Processor tracks.
 
+A future carries its value's :class:`~repro.core.data.Datum` record — the
+only reference the runtime keeps once the producer settles — so the record
+lives exactly as long as the future (and the alias futures sharing it).
+
 A future may also be *born settled*: a submission served from the memo
 cache returns futures that already hold their value.  No task produced
-them in this runtime, so ``datum_id`` and ``producer_task_id`` are None and
+them in this runtime, so ``datum`` and ``producer_task_id`` are None and
 the Access Processor treats such a future as the value it holds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
+
+if TYPE_CHECKING:
+    from repro.core.data import Datum
 
 
 class Future:
@@ -22,8 +29,8 @@ class Future:
     futures are the same future only if they are the same object.
 
     Attributes:
-        datum_id: the data-registry identifier of the value this future will
-            hold; the Access Processor uses it to wire dependencies.
+        datum: the record of the value this future will hold; the Access
+            Processor reads and updates it to wire dependencies.
         producer_task_id: id of the task instance that produces the value.
             Both are None for a future born settled (a memo hit).
         content_key: Merkle-style content identity of the value, assigned by
@@ -36,7 +43,7 @@ class Future:
     """
 
     __slots__ = (
-        "datum_id",
+        "datum",
         "producer_task_id",
         "content_key",
         "_value",
@@ -44,13 +51,18 @@ class Future:
         "_error",
     )
 
-    def __init__(self, datum_id: Optional[str], producer_task_id: Optional[int]):
-        self.datum_id = datum_id
+    def __init__(self, datum: Optional["Datum"], producer_task_id: Optional[int]):
+        self.datum = datum
         self.producer_task_id = producer_task_id
         self.content_key: Optional[str] = None
         self._value: Any = None
         self._resolved = False
         self._error: Optional[BaseException] = None
+
+    @property
+    def datum_id(self) -> Optional[str]:
+        """The identifier of :attr:`datum` (None for a future born settled)."""
+        return None if self.datum is None else self.datum.datum_id
 
     @property
     def resolved(self) -> bool:

@@ -2,9 +2,12 @@
 
 "At execution time, the runtime builds a task graph (or workflow) that takes
 into account the data dependencies between tasks, and from this graph
-schedules and executes the tasks" (§VI-A).  The graph here is append-only and
-acyclic by construction: a task may only depend on tasks registered before it
-(program order), so cycles cannot be expressed.
+schedules and executes the tasks" (§VI-A).  The graph here is acyclic by
+construction: a task may only depend on tasks registered before it (program
+order), so cycles cannot be expressed.  Nodes are only ever appended, except
+that a DONE node may be *forgotten* (:meth:`TaskGraph.forget`): the real
+runtime lets every settled task go, so a long-running master holds only the
+tasks still in flight and the failed ones.
 """
 
 from __future__ import annotations
@@ -96,9 +99,10 @@ _DEFAULT_REQUIREMENTS = ResolvedRequirements()
 class TaskInstance:
     """One node of the workflow DAG: a single task invocation.
 
-    Slotted for the same reason as :class:`SimProfile`: the master keeps
-    every instance alive for the whole run, so per-task memory is what
-    bounds how many tasks a single runtime can carry.
+    Slotted for the same reason as :class:`SimProfile`: a simulated graph
+    keeps every instance alive for the whole run, and a real runtime every
+    instance in flight, so per-task memory is what bounds how many tasks a
+    single runtime can carry.
     """
 
     __slots__ = (
@@ -200,7 +204,7 @@ class _ReadyNode:
 
 
 class TaskGraph:
-    """Append-only DAG of task instances with ready-set maintenance.
+    """DAG of task instances with ready-set maintenance.
 
     Every mutation and query used on the executor's per-event hot path is
     O(1): state counters are maintained incrementally (``finished`` never
@@ -216,6 +220,9 @@ class TaskGraph:
     ``mark_done`` the instant their last predecessor finishes.  The public
     task counters (``completed_count`` etc.) exclude them; ``finished``
     accounts for every node, barrier or not.
+
+    A DONE node may be forgotten (:meth:`forget`); every count is a counter,
+    so forgetting moves none of them.
     """
 
     def __init__(self) -> None:
@@ -245,10 +252,16 @@ class TaskGraph:
         self.cancelled_count = 0
         self._pending_count = 0
         self._running_count = 0
-        # Terminal nodes of ANY kind (tasks + barriers): `finished` is the
-        # O(1) comparison of this against len(_tasks).
+        # Nodes of ANY kind (tasks + barriers) ever added, and those that
+        # reached a terminal state: `finished` is the O(1) comparison of the
+        # two, and neither moves when a DONE node is forgotten.
+        self._node_count = 0
         self._terminal_count = 0
         self.barrier_count = 0
+        # The highest id forgotten so far (-1: none; ids are non-negative):
+        # an absent id at or below it was DONE, because ids are minted in
+        # program order and only DONE nodes leave.
+        self._forgotten_high = -1
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -262,8 +275,17 @@ class TaskGraph:
         except KeyError:
             raise GraphError(f"unknown task id {task_id}") from None
 
+    def held(self, task_id: int) -> Optional[TaskInstance]:
+        """The instance while the graph holds it, None once forgotten."""
+        return self._tasks.get(task_id)
+
+    def admitted(self, task_id: int) -> bool:
+        """Whether ``task_id`` was ever added: held, or DONE and forgotten."""
+        return task_id in self._tasks or task_id <= self._forgotten_high
+
     @property
     def tasks(self) -> List[TaskInstance]:
+        """The held instances: on a real runtime, none that finished DONE."""
         return list(self._tasks.values())
 
     def predecessors(self, task_id: int) -> Set[int]:
@@ -306,30 +328,37 @@ class TaskGraph:
     def add_task(self, instance: TaskInstance, depends_on: Iterable[int] = ()) -> None:
         """Insert ``instance`` depending on earlier tasks.
 
-        Dependencies on already-finished tasks are counted as satisfied; a
-        dependency on a FAILED/CANCELLED ancestor cancels the new task
-        immediately (failure propagation).
+        Dependencies on already-finished tasks are counted as satisfied —
+        forgotten ones too; a dependency on a FAILED/CANCELLED ancestor
+        cancels the new task immediately (failure propagation).  A barrier
+        whose every predecessor was forgotten is DONE at birth and is
+        forgotten at once.
         """
         tid = instance.task_id
-        if tid in self._tasks:
+        tasks = self._tasks
+        if tid in tasks:
             raise GraphError(f"duplicate task id {tid}")
         deps = tuple(
             depends_on if isinstance(depends_on, (set, frozenset)) else set(depends_on)
         )
         for dep in deps:
-            if dep not in self._tasks:
+            if dep not in tasks and dep > self._forgotten_high:
                 raise GraphError(f"task {tid} depends on unknown task {dep}")
             if dep >= tid:
                 raise GraphError(
                     f"task {tid} depends on {dep}, which is not earlier in "
                     "program order — cycles are not expressible"
                 )
-        self._tasks[tid] = instance
+        tasks[tid] = instance
+        self._node_count += 1
         self._predecessors[tid] = deps
         successors = self._successors
         poisoned = False
         unfinished = 0
         for dep in deps:
+            node = tasks.get(dep)
+            if node is None:
+                continue  # forgotten, so DONE
             dependants = successors.get(dep)
             if dependants is None:
                 successors[dep] = tid
@@ -337,7 +366,7 @@ class TaskGraph:
                 successors[dep] = {dependants, tid}
             else:
                 dependants.add(tid)
-            dep_state = self._tasks[dep].state
+            dep_state = node.state
             if dep_state in (TaskState.FAILED, TaskState.CANCELLED):
                 poisoned = True
             elif dep_state is not TaskState.DONE:
@@ -352,6 +381,8 @@ class TaskGraph:
                 # No successors can exist yet, so no cascade to run.
                 instance.state = TaskState.DONE
                 self._terminal_count += 1
+                if not any(dep in tasks for dep in deps):
+                    self.forget(tid)
             return
         if poisoned:
             instance.state = TaskState.CANCELLED
@@ -530,6 +561,38 @@ class TaskGraph:
                         frontier.append(succ)
         return cancelled
 
+    def forget(self, task_id: int) -> None:
+        """Let a DONE node go, with the DONE barriers its completion completed.
+
+        Its instance and rows leave; the counters stay.  Its successors were
+        released when it completed, so nothing reads its state again: a
+        later dependency on its id, or a wait on it, finds it absent and at
+        or below the highest forgotten id, which reads as DONE (any other
+        absent id is unknown).  A barrier completed in the same cascade has
+        nobody else to let it go.  Only the real runtime forgets, and never
+        a FAILED or CANCELLED node: those poison later readers.
+        """
+        state = self.task(task_id).state
+        if state is not TaskState.DONE:
+            raise GraphError(f"task {task_id} is {state.value}, cannot forget it")
+        tasks = self._tasks
+        stack = [task_id]
+        while stack:
+            tid = stack.pop()
+            del tasks[tid], self._predecessors[tid], self._unfinished_preds[tid]
+            if tid > self._forgotten_high:
+                self._forgotten_high = tid
+            dependants = self._successors.pop(tid, ())
+            for succ in (dependants,) if dependants.__class__ is int else dependants:
+                successor = tasks.get(succ)
+                if (
+                    successor is not None
+                    and successor.is_barrier
+                    and successor.state is TaskState.DONE
+                    and succ not in stack
+                ):
+                    stack.append(succ)
+
     # -------------------------------------------------------------- queries
 
     @property
@@ -538,14 +601,14 @@ class TaskGraph:
 
         O(1): every node (task or barrier) bumps ``_terminal_count`` exactly
         once on reaching DONE/FAILED/CANCELLED, so the graph is finished
-        exactly when that counter accounts for every registered node.
+        exactly when that counter accounts for every node ever added.
         """
-        return self._terminal_count == len(self._tasks)
+        return self._terminal_count == self._node_count
 
     @property
     def task_count(self) -> int:
-        """Application tasks only — graph size minus structural barriers."""
-        return len(self._tasks) - self.barrier_count
+        """Application tasks ever added, forgotten ones included."""
+        return self._node_count - self.barrier_count
 
     @property
     def pending_count(self) -> int:
@@ -556,12 +619,13 @@ class TaskGraph:
         return self._running_count
 
     def critical_path_length(self, duration_of: Callable[[TaskInstance], float]) -> float:
-        """Longest path through the DAG under ``duration_of`` (lower bound on makespan)."""
+        """Longest path through the held DAG under ``duration_of`` (lower
+        bound on makespan); a forgotten predecessor adds nothing."""
         longest: Dict[int, float] = {}
         for tid in self._tasks:  # insertion order is topological
             instance = self._tasks[tid]
             best_pred = max(
-                (longest[p] for p in self._predecessors[tid]), default=0.0
+                (longest.get(p, 0.0) for p in self._predecessors[tid]), default=0.0
             )
             longest[tid] = best_pred + duration_of(instance)
         return max(longest.values(), default=0.0)

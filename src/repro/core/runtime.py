@@ -142,9 +142,9 @@ class Runtime:
         # A queued task's result futures: the lone future of a one-value
         # task, the tuple of a task returning several.
         self._result_futures: Dict[int, Union[Future, tuple]] = {}
-        # In-flight index: content key -> (primary task id, result datum
-        # ids).  A submission whose key is already here never commits — its
-        # futures alias the primary's result datums instead.
+        # In-flight index: content key -> (primary task id, result datums).
+        # A submission whose key is already here never commits — its
+        # futures share the primary's result datums instead.
         self._inflight: Dict[str, tuple] = {}
         # primary task id -> groups of alias futures, one group per aliased
         # submission (kept separate so per-group arity resolution works).
@@ -356,7 +356,7 @@ class Runtime:
         if self.dedupe and instance.state is not TaskState.CANCELLED:
             self._inflight[key] = (
                 instance.task_id,
-                tuple(future.datum_id for future in registered.futures),
+                tuple(future.datum for future in registered.futures),
             )
         return self._shape_returns(definition, registered.futures)
 
@@ -371,7 +371,7 @@ class Runtime:
 
         Like an in-flight alias it mints no task id and touches neither the
         Access Processor nor the graph; unlike one there is nothing left to
-        wait for, so the fresh futures are born settled (``datum_id`` and
+        wait for, so the fresh futures are born settled (``datum`` and
         ``producer_task_id`` None) and nobody needs waking.
         """
         futures = [Future(None, None) for _ in range(definition.returns)]
@@ -386,12 +386,12 @@ class Runtime:
         """Alias a duplicate submission onto the in-flight primary.
 
         No task id is minted and no Access Processor state is touched: the
-        fresh futures point straight at the primary's result datums, so
-        downstream consumers dep on the primary and ``on_task_done`` /
+        fresh futures share the primary's result datums, so downstream
+        consumers dep on the primary and ``on_task_done`` /
         ``on_task_failed`` settle them with everyone else.
         """
-        primary_tid, datum_ids = entry
-        futures = [Future(datum_id, primary_tid) for datum_id in datum_ids]
+        primary_tid, datums = entry
+        futures = [Future(datum, primary_tid) for datum in datums]
         self._stamp_keys(futures, key)
         self._alias_futures.setdefault(primary_tid, []).append(futures)
         self._tasks_aliased += 1
@@ -445,16 +445,16 @@ class Runtime:
     def _await(
         self, task_id: Optional[int], timeout: Optional[float], deadline: Optional[float] = None
     ) -> None:
-        """The one wait: until task ``task_id`` is DONE, or (None, the
-        barrier) until the graph has finished.  Raises on a failed or
-        cancelled task, past ``deadline`` (now + ``timeout`` if not given)
-        and once the runtime stops with the target unsettled.  The waiter
-        registers in ``_waiting_on`` and sleeps with no timeout of its own:
-        only ``_settle_locked`` and ``stop`` wake it."""
+        """The one wait: until task ``task_id`` is DONE (the graph has let
+        it go), or (None, the barrier) until the graph has finished.  Raises
+        on a failed or cancelled task, past ``deadline`` (now + ``timeout``
+        if not given) and once the runtime stops with the target unsettled.
+        The waiter registers in ``_waiting_on`` and sleeps with no timeout
+        of its own: only ``_settle_locked`` and ``stop`` wake it."""
         if deadline is None and timeout is not None:
             deadline = time.monotonic() + timeout
         with self._cv:
-            if task_id is not None and task_id not in self.graph:
+            if task_id is not None and not self.graph.admitted(task_id):
                 raise ReproError(f"awaited task {task_id} was never registered")
             waiting = self._waiting_on
             waiting[task_id] = waiting.get(task_id, 0) + 1
@@ -465,8 +465,8 @@ class Runtime:
                             return
                         target = "barrier"
                     else:
-                        instance = self.graph.task(task_id)
-                        if instance.state is TaskState.DONE:
+                        instance = self.graph.held(task_id)
+                        if instance is None or instance.state is TaskState.DONE:
                             return
                         if instance.state in (TaskState.FAILED, TaskState.CANCELLED):
                             error = instance.error
@@ -475,11 +475,8 @@ class Runtime:
                         target = f"task {instance.label}"
                     if not self._started:
                         raise RuntimeNotStartedError(f"runtime stopped while waiting on {target}")
-                    if deadline is None:
-                        self._cv.wait()
-                        continue
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
                         raise TimeoutError(f"wait on {target} timed out after {timeout} s")
                     self._cv.wait(remaining)
             finally:
@@ -547,8 +544,9 @@ class Runtime:
                 del self._inflight[key]
             if failure is None and self.memoizer is not None:
                 self.memoizer.store(key, result)
-        # The graph keeps every instance for statistics and exports; a
-        # finished one need not keep its arguments too (bounded memory).
+        # A DONE task leaves the graph; a failed one stays, to poison readers.
+        if failure is None:
+            self.graph.forget(task_id)
         instance.payload = ()
         waiting = self._waiting_on
         if waiting and (task_id in waiting or (None in waiting and self.graph.finished)):

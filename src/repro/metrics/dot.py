@@ -31,6 +31,8 @@ def graph_to_dot(
 
     Args:
         graph: the graph to render (any state; colors encode task states).
+            A real runtime's graph holds no DONE task once it has settled,
+            so neither those tasks nor their edges are drawn.
         name: the digraph's name.
         max_label_length: task labels longer than this are truncated.
         group_by_node: cluster tasks by the node that executed them.
@@ -68,6 +70,7 @@ def graph_to_dot(
 
     for instance in graph.tasks:
         for pred in sorted(graph.predecessors(instance.task_id)):
-            lines.append(f"  t{pred} -> t{instance.task_id};")
+            if pred in graph:
+                lines.append(f"  t{pred} -> t{instance.task_id};")
     lines.append("}")
     return "\n".join(lines)

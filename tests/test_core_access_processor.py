@@ -155,11 +155,12 @@ class TestDataRegistry:
     def test_versions_bump_on_write(self):
         registry = DataRegistry()
         tracker = DependencyTracker(None, itertools.count(1))
-        record = registry.register_object([])
+        obj = []
+        record = registry.register_object(obj)
         assert record.version == 0 and record.writer is None
         tracker.write(record, 7, set())
         assert record.version == 1 and record.writer == 7
-        assert registry.record(record.datum_id) is record  # reset in place
+        assert registry.record_for_object(obj) is record  # reset in place
 
     def test_readers_recorded_per_version(self):
         registry = DataRegistry()

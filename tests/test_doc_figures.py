@@ -241,6 +241,27 @@ def test_e11_rows_equal_bench_runtime_overhead_json():
     )
 
 
+def test_e11_soak_rows_equal_bench_runtime_overhead_json():
+    text, results = _runtime_overhead()
+    section = _section(text, "E11")
+    soak = results["soak"]
+    assert _printed(r"\*\*Master-memory soak\*\* \(([\d,]+) waves", section) == (
+        f"{soak['waves']:,}"
+    )
+    assert _printed(r"waves of ([\d,]+) tasks", section) == f"{soak['tasks_per_wave']:,}"
+
+    def row(label):
+        cells = _printed(rf"(?m)^\| {re.escape(label)} \|(.*)\|$", section)
+        return [cell.strip() for cell in cells.split("|")]
+
+    assert row("traced heap (MB)") == [f"{mb:.3f}" for mb in soak["traced_mb"]]
+    assert row("RSS (MB)") == [f"{mb:.1f}" for mb in soak["rss_mb"]]
+    for label, key in (("traced heap", "traced_growth_per_wave"), ("RSS", "rss_growth_per_wave")):
+        assert _printed(rf"{label} (-?[\d.]+) % per wave", section) == (
+            f"{100 * soak[key]:.2f}"
+        )
+
+
 def test_e1c_submission_rates_equal_bench_runtime_overhead_json():
     text, results = _runtime_overhead()
     sentence = " ".join(_section(text, "E1c").split())

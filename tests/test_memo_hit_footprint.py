@@ -11,7 +11,6 @@ argument poisoning its neighbours; in-place writes through a cached value).
 import gc
 import sys
 import threading
-import time
 import tracemalloc
 
 import pytest
@@ -47,6 +46,12 @@ def total(x, xs):
 def bump(xs):
     xs[0] += 1
     return list(xs)
+
+
+@task(returns=1)
+def hold(event):
+    assert event.wait(10)
+    return 0
 
 
 def _tracked():
@@ -231,18 +236,25 @@ class TestWhenAHitIsServed:
 
 class TestSettledFutureAsArgument:
     def test_hit_adds_no_dependency_and_substitutes_its_value(self):
-        with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
+        with Runtime(workers=1, memoizer=TaskMemoizer()) as rt:
             compss_wait_on(square(3))
             hit = square(3)
             assert hit.resolved and hit.datum_id is None
+            # Read while a gate task keeps the one worker busy: once DONE,
+            # the consumer leaves the graph.
+            event = threading.Event()
+            hold(event)
             datums = len(rt.registry.datum_ids)
             result = total(hit, [hit, 4])
-            assert compss_wait_on(result) == 9 + 9 + 4
-            rt.barrier()
             instance = rt.graph.task(result.producer_task_id)
             assert rt.graph.predecessors(instance.task_id) == set()
             assert instance.reads == () and instance.writes == (result.datum_id,)
-            assert len(rt.registry.datum_ids) == datums + 1  # its own result
+            event.set()
+            assert compss_wait_on(result) == 9 + 9 + 4
+            rt.barrier()
+            # Its own result's record travels with the future, not the registry.
+            assert len(rt.registry.datum_ids) == datums
+            assert result.datum.writer == instance.task_id
 
     def test_wait_on_settled_futures_registers_no_waiter(self, monkeypatch):
         with Runtime(workers=2, memoizer=TaskMemoizer()) as rt:
@@ -259,10 +271,11 @@ class TestSettledFutureAsArgument:
 
     def test_read_through_a_hit_orders_against_a_raw_write(self):
         seen = []
+        release = threading.Event()
 
         @task(returns=1)
         def slow_read(xs):
-            time.sleep(0.1)
+            assert release.wait(10)
             seen.append(list(xs))
             return 0
 
@@ -273,11 +286,14 @@ class TestSettledFutureAsArgument:
             reader = slow_read(hit)
             cached = compss_wait_on(hit)
             writer = bump(cached)  # the same object, passed raw
-            assert compss_wait_on(writer) == [4, 0, 0]
-            rt.barrier()
+            # Read while the reader is held: once DONE, both leave the graph.
             assert rt.graph.predecessors(writer.producer_task_id) == {
                 reader.producer_task_id
             }
+            release.set()
+            assert compss_wait_on(writer) == [4, 0, 0]
+            rt.barrier()
+            assert writer.producer_task_id not in rt.graph
         assert seen == [[3, 0, 0]]
 
 

@@ -8,6 +8,7 @@ from repro.agents.offloading import (
     NeverOffload,
     PeerInfo,
 )
+from repro.core.data import Datum
 from repro.core.futures import Future
 from repro.core.graph import TaskInstance
 from repro.metrics.gantt import render_gantt
@@ -15,7 +16,7 @@ from repro.metrics.gantt import render_gantt
 
 class TestFuture:
     def test_resolution_lifecycle(self):
-        future = Future(datum_id="d1", producer_task_id=1)
+        future = Future(Datum("d1"), 1)
         assert not future.resolved
         with pytest.raises(RuntimeError):
             future.value()
@@ -24,13 +25,13 @@ class TestFuture:
         assert future.value() == 42
 
     def test_double_resolution_rejected(self):
-        future = Future(datum_id="d1", producer_task_id=1)
+        future = Future(Datum("d1"), 1)
         future.resolve(1)
         with pytest.raises(RuntimeError):
             future.resolve(2)
 
     def test_failed_future_reraises(self):
-        future = Future(datum_id="d1", producer_task_id=1)
+        future = Future(Datum("d1"), 1)
         error = ValueError("boom")
         future.fail(error)
         assert future.resolved
@@ -39,8 +40,8 @@ class TestFuture:
 
     def test_unique_ids(self):
         # A future is known by identity: two over the same datum stay two.
-        a = Future(datum_id="x", producer_task_id=1)
-        b = Future(datum_id="x", producer_task_id=1)
+        datum = Datum("x")
+        a, b = Future(datum, 1), Future(datum, 1)
         assert a != b and len({a, b}) == 2
         a.resolve(1)
         assert not b.resolved

@@ -363,6 +363,21 @@ class TestLedgerIndexInvariant:
                 ledger.candidates(_make_req(op[1]))
             assert_index_invariant(ledger)
 
+    def test_node_joining_behind_a_busier_larger_node_sorts_first(self):
+        # A bucket is keyed by *free* cores, so a node that joins mid-run
+        # can land in a bucket already holding a partly busy larger node:
+        # its tie (24, ...) must be filed ahead of (48, ...), not appended.
+        ledger = CapacityLedger([_make_node("big", (48, 64_000, 0, frozenset()))])
+        ledger.state("big").allocate(1, ResolvedRequirements(cores=24))
+        ledger.add_node(_make_node("small", (24, 64_000, 0, frozenset())))
+        assert_index_invariant(ledger)
+        req = ResolvedRequirements(cores=1)
+        winner = ledger.best_balanced(req)
+        assert winner.node.name == "small"
+        assert winner is naive_load_balancing(
+            [s for s in ledger.states if s.fits_now(req)]
+        )
+
 
 def _busy_ledger(specs, busy):
     """A ledger over ``specs`` with ``busy[i]`` cores taken on node ``i``."""

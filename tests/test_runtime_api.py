@@ -20,7 +20,7 @@ from repro import (
     stop_runtime,
     task,
 )
-from repro.core.graph import TaskState
+from repro.core.graph import TaskGraph, TaskInstance, TaskState
 from repro.metrics import graph_to_dot
 
 
@@ -198,30 +198,57 @@ class TestDeleteObject:
         compss_delete_object([1, 2, 3])
 
 
+@task(returns=1)
+def hold(event):
+    assert event.wait(10)
+    return 0
+
+
+def _task_lines(dot):
+    return [line for line in dot.splitlines() if line.strip().startswith("t")]
+
+
 class TestDotExport:
     def test_dot_contains_tasks_and_edges(self):
         @task(returns=1)
         def fn(x):
             return x
 
-        with Runtime(workers=2) as runtime:
+        # A real runtime's graph lets a DONE task go, so it is exported
+        # while a gate task (t1) keeps the one worker busy.
+        with Runtime(workers=1) as runtime:
+            event = threading.Event()
+            hold(event)
             a = fn(1)
             b = fn(a)
-            compss_wait_on(b)
             dot = graph_to_dot(runtime.graph)
+            event.set()
+            compss_wait_on(b)
+            settled = graph_to_dot(runtime.graph)
         assert dot.startswith("digraph")
-        assert "t1" in dot and "t2" in dot
-        assert "t1 -> t2" in dot
-        assert "palegreen" in dot  # done tasks colored
+        assert "t2" in dot and "t3" in dot
+        assert "t2 -> t3" in dot
+        assert "lightblue" in dot and "khaki" in dot  # running, ready
+        # Settled, it shows none of its DONE tasks, nor their edges.
+        assert settled.startswith("digraph") and _task_lines(settled) == []
+        # A graph that keeps its DONE tasks (a simulated one) colors them.
+        graph = TaskGraph()
+        graph.add_task(TaskInstance(task_id=1, label="done"))
+        graph.mark_running(1, "n0")
+        graph.mark_done(1)
+        assert "palegreen" in graph_to_dot(graph)
 
     def test_dot_grouped_by_node(self):
         @task(returns=1)
         def fn(x):
             return x
 
-        with Runtime(workers=2) as runtime:
-            compss_wait_on(fn(1))
+        with Runtime(workers=1) as runtime:
+            event = threading.Event()
+            hold(event)  # placed on localhost while the export runs
+            fn(1)
             dot = graph_to_dot(runtime.graph, group_by_node=True)
+            event.set()
         assert "subgraph cluster_0" in dot
 
     def test_dot_truncates_long_labels(self):

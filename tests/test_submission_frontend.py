@@ -6,6 +6,7 @@ futures and completed instances' payloads are released), and the file
 synchronization API honors deadlines and mid-wait writer failures.
 """
 
+import threading
 import time
 
 import pytest
@@ -37,6 +38,12 @@ def total(values):
 @task(acc=INOUT)
 def extend(acc, x):
     acc.append(x)
+
+
+@task(returns=1)
+def hold(event):
+    assert event.wait(10)
+    return 0
 
 
 @task(returns=1)
@@ -151,13 +158,21 @@ class TestBoundedMasterBookkeeping:
             assert all(t.payload == () for t in rt.graph.tasks)
 
     def test_completed_instances_drop_argument_payloads(self):
+        # The graph lets a DONE task go; whoever still holds the instance
+        # (fetched here while a gate task keeps the one worker busy) sees
+        # its arguments dropped too.
         payload = list(range(1000))
-        with Runtime(workers=2) as rt:
+        event = threading.Event()
+        with Runtime(workers=1) as rt:
+            hold(event)
             future = add(payload, [0])
+            instance = rt.graph.task(future.producer_task_id)
+            assert instance.payload[0] is payload
+            event.set()
             compss_wait_on(future)
             rt.barrier()
-            instance = rt.graph.task(future.producer_task_id)
             assert instance.payload == ()
+            assert future.producer_task_id not in rt.graph
 
     def test_failed_and_cancelled_tasks_release_tracking_too(self):
         with Runtime(workers=2) as rt:

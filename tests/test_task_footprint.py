@@ -1,11 +1,12 @@
 """A task costs what a task does on the real runtime (E17 footprint).
 
-The master keeps every task's record for the whole run, so the container
-objects a task leaves behind decide how much every full GC pass scans.
-These tests pin the per-task count of GC-tracked objects and the per-task
-traced heap — finished and still queued — and that the records which
-became lazy (a datum's reader tail, a node's successor set) behave as the
-eager ones did from the moment they are first needed.
+The master keeps every task's record while it is in flight, so the
+container objects a queued task holds decide how much every full GC pass
+scans; once DONE the task leaves the master (E41).  These tests pin the
+per-task count of GC-tracked objects and the per-task traced heap — still
+queued and finished — and that the records which became lazy (a datum's
+reader tail, a node's successor set) behave as the eager ones did from the
+moment they are first needed.
 """
 
 import gc
@@ -57,12 +58,13 @@ class TestFootprint:
             assert not hasattr(rt.access_processor, "futures_by_datum")
         # Queued: TaskInstance, Datum, Future, the ready-queue node (15
         # before E17; 5 until E37 dropped the list behind the future).
-        # Finished: the first two (10 before: five lists and two sets more;
-        # 5 until E22 released the payload to one shared empty mapping
-        # instead of two fresh dicts; 3 until E23 folded the datum's record
-        # and its current version into one).
+        # Finished, its future dropped: nothing (10 before: five lists and
+        # two sets more; 5 until E22 released the payload to one shared
+        # empty mapping instead of two fresh dicts; 3 until E23 folded the
+        # datum's record and its current version into one; 2 until E41, the
+        # instance and the result datum, let the settled task go).
         assert queued <= 4.5, queued
-        assert finished <= 2.5, finished
+        assert finished <= 0.5, finished
 
     def test_traced_bytes_per_task_queued_and_finished(self):
         with Runtime(workers=1) as rt:
@@ -85,31 +87,40 @@ class TestFootprint:
                 finished = (tracemalloc.get_traced_memory()[0] - before) / TASKS
             finally:
                 tracemalloc.stop()
-        # 910 / 742 B on Python 3.11, 913 / 753 on 3.9, for one
-        # ``add(i, i + 1)``.  Queued: the instance (168 B)
-        # with the caller's argument tuple as its payload, the result datum
-        # and its id, the future, the label, the ready-queue node and the
-        # index slots (1,238 B before E37: a ``kwargs`` dict of 184 B, a
-        # ``future_args`` dict of 64, two slots more, the future's id and
-        # the list behind ``_result_futures``).  Finished: the payload and
-        # the future are gone (759 B before E37).
+        # 884 / 185 B on Python 3.11 for one ``add(i, i + 1)``.  Queued:
+        # the instance (168 B) with the caller's argument tuple as its
+        # payload, the result datum and its id, the future, the label, the
+        # ready-queue node and the index slots (1,238 B before E37: a
+        # ``kwargs`` dict of 184 B, a ``future_args`` dict of 64, two slots
+        # more, the future's id and the list behind ``_result_futures``; 910
+        # before E41, whose registry slot per result went).  Finished:
+        # nothing of the task is left, only the index tables' capacity for
+        # the 2,000 tasks that were in flight at once, which a later wave
+        # reuses (759 B before E37, 742 before E41 forgot settled tasks).
         assert queued <= 1000, queued
-        assert finished <= 780, finished
+        assert finished <= 250, finished
 
     def test_finished_instances_hold_tuples_and_shared_defaults(self):
+        # The graph lets a DONE task go, so its rows are read while a gate
+        # task keeps the one worker busy, and the instances are kept here.
         with Runtime(workers=1) as rt:
+            event = threading.Event()
+            hold(event)
             first = add(1, 2)
             second = add(first, 3)
-            assert compss_wait_on(second) == 6
-            rt.barrier()
             a, b = (rt.graph.task(f.producer_task_id) for f in (first, second))
             assert a.reads == () and a.writes == (first.datum_id,)
             assert b.reads == (first.datum_id,) and b.writes == (second.datum_id,)
-            assert a.assigned_nodes == b.assigned_nodes == ("localhost",)
             assert rt.graph.predecessors(b.task_id) == {a.task_id}
             assert rt.graph.successors(a.task_id) == {b.task_id}
             assert rt.graph.successors(b.task_id) == set()
             assert b.task_id not in rt.graph._successors
+            event.set()
+            assert compss_wait_on(second) == 6
+            rt.barrier()
+            assert a.assigned_nodes == b.assigned_nodes == ("localhost",)
+            assert a.payload == b.payload == ()
+            assert rt.graph.tasks == [] and rt.graph.task_count == 3
 
 
 class TestLazyRecords:
@@ -125,7 +136,9 @@ class TestLazyRecords:
 
         producer = register(TaskDefinition(lambda: 1, returns=1))
         (future,) = producer.futures
-        record = ap.registry.record(future.datum_id)
+        # The future carries its result's record; the registry keeps none.
+        record = future.datum
+        assert ap.registry.datum_ids == [] and record.datum_id == future.datum_id
         assert record.readers == () and record.version == 1
         read = TaskDefinition(lambda x: None)
         readers = [register(read, future).instance.task_id for _ in range(64)]
@@ -151,5 +164,5 @@ class TestLazyRecords:
         datums, before = len(ap.registry.datum_ids), records()
         for _ in range(50):
             register(update, future)
-        assert ap.registry.record(future.datum_id) is record and record.version == 52
+        assert future.datum is record and record.version == 52
         assert len(ap.registry.datum_ids) == datums and records() == before
