@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 from typing import Callable, Iterable, List, Sequence
 
 
@@ -58,6 +59,16 @@ def host_facts() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
+
+
+def rss_mb() -> float:
+    """The resident set now (Linux), else the peak so far."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def merge_results(path: str, updates: dict) -> None:

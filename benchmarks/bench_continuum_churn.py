@@ -20,7 +20,11 @@ sets plus the per-zone membership-epoch digest, ``repro.agents.bus``):
   per-useful-event cost across the sweep;
 * **recovered-work fraction** — churn collides with in-flight crowds, so
   each point also reports how much interrupted work the persistence path
-  re-queued rather than lost.
+  re-queued rather than lost;
+* **soak** — one fleet churned for 1,000 simulated seconds, sampling the
+  traced heap (and, on a second untraced pass, the resident set) every
+  100 s: what a death leaves behind, in bytes, once the bus retires the
+  dead agent.
 
 Throughput is counted in *useful* events (dispatched minus down-notices):
 raw events/sec would credit broadcast for its own notice flood.  Results
@@ -37,10 +41,13 @@ import gc
 import os
 import sys
 import time
+import tracemalloc
+from array import array
 
-from _common import bench_scale, merge_results, print_table, run_once
+from _common import bench_scale, merge_results, print_table, rss_mb, run_once
 
 from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
+from repro.workloads.churn import start_churn_fleet
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_continuum_churn.json"
@@ -185,6 +192,94 @@ def run_sweep() -> tuple:
         ),
     }
     return broadcast, interest_ref, points, reference
+
+
+#: The soak: one fleet of SOAK_AGENTS churned at CHURN_PER_S for
+#: SOAK_DURATION_S simulated seconds (50x the sweep's campaign, ~18k deaths
+#: after the first sample), sampled every SOAK_INTERVAL_S.  Same size at
+#: every scale: ~2 s untraced plus ~5 s traced.
+SOAK_AGENTS = 2_000
+SOAK_DURATION_S = 1_000.0
+SOAK_INTERVAL_S = 100.0
+
+#: Traced-heap growth allowed per death between the first and the last
+#: sample.  Measured 341 B once the bus retires dead agents (792 B when
+#: every dead Agent and Node stayed registered); EXPERIMENTS E42 names
+#: what the remaining bytes are kept for.
+SOAK_BYTES_PER_DEATH_BOUND = 400.0
+
+
+def _soak(traced: bool):
+    """One soak pass on a fresh fleet: after every interval, the bus's death
+    count and a sample (traced heap bytes when ``traced``, else resident
+    set bytes).  Samples land in arrays allocated before the first
+    interval, so the soak keeps no Python object per sample."""
+    samples = int(SOAK_DURATION_S / SOAK_INTERVAL_S)
+    heap, deaths = array("d", [0.0] * samples), array("q", [0] * samples)
+    cfg = ChurnConfig(
+        agents=SOAK_AGENTS,
+        zones=ZONES,
+        churn_per_s=CHURN_PER_S,
+        duration_s=SOAK_DURATION_S,
+    )
+    gc.collect()
+    if traced:
+        tracemalloc.start()
+    try:
+        engine, bus, _drivers = start_churn_fleet(cfg)
+        for i in range(samples):
+            engine.run(until=SOAK_INTERVAL_S * (i + 1))
+            gc.collect()
+            deaths[i] = bus.deaths
+            heap[i] = tracemalloc.get_traced_memory()[0] if traced else rss_mb() * 2**20
+    finally:
+        tracemalloc.stop()
+    return list(heap), list(deaths)
+
+
+def _bytes_per_death(samples, deaths):
+    return (samples[-1] - samples[0]) / (deaths[-1] - deaths[0])
+
+
+def test_churn_soak_heap_follows_the_live_fleet(benchmark):
+    """A death must leave (almost) nothing behind: traced-heap growth per
+    death from the first sample to the last stays under the bound.
+
+    Defined first in the module so that it runs first: its resident-set
+    samples then start from a process the sweep has not already grown.
+    """
+
+    def run():
+        rss, untraced_deaths = _soak(traced=False)
+        traced, deaths = _soak(traced=True)
+        assert untraced_deaths == deaths  # the two passes are one campaign
+        return rss, traced, deaths
+
+    rss, traced, deaths = run_once(benchmark, run)
+    soak = {
+        "agents": SOAK_AGENTS,
+        "duration_s": SOAK_DURATION_S,
+        "interval_s": SOAK_INTERVAL_S,
+        "times_s": [SOAK_INTERVAL_S * (i + 1) for i in range(len(deaths))],
+        "deaths": deaths,
+        "traced_mb": [b / 2**20 for b in traced],
+        "rss_mb": [b / 2**20 for b in rss],
+        "traced_bytes_per_death": _bytes_per_death(traced, deaths),
+        "rss_bytes_per_death": _bytes_per_death(rss, deaths),
+        "bound_bytes_per_death": SOAK_BYTES_PER_DEATH_BOUND,
+    }
+    print_table(
+        f"E16c: churn soak, {SOAK_AGENTS:,} agents x {SOAK_DURATION_S:,.0f} s",
+        ["t_s", "deaths", "traced_mb", "rss_mb"],
+        zip(soak["times_s"], deaths, soak["traced_mb"], soak["rss_mb"]),
+    )
+    print(
+        f"  per death: traced heap {soak['traced_bytes_per_death']:.0f} B, "
+        f"RSS {soak['rss_bytes_per_death']:.0f} B"
+    )
+    sys.stdout.flush()
+    _merge_results({"soak": soak})
+    assert soak["traced_bytes_per_death"] <= SOAK_BYTES_PER_DEATH_BOUND, soak
 
 
 def test_continuum_churn_scaling(benchmark):

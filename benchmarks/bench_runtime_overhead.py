@@ -21,12 +21,11 @@ holds the pair together (a smoke-scale JSON must not be committed).
 
 import gc
 import os
-import resource
 import time
 import tracemalloc
 from array import array
 
-from _common import bench_scale, host_facts, merge_results
+from _common import bench_scale, host_facts, merge_results, rss_mb
 
 from repro import Runtime, compss_barrier, compss_wait_on, task
 
@@ -141,16 +140,6 @@ def add(left, right):
     return left + right
 
 
-def _rss_mb() -> float:
-    """The resident set now (Linux), else the peak so far."""
-    try:
-        with open("/proc/self/statm") as statm:
-            pages = int(statm.read().split()[1])
-        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
-    except OSError:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def _wave(rt) -> int:
     level = rt.submit_many(noop, [((i,),) for i in range(SOAK_LEAVES)])
     while len(level) > 1:
@@ -198,7 +187,7 @@ def _soak(traced: bool):
                 rt.barrier()
                 gc.collect()
                 samples[wave] = (
-                    tracemalloc.get_traced_memory()[0] / 2**20 if traced else _rss_mb()
+                    tracemalloc.get_traced_memory()[0] / 2**20 if traced else rss_mb()
                 )
                 left += len(rt._result_futures) + len(rt.graph)
                 left += sum(len(t.payload) for t in rt.graph.tasks)

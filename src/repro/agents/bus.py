@@ -22,6 +22,12 @@ its peer set, with tasks in flight there, or with data homed there — has
 necessarily either exchanged messages with it or watched it, so it is in the
 interest set and still hears about the death one control-message hop after
 it happens, exactly as under broadcast (see DESIGN.md's substitution table).
+
+A dead agent is *retired*: its ``Agent`` leaves the registry, its node leaves
+the platform, and only a tombstone (name -> node name) stays.  Messages still
+addressed to a retired name are priced between the two nodes and dropped on
+delivery, as before, and the name can never be registered again.  What the
+bus holds therefore follows the live fleet, not every agent that ever joined.
 """
 
 from __future__ import annotations
@@ -65,13 +71,16 @@ class MessageBus:
         self.platform = platform
         self.engine = engine
         self.notification = notification
+        # The live agents, in registration order: a plain dict iterates
+        # deterministically (unlike a ``set`` of strings, whose order depends
+        # on the per-process hash seed), which the byte-identical
+        # engine-equivalence suites rely on.  A dead agent moves to
+        # ``_retired`` (name -> node name), so a message still addressed to
+        # it can be priced, and its name stays taken.
         self._agents: Dict[str, "Agent"] = {}
-        # Live-set bookkeeping.  Plain dicts double as insertion-ordered
-        # sets: iteration order is deterministic (unlike ``set`` of strings,
-        # whose order depends on the per-process hash seed), which the
-        # byte-identical engine-equivalence suites rely on.  An agent's
-        # zone is its own ``zone`` attribute, fixed at construction.
-        self._alive_set: Dict[str, None] = {}
+        self._retired: Dict[str, str] = {}
+        # Per-zone live sets (dicts as ordered sets).  An agent's zone is its
+        # own ``zone`` attribute, fixed at construction.
         self._zone_alive: Dict[str, Dict[str, None]] = {}
         # Interest sets: agent -> peers to notify when it dies.  Populated
         # symmetrically on every send() plus explicit watch() subscriptions.
@@ -98,10 +107,9 @@ class MessageBus:
     # -------------------------------------------------------------- registry
 
     def register(self, agent: "Agent") -> None:
-        if agent.name in self._agents:
+        if agent.name in self._agents or agent.name in self._retired:
             raise AgentError(f"agent {agent.name!r} already registered")
         self._agents[agent.name] = agent
-        self._alive_set[agent.name] = None
         zone = agent.zone
         members = self._zone_alive.get(zone)
         if members is None:
@@ -113,24 +121,35 @@ class MessageBus:
         self._zone_changes[zone].append((agent.name, True))
 
     def agent(self, name: str) -> "Agent":
+        """A live agent (a retired one is gone with its state)."""
         try:
             return self._agents[name]
         except KeyError:
-            raise AgentError(f"unknown agent {name!r}") from None
+            state = "retired" if name in self._retired else "unknown"
+            raise AgentError(f"{state} agent {name!r}") from None
+
+    def _node_of(self, name: str, role: str = "agent") -> str:
+        """The node of a live or retired agent: what a message is priced
+        from or to."""
+        agent = self._agents.get(name)
+        if agent is not None:
+            return agent.node_name
+        try:
+            return self._retired[name]
+        except KeyError:
+            raise AgentError(f"unknown {role} {name!r}") from None
 
     def is_alive(self, name: str) -> bool:
-        return name in self._alive_set
+        return name in self._agents
 
     @property
     def alive_agents(self) -> List[str]:
-        """Names of live agents, in registration order (O(alive), no scan
-        over the dead)."""
-        return list(self._alive_set)
+        """Names of live agents, in registration order."""
+        return list(self._agents)
 
     @property
     def alive_count(self) -> int:
-        """O(1) live-agent count (the old path rebuilt a list to len() it)."""
-        return len(self._alive_set)
+        return len(self._agents)
 
     def alive_in_zone(self, zone: str) -> KeysView[str]:
         """Live agents homed in ``zone``, as a zero-copy ordered view.
@@ -142,7 +161,8 @@ class MessageBus:
         return members.keys() if members is not None else {}.keys()
 
     def zone_of_agent(self, name: str) -> str:
-        return self.agent(name).zone
+        """The zone of a live or retired agent (its node's network zone)."""
+        return self.platform.network.zone_of(self._node_of(name))
 
     # --------------------------------------------------- membership digests
 
@@ -197,7 +217,7 @@ class MessageBus:
         the service is unknown.
         """
         for provider in self._services.get(service_name, ()):
-            if provider in self._alive_set:
+            if provider in self._agents:
                 return provider
         return None
 
@@ -212,19 +232,22 @@ class MessageBus:
 
         Messages to dead agents are dropped (the sender learns about the
         death through its AGENT_DOWN notice, like a connection refusing).
-        Every exchange also enrolls both endpoints in each other's interest
-        set, which is what scopes failure notification.
+        Every exchange between two live agents also enrolls both in each
+        other's interest set, which is what scopes failure notification; a
+        retired endpoint is never notified and never dies again, so it
+        enrolls in nothing.
         """
         sender, recipient = message.sender, message.recipient
-        if sender not in self._agents:
-            raise AgentError(f"unknown sender {sender!r}")
-        if recipient not in self._agents:
-            raise AgentError(f"unknown recipient {recipient!r}")
+        src = self._agents.get(sender)
+        dst = self._agents.get(recipient)
+        if src is not None and dst is not None:
+            src_node, dst_node = src.node_name, dst.node_name
+            self._note_interest(sender, recipient)
+        else:
+            src_node = self._node_of(sender, "sender")
+            dst_node = self._node_of(recipient, "recipient")
         self.messages_sent += 1
         self.bytes_sent += message.payload_bytes
-        self._note_interest(sender, recipient)
-        src_node = self._agents[sender].node_name
-        dst_node = self._agents[recipient].node_name
         delay = self.platform.network.transfer_time(
             src_node, dst_node, message.payload_bytes
         )
@@ -250,12 +273,13 @@ class MessageBus:
 
         Orchestrators watch their declared peers before any message flows,
         so a peer dying between Start Application and the first task
-        dispatch is still detected.
+        dispatch is still detected.  Watching a retired agent is allowed
+        and records nothing: its death notice has already gone out.
         """
-        if watcher not in self._agents:
-            raise AgentError(f"unknown watcher {watcher!r}")
+        self._node_of(watcher, "watcher")
+        self._node_of(target, "watch target")
         if target not in self._agents:
-            raise AgentError(f"unknown watch target {target!r}")
+            return
         peers = self._interest.get(target)
         if peers is None:
             peers = self._interest[target] = {}
@@ -268,17 +292,21 @@ class MessageBus:
             peers.pop(watcher, None)
 
     def _deliver(self, message: Message) -> None:
-        if message.recipient not in self._alive_set:
+        agent = self._agents.get(message.recipient)
+        if agent is None:
             self.dropped_count += 1
             self.dropped_messages.append(message)
             return
-        self._agents[message.recipient].handle(message)
+        agent.handle(message)
 
     # --------------------------------------------------------------- failure
 
     def kill_agent(self, name: str, at: float) -> None:
-        """Schedule an agent crash: it stops processing and peers are told."""
-        self.agent(name)  # an unknown name fails here, not at the kill
+        """Schedule an agent crash: it stops processing and peers are told.
+
+        Killing a retired agent is a no-op, like killing it twice.
+        """
+        self._node_of(name)  # an unknown name fails here, not at the kill
         self.engine.at(
             at,
             lambda: self._kill(name),
@@ -291,20 +319,27 @@ class MessageBus:
         self._kill(name)
 
     def _kill(self, name: str) -> None:
-        if name not in self._alive_set:
+        """Retire ``name``: the agent leaves the registry and its zone's live
+        set, its node fails and leaves the platform (leave listeners and
+        energy meter run as for any removal), and its interest set is
+        notified."""
+        agent = self._agents.pop(name, None)
+        if agent is None:
             return
-        del self._alive_set[name]
-        agent = self._agents[name]
+        node_name = agent.node_name
+        self._retired[name] = node_name
         zone = agent.zone
-        self._zone_alive[zone].pop(name, None)
+        del self._zone_alive[zone][name]
         self._zone_epoch[zone] += 1
         self._zone_changes[zone].append((name, False))
         self.deaths += 1
         agent.on_killed()
-        if self.platform.has_node(agent.node_name):
-            self.platform.fail_node(agent.node_name, at=self.engine.now)
+        platform = self.platform
+        if platform.has_node(node_name):
+            platform.node(node_name).fail()
+            platform.remove_node(node_name, at=self.engine.now)
         if self.notification == "broadcast":
-            targets = list(self._alive_set)
+            targets = list(self._agents)
         else:
             # Interest-scoped: only peers that exchanged messages with the
             # dead agent or watched it.  Their own interest sets drop the
@@ -316,7 +351,7 @@ class MessageBus:
                 peers = interest.get(other)
                 if peers is not None:
                     peers.pop(name, None)
-                if other in self._alive_set:
+                if other in self._agents:
                     targets.append(other)
         for other in targets:
             notice = Message(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.infrastructure.resources import Node
+from repro.infrastructure.resources import Node, PowerProfile
 
 
 class EnergyAccountant:
@@ -24,12 +24,14 @@ class EnergyAccountant:
     Only the per-node *aggregate* core-seconds are kept — every consumer
     (energy integration, utilization tracing) reads the sum, so storing an
     interval object per task would cost O(tasks) memory and allocator time
-    for information nothing reads back.
+    for information nothing reads back.  Likewise a node's ``PowerProfile``
+    is the only part of it the accountant reads, so that is what it keeps:
+    a node that left the platform is not held alive by its energy record.
     """
 
     def __init__(self) -> None:
         self._busy_core_seconds: Dict[str, float] = {}
-        self._nodes: Dict[str, Node] = {}
+        self._power: Dict[str, PowerProfile] = {}
         # Nodes powered off (released by elasticity) stop accruing idle
         # power.  A node that is on has its start in ``_on_since``; its past
         # on-intervals are one flat ``(start, end, start, end, ...)`` tuple.
@@ -39,7 +41,7 @@ class EnergyAccountant:
     def register_node(self, node: Node, on_since: float = 0.0) -> None:
         """Start charging idle power for ``node`` from ``on_since`` (a node
         that is already on stays on since its earlier start)."""
-        self._nodes[node.name] = node
+        self._power[node.name] = node.power
         self._on_since.setdefault(node.name, on_since)
 
     def power_off(self, node_name: str, at: float) -> None:
@@ -60,8 +62,8 @@ class EnergyAccountant:
 
     def node_energy_joules(self, node_name: str, horizon: float) -> float:
         """Energy consumed by one node over [0, horizon]."""
-        node = self._nodes.get(node_name)
-        if node is None:
+        power = self._power.get(node_name)
+        if power is None:
             return 0.0
         on_seconds = 0.0
         past = self._was_on.get(node_name, ())
@@ -72,10 +74,10 @@ class EnergyAccountant:
         start = self._on_since.get(node_name)
         if start is not None and horizon > start:
             on_seconds += horizon - start
-        idle_energy = node.power.idle_watts * on_seconds
-        busy_energy = node.power.busy_watts_per_core * self.busy_core_seconds(node_name)
+        idle_energy = power.idle_watts * on_seconds
+        busy_energy = power.busy_watts_per_core * self.busy_core_seconds(node_name)
         return idle_energy + busy_energy
 
     def total_energy_joules(self, horizon: float) -> float:
         """Total platform energy over [0, horizon] in joules."""
-        return sum(self.node_energy_joules(name, horizon) for name in self._nodes)
+        return sum(self.node_energy_joules(name, horizon) for name in self._power)

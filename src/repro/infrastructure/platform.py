@@ -33,9 +33,11 @@ class Platform:
         self.energy = EnergyAccountant()
         self._nodes: Dict[str, Node] = {}
         # Insertion-ordered live index: nodes registered and not yet
-        # failed/removed through the platform API.  Under fleet churn the
-        # dead stay listed in ``_nodes`` (failed in place), so scans keyed
-        # on this index cost O(live), not O(ever registered).
+        # failed/removed through the platform API.  A node failed in place
+        # (``fail_node``) stays listed in ``_nodes``, so scans keyed on this
+        # index cost O(live), not O(listed).  A dead agent's node leaves
+        # through ``remove_node`` instead, so under fleet churn ``_nodes``
+        # follows the live fleet too.
         self._alive_index: Dict[str, None] = {}
         # Observers notified on node join/leave (schedulers subscribe).
         self._join_listeners: List[Callable[[Node], None]] = []

@@ -401,7 +401,8 @@ class _ZoneChurnDriver:
             "tasks_recovered": recovered,
             "tasks_lost": lost,
             "data_rehomed": self.data_rehomed,
-            "alive_workers": len(self._workers()),
+            # The live set less the orchestrator, counted without a copy.
+            "alive_workers": len(self.bus.alive_in_zone(self.zone)) - 1,
             "final_epoch": self.bus.membership_epoch(self.zone),
             "recovered_work_fraction": recovered / max(1, recovered + lost),
         }
@@ -457,6 +458,27 @@ def make_continuum_platform(cfg: ChurnConfig) -> Platform:
     return Platform(name="continuum", network=network)
 
 
+def start_churn_fleet(
+    cfg: ChurnConfig, notification: Optional[str] = None
+) -> Tuple[SimulationEngine, MessageBus, List[_ZoneChurnDriver]]:
+    """Build the fleet on one bus and schedule its drivers, without running.
+
+    :func:`run_churn_fleet` runs the engine to quiescence; a caller that
+    wants to look at the fleet mid-campaign steps it with
+    ``engine.run(until=t)`` instead (the churn soak does).
+    """
+    platform = make_continuum_platform(cfg)
+    eng = SimulationEngine()
+    bus = MessageBus(platform, eng, notification=notification or cfg.notification)
+    drivers = [
+        _ZoneChurnDriver(cfg, index, platform, bus, eng)
+        for index in range(cfg.zones)
+    ]
+    for driver in drivers:
+        driver.start()
+    return eng, bus, drivers
+
+
 def run_churn_fleet(
     cfg: ChurnConfig,
     engine: str = "single",
@@ -474,15 +496,7 @@ def run_churn_fleet(
             f"fleet mode runs on one 'single' timeline (got {engine!r}); "
             "the zone-program drivers need the decomposed run_churn()"
         )
-    platform = make_continuum_platform(cfg)
-    eng = SimulationEngine()
-    bus = MessageBus(platform, eng, notification=notification or cfg.notification)
-    drivers = [
-        _ZoneChurnDriver(cfg, index, platform, bus, eng)
-        for index in range(cfg.zones)
-    ]
-    for driver in drivers:
-        driver.start()
+    eng, bus, drivers = start_churn_fleet(cfg, notification)
     eng.run()
     for driver in drivers:
         driver.finalize()

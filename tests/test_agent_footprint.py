@@ -161,7 +161,8 @@ class TestLaziness:
         engine.run()
         assert not bus.is_alive("w1") and agents[1]._queue is None
         assert agents[1]._free_cores == agents[1].cores
-        assert not platform.node("w1").alive
+        # The dead agent is retired: its node left the platform.
+        assert not platform.has_node("w1") and platform.has_node("w0")
         assert _has_no_role_state(agents[1])
         # Status of a worker that never queued anything.
         bus.send(Message(op=Op.QUERY_STATUS, sender="w0", recipient="w0"))

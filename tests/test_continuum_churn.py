@@ -30,7 +30,11 @@ from repro.scheduling import DataLocationService, TransferPlanner
 from repro.simulation import SimulationEngine
 from repro.tools.cli import main, simulate_scenario_runner
 from repro.workloads import ChurnConfig, run_churn, run_churn_fleet
-from repro.workloads.churn import _ZoneChurnDriver, make_continuum_platform
+from repro.workloads.churn import (
+    _ZoneChurnDriver,
+    make_continuum_platform,
+    start_churn_fleet,
+)
 
 
 def make_stack(num_fog=3, num_cloud=2):
@@ -285,6 +289,28 @@ class TestChurnWorkload:
         # (each death notifies its interest set, not the fleet).
         assert result["down_notices"] < result["deaths"] * 8
         assert result["alive_agents"] > 0
+
+    def test_a_harvest_leaves_the_orchestrator_no_data_catalogue(self):
+        # An orchestrator hosts one crowd application after another; its
+        # datum_home / home_index must not grow across them.
+        cfg = ChurnConfig(agents=400, zones=2, duration_s=30.0)
+        engine, _bus, drivers = start_churn_fleet(cfg)
+        catalogued = []
+        for driver in drivers:
+            harvest = driver._harvest
+
+            def checked(driver=driver, harvest=harvest):
+                catalogued.append(len(driver.orch.homed_data()))
+                harvest()
+                assert driver.orch.homed_data() == []
+                assert driver.orch._orch.home_index == {}
+
+            driver._harvest = checked
+        engine.run()
+        for driver in drivers:
+            driver.finalize()
+        # Every zone harvested several applications, each with data homed.
+        assert len(catalogued) >= 2 * cfg.zones and min(catalogued) > 0
 
     def test_without_persistence_interrupted_work_is_lost(self):
         cfg = ChurnConfig(agents=300, zones=2, duration_s=15.0,

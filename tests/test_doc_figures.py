@@ -9,8 +9,9 @@ tier-1, so in CI it runs before the bench smoke steps rewrite the JSON and
 therefore checks the committed pair.
 
 E16 is held the same way: the table rows, the measured-speedup /
-projected-speedup sentence, the per-event cost spread, the summary row and
-the README's churn paragraph must equal ``BENCH_continuum_churn.json``.
+projected-speedup sentence, the per-event cost spread, the soak rows and
+bytes per death, the summary row and the README's churn paragraph must
+equal ``BENCH_continuum_churn.json``.
 So are the real-runtime figures of E11 and E1c, against
 ``BENCH_runtime_overhead.json``, and E2b's dated rows, against
 ``BENCH_data_plane.json`` (its PR 5 before/after table stays as history).
@@ -189,6 +190,35 @@ def test_e16_speedup_and_flatness_sentences_equal_bench_continuum_churn_json():
         f"{results['flatness']['bound']:g}"
     )
     assert _e16_headline(results) in summary
+
+
+def test_e16_soak_rows_equal_bench_continuum_churn_json():
+    sentence, section, _summary, results = _e16()
+    soak = results["soak"]
+    assert _printed(r"\*\*Churn soak\*\* \(([\d,]+) agents", section) == (
+        f"{soak['agents']:,}"
+    )
+    assert _printed(r"for ([\d,]+) simulated seconds", sentence) == (
+        f"{soak['duration_s']:,.0f}"
+    )
+
+    def row(label):
+        cells = _printed(rf"(?m)^\| {re.escape(label)} \|(.*)\|$", section)
+        return [cell.strip() for cell in cells.split("|")]
+
+    assert row("t (s)") == [f"{t:,.0f}" for t in soak["times_s"]]
+    assert row("deaths") == [f"{d:,}" for d in soak["deaths"]]
+    assert row("traced heap (MB)") == [f"{mb:.3f}" for mb in soak["traced_mb"]]
+    assert row("RSS (MB)") == [f"{mb:.1f}" for mb in soak["rss_mb"]]
+    assert _printed(r"traced heap grows \*\*(\d+) B per death\*\*", sentence) == (
+        f"{soak['traced_bytes_per_death']:.0f}"
+    )
+    assert _printed(r"asserted bound (\d+) B", sentence) == (
+        f"{soak['bound_bytes_per_death']:.0f}"
+    )
+    assert _printed(r"and RSS (\d+) B per death", sentence) == (
+        f"{soak['rss_bytes_per_death']:.0f}"
+    )
 
 
 def test_readme_churn_figures_equal_bench_continuum_churn_json():
