@@ -87,18 +87,16 @@ class AccessProcessor:
             barrier nodes added directly to this graph.  Without a graph the
             AP falls back to exact per-reader dependencies (the naive O(R)
             derivation) — semantically identical, just slower on hot data.
-        war_fanin_threshold: tail length that triggers a barrier flush.
     """
 
     def __init__(
         self,
         registry: Optional[DataRegistry] = None,
         graph: Optional["TaskGraph"] = None,
-        war_fanin_threshold: int = WAR_FANIN_BARRIER_THRESHOLD,
     ) -> None:
         self.registry = registry if registry is not None else DataRegistry()
         self._task_ids = itertools.count(1)
-        self._tracker = DependencyTracker(graph, self._task_ids, war_fanin_threshold)
+        self._tracker = DependencyTracker(graph, self._task_ids)
 
     # ------------------------------------------------------------------ API
 

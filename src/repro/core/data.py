@@ -104,22 +104,15 @@ class DependencyTracker:
             semantically identical, just slower on hot data.
         ids: the caller's task-id counter; barriers take their ids from it
             so every edge keeps pointing from an earlier id to a later one.
-        threshold: tail length that triggers a barrier flush.
     """
 
     __slots__ = ("graph", "ids", "threshold")
 
-    def __init__(
-        self,
-        graph: Optional["TaskGraph"],
-        ids: Iterator[int],
-        threshold: int = WAR_FANIN_BARRIER_THRESHOLD,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(f"war_fanin_threshold must be >= 1, got {threshold}")
+    def __init__(self, graph: Optional["TaskGraph"], ids: Iterator[int]) -> None:
         self.graph = graph
         self.ids = ids
-        self.threshold = threshold
+        #: Tail length that triggers a barrier flush.
+        self.threshold = WAR_FANIN_BARRIER_THRESHOLD
 
     def read(
         self, datum: Datum, task_id: int, deps: Set[int], may_flush: bool = True

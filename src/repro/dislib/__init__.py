@@ -6,7 +6,7 @@ PyCOMPSs. The goal is to provide a simple and easy to use interface, which
 enables the use of optimized algorithms that run in parallel." (§VI-C)
 
 The public surface mirrors the real dislib: a blocked distributed array
-(:func:`array`, :func:`random_array`) plus scikit-learn-style estimators
+(:func:`array`, :func:`zeros`) plus scikit-learn-style estimators
 whose ``fit``/``predict`` are internally expressed as ``@task`` graphs, so
 they parallelize under an active :class:`~repro.Runtime` and degrade to
 sequential execution without one.
@@ -19,14 +19,9 @@ _export_lazily(
     {
         "DsArray": "array",
         "array": "array",
-        "random_array": "array",
         "zeros": "array",
         "KMeans": "kmeans",
         "LinearRegression": "linear_regression",
-        "PCA": "pca",
         "StandardScaler": "preprocessing",
-        "KFold": "model_selection",
-        "cross_val_score": "model_selection",
-        "train_test_split": "model_selection",
     },
 )

@@ -19,12 +19,6 @@ from repro.core import compss_wait_on, task
 
 
 @task(returns=1)
-def _block_random(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    return rng.random((rows, cols))
-
-
-@task(returns=1)
 def _block_full(rows, cols, value):
     return np.full((rows, cols), float(value))
 
@@ -258,20 +252,6 @@ def array(x: np.ndarray, block_shape: Tuple[int, int]) -> DsArray:
         for r, rn in row_splits
     ]
     return DsArray(blocks, x.shape, block_shape)
-
-
-def random_array(
-    shape: Tuple[int, int], block_shape: Tuple[int, int], seed: int = 0
-) -> DsArray:
-    """Uniform-random ds-array; one generation task per block."""
-    row_splits, col_splits = _grid(shape, block_shape)
-    blocks = []
-    for bi, (r, rn) in enumerate(row_splits):
-        row = []
-        for bj, (c, cn) in enumerate(col_splits):
-            row.append(_block_random(rn, cn, seed + bi * len(col_splits) + bj))
-        blocks.append(row)
-    return DsArray(blocks, shape, block_shape)
 
 
 def zeros(shape: Tuple[int, int], block_shape: Tuple[int, int]) -> DsArray:

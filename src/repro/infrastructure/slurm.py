@@ -57,6 +57,8 @@ class SlurmManager:
         self.platform = platform
         self.engine = engine
         self._free: List[str] = [n.name for n in platform.alive_nodes]
+        # Nodes only move between ``_free`` and a job's allocation.
+        self._total_nodes = len(self._free)
         self._queue: List[SlurmJob] = []
         self._jobs: Dict[int, SlurmJob] = {}
         self._next_id = 1
@@ -77,10 +79,10 @@ class SlurmManager:
         """Enqueue a job; ``on_start`` fires (in virtual time) at allocation."""
         if requested_nodes <= 0:
             raise ValueError(f"requested_nodes must be > 0, got {requested_nodes}")
-        if requested_nodes > len(self._free) + self._allocated_count():
+        if requested_nodes > self._total_nodes:
             raise ValueError(
                 f"job wants {requested_nodes} nodes but the cluster only has "
-                f"{len(self._free) + self._allocated_count()}"
+                f"{self._total_nodes}"
             )
         job = SlurmJob(
             job_id=self._next_id,
@@ -117,20 +119,7 @@ class SlurmManager:
         job.allocated = []
         self.engine.after(0.0, self._drain_queue, label="slurm-drain")
 
-    def release_nodes(self, job_id: int, node_names: List[str]) -> None:
-        """Shrink a running job's allocation (elastic scale-in)."""
-        job = self._jobs[job_id]
-        for name in node_names:
-            if name not in job.allocated:
-                raise ValueError(f"node {name!r} is not allocated to job {job_id}")
-            job.allocated.remove(name)
-            self._free.append(name)
-        self.engine.after(0.0, self._drain_queue, label="slurm-drain")
-
     # ------------------------------------------------------------------ internals
-
-    def _allocated_count(self) -> int:
-        return sum(len(j.allocated) for j in self._jobs.values())
 
     def _drain_queue(self) -> None:
         # Strict FIFO: the head job blocks later jobs (no backfill), which is

@@ -1,8 +1,8 @@
 """Online duration prediction from past executions.
 
-Per task type the predictor keeps running moments (count/mean/variance via
-Welford) and, when observations carry an input-size feature, a streaming
-simple linear regression ``duration ~ a + b * size``.  Predictions prefer
+Per task type the predictor keeps a running count and mean and, when
+observations carry an input-size feature, a streaming simple linear
+regression ``duration ~ a + b * size``.  Predictions prefer
 the regression once it has enough support and explanatory power, falling
 back to the running mean, then to a global default — so schedulers always
 get *some* estimate, and estimates sharpen as the workflow executes (exactly
@@ -11,8 +11,7 @@ the "learning from previous executions" loop of §VI-C).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 
@@ -22,7 +21,6 @@ class TaskTypeStats:
 
     count: int = 0
     mean: float = 0.0
-    m2: float = 0.0  # sum of squared deviations (Welford)
     # Streaming regression accumulators over (size, duration).
     sum_x: float = 0.0
     sum_y: float = 0.0
@@ -34,25 +32,13 @@ class TaskTypeStats:
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
         self.count += 1
-        delta = duration - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (duration - self.mean)
+        self.mean += (duration - self.mean) / self.count
         if size is not None and size >= 0:
             self.sized_count += 1
             self.sum_x += size
             self.sum_y += duration
             self.sum_xx += size * size
             self.sum_xy += size * duration
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
     def regression(self) -> Optional[tuple]:
         """(intercept, slope) of duration ~ size, or None if unsupported."""
@@ -102,13 +88,3 @@ class DurationPredictor:
                 if estimate > 0:
                     return estimate
         return stats.mean
-
-    def confidence(self, label: str) -> float:
-        """A [0,1] score growing with observations (1 - 1/(n+1))."""
-        stats = self._stats.get(self.type_of(label))
-        n = stats.count if stats else 0
-        return 1.0 - 1.0 / (n + 1)
-
-    @property
-    def known_types(self) -> list:
-        return list(self._stats)

@@ -41,11 +41,5 @@ class SimClock:
             )
         self._now = float(timestamp)
 
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds (must be >= 0)."""
-        if delta < 0:
-            raise ClockError(f"cannot advance clock by negative delta {delta!r}")
-        self._now += float(delta)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f})"

@@ -66,11 +66,5 @@ class DeterministicRandom:
             raise ValueError(f"median must be positive, got {median!r}")
         return self._rng.lognormvariate(math.log(median), sigma)
 
-    def pareto(self, shape: float, scale: float = 1.0) -> float:
-        """Pareto sample: heavy-tailed, minimum value = scale."""
-        if shape <= 0:
-            raise ValueError(f"shape must be positive, got {shape!r}")
-        return scale * (self._rng.paretovariate(shape))
-
     def __repr__(self) -> str:
         return f"DeterministicRandom(seed={self.seed}, name={self.name!r})"

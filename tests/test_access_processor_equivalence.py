@@ -72,7 +72,8 @@ def _run_program(program, threshold=TEST_THRESHOLD):
     ``(real task id, expanded optimized deps, naive deps)``.
     """
     graph = TaskGraph()
-    ap = AccessProcessor(DataRegistry(), graph=graph, war_fanin_threshold=threshold)
+    ap = AccessProcessor(DataRegistry(), graph=graph)
+    ap._tracker.threshold = threshold
     naive = NaiveWarReference()
     pool = [[i] for i in range(3)]  # distinct mutable objects
     id_to_ordinal = {}
@@ -197,9 +198,8 @@ class TestWideFaninStaysBounded:
         # task's own id); the tail is bounded, so deps stay bounded too.
         threshold = 4
         graph = TaskGraph()
-        ap = AccessProcessor(
-            DataRegistry(), graph=graph, war_fanin_threshold=threshold
-        )
+        ap = AccessProcessor(DataRegistry(), graph=graph)
+        ap._tracker.threshold = threshold
         shared = []
         for _ in range(threshold):  # exactly fills the tail, no flush yet
             registered = ap.register_task(DEFINITIONS["read"], (shared,), {})

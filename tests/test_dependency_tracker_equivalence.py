@@ -32,13 +32,12 @@ def _run(program, threshold):
     """Feed ``program`` — ``(op, datum, repeat)`` triples — through both
     front-ends; returns ``(real graph, simulated graph, task ids in order)``
     after checking every task's dependency set on the way."""
-    real_graph = TaskGraph()
-    ap = AccessProcessor(
-        DataRegistry(), graph=real_graph, war_fanin_threshold=threshold
-    )
-    builder = SimWorkflowBuilder()
-    # The builder has no threshold argument (no caller varies it): the
+    # Neither front-end has a threshold argument (no caller varies it): the
     # tracker's own attribute is what the small-threshold runs set.
+    real_graph = TaskGraph()
+    ap = AccessProcessor(DataRegistry(), graph=real_graph)
+    ap._tracker.threshold = threshold
+    builder = SimWorkflowBuilder()
     builder._tracker.threshold = threshold
     naive = NaiveWarReference()
     pool = [[i] for i in range(DATA)]

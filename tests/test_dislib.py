@@ -10,7 +10,6 @@ from repro.dislib import (
     LinearRegression,
     StandardScaler,
     array,
-    random_array,
     zeros,
 )
 
@@ -89,12 +88,6 @@ class TestDsArray:
         assert compss_wait_on(da.sum()) == pytest.approx(a.sum())
         assert da.mean() == pytest.approx(a.mean())
         assert da.norm() == pytest.approx(np.linalg.norm(a))
-
-    def test_random_array_deterministic(self, maybe_runtime):
-        a = random_array((8, 4), (4, 4), seed=5).collect()
-        b = random_array((8, 4), (4, 4), seed=5).collect()
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (8, 4)
 
     def test_zeros(self, maybe_runtime):
         z = zeros((5, 3), (2, 2)).collect()

@@ -192,18 +192,6 @@ class TestSlurmManager:
         engine.run()
         assert job_b.state is JobState.RUNNING
 
-    def test_shrink_returns_nodes(self):
-        platform = make_hpc_cluster(4)
-        engine = SimulationEngine()
-        slurm = SlurmManager(platform, engine)
-        job = slurm.submit(4)
-        engine.run()
-        victims = job.allocated[:2]
-        slurm.release_nodes(job.job_id, victims)
-        engine.run()
-        assert slurm.free_node_count == 2
-        assert len(job.allocated) == 2
-
     def test_release_twice_rejected(self):
         platform = make_hpc_cluster(2)
         engine = SimulationEngine()

@@ -76,8 +76,7 @@ EXPORTS = {
         "evaluate_policy",
     ],
     "dislib": [
-        "DsArray", "array", "random_array", "zeros", "KMeans", "LinearRegression",
-        "PCA", "StandardScaler", "KFold", "cross_val_score", "train_test_split",
+        "DsArray", "array", "zeros", "KMeans", "LinearRegression", "StandardScaler",
     ],
     "frontends": ["parse_workflow_text", "WorkflowSyntaxError", "CyclingSuite", "SuiteTask"],
     "baselines": ["FragmentedPipeline", "run_fragmented", "run_holistic"],

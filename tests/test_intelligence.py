@@ -31,7 +31,6 @@ class TestDurationPredictor:
         predictor.observe("impute/chunk0#1", 100.0)
         predictor.observe("impute/chunk1#2", 200.0)
         assert predictor.predict("impute/chunk99#3") == pytest.approx(150.0)
-        assert predictor.known_types == ["impute"]
 
     def test_size_regression_learned(self):
         predictor = DurationPredictor()
@@ -46,20 +45,6 @@ class TestDurationPredictor:
             predictor.observe("p#1", duration=10.0, size=3.0)
         # Degenerate sizes: falls back to the mean.
         assert predictor.predict("p#1", size=100.0) == pytest.approx(10.0)
-
-    def test_confidence_grows(self):
-        predictor = DurationPredictor()
-        c0 = predictor.confidence("t#1")
-        predictor.observe("t#1", 1.0)
-        predictor.observe("t#2", 1.0)
-        assert predictor.confidence("t#3") > c0
-
-    def test_stddev(self):
-        predictor = DurationPredictor()
-        for d in (10.0, 14.0):
-            predictor.observe("t#1", d)
-        stats = predictor.stats("t")
-        assert stats.stddev == pytest.approx(2.828, rel=0.01)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

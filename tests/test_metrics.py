@@ -109,3 +109,26 @@ class TestStoreVsRecompute:
             IntermediateDatum("d", compute_cost_s=0, size_bytes=-1, accesses=0)
         with pytest.raises(ValueError):
             IntermediateDatum("d", compute_cost_s=0, size_bytes=0, accesses=-1)
+
+
+class TestParaverExport:
+    def test_prv_and_csv_roundtrip(self):
+        from repro.executor import SimulatedExecutor, SimWorkflowBuilder
+        from repro.infrastructure import make_hpc_cluster
+        from repro.metrics.paraver import export_prv, export_trace_csv, load_trace_csv
+
+        builder = SimWorkflowBuilder()
+        builder.add_task("a", duration=5.0, outputs={"x": 1.0})
+        builder.add_task("b", duration=7.0, inputs=["x"])
+        SimulatedExecutor(builder.graph, make_hpc_cluster(1)).run()
+
+        prv, row_file = export_prv(builder.graph)
+        assert prv.startswith("#Paraver-like trace: tasks=2")
+        assert "LEVEL NODE SIZE 1" in row_file
+        assert len(prv.splitlines()) == 3  # header + 2 state records
+
+        csv_text = export_trace_csv(builder.graph)
+        rows = load_trace_csv(csv_text)
+        assert len(rows) == 2
+        assert rows[0].start <= rows[1].start
+        assert rows[1].end == pytest.approx(12.0)

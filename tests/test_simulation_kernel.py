@@ -21,17 +21,10 @@ class TestSimClock:
         clock.advance_to(5.0)
         assert clock.now == 5.0
 
-    def test_advance_by(self):
-        clock = SimClock(start=2.0)
-        clock.advance_by(3.0)
-        assert clock.now == 5.0
-
     def test_rewind_rejected(self):
         clock = SimClock(start=10.0)
         with pytest.raises(ClockError):
             clock.advance_to(5.0)
-        with pytest.raises(ClockError):
-            clock.advance_by(-1.0)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
@@ -230,7 +223,6 @@ class TestDeterministicRandom:
         rng = DeterministicRandom(seed=3)
         assert rng.exponential(5.0) > 0
         assert rng.lognormal(10.0, 0.5) > 0
-        assert rng.pareto(2.0, scale=3.0) >= 3.0
 
     def test_invalid_parameters_rejected(self):
         rng = DeterministicRandom()
@@ -238,8 +230,6 @@ class TestDeterministicRandom:
             rng.exponential(0)
         with pytest.raises(ValueError):
             rng.lognormal(-1, 0.5)
-        with pytest.raises(ValueError):
-            rng.pareto(0)
 
     def test_lognormal_median_roughly_respected(self):
         rng = DeterministicRandom(seed=9)
