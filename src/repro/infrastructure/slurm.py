@@ -61,6 +61,8 @@ class SlurmManager:
         self._total_nodes = len(self._free)
         self._queue: List[SlurmJob] = []
         self._jobs: Dict[int, SlurmJob] = {}
+        # Running jobs in start order, which strict FIFO makes job-id order.
+        self._running: Dict[int, SlurmJob] = {}
         self._next_id = 1
 
     @property
@@ -114,6 +116,7 @@ class SlurmManager:
         if job.state is not JobState.RUNNING:
             raise ValueError(f"job {job_id} is not running")
         job.state = JobState.COMPLETED
+        del self._running[job_id]
         job.end_time = self.engine.now
         self._free.extend(job.allocated)
         job.allocated = []
@@ -129,12 +132,14 @@ class SlurmManager:
             job.allocated = [self._free.pop(0) for _ in range(job.requested_nodes)]
             job.state = JobState.RUNNING
             job.start_time = self.engine.now
+            self._running[job.job_id] = job
             if job.on_start is not None:
                 job.on_start(job)
         # Grow requests are honoured only when no queued job is waiting, so
-        # elasticity cannot starve the FIFO queue.
+        # elasticity cannot starve the FIFO queue.  A grow callback may
+        # release a job, so the walk is over a copy.
         if not self._queue:
-            for job in self._jobs.values():
+            for job in list(self._running.values()):
                 if job.state is not JobState.RUNNING:
                     continue
                 while job.grow_requests and job.grow_requests[0] <= len(self._free):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from itertools import repeat, starmap
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -46,6 +47,10 @@ class DeterministicRandom:
 
     def random(self) -> float:
         return self._rng.random()
+
+    def randoms(self, n: int) -> List[float]:
+        """The next ``n`` draws, equal to ``n`` calls of :meth:`random`."""
+        return list(starmap(self._rng.random, repeat((), n)))
 
     def choice(self, items: Sequence[T]) -> T:
         return self._rng.choice(items)

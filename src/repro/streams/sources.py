@@ -3,19 +3,26 @@
 Production-rate emission rides two mechanisms:
 
 * **Batched ingestion** — ``batch=N`` publishes N readings per engine event
-  as two columns (timestamps spaced by the jittered period, bit-identical to
-  per-element emission), so the event-queue cost is one event per batch.
+  as two columns, so the event-queue cost is one event per batch, and
+  neither column makes a Python call per element: stamps are the running
+  sums of the period steps, cut at ``until`` by one bisect; readings come
+  from one batch of draws, each drawn before its jitter as per-element
+  emission drew them (draws past a cut go unseen: a cut ends the source).
+  A user ``reading_fn`` runs once per emitted element, in order; under
+  jitter it may draw between jitter draws, the one case built per element.
 * **Credit-based backpressure** — a :class:`CreditValve` between the source
   and its consumers: every admitted element spends a credit, consumers
   grant credits back as window tasks complete, and when credits run out
   the configured policy applies — ``drop`` discards the newest readings,
-  ``spill`` defers them (a disk-spill stand-in, kept as the same two columns) for re-ingestion ahead of
-  the next batch once credits return.
+  ``spill`` defers them (a disk-spill stand-in, kept as the same two columns)
+  for re-ingestion ahead of the next batch once credits return.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simulation.engine import SimulationEngine
@@ -92,13 +99,14 @@ class SensorSource:
         name: sensor identity (stamped on elements).
         period_s: nominal inter-reading period.
         jitter: relative uniform jitter on the period (0 = strictly periodic).
-        reading_fn: maps (sequence_number, rng) to the reading value;
-            defaults to a unit-mean noisy signal.
+        reading_fn: maps (sequence_number, rng) to the reading value, called
+            once per emitted element; None is a unit-mean noisy signal.
         until: stop emitting at this virtual time (None = run forever —
             callers must then bound the engine run themselves).
-        batch: readings emitted per engine event.  Timestamps are identical
-            to ``batch=1`` (each still one jittered period after the last);
-            only the event-queue granularity changes.
+        batch: readings emitted per engine event.  Stamps, values and rng
+            draws are identical to ``batch=1`` (see the module docstring
+            for the column contract); only the event-queue granularity
+            changes.
         valve: optional credit valve; without one every reading publishes.
     """
 
@@ -131,9 +139,7 @@ class SensorSource:
         self.until = until
         self.batch = batch
         self.valve = valve
-        self.reading_fn = reading_fn or (
-            lambda seq, rng: 1.0 + 0.1 * (rng.random() - 0.5)
-        )
+        self.reading_fn = reading_fn
         self.rng = DeterministicRandom(seed=seed, name=name)
         #: Readings generated (admitted or not).
         self.produced = 0
@@ -154,32 +160,46 @@ class SensorSource:
         until = float("inf") if self.until is None else self.until
         if now > until:
             return
-        # Generate the batch as two columns: element k's timestamp is the
-        # engine time the k-th per-element event would have fired at (same
-        # floats, same rng draw order), so both ingest byte-identically.
+        # ``stamps`` holds the running sums of the batch's steps from ``now``:
+        # sum k is the time the k-th per-element event would have fired at
+        # and sum ``batch`` the next emission instant.
         reading_fn = self.reading_fn
         rng = self.rng
         period = self.period_s
         spread = period * self.jitter
-        uniform = rng.uniform
         produced = self.produced
-        stamps: List[float] = []
-        values: List[Any] = []
-        add_stamp = stamps.append
-        add_value = values.append
-        timestamp: Optional[float] = now
-        for _ in range(self.batch):
-            add_stamp(timestamp)
-            add_value(reading_fn(produced, rng))
-            produced += 1
-            if spread:
-                timestamp = timestamp + (period + uniform(-spread, spread))
-            else:
-                timestamp = timestamp + period
-            if timestamp > until:
-                timestamp = None
-                break
-        self.produced = produced
+        batch = self.batch
+        if spread and reading_fn is not None:
+            # The user's reading may draw between two jitter draws.
+            stamps, values = [], []
+            timestamp = now
+            for seq in range(produced, produced + batch):
+                stamps.append(timestamp)
+                values.append(reading_fn(seq, rng))
+                timestamp += period + rng.uniform(-spread, spread)
+                if timestamp > until:
+                    break
+            stamps.append(timestamp)
+        elif spread:
+            # Reading and jitter draws alternate; uniform(a, b) is a + (b - a) * r.
+            draws = rng.randoms(2 * batch)
+            low, width = -spread, spread - -spread
+            steps = [period + (low + width * r) for r in draws[1::2]]
+            draws = draws[0::2]
+            stamps = list(accumulate(steps, initial=now))
+        else:
+            draws = rng.randoms(batch) if reading_fn is None else []
+            stamps = list(accumulate(repeat(period, batch), initial=now))
+        cut = bisect_right(stamps, until)
+        next_at = stamps.pop() if cut > batch else None
+        del stamps[cut:]
+        count = len(stamps)
+        if reading_fn is None:
+            values = [1.0 + 0.1 * (r - 0.5) for r in draws[:count]]
+        elif not spread:  # else the element loop filled ``values``
+            seqs = range(produced, produced + count)
+            values = list(map(reading_fn, seqs, repeat(rng)))
+        self.produced = produced + count
         valve = self.valve
         if valve is not None:
             # Spilled elements re-enter first: they are older than this
@@ -197,5 +217,5 @@ class SensorSource:
         if stamps:
             self.stream.publish_batch(stamps, values, self.name)
             self.emitted += len(stamps)
-        if timestamp is not None:
-            self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")
+        if next_at is not None:
+            self.engine.at(next_at, self._emit, label=f"{self.name}-emit")

@@ -219,6 +219,15 @@ class TestDeterministicRandom:
         root = DeterministicRandom(seed=1)
         assert root.fork("x").random() != root.fork("y").random()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
+    def test_randoms_equal_that_many_random_calls(self, n):
+        batched = DeterministicRandom(seed=5, name="s")
+        single = DeterministicRandom(seed=5, name="s")
+        draws = batched.randoms(n)
+        assert draws == [single.random() for _ in range(n)]
+        assert batched._rng.getstate() == single._rng.getstate()
+        assert batched.random() == single.random()
+
     def test_distribution_helpers_positive(self):
         rng = DeterministicRandom(seed=3)
         assert rng.exponential(5.0) > 0

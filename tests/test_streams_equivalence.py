@@ -19,6 +19,10 @@ The plane's performance machinery must be invisible to results:
 5. **Engines** — the hybrid campaign is byte-identical across
    single/sharded/parallel: every window one lookahead wide, and at equal
    ``(time, priority)`` a zone's own events before delivered messages.
+6. **Column emission vs element loop** — ``SensorSource._emit`` builds a
+   batch as two columns; batch by batch it publishes the stamps and values,
+   counts, next emission instant and valve figures of the per-element loop
+   it replaced, which is kept here as the oracle.
 
 Example counts stay small: every example runs one or more full
 simulations.
@@ -219,6 +223,170 @@ def _naive_reference(elements, params):
     return flow.results
 
 
+class _ElementLoopSensor(SensorSource):
+    """The per-element emission loop the column build replaced: the oracle.
+
+    Per element: its stamp, one reading, then one jitter draw; the batch
+    ends at the first stamp past ``until``, which also ends the source.
+    """
+
+    def _emit(self):
+        now = self.engine.now
+        until = float("inf") if self.until is None else self.until
+        if now > until:
+            return
+        reading_fn = self.reading_fn or (
+            lambda seq, rng: 1.0 + 0.1 * (rng.random() - 0.5)
+        )
+        rng = self.rng
+        period = self.period_s
+        spread = period * self.jitter
+        uniform = rng.uniform
+        produced = self.produced
+        stamps = []
+        values = []
+        add_stamp = stamps.append
+        add_value = values.append
+        timestamp = now
+        for _ in range(self.batch):
+            add_stamp(timestamp)
+            add_value(reading_fn(produced, rng))
+            produced += 1
+            if spread:
+                timestamp = timestamp + (period + uniform(-spread, spread))
+            else:
+                timestamp = timestamp + period
+            if timestamp > until:
+                timestamp = None
+                break
+        self.produced = produced
+        valve = self.valve
+        if valve is not None:
+            # Spilled elements re-enter first: they are older than this
+            # batch's readings, so admission order preserves timestamp
+            # monotonicity; overflow takes the (newest) column tails.
+            spilled_stamps, spilled_values = valve.take_spilled()
+            if spilled_stamps:
+                spilled_stamps += stamps
+                spilled_values += values
+                stamps, values = spilled_stamps, spilled_values
+            admitted = valve.admit(len(stamps))
+            if admitted < len(stamps):
+                valve.overflow(stamps[admitted:], values[admitted:])
+                del stamps[admitted:], values[admitted:]
+        if stamps:
+            self.stream.publish_batch(stamps, values, self.name)
+            self.emitted += len(stamps)
+        if timestamp is not None:
+            self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")
+
+
+class _StepEngine:
+    """Only ``now`` and ``at``: the test fires each emission itself."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = None
+
+    def at(self, time, action, label=""):
+        assert self.pending is None
+        self.pending = (time, action)
+
+
+class _RecordingStream:
+    def __init__(self):
+        self.batches = []
+
+    def publish_batch(self, stamps, values, source=""):
+        self.batches.append((list(stamps), list(values)))
+
+
+def _pure_reading(seq, rng):
+    return 2.0 + 0.25 * seq
+
+
+def _drawing_reading(seq, rng):
+    base = 1.0 + 0.1 * (rng.random() - 0.5)
+    return base + (1.0 if rng.random() < 0.05 else 0.0)
+
+
+_READINGS = {"default": None, "pure": _pure_reading, "draws twice": _drawing_reading}
+_EMISSIONS = 6
+
+
+def _emission_trace(sensor_cls, case, until, valve_policy):
+    """Per emission: published columns, reading calls, counts, next instant
+    and valve figures, for at most ``_EMISSIONS`` emissions."""
+    engine, stream, calls = _StepEngine(), _RecordingStream(), []
+    reading = _READINGS[case["reading"]]
+    reading_fn = None
+    if reading is not None:
+        def reading_fn(seq, rng):
+            calls.append(seq)
+            return reading(seq, rng)
+    valve = None if valve_policy is None else CreditValve(3, policy=valve_policy)
+    sensor = sensor_cls(
+        engine,
+        stream,
+        name="probe",
+        period_s=case["period_s"],
+        jitter=case["jitter"],
+        reading_fn=reading_fn,
+        until=until,
+        seed=case["seed"],
+        batch=case["batch"],
+        valve=valve,
+    )
+    sensor.start(at=case["start_at"])
+    trace = []
+    while engine.pending is not None and len(trace) < _EMISSIONS:
+        engine.now, action = engine.pending
+        engine.pending = None
+        published = len(stream.batches)
+        action()
+        next_at = engine.pending and engine.pending[0]
+        step = [stream.batches[published:], list(calls), sensor.produced]
+        step += [sensor.emitted, next_at]
+        if valve is not None:
+            step += [valve.dropped, valve.spilled, valve.granted, valve.credits]
+            valve.grant(2)
+        trace.append(step)
+        del calls[:]
+    return trace, stream
+
+
+def _emission_cases():
+    return st.fixed_dictionaries(
+        dict(
+            period_s=st.sampled_from([0.25, 0.5, 1.0, 0.1, 0.3, 1 / 3, 0.7]),
+            jitter=st.sampled_from([0.0, 0.1, 0.5]),
+            batch=st.sampled_from([1, 2, 7, 50]),
+            start_at=st.sampled_from([0.0, 0.1, 3.0]),
+            reading=st.sampled_from(sorted(_READINGS)),
+            until=st.sampled_from(
+                ["none", "inside a batch", "on a stamp", "before start"]
+            ),
+            position=st.integers(min_value=0, max_value=10**6),
+            valve=st.sampled_from([None, "drop", "spill"]),
+            seed=st.integers(min_value=0, max_value=2**32 - 1),
+        )
+    )
+
+
+def _until_of(case):
+    if case["until"] == "none":
+        return None
+    if case["until"] == "before start":
+        return case["start_at"] - 0.5 * case["period_s"]
+    # Cut inside the stamps the oracle publishes with no bound.
+    _, probe = _emission_trace(_ElementLoopSensor, case, None, None)
+    stamps = [stamp for batch_stamps, _ in probe.batches for stamp in batch_stamps]
+    k = case["position"] % (len(stamps) - 1)
+    if case["until"] == "on a stamp":
+        return stamps[k]
+    return (stamps[k] + stamps[k + 1]) / 2
+
+
 def _plane_records(plane):
     return [
         (r.window_start, r.window_end, r.completed_at, r.value, r.element_count)
@@ -269,6 +437,17 @@ class TestLoweringMatchesNaiveReference:
         assert sensor_1.emitted == sensor_2.emitted
         # Conservation: every produced reading was published or dropped.
         assert sensor_1.produced == sensor_1.emitted + valve_1.dropped
+
+
+class TestColumnEmissionMatchesElementLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(_emission_cases())
+    def test_every_batch_matches_the_element_loop(self, case):
+        until = _until_of(case)
+        expected, _ = _emission_trace(_ElementLoopSensor, case, until, case["valve"])
+        actual, _ = _emission_trace(SensorSource, case, until, case["valve"])
+        # repr tells every float bit apart (0.0 from -0.0 included).
+        assert repr(actual) == repr(expected)
 
 
 def _key_fn(value):
