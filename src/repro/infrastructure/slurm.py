@@ -61,8 +61,6 @@ class SlurmManager:
         self._total_nodes = len(self._free)
         self._queue: List[SlurmJob] = []
         self._jobs: Dict[int, SlurmJob] = {}
-        # Running jobs in start order, which strict FIFO makes job-id order.
-        self._running: Dict[int, SlurmJob] = {}
         self._next_id = 1
 
     @property
@@ -116,7 +114,6 @@ class SlurmManager:
         if job.state is not JobState.RUNNING:
             raise ValueError(f"job {job_id} is not running")
         job.state = JobState.COMPLETED
-        del self._running[job_id]
         job.end_time = self.engine.now
         self._free.extend(job.allocated)
         job.allocated = []
@@ -132,14 +129,12 @@ class SlurmManager:
             job.allocated = [self._free.pop(0) for _ in range(job.requested_nodes)]
             job.state = JobState.RUNNING
             job.start_time = self.engine.now
-            self._running[job.job_id] = job
             if job.on_start is not None:
                 job.on_start(job)
         # Grow requests are honoured only when no queued job is waiting, so
-        # elasticity cannot starve the FIFO queue.  A grow callback may
-        # release a job, so the walk is over a copy.
+        # elasticity cannot starve the FIFO queue.
         if not self._queue:
-            for job in list(self._running.values()):
+            for job in self._jobs.values():
                 if job.state is not JobState.RUNNING:
                     continue
                 while job.grow_requests and job.grow_requests[0] <= len(self._free):

@@ -3,13 +3,13 @@
 Production-rate emission rides two mechanisms:
 
 * **Batched ingestion** — ``batch=N`` publishes N readings per engine event
-  as two columns, so the event-queue cost is one event per batch, and
-  neither column makes a Python call per element: stamps are the running
-  sums of the period steps, cut at ``until`` by one bisect; readings come
-  from one batch of draws, each drawn before its jitter as per-element
-  emission drew them (draws past a cut go unseen: a cut ends the source).
-  A user ``reading_fn`` runs once per emitted element, in order; under
-  jitter it may draw between jitter draws, the one case built per element.
+  as two columns, bit-identical to per-element emission, so the
+  event-queue cost is one event per batch.  A strictly periodic sensor
+  with the default reading builds both columns without a Python call per
+  element: stamps are the running sums of the period, cut at ``until`` by
+  one bisect, and readings come from one batch of draws (none is taken for
+  an element past the cut).  A jittered sensor or a user ``reading_fn``
+  generates element by element, a reading and then its jitter draw.
 * **Credit-based backpressure** — a :class:`CreditValve` between the source
   and its consumers: every admitted element spends a credit, consumers
   grant credits back as window tasks complete, and when credits run out
@@ -28,6 +28,11 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import DeterministicRandom
 from repro.streams.stream import DataStream
+
+
+def _noisy_reading(seq: int, rng: DeterministicRandom) -> float:
+    """The default reading: a unit-mean signal with ±0.05 uniform noise."""
+    return 1.0 + 0.1 * (rng.random() - 0.5)
 
 
 class CreditValve:
@@ -100,13 +105,13 @@ class SensorSource:
         period_s: nominal inter-reading period.
         jitter: relative uniform jitter on the period (0 = strictly periodic).
         reading_fn: maps (sequence_number, rng) to the reading value, called
-            once per emitted element; None is a unit-mean noisy signal.
+            once per emitted element in sequence order; None is a unit-mean
+            noisy signal.
         until: stop emitting at this virtual time (None = run forever —
             callers must then bound the engine run themselves).
         batch: readings emitted per engine event.  Stamps, values and rng
-            draws are identical to ``batch=1`` (see the module docstring
-            for the column contract); only the event-queue granularity
-            changes.
+            draws are identical to ``batch=1`` (see the module docstring);
+            only the event-queue granularity changes.
         valve: optional credit valve; without one every reading publishes.
     """
 
@@ -160,46 +165,42 @@ class SensorSource:
         until = float("inf") if self.until is None else self.until
         if now > until:
             return
-        # ``stamps`` holds the running sums of the batch's steps from ``now``:
-        # sum k is the time the k-th per-element event would have fired at
-        # and sum ``batch`` the next emission instant.
         reading_fn = self.reading_fn
         rng = self.rng
         period = self.period_s
         spread = period * self.jitter
         produced = self.produced
-        batch = self.batch
-        if spread and reading_fn is not None:
-            # The user's reading may draw between two jitter draws.
-            stamps, values = [], []
-            timestamp = now
-            for seq in range(produced, produced + batch):
-                stamps.append(timestamp)
-                values.append(reading_fn(seq, rng))
-                timestamp += period + rng.uniform(-spread, spread)
+        if spread or reading_fn is not None:
+            # Element by element: a reading, then its jitter draw.
+            reading_fn = reading_fn or _noisy_reading
+            uniform = rng.uniform
+            stamps: List[float] = []
+            values: List[Any] = []
+            add_stamp = stamps.append
+            add_value = values.append
+            timestamp: Optional[float] = now
+            for _ in range(self.batch):
+                add_stamp(timestamp)
+                add_value(reading_fn(produced, rng))
+                produced += 1
+                if spread:
+                    timestamp = timestamp + (period + uniform(-spread, spread))
+                else:
+                    timestamp = timestamp + period
                 if timestamp > until:
+                    timestamp = None
                     break
-            stamps.append(timestamp)
-        elif spread:
-            # Reading and jitter draws alternate; uniform(a, b) is a + (b - a) * r.
-            draws = rng.randoms(2 * batch)
-            low, width = -spread, spread - -spread
-            steps = [period + (low + width * r) for r in draws[1::2]]
-            draws = draws[0::2]
-            stamps = list(accumulate(steps, initial=now))
         else:
-            draws = rng.randoms(batch) if reading_fn is None else []
-            stamps = list(accumulate(repeat(period, batch), initial=now))
-        cut = bisect_right(stamps, until)
-        next_at = stamps.pop() if cut > batch else None
-        del stamps[cut:]
-        count = len(stamps)
-        if reading_fn is None:
-            values = [1.0 + 0.1 * (r - 0.5) for r in draws[:count]]
-        elif not spread:  # else the element loop filled ``values``
-            seqs = range(produced, produced + count)
-            values = list(map(reading_fn, seqs, repeat(rng)))
-        self.produced = produced + count
+            # Two columns: stamps are the running sums of the period from
+            # ``now`` (sum k is the time the k-th per-element event would
+            # have fired at, sum ``batch`` the next emission instant).
+            stamps = list(accumulate(repeat(period, self.batch), initial=now))
+            cut = bisect_right(stamps, until)
+            timestamp = stamps.pop() if cut > self.batch else None
+            del stamps[cut:]
+            values = [1.0 + 0.1 * (r - 0.5) for r in rng.randoms(len(stamps))]
+            produced += len(stamps)
+        self.produced = produced
         valve = self.valve
         if valve is not None:
             # Spilled elements re-enter first: they are older than this
@@ -217,5 +218,5 @@ class SensorSource:
         if stamps:
             self.stream.publish_batch(stamps, values, self.name)
             self.emitted += len(stamps)
-        if next_at is not None:
-            self.engine.at(next_at, self._emit, label=f"{self.name}-emit")
+        if timestamp is not None:
+            self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")

@@ -201,46 +201,3 @@ class TestSlurmManager:
         slurm.release(job.job_id)
         with pytest.raises(ValueError):
             slurm.release(job.job_id)
-
-    def test_grow_requests_granted_in_job_id_order(self):
-        platform = make_hpc_cluster(6)
-        engine = SimulationEngine()
-        slurm = SlurmManager(platform, engine)
-        granted = []
-
-        def record(job, nodes):
-            granted.append((job.job_id, len(nodes)))
-
-        first = slurm.submit(2, on_grow=record)
-        second = slurm.submit(2, on_grow=record)
-        engine.run()
-        slurm.request_grow(second.job_id, 1)
-        slurm.request_grow(first.job_id, 1)
-        engine.run()
-        assert granted == [(first.job_id, 1), (second.job_id, 1)]
-
-    def test_drain_walks_no_completed_job(self):
-        platform = make_hpc_cluster(2)
-        engine = SimulationEngine()
-        slurm = SlurmManager(platform, engine)
-        for _ in range(2000):
-            job = slurm.submit(1)
-            engine.run()
-            slurm.release(job.job_id)
-        engine.run()
-
-        class RecordingJobs(dict):
-            walks = 0
-
-            def values(self):
-                RecordingJobs.walks += 1
-                return super().values()
-
-        slurm._jobs = RecordingJobs(slurm._jobs)
-        grown = []
-        job = slurm.submit(1, on_grow=lambda j, nodes: grown.append(nodes))
-        engine.run()
-        slurm.request_grow(job.job_id, 1)
-        engine.run()
-        assert len(grown) == 1
-        assert RecordingJobs.walks == 0

@@ -20,9 +20,10 @@ The plane's performance machinery must be invisible to results:
    single/sharded/parallel: every window one lookahead wide, and at equal
    ``(time, priority)`` a zone's own events before delivered messages.
 6. **Column emission vs element loop** — ``SensorSource._emit`` builds a
-   batch as two columns; batch by batch it publishes the stamps and values,
-   counts, next emission instant and valve figures of the per-element loop
-   it replaced, which is kept here as the oracle.
+   strictly periodic default-reading batch as two columns; batch by batch,
+   for every sensor, it publishes the stamps and values, counts, next
+   emission instant and valve figures of the per-element loop, which is
+   kept here as the oracle.
 
 Example counts stay small: every example runs one or more full
 simulations.
@@ -224,7 +225,7 @@ def _naive_reference(elements, params):
 
 
 class _ElementLoopSensor(SensorSource):
-    """The per-element emission loop the column build replaced: the oracle.
+    """The per-element emission loop for every sensor: the oracle.
 
     Per element: its stamp, one reading, then one jitter draw; the batch
     ends at the first stamp past ``until``, which also ends the source.
