@@ -16,9 +16,10 @@ lowered by the :class:`DataflowPlane` into the task runtime:
   collect-then-compute.  Streaming's result latency is flat
   (window-bounded) while batch latency grows linearly with campaign length.
 * **E14b (production rate)** — the plane at 100k -> 1M stream events per
-  campaign, asserting *flat per-event cost* (<= 1.3x spread), an absolute
-  events/sec floor, and watermark-bounded memory.  Results land in
-  ``BENCH_streaming.json`` at the repo root.
+  campaign, asserting *flat per-event cost* (<= 1.3x spread, each point
+  the median of five interleaved runs), an absolute events/sec floor, and
+  watermark-bounded memory.  Results land in ``BENCH_streaming.json`` at
+  the repo root.
 """
 
 import gc
@@ -48,6 +49,12 @@ EMIT_BATCH = 50
 
 #: Flat-cost acceptance: largest/smallest per-event cost across campaigns.
 SPREAD_CEILING = 1.3
+
+#: Rounds of the sweep: each round runs every campaign point once, and a
+#: point is its run of median per-event cost.  The 100k-event point lasts
+#: ~0.06 s, so a stall or a slow phase of a shared box in one run (or in
+#: back-to-back runs of one point) would otherwise decide the spread gate.
+REPEATS = 5
 
 #: Absolute ingest floor (events/sec of engine-run wall time) for every
 #: campaign point — set ~5x under the local measurement so shared CI
@@ -160,15 +167,20 @@ def run_throughput_suite():
     # Warm-up run (discarded): first-touch allocation and import costs
     # would otherwise inflate the smallest campaign's per-event price.
     run_plane_campaign(10_000)
-    points = []
-    for target in throughput_targets():
-        gc.collect()
-        gc.disable()
-        try:
-            points.append(run_plane_campaign(target))
-        finally:
-            gc.enable()
-    return points
+    targets = throughput_targets()
+    runs = {target: [] for target in targets}
+    for _ in range(REPEATS):
+        for target in targets:
+            gc.collect()
+            gc.disable()
+            try:
+                runs[target].append(run_plane_campaign(target))
+            finally:
+                gc.enable()
+    return [
+        sorted(runs[target], key=lambda run: run["us_per_event"])[REPEATS // 2]
+        for target in targets
+    ]
 
 
 def test_dataflow_plane_flat_per_event_cost(benchmark):

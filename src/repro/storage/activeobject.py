@@ -15,15 +15,13 @@ bytes moved* differ exactly the way the paper claims (experiment E5):
 * :meth:`ActiveObjectStore.call` — ship only arguments and the result,
   executing the method on the node holding the object.
 
-Data-plane hot path: each object carries a version-tagged size/digest
-computed by one serialization pass (``estimate_size_digest``) at most once
-per state version.  In-store calls execute at the primary replica and
-charge only argument/result movement — never the object state, which the
-seed re-pickled on *every* call — and merely bump the state version;
-replicas are propagated lazily (and skipped entirely when the post-call
-digest shows the state did not actually change).  A stored object costs
-what an object does: one slotted record whose holders are the ring's
-arc-shared tuple and whose replicas' progress is one int, in a class
+Data-plane hot path: each object carries a version-tagged size computed
+by one serialization pass (``estimate_size``) at most once per state
+version actually observed.  In-store calls execute at the primary replica
+and charge only argument/result movement — never the object state, whose
+re-pickling on *every* call would make a call cost O(state) — and merely
+bump the state version.  A stored object costs what an object does: one
+slotted record whose holders are the ring's arc-shared tuple, in a class
 registry keyed by the class itself.
 """
 
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.core.exceptions import StorageError
-from repro.storage.interface import estimate_size, estimate_size_digest
+from repro.storage.interface import estimate_size
 from repro.storage.keyvalue import ConsistentHashRing
 
 
@@ -99,13 +97,10 @@ class _StoredObject:
     """One stored object, shared by all of its replica holders.
 
     ``version`` counts state mutations (every in-store call bumps it);
-    ``size_version`` tags the version at which ``size_bytes``/``digest``
-    were last computed, so sizing happens at most once per version and only
-    when something actually reads the size.  ``holders`` is the ring's
-    shared preference tuple (replaced, never mutated, when a holder fails).
-    The primary, ``holders[0]``, has seen ``version`` after every
-    transition; the other holders only ever advance together, so one int,
-    ``replicas_version``, is the state version all of them have seen.
+    ``size_version`` tags the version at which ``size_bytes`` was last
+    computed, so sizing happens at most once per version and only when
+    something actually reads the size.  ``holders`` is the ring's shared
+    preference tuple (replaced, never mutated, when a holder fails).
     """
 
     __slots__ = (
@@ -114,20 +109,16 @@ class _StoredObject:
         "version",
         "size_version",
         "size_bytes",
-        "digest",
-        "replicas_version",
     )
 
     def __init__(
-        self, value: Any, holders: Tuple[str, ...], size_bytes: int, digest: Optional[int]
+        self, value: Any, holders: Tuple[str, ...], size_bytes: int
     ) -> None:
         self.value = value
         self.holders = holders
         self.version = 0
         self.size_version = 0
         self.size_bytes = size_bytes
-        self.digest = digest
-        self.replicas_version = 0
 
 
 class ActiveObjectStore:
@@ -137,11 +128,6 @@ class ActiveObjectStore:
     protocol (put/get/delete/exists/get_locations) so it can be registered
     with the storage runtime, which is how the fog agents persist task values
     (claim C5).
-
-    When a ``location_service`` is attached, stored objects' holders and
-    sizes are pushed into it incrementally (``publish``/``set_size`` on the
-    affected datum only — never a rebuild), so locality scheduling sees the
-    store's contents through the same SRI index as task outputs.
     """
 
     def __init__(
@@ -149,7 +135,6 @@ class ActiveObjectStore:
         node_names: List[str],
         name: str = "dataclay",
         replication: int = 1,
-        location_service=None,
     ) -> None:
         if not node_names:
             raise StorageError("active object store needs at least one node")
@@ -167,15 +152,9 @@ class ActiveObjectStore:
             self._alive.add(node)
             self._objects[node] = {}
         self._ids = itertools.count(1)
-        self.location_service = location_service
         # Transfer accounting for the E5 comparison.
         self.bytes_moved_fetch = 0
         self.bytes_moved_calls = 0
-        self.in_store_executions = 0
-        self.fetch_executions = 0
-        # Lazy replica propagation accounting.
-        self.bytes_moved_sync = 0
-        self.replica_syncs = 0
         # Serialization passes over stored state (the pickle-once metric:
         # at most one per object version actually observed).
         self.size_computations = 0
@@ -196,33 +175,36 @@ class ActiveObjectStore:
         for object_id, record in dropped.items():
             # Survivor promotion costs nothing to record: whoever is first
             # now serves the object's current in-memory state (the failed
-            # node can no longer be pulled from), without a sync charge.
+            # node can no longer be pulled from).
             record.holders = tuple(n for n in record.holders if n != node)
             if not record.holders:
                 # Every replica is gone: the object is lost.
                 del self._records[object_id]
-        if self.location_service is not None:
-            self.location_service.evict_node(node)
 
     # ------------------------------------------------------- object lifecycle
 
     def _place(self, object_id: str, value: Any) -> _StoredObject:
-        size, digest = estimate_size_digest(value)
+        size = estimate_size(value)
         self.size_computations += 1
         holders = self.ring.preference_for(object_id, self.replication)
-        record = _StoredObject(value, holders, size, digest)
+        record = _StoredObject(value, holders, size)
         objects = self._objects
         for node in holders:
             objects[node][object_id] = record
         self._records[object_id] = record
-        if self.location_service is not None:
-            for node in holders:
-                self.location_service.publish(object_id, node, size_bytes=size)
         return record
 
     def store(self, value: Any, object_id: Optional[str] = None) -> str:
-        """Persist a live object; registers its class; returns the object id."""
+        """Persist a live object; registers its class; returns the object id.
+
+        An id already in use is refused, as ``StorageRuntime.persist``
+        refuses one: replacing it would route the first object's calls to
+        this one and leave the first unreachable.  :meth:`put` is the SRI
+        overwrite.
+        """
         oid = object_id if object_id is not None else f"{self.name}-obj-{next(self._ids)}"
+        if oid in self._records:
+            raise StorageError(f"object id {oid!r} already stored in {self.name!r}")
         self.put(oid, value)
         return oid
 
@@ -237,35 +219,22 @@ class ActiveObjectStore:
             raise StorageError(f"object {object_id!r} not found in {self.name!r}")
         return record
 
-    def _current_size(self, object_id: str, record: _StoredObject) -> int:
+    def _current_size(self, record: _StoredObject) -> int:
         """The object's serialized size at its current version.
 
         Recomputed (one ``pickle.dumps``) only when the version moved since
-        the last computation; if the fresh digest matches, the mutating
-        calls were no-ops state-wise and replicas that had seen the sized
-        version are retroactively marked current — nothing would have
-        needed to move.
+        the last computation: ten calls and one fetch size the state once.
         """
         if record.size_version != record.version:
-            size, digest = estimate_size_digest(record.value)
+            record.size_bytes = estimate_size(record.value)
             self.size_computations += 1
-            if digest is not None and digest == record.digest:
-                if record.replicas_version == record.size_version:
-                    record.replicas_version = record.version
-            else:
-                record.digest = digest
-                if size != record.size_bytes:
-                    record.size_bytes = size
-                    if self.location_service is not None:
-                        self.location_service.set_size(object_id, size)
             record.size_version = record.version
         return record.size_bytes
 
     def fetch(self, object_id: str) -> Any:
         """Ship the whole object to the caller (the non-dataClay path)."""
         record = self._record(object_id)
-        self.bytes_moved_fetch += self._current_size(object_id, record)
-        self.fetch_executions += 1
+        self.bytes_moved_fetch += self._current_size(record)
         return record.value
 
     def call(self, object_id: str, method: str, *args: Any, **kwargs: Any) -> Any:
@@ -274,8 +243,8 @@ class ActiveObjectStore:
         Only the arguments and the result cross the wire; the object state
         never moves — dataClay's transfer-minimization claim, measurable via
         :attr:`bytes_moved_calls`.  The state version is bumped so sizing
-        and replica propagation happen lazily, at most once per version,
-        instead of re-serializing the state on every call.
+        happens lazily, at most once per observed version, instead of
+        re-serializing the state on every call.
         """
         record = self._record(object_id)
         fn = self.registry.lookup_method(type(record.value), method)
@@ -286,39 +255,10 @@ class ActiveObjectStore:
             moved += estimate_size(arg)
         result = fn(record.value, *args, **kwargs)
         self.bytes_moved_calls += moved + estimate_size(result)
-        self.in_store_executions += 1
-        # The call may have mutated the state: advance the version (the
-        # primary's) and let replicas and the size cache catch up lazily.
+        # The call may have mutated the state: advance the version and let
+        # the size cache catch up lazily.
         record.version += 1
         return result
-
-    def sync_replicas(self, object_id: str) -> int:
-        """Propagate the current state version to stale replicas.
-
-        Returns the number of replicas synced; each costs the object's
-        serialized size in :attr:`bytes_moved_sync`.  Replicas whose state
-        provably did not change (same content digest) are marked current
-        for free — the lazy half of dataClay's C4 behavior.
-        """
-        record = self._record(object_id)
-        size = self._current_size(object_id, record)
-        if record.replicas_version == record.version:
-            return 0
-        record.replicas_version = record.version
-        synced = len(record.holders) - 1
-        self.bytes_moved_sync += size * synced
-        self.replica_syncs += synced
-        return synced
-
-    def stale_replicas(self, object_id: str) -> Set[str]:
-        """Holders that have not yet seen the object's current version."""
-        record = self._record(object_id)
-        if record.replicas_version == record.version:
-            return set()
-        return set(record.holders[1:])
-
-    def version_of(self, object_id: str) -> int:
-        return self._record(object_id).version
 
     # ----------------------------------------------------- backend protocol
 
@@ -361,7 +301,7 @@ class ActiveObject:
         self._object_id: Optional[str] = None
 
     def __getstate__(self) -> dict:
-        # Serialization (size/digest accounting, shipping the object) must
+        # Serialization (size accounting, shipping the object) must
         # cover the object's own state, not the store it is pinned to: the
         # seed pickled ``_store`` too, which priced one object as the whole
         # store graph and made per-call size refreshes O(store).

@@ -70,12 +70,10 @@ def estimate_size(obj: Any) -> int:
     return _pickled(obj)[0]
 
 
+# No src/ caller; perf/trace.py SPANS wraps it (ROADMAP item 10(c)).
 def estimate_size_digest(obj: Any) -> Tuple[int, Optional[int]]:
-    """``(size, digest)`` from a single serialization pass.
+    """``(size, CRC32 digest)`` from a single serialization pass.
 
-    The pickle-once primitive of the data plane: backends that need both a
-    byte count (transfer accounting) and a content fingerprint (replica
-    placement / lazy replica sync) pay one ``pickle.dumps`` instead of two.
     The digest is None for unpicklable objects (sized via the shallow
     fallback), which callers must treat as "always changed".
     """
@@ -92,8 +90,7 @@ def content_fingerprint(obj: Any) -> Tuple[int, Optional[str]]:
     discipline, but the digest is a 128-bit blake2b hex string instead of a
     CRC32, because consumers (the task memoizer, the workflow compiler's
     content keys) serve *values* under this identity — a 32-bit checksum
-    collision would silently return the wrong result, where the replica-sync
-    CRC merely triggers a redundant copy.  The digest is None for
+    collision would silently return the wrong result.  The digest is None for
     unpicklable objects, which callers must treat as "not content
     addressable"; the size is still the shallow estimate so byte accounting
     stays proportional either way.

@@ -251,20 +251,6 @@ class KeyValueCluster:
                 return local[object_id]
         raise StorageError(f"object {object_id!r} not found in {self.name!r}")
 
-    def get_from(self, node: str, object_id: str) -> Any:
-        """Read a cell from a known holder without re-resolving the ring.
-
-        The per-partition iteration primitive: ``split()`` consumers know
-        each partition's node, so reads inside the partition skip straight
-        to that node's local table.  Falls back to the replica walk when
-        the hint misses (e.g. the node failed since the split).
-        """
-        local = self._data.get(node)
-        if local is not None and object_id in local:
-            self.bytes_read += self._sizes[object_id]
-            return local[object_id]
-        return self.get(object_id)
-
     def delete(self, object_id: str) -> None:
         if self._sizes.pop(object_id, None) is None:
             raise StorageError(f"object {object_id!r} not found in {self.name!r}")
@@ -299,7 +285,9 @@ class StorageDict:
     kept a list, making an n-cell table O(n²) to fill) mapping each key to
     its cell id: the very ``str`` the cluster's tables are keyed by, built
     once per key.  Primaries come from the cluster's per-cell placement, so
-    a steady-state ``split()`` is a pure in-memory group-by.
+    a steady-state ``split()`` is a pure in-memory group-by, and a
+    partition's task reads its cells through ``table[key]``: dict probes
+    only, falling back to a surviving replica if the split went stale.
     """
 
     def __init__(self, cluster: KeyValueCluster, table: str) -> None:
@@ -400,23 +388,3 @@ class StorageDict:
                 bucket = partitions[primary] = []
             bucket.append(key)
         return partitions
-
-    def partition_items(
-        self, node: str, keys: Optional[Iterable[Any]] = None
-    ) -> Iterator[Tuple[Any, Any]]:
-        """Iterate one partition's (key, value) pairs data-locally.
-
-        ``node`` names the partition (a ``split()`` dict key); ``keys``
-        defaults to that partition's current members.  Reads go straight to
-        the named node (one conceptual ring resolution for the whole
-        partition) instead of re-walking the ring per key.
-        """
-        if keys is None:
-            keys = self.split().get(node, [])
-        cells = self._keys
-        get_from = self.cluster.get_from
-        for key in keys:
-            cell = cells.get(key)
-            if cell is None:
-                raise KeyError(key)
-            yield key, get_from(node, cell)

@@ -4,7 +4,7 @@ The data-plane hot path (ISSUE 5, claim C4) is — like the placement stack
 before it — a pile of pure *cost* optimizations: ring preference lists
 shared per arc behind a ring version counter, pickle-once size accounting,
 batched ``StorageDict`` access, the in-store execution fast path with lazy
-replica propagation, and coalesced same-link transfer pricing.  Every layer
+sizing, and coalesced same-link transfer pricing.  Every layer
 claims identical *placements, locations and byte totals* to the
 definitional per-operation path, just fewer hash walks and serializations.
 This suite pins that claim:
@@ -12,8 +12,9 @@ This suite pins that claim:
 * hypothesis programs drive a long-lived ring (arc tables filled) through
   random join/leave/lookup sequences and compare every preference list
   against a brute-force token-walk reference *and* a freshly built ring;
-* batched ``StorageDict`` writes/reads (``update``, ``partition_items``)
-  must equal the per-key path cell for cell, byte for byte;
+* batched ``StorageDict`` writes (``update``) read back partition by
+  partition (``split()``) must equal the per-key path cell for cell, byte
+  for byte;
 * the in-store fast path (version bump + lazy sizing) must match an
   eager reference store that re-serializes state after every call;
 * ``TransferPlanner.stage_in_plan`` must move exactly the bytes and pick
@@ -65,7 +66,7 @@ def naive_preference(nodes, virtual_nodes, key, count):
 class EagerReferenceStore:
     """Seed-semantics active object store: re-sizes state on every call.
 
-    No ring memo, no version tags, no lazy sync — sizes are recomputed
+    No ring memo, no version tags — sizes are recomputed
     eagerly after each in-store call, which is the accounting the fast
     path must reproduce with at most one serialization per observed
     version.
@@ -233,9 +234,9 @@ class TestStorageDictEquivalence:
         per_key_values = {key: per_key[key] for key in per_key.keys()}
         split = batched.split()
         batched_values = {}
-        for node, keys in split.items():
-            for key, value in batched.partition_items(node, keys):
-                batched_values[key] = value
+        for keys in split.values():
+            for key in keys:
+                batched_values[key] = batched[key]
         assert per_key_values == batched_values == cells
         assert per_key_cluster.bytes_read == batched_cluster.bytes_read
 
@@ -251,7 +252,7 @@ class TestStorageDictEquivalence:
             n: sorted(map(repr, ks)) for n, ks in naive_split.items()
         }
 
-    def test_partition_items_falls_back_after_node_failure(self):
+    def test_stale_split_reads_fall_back_to_a_surviving_replica(self):
         cluster = KeyValueCluster([f"sn-{i}" for i in range(4)], replication=2)
         table = StorageDict(cluster, "t")
         table.update({i: i * 10 for i in range(50)})
@@ -259,9 +260,7 @@ class TestStorageDictEquivalence:
         victim, keys = next(iter(split.items()))
         cluster.fail_node(victim)
         # The split is stale now; reads still succeed via surviving replicas.
-        assert dict(table.partition_items(victim, keys)) == {
-            k: k * 10 for k in keys
-        }
+        assert {k: table[k] for k in keys} == {k: k * 10 for k in keys}
 
 
 # --------------------------------------------------------------------------
@@ -322,39 +321,6 @@ class TestActiveObjectEquivalence:
         assert store.size_computations == 2  # one catch-up for 10 versions
         store.fetch(oid)
         assert store.size_computations == 2  # version unchanged: cache hit
-
-    def test_lazy_replica_sync_charges_only_stale_state(self):
-        store = ActiveObjectStore(["a", "b", "c"], replication=3)
-        oid = store.store(Box([1]))
-        assert store.stale_replicas(oid) == set()
-        store.call(oid, "add", 2)
-        primary = next(iter(store.get_locations(oid) - store.stale_replicas(oid)))
-        stale = store.stale_replicas(oid)
-        assert len(stale) == 2 and primary not in stale
-        size = estimate_size(store.fetch(oid))
-        assert store.sync_replicas(oid) == 2
-        assert store.bytes_moved_sync == 2 * size
-        assert store.stale_replicas(oid) == set()
-        # Pure calls whose state digest is unchanged sync for free.
-        store.call(oid, "total")
-        store.fetch(oid)  # lazy re-size notices the digest did not move
-        assert store.stale_replicas(oid) == set()
-        assert store.sync_replicas(oid) == 0
-
-    def test_location_service_updated_incrementally(self):
-        locations = DataLocationService()
-        store = ActiveObjectStore(
-            ["a", "b"], replication=2, location_service=locations
-        )
-        oid = store.store(Box([1, 2]))
-        assert locations.get_locations(oid) == {"a", "b"}
-        size = locations.size_of(oid)
-        assert size > 0
-        store.call(oid, "add", 7)
-        store.fetch(oid)  # lazy re-size pushes the new size
-        assert locations.size_of(oid) > size
-        store.fail_node("a")
-        assert locations.get_locations(oid) == {"b"}
 
 
 # --------------------------------------------------------------------------

@@ -126,6 +126,24 @@ class TestActiveObjectStore:
         with pytest.raises(StorageError):
             m.remote("total")
 
+    def test_alias_in_use_is_refused(self):
+        """``store`` used to replace the object under a taken id: the first
+        object's remote calls then ran on the second."""
+        store = ActiveObjectStore(NODES)
+        first, second = Matrix([1, 2]), Matrix([100])
+        first.make_persistent(store, alias="k")
+        with pytest.raises(StorageError, match="already stored"):
+            second.make_persistent(store, alias="k")
+        assert not second.is_persistent
+        with pytest.raises(StorageError, match="already stored"):
+            store.store(Matrix([7]), object_id="k")
+        assert first.remote("scale", 10) == 2
+        assert first.remote("total") == 30
+        assert store.fetch("k") is first
+        # The SRI protocol's put keeps its overwrite semantics.
+        store.put("k", second)
+        assert store.call("k", "total") == 100
+
 
 class Profile(StorageObject):
     """Example SOI subclass."""

@@ -6,9 +6,10 @@ the heap of a million-object campaign.  These tests pin the bytes owned per
 stored cell and per persisted ``ActiveObject`` (``tracemalloc``, the lines
 of ``repro/storage/*.py`` only), that the ring's own state is O(arcs) and
 the cluster's O(live cells) — nothing is kept for an id that is not stored
-— that a key is hashed once per ring version, and that one int per record
-says about the replicas what the per-holder ``{node: seen_version}`` dict it
-replaced said (the dict version lives on here as the oracle).
+— that a key is hashed once per ring version, and that one slotted record
+per active object keeps the holders, the survivor promotion and the
+pickle-once sizing a per-holder model gives (that model lives on here as
+the oracle).
 """
 
 import gc
@@ -25,7 +26,7 @@ from repro.storage import (
     ConsistentHashRing,
     KeyValueCluster,
     StorageDict,
-    estimate_size_digest,
+    estimate_size,
 )
 
 NODES = [f"dn-{i}" for i in range(16)]
@@ -92,9 +93,7 @@ class TestFootprint:
             read_back = {key: table[key] for key in table.keys()}
             split = table.split()
             by_partition = {
-                key: value
-                for node, keys in split.items()
-                for key, value in table.partition_items(node, keys)
+                key: table[key] for keys in split.values() for key in keys
             }
             per_cell = (_storage_bytes() - before) / CELLS
         finally:
@@ -122,9 +121,11 @@ class TestFootprint:
         finally:
             tracemalloc.stop()
         assert all(obj.total == 3 for obj in fetched)
-        # One slotted record, the id str, a digest int, three table slots,
-        # and the ``__dict__`` that ``__getstate__`` materializes: 351 B on
-        # 3.11, 421 B on 3.9.  The dataclass + list + dict version held 763 B.
+        # One slotted record, the id str, three table slots, and the
+        # ``__dict__`` that ``__getstate__`` materializes: 304 B on 3.11
+        # (351 B while the record also held a digest int and a replica
+        # version; 421 B on 3.9 then).  The dataclass + list + dict version
+        # held 763 B.
         assert per_object <= 450.0, per_object
 
 
@@ -180,8 +181,6 @@ class TestBoundedState:
             with pytest.raises(StorageError):
                 cluster.get(ghost)
             with pytest.raises(StorageError):
-                cluster.get_from(NODES[0], ghost)
-            with pytest.raises(StorageError):
                 cluster.delete(ghost)
             assert not cluster.exists(ghost)
             assert cluster.get_locations(ghost) == set()
@@ -221,63 +220,31 @@ class TestResolutionCounts:
 
 
 class PerHolderReference:
-    """One object's replica bookkeeping as the store kept it before the
-    record was slotted: a ``{node: seen_version}`` dict beside a holder
-    list, walked per holder.  Same transitions, same counters."""
+    """One object's bookkeeping as the store kept it before the record was
+    slotted: a holder list walked per holder, a size re-taken at most once
+    per observed version.  Same transitions, same counter."""
 
     def __init__(self, holders, value):
         self.value = value
         self.holders = list(holders)
         self.version = 0
         self.size_version = 0
-        self.size_bytes, self.digest = estimate_size_digest(value)
-        self.replica_versions = {node: 0 for node in self.holders}
+        self.size_bytes = estimate_size(value)
         self.size_computations = 1
-        self.bytes_moved_sync = 0
-        self.replica_syncs = 0
 
     def call(self):
         self.version += 1
-        self.replica_versions[self.holders[0]] = self.version
 
     def current_size(self):
         if self.size_version != self.version:
-            size, digest = estimate_size_digest(self.value)
+            self.size_bytes = estimate_size(self.value)
             self.size_computations += 1
-            if digest is not None and digest == self.digest:
-                for node, seen in self.replica_versions.items():
-                    if seen == self.size_version:
-                        self.replica_versions[node] = self.version
-            else:
-                self.digest = digest
-                self.size_bytes = size
             self.size_version = self.version
         return self.size_bytes
-
-    def sync_replicas(self):
-        size = self.current_size()
-        synced = 0
-        for node in self.holders:
-            if self.replica_versions.get(node, 0) != self.version:
-                self.replica_versions[node] = self.version
-                self.bytes_moved_sync += size
-                synced += 1
-        self.replica_syncs += synced
-        return synced
-
-    def stale_replicas(self):
-        return {
-            node
-            for node in self.holders
-            if self.replica_versions.get(node, 0) != self.version
-        }
 
     def fail_node(self, node):
         if node in self.holders:
             self.holders.remove(node)
-            self.replica_versions.pop(node, None)
-            if self.holders:
-                self.replica_versions[self.holders[0]] = self.version
 
 
 class TestReplicaModel:
@@ -288,7 +255,6 @@ class TestReplicaModel:
                 st.tuples(st.just("add"), st.integers(1, 9)),
                 st.tuples(st.just("peek"), st.just(0)),
                 st.tuples(st.just("fetch"), st.just(0)),
-                st.tuples(st.just("sync"), st.just(0)),
                 st.tuples(st.just("fail"), st.integers(0, 4)),
             ),
             max_size=40,
@@ -304,7 +270,6 @@ class TestReplicaModel:
         assert store.get_locations(oid) == set(holders)
         for op, arg in ops:
             if not reference.holders:
-                assert not store.exists(oid)
                 break
             if op == "add":
                 reference.value.add(arg)
@@ -316,16 +281,9 @@ class TestReplicaModel:
             elif op == "fetch":
                 reference.current_size()
                 assert store.fetch(oid).total == reference.value.total
-            elif op == "sync":
-                assert store.sync_replicas(oid) == reference.sync_replicas()
             elif nodes[arg] in store.alive_nodes:
                 reference.fail_node(nodes[arg])
                 store.fail_node(nodes[arg])
-                if not reference.holders:
-                    continue
-            assert store.stale_replicas(oid) == reference.stale_replicas()
+            assert store.exists(oid) == bool(reference.holders)
             assert store.get_locations(oid) == set(reference.holders)
-            assert store.version_of(oid) == reference.version
-            assert store.bytes_moved_sync == reference.bytes_moved_sync
-            assert store.replica_syncs == reference.replica_syncs
             assert store.size_computations == reference.size_computations
