@@ -15,7 +15,6 @@ from _common import print_table, run_once
 
 from repro.executor import SimulatedExecutor
 from repro.infrastructure import make_hpc_cluster
-from repro.metrics import utilization
 from repro.scheduling import LoadBalancingPolicy
 from repro.workloads import GuidanceConfig, build_guidance_workflow
 
@@ -32,34 +31,35 @@ def run_point(nodes: int):
         GuidanceConfig(chromosomes=22, chunks_per_chromosome=CHUNKS_PER_CHROMOSOME)
     )
     platform = make_hpc_cluster(nodes)
-    report = SimulatedExecutor(
+    executor = SimulatedExecutor(
         workload.graph,
         platform,
         policy=LoadBalancingPolicy(),
         initial_data=workload.initial_data,
-    ).run()
-    return workload, platform, report
+    )
+    report = executor.run()
+    return executor.log, platform, report
 
 
 def run_sweep():
     results = {}
-    graphs = {}
+    logs = {}
     for nodes in NODE_COUNTS:
-        workload, platform, report = run_point(nodes)
+        log, platform, report = run_point(nodes)
         results[nodes] = report
-        graphs[nodes] = (workload.graph, platform.total_cores)
-    return results, graphs
+        logs[nodes] = (log, platform.total_cores)
+    return results, logs
 
 
 def test_guidance_strong_scaling(benchmark):
-    results, graphs = run_once(benchmark, run_sweep)
+    results, logs = run_once(benchmark, run_sweep)
     base = results[1].makespan
     rows = []
     for nodes in NODE_COUNTS:
         report = results[nodes]
         speedup = base / report.makespan
         efficiency = speedup / nodes
-        util = utilization(graphs[nodes][0], graphs[nodes][1])
+        util = logs[nodes][0].utilization(logs[nodes][1])
         rows.append(
             (nodes, nodes * 48, report.makespan / 3600, speedup, efficiency, util)
         )

@@ -11,7 +11,6 @@ the original driver (sequential init scripts) against the PyCOMPSs port
 
 from repro.executor import SimulatedExecutor
 from repro.infrastructure import make_hpc_cluster
-from repro.metrics import TraceCollector, utilization
 from repro.workloads import NmmbConfig, build_nmmb_workflow
 
 
@@ -24,10 +23,11 @@ def run(days, sequential_init):
     )
     builder = build_nmmb_workflow(config)
     platform = make_hpc_cluster(6)
-    report = SimulatedExecutor(
+    executor = SimulatedExecutor(
         builder.graph, platform, initial_data=builder.initial_data
-    ).run()
-    return builder.graph, report, platform
+    )
+    report = executor.run()
+    return executor.log, report, platform
 
 
 def main():
@@ -43,14 +43,12 @@ def main():
         )
 
     print("\nDetailed 4-day run (PyCOMPSs port):")
-    graph, report, platform = run(4, sequential_init=False)
-    collector = TraceCollector(graph)
-    summary = collector.summary()
-    print(f"  tasks executed   : {int(summary['tasks'])}")
+    log, report, platform = run(4, sequential_init=False)
+    print(f"  tasks executed   : {len(log.trace_rows())}")
     print(f"  makespan         : {report.makespan / 3600:.2f}h")
     print(f"  data moved       : {report.bytes_transferred / 1e9:.1f} GB")
     print(f"  energy           : {report.energy_joules / 3.6e6:.1f} kWh")
-    print(f"  core utilization : {utilization(graph, platform.total_cores):.1%}")
+    print(f"  core utilization : {log.utilization(platform.total_cores):.1%}")
     print("  (MPI simulation steps co-allocate 4 x 48-core nodes each)")
 
 

@@ -58,26 +58,27 @@ def programmatic_frontend():
 
 def run_and_report(name, builder):
     model = analyze_graph(builder.graph)
-    report = SimulatedExecutor(
+    executor = SimulatedExecutor(
         builder.graph, make_hpc_cluster(2), initial_data=builder.initial_data
-    ).run()
+    )
+    report = executor.run()
     print(
         f"  {name:<14} tasks={model.task_count:<3} "
         f"work={model.total_work_s:>7.0f}s depth={model.critical_path_s:>6.0f}s "
         f"makespan={report.makespan:>6.0f}s"
     )
-    return builder.graph
+    return builder.graph, executor.log
 
 
 def main():
     print("One experiment, three §II front-ends:\n")
     run_and_report("textual", textual_frontend())
-    graph = run_and_report("cycling suite", suite_frontend())
+    graph, log = run_and_report("cycling suite", suite_frontend())
     run_and_report("programmatic", programmatic_frontend())
 
     print("\nArtifacts from the suite run:")
     dot = graph_to_dot(graph)
-    csv_text = export_trace_csv(graph)
+    csv_text = export_trace_csv(log)
     print(f"  DOT graph     : {len(dot.splitlines())} lines (render with graphviz)")
     print(f"  trace CSV     : {len(csv_text.splitlines()) - 1} rows")
     print("\nFirst DOT lines:")

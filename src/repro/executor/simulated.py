@@ -14,6 +14,12 @@ Model choices (kept deliberately simple and documented):
 * gang tasks (``nodes > 1``) hold their full allocation for the whole run;
 * outputs are born on the node that ran the task (gang: on its head node)
   and registered with the data-location service for locality scheduling.
+
+Every application task that settles — completes, fails, is cancelled by a
+failure or is admitted already CANCELLED — is appended to ``executor.log``
+(:class:`~repro.telemetry.RunLog`) at that instant; the report's per-node
+busy time, the Gantt chart, the Paraver exports and the zone digests are
+read from it, not from the graph.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.scheduler import PlacementPass, TaskScheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event
+from repro.telemetry import RunLog
 
 
 #: Runs a task may start before a node failure fails it for good.
@@ -101,7 +108,7 @@ class SimulatedExecutor:
         # check — so a hook may submit follow-on tasks in the same breath.
         self._done_callbacks: List[Callable[[TaskInstance], None]] = []
         self._completion_events: Dict[int, Event] = {}
-        self._busy_seconds: Dict[str, float] = {}
+        self.log = RunLog()
         self._dispatch_scheduled = False
         # Latest terminal (done/failed) task time so far: engine time is
         # monotonic, so this IS the makespan — run() never rescans the graph.
@@ -166,7 +173,7 @@ class SimulatedExecutor:
             remote_transfers=self.platform.network.remote_transfer_count,
             energy_joules=self.platform.energy.total_energy_joules(makespan),
             resubmissions=self.resubmissions,
-            per_node_busy_seconds=dict(self._busy_seconds),
+            per_node_busy_seconds=self.log.busy_seconds(),
         )
 
     # ---------------------------------------------------- dynamic submission
@@ -188,6 +195,10 @@ class SimulatedExecutor:
         """
         batch = list(batch)
         count = self.graph.add_tasks(batch)
+        for instance, _ in batch:
+            # Born CANCELLED: it depends on a failed or cancelled task.
+            if instance.state is TaskState.CANCELLED and not instance.is_barrier:
+                self.log.append(instance)
         if count:
             self._fail_lost_readers(instance for instance, _ in batch)
             self._request_dispatch()
@@ -252,14 +263,11 @@ class SimulatedExecutor:
             return  # stale completion after a failure-triggered requeue
         now = self.engine.now
         self._completion_events.pop(task_id, None)
-        # Energy + utilization accounting over the full occupancy window.
+        # Energy accounting over the full occupancy window.
         start = instance.start_time if instance.start_time is not None else now
         for node_name in instance.assigned_nodes:
             self.platform.energy.record_busy(
                 node_name, start, now, instance.requirements.cores
-            )
-            self._busy_seconds[node_name] = self._busy_seconds.get(node_name, 0.0) + (
-                now - start
             )
         # Outputs are born on the head node.
         head = instance.assigned_nodes[0]
@@ -273,7 +281,9 @@ class SimulatedExecutor:
                 size=instance.profile.input_bytes or None,
             )
         self.scheduler.release(instance)
-        self._fail_lost_readers(self.graph.mark_done(task_id, now=now))
+        newly_ready = self.graph.mark_done(task_id, now=now)
+        self.log.append(instance)
+        self._fail_lost_readers(newly_ready)
         self._makespan = now
         # Completion hooks run before the finished check: a hook may lower
         # follow-on tasks (the dataflow plane's batch stages), un-finishing
@@ -339,8 +349,7 @@ class SimulatedExecutor:
                 reason = (
                     f"node {node_name} failed and task exceeded {_MAX_ATTEMPTS} attempts"
                 )
-            self.graph.mark_failed(instance.task_id, RuntimeError(reason), now=now)
-            self._makespan = now
+            self._fail(instance, reason, now)
         # Pending tasks — the bulk of a large graph — are never touched:
         # a pending reader of lost data is failed once it becomes ready.
         self._fail_lost_readers(self.graph.iter_ready())
@@ -367,9 +376,15 @@ class SimulatedExecutor:
         for instance in instances:
             lost = [d for d in instance.reads if locations.is_lost(d)]
             if lost and instance.state is TaskState.READY:
-                self.graph.mark_failed(
-                    instance.task_id,
-                    RuntimeError(f"inputs {lost[:3]} lost and not persisted"),
-                    now=now,
-                )
-                self._makespan = now
+                self._fail(instance, f"inputs {lost[:3]} lost and not persisted", now)
+
+    def _fail(self, instance: TaskInstance, reason: str, now: float) -> None:
+        """Fail ``instance`` and log it with the descendants it cancels."""
+        cancelled = self.graph.mark_failed(
+            instance.task_id, RuntimeError(reason), now=now
+        )
+        log = self.log
+        log.append(instance)
+        for task_id in cancelled:
+            log.append(self.graph.task(task_id))
+        self._makespan = now

@@ -7,16 +7,15 @@ by the CLI's ``timeline`` command and handy in notebooks/tests.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
-from repro.core.graph import TaskGraph
-from repro.metrics.tracing import TraceCollector
+from repro.telemetry import RunLog
 
 _SHADES = " ░▒▓█"
 
 
-def render_gantt(graph: TaskGraph, width: int = 72, label_width: int = 18) -> str:
-    """Render a finished graph's schedule as an ASCII Gantt chart.
+def render_gantt(log: RunLog, width: int = 72, label_width: int = 18) -> str:
+    """Render a finished run's schedule as an ASCII Gantt chart.
 
     Each row is a node; each column is ``makespan / width`` seconds; the
     glyph encodes the node's core-occupancy fraction in that bucket
@@ -24,9 +23,10 @@ def render_gantt(graph: TaskGraph, width: int = 72, label_width: int = 18) -> st
     """
     if width < 8:
         raise ValueError("width must be >= 8")
-    collector = TraceCollector(graph)
-    makespan = collector.makespan()
-    by_node = collector.rows_by_node()
+    makespan = log.makespan()
+    by_node: Dict[str, List[tuple]] = {}
+    for row in log.trace_rows():
+        by_node.setdefault(row[2], []).append(row)
     if makespan <= 0 or not by_node:
         return "(empty trace)"
     bucket_s = makespan / width
@@ -35,15 +35,16 @@ def render_gantt(graph: TaskGraph, width: int = 72, label_width: int = 18) -> st
     ]
     for node_name in sorted(by_node):
         occupancy = [0.0] * width
-        for row in by_node[node_name]:
-            first = min(width - 1, int(row.start / bucket_s))
-            last = min(width - 1, int(max(row.start, row.end - 1e-9) / bucket_s))
+        # Stable: equal starts keep task-id order.
+        for _, _, _, start, end, cores in sorted(by_node[node_name], key=lambda r: r[3]):
+            first = min(width - 1, int(start / bucket_s))
+            last = min(width - 1, int(max(start, end - 1e-9) / bucket_s))
             for bucket in range(first, last + 1):
                 bucket_start = bucket * bucket_s
                 bucket_end = bucket_start + bucket_s
-                overlap = min(row.end, bucket_end) - max(row.start, bucket_start)
+                overlap = min(end, bucket_end) - max(start, bucket_start)
                 if overlap > 0:
-                    occupancy[bucket] += row.cores * overlap / bucket_s
+                    occupancy[bucket] += cores * overlap / bucket_s
         peak = max(occupancy) or 1.0
         glyphs = "".join(
             _SHADES[min(len(_SHADES) - 1, int(round(v / peak * (len(_SHADES) - 1))))]

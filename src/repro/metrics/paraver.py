@@ -1,43 +1,43 @@
 """Paraver-flavoured trace export.
 
 BSC analyses COMPSs executions with Paraver; this module writes the same
-information from our graphs in two interchange forms:
+information from a simulated run's log in two interchange forms:
 
 * a ``.prv``-like record stream (``state`` records per task occupancy:
   ``1:<node>:<task_id>:<start_us>:<end_us>:<label>``) plus a row file
   mapping node ids to names;
 * plain CSV for spreadsheet/pandas analysis.
 
-Only completed tasks appear; both exports are deterministic and round-trip
-through :func:`load_trace_csv` for testing.
+Only completed tasks appear; both exports are deterministic.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.core.graph import TaskGraph
-from repro.metrics.tracing import TaskTrace, TraceCollector
+from repro.telemetry import RunLog
 
 
-def export_prv(graph: TaskGraph) -> Tuple[str, str]:
-    """Return (prv_body, row_file) strings for a finished graph."""
-    collector = TraceCollector(graph)
-    rows = collector.rows()
+def _by_start(row: tuple) -> tuple:
+    return row[3], row[0]
+
+
+def export_prv(log: RunLog) -> Tuple[str, str]:
+    """Return (prv_body, row_file) strings for a finished run."""
+    rows = log.trace_rows()
     node_ids: Dict[str, int] = {}
     for row in rows:
-        node_ids.setdefault(row.node, len(node_ids) + 1)
+        node_ids.setdefault(row[2], len(node_ids) + 1)
     header = (
         f"#Paraver-like trace: tasks={len(rows)} "
-        f"nodes={len(node_ids)} makespan_us={int(collector.makespan() * 1e6)}"
+        f"nodes={len(node_ids)} makespan_us={int(log.makespan() * 1e6)}"
     )
     lines = [header]
-    for row in sorted(rows, key=lambda r: (r.start, r.task_id)):
+    for task_id, label, node, start, end, _ in sorted(rows, key=_by_start):
         lines.append(
-            f"1:{node_ids[row.node]}:{row.task_id}:"
-            f"{int(row.start * 1e6)}:{int(row.end * 1e6)}:{row.label}"
+            f"1:{node_ids[node]}:{task_id}:{int(start * 1e6)}:{int(end * 1e6)}:{label}"
         )
     row_lines = [f"LEVEL NODE SIZE {len(node_ids)}"]
     for name, node_id in sorted(node_ids.items(), key=lambda kv: kv[1]):
@@ -45,42 +45,11 @@ def export_prv(graph: TaskGraph) -> Tuple[str, str]:
     return "\n".join(lines), "\n".join(row_lines)
 
 
-CSV_FIELDS = ["task_id", "label", "node", "start", "end", "cores"]
-
-
-def export_trace_csv(graph: TaskGraph) -> str:
+def export_trace_csv(log: RunLog) -> str:
     """CSV dump of every completed task's trace row."""
-    collector = TraceCollector(graph)
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_FIELDS)
-    writer.writeheader()
-    for row in sorted(collector.rows(), key=lambda r: (r.start, r.task_id)):
-        writer.writerow(
-            {
-                "task_id": row.task_id,
-                "label": row.label,
-                "node": row.node,
-                "start": f"{row.start:.6f}",
-                "end": f"{row.end:.6f}",
-                "cores": row.cores,
-            }
-        )
+    writer = csv.writer(buffer)
+    writer.writerow(["task_id", "label", "node", "start", "end", "cores"])
+    for task_id, label, node, start, end, cores in sorted(log.trace_rows(), key=_by_start):
+        writer.writerow([task_id, label, node, f"{start:.6f}", f"{end:.6f}", cores])
     return buffer.getvalue()
-
-
-def load_trace_csv(text: str) -> List[TaskTrace]:
-    """Parse :func:`export_trace_csv` output back into trace rows."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows: List[TaskTrace] = []
-    for record in reader:
-        rows.append(
-            TaskTrace(
-                task_id=int(record["task_id"]),
-                label=record["label"],
-                node=record["node"],
-                start=float(record["start"]),
-                end=float(record["end"]),
-                cores=int(record["cores"]),
-            )
-        )
-    return rows

@@ -235,9 +235,8 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
 def cmd_timeline(args: argparse.Namespace, out) -> int:
     from repro.metrics.gantt import render_gantt
 
-    built = _build(args)
-    run_graph(built, args.nodes, args.cores_per_node)
-    print(render_gantt(built.graph, width=args.width), file=out)
+    executor, _ = run_graph(_build(args), args.nodes, args.cores_per_node)
+    print(render_gantt(executor.log, width=args.width), file=out)
     return 0
 
 

@@ -33,7 +33,6 @@ from repro.simulation.random import DeterministicRandom
 from repro.streams import CreditValve, DataflowPlane, OperatorGraph, SensorSource
 from repro.workloads.zonal import (
     make_zonal_network,
-    outcome_rows,
     run_campaign,
     start_ring_report,
     zone_executor,
@@ -159,7 +158,9 @@ def _hybrid_zone_program(cfg: HybridStreamConfig, index: int, api):
 
     def result() -> Dict[str, Any]:
         report = executor.report()
-        task_records = outcome_rows(graph.tasks, cache_keys=True)
+        task_records = sorted(
+            executor.log.rows("label", "state", "start", "end", "nodes", "cache_key")
+        )
         window_records = [
             (r.window_start, r.window_end, r.completed_at, repr(r.value))
             for r in plane.results_of("agg")

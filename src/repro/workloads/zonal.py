@@ -22,7 +22,7 @@ import pickle
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.executor.simulated import SimulatedExecutor
 from repro.infrastructure.cluster import make_hpc_cluster
@@ -115,16 +115,6 @@ def start_ring_report(api, cfg, index: int, interval_s, labels, fields, keep_goi
         api.after(interval_s, ping, label=tick_label)
 
 
-def outcome_rows(tasks: Iterable[Any], cache_keys: bool = False) -> List[tuple]:
-    """Per-task outcome rows, sorted: what an ``outcome_crc32`` over a zone
-    executor's graph digests (``cache_keys`` appends each content key)."""
-    return sorted(
-        (t.label, t.state.name, t.start_time, t.end_time, tuple(t.assigned_nodes))
-        + ((t.cache_key,) if cache_keys else ())
-        for t in tasks
-    )
-
-
 def zone_programs(cfg, program) -> Dict[str, Any]:
     """``{zone: factory}`` for every zone of ``cfg``, ``factory(api)`` being
     ``program(cfg, index, api)``: a partial of a module-level function over
@@ -177,7 +167,8 @@ def _zone_program(cfg: ZonalConfig, index: int, api):
 
     def result() -> Dict[str, Any]:
         report = executor.report()
-        digest = zlib.crc32(pickle.dumps(outcome_rows(builder.graph.tasks)))
+        rows = executor.log.rows("label", "state", "start", "end", "nodes")
+        digest = zlib.crc32(pickle.dumps(sorted(rows)))
         return {
             "zone": zone,
             "tasks_done": report.tasks_done,

@@ -71,7 +71,7 @@ EXPORTS = {
         "DurationPredictor", "TaskTypeStats", "TaskMemoizer", "PredictedFinishTimePolicy",
     ],
     "metrics": [
-        "TaskTrace", "TraceCollector", "utilization", "graph_to_dot",
+        "graph_to_dot",
         "IntermediateDatum", "StoreAllPolicy", "RecomputeAllPolicy", "CostModelPolicy",
         "evaluate_policy",
     ],

@@ -1,5 +1,8 @@
 """Tests for tracing, utilization, and store-vs-recompute metrics."""
 
+import csv
+import io
+
 import pytest
 
 from repro.executor import SimulatedExecutor, SimWorkflowBuilder
@@ -9,9 +12,7 @@ from repro.metrics import (
     IntermediateDatum,
     RecomputeAllPolicy,
     StoreAllPolicy,
-    TraceCollector,
     evaluate_policy,
-    utilization,
 )
 from repro.metrics.data_metrics import StorageMedium
 
@@ -24,43 +25,48 @@ class TestTracing:
         builder.add_task("b", duration=20.0, inputs=["x"])
         builder.add_task("c", duration=10.0)
         platform = make_hpc_cluster(1, cores_per_node=4)
-        SimulatedExecutor(builder.graph, platform).run()
-        return builder.graph
+        executor = SimulatedExecutor(builder.graph, platform)
+        executor.run()
+        return executor.log
 
     def test_rows_cover_done_tasks(self):
-        graph = self.run_small()
-        rows = TraceCollector(graph).rows()
+        rows = self.run_small().trace_rows()
         assert len(rows) == 3
-        assert all(row.end >= row.start for row in rows)
+        assert all(end >= start for _, _, _, start, end, _ in rows)
 
     def test_makespan_matches_latest_end(self):
-        graph = self.run_small()
-        collector = TraceCollector(graph)
-        assert collector.makespan() == pytest.approx(30.0)
+        assert self.run_small().makespan() == pytest.approx(30.0)
 
     def test_rows_by_node_sorted(self):
-        graph = self.run_small()
-        by_node = TraceCollector(graph).rows_by_node()
-        for rows in by_node.values():
-            starts = [r.start for r in rows]
+        from repro.metrics.paraver import export_trace_csv
+
+        by_node = {}
+        for row in csv.DictReader(io.StringIO(export_trace_csv(self.run_small()))):
+            by_node.setdefault(row["node"], []).append(float(row["start"]))
+        for starts in by_node.values():
             assert starts == sorted(starts)
 
+    def test_trace_rows_in_task_id_order(self):
+        rows = self.run_small().trace_rows()
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+
     def test_summary_fields(self):
-        summary = TraceCollector(self.run_small()).summary()
-        assert summary["tasks"] == 3
-        assert summary["busy_core_seconds"] == pytest.approx(40.0)
-        assert summary["mean_task_duration"] > 0
+        rows = self.run_small().trace_rows()
+        durations = [end - start for _, _, _, start, end, _ in rows]
+        assert len(rows) == 3
+        assert sum(d * row[5] for d, row in zip(durations, rows)) == pytest.approx(40.0)
+        assert sum(durations) / len(rows) > 0
 
     def test_utilization_bounds(self):
-        graph = self.run_small()
-        value = utilization(graph, total_cores=4)
+        log = self.run_small()
+        value = log.utilization(total_cores=4)
         assert 0.0 < value <= 1.0
         # Single-core chain on a huge machine: near-zero utilization.
-        assert utilization(graph, total_cores=4800) < 0.01
+        assert log.utilization(total_cores=4800) < 0.01
 
     def test_utilization_requires_positive_cores(self):
         with pytest.raises(ValueError):
-            utilization(self.run_small(), total_cores=0)
+            self.run_small().utilization(total_cores=0)
 
 
 class TestStoreVsRecompute:
@@ -115,20 +121,21 @@ class TestParaverExport:
     def test_prv_and_csv_roundtrip(self):
         from repro.executor import SimulatedExecutor, SimWorkflowBuilder
         from repro.infrastructure import make_hpc_cluster
-        from repro.metrics.paraver import export_prv, export_trace_csv, load_trace_csv
+        from repro.metrics.paraver import export_prv, export_trace_csv
 
         builder = SimWorkflowBuilder()
         builder.add_task("a", duration=5.0, outputs={"x": 1.0})
         builder.add_task("b", duration=7.0, inputs=["x"])
-        SimulatedExecutor(builder.graph, make_hpc_cluster(1)).run()
+        executor = SimulatedExecutor(builder.graph, make_hpc_cluster(1))
+        executor.run()
 
-        prv, row_file = export_prv(builder.graph)
+        prv, row_file = export_prv(executor.log)
         assert prv.startswith("#Paraver-like trace: tasks=2")
         assert "LEVEL NODE SIZE 1" in row_file
         assert len(prv.splitlines()) == 3  # header + 2 state records
 
-        csv_text = export_trace_csv(builder.graph)
-        rows = load_trace_csv(csv_text)
+        csv_text = export_trace_csv(executor.log)
+        rows = list(csv.DictReader(io.StringIO(csv_text)))
         assert len(rows) == 2
-        assert rows[0].start <= rows[1].start
-        assert rows[1].end == pytest.approx(12.0)
+        assert float(rows[0]["start"]) <= float(rows[1]["start"])
+        assert float(rows[1]["end"]) == pytest.approx(12.0)

@@ -115,8 +115,9 @@ class TestGantt:
         builder.add_task("a", duration=10.0, outputs={"x": 1.0})
         builder.add_task("b", duration=10.0, inputs=["x"])
         builder.add_task("c", duration=20.0)
-        SimulatedExecutor(builder.graph, make_hpc_cluster(1)).run()
-        return builder.graph
+        executor = SimulatedExecutor(builder.graph, make_hpc_cluster(1))
+        executor.run()
+        return executor.log
 
     def test_render_has_one_row_per_node_plus_header(self):
         chart = render_gantt(self.run_graph(), width=40)
@@ -133,8 +134,12 @@ class TestGantt:
 
     def test_empty_graph(self):
         from repro.core.graph import TaskGraph
+        from repro.executor import SimulatedExecutor
+        from repro.infrastructure import make_hpc_cluster
 
-        assert render_gantt(TaskGraph()) == "(empty trace)"
+        executor = SimulatedExecutor(TaskGraph(), make_hpc_cluster(1))
+        executor.run()
+        assert render_gantt(executor.log) == "(empty trace)"
 
     def test_narrow_width_rejected(self):
         with pytest.raises(ValueError):
