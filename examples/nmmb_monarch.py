@@ -44,7 +44,7 @@ def main():
 
     print("\nDetailed 4-day run (PyCOMPSs port):")
     log, report, platform = run(4, sequential_init=False)
-    print(f"  tasks executed   : {len(log.trace_rows())}")
+    print(f"  tasks executed   : {report.tasks_done}")
     print(f"  makespan         : {report.makespan / 3600:.2f}h")
     print(f"  data moved       : {report.bytes_transferred / 1e9:.1f} GB")
     print(f"  energy           : {report.energy_joules / 3.6e6:.1f} kWh")

@@ -20,8 +20,6 @@ from repro import _export_lazily
 _export_lazily(
     globals(),
     {
-        "ServiceSpec": "services",
-        "publish_application_service": "services",
         "Message": "messages",
         "Op": "messages",
         "MessageBus": "bus",

@@ -21,12 +21,11 @@ Data model (mirrors the paper's dataClay integration, §VI-B):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.agents.bus import MessageBus
 from repro.agents.messages import Message, Op
 from repro.agents.offloading import NeverOffload, OffloadingPolicy, PeerInfo
-from repro.agents.services import ServiceMixin, ServiceSpec
 from repro.core.exceptions import AgentError
 from repro.core.graph import TaskGraph, TaskInstance, TaskState
 
@@ -66,8 +65,6 @@ class _QueuedWork:
     stage_in_s: float
     output_sizes: Dict[str, float]
     running: bool = False
-    #: Service work replies through this instead of TASK_DONE.
-    on_complete: Optional[Callable[[], None]] = None
 
 
 @dataclass(eq=False)
@@ -113,12 +110,12 @@ class _Orchestration:
         index[datum] = None
 
 
-class Agent(ServiceMixin):
+class Agent:
     """One microservice runtime instance pinned to a platform node.
 
     It holds a role's state from when it first plays the role: the
-    orchestration record from ``start_application``, service tables from
-    ``publish_service``/``invoke_service``, the queue from the first request.
+    orchestration record from ``start_application``, the queue from the
+    first request.
     """
 
     def __init__(
@@ -145,8 +142,6 @@ class Agent(ServiceMixin):
         self.tasks_executed = 0
         self._queue: Optional[List[_QueuedWork]] = None
         self._orch: Optional[_Orchestration] = None
-        self._services: Optional[Dict[str, ServiceSpec]] = None
-        self._service_callbacks: Optional[Dict[int, Callable]] = None
 
     # ------------------------------------------------------------- REST API
 
@@ -482,10 +477,6 @@ class Agent(ServiceMixin):
             # device — the paper's "disappeared for low battery" scenario.
             self.bus.kill_now(self.name)
             return
-        if work.on_complete is not None:
-            work.on_complete()
-            self._pump_queue()
-            return
         self.bus.send(
             Message(
                 op=Op.TASK_DONE,
@@ -533,8 +524,8 @@ class Agent(ServiceMixin):
     def reset_orchestration(self) -> None:
         """Clear finished-application state so a new one can start.
 
-        Required by application-as-a-service hosting: each request
-        orchestrates a fresh graph on the same agent.
+        A long-lived orchestrator (the churn workload's) runs one
+        application after another on the same agent.
         """
         orch = self._orch
         if orch is None:
@@ -597,6 +588,4 @@ class Agent(ServiceMixin):
         Op.STATUS_REPLY: _ignore,
         Op.AGENT_DOWN: _on_agent_down,
         Op.TASK_REJECTED: _ignore,
-        Op.SERVICE_REQUEST: ServiceMixin._on_service_request,
-        Op.SERVICE_RESPONSE: ServiceMixin._on_service_response,
     }

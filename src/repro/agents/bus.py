@@ -91,10 +91,6 @@ class MessageBus:
         # and entry ``-k`` belongs to epoch ``current - k + 1``.
         self._zone_epoch: Dict[str, int] = {}
         self._zone_changes: Dict[str, Deque[Tuple[str, bool]]] = {}
-        # Service registry: service name -> ordered provider agents.  Several
-        # agents may provide the same service; lookup skips dead providers in
-        # registration order (deterministic failover).
-        self._services: Dict[str, Dict[str, None]] = {}
         self.messages_sent = 0
         self.bytes_sent = 0.0
         self.dropped_count = 0
@@ -191,39 +187,6 @@ class MessageBus:
         newest_first = list(islice(reversed(log), behind))
         newest_first.reverse()
         return newest_first
-
-    # -------------------------------------------------------------- services
-
-    def register_service(self, service_name: str, agent_name: str) -> None:
-        """Record a service endpoint (the bus is also the service registry).
-
-        Several agents may register the same service; re-registering the
-        same (service, provider) pair is an error.
-        """
-        providers = self._services.get(service_name)
-        if providers is None:
-            providers = self._services[service_name] = {}
-        if agent_name in providers:
-            raise AgentError(
-                f"service {service_name!r} already registered by {agent_name!r}"
-            )
-        providers[agent_name] = None
-
-    def find_service(self, service_name: str) -> Optional[str]:
-        """First *live* provider of a service, in registration order.
-
-        Deterministic failover: when the primary dies, the next-registered
-        live provider takes over; ``None`` once every provider is dead or
-        the service is unknown.
-        """
-        for provider in self._services.get(service_name, ()):
-            if provider in self._agents:
-                return provider
-        return None
-
-    def service_providers(self, service_name: str) -> List[str]:
-        """All registered providers (dead included), in registration order."""
-        return list(self._services.get(service_name, ()))
 
     # ------------------------------------------------------------- messaging
 

@@ -25,8 +25,6 @@ class Op(enum.Enum):
     QUERY_STATUS = "GET /COMPSs/status"
     STATUS_REPLY = "200 /COMPSs/status"
     AGENT_DOWN = "NOTIFY /monitor/agentDown"
-    SERVICE_REQUEST = "POST /service"
-    SERVICE_RESPONSE = "200 /service"
 
 
 _message_ids = itertools.count(1)

@@ -6,10 +6,10 @@ PyCOMPSs. The goal is to provide a simple and easy to use interface, which
 enables the use of optimized algorithms that run in parallel." (§VI-C)
 
 The public surface mirrors the real dislib: a blocked distributed array
-(:func:`array`, :func:`zeros`) plus scikit-learn-style estimators
-whose ``fit``/``predict`` are internally expressed as ``@task`` graphs, so
-they parallelize under an active :class:`~repro.Runtime` and degrade to
-sequential execution without one.
+(:func:`array`, which partitions an in-memory array and collects it back)
+plus scikit-learn-style estimators whose ``fit``/``predict`` are internally
+expressed as ``@task`` graphs, so they parallelize under an active
+:class:`~repro.Runtime` and degrade to sequential execution without one.
 """
 
 from repro import _export_lazily
@@ -19,7 +19,6 @@ _export_lazily(
     {
         "DsArray": "array",
         "array": "array",
-        "zeros": "array",
         "KMeans": "kmeans",
         "LinearRegression": "linear_regression",
         "StandardScaler": "preprocessing",

@@ -31,7 +31,7 @@ def export_prv(log: RunLog) -> Tuple[str, str]:
     for row in rows:
         node_ids.setdefault(row[2], len(node_ids) + 1)
     header = (
-        f"#Paraver-like trace: tasks={len(rows)} "
+        f"#Paraver-like trace: tasks={len({row[0] for row in rows})} "
         f"nodes={len(node_ids)} makespan_us={int(log.makespan() * 1e6)}"
     )
     lines = [header]

@@ -15,8 +15,8 @@ independent of the process's hash seed) the service maintains:
   data it held, not every datum ever registered);
 * per-digest locality score maps — ``local_bytes_map`` returns, for one
   input tuple, every node's locally-held byte total, updated incrementally
-  on ``publish``/``evict_node``/``set_size`` instead of being recomputed
-  per candidate per placement.
+  on ``publish`` (a new holder or a new size) and ``evict_node`` instead
+  of being recomputed per candidate per placement.
 
 :class:`TransferPlanner` prices moving a datum to a node from these live
 holders and the network's zone-pair links; it keeps nothing per datum, so
@@ -64,8 +64,8 @@ class DataLocationService:
         self._lost_count = 0
         # Locality score maps keyed by input tuple (the datum-set digest):
         # digest -> {node name -> bytes of the digest's members held there}.
-        # ``_datum_digests`` is the reverse map that routes publish/evict/
-        # set_size deltas into every affected digest.
+        # ``_datum_digests`` is the reverse map that routes publish and
+        # evict deltas into every affected digest.
         self._digest_scores: "OrderedDict[Tuple[str, ...], Dict[str, float]]" = (
             OrderedDict()
         )
@@ -111,21 +111,6 @@ class DataLocationService:
                         scores[holder] = scores.get(holder, 0.0) + delta
                 if new_holder and size:
                     scores[node_name] = scores.get(node_name, 0.0) + size * multiplicity
-
-    def set_size(self, datum_id: str, size_bytes: float) -> None:
-        size = float(size_bytes)
-        old_size = self._sizes.get(datum_id, 0.0)
-        self._sizes[datum_id] = size
-        if size == old_size:
-            return
-        digests = self._datum_digests.get(datum_id)
-        if digests:
-            holders = self._locations.get(datum_id, ())
-            for digest in digests:
-                scores = self._digest_scores[digest]
-                delta = (size - old_size) * digest.count(datum_id)
-                for holder in holders:
-                    scores[holder] = scores.get(holder, 0.0) + delta
 
     def evict_node(self, node_name: str) -> None:
         """Drop every copy held by a node (node failure / scale-in).
@@ -247,7 +232,7 @@ class DataLocationService:
         """Per-node locally-held bytes for one input tuple, as a mapping.
 
         The map is built once per distinct digest and then updated
-        incrementally by ``publish``/``evict_node``/``set_size``, so a
+        incrementally by ``publish``/``evict_node``, so a
         policy ranking k candidates pays O(k) lookups instead of
         O(k x inputs) set-membership probes per placement.  Nodes holding
         none of the data are absent (callers use ``.get(name, 0.0)``); an
@@ -283,10 +268,6 @@ class DataLocationService:
         self._digest_scores[digest] = scores
         return scores
 
-    def snapshot(self) -> Mapping[str, Set[str]]:
-        """A copy of the full location map (diagnostics/tests)."""
-        return {k: set(v) for k, v in self._locations.items()}
-
 
 class TransferPlanner:
     """Cheapest-source pricing of moving data to a node, by zone pair.
@@ -299,7 +280,7 @@ class TransferPlanner:
     afresh on every query: the planner keeps one ``{dst zone: {src zone:
     Link}}`` table for the current ``topology_version`` and nothing per
     datum, per node or per pair, so ``publish`` / ``evict_node`` /
-    ``rehome_node`` / ``set_size`` have nothing to invalidate.
+    ``rehome_node`` have nothing to invalidate.
 
     Holders are visited in publication order and only a strictly cheaper
     one replaces the incumbent: **the earliest publisher among the

@@ -46,11 +46,7 @@ def _graph(prefix, tasks=3):
 
 
 def _has_no_role_state(agent):
-    return (
-        agent._orch is None
-        and agent._services is None
-        and agent._service_callbacks is None
-    )
+    return agent._orch is None
 
 
 class TestFootprint:
@@ -129,31 +125,6 @@ class TestLaziness:
         assert len(orch.homed_data()) == 6
         orch.forget_data()
         assert orch.homed_data() == []
-
-    def test_service_tables_exist_from_first_use(self):
-        _platform, engine, _bus, agents = _fleet(3)
-        provider, client, bystander = agents
-        provider.publish_service("double", handler=lambda x: 2 * x)
-        assert provider._services is not None and provider._service_callbacks is None
-        assert provider.published_service("double").invocations == 0
-        assert client.published_service("double") is None
-        with pytest.raises(AgentError, match="already publishes"):
-            provider.publish_service("double", handler=lambda x: x)
-        replies = []
-        client.invoke_service("double", 21, on_reply=replies.append)
-        client.invoke_service("double", 1)  # fire and forget: no callback kept
-        assert client._services is None and list(client._service_callbacks) != []
-        engine.run()
-        assert replies == [42] and client._service_callbacks == {}
-        assert provider.published_service("double").invocations == 2
-        assert _has_no_role_state(bystander) and provider._orch is None
-        with pytest.raises(AgentError, match="unpublished"):
-            client.handle(
-                Message(
-                    op=Op.SERVICE_REQUEST, sender="w0", recipient="w1",
-                    payload={"service": "double", "request_id": 99},
-                )
-            )
 
     def test_on_killed_on_an_idle_worker(self):
         platform, engine, bus, agents = _fleet(2)

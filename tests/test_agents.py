@@ -189,6 +189,10 @@ def test_add_resources_speeds_up_application():
     assert fast.makespan < slow.makespan
 
 
+def test_every_op_has_a_handler_and_every_handler_an_op():
+    assert set(Agent._HANDLERS) == set(Op)
+
+
 def test_query_status_roundtrip():
     platform, engine, bus, agents = make_stack()
     bus.send(
@@ -249,3 +253,73 @@ def test_mains_powered_agents_never_battery_die():
     engine.run()
     assert bus.is_alive("cloud-0")
     assert orchestrator.report().completed
+
+
+class TestQueuedWorkIdentity:
+    """Queued work compares by identity: a completion retires its own item,
+    never an equal-valued sibling."""
+
+    def test_equal_valued_work_items_are_distinct(self):
+        from repro.agents.agent import _InFlight, _QueuedWork
+
+        def item():
+            return _QueuedWork(
+                task_id=7, origin="fog-0", cores=1, duration_s=1.0,
+                stage_in_s=0.0, output_sizes={},
+            )
+
+        first, second = item(), item()
+        assert first != second and first == first
+        queue = [first, second]
+        assert second in queue and item() not in queue
+        queue.remove(second)
+        assert queue[0] is first and len(queue) == 1
+        assert _InFlight(task=None, executor="a") != _InFlight(task=None, executor="a")
+
+    def test_equal_valued_task_requests_each_reply_once_in_order(self):
+        from repro.infrastructure import Platform
+        from repro.infrastructure.resources import Node
+
+        platform = Platform()
+        platform.add_node(Node("client", cores=1))
+        platform.add_node(Node("single", cores=1))
+        engine = SimulationEngine()
+        bus = MessageBus(platform, engine)
+        Agent("client", "client", bus)
+        worker = Agent("single", "single", bus)
+        replies = []
+        deliver = bus.send
+
+        def recording_send(message):
+            if message.op is Op.TASK_DONE:
+                replies.append(engine.now)
+            deliver(message)
+
+        bus.send = recording_send
+
+        def request():
+            # Same sender, same task id, same shape: equal-valued work.
+            bus.send(
+                Message(
+                    op=Op.EXECUTE_TASK, sender="client", recipient="single",
+                    payload={
+                        "task_id": 7, "origin": "client", "cores": 1,
+                        "duration_s": 2.0, "inputs": [], "outputs": {},
+                    },
+                )
+            )
+
+        request()
+        request()
+        engine.run()
+        assert len(replies) == 2
+        assert replies[1] - replies[0] == pytest.approx(2.0)
+        assert worker.tasks_executed == 2 and worker._queue == []
+        # A completion that arrives after the agent was killed is ignored.
+        request()
+        engine.run(until=engine.now + 1.0)
+        assert worker._free_cores == 0
+        bus.kill_now("single")
+        engine.run()
+        assert len(replies) == 2
+        assert worker.tasks_executed == 2 and worker._free_cores == 1

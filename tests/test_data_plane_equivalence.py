@@ -463,7 +463,6 @@ _zone_ix = st.integers(0, len(_ZONES) - 1)
 _datum_ix = st.integers(0, len(_DATA) - 1)
 _mutations = st.one_of(
     st.tuples(st.just("publish"), _datum_ix, _node_ix, _sizes),
-    st.tuples(st.just("set_size"), _datum_ix, _sizes),
     st.tuples(st.just("evict"), _node_ix),
     st.tuples(st.just("rehome"), _node_ix, _node_ix),
     st.tuples(st.just("rezone"), st.integers(0, len(_NODES) - 2), _zone_ix),
@@ -547,8 +546,6 @@ class TestZonePairPricingUnderMutation:
             kind = op[0]
             if kind == "publish":
                 locations.publish(_DATA[op[1]], _NODES[op[2]], size_bytes=op[3])
-            elif kind == "set_size":
-                locations.set_size(_DATA[op[1]], op[2])
             elif kind == "evict":
                 locations.evict_node(_NODES[op[1]])
             elif kind == "rehome":
@@ -569,7 +566,6 @@ _HOLDER_DATA = _DATA[:2]
 _holder_node = st.sampled_from(_HOLDER_NODES)
 _holder_mutations = st.one_of(
     st.tuples(st.just("publish"), st.sampled_from(_HOLDER_DATA), _holder_node, _sizes),
-    st.tuples(st.just("set_size"), st.sampled_from(_HOLDER_DATA), _sizes),
     st.tuples(st.just("evict"), _holder_node),
     st.tuples(st.just("rehome"), _holder_node, _holder_node),
 )
@@ -607,9 +603,6 @@ class TestHolderOrderUnderMutation:
                 model.setdefault(datum, {})[node] = None
                 if size:
                     sizes[datum] = float(size)
-            elif kind == "set_size":
-                locations.set_size(op[1], op[2])
-                sizes[op[1]] = float(op[2])
             elif kind == "evict":
                 locations.evict_node(op[1])
                 for holders in model.values():

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Runtime
-from repro.dislib import (
-    DsArray,
-    KMeans,
-    LinearRegression,
-    StandardScaler,
-    array,
-    zeros,
-)
+from repro.dislib import KMeans, LinearRegression, StandardScaler, array
 
 
 @pytest.fixture(params=["sequential", "runtime"])
@@ -40,58 +33,6 @@ class TestDsArray:
     def test_one_dim_input_reshaped(self, maybe_runtime):
         ds = array(np.arange(4.0), block_shape=(2, 1))
         assert ds.shape == (4, 1)
-
-    def test_add_sub(self, maybe_runtime):
-        a = np.random.default_rng(0).random((6, 6))
-        b = np.random.default_rng(1).random((6, 6))
-        da, db = array(a, (2, 3)), array(b, (2, 3))
-        np.testing.assert_allclose((da + db).collect(), a + b)
-        np.testing.assert_allclose((da - db).collect(), a - b)
-
-    def test_grid_mismatch_rejected(self, maybe_runtime):
-        a = array(np.ones((4, 4)), (2, 2))
-        b = array(np.ones((4, 4)), (4, 4))
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_scale_and_apply(self, maybe_runtime):
-        a = np.ones((4, 4))
-        da = array(a, (2, 2))
-        np.testing.assert_allclose(da.scale(3.0).collect(), a * 3)
-        np.testing.assert_allclose(da.apply(np.sqrt).collect(), np.sqrt(a))
-
-    def test_transpose(self, maybe_runtime):
-        a = np.arange(12, dtype=float).reshape(3, 4)
-        da = array(a, (2, 3))
-        np.testing.assert_array_equal(da.T.collect(), a.T)
-        assert da.T.shape == (4, 3)
-
-    def test_matmul(self, maybe_runtime):
-        rng = np.random.default_rng(2)
-        a = rng.random((6, 8))
-        b = rng.random((8, 4))
-        da = array(a, (2, 4))
-        db = array(b, (4, 2))
-        np.testing.assert_allclose((da @ db).collect(), a @ b, rtol=1e-10)
-
-    def test_matmul_shape_checks(self, maybe_runtime):
-        a = array(np.ones((4, 4)), (2, 2))
-        b = array(np.ones((6, 4)), (2, 2))
-        with pytest.raises(ValueError):
-            a @ b
-
-    def test_reductions(self, maybe_runtime):
-        from repro import compss_wait_on
-
-        a = np.arange(24, dtype=float).reshape(4, 6)
-        da = array(a, (2, 2))
-        assert compss_wait_on(da.sum()) == pytest.approx(a.sum())
-        assert da.mean() == pytest.approx(a.mean())
-        assert da.norm() == pytest.approx(np.linalg.norm(a))
-
-    def test_zeros(self, maybe_runtime):
-        z = zeros((5, 3), (2, 2)).collect()
-        np.testing.assert_array_equal(z, np.zeros((5, 3)))
 
 
 class TestKMeans:

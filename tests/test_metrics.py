@@ -139,3 +139,21 @@ class TestParaverExport:
         assert len(rows) == 2
         assert float(rows[0]["start"]) <= float(rows[1]["start"])
         assert float(rows[1]["end"]) == pytest.approx(12.0)
+
+    def test_gang_task_counts_once_with_a_record_per_node(self):
+        from repro.executor import SimulatedExecutor, SimWorkflowBuilder
+        from repro.infrastructure import make_hpc_cluster
+        from repro.metrics.paraver import export_prv
+
+        builder = SimWorkflowBuilder()
+        builder.add_task("gang", duration=5.0, nodes=2)
+        executor = SimulatedExecutor(builder.graph, make_hpc_cluster(2))
+        executor.run()
+
+        prv, row_file = export_prv(executor.log)
+        header, *records = prv.splitlines()
+        assert header.startswith("#Paraver-like trace: tasks=1 nodes=2 ")
+        # One state record per node of the gang, both for the same task.
+        assert [r.split(":")[1] for r in records] == ["1", "2"]
+        assert len({r.split(":")[2] for r in records}) == 1
+        assert "LEVEL NODE SIZE 2" in row_file

@@ -108,7 +108,7 @@ def reference_prv(graph):
     for row in rows:
         node_ids.setdefault(row[2], len(node_ids) + 1)
     lines = [
-        f"#Paraver-like trace: tasks={len(rows)} "
+        f"#Paraver-like trace: tasks={len({row[0] for row in rows})} "
         f"nodes={len(node_ids)} makespan_us={int(reference_makespan(graph) * 1e6)}"
     ]
     for task_id, label, node, start, end, _ in sorted(rows, key=lambda r: (r[3], r[0])):
