@@ -9,6 +9,12 @@ distributed ML library — all executable for real on a thread pool or at
 scale on a deterministic discrete-event simulation of the computing
 continuum.
 
+``import repro`` loads nothing until a name is used: every package's
+``__init__`` is one ``{name: submodule}`` table handed to
+:func:`_export_lazily`, so ``from repro import task`` loads the task model
+but not the runtime, and a simulated run never loads the real runtime at
+all.  A subpackage becomes an attribute of ``repro`` once it is imported.
+
 Quickstart::
 
     from repro import task, constraint, compss_wait_on, Runtime
@@ -34,8 +40,7 @@ def _export_lazily(namespace, table):
     the value is then bound in the package, so later lookups are plain
     attribute reads.  A name that is also its own submodule's name is bound
     now: importing that submodule later would otherwise rebind it to the
-    module.  Defined before ``repro.core`` is imported, because importing
-    the core runs some subpackages' ``__init__``.
+    module.
     """
     package = namespace["__name__"]
 
@@ -55,59 +60,35 @@ def _export_lazily(namespace, table):
             __getattr__(name)
 
 
-from repro.core import (
-    IN,
-    OUT,
-    INOUT,
-    FILE_IN,
-    FILE_OUT,
-    FILE_INOUT,
-    Direction,
-    Parameter,
-    Future,
-    ReproError,
-    TaskFailedError,
-    RuntimeNotStartedError,
-    ConstraintUnsatisfiableError,
-    ResourceConstraints,
-    constraint,
-    task,
-    Runtime,
-    compss_wait_on,
-    compss_barrier,
-    compss_open,
-    compss_delete_object,
-    start_runtime,
-    stop_runtime,
-    get_runtime,
+_export_lazily(
+    globals(),
+    {
+        "IN": "core",
+        "OUT": "core",
+        "INOUT": "core",
+        "FILE_IN": "core",
+        "FILE_OUT": "core",
+        "FILE_INOUT": "core",
+        "Direction": "core",
+        "Parameter": "core",
+        "Future": "core",
+        "ReproError": "core",
+        "TaskFailedError": "core",
+        "RuntimeNotStartedError": "core",
+        "ConstraintUnsatisfiableError": "core",
+        "ResourceConstraints": "core",
+        "constraint": "core",
+        "task": "core",
+        "Runtime": "core",
+        "compss_wait_on": "core",
+        "compss_barrier": "core",
+        "compss_open": "core",
+        "compss_delete_object": "core",
+        "start_runtime": "core",
+        "stop_runtime": "core",
+        "get_runtime": "core",
+    },
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "IN",
-    "OUT",
-    "INOUT",
-    "FILE_IN",
-    "FILE_OUT",
-    "FILE_INOUT",
-    "Direction",
-    "Parameter",
-    "Future",
-    "ReproError",
-    "TaskFailedError",
-    "RuntimeNotStartedError",
-    "ConstraintUnsatisfiableError",
-    "ResourceConstraints",
-    "constraint",
-    "task",
-    "Runtime",
-    "compss_wait_on",
-    "compss_barrier",
-    "compss_open",
-    "compss_delete_object",
-    "start_runtime",
-    "stop_runtime",
-    "get_runtime",
-    "__version__",
-]
+__all__.append("__version__")  # _export_lazily set __all__ from the table

@@ -153,7 +153,7 @@ class Agent:
         handler(self, message)
 
     def _ignore(self, message: Message) -> None:
-        """Replies nobody acts on (STATUS_REPLY, TASK_REJECTED)."""
+        """Replies nobody acts on (STATUS_REPLY)."""
 
     # --------------------------------------------------------- orchestration
 
@@ -587,5 +587,4 @@ class Agent:
         Op.QUERY_STATUS: _on_query_status,
         Op.STATUS_REPLY: _ignore,
         Op.AGENT_DOWN: _on_agent_down,
-        Op.TASK_REJECTED: _ignore,
     }

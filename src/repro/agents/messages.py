@@ -19,7 +19,6 @@ class Op(enum.Enum):
     START_APPLICATION = "POST /COMPSs/startApplication"
     EXECUTE_TASK = "POST /COMPSs/task"
     TASK_DONE = "PUT /COMPSs/result"
-    TASK_REJECTED = "PUT /COMPSs/rejected"
     ADD_RESOURCES = "PUT /COMPSs/resources/add"
     REMOVE_RESOURCES = "PUT /COMPSs/resources/remove"
     QUERY_STATUS = "GET /COMPSs/status"

@@ -22,6 +22,9 @@ twin) without scheduling anything.  What is fixed per task definition about
 a key — whether its calls can be addressed at all, its identity, its static
 requirements' signature — sits in one key plan built by the first call; a
 memo hit settles at submission with no task, datum or graph node behind it.
+Every runtime content key comes from :meth:`WorkflowCompiler.compile_call`;
+stream-window keys come from ``stream_task_key`` in
+:mod:`repro.streams.dataflow`, so the simulator never loads this module.
 
 What opts out (key = ``None``): invocations with OUT/INOUT/FILE parameters
 (in-place mutation has no content identity), tracked mutable-object
@@ -159,33 +162,6 @@ class _KeyPlan:
         #: to one object, so a lookup; swapped whole (compiling is lock-free).
         self.signed: tuple = (None, None)
         setattr(definition, _KEY_PLAN_ATTR, self)
-
-
-def stream_task_key(
-    operator: str,
-    window_index: int,
-    window_start: float,
-    window_end: float,
-    payload: Any,
-) -> str:
-    """Deterministic identity of one lowered stream-window task.
-
-    The dataflow plane stamps every window task's ``cache_key`` with this:
-    a content digest over the operator, the window's position on the grid,
-    and the window's element payload.  Two windows with identical contents
-    — across engines, runs, or replayed campaigns — therefore carry the
-    same identity, which is what lets stream tasks ride the same
-    content-addressing machinery as batch tasks (and what the cross-engine
-    byte-identity checks compare).
-    """
-    _size, key = content_fingerprint(
-        ("repro-stream/v1", operator, window_index, window_start, window_end, payload)
-    )
-    if key is None:
-        # Unpicklable window payloads opt out of content identity but keep
-        # a stable positional one.
-        return f"stream-opaque/{operator}/{window_index}"
-    return key
 
 
 class WorkflowCompiler:

@@ -262,6 +262,13 @@ class TaskGraph:
         # an absent id at or below it was DONE, because ids are minted in
         # program order and only DONE nodes leave.
         self._forgotten_high = -1
+        # The same bound as of the last ``forget`` call: an id at or below it
+        # was added before, so adding it again is a reuse.  A barrier that
+        # ``add_task`` forgets at birth does not move it: the reader whose
+        # submission flushed that barrier has a lower id and is added next.
+        self._reuse_high = -1
+        #: The highest id ever added (-1: none), forgotten or not.
+        self.highest_id = -1
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -336,8 +343,10 @@ class TaskGraph:
         """
         tid = instance.task_id
         tasks = self._tasks
-        if tid in tasks:
+        if tid in tasks or tid <= self._reuse_high:
             raise GraphError(f"duplicate task id {tid}")
+        if tid > self.highest_id:
+            self.highest_id = tid
         deps = tuple(
             depends_on if isinstance(depends_on, (set, frozenset)) else set(depends_on)
         )
@@ -382,7 +391,7 @@ class TaskGraph:
                 instance.state = TaskState.DONE
                 self._terminal_count += 1
                 if not any(dep in tasks for dep in deps):
-                    self.forget(tid)
+                    self._drop(tid)
             return
         if poisoned:
             instance.state = TaskState.CANCELLED
@@ -570,11 +579,18 @@ class TaskGraph:
         or below the highest forgotten id, which reads as DONE (any other
         absent id is unknown).  A barrier completed in the same cascade has
         nobody else to let it go.  Only the real runtime forgets, and never
-        a FAILED or CANCELLED node: those poison later readers.
+        a FAILED or CANCELLED node: those poison later readers.  From then
+        on ``add_task`` refuses an id at or below the highest forgotten one:
+        ids are minted in program order, so such an id is a reuse.
         """
         state = self.task(task_id).state
         if state is not TaskState.DONE:
             raise GraphError(f"task {task_id} is {state.value}, cannot forget it")
+        self._drop(task_id)
+        self._reuse_high = self._forgotten_high
+
+    def _drop(self, task_id: int) -> None:
+        """Remove DONE ``task_id`` and the DONE barriers it completed."""
         tasks = self._tasks
         stack = [task_id]
         while stack:

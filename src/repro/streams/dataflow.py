@@ -15,7 +15,7 @@ runtime (§I, §III — one environment for batch tasks and continuous data):
   tasks ride the *same* placement, locality, and content-addressing
   machinery as batch tasks: their input datum is registered at the ingest
   node (stage-in is priced by the network model), their ``cache_key`` is a
-  deterministic content identity (:func:`repro.core.compile.stream_task_key`),
+  deterministic content identity (:func:`stream_task_key`),
   and batch stages depend on window tasks through ordinary DAG edges.
 * **Incremental accounting** — window buffers are built at ingestion time
   (seeded from :meth:`DataStream.since_columns`' bisection for elements
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.compile import stream_task_key
 from repro.core.graph import SimProfile, TaskInstance
+from repro.storage.interface import content_fingerprint
 from repro.streams.operators import (
     BatchNode,
     JoinNode,
@@ -46,6 +46,33 @@ from repro.streams.stream import DataStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor layer)
     from repro.executor.simulated import SimulatedExecutor
+
+
+def stream_task_key(
+    operator: str,
+    window_index: int,
+    window_start: float,
+    window_end: float,
+    payload: Any,
+) -> str:
+    """Deterministic identity of one lowered stream-window task.
+
+    The dataflow plane stamps every window task's ``cache_key`` with this:
+    a content digest over the operator, the window's position on the grid,
+    and the window's element payload.  Two windows with identical contents
+    — across engines, runs, or replayed campaigns — therefore carry the
+    same identity, which is what lets stream tasks ride the same
+    content-addressing machinery as batch tasks (and what the cross-engine
+    byte-identity checks compare).
+    """
+    _size, key = content_fingerprint(
+        ("repro-stream/v1", operator, window_index, window_start, window_end, payload)
+    )
+    if key is None:
+        # Unpicklable window payloads opt out of content identity but keep
+        # a stable positional one.
+        return f"stream-opaque/{operator}/{window_index}"
+    return key
 
 
 @dataclass(frozen=True)
@@ -175,9 +202,7 @@ class DataflowPlane:
         executor = self.executor
         executor.hold_open = True
         executor.on_task_done(self._on_task_done)
-        self._next_task_id = (
-            max((t.task_id for t in executor.graph.tasks), default=-1) + 1
-        )
+        self._next_task_id = executor.graph.highest_id + 1
         owners: Dict[int, _WindowRuntime] = {}
         for op in self.operators.window_nodes:
             if isinstance(op, BatchNode):

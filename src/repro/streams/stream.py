@@ -30,7 +30,7 @@ class StreamElement(NamedTuple):
 
     The plane applies ``map``/``filter`` to a run's value column, not element
     by element: they must be pure per element — which
-    :func:`repro.core.compile.stream_task_key` content keys already require.
+    :func:`repro.streams.dataflow.stream_task_key` content keys already require.
     """
 
     timestamp: float

@@ -35,6 +35,36 @@ class TestGraphConstruction:
         with pytest.raises(GraphError):
             graph.add_task(make_task(1))
 
+    def test_forgotten_id_rejected(self):
+        """A forgotten id reads as DONE through ``admitted``: adding it again
+        would make that answer ambiguous, so it is a duplicate."""
+        graph = TaskGraph()
+        for tid in range(3):
+            graph.add_task(make_task(tid))
+            graph.mark_running(tid, "n0")
+            graph.mark_done(tid)
+        graph.forget(2)
+        for tid in range(3):
+            with pytest.raises(GraphError, match="duplicate"):
+                graph.add_task(make_task(tid))
+        assert graph.highest_id == 2 and graph.admitted(2) and 2 not in graph
+        graph.add_task(make_task(3))
+        assert graph.task(3).state is TaskState.READY and graph.highest_id == 3
+
+    def test_reader_added_after_a_barrier_forgotten_at_birth(self):
+        """A WAR barrier takes an id after the reader whose submission
+        flushed it and is added first; born DONE over forgotten readers, it
+        is forgotten at once, and the reader's lower id is still new."""
+        graph = TaskGraph()
+        graph.add_task(make_task(1))
+        graph.mark_running(1, "n0")
+        graph.mark_done(1)
+        graph.forget(1)
+        graph.add_task(TaskInstance(task_id=3, label="barrier", is_barrier=True), {1})
+        assert 3 not in graph and graph.admitted(3)
+        graph.add_task(make_task(2))
+        assert graph.task(2).state is TaskState.READY and graph.highest_id == 3
+
     def test_unknown_dependency_rejected(self):
         graph = TaskGraph()
         with pytest.raises(GraphError):

@@ -1,11 +1,14 @@
 """What importing ``repro`` loads, and what a timed region may still load.
 
-Subpackages export their names lazily (PEP 562, ``repro._export_lazily``):
-``from repro import task`` loads the programming model — ``repro.core`` and
-the few scheduling / infrastructure / storage modules it stands on — and
-nothing of the continuum simulator.  Every check runs in a fresh
-interpreter (``sys.executable`` with ``PYTHONPATH=src``), because the test
-process has long since imported everything.
+``repro`` and every subpackage export their names lazily (PEP 562,
+``repro._export_lazily``): ``import repro`` loads ``repro`` alone,
+``from repro import task`` loads the task model without the runtime,
+``from repro import Runtime`` loads the programming model — ``repro.core``
+and the few scheduling / infrastructure / storage modules it stands on —
+and nothing of the continuum simulator, and a simulated workload loads
+nothing of the real runtime.  Every check runs in a fresh interpreter
+(``sys.executable`` with ``PYTHONPATH=src``), because the test process has
+long since imported everything.
 """
 
 import json
@@ -19,9 +22,27 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Every subpackage's ``__all__``, in order, as it was when the subpackages
-#: still imported their submodules eagerly, less the names deleted since.
+#: The ``__all__`` of ``repro`` and of every subpackage, in order, as it was
+#: when they still imported their submodules eagerly, less the names deleted
+#: since.
 EXPORTS = {
+    "repro": [
+        "IN", "OUT", "INOUT", "FILE_IN", "FILE_OUT", "FILE_INOUT", "Direction",
+        "Parameter", "Future", "ReproError", "TaskFailedError",
+        "RuntimeNotStartedError", "ConstraintUnsatisfiableError",
+        "ResourceConstraints", "constraint", "task", "Runtime", "compss_wait_on",
+        "compss_barrier", "compss_open", "compss_delete_object", "start_runtime",
+        "stop_runtime", "get_runtime", "__version__",
+    ],
+    "core": [
+        "Direction", "Parameter", "IN", "OUT", "INOUT", "FILE_IN", "FILE_OUT",
+        "FILE_INOUT", "Future", "ReproError", "TaskFailedError",
+        "RuntimeNotStartedError", "ConstraintUnsatisfiableError",
+        "ResourceConstraints", "constraint", "task", "TaskDefinition", "TaskGraph",
+        "TaskInstance", "TaskState", "Runtime", "compss_wait_on", "compss_barrier",
+        "compss_open", "compss_delete_object", "start_runtime", "stop_runtime",
+        "get_runtime",
+    ],
     "infrastructure": [
         "Node", "NodeKind", "PowerProfile", "GpuSpec", "NetworkTopology", "Link",
         "EnergyAccountant", "Platform", "make_hpc_cluster", "make_fog_platform",
@@ -93,11 +114,60 @@ def _fresh(code):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_import_repro_loads_the_programming_model_only():
+#: The real runtime's own modules: no simulated workload may load them.
+REAL_RUNTIME = [
+    "repro.core.runtime", "repro.core.access_processor", "repro.core.compile",
+    "repro.core.task_definition", "repro.executor.local",
+]
+
+#: The ``perf/`` workload modules that drive the simulator, not ``Runtime``.
+SIMULATED = ["guidance", "continuum_dag", "stream", "storage_mixed", "churn", "zonal"]
+
+
+def test_import_repro_loads_repro_alone():
     loaded = _fresh(
         """
         import json, sys
         import repro
+        print(json.dumps(sorted(sys.modules)))
+        """
+    )
+    assert [name for name in loaded if name.split(".")[0] == "repro"] == ["repro"]
+
+
+def test_task_loads_neither_the_runtime_nor_futures():
+    loaded = _fresh(
+        """
+        import json, sys
+        from repro import task
+        print(json.dumps(sorted(sys.modules)))
+        """
+    )
+    assert "repro.core.task_definition" in loaded
+    assert "repro.core.runtime" not in loaded
+    assert "concurrent.futures" not in loaded
+
+
+@pytest.mark.parametrize("workload", SIMULATED)
+def test_simulated_workload_loads_no_real_runtime(workload):
+    loaded = _fresh(
+        f"""
+        import json, sys
+        sys.path.insert(0, ".")
+        import perf.workloads.{workload}
+        print(json.dumps(sorted(sys.modules)))
+        """
+    )
+    assert [name for name in REAL_RUNTIME if name in loaded] == []
+
+
+def test_import_repro_loads_the_programming_model_only():
+    """``from repro import Runtime``: the whole programming model, and
+    nothing of the continuum simulator."""
+    loaded = _fresh(
+        """
+        import json, sys
+        from repro import Runtime
         print(json.dumps(sorted(sys.modules)))
         """
     )
@@ -120,15 +190,15 @@ def test_import_repro_loads_the_programming_model_only():
 
 
 def test_first_runtime_imports_nothing():
-    """The runtime's executor is imported with ``repro``, not inside the
+    """The runtime's executor is imported with ``Runtime``, not inside the
     first ``Runtime()``: constructing, starting and stopping one adds no
     module."""
     added = _fresh(
         """
         import json, sys
-        import repro
+        from repro import Runtime
         before = set(sys.modules)
-        runtime = repro.Runtime(workers=1)
+        runtime = Runtime(workers=1)
         runtime.start()
         runtime.stop()
         print(json.dumps(sorted(set(sys.modules) - before)))
@@ -139,12 +209,13 @@ def test_first_runtime_imports_nothing():
 
 @pytest.mark.parametrize("package", sorted(EXPORTS))
 def test_exports_are_unchanged_and_resolve(package):
+    module = "repro" if package == "repro" else f"repro.{package}"
     seen = _fresh(
         f"""
         import json, types
         namespace = {{}}
-        exec("from repro.{package} import *", namespace)
-        import repro.{package} as package
+        exec("from {module} import *", namespace)
+        import {module} as package
         values = [getattr(package, name) for name in package.__all__]
         print(json.dumps({{
             "all": package.__all__,
