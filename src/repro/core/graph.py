@@ -229,10 +229,11 @@ class TaskGraph:
         self._tasks: Dict[int, TaskInstance] = {}
         # A node's successors, from its first one on (most of a wide
         # workflow's nodes are sinks): the lone successor's id until a
-        # second arrives, then the set ``{first, second}`` — built in that
-        # order, so its table and iteration order are those of ``{first}``
-        # plus ``.add(second)``.  Read them through ``_successor_ids``.
-        self._successors: Dict[int, Union[int, Set[int]]] = {}
+        # second arrives, then a list of ids in arrival order.  Read them
+        # through ``_successor_ids``: ``set()`` of the list adds the ids one
+        # by one, the insertion order and resize points of the set the list
+        # replaced, so the walks visit successors in that set's order.
+        self._successors: Dict[int, Union[int, List[int]]] = {}
         self._predecessors: Dict[int, Tuple[int, ...]] = {}
         self._unfinished_preds: Dict[int, int] = {}
         # Ready queue: linked list in enqueue order + task_id -> node index.
@@ -303,7 +304,7 @@ class TaskGraph:
 
     def _successor_ids(self, task_id: int) -> Iterable[int]:
         dependants = self._successors.get(task_id, ())
-        return (dependants,) if dependants.__class__ is int else dependants
+        return (dependants,) if dependants.__class__ is int else set(dependants)
 
     # ---------------------------------------------------------- ready queue
 
@@ -372,9 +373,9 @@ class TaskGraph:
             if dependants is None:
                 successors[dep] = tid
             elif dependants.__class__ is int:
-                successors[dep] = {dependants, tid}
+                successors[dep] = [dependants, tid]
             else:
-                dependants.add(tid)
+                dependants.append(tid)
             dep_state = node.state
             if dep_state in (TaskState.FAILED, TaskState.CANCELLED):
                 poisoned = True

@@ -11,7 +11,8 @@ Placement is the hot consumer, so beyond the forward datum->holders map
 (holders kept in publication order, so everything derived from them is
 independent of the process's hash seed) the service maintains:
 
-* an inverted node->data index (evicting a failed node touches only the
+* an inverted node->data index, each node's datum ids listed in the
+  order it came to hold them (evicting a failed node touches only the
   data it held, not every datum ever registered);
 * per-digest locality score maps — ``local_bytes_map`` returns, for one
   input tuple, every node's locally-held byte total, updated incrementally
@@ -57,8 +58,9 @@ class DataLocationService:
         # replace it: publishing appends, eviction filters.
         self._locations: Dict[str, Tuple[str, ...]] = {}
         self._sizes: Dict[str, float] = {}
-        # Inverted index: node name -> datum ids it currently holds.
-        self._node_data: Dict[str, Set[str]] = {}
+        # Inverted index: node name -> datum ids it currently holds, each
+        # once, in the order it became their holder.
+        self._node_data: Dict[str, List[str]] = {}
         # Data whose every copy was evicted (the is_lost() predicate),
         # counted so failure-free hot paths can skip per-task lost checks.
         self._lost_count = 0
@@ -95,8 +97,8 @@ class DataLocationService:
             self._locations[datum_id] = holders + (node_name,)
             data = self._node_data.get(node_name)
             if data is None:
-                data = self._node_data[node_name] = set()
-            data.add(datum_id)
+                data = self._node_data[node_name] = []
+            data.append(datum_id)
         digests = self._datum_digests.get(datum_id)
         if digests:
             size = self._sizes.get(datum_id, 0.0)
@@ -116,6 +118,7 @@ class DataLocationService:
         """Drop every copy held by a node (node failure / scale-in).
 
         O(data held by the node) via the inverted index, not O(all data).
+        The walk's order shows only in the evicted node's own scores.
         """
         data = self._node_data.pop(node_name, None)
         if not data:
@@ -149,15 +152,16 @@ class DataLocationService:
         per datum, reusing the same bookkeeping as ``publish``/
         ``evict_node``.  Returns the number of data re-homed.
 
-        Iterates in sorted datum order so repeated runs accumulate digest
-        score floats identically (set iteration order is seed-dependent).
+        Iterates in sorted datum order, not the index's arrival order: the
+        target's digest scores sum the moved sizes in walk order, and the
+        pinned digests were computed with sorted order's float sums.
         """
         data = self._node_data.pop(dead_node, None)
         if not data:
             return 0
         target_data = self._node_data.get(target_node)
         if target_data is None:
-            target_data = self._node_data[target_node] = set()
+            target_data = self._node_data[target_node] = []
         moved = 0
         for datum_id in sorted(data):
             holders = self._locations.get(datum_id)
@@ -168,8 +172,8 @@ class DataLocationService:
             already_there = target_node in holders
             if not already_there:
                 holders += (target_node,)
+                target_data.append(datum_id)
             self._locations[datum_id] = holders
-            target_data.add(datum_id)
             moved += 1
             digests = self._datum_digests.get(datum_id)
             if digests:

@@ -27,6 +27,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -573,7 +574,9 @@ _holder_mutations = st.one_of(
 
 class TestHolderOrderUnderMutation:
     """Holders are a tuple replaced on every change; the model is the
-    str -> None dict they used to be, mutated in place."""
+    str -> None dict they used to be, mutated in place.  The node index is
+    modelled the same way: node -> {datum: None} in the order it became a
+    holder, re-homed data arriving in sorted order."""
 
     @given(
         orders=st.lists(
@@ -588,7 +591,7 @@ class TestHolderOrderUnderMutation:
         locations = DataLocationService()
         digest = _HOLDER_DATA + [_HOLDER_DATA[0]]  # one member counted twice
         locations.local_bytes_map(digest)
-        model, sizes = {}, {}
+        model, node_model, sizes = {}, {}, {}
         # Every datum starts on every node, published in a drawn order.
         initial = [
             ("publish", datum, node, 4096)
@@ -601,12 +604,14 @@ class TestHolderOrderUnderMutation:
                 _kind, datum, node, size = op
                 locations.publish(datum, node, size_bytes=size)
                 model.setdefault(datum, {})[node] = None
+                node_model.setdefault(node, {})[datum] = None
                 if size:
                     sizes[datum] = float(size)
             elif kind == "evict":
                 locations.evict_node(op[1])
                 for holders in model.values():
                     holders.pop(op[1], None)
+                node_model.pop(op[1], None)
             elif op[1] != op[2]:  # a re-homing onto another node
                 _kind, dead, target = op
                 locations.rehome_node(dead, target)
@@ -614,6 +619,11 @@ class TestHolderOrderUnderMutation:
                     if dead in holders:
                         del holders[dead]
                         holders[target] = None
+                for datum in sorted(node_model.pop(dead, ())):
+                    node_model.setdefault(target, {})[datum] = None
+            for node in _HOLDER_NODES:
+                index = locations._node_data.get(node, [])
+                assert index == list(node_model.get(node, ()))  # each datum once
             for datum in _HOLDER_DATA:
                 holders = tuple(model.get(datum, ()))
                 assert locations.holders_of(datum) == holders
@@ -636,6 +646,23 @@ class TestHolderOrderUnderMutation:
         assert locations.holders_of("d") == ("target", "other")
         locations.rehome_node("other", "late")
         assert locations.holders_of("d") == ("target", "late")
+
+    @pytest.mark.parametrize("others", [(), ("other",)])
+    def test_rehoming_onto_a_holder_then_evicting_it_lists_the_datum_once(
+        self, others
+    ):
+        locations = DataLocationService()
+        for node in ("target",) + others + ("dead",):
+            locations.publish("d", node, size_bytes=10)
+        locations.publish("e", "dead", size_bytes=10)
+        assert locations.rehome_node("dead", "target") == 2
+        assert locations._node_data["target"] == ["d", "e"]  # "d" once
+        locations.evict_node("target")
+        assert "target" not in locations._node_data
+        assert locations.holders_of("d") == others
+        assert locations.is_lost("d") == (not others)
+        assert locations.is_lost("e")
+        assert locations.has_lost_data
 
 
 _HASH_SEED_PROGRAM = """

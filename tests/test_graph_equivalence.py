@@ -10,10 +10,11 @@ add/start/done/fail/requeue programs against both and asserts identical
 ready order, counters and ``finished`` after every single step, plus the
 order of ``mark_done``'s newly-ready list, of ``mark_failed``'s cancelled
 cone and of every ``successors()`` set.  The optimized graph keeps a lone
-successor as its bare id and builds the set on the second; the model keeps
-a set from the start.  Successor ids that collide in a set table land
-where the build order puts them, so any drift in that order shows up as a
-different order here.
+successor as its bare id and a list of ids in arrival order from the
+second on, read as a set built from that list; the model keeps a set from
+the start.  Successor ids that collide in a set table land where the build
+order puts them, so any drift in that order shows up as a different order
+here.
 
 Also here: regression coverage for ``dispatch_window`` head-of-line
 semantics, which must survive the indexed-queue rewrite.
@@ -239,7 +240,8 @@ class TestOptimizedGraphMatchesNaiveReference:
     def test_second_successor_builds_the_set_in_arrival_order(
         self, successors, set_order
     ):
-        # The lone id must become exactly the set {first} + .add(second).
+        # The lone id and then the list must read as exactly the set
+        # {first} + .add(second).
         for fail in (False, True):
             optimized, naive = TaskGraph(), NaiveTaskGraph()
             for graph in (optimized, naive):
@@ -251,6 +253,34 @@ class TestOptimizedGraphMatchesNaiveReference:
                 cancelled = optimized.mark_failed(10, RuntimeError("boom"))
                 assert cancelled == naive.mark_failed(10, RuntimeError("boom"))
                 assert cancelled == set_order[::-1]  # popped from the tail
+            else:
+                newly_ready = [t.task_id for t in optimized.mark_done(10)]
+                assert newly_ready == naive.mark_done(10) == set_order
+                assert [t.task_id for t in optimized.ready_tasks()] == set_order
+            check_agreement(optimized, naive)
+
+    @pytest.mark.parametrize("fan_out", [5, 8, 19])
+    def test_successor_order_survives_the_set_table_resizes(self, fan_out):
+        # Ids 10 + 8k all hash to one slot of the first 8-slot table; the
+        # 5th successor grows the table to 32 and the 19th to 128, and
+        # ids re-collide at each size.  The graph stores them as a list in
+        # arrival order, so only a set built by adding them one by one, as
+        # the model does, lands each id where the model has it.
+        successors = tuple(10 + 8 * k for k in range(1, fan_out + 1))
+        for fail in (False, True):
+            optimized, naive = TaskGraph(), NaiveTaskGraph()
+            for graph in (optimized, naive):
+                _fan_out(graph, 10, successors)
+                graph.mark_running(10, "n")
+            # The walks visit the model's own set; a copy of it, which is
+            # what successors() returns, may be laid out in a smaller table.
+            set_order = list(naive._successors[10])
+            assert set_order != list(successors)  # the walk order is the set's
+            assert list(optimized.successors(10)) == list(naive.successors(10))
+            if fail:
+                cancelled = optimized.mark_failed(10, RuntimeError("boom"))
+                assert cancelled == naive.mark_failed(10, RuntimeError("boom"))
+                assert cancelled == set_order[::-1]
             else:
                 newly_ready = [t.task_id for t in optimized.mark_done(10)]
                 assert newly_ready == naive.mark_done(10) == set_order

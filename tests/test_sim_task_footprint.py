@@ -105,7 +105,8 @@ class TestFootprint:
         finished = _tracked()
         assert report.tasks_done == tasks == 2000
         # Described: TaskInstance, SimProfile, Datum, its reader list, a
-        # successor set (every task here has about FAN_IN successors): 4.9.
+        # successor list (every task here has about FAN_IN successors; a
+        # list is GC-tracked as the set it replaced was): 4.9.
         # Run: nothing per task — a datum's holders are an all-str tuple,
         # assigned_nodes another, a transfer two counters; the run frees a
         # little (-0.05).  9.9 and 4.9 before E18: 2.9 TransferRecords, a
@@ -138,8 +139,8 @@ class TestFootprint:
         tasks = workload.task_count
         assert report.tasks_done == tasks and 1900 <= tasks <= 2100
         del workload
-        # No successor set: a GUIDANCE task has at most one successor, kept
-        # as its id.  4.9 on 3.11, 5.1 on 3.9; 6.1 before E28, 9.7 before
+        # No successor list: a GUIDANCE task has at most one successor,
+        # kept as its id.  4.9 on 3.11, 5.1 on 3.9; 6.1 before E28, 9.7 before
         # E18.  The run frees 0.24 per task (3.0 created before E18).
         assert (finished - before) / tasks <= 5.5
         assert (finished - built) / tasks <= 0.0
@@ -178,6 +179,37 @@ class TestFootprint:
         # the 3.9 figures plus about 5 and 9 %.
         assert per_task <= 1500.0, per_task
         assert per_task_run <= 400.0, per_task_run
+
+
+    def test_layered_bytes_per_task_described_and_run(self):
+        platform = make_fog_platform(8, 24, 8, fog_battery_joules=None)
+        tracemalloc.start()
+        try:
+            before = _traced_bytes()
+            builder = SimWorkflowBuilder()
+            tasks = _layered_dag(builder)
+            described = _traced_bytes()
+            locations = DataLocationService()
+            executor = SimulatedExecutor(
+                builder.graph,
+                platform,
+                policy=EarliestFinishTimePolicy(locations, platform.network),
+                locations=locations,
+            )
+            report = executor.run()
+            finished = _traced_bytes()
+        finally:
+            tracemalloc.stop()
+        assert report.tasks_done == tasks
+        per_task = (described - before) / tasks
+        per_task_run = (finished - described) / tasks
+        # Described: 1,452 B on 3.11, 1,518 B on 3.9 (1,719 / 1,785 B
+        # before E49: a successor set where a list of about FAN_IN ids now
+        # is).  Run: 284 / 329 B (389 / 434 B before E49: a set per node of
+        # the data it holds, now a list).  Bounds are the 3.9 figures plus
+        # about 4 and 5 %.
+        assert per_task <= 1580.0, per_task
+        assert per_task_run <= 345.0, per_task_run
 
 
 class TestSlottedEvent:
