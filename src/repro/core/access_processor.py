@@ -15,9 +15,8 @@ For every task invocation the AP:
    futures inside one level of list/tuple are also tracked — PyCOMPSs
    collections);
 3. registers each access with the :class:`~repro.core.data.DependencyTracker`,
-   which owns the RAW / WAW / WAR rule and the WAR fan-in barriers (the rule
-   is written once, in :mod:`repro.core.data`, and shared with the simulated
-   workflow builder);
+   which owns the RAW / WAW / WAR rule (written once, in
+   :mod:`repro.core.data`, and shared with the simulated workflow builder);
 4. mints result datums and futures for declared return values;
 5. emits a :class:`TaskInstance` carrying the dependency set, the call's
    payload — one argument value per parameter, in the plan's order, futures
@@ -36,12 +35,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import ResolvedRequirements
-from repro.core.data import (
-    WAR_FANIN_BARRIER_THRESHOLD,
-    DataRegistry,
-    Datum,
-    DependencyTracker,
-)
+from repro.core.data import DataRegistry, Datum, DependencyTracker
 from repro.core.futures import Future
 from repro.core.graph import TaskInstance
 from repro.core.parameter import IN, Direction, Parameter
@@ -83,10 +77,10 @@ class AccessProcessor:
 
     Args:
         registry: shared datum registry (fresh one by default).
-        graph: when provided, wide WAR fan-in is collapsed into structural
-            barrier nodes added directly to this graph.  Without a graph the
-            AP falls back to exact per-reader dependencies (the naive O(R)
-            derivation) — semantically identical, just slower on hot data.
+        graph: the graph the AP's tasks go to, when it forgets settled
+            tasks (the real runtime's): the readers it has forgotten are
+            swept out of a long reader list.  The dependencies are the same
+            without one.
     """
 
     def __init__(
@@ -96,7 +90,7 @@ class AccessProcessor:
     ) -> None:
         self.registry = registry if registry is not None else DataRegistry()
         self._task_ids = itertools.count(1)
-        self._tracker = DependencyTracker(graph, self._task_ids)
+        self._tracker = DependencyTracker(graph)
 
     # ------------------------------------------------------------------ API
 
@@ -211,7 +205,7 @@ class AccessProcessor:
         else:
             datum = self.registry.register_object(value)
         if direction.reads:
-            self._tracker.read(datum, task_id, deps, not direction.writes)
+            self._tracker.read(datum, task_id, deps)
             reads.append(datum.datum_id)
         if direction.writes:
             self._tracker.write(datum, task_id, deps)

@@ -20,54 +20,44 @@ name their data and keep them in a plain dict.  Either way a datum is one
 * a **read** depends on the writer of the version it reads (RAW);
 * a **write** depends on that writer *and* on every reader of that version
   (WAW + WAR — required because objects are mutated in place), then starts
-  the next version.  This is the renaming scheme COMPSs applies;
-* **WAR fan-in barriers** — a datum read by thousands of tasks and then
-  written (the GUIDANCE 120k-file shape) would naively give the writer
-  O(readers) dependencies.  With a graph attached, every ``threshold``
-  readers are flushed into a chained structural barrier node, so each read
-  stays O(1) amortized and the writer depends on one barrier plus a bounded
-  tail instead of every reader.
+  the next version.  This is the renaming scheme COMPSs applies.
 
 Only the current version can gain readers or be superseded, so a write
 resets the record in place: nothing a dependency is derived from lives in an
 older version, and a datum rewritten N times costs one record, not N + 1.
+On the real runtime, whose graph forgets settled tasks, a datum read for
+ever (and never written) would otherwise keep every reader's id: ``read``
+sweeps out the forgotten ones as the reader list doubles.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
-
-from repro.core.graph import make_barrier_instance
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:
     from repro.core.graph import TaskGraph
 
-#: Readers accumulated on one version before they are collapsed behind a
-#: structural barrier node.  Bounds every writer's WAR dependency set at
-#: threshold + 2 (tail + previous barrier + previous writer) regardless of
-#: fan-in width.
-WAR_FANIN_BARRIER_THRESHOLD = 64
+#: The shortest reader list that ``read`` sweeps; from there it sweeps at
+#: every power of two.
+SWEEP_FLOOR = 64
 
-#: The reader tail of every version nobody has read yet.
+#: The reader list of every version nobody has read yet.
 _NO_READERS: Sequence[int] = ()
 
 
 class Datum:
     """Everything tracked about one datum: the state of its current version.
 
-    ``readers`` holds only the readers registered since the last WAR barrier
-    was flushed for this version (the *tail*); earlier readers are collapsed
-    behind ``barrier``, so a write never walks more than one tail of bounded
-    length.  Slotted, and the tail costs what it holds: there is one record
+    Slotted, and the reader list costs what it holds: there is one record
     per datum across million-task runs, most versions are never read, and
-    most of the rest are read once.  So the tail is the shared empty tuple,
-    then a lone reader's id, and a list only from the second reader on;
-    read it through :func:`reader_ids`.
+    most of the rest are read once.  So ``readers`` is the shared empty
+    tuple, then a lone reader's id, and a list only from the second reader
+    on; read it through :func:`reader_ids`.
     """
 
-    __slots__ = ("datum_id", "version", "writer", "readers", "barrier", "size_bytes")
+    __slots__ = ("datum_id", "version", "writer", "readers", "size_bytes")
 
     def __init__(
         self,
@@ -80,8 +70,6 @@ class Datum:
         self.version = version
         self.writer = writer
         self.readers: Union[int, Sequence[int]] = _NO_READERS
-        # Last flushed WAR fan-in barrier covering readers before the tail.
-        self.barrier: Optional[int] = None
         # What a simulated transfer of the datum moves; unused on the real side.
         self.size_bytes = size_bytes
 
@@ -90,7 +78,7 @@ class Datum:
 
 
 def reader_ids(datum: Datum) -> Sequence[int]:
-    """The ids in a datum's reader tail, in registration order."""
+    """The ids of a datum's current readers, in registration order."""
     readers = datum.readers
     return (readers,) if readers.__class__ is int else readers
 
@@ -99,33 +87,19 @@ class DependencyTracker:
     """The rule: which earlier tasks a data access must wait for.
 
     Args:
-        graph: where fan-in barriers are added.  Without one the tracker
-            derives exact per-reader dependencies (the naive O(R) rule) —
-            semantically identical, just slower on hot data.
-        ids: the caller's task-id counter; barriers take their ids from it
-            so every edge keeps pointing from an earlier id to a later one.
+        graph: the graph that forgets settled tasks (the real runtime's),
+            whose forgotten readers ``read`` sweeps out of a long reader
+            list.  None where nothing is forgotten (the simulator): no
+            sweep then, and the dependencies are the same.
     """
 
-    __slots__ = ("graph", "ids", "threshold")
+    __slots__ = ("graph",)
 
-    def __init__(self, graph: Optional["TaskGraph"], ids: Iterator[int]) -> None:
+    def __init__(self, graph: Optional["TaskGraph"] = None) -> None:
         self.graph = graph
-        self.ids = ids
-        #: Tail length that triggers a barrier flush.
-        self.threshold = WAR_FANIN_BARRIER_THRESHOLD
 
-    def read(
-        self, datum: Datum, task_id: int, deps: Set[int], may_flush: bool = True
-    ) -> None:
-        """Register a read of the current version; adds the RAW edge.
-
-        A full tail is flushed into a barrier *before* this reader joins it:
-        the flushed readers are all in the graph already, this task is not.
-        ``may_flush`` is False when the task also rewrites the datum — the
-        barrier's id would postdate the task's own, and its write would then
-        depend on a later id (unrepresentable); the write consumes the
-        still-bounded tail directly instead.
-        """
+    def read(self, datum: Datum, task_id: int, deps: Set[int]) -> None:
+        """Register a read of the current version; adds the RAW edge."""
         writer = datum.writer
         if writer is not None and writer != task_id:
             deps.add(writer)
@@ -135,44 +109,38 @@ class DependencyTracker:
             return
         if readers.__class__ is int:
             readers = datum.readers = [readers]
-        if len(readers) >= self.threshold and may_flush and self.graph is not None:
-            self._flush(datum)
+        elif self.graph is not None:
+            count = len(readers)
+            if count >= SWEEP_FLOOR and not count & (count - 1):
+                self._sweep(readers)
         readers.append(task_id)
 
     def write(self, datum: Datum, task_id: int, deps: Set[int]) -> None:
-        """Register a write: WAW on the writer, WAR on the barrier and the
-        tail (in-place mutation forbids reordering around either), then the
-        record starts the next version."""
+        """Register a write: WAW on the writer, WAR on every reader still
+        listed (in-place mutation forbids reordering around either), then
+        the record starts the next version."""
         if datum.writer is not None:
             deps.add(datum.writer)
-        if datum.barrier is not None:
-            deps.add(datum.barrier)
         deps.update(reader_ids(datum))
         deps.discard(task_id)
         datum.version += 1
         datum.writer = task_id
         datum.readers = _NO_READERS
-        datum.barrier = None
 
-    def _flush(self, datum: Datum) -> None:
-        """Collapse the datum's reader tail behind one structural node.
+    def _sweep(self, readers: List[int]) -> None:
+        """Drop the readers the graph has forgotten, when they are at least
+        half of the list.
 
-        Chaining (the new barrier depends on the previous one) keeps every
-        graph edge pointing from an earlier-minted id to a later one, so the
-        DAG's program-order invariant survives without any special casing.
+        A forgotten reader is DONE, so a later write needs no edge to it; a
+        FAILED one is never forgotten and stays to cancel that write.  The
+        half rule keeps a read O(1) amortized: a sweep of L ids either
+        removes L / 2 of them, or leaves the list to grow to 2L before the
+        next, so its cost is paid by ids removed or by the L reads to come.
         """
-        barrier_id = next(self.ids)
-        barrier_deps: Set[int] = set(datum.readers)
-        if datum.barrier is not None:
-            barrier_deps.add(datum.barrier)
-        self.graph.add_task(
-            make_barrier_instance(
-                barrier_id, f"war-barrier/{datum.datum_id}#v{datum.version}"
-            ),
-            barrier_deps,
-        )
-        datum.barrier = barrier_id
-        datum.readers.clear()
+        forgotten = self.graph.forgotten
+        held = [tid for tid in readers if not forgotten(tid)]
+        if 2 * len(held) <= len(readers):
+            readers[:] = held
 
 
 class DataRegistry:

@@ -122,7 +122,6 @@ class TaskInstance:
         "error",
         "attempts",
         "cache_key",
-        "is_barrier",
     )
 
     def __init__(
@@ -136,7 +135,6 @@ class TaskInstance:
         writes: Iterable[str] = (),
         profile: Optional[SimProfile] = None,
         cache_key: Optional[str] = None,
-        is_barrier: bool = False,
     ) -> None:
         self.task_id = task_id
         self.label = label
@@ -168,9 +166,6 @@ class TaskInstance:
         self.attempts = 0
         # Content hash for memoizable invocations (set by the runtime).
         self.cache_key = cache_key
-        # Structural WAR fan-in collapse node (never scheduled or executed;
-        # completes inside the graph when its predecessors finish).
-        self.is_barrier = is_barrier
 
     @property
     def duration(self) -> Optional[float]:
@@ -180,11 +175,6 @@ class TaskInstance:
 
     def __repr__(self) -> str:
         return f"TaskInstance({self.task_id}, {self.label!r}, {self.state.value})"
-
-
-def make_barrier_instance(task_id: int, label: str) -> TaskInstance:
-    """A structural barrier node: zero-cost, never enters the ready queue."""
-    return TaskInstance(task_id=task_id, label=label, is_barrier=True)
 
 
 class GraphError(RuntimeError):
@@ -212,14 +202,6 @@ class TaskGraph:
     list indexed by task id, so enqueue/dequeue never pay ``list.remove``
     scans and iteration touches only live entries — a dispatch loop can
     inspect a bounded window of a huge queue and stop.
-
-    Barrier nodes (``instance.is_barrier``) are structural: the Access
-    Processor inserts them to collapse wide WAR fan-in (thousands of readers
-    of one datum followed by a write) into O(1) edges on the writer.  They
-    never enter the ready queue, are never scheduled, and complete inside
-    ``mark_done`` the instant their last predecessor finishes.  The public
-    task counters (``completed_count`` etc.) exclude them; ``finished``
-    accounts for every node, barrier or not.
 
     A DONE node may be forgotten (:meth:`forget`); every count is a counter,
     so forgetting moves none of them.
@@ -253,21 +235,15 @@ class TaskGraph:
         self.cancelled_count = 0
         self._pending_count = 0
         self._running_count = 0
-        # Nodes of ANY kind (tasks + barriers) ever added, and those that
-        # reached a terminal state: `finished` is the O(1) comparison of the
-        # two, and neither moves when a DONE node is forgotten.
+        # Tasks ever added, and those that reached a terminal state:
+        # `finished` is the O(1) comparison of the two, and neither moves
+        # when a DONE task is forgotten.
         self._node_count = 0
         self._terminal_count = 0
-        self.barrier_count = 0
         # The highest id forgotten so far (-1: none; ids are non-negative):
         # an absent id at or below it was DONE, because ids are minted in
-        # program order and only DONE nodes leave.
+        # program order and only DONE tasks leave; adding it again is a reuse.
         self._forgotten_high = -1
-        # The same bound as of the last ``forget`` call: an id at or below it
-        # was added before, so adding it again is a reuse.  A barrier that
-        # ``add_task`` forgets at birth does not move it: the reader whose
-        # submission flushed that barrier has a lower id and is added next.
-        self._reuse_high = -1
         #: The highest id ever added (-1: none), forgotten or not.
         self.highest_id = -1
 
@@ -290,6 +266,10 @@ class TaskGraph:
     def admitted(self, task_id: int) -> bool:
         """Whether ``task_id`` was ever added: held, or DONE and forgotten."""
         return task_id in self._tasks or task_id <= self._forgotten_high
+
+    def forgotten(self, task_id: int) -> bool:
+        """Whether ``task_id`` was added and has since been forgotten (DONE)."""
+        return task_id <= self._forgotten_high and task_id not in self._tasks
 
     @property
     def tasks(self) -> List[TaskInstance]:
@@ -338,13 +318,11 @@ class TaskGraph:
 
         Dependencies on already-finished tasks are counted as satisfied —
         forgotten ones too; a dependency on a FAILED/CANCELLED ancestor
-        cancels the new task immediately (failure propagation).  A barrier
-        whose every predecessor was forgotten is DONE at birth and is
-        forgotten at once.
+        cancels the new task immediately (failure propagation).
         """
         tid = instance.task_id
         tasks = self._tasks
-        if tid in tasks or tid <= self._reuse_high:
+        if tid in tasks or tid <= self._forgotten_high:
             raise GraphError(f"duplicate task id {tid}")
         if tid > self.highest_id:
             self.highest_id = tid
@@ -382,18 +360,6 @@ class TaskGraph:
             elif dep_state is not TaskState.DONE:
                 unfinished += 1
         self._unfinished_preds[tid] = unfinished
-        if instance.is_barrier:
-            self.barrier_count += 1
-            if poisoned:
-                instance.state = TaskState.CANCELLED
-                self._terminal_count += 1
-            elif unfinished == 0:
-                # No successors can exist yet, so no cascade to run.
-                instance.state = TaskState.DONE
-                self._terminal_count += 1
-                if not any(dep in tasks for dep in deps):
-                    self._drop(tid)
-            return
         if poisoned:
             instance.state = TaskState.CANCELLED
             self.cancelled_count += 1
@@ -496,41 +462,25 @@ class TaskGraph:
         instance.end_time = now
         self.completed_count += 1
         self._terminal_count += 1
-        return self._propagate_done(task_id, now)
-
-    def _propagate_done(self, task_id: int, now: float) -> List[TaskInstance]:
-        """Decrement successors of a just-completed node; cascade barriers.
-
-        A barrier whose last predecessor finished completes *here* — it has
-        no work to run — and its own successors are processed in the same
-        pass, so the writer behind a version barrier becomes ready in the
-        very event that finished the final reader.
-        """
         newly_ready: List[TaskInstance] = []
-        stack = [task_id]
-        while stack:
-            for succ in self._successor_ids(stack.pop()):
-                successor = self._tasks[succ]
-                if successor.state is not TaskState.PENDING:
-                    continue
-                self._unfinished_preds[succ] -= 1
-                if self._unfinished_preds[succ] == 0:
-                    if successor.is_barrier:
-                        successor.state = TaskState.DONE
-                        successor.end_time = now
-                        self._terminal_count += 1
-                        stack.append(succ)
-                    else:
-                        successor.state = TaskState.READY
-                        self._pending_count -= 1
-                        self._ready_append(succ)
-                        newly_ready.append(successor)
+        for succ in self._successor_ids(task_id):
+            successor = self._tasks[succ]
+            if successor.state is not TaskState.PENDING:
+                continue
+            self._unfinished_preds[succ] -= 1
+            if self._unfinished_preds[succ] == 0:
+                successor.state = TaskState.READY
+                self._pending_count -= 1
+                self._ready_append(succ)
+                newly_ready.append(successor)
         return newly_ready
 
     def mark_failed(self, task_id: int, error: BaseException, now: float = 0.0) -> List[int]:
         """Fail a task and cancel its whole pending descendant cone.
 
-        Returns the ids of cancelled descendants.
+        Returns the ids of cancelled descendants.  Every descendant not yet
+        terminal is PENDING: each has an unfinished predecessor on its path
+        from this task, so none can be READY or RUNNING.
         """
         instance = self.task(task_id)
         if instance.state not in (TaskState.RUNNING, TaskState.READY):
@@ -555,16 +505,12 @@ class TaskGraph:
         while frontier:
             tid = frontier.pop()
             descendant = self._tasks[tid]
-            if descendant.state in (TaskState.PENDING, TaskState.READY):
-                if descendant.state is TaskState.READY:
-                    self._ready_remove(tid)
-                elif not descendant.is_barrier:
-                    self._pending_count -= 1
+            if descendant.state is TaskState.PENDING:
+                self._pending_count -= 1
                 descendant.state = TaskState.CANCELLED
                 self._terminal_count += 1
-                if not descendant.is_barrier:
-                    self.cancelled_count += 1
-                    cancelled.append(tid)
+                self.cancelled_count += 1
+                cancelled.append(tid)
                 for succ in self._successor_ids(tid):
                     if succ not in visited:
                         visited.add(succ)
@@ -572,43 +518,25 @@ class TaskGraph:
         return cancelled
 
     def forget(self, task_id: int) -> None:
-        """Let a DONE node go, with the DONE barriers its completion completed.
+        """Let a DONE task go.
 
         Its instance and rows leave; the counters stay.  Its successors were
         released when it completed, so nothing reads its state again: a
         later dependency on its id, or a wait on it, finds it absent and at
         or below the highest forgotten id, which reads as DONE (any other
-        absent id is unknown).  A barrier completed in the same cascade has
-        nobody else to let it go.  Only the real runtime forgets, and never
-        a FAILED or CANCELLED node: those poison later readers.  From then
-        on ``add_task`` refuses an id at or below the highest forgotten one:
+        absent id is unknown).  Only the real runtime forgets, and never a
+        FAILED or CANCELLED task: those poison later readers.  From then on
+        ``add_task`` refuses an id at or below the highest forgotten one:
         ids are minted in program order, so such an id is a reuse.
         """
         state = self.task(task_id).state
         if state is not TaskState.DONE:
             raise GraphError(f"task {task_id} is {state.value}, cannot forget it")
-        self._drop(task_id)
-        self._reuse_high = self._forgotten_high
-
-    def _drop(self, task_id: int) -> None:
-        """Remove DONE ``task_id`` and the DONE barriers it completed."""
-        tasks = self._tasks
-        stack = [task_id]
-        while stack:
-            tid = stack.pop()
-            del tasks[tid], self._predecessors[tid], self._unfinished_preds[tid]
-            if tid > self._forgotten_high:
-                self._forgotten_high = tid
-            dependants = self._successors.pop(tid, ())
-            for succ in (dependants,) if dependants.__class__ is int else dependants:
-                successor = tasks.get(succ)
-                if (
-                    successor is not None
-                    and successor.is_barrier
-                    and successor.state is TaskState.DONE
-                    and succ not in stack
-                ):
-                    stack.append(succ)
+        del self._tasks[task_id], self._predecessors[task_id]
+        del self._unfinished_preds[task_id]
+        self._successors.pop(task_id, None)
+        if task_id > self._forgotten_high:
+            self._forgotten_high = task_id
 
     # -------------------------------------------------------------- queries
 
@@ -616,16 +544,16 @@ class TaskGraph:
     def finished(self) -> bool:
         """True when no task can make further progress.
 
-        O(1): every node (task or barrier) bumps ``_terminal_count`` exactly
-        once on reaching DONE/FAILED/CANCELLED, so the graph is finished
-        exactly when that counter accounts for every node ever added.
+        O(1): every task bumps ``_terminal_count`` exactly once on reaching
+        DONE/FAILED/CANCELLED, so the graph is finished exactly when that
+        counter accounts for every task ever added.
         """
         return self._terminal_count == self._node_count
 
     @property
     def task_count(self) -> int:
-        """Application tasks ever added, forgotten ones included."""
-        return self._node_count - self.barrier_count
+        """Tasks ever added, forgotten ones included."""
+        return self._node_count
 
     @property
     def pending_count(self) -> int:

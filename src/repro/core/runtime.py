@@ -134,8 +134,8 @@ class Runtime:
         )
         self.registry = DataRegistry()
         self.graph = TaskGraph()
-        # The AP shares the graph so wide WAR fan-in collapses into
-        # structural barrier nodes instead of O(readers) writer deps.
+        # The AP shares the graph so a datum's reader list sheds the
+        # readers the graph has let go.
         self.access_processor = AccessProcessor(self.registry, graph=self.graph)
         self.scheduler = TaskScheduler(self.platform, policy)
         self._cv = threading.Condition()

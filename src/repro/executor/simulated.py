@@ -197,7 +197,7 @@ class SimulatedExecutor:
         count = self.graph.add_tasks(batch)
         for instance, _ in batch:
             # Born CANCELLED: it depends on a failed or cancelled task.
-            if instance.state is TaskState.CANCELLED and not instance.is_barrier:
+            if instance.state is TaskState.CANCELLED:
                 self.log.append(instance)
         if count:
             self._fail_lost_readers(instance for instance, _ in batch)

@@ -5,7 +5,7 @@ cores, memory, named data inputs/outputs).  The builder registers every
 access with the same code the Access Processor registers real programs'
 accesses with — :class:`repro.core.data.DependencyTracker` over one
 :class:`repro.core.data.Datum` per name — so the simulated graphs carry the
-identical RAW/WAR/WAW edges and fan-in barriers.
+identical RAW/WAR/WAW edges.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ class SimWorkflowBuilder:
 
     Data dependencies are derived from datum names: a task reading ``"x"``
     depends on the last task that declared ``"x"`` among its outputs (RAW);
-    re-writing a datum adds WAR/WAW edges exactly like the real AP —
-    including the WAR fan-in barrier collapse, so a simulated
-    read-by-thousands-then-write datum costs the writer O(1) edges.
+    re-writing a datum adds WAR/WAW edges exactly like the real AP.
     """
 
     def __init__(self) -> None:
         self.graph = TaskGraph()
         self._data: Dict[str, Datum] = {}
         self._ids = itertools.count(1)
-        self._tracker = DependencyTracker(self.graph, self._ids)
+        # The simulated graph forgets nothing: no reader to sweep.
+        self._tracker = DependencyTracker()
         # Simulated workloads submit thousands of tasks sharing a handful of
         # distinct resource demands; interning the frozen requirements
         # objects keeps per-task build allocations (and the blocked-reqs
@@ -85,7 +84,7 @@ class SimWorkflowBuilder:
                     f"task {label!r} reads unknown datum {name!r}; declare it "
                     "with add_initial_datum or produce it with an earlier task"
                 )
-            read(datum, task_id, deps, name not in output_names)
+            read(datum, task_id, deps)
             input_sizes[name] = datum.size_bytes
 
         for name, size in output_names.items():

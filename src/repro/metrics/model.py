@@ -64,18 +64,13 @@ def analyze_graph(graph: TaskGraph) -> WorkflowModel:
     critical_path = graph.critical_path_length(_duration)
 
     # Level = longest hop-distance from any source; width = tasks per level.
-    # Structural WAR barriers are zero-height pass-throughs: they inherit
-    # their deepest predecessor's level without adding a hop (the collapsed
-    # edges they stand for were direct) and are excluded from widths.
     level: Dict[int, int] = {}
     widths: Dict[int, int] = {}
     for instance in graph.tasks:  # insertion order is topological
         preds = graph.predecessors(instance.task_id)
-        depth = max((level[p] for p in preds), default=-1)
-        if not instance.is_barrier:
-            depth += 1
-            widths[depth] = widths.get(depth, 0) + 1
-        level[instance.task_id] = max(depth, 0)
+        depth = max((level[p] for p in preds), default=-1) + 1
+        level[instance.task_id] = depth
+        widths[depth] = widths.get(depth, 0) + 1
     level_widths = [widths[i] for i in sorted(widths)] if widths else []
 
     task_count = graph.task_count

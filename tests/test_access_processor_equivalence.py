@@ -1,33 +1,31 @@
-"""Equivalence of the barrier-collapsing Access Processor vs naive WAR (PR 3).
+"""The Access Processor against the naive per-reader rule.
 
-The optimized AP bounds every writer's dependency set by flushing wide
-reader fan-in behind structural barrier nodes.  This module pins the
-*semantics* to a naive in-test reference that derives exact per-reader
-RAW/WAW/WAR dependencies:
+The AP derives RAW / WAW / WAR dependencies through
+:class:`repro.core.data.DependencyTracker`, which on the real runtime sweeps
+the readers the graph has forgotten out of a long reader list.  This module
+pins the *semantics* to a naive in-test reference that derives exact
+per-reader dependencies:
 
-* the barrier-expanded dependency closure of every task must equal the
-  naive dependency set exactly (hypothesis-driven random access programs,
-  with a threshold low enough that barriers actually fire);
-* the graphs must advance identically: the same set of (real) tasks is
-  ready after every completion, and failure cancels the same set;
-* structurally, an N-readers-then-1-writer program must give the writer
-  O(threshold) direct dependencies — the sub-quadratic regression guard.
+* with nothing forgotten, every dependency set equals the naive one
+  (hypothesis-driven random access programs);
+* with tasks finishing, failing and being forgotten between submissions, as
+  on the real runtime, every dependency set equals the naive one minus ids
+  the graph has forgotten — and a FAILED reader is never left out;
+* the graphs advance identically: the same set of tasks is ready after
+  every completion, and failure cancels the same set.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.access_processor import (
-    WAR_FANIN_BARRIER_THRESHOLD,
-    AccessProcessor,
-)
+from repro.core import data
+from repro.core.access_processor import AccessProcessor
 from repro.core.data import DataRegistry
-from repro.core.graph import TaskGraph
+from repro.core.graph import TaskGraph, TaskInstance, TaskState
 from repro.core.parameter import IN, INOUT, OUT
 from repro.core.task_definition import TaskDefinition
-
-#: Low threshold so short random programs exercise barrier flushes.
-TEST_THRESHOLD = 3
 
 
 def _noop(x):
@@ -65,15 +63,14 @@ class NaiveWarReference:
         return deps
 
 
-def _run_program(program, threshold=TEST_THRESHOLD):
-    """Feed ``program`` through the optimized AP and the naive reference.
+def _run_program(program):
+    """Feed ``program`` through the AP and the naive reference.
 
     Returns (graph, per-task info) where info maps submission ordinal to
-    ``(real task id, expanded optimized deps, naive deps)``.
+    ``(task id, AP deps, naive deps)``.
     """
     graph = TaskGraph()
     ap = AccessProcessor(DataRegistry(), graph=graph)
-    ap._tracker.threshold = threshold
     naive = NaiveWarReference()
     pool = [[i] for i in range(3)]  # distinct mutable objects
     id_to_ordinal = {}
@@ -83,16 +80,8 @@ def _run_program(program, threshold=TEST_THRESHOLD):
         graph.add_task(registered.instance, registered.depends_on)
         real_id = registered.instance.task_id
         id_to_ordinal[real_id] = ordinal
-        expanded = set()
-        stack = list(registered.depends_on)
-        while stack:
-            tid = stack.pop()
-            mapped = id_to_ordinal.get(tid)
-            if mapped is not None:
-                expanded.add(mapped)
-            else:  # barrier: stands for its own (already real) predecessors
-                stack.extend(graph.predecessors(tid))
-        info[ordinal] = (real_id, expanded, naive.access(ordinal, op, datum))
+        deps = {id_to_ordinal[tid] for tid in registered.depends_on}
+        info[ordinal] = (real_id, deps, naive.access(ordinal, op, datum))
     return graph, id_to_ordinal, info
 
 
@@ -102,17 +91,60 @@ op_strategy = st.tuples(
 )
 programs = st.lists(op_strategy, min_size=1, max_size=40)
 
+#: Submissions interleaved with settles of the oldest ready task: ``done``
+#: completes and forgets it, as the real runtime does; ``fail`` fails it,
+#: and it stays.
+runtime_ops = st.one_of(
+    op_strategy,
+    op_strategy,
+    st.tuples(st.sampled_from(["done", "done", "done", "fail"]), st.just(0)),
+)
+runtime_programs = st.lists(runtime_ops, min_size=1, max_size=80)
+
 
 class TestBarrierApMatchesNaiveDependencies:
     @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(programs)
     def test_expanded_dep_sets_are_exact(self, program):
         _, _, info = _run_program(program)
-        for ordinal, (_, expanded, naive_deps) in info.items():
-            assert expanded == naive_deps, (
-                f"task #{ordinal}: optimized closure {sorted(expanded)} != "
+        for ordinal, (_, deps, naive_deps) in info.items():
+            assert deps == naive_deps, (
+                f"task #{ordinal}: AP deps {sorted(deps)} != "
                 f"naive {sorted(naive_deps)}"
             )
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(runtime_programs)
+    def test_dep_sets_are_naive_minus_forgotten_ids(self, program):
+        # A sweep floor of 2 sweeps every reader list at 2, 4, 8, ... ids,
+        # so short programs reach it.
+        with mock.patch.object(data, "SWEEP_FLOOR", 2):
+            graph = TaskGraph()
+            ap = AccessProcessor(DataRegistry(), graph=graph)
+            naive = NaiveWarReference()
+            pool = [[i] for i in range(3)]
+            ordinal = 0
+            for op, datum in program:
+                if op in ("done", "fail"):
+                    ready = graph.ready_tasks()
+                    if not ready:
+                        continue
+                    tid = ready[0].task_id
+                    graph.mark_running(tid, "n")
+                    if op == "done":
+                        graph.mark_done(tid)
+                        graph.forget(tid)
+                    else:
+                        graph.mark_failed(tid, RuntimeError("boom"))
+                    continue
+                registered = ap.register_task(DEFINITIONS[op], (pool[datum],), {})
+                ordinal += 1
+                assert registered.instance.task_id == ordinal
+                deps = registered.depends_on
+                naive_deps = naive.access(ordinal, op, datum)
+                assert deps <= naive_deps
+                assert all(graph.forgotten(tid) for tid in naive_deps - deps)
+                graph.add_task(registered.instance, deps)
 
     @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
     @given(programs)
@@ -121,8 +153,6 @@ class TestBarrierApMatchesNaiveDependencies:
         naive_graph = TaskGraph()
         for ordinal in sorted(info):
             _, _, naive_deps = info[ordinal]
-            from repro.core.graph import TaskInstance
-
             naive_graph.add_task(
                 TaskInstance(task_id=ordinal, label=f"n{ordinal}"), naive_deps
             )
@@ -143,68 +173,56 @@ class TestBarrierApMatchesNaiveDependencies:
         assert opt_graph.finished
         assert naive_graph.finished
 
-    def test_failed_reader_cancels_writer_through_barrier(self):
-        # Enough readers to force a flush, then a writer: failing one
-        # *flushed* reader must cancel the writer exactly as naive WAR
-        # deps would, via the barrier's poisoning.
-        program = [("read", 0)] * (2 * TEST_THRESHOLD) + [("write", 0)]
-        graph, id_to_ordinal, info = _run_program(program)
-        writer_ordinal = len(program)
-        first_reader_id = info[1][0]
-        writer_id = info[writer_ordinal][0]
-        graph.mark_running(first_reader_id, "n")
-        cancelled = graph.mark_failed(first_reader_id, RuntimeError("boom"))
-        assert writer_id in cancelled
-        # Barriers are internal: the cancellation report names real tasks only.
-        assert all(tid in id_to_ordinal for tid in cancelled)
+    def test_failed_reader_cancels_the_writer(self):
+        # A full reader list whose first reader failed and whose others were
+        # forgotten: the sweep drops only the forgotten ones, so the failed
+        # reader still cancels the writer, as naive WAR deps would.
+        graph = TaskGraph()
+        ap = AccessProcessor(DataRegistry(), graph=graph)
+        shared = []
+
+        def register(op):
+            registered = ap.register_task(DEFINITIONS[op], (shared,), {})
+            graph.add_task(registered.instance, registered.depends_on)
+            return registered
+
+        readers = [register("read").instance.task_id for _ in range(data.SWEEP_FLOOR)]
+        graph.mark_running(readers[0], "n")
+        graph.mark_failed(readers[0], RuntimeError("boom"))
+        for tid in readers[1:]:
+            graph.mark_running(tid, "n")
+            graph.mark_done(tid)
+            graph.forget(tid)
+        late = register("read").instance.task_id
+        record = ap.registry.record_for_object(shared)
+        assert record.readers == [readers[0], late]
+        writer = register("write")
+        assert writer.depends_on == {readers[0], late}
+        assert writer.instance.state is TaskState.CANCELLED
 
 
 class TestWideFaninStaysBounded:
-    def test_writer_dep_count_is_o_threshold_not_o_readers(self):
+    def test_writer_depends_on_every_reader_the_graph_holds(self):
         n_readers = 5_000
         graph = TaskGraph()
         ap = AccessProcessor(DataRegistry(), graph=graph)
         shared = []
+        readers = []
         for _ in range(n_readers):
             registered = ap.register_task(DEFINITIONS["read"], (shared,), {})
             graph.add_task(registered.instance, registered.depends_on)
+            readers.append(registered.instance.task_id)
         registered = ap.register_task(DEFINITIONS["write"], (shared,), {})
-        # The whole point of PR 3's tentpole: O(1)-ish writer edges.
-        assert len(registered.depends_on) <= WAR_FANIN_BARRIER_THRESHOLD + 2
+        # Nothing was forgotten, so nothing was swept: every reader.
+        assert registered.depends_on == set(readers)
         graph.add_task(registered.instance, registered.depends_on)
-        assert graph.barrier_count >= (n_readers // WAR_FANIN_BARRIER_THRESHOLD) - 1
-        # Correctness: the closure still dominates every reader.
-        covered = set()
-        stack = list(registered.depends_on)
-        while stack:
-            tid = stack.pop()
-            if graph.task(tid).is_barrier:
-                stack.extend(graph.predecessors(tid))
-            else:
-                covered.add(tid)
-        assert len(covered) == n_readers
+        assert graph.task_count == n_readers + 1
 
     def test_without_graph_falls_back_to_exact_deps(self):
-        ap = AccessProcessor(DataRegistry())  # no graph: naive derivation
+        ap = AccessProcessor(DataRegistry())  # no graph: nothing to sweep
         shared = []
-        n_readers = 2 * WAR_FANIN_BARRIER_THRESHOLD
+        n_readers = 2 * data.SWEEP_FLOOR
         for _ in range(n_readers):
             ap.register_task(DEFINITIONS["read"], (shared,), {})
         registered = ap.register_task(DEFINITIONS["write"], (shared,), {})
         assert len(registered.depends_on) == n_readers
-
-    def test_inout_on_wide_fanin_consumes_tail_directly(self):
-        # An INOUT access must not flush (the barrier id would postdate the
-        # task's own id); the tail is bounded, so deps stay bounded too.
-        threshold = 4
-        graph = TaskGraph()
-        ap = AccessProcessor(DataRegistry(), graph=graph)
-        ap._tracker.threshold = threshold
-        shared = []
-        for _ in range(threshold):  # exactly fills the tail, no flush yet
-            registered = ap.register_task(DEFINITIONS["read"], (shared,), {})
-            graph.add_task(registered.instance, registered.depends_on)
-        registered = ap.register_task(DEFINITIONS["update"], (shared,), {})
-        graph.add_task(registered.instance, registered.depends_on)
-        assert len(registered.depends_on) == threshold  # the tail, no barrier
-        assert graph.barrier_count == 0

@@ -39,8 +39,8 @@ def _run_batch(chains, dedupe: bool) -> bytes:
     the executor in both modes alike.
 
     Either way every submission is accounted for exactly once: as a graph
-    node (failed and cancelled ones included; these chains mint no barrier),
-    an in-flight alias or a memo hit.
+    node (failed and cancelled ones included), an in-flight alias or a memo
+    hit.
     """
     outcomes = []
     memoizer = TaskMemoizer() if dedupe else None

@@ -1,7 +1,5 @@
 """Unit tests for the Access Processor: dependency derivation from accesses."""
 
-import itertools
-
 import pytest
 
 from repro.core.access_processor import AccessProcessor
@@ -154,7 +152,7 @@ class TestDataRegistry:
 
     def test_versions_bump_on_write(self):
         registry = DataRegistry()
-        tracker = DependencyTracker(None, itertools.count(1))
+        tracker = DependencyTracker()
         obj = []
         record = registry.register_object(obj)
         assert record.version == 0 and record.writer is None
@@ -164,7 +162,7 @@ class TestDataRegistry:
 
     def test_readers_recorded_per_version(self):
         registry = DataRegistry()
-        tracker = DependencyTracker(None, itertools.count(1))
+        tracker = DependencyTracker()
         record = registry.register_object([])
         tracker.read(record, 1, set())
         tracker.read(record, 2, set())

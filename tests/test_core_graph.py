@@ -51,20 +51,6 @@ class TestGraphConstruction:
         graph.add_task(make_task(3))
         assert graph.task(3).state is TaskState.READY and graph.highest_id == 3
 
-    def test_reader_added_after_a_barrier_forgotten_at_birth(self):
-        """A WAR barrier takes an id after the reader whose submission
-        flushed it and is added first; born DONE over forgotten readers, it
-        is forgotten at once, and the reader's lower id is still new."""
-        graph = TaskGraph()
-        graph.add_task(make_task(1))
-        graph.mark_running(1, "n0")
-        graph.mark_done(1)
-        graph.forget(1)
-        graph.add_task(TaskInstance(task_id=3, label="barrier", is_barrier=True), {1})
-        assert 3 not in graph and graph.admitted(3)
-        graph.add_task(make_task(2))
-        assert graph.task(2).state is TaskState.READY and graph.highest_id == 3
-
     def test_unknown_dependency_rejected(self):
         graph = TaskGraph()
         with pytest.raises(GraphError):

@@ -166,8 +166,8 @@ def assert_log_matches_reference(executor, report, busy):
     if reference_trace_rows(graph):
         cores = executor.platform.total_cores
         assert log.utilization(cores) == reference_utilization(graph, cores)
-    # One row per application task, each settled once.
-    tasks = [t for t in graph.tasks if not t.is_barrier]
+    # One row per task, each settled once.
+    tasks = graph.tasks
     assert sorted(log.task_id) == [t.task_id for t in tasks]
     for cache_keys, columns in (
         (False, ("label", "state", "start", "end", "nodes")),

@@ -15,11 +15,11 @@ import time
 import pytest
 
 from repro import FILE_OUT, INOUT, ReproError, Runtime, compss_open, compss_wait_on, task
-from repro.core.data import WAR_FANIN_BARRIER_THRESHOLD
+from repro.core.data import SWEEP_FLOOR
 from repro.core.exceptions import TaskFailedError
 from repro.core.graph import GraphError, TaskGraph, TaskInstance, TaskState
 
-READERS = 2 * WAR_FANIN_BARRIER_THRESHOLD + 1
+READERS = 2 * SWEEP_FLOOR + 1
 
 
 @task(returns=1)
@@ -71,9 +71,10 @@ def _done_nodes(graph):
 class TestGraphAfterABarrier:
     @pytest.mark.parametrize("held", [True, False], ids=["cascaded", "born-done"])
     def test_no_done_task_or_war_barrier_stays(self, held):
-        """``held``: the readers queue behind a gate, so each WAR barrier is
-        pending when flushed and completes with its last reader; otherwise
-        every reader finishes first, so each barrier is born DONE."""
+        """``held``: the readers queue behind a gate, so the write waits on
+        every one of them; otherwise each group of readers finishes before
+        the next, so the sweeps drop the forgotten ones and the write waits
+        on none."""
         with Runtime(workers=1) as rt:
             event = threading.Event()
             if held:
@@ -81,17 +82,18 @@ class TestGraphAfterABarrier:
             else:
                 event.set()
             data = make(3)
-            for start in range(0, READERS, WAR_FANIN_BARRIER_THRESHOLD):
-                for _ in range(min(WAR_FANIN_BARRIER_THRESHOLD, READERS - start)):
+            for start in range(0, READERS, SWEEP_FLOOR):
+                for _ in range(min(SWEEP_FLOOR, READERS - start)):
                     peek(data)
                 if not held:
                     rt.barrier()
+            # Swept at the 65th and the 129th read: one reader is left.
+            assert len(data.datum.readers) == (READERS if held else 1)
             append(data, 3)
             event.set()
             rt.barrier()
             assert compss_wait_on(data) == [0, 1, 2, 3]
             graph = rt.graph
-            assert graph.barrier_count == 2
             assert graph.tasks == [] and len(graph) == 0 and graph.finished
             stats = rt.statistics()
         tasks = READERS + 2 + held
@@ -99,6 +101,23 @@ class TestGraphAfterABarrier:
         assert stats["tasks_failed"] == stats["tasks_cancelled"] == 0
         assert stats["tasks_running"] == stats["tasks_ready"] == 0
         assert _done_nodes(graph) == []
+
+
+class TestReaderSweep:
+    def test_a_datum_read_for_ever_keeps_a_bounded_reader_list(self):
+        """Ten waves of 1,000 reads of one object, each drained by a
+        barrier: the sweeps drop the forgotten readers, so the list stays
+        within two waves (without them it holds all 10,000)."""
+        shared = {"x": 0}  # a list would be scanned as a collection
+        with Runtime(workers=1) as rt:
+            for _ in range(10):
+                for _ in range(1000):
+                    peek(shared)
+                rt.barrier()
+                record = rt.registry.record_for_object(shared)
+                assert len(record.readers) <= 2000
+                assert len(rt.graph) == 0
+            assert rt.statistics()["tasks_done"] == 10_000
 
 
 class TestForgottenProducer:

@@ -176,7 +176,9 @@ class TestFootprint:
         # one-element successor set, an input-size dict and an empty
         # software frozenset per interned requirement).  Run: 331 / 366 B
         # (495 / 589 B before E28: a one-holder dict per output).  Bounds are
-        # the 3.9 figures plus about 5 and 9 %.
+        # the 3.9 figures plus about 5 and 9 %.  Measured again at E50's
+        # parent: 1,218 / 311 B on 3.11; E50 took 18 B off the described
+        # figure (1,200 B: the barrier slots of the instance and its datums).
         assert per_task <= 1500.0, per_task
         assert per_task_run <= 400.0, per_task_run
 
@@ -207,7 +209,8 @@ class TestFootprint:
         # before E49: a successor set where a list of about FAN_IN ids now
         # is).  Run: 284 / 329 B (389 / 434 B before E49: a set per node of
         # the data it holds, now a list).  Bounds are the 3.9 figures plus
-        # about 4 and 5 %.
+        # about 4 and 5 %.  E50 took 16 B off the described figure (1,452 →
+        # 1,436 B on 3.11: the barrier slots of the instance and its datum).
         assert per_task <= 1580.0, per_task
         assert per_task_run <= 345.0, per_task_run
 

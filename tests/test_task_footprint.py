@@ -5,7 +5,7 @@ container objects a queued task holds decide how much every full GC pass
 scans; once DONE the task leaves the master (E41).  These tests pin the
 per-task count of GC-tracked objects and the per-task traced heap — still
 queued and finished — and that the records which became lazy (a datum's
-reader tail, a node's successor set) behave as the eager ones did from the
+reader list, a node's successor set) behave as the eager ones did from the
 moment they are first needed.
 """
 
@@ -14,11 +14,8 @@ import threading
 import tracemalloc
 
 from repro import INOUT, Runtime, compss_wait_on, task
-from repro.core.access_processor import (
-    WAR_FANIN_BARRIER_THRESHOLD,
-    AccessProcessor,
-)
-from repro.core.data import Datum
+from repro.core.access_processor import AccessProcessor
+from repro.core.data import SWEEP_FLOOR, Datum
 from repro.core.graph import TaskGraph
 from repro.core.task_definition import TaskDefinition
 
@@ -87,8 +84,10 @@ class TestFootprint:
                 finished = (tracemalloc.get_traced_memory()[0] - before) / TASKS
             finally:
                 tracemalloc.stop()
-        # 884 / 185 B on Python 3.11 for one ``add(i, i + 1)``.  Queued:
-        # the instance (168 B) with the caller's argument tuple as its
+        # 868 / 185 B on Python 3.11 for one ``add(i, i + 1)`` (884 queued
+        # before E50 deleted the instance's and the datum's barrier slots).
+        # Queued:
+        # the instance (160 B) with the caller's argument tuple as its
         # payload, the result datum and its id, the future, the label, the
         # ready-queue node and the index slots (1,238 B before E37: a
         # ``kwargs`` dict of 184 B, a ``future_args`` dict of 64, two slots
@@ -124,8 +123,7 @@ class TestFootprint:
 
 
 class TestLazyRecords:
-    def test_sixty_fifth_reader_of_a_lazy_tail_flushes_a_barrier(self):
-        assert WAR_FANIN_BARRIER_THRESHOLD == 64
+    def test_lazy_reader_list_then_a_write_that_waits_on_every_reader(self):
         graph = TaskGraph()
         ap = AccessProcessor(graph=graph)
 
@@ -141,21 +139,19 @@ class TestLazyRecords:
         assert ap.registry.datum_ids == [] and record.datum_id == future.datum_id
         assert record.readers == () and record.version == 1
         read = TaskDefinition(lambda x: None)
-        readers = [register(read, future).instance.task_id for _ in range(64)]
-        assert record.readers == readers and record.barrier is None
-        late = register(read, future).instance.task_id
-        barrier_id = record.barrier
-        # The reader's id is minted first, the barrier's while it registers.
-        assert late == readers[-1] + 1 and barrier_id == late + 1
-        assert graph.barrier_count == 1 and graph.task(barrier_id).is_barrier
-        assert graph.predecessors(barrier_id) == set(readers)
-        assert record.readers == [late]
-        # The writer waits for the producer, the barrier and the short tail.
+        first = register(read, future).instance.task_id
+        assert record.readers == first
+        readers = [first] + [
+            register(read, future).instance.task_id for _ in range(SWEEP_FLOOR)
+        ]
+        # The 65th read met a sweep point, and nothing was forgotten.
+        assert record.readers == readers and graph.task_count == SWEEP_FLOOR + 2
+        # The writer waits for the producer and every reader.
         update = TaskDefinition(lambda x: None, param_directions={"x": INOUT})
         writer = register(update, future)
-        assert writer.depends_on == {producer.instance.task_id, barrier_id, late}
+        assert writer.depends_on == {producer.instance.task_id, *readers}
         assert record.version == 2 and record.writer == writer.instance.task_id
-        assert record.readers == () and record.barrier is None
+        assert record.readers == ()
         # A rewrite resets the one record in place: N more leave no trace.
         def records():
             gc.collect()

@@ -158,14 +158,8 @@ class TestSyntheticGenerators:
             layered_random_dag([4, 4], fan_in=-1)
 
 
-def _tasks(builder):
-    """The generator's tasks in submission order, without the fan-in
-    barriers the dependency rule adds for widely read outputs."""
-    return [t for t in builder.graph.tasks if t.profile is not None]
-
-
 def _wiring(builder):
-    return [(t.label, t.reads, t.profile.duration_s) for t in _tasks(builder)]
+    return [(t.label, t.reads, t.profile.duration_s) for t in builder.graph.tasks]
 
 
 class _CountingRandom(random.Random):
@@ -193,7 +187,7 @@ class TestLayeredDagDraws:
         self, layers, fan_in, seed
     ):
         builder = layered_random_dag(layers, seed=seed, fan_in=fan_in)
-        tasks = _tasks(builder)
+        tasks = builder.graph.tasks
         assert len(tasks) == sum(layers)
         previous = set()
         for width in layers:
