@@ -290,7 +290,7 @@ class Agent:
             "cores": task.requirements.cores,
             "duration_s": profile.duration_s if profile else 0.0,
             "inputs": input_specs,
-            "outputs": dict(profile.output_sizes) if profile else {},
+            "outputs": dict(zip(task.writes, profile.output_sizes)) if profile else {},
         }
         self.bus.send(
             Message(

@@ -13,16 +13,13 @@ tasks still in flight and the failed ones.
 from __future__ import annotations
 
 import enum
-from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -47,11 +44,6 @@ class TaskState(enum.Enum):
     CANCELLED = "cancelled"  # skipped because an ancestor failed
 
 
-#: The one read-only empty mapping an absent output map is: a simulated
-#: task's empty ``output_sizes`` — not a fresh dict per task.
-_NO_OUTPUTS: Mapping[str, Any] = MappingProxyType({})
-
-
 class SimProfile:
     """Synthetic execution profile for simulated tasks (DESIGN.md S6).
 
@@ -63,8 +55,10 @@ class SimProfile:
       first-read order, at build time (the runtime predictor's size
       feature).  Stage-in prices the inputs from ``reads`` and the data
       plane, not from here.
-    * ``output_sizes`` — datum name -> bytes, published on the head node
-      at completion; absent outputs share one read-only empty mapping.
+    * ``output_sizes`` — the byte size of each output, in the order of
+      the instance's ``writes`` (a column, not a name -> bytes map: the
+      names are already there), published on the head node at completion;
+      a task with no outputs holds the shared empty tuple.
 
     Slotted (not a dataclass): million-task graphs hold one profile per
     task, and per-instance ``__dict__``s are what pushed the build past the
@@ -77,19 +71,19 @@ class SimProfile:
         self,
         duration_s: float = 1.0,
         input_bytes: float = 0.0,
-        output_sizes: Optional[Mapping[str, float]] = None,
+        output_sizes: Tuple[float, ...] = (),
     ) -> None:
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
         self.duration_s = duration_s
         self.input_bytes = input_bytes
-        self.output_sizes = output_sizes if output_sizes is not None else _NO_OUTPUTS
+        self.output_sizes = output_sizes
 
     def __repr__(self) -> str:
         return (
             f"SimProfile(duration_s={self.duration_s!r}, "
             f"input_bytes={self.input_bytes!r}, "
-            f"output_sizes={dict(self.output_sizes)!r})"
+            f"output_sizes={self.output_sizes!r})"
         )
 
 
@@ -216,7 +210,10 @@ class TaskGraph:
         # by one, the insertion order and resize points of the set the list
         # replaced, so the walks visit successors in that set's order.
         self._successors: Dict[int, Union[int, List[int]]] = {}
-        self._predecessors: Dict[int, Tuple[int, ...]] = {}
+        # A node's predecessors: the lone one's id, as for successors, else a
+        # tuple of ids (empty for a source).  Read them through
+        # ``_predecessor_ids``.
+        self._predecessors: Dict[int, Union[int, Tuple[int, ...]]] = {}
         self._unfinished_preds: Dict[int, int] = {}
         # Ready queue: linked list in enqueue order + task_id -> node index.
         # Unlinked nodes keep their ``next`` pointer, so an iterator holding
@@ -277,7 +274,11 @@ class TaskGraph:
         return list(self._tasks.values())
 
     def predecessors(self, task_id: int) -> Set[int]:
-        return set(self._predecessors.get(task_id, ()))
+        return set(self._predecessor_ids(task_id))
+
+    def _predecessor_ids(self, task_id: int) -> Tuple[int, ...]:
+        preds = self._predecessors.get(task_id, ())
+        return (preds,) if preds.__class__ is int else preds
 
     def successors(self, task_id: int) -> Set[int]:
         return set(self._successor_ids(task_id))
@@ -339,7 +340,7 @@ class TaskGraph:
                 )
         tasks[tid] = instance
         self._node_count += 1
-        self._predecessors[tid] = deps
+        self._predecessors[tid] = deps[0] if len(deps) == 1 else deps
         successors = self._successors
         poisoned = False
         unfinished = 0
@@ -570,15 +571,16 @@ class TaskGraph:
         for tid in self._tasks:  # insertion order is topological
             instance = self._tasks[tid]
             best_pred = max(
-                (longest.get(p, 0.0) for p in self._predecessors[tid]), default=0.0
+                (longest.get(p, 0.0) for p in self._predecessor_ids(tid)),
+                default=0.0,
             )
             longest[tid] = best_pred + duration_of(instance)
         return max(longest.values(), default=0.0)
 
     def validate_acyclic(self) -> bool:
         """Check the DAG invariant explicitly (used by property tests)."""
-        for tid, preds in self._predecessors.items():
-            for p in preds:
+        for tid in self._predecessors:
+            for p in self._predecessor_ids(tid):
                 if p >= tid:
                     return False
         return True

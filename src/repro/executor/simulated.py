@@ -272,7 +272,7 @@ class SimulatedExecutor:
         # Outputs are born on the head node.
         head = instance.assigned_nodes[0]
         if instance.profile is not None:
-            for datum_id, size in instance.profile.output_sizes.items():
+            for datum_id, size in zip(instance.writes, instance.profile.output_sizes):
                 self.locations.publish(datum_id, head, size_bytes=size)
         if self.predictor is not None and instance.profile is not None:
             self.predictor.observe(

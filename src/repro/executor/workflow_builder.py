@@ -68,11 +68,10 @@ class SimWorkflowBuilder:
         deps: Set[int] = set(depends_on)
         # Each input once, in first-read order, with the size it has now:
         # naming one twice neither registers a second read nor fetches it
-        # twice.  Its keys are the task's reads.
+        # twice.  Its keys, the datums' own names, are the task's reads.
         input_sizes: Dict[str, float] = {}
-        output_sizes: Dict[str, float] = {}
-
         output_names = outputs or {}
+        output_sizes = tuple(float(size) for size in output_names.values())
         data = self._data
         read = self._tracker.read
         for name in inputs:
@@ -85,17 +84,19 @@ class SimWorkflowBuilder:
                     "with add_initial_datum or produce it with an earlier task"
                 )
             read(datum, task_id, deps)
-            input_sizes[name] = datum.size_bytes
+            input_sizes[datum.datum_id] = datum.size_bytes
 
-        for name, size in output_names.items():
+        for name, size in zip(output_names, output_sizes):
             datum = data.get(name)
             if datum is None:
                 # Born written, as a task result is on the real runtime.
                 datum = data[name] = Datum(name, 1, task_id)
             else:
                 self._tracker.write(datum, task_id, deps)
-            datum.size_bytes = output_sizes[name] = float(size)
+            datum.size_bytes = size
 
+        # One input lends its own size object: no fresh float, same value.
+        sizes = input_sizes.values()
         instance = TaskInstance(
             task_id=task_id,
             label=f"{label}#{task_id}",
@@ -103,11 +104,11 @@ class SimWorkflowBuilder:
                 cores, memory_mb, gpus, frozenset(software) or _NO_SOFTWARE, nodes
             ),
             reads=input_sizes,
-            writes=output_sizes,
+            writes=output_names,
             profile=SimProfile(
                 duration_s=duration,
-                input_bytes=sum(input_sizes.values()),
-                output_sizes=output_sizes or None,
+                input_bytes=next(iter(sizes)) if len(sizes) == 1 else sum(sizes),
+                output_sizes=output_sizes,
             ),
         )
         self.graph.add_task(instance, depends_on=deps)

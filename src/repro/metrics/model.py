@@ -64,11 +64,13 @@ def analyze_graph(graph: TaskGraph) -> WorkflowModel:
     critical_path = graph.critical_path_length(_duration)
 
     # Level = longest hop-distance from any source; width = tasks per level.
+    # A forgotten predecessor counts as level -1, as it adds nothing to the
+    # critical path: the held graph starts where it was let go.
     level: Dict[int, int] = {}
     widths: Dict[int, int] = {}
     for instance in graph.tasks:  # insertion order is topological
         preds = graph.predecessors(instance.task_id)
-        depth = max((level[p] for p in preds), default=-1) + 1
+        depth = max((level.get(p, -1) for p in preds), default=-1) + 1
         level[instance.task_id] = depth
         widths[depth] = widths.get(depth, 0) + 1
     level_widths = [widths[i] for i in sorted(widths)] if widths else []

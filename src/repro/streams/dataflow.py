@@ -399,7 +399,7 @@ class DataflowPlane:
         profile = SimProfile(
             duration_s=op.duration_fn(count),
             input_bytes=in_size,
-            output_sizes={datum_out: op.output_bytes},
+            output_sizes=(op.output_bytes,),
         )
         return TaskInstance(
             task_id=task_id,

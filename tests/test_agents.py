@@ -245,6 +245,56 @@ def test_battery_depletion_kills_agent_and_recovery_continues():
     assert report.tasks_recovered > 0
 
 
+def test_offloaded_outputs_reach_the_worker_and_its_persist_time():
+    # A described task keeps its output sizes as a column beside its
+    # writes; the offload request pairs them up again, name by name.
+    platform, engine, bus, agents = make_stack(persistence=True, num_cloud=2)
+    outputs = {"small": 2e5, "large": 4e8}
+    builder = SimWorkflowBuilder()
+    builder.add_task("produce", duration=10.0, outputs=outputs)
+    orchestrator, worker = agents["fog-0"], agents["cloud-0"]
+    sent = []
+    deliver = bus.send
+
+    def recording_send(message):
+        sent.append((engine.now, message.op, message.payload))
+        deliver(message)
+
+    bus.send = recording_send
+    started = []
+    handle = worker.handle
+
+    def recording_handle(message):
+        if message.op is Op.EXECUTE_TASK:
+            started.append(engine.now)
+        handle(message)
+
+    worker.handle = recording_handle
+    orchestrator.start_application(
+        builder.graph, policy=AlwaysOffload(), peers=["cloud-0"]
+    )
+    engine.run()
+    assert orchestrator.report().completed
+    (request,) = [p for _, op, p in sent if op is Op.EXECUTE_TASK]
+    ((finished, reply),) = [(t, p) for t, op, p in sent if op is Op.TASK_DONE]
+    assert list(request["outputs"].items()) == list(outputs.items())
+    assert list(reply["outputs"].items()) == list(outputs.items())
+    assert reply["persisted"]
+    assert orchestrator.homed_data() == [
+        ("small", "cloud-0", 2e5), ("large", "cloud-0", 4e8)
+    ]
+    # The worker persists every output to the store, so its largest output
+    # sets the delay; nothing is staged in.
+    network = platform.network
+    persist = max(
+        network.transfer_time("cloud-0", "cloud-1", size) for size in outputs.values()
+    )
+    assert persist > network.transfer_time("cloud-0", "cloud-1", 2e5)
+    assert finished - started[0] == pytest.approx(
+        10.0 / worker.speed_factor + persist, rel=1e-12
+    )
+
+
 def test_mains_powered_agents_never_battery_die():
     platform, engine, bus, agents = make_stack()
     builder = simple_app(num_tasks=20, duration=50.0)

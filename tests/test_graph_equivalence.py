@@ -21,12 +21,13 @@ semantics, which must survive the indexed-queue rewrite.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.graph import GraphError, TaskGraph, TaskInstance, TaskState
+from repro.core.graph import GraphError, SimProfile, TaskGraph, TaskInstance, TaskState
 from repro.executor import SimulatedExecutor, SimWorkflowBuilder
 from repro.infrastructure import make_hpc_cluster
+from repro.metrics.model import analyze_graph
 
 TERMINAL = (TaskState.DONE, TaskState.FAILED, TaskState.CANCELLED)
 
@@ -345,6 +346,111 @@ class TestOptimizedGraphMatchesNaiveReference:
         assert len(cancelled) == len(set(cancelled)) == 24
         assert graph.cancelled_count == 24
         assert graph.finished
+
+
+#: One step of a real runtime's graph: add a task on one to three earlier
+#: ones (held or forgotten; the first task is the only source), start one,
+#: finish one and keep it, settle one (finish and forget it, as the runtime
+#: does), fail one, or forget a kept DONE task.
+forget_op = st.tuples(
+    st.sampled_from(["add", "add", "start", "done", "settle", "fail", "forget"]),
+    st.integers(min_value=0, max_value=10 ** 9),
+    st.lists(st.integers(min_value=0, max_value=10 ** 9), min_size=1, max_size=3),
+)
+
+
+def _duration(tid):
+    # Whole seconds: sums and maxima are exact in any order.
+    return float(tid % 5 + 1)
+
+
+class TestPredecessorsAfterForgets:
+    """A lone predecessor is kept as its bare id and any other count as a
+    tuple; every reader must see the plain set of ids the task was added
+    on, forgotten ones included, and the graph-wide walks must count a
+    forgotten predecessor as adding nothing."""
+
+    @staticmethod
+    def _reference_model(graph, preds):
+        held = sorted(t.task_id for t in graph.tasks)
+        longest, level, widths = {}, {}, {}
+        for tid in held:
+            longest[tid] = _duration(tid) + max(
+                (longest.get(p, 0.0) for p in preds[tid]), default=0.0
+            )
+            level[tid] = max((level.get(p, -1) for p in preds[tid]), default=-1) + 1
+            widths[level[tid]] = widths.get(level[tid], 0) + 1
+        critical = max(longest.values(), default=0.0)
+        return critical, [widths[d] for d in sorted(widths)]
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(st.lists(forget_op, min_size=10, max_size=60))
+    @example([("add", 0, [0]), ("add", 0, [0]), ("start", 0, [0]), ("settle", 0, [0])])
+    def test_random_dags_with_forgets_match_a_plain_set_reference(self, program):
+        graph = TaskGraph()
+        preds = {}  # every task ever added -> the set of ids it depends on
+        forgotten = set()
+        running = []
+        for opcode, pick, picks in program:
+            if opcode == "add":
+                tid = len(preds) + 1
+                deps = {1 + p % (tid - 1) for p in picks} if tid > 1 else set()
+                graph.add_task(
+                    TaskInstance(
+                        task_id=tid,
+                        label=f"t{tid}",
+                        profile=SimProfile(duration_s=_duration(tid)),
+                    ),
+                    depends_on=deps,
+                )
+                preds[tid] = deps
+            elif opcode == "start":
+                ready = [t.task_id for t in graph.ready_tasks()]
+                if ready:
+                    tid = ready[pick % len(ready)]
+                    graph.mark_running(tid, "n")
+                    running.append(tid)
+            elif opcode in ("done", "settle") and running:
+                tid = running.pop(pick % len(running))
+                graph.mark_done(tid)
+                if opcode == "settle":
+                    graph.forget(tid)
+                    forgotten.add(tid)
+            elif opcode == "fail" and running:
+                graph.mark_failed(running.pop(pick % len(running)), RuntimeError("x"))
+            elif opcode == "forget":
+                done = [t.task_id for t in graph.tasks if t.state is TaskState.DONE]
+                if done:
+                    tid = done[pick % len(done)]
+                    graph.forget(tid)
+                    forgotten.add(tid)
+            for tid, deps in preds.items():
+                if tid in forgotten:
+                    assert tid not in graph and graph.forgotten(tid)
+                    assert graph.predecessors(tid) == set()
+                else:
+                    assert graph.predecessors(tid) == deps
+            assert graph.validate_acyclic()
+            critical, level_widths = self._reference_model(graph, preds)
+            assert graph.critical_path_length(lambda t: _duration(t.task_id)) == critical
+            model = analyze_graph(graph)
+            assert model.critical_path_s == critical
+            assert model.level_widths == level_widths
+            assert model.task_count == len(preds)
+            assert model.total_work_s == sum(
+                _duration(tid) for tid in preds if tid not in forgotten
+            )
+
+    def test_a_lone_predecessor_is_its_id(self):
+        graph = TaskGraph()
+        _fan_out(graph, 10, (13,))
+        graph.add_task(TaskInstance(task_id=14, label="t14"), depends_on=[10, 13])
+        assert graph._predecessors[13] == 10  # no one-element tuple is kept
+        assert graph.predecessors(13) == {10} and graph.predecessors(10) == set()
+        assert graph.predecessors(14) == {10, 13}
+        assert graph.validate_acyclic()
 
 
 class TestDispatchWindowSemantics:

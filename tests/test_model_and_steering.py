@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.graph import TaskGraph, TaskInstance
 from repro.executor import SimulatedExecutor
 from repro.infrastructure import make_hpc_cluster
 from repro.metrics.model import analyze_graph
@@ -46,6 +47,19 @@ class TestWorkflowModel:
             model.speedup_bound(0)
         with pytest.raises(ValueError):
             model.makespan_lower_bound(-1)
+
+    def test_a_forgotten_predecessor_counts_as_level_minus_one(self):
+        # A real runtime's graph lets a DONE task go: its held successor
+        # starts the levels, as it starts the critical path.
+        graph = TaskGraph()
+        graph.add_task(TaskInstance(task_id=1, label="a"))
+        graph.mark_running(1, "n0")
+        graph.mark_done(1)
+        graph.forget(1)
+        graph.add_task(TaskInstance(task_id=2, label="b"), depends_on=[1])
+        model = analyze_graph(graph)
+        assert model.level_widths == [1] and model.max_width == 1
+        assert model.task_count == 2
 
     def test_simulated_makespan_respects_lower_bound(self):
         builder = fork_join_dag(width=32, duration=10.0)

@@ -73,6 +73,58 @@ def _layered_dag(builder):
     return LAYERS * WIDTH
 
 
+def guidance_bytes_per_task():
+    """Traced bytes per GUIDANCE task, once described and added by its run.
+
+    Every traced byte counts, not only repro's lines: the workload's
+    strings and ints are the task's too.  CI prints the pair on each
+    Python it runs.
+    """
+    platform = make_hpc_cluster(20)
+    tracemalloc.start()
+    try:
+        before = _traced_bytes()
+        workload = _guidance_workload()
+        described = _traced_bytes()
+        executor = SimulatedExecutor(
+            workload.graph,
+            platform,
+            policy=LoadBalancingPolicy(),
+            initial_data=workload.initial_data,
+        )
+        report = executor.run()
+        finished = _traced_bytes()
+    finally:
+        tracemalloc.stop()
+    tasks = workload.task_count
+    assert report.tasks_done == tasks
+    return (described - before) / tasks, (finished - described) / tasks
+
+
+def layered_bytes_per_task():
+    """The same pair for the layered DAG, run under earliest finish time."""
+    platform = make_fog_platform(8, 24, 8, fog_battery_joules=None)
+    tracemalloc.start()
+    try:
+        before = _traced_bytes()
+        builder = SimWorkflowBuilder()
+        tasks = _layered_dag(builder)
+        described = _traced_bytes()
+        locations = DataLocationService()
+        executor = SimulatedExecutor(
+            builder.graph,
+            platform,
+            policy=EarliestFinishTimePolicy(locations, platform.network),
+            locations=locations,
+        )
+        report = executor.run()
+        finished = _traced_bytes()
+    finally:
+        tracemalloc.stop()
+    assert report.tasks_done == tasks
+    return (described - before) / tasks, (finished - described) / tasks
+
+
 class CountingPlanner(TransferPlanner):
     """Sums what ``stage_in_plan`` says is moved, for the counters to match."""
 
@@ -150,68 +202,36 @@ class TestFootprint:
         assert network.total_bytes_moved == planner.bytes_planned
 
     def test_guidance_bytes_per_task_described_and_run(self):
-        platform = make_hpc_cluster(20)
-        tracemalloc.start()
-        try:
-            before = _traced_bytes()
-            workload = _guidance_workload()
-            described = _traced_bytes()
-            executor = SimulatedExecutor(
-                workload.graph,
-                platform,
-                policy=LoadBalancingPolicy(),
-                initial_data=workload.initial_data,
-            )
-            report = executor.run()
-            finished = _traced_bytes()
-        finally:
-            tracemalloc.stop()
-        tasks = workload.task_count
-        assert report.tasks_done == tasks
-        per_task = (described - before) / tasks
-        per_task_run = (finished - described) / tasks
-        # Every traced byte, not only repro's lines: the workload's strings
-        # and ints are the task's too.  Described: 1,344 B on 3.11, 1,425 B
-        # on 3.9 (1,906 / 1,987 B before E28: two fresh payload dicts, a
-        # one-element successor set, an input-size dict and an empty
-        # software frozenset per interned requirement).  Run: 331 / 366 B
-        # (495 / 589 B before E28: a one-holder dict per output).  Bounds are
-        # the 3.9 figures plus about 5 and 9 %.  Measured again at E50's
+        per_task, per_task_run = guidance_bytes_per_task()
+        # Described: 1,344 B on 3.11, 1,425 B on 3.9 (1,906 / 1,987 B
+        # before E28: two fresh payload dicts, a one-element successor set,
+        # an input-size dict and an empty software frozenset per interned
+        # requirement).  Run: 331 / 366 B (495 / 589 B before E28: a
+        # one-holder dict per output).  Bounds are the 3.9 figures plus
+        # about 5 and 9 %.  Measured again at E50's
         # parent: 1,218 / 311 B on 3.11; E50 took 18 B off the described
         # figure (1,200 B: the barrier slots of the instance and its datums).
-        assert per_task <= 1500.0, per_task
+        # E51: 944 / 310 B on 3.11, 978 / 342 B on 3.9 (1,200 / 1,281 B
+        # described before: a one-key output dict per task, a reader's own
+        # copy of each input name, a summed float for a lone input and a
+        # one-element predecessor tuple).  The described bound is the 3.9
+        # figure plus about 6 %.
+        assert per_task <= 1040.0, per_task
         assert per_task_run <= 400.0, per_task_run
 
-
     def test_layered_bytes_per_task_described_and_run(self):
-        platform = make_fog_platform(8, 24, 8, fog_battery_joules=None)
-        tracemalloc.start()
-        try:
-            before = _traced_bytes()
-            builder = SimWorkflowBuilder()
-            tasks = _layered_dag(builder)
-            described = _traced_bytes()
-            locations = DataLocationService()
-            executor = SimulatedExecutor(
-                builder.graph,
-                platform,
-                policy=EarliestFinishTimePolicy(locations, platform.network),
-                locations=locations,
-            )
-            report = executor.run()
-            finished = _traced_bytes()
-        finally:
-            tracemalloc.stop()
-        assert report.tasks_done == tasks
-        per_task = (described - before) / tasks
-        per_task_run = (finished - described) / tasks
+        per_task, per_task_run = layered_bytes_per_task()
         # Described: 1,452 B on 3.11, 1,518 B on 3.9 (1,719 / 1,785 B
         # before E49: a successor set where a list of about FAN_IN ids now
         # is).  Run: 284 / 329 B (389 / 434 B before E49: a set per node of
         # the data it holds, now a list).  Bounds are the 3.9 figures plus
         # about 4 and 5 %.  E50 took 16 B off the described figure (1,452 →
         # 1,436 B on 3.11: the barrier slots of the instance and its datum).
-        assert per_task <= 1580.0, per_task
+        # E51: 1,092 / 283 B on 3.11, 1,105 / 307 B on 3.9 (1,436 / 1,497 B
+        # described before: the output dict and each reader's copies of
+        # its FAN_IN input names).  The described bound is the 3.9 figure
+        # plus about 6 %.
+        assert per_task <= 1170.0, per_task
         assert per_task_run <= 345.0, per_task_run
 
 
