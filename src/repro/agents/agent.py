@@ -444,7 +444,6 @@ class Agent:
                 self.engine.after(
                     total + persist_delay,
                     lambda w=work: self._finish_work(w),
-                    label=f"{self.name}-exec-{work.task_id}",
                 )
 
     def _drain_battery(self, work: _QueuedWork) -> bool:

@@ -217,7 +217,6 @@ class MessageBus:
         self.engine.after(
             delay,
             lambda: self._deliver(message),
-            label=f"deliver-{message.op.name}-{message.message_id}",
         )
 
     def _note_interest(self, a: str, b: str) -> None:
@@ -274,7 +273,6 @@ class MessageBus:
             at,
             lambda: self._kill(name),
             priority=-10,
-            label=f"kill-{name}",
         )
 
     def kill_now(self, name: str) -> None:
@@ -328,5 +326,4 @@ class MessageBus:
             self.engine.after(
                 _DETECT_DELAY_S,
                 lambda m=notice: self._deliver(m),
-                label=f"detect-{name}",
             )

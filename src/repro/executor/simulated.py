@@ -25,6 +25,7 @@ read from it, not from the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -37,7 +38,6 @@ from repro.scheduling.locations import DataLocationService, TransferPlanner
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.scheduler import PlacementPass, TaskScheduler
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event
 from repro.telemetry import RunLog
 
 
@@ -107,7 +107,6 @@ class SimulatedExecutor:
         # the finished TaskInstance after mark_done, before the finished
         # check — so a hook may submit follow-on tasks in the same breath.
         self._done_callbacks: List[Callable[[TaskInstance], None]] = []
-        self._completion_events: Dict[int, Event] = {}
         self.log = RunLog()
         self._dispatch_scheduled = False
         # Latest terminal (done/failed) task time so far: engine time is
@@ -210,7 +209,7 @@ class SimulatedExecutor:
         # Coalesce dispatch requests into one event per timestamp.
         if not self._dispatch_scheduled:
             self._dispatch_scheduled = True
-            self.engine.after(0.0, self._dispatch, priority=10, label="dispatch")
+            self.engine.after(0.0, self._dispatch, priority=10)
 
     def _dispatch(self) -> None:
         """One placement pass (the engine callback traces charge to)."""
@@ -225,13 +224,10 @@ class SimulatedExecutor:
         stage_in = self._stage_in_time(instance, head)
         node = self.platform.node(head)
         compute = (instance.profile.duration_s if instance.profile else 0.0) / node.speed_factor
-        total = stage_in + compute
-        event = self.engine.after(
-            total,
-            lambda tid=instance.task_id: self._complete_task(tid),
-            label=f"finish-{instance.label}",
+        self.engine.after(
+            stage_in + compute,
+            partial(self._complete_task, instance.task_id, instance.attempts),
         )
-        self._completion_events[instance.task_id] = event
 
     def _stage_in_time(self, instance: TaskInstance, node_name: str) -> float:
         """Coalesced parallel-fetch model.
@@ -257,12 +253,11 @@ class SimulatedExecutor:
             publish(datum_id, node_name, size)
         return worst
 
-    def _complete_task(self, task_id: int) -> None:
+    def _complete_task(self, task_id: int, attempt: int) -> None:
         instance = self.graph.task(task_id)
-        if instance.state is not TaskState.RUNNING:
-            return  # stale completion after a failure-triggered requeue
+        if instance.state is not TaskState.RUNNING or instance.attempts != attempt:
+            return  # stale: a node failure requeued the attempt it ends
         now = self.engine.now
-        self._completion_events.pop(task_id, None)
         # Energy accounting over the full occupancy window.
         start = instance.start_time if instance.start_time is not None else now
         for node_name in instance.assigned_nodes:
@@ -308,7 +303,6 @@ class SimulatedExecutor:
             time,
             lambda: self._fail_node(node_name),
             priority=-10,  # failures preempt completions at the same instant
-            label=f"fail-{node_name}",
         )
 
     def _fail_node(self, node_name: str) -> None:
@@ -331,9 +325,6 @@ class SimulatedExecutor:
         self.platform.fail_node(node_name, at=now)
         self.locations.evict_node(node_name)
         for instance in victims:
-            event = self._completion_events.pop(instance.task_id, None)
-            if event is not None:
-                event.cancel()
             # The (now gone) ledger entry was removed with the node; release
             # co-allocated capacity on surviving gang nodes.
             self.scheduler.release(instance)

@@ -104,7 +104,6 @@ class CloudProvider:
             self.engine.after(
                 self.startup_delay_s,
                 lambda vm_id=vm_id, cb=on_ready: self._boot(vm_id, cb),
-                label=f"{self.name}-boot-{vm_id}",
             )
         return granted
 
@@ -179,7 +178,7 @@ class ElasticityPolicy:
     def start(self) -> None:
         """Begin polling; call before ``engine.run()``."""
         self._running = True
-        self.engine.after(self.period_s, self._tick, label="elasticity-tick")
+        self.engine.after(self.period_s, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -205,7 +204,7 @@ class ElasticityPolicy:
         else:
             self._maybe_scale_in(active)
         if self._running:
-            self.engine.after(self.period_s, self._tick, label="elasticity-tick")
+            self.engine.after(self.period_s, self._tick)
 
     def _maybe_scale_in(self, active: List[str]) -> None:
         now = self.engine.now

@@ -95,7 +95,7 @@ class SlurmManager:
         self._jobs[job.job_id] = job
         self._queue.append(job)
         # Try to place immediately (still via the event loop for determinism).
-        self.engine.after(0.0, self._drain_queue, label="slurm-drain")
+        self.engine.after(0.0, self._drain_queue)
         return job
 
     def request_grow(self, job_id: int, extra_nodes: int) -> None:
@@ -106,7 +106,7 @@ class SlurmManager:
         if extra_nodes <= 0:
             raise ValueError(f"extra_nodes must be > 0, got {extra_nodes}")
         job.grow_requests.append(extra_nodes)
-        self.engine.after(0.0, self._drain_queue, label="slurm-drain")
+        self.engine.after(0.0, self._drain_queue)
 
     def release(self, job_id: int) -> None:
         """Job finished: return its allocation to the free pool."""
@@ -117,7 +117,7 @@ class SlurmManager:
         job.end_time = self.engine.now
         self._free.extend(job.allocated)
         job.allocated = []
-        self.engine.after(0.0, self._drain_queue, label="slurm-drain")
+        self.engine.after(0.0, self._drain_queue)
 
     # ------------------------------------------------------------------ internals
 

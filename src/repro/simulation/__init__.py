@@ -12,7 +12,6 @@ _export_lazily(
     globals(),
     {
         "SimClock": "clock",
-        "Event": "events",
         "EventQueue": "events",
         "SimulationEngine": "engine",
         "SimulationError": "engine",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.simulation.clock import SimClock
-from repro.simulation.events import Event, EventQueue
+from repro.simulation.events import EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -66,30 +66,26 @@ class SimulationEngine:
         time: float,
         action: Callable[[], Any],
         priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    ) -> None:
         """Schedule ``action`` at absolute virtual ``time``."""
         if not time >= self.clock.now:  # negated: refuses NaN too
             raise SimulationError(
-                f"cannot schedule event {label!r} at {time:.6f}, "
+                f"cannot schedule an event at {time:.6f}, "
                 f"which is not at or after now ({self.clock.now:.6f})"
             )
-        return self.queue.push(time, action, priority=priority, label=label)
+        self.queue.push(time, action, priority)
 
     def after(
         self,
         delay: float,
         action: Callable[[], Any],
         priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    ) -> None:
         """Schedule ``action`` ``delay`` seconds from now."""
         if not delay >= 0:  # negated: refuses NaN too
-            raise SimulationError(
-                f"delay {delay!r} for event {label!r} is negative or NaN"
-            )
+            raise SimulationError(f"delay {delay!r} is negative or NaN")
         # now + (delay >= 0) is never in the past: at()'s check is implied.
-        return self.queue.push(self.clock._now + delay, action, priority, label)
+        self.queue.push(self.clock._now + delay, action, priority)
 
     def stop(self) -> None:
         """Request the run loop to exit after the current event."""
@@ -97,10 +93,10 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Dispatch a single event.  Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
+        entry = self.queue.pop()
+        if entry is None:
             return False
-        self.clock.advance_to(event.time)
+        self.clock.advance_to(entry[0])
         self._dispatched += 1
         self._lifetime_dispatched += 1
         if self._dispatched > self.max_events:
@@ -108,7 +104,7 @@ class SimulationEngine:
                 f"dispatched more than {self.max_events} events; "
                 "likely a self-rescheduling loop"
             )
-        event.action()
+        entry[3]()
         return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -116,15 +112,14 @@ class SimulationEngine:
 
         Returns the final virtual time.  With a horizon, the clock always
         lands exactly on ``until`` unless :meth:`stop` cut the run short —
-        including when the queue drains early or holds only cancelled
-        events, so periodic callers can rely on ``now == until`` to resume.
+        including when the queue drains early, so periodic callers can rely
+        on ``now == until`` to resume.
         """
         self._stopped = False
         self._dispatched = 0
         if until is None:
             # Hot path: no horizon to honor, so step() alone decides when to
-            # stop — the per-event peek would duplicate its cancelled-event
-            # filtering for no benefit.
+            # stop, with no per-event peek.
             while not self._stopped and self.step():
                 pass
             return self.clock.now

@@ -160,12 +160,12 @@ class ShardApi:
     def dispatched_events(self) -> int:
         return self.engine.dispatched_events
 
-    def at(self, time, action, priority=0, label=""):
+    def at(self, time, action, priority=0) -> None:
         """Schedule a zone-local event (same contract as the engine)."""
-        return self.engine.at(time, action, priority=priority, label=label)
+        self.engine.at(time, action, priority)
 
-    def after(self, delay, action, priority=0, label=""):
-        return self.engine.after(delay, action, priority=priority, label=label)
+    def after(self, delay, action, priority=0) -> None:
+        self.engine.after(delay, action, priority)
 
     def stop(self) -> None:
         """Accepted and ignored (a zone-local executor calls it when its
@@ -274,7 +274,6 @@ class ShardApi:
             lambda: handler(pickle.loads(payload_bytes)),
             message.priority,
             next(self._delivery_seq),
-            f"channel:{message.src_zone}",
         )
 
 

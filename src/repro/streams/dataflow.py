@@ -256,7 +256,7 @@ class DataflowPlane:
     def close_sources_at(self, time: float) -> None:
         """Schedule every source stream's close (ends window rescheduling)."""
         for source in self.operators.sources:
-            self.engine.at(time, source.stream.close, label=f"{source.name}-close")
+            self.engine.at(time, source.stream.close)
 
     # ------------------------------------------------------------ ingestion
 
@@ -330,7 +330,6 @@ class DataflowPlane:
         self.engine.at(
             close_at,
             partial(self._close, runtime),
-            label=f"{runtime.op.name}-close",
         )
 
     def _close(self, runtime: _WindowRuntime) -> None:

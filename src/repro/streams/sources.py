@@ -156,9 +156,7 @@ class SensorSource:
         if self._started:
             raise RuntimeError(f"sensor {self.name!r} already started")
         self._started = True
-        self.engine.at(
-            max(at, self.engine.now), self._emit, label=f"{self.name}-emit"
-        )
+        self.engine.at(max(at, self.engine.now), self._emit)
 
     def _emit(self) -> None:
         now = self.engine.now
@@ -219,4 +217,4 @@ class SensorSource:
             self.stream.publish_batch(stamps, values, self.name)
             self.emitted += len(stamps)
         if timestamp is not None:
-            self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")
+            self.engine.at(timestamp, self._emit)

@@ -224,10 +224,8 @@ class _ZoneChurnDriver:
 
     def start(self) -> None:
         cfg = self.cfg
-        self.engine.after(cfg.tick_s, self._tick, label=f"{self.zone}-churn-tick")
-        self.engine.after(
-            cfg.crowd_interval_s, self._crowd, label=f"{self.zone}-crowd"
-        )
+        self.engine.after(cfg.tick_s, self._tick)
+        self.engine.after(cfg.crowd_interval_s, self._crowd)
 
     # ----------------------------------------------------------- churn tick
 
@@ -268,9 +266,7 @@ class _ZoneChurnDriver:
             self._outage_done = True
             self._correlated_outage()
         if now + cfg.tick_s <= cfg.duration_s + 1e-9:
-            self.engine.after(
-                cfg.tick_s, self._tick, label=f"{self.zone}-churn-tick"
-            )
+            self.engine.after(cfg.tick_s, self._tick)
 
     def _kill_worker(self, victim: str) -> None:
         if not self.bus.is_alive(victim):
@@ -324,9 +320,7 @@ class _ZoneChurnDriver:
     def _schedule_next_crowd(self) -> None:
         cfg = self.cfg
         if self.engine.now + cfg.crowd_interval_s <= cfg.duration_s + 1e-9:
-            self.engine.after(
-                cfg.crowd_interval_s, self._crowd, label=f"{self.zone}-crowd"
-            )
+            self.engine.after(cfg.crowd_interval_s, self._crowd)
 
     def _build_crowd_graph(self, zone_agents: int) -> SimWorkflowBuilder:
         cfg = self.cfg
@@ -549,7 +543,7 @@ def _churn_zone_program(cfg: ChurnConfig, index: int, api):
         cfg,
         index,
         cfg.digest_interval_s,
-        ("peer-epoch", "epoch-digest", "digest-tick"),
+        ("peer-epoch", "epoch-digest"),
         digest,
         lambda: api.now + cfg.digest_interval_s <= cfg.duration_s + 1e-9,
     )

@@ -147,7 +147,7 @@ def _hybrid_zone_program(cfg: HybridStreamConfig, index: int, api):
         cfg,
         index,
         cfg.digest_interval_s,
-        ("peer-digest", "stream-digest", "digest-tick"),
+        ("peer-digest", "stream-digest"),
         lambda: {
             "crc": zlib.crc32(
                 pickle.dumps((zone, plane.windows_closed, plane.elements_ingested))

@@ -97,22 +97,22 @@ def start_ring_report(api, cfg, index: int, interval_s, labels, fields, keep_goi
     """The cross-zone ring every zone program carries: every ``interval_s``
     zone ``index`` sends ``{"zone": its name, **fields()}`` to zone ``index +
     1``, paying ``cfg.inter_zone_latency_s``, and logs what its predecessor
-    sent as ``(tag, *payload values)``.  ``labels`` is ``(tag, send label,
-    tick label)``; ``keep_going()`` is asked after each send — a zone that
-    stops answering yes goes quiet, which is what lets the run quiesce."""
+    sent as ``(tag, *payload values)``.  ``labels`` is ``(tag, send
+    label)``; ``keep_going()`` is asked after each send — a zone that stops
+    answering yes goes quiet, which is what lets the run quiesce."""
     zone = zone_name(index)
     peer = zone_name((index + 1) % cfg.zones)
-    tag, send_label, tick_label = labels
+    tag, send_label = labels
     api.on_message(lambda payload: api.log((tag, *payload.values())))
 
     def ping() -> None:
         payload = {"zone": zone, **fields()}
         api.send(peer, payload, delay=cfg.inter_zone_latency_s, label=send_label)
         if keep_going():
-            api.after(interval_s, ping, label=tick_label)
+            api.after(interval_s, ping)
 
     if cfg.zones > 1:
-        api.after(interval_s, ping, label=tick_label)
+        api.after(interval_s, ping)
 
 
 def zone_programs(cfg, program) -> Dict[str, Any]:
@@ -158,7 +158,7 @@ def _zone_program(cfg: ZonalConfig, index: int, api):
         cfg,
         index,
         cfg.progress_interval_s,
-        ("peer-progress", "progress", "progress-tick"),
+        ("peer-progress", "progress"),
         lambda: {"done": executor.graph.completed_count},
         # Reschedule only while the local workload is live.
         lambda: not executor.graph.finished,

@@ -296,14 +296,6 @@ class TestEventQueueEdges:
         assert queue.pop() is None
         assert queue.peek_time() is None
 
-    def test_all_cancelled_behaves_empty(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(3)]
-        for event in events:
-            event.cancel()
-        assert not queue
-        assert queue.pop() is None
-
 
 class TestStorageEdges:
     def test_estimate_size_unpicklable_fallback(self):

@@ -49,7 +49,7 @@ EXPORTS = {
         "CloudProvider", "ElasticityPolicy", "SlurmManager", "SlurmJob",
     ],
     "simulation": [
-        "SimClock", "Event", "EventQueue", "SimulationEngine", "SimulationError",
+        "SimClock", "EventQueue", "SimulationEngine", "SimulationError",
         "DeterministicRandom", "ShardedSimulationEngine", "ChannelMessage",
         "ParallelShardedSimulationEngine", "ShardApi", "run_programs_sharded",
         "run_zone_programs",

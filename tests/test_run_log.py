@@ -260,7 +260,6 @@ def run_scenario(layers, failures, batches):
         executor.engine.at(
             float(time),
             lambda specs=specs: late_batch(executor, specs, ids, late),
-            label="late-batch",
         )
     report = executor.run()
     return executor, report, busy, late

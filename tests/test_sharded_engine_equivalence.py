@@ -208,12 +208,6 @@ class TestShardedEngineSurface:
         assert fired == [1, 5]
         assert engine.dispatched_events == 1
 
-    def test_run_until_with_cancelled_only_events(self, engine):
-        handle = engine.shard("alpha").at(2.0, lambda: None)
-        handle.cancel()
-        assert engine.run(until=4.0) == 4.0
-        assert engine.dispatched_events == 0
-
     def test_run_until_before_now_raises(self, engine):
         engine.shard("alpha").at(2.0, lambda: None)
         engine.run(until=5.0)

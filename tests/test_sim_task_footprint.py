@@ -5,9 +5,8 @@ objects a task — and each of its transfers — leaves behind decide how much
 every full GC pass scans, and the bytes it keeps decide how many tasks fit
 (E28).  These tests pin the per-task count of GC-tracked objects after a run
 (and how many of them the run itself created), the traced bytes per task
-once described and once run, that a transfer is counted and not retained,
-and that the slotted ``Event`` keeps its fields and cancels as the dataclass
-it replaced did.
+once described and once run, and that a transfer is counted and not
+retained.
 """
 
 import gc
@@ -24,7 +23,6 @@ from repro.scheduling import (
     LoadBalancingPolicy,
     TransferPlanner,
 )
-from repro.simulation.events import Event, EventQueue
 from repro.workloads import GuidanceConfig, build_guidance_workflow
 
 WIDTH = 125
@@ -234,53 +232,3 @@ class TestFootprint:
         assert per_task <= 1170.0, per_task
         assert per_task_run <= 345.0, per_task_run
 
-
-class TestSlottedEvent:
-    def test_no_instance_dict_same_fields(self):
-        event = Event(1.0, 0, 3, lambda: None, "tick")
-        assert not hasattr(event, "__dict__")
-        assert (event.time, event.priority, event.sequence) == (1.0, 0, 3)
-        assert event.label == "tick" and event.cancelled is False
-        with pytest.raises(AttributeError):
-            event.extra = 1
-
-    def test_queue_builds_events_in_schedule_order_and_skips_cancelled(self):
-        queue = EventQueue()
-        fired = []
-        second = queue.push(1.0, lambda: fired.append("second"), label="second")
-        first = queue.push(1.0, lambda: fired.append("first"), priority=-1)
-        earliest = queue.push(0.5, lambda: fired.append("earliest"))
-        assert (second.sequence, first.sequence, earliest.sequence) == (0, 1, 2)
-        assert second.label == "second"
-        earliest.cancel()
-        assert len(queue) == 2
-        assert queue.pop() is first and queue.pop() is second
-        assert queue.pop() is None
-
-    def test_cancelled_completion_is_skipped_when_a_node_fails_mid_run(self):
-        platform = make_hpc_cluster(2)
-        builder = SimWorkflowBuilder()
-        for index in range(8):
-            builder.add_task(f"t{index}", 10.0, outputs={f"t{index}": 1e6})
-        graph = builder.graph
-        executor = SimulatedExecutor(graph, platform)
-        victim = platform.nodes[0].name
-        doomed = {}
-        fired = []
-
-        def tap_completions():
-            # Just before the failure: tap the completion events of the
-            # tasks running on the node that is about to die.
-            for task_id, event in executor._completion_events.items():
-                if graph.task(task_id).assigned_nodes == (victim,):
-                    doomed[task_id] = event
-                    action = event.action
-                    event.action = lambda a=action, t=task_id: (fired.append(t), a())
-
-        executor.engine.at(4.0, tap_completions)
-        executor.fail_node_at(5.0, victim)
-        report = executor.run()
-        assert report.tasks_done == 8 and report.resubmissions == len(doomed) > 0
-        assert all(event.cancelled for event in doomed.values())
-        assert fired == []  # popped past, never dispatched
-        assert all(t.assigned_nodes != (victim,) for t in graph.tasks)

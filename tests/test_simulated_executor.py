@@ -177,6 +177,29 @@ def test_node_failure_requeues_running_task():
     assert report.makespan == pytest.approx(150.0)
 
 
+def test_first_attempts_completion_does_not_end_the_requeued_second():
+    # Nothing cancels the completion of an attempt a node failure ends: it
+    # fires at t=10 while the second attempt, restarted at t=5 on the
+    # surviving node, still runs, and must leave it running until 5 + 10.
+    builder = SimWorkflowBuilder()
+    for index in range(8):
+        builder.add_task(f"t{index}", 10.0, outputs={f"t{index}": 1e6})
+    platform = make_hpc_cluster(2)
+    executor = SimulatedExecutor(builder.graph, platform)
+    victim, survivor = (node.name for node in platform.nodes)
+    executor.fail_node_at(5.0, victim)
+    report = executor.run()
+    requeued = [t for t in builder.graph.tasks if t.attempts == 2]
+    assert report.tasks_done == 8 and report.resubmissions == len(requeued) > 0
+    for task in requeued:
+        assert task.assigned_nodes == (survivor,)
+        assert (task.start_time, task.end_time) == (5.0, 15.0)
+    assert report.makespan == 15.0
+    # Each stale completion dispatches as a no-op event: two dispatch
+    # passes, the failure and 8 + len(requeued) completions.
+    assert executor.engine.dispatched_events == 3 + 8 + len(requeued)
+
+
 def test_failure_without_surviving_copy_fails_workflow():
     builder = SimWorkflowBuilder()
     produce = builder.add_task("produce", duration=10.0, outputs={"x": 1e6})

@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel: clock, event queue, engine, random streams."""
 
+import sys
+
 import pytest
 
 from repro.simulation import (
@@ -39,7 +41,7 @@ class TestEventQueue:
         queue.push(1.0, lambda: order.append("a"))
         queue.push(2.0, lambda: order.append("b"))
         while queue:
-            queue.pop().action()
+            queue.pop()[3]()
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_priority_then_sequence(self):
@@ -49,29 +51,34 @@ class TestEventQueue:
         queue.push(1.0, lambda: order.append("first"), priority=0)
         queue.push(1.0, lambda: order.append("third"), priority=1)
         while queue:
-            queue.pop().action()
+            queue.pop()[3]()
         assert order == ["first", "second", "third"]
 
-    def test_cancelled_events_skipped(self):
+    def test_an_event_is_its_heap_entry(self):
         queue = EventQueue()
-        fired = []
-        event = queue.push(1.0, lambda: fired.append(1))
-        event.cancel()
-        assert queue.pop() is None
-        assert fired == []
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
+        action = lambda: None  # noqa: E731 - the entry must hold this object
+        assert queue.push(2.0, action, priority=-1) is None
         assert queue.peek_time() == 2.0
+        assert queue.pop() == (2.0, -1, 0, action)
+        assert queue.pop() is None and queue.peek_time() is None
+
+    def test_push_sequenced_band_ties_after_own_events(self):
+        # ShardApi.deliver draws from a band above any sequence push() uses:
+        # a delivery filed first still dispatches after the zone's own
+        # event at the same (time, priority).
+        queue = EventQueue()
+        queue.push_sequenced(1.0, "delivery", 0, sys.maxsize)
+        queue.push(1.0, "own")
+        queue.push(1.0, "urgent", priority=-1)
+        assert [queue.pop()[3] for _ in range(3)] == ["urgent", "own", "delivery"]
 
     def test_len_counts_live_events(self):
         queue = EventQueue()
-        e = queue.push(1.0, lambda: None)
+        queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
+        queue.pop()
+        assert len(queue) == 1
 
 
 class TestSimulationEngine:
@@ -107,14 +114,14 @@ class TestSimulationEngine:
     # door refuses it before anything is queued or run.
     def test_nan_time_refused_by_at(self):
         engine = SimulationEngine()
-        with pytest.raises(SimulationError, match="'tick' at nan"):
-            engine.at(float("nan"), lambda: None, label="tick")
+        with pytest.raises(SimulationError, match="event at nan"):
+            engine.at(float("nan"), lambda: None)
         assert len(engine.queue) == 0
 
     def test_nan_delay_refused_by_after(self):
         engine = SimulationEngine()
-        with pytest.raises(SimulationError, match="'tick' is negative or NaN"):
-            engine.after(float("nan"), lambda: None, label="tick")
+        with pytest.raises(SimulationError, match="nan is negative or NaN"):
+            engine.after(float("nan"), lambda: None)
         assert len(engine.queue) == 0
 
     def test_nan_horizon_refused_by_run(self):
@@ -260,12 +267,10 @@ from hypothesis import strategies as st  # noqa: E402
 _TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0])
 _PRIORITIES = st.sampled_from([-1, 0, 0, 1])
 
-# One program step: push a new event, cancel a previously pushed one (index
-# taken modulo the live count at run time), or pop/peek at this point.
+# One program step: push a new event, or pop/peek at this point.
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _TIMES, _PRIORITIES),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
         st.tuples(st.just("pop")),
         st.tuples(st.just("peek")),
     ),
@@ -276,94 +281,70 @@ _OPS = st.lists(
 class TestEventQueueProperties:
     """The queue's contract, stated once and checked against a model.
 
-    Reference model: a plain list of pushed events.  At any point the next
-    event the queue may legally deliver is the minimum of the model's
-    un-popped, un-cancelled entries under ``(time, priority, sequence)`` —
-    which, for equal (time, priority), is the *earliest pushed*.  The model
-    never uses a heap, so agreement is evidence about the heap's laziness
-    around cancellations, not about two copies of the same code.
+    Reference model: a plain list of pushed ``(time, priority, push index)``
+    keys.  At any point the next event the queue may legally deliver is the
+    minimum of the model's un-popped entries — which, for equal (time,
+    priority), is the *earliest pushed*.  The model never uses a heap, so
+    agreement is evidence about the heap, not about two copies of the same
+    code.
     """
-
-    @staticmethod
-    def _model_next(model):
-        live = [entry for entry in model if not entry["cancelled"]]
-        return min(live, key=lambda e: e["key"]) if live else None
 
     @given(ops=_OPS)
     @settings(max_examples=120, deadline=None)
     def test_random_programs_match_reference_model(self, ops):
         queue = EventQueue()
-        model = []  # entries: {"key": (t, prio, seq), "event", "cancelled"}
+        model = []  # un-popped (time, priority, push index) keys
+        actions = {}  # push index -> the action object pushed with it
         for op in ops:
             if op[0] == "push":
                 _, time, priority = op
-                event = queue.push(time, lambda: None, priority=priority)
-                model.append(
-                    {
-                        "key": (time, priority, event.sequence),
-                        "event": event,
-                        "cancelled": False,
-                    }
-                )
-            elif op[0] == "cancel":
-                if model:
-                    entry = model[op[1] % len(model)]
-                    entry["event"].cancel()
-                    entry["cancelled"] = True  # popping later is also fine
+                index = len(actions)
+                actions[index] = action = lambda: None
+                queue.push(time, action, priority=priority)
+                model.append((time, priority, index))
             elif op[0] == "pop":
-                expected = self._model_next(model)
                 popped = queue.pop()
-                if expected is None:
+                if not model:
                     assert popped is None
                 else:
-                    assert popped is expected["event"]
-                    expected["cancelled"] = True  # consumed: retire it
+                    expected = min(model)
+                    model.remove(expected)
+                    assert popped[:2] == expected[:2]
+                    assert popped[3] is actions[expected[2]]
             else:  # peek: non-destructive, must agree with the model now
-                expected = self._model_next(model)
-                if expected is None:
-                    assert queue.peek_time() is None
-                else:
-                    assert queue.peek_time() == expected["key"][0]
+                expected = min(model)[0] if model else None
+                assert queue.peek_time() == expected
         # Drain: the remainder comes out in exact model order.
-        remainder = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            remainder.append(event)
-        live = sorted(
-            (e for e in model if not e["cancelled"]), key=lambda e: e["key"]
-        )
-        assert remainder == [e["event"] for e in live]
+        assert len(queue) == len(model)
+        remainder = [entry[3] for entry in iter(queue.pop, None)]
+        assert remainder == [actions[key[2]] for key in sorted(model)]
 
     @given(ops=_OPS)
     @settings(max_examples=80, deadline=None)
     def test_peek_never_perturbs_pop_order(self, ops):
-        """Interleaving peeks (which lazily drop cancelled heads) anywhere
-        into a program must not change what the queue delivers."""
+        """Interleaving peeks anywhere into a program must not change what
+        the queue delivers."""
         plain, peeked = EventQueue(), EventQueue()
-        handles = ([], [])
+        streams = ([], [])
         for op in ops:
-            if op[0] == "push":
-                _, time, priority = op
-                for queue, pushed in zip((plain, peeked), handles):
-                    pushed.append(queue.push(time, lambda: None, priority=priority))
-            elif op[0] == "cancel":
-                if handles[0]:
-                    index = op[1] % len(handles[0])
-                    for pushed in handles:
-                        pushed[index].cancel()
-            # pops skipped: both queues must agree on the *full* stream below
             peeked.peek_time()
-        stream = lambda q: [  # noqa: E731 - local one-liner
-            (e.time, e.priority, e.sequence) for e in iter(q.pop, None)
-        ]
-        assert stream(plain) == stream(peeked)
+            action = lambda: None  # noqa: E731 - one object, pushed to both
+            for queue, stream in zip((plain, peeked), streams):
+                if op[0] == "push":
+                    queue.push(op[1], action, priority=op[2])
+                elif op[0] == "pop":
+                    stream.append(queue.pop())
+        for queue, stream in zip((plain, peeked), streams):
+            stream.extend(iter(queue.pop, None))
+        assert streams[0] == streams[1]
 
     @given(times=st.lists(_TIMES, min_size=2, max_size=20))
     @settings(max_examples=80, deadline=None)
     def test_same_timestamp_ties_resolve_in_push_order(self, times):
         queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in times]
-        drained = list(iter(queue.pop, None))
-        assert drained == sorted(events, key=lambda e: (e.time, e.sequence))
+        pushed = [(t, lambda: None) for t in times]
+        for time, action in pushed:
+            queue.push(time, action)
+        drained = [entry[3] for entry in iter(queue.pop, None)]
+        # sorted() is stable: equal times keep their push order.
+        assert drained == [a for _, a in sorted(pushed, key=lambda p: p[0])]

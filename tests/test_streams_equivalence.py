@@ -279,7 +279,7 @@ class _ElementLoopSensor(SensorSource):
             self.stream.publish_batch(stamps, values, self.name)
             self.emitted += len(stamps)
         if timestamp is not None:
-            self.engine.at(timestamp, self._emit, label=f"{self.name}-emit")
+            self.engine.at(timestamp, self._emit)
 
 
 class _StepEngine:
@@ -289,7 +289,7 @@ class _StepEngine:
         self.now = 0.0
         self.pending = None
 
-    def at(self, time, action, label=""):
+    def at(self, time, action):
         assert self.pending is None
         self.pending = (time, action)
 
