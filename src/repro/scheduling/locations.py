@@ -7,17 +7,13 @@ of the data by scheduling tasks in the location where the data resides"
 node) and the storage backends (partition replicas) publish locations here;
 the locality policy consumes them.
 
-Placement is the hot consumer, so beyond the forward datum->holders map
-(holders kept in publication order, so everything derived from them is
-independent of the process's hash seed) the service maintains:
-
-* an inverted node->data index, each node's datum ids listed in the
-  order it came to hold them (evicting a failed node touches only the
-  data it held, not every datum ever registered);
-* per-digest locality score maps — ``local_bytes_map`` returns, for one
-  input tuple, every node's locally-held byte total, updated incrementally
-  on ``publish`` (a new holder or a new size) and ``evict_node`` instead
-  of being recomputed per candidate per placement.
+Beside the forward datum->holders map (holders kept in publication
+order, so everything derived from them is independent of the process's
+hash seed) the service keeps an inverted node->data index, each node's
+datum ids listed in the order it came to hold them: evicting or re-homing
+a failed node touches only the data it held, not every datum ever
+registered.  Locality is summed from the live holders when a policy asks
+(``local_bytes_map``), so no mutation has a score to keep up to date.
 
 :class:`TransferPlanner` prices moving a datum to a node from these live
 holders and the network's zone-pair links; it keeps nothing per datum, so
@@ -26,26 +22,11 @@ no mutation here has anything to invalidate.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.infrastructure.network import DEFAULT_ZONE, Link, NetworkTopology
 
 _INF = float("inf")
-
-#: Most digest score maps are used by exactly the tasks sharing that input
-#: tuple; the LRU bound keeps one-shot digests (per-task unique inputs)
-#: from accumulating across a million-task run.
-_DIGEST_CACHE_LIMIT = 1024
 
 
 class DataLocationService:
@@ -64,14 +45,6 @@ class DataLocationService:
         # Data whose every copy was evicted (the is_lost() predicate),
         # counted so failure-free hot paths can skip per-task lost checks.
         self._lost_count = 0
-        # Locality score maps keyed by input tuple (the datum-set digest):
-        # digest -> {node name -> bytes of the digest's members held there}.
-        # ``_datum_digests`` is the reverse map that routes publish and
-        # evict deltas into every affected digest.
-        self._digest_scores: "OrderedDict[Tuple[str, ...], Dict[str, float]]" = (
-            OrderedDict()
-        )
-        self._datum_digests: Dict[str, Set[Tuple[str, ...]]] = {}
 
     # -------------------------------------------------------------- mutation
 
@@ -83,42 +56,20 @@ class DataLocationService:
         elif not holders:
             # Every copy had been evicted; this publish recovers the datum.
             self._lost_count -= 1
-        new_holder = node_name not in holders
-        size_delta = 0.0
         if size_bytes:
-            size = float(size_bytes)
-            old_size = self._sizes.get(datum_id, 0.0)
-            if size != old_size:
-                size_delta = size - old_size
-                self._sizes[datum_id] = size
-        if not new_holder and not size_delta:
+            self._sizes[datum_id] = float(size_bytes)
+        if node_name in holders:
             return
-        if new_holder:
-            self._locations[datum_id] = holders + (node_name,)
-            data = self._node_data.get(node_name)
-            if data is None:
-                data = self._node_data[node_name] = []
-            data.append(datum_id)
-        digests = self._datum_digests.get(datum_id)
-        if digests:
-            size = self._sizes.get(datum_id, 0.0)
-            for digest in digests:
-                scores = self._digest_scores[digest]
-                multiplicity = digest.count(datum_id)
-                if size_delta:
-                    # Existing holders' totals (``holders`` is the tuple
-                    # before this publish) shift by the size change.
-                    delta = size_delta * multiplicity
-                    for holder in holders:
-                        scores[holder] = scores.get(holder, 0.0) + delta
-                if new_holder and size:
-                    scores[node_name] = scores.get(node_name, 0.0) + size * multiplicity
+        self._locations[datum_id] = holders + (node_name,)
+        data = self._node_data.get(node_name)
+        if data is None:
+            data = self._node_data[node_name] = []
+        data.append(datum_id)
 
     def evict_node(self, node_name: str) -> None:
         """Drop every copy held by a node (node failure / scale-in).
 
         O(data held by the node) via the inverted index, not O(all data).
-        The walk's order shows only in the evicted node's own scores.
         """
         data = self._node_data.pop(node_name, None)
         if not data:
@@ -132,14 +83,6 @@ class DataLocationService:
             )
             if not holders:
                 self._lost_count += 1
-            digests = self._datum_digests.get(datum_id)
-            if digests:
-                size = self._sizes.get(datum_id, 0.0)
-                if size:
-                    for digest in digests:
-                        scores = self._digest_scores[digest]
-                        if node_name in scores:
-                            scores[node_name] -= size * digest.count(datum_id)
 
     def rehome_node(self, dead_node: str, target_node: str) -> int:
         """Re-point every copy held by a failed node at ``target_node``.
@@ -148,13 +91,9 @@ class DataLocationService:
         node's copies, rehome redirects them — persisted objects whose
         canonical copy died are served from the store or a replica — in
         ONE pass over the inverted index (O(data held), not one lookup +
-        publish round-trip per datum).  Digest scores update incrementally
-        per datum, reusing the same bookkeeping as ``publish``/
-        ``evict_node``.  Returns the number of data re-homed.
-
-        Iterates in sorted datum order, not the index's arrival order: the
-        target's digest scores sum the moved sizes in walk order, and the
-        pinned digests were computed with sorted order's float sums.
+        publish round-trip per datum).  The moved data join the target's
+        index in the order the dead node came to hold them.  Returns the
+        number of data re-homed.
         """
         data = self._node_data.pop(dead_node, None)
         if not data:
@@ -163,31 +102,17 @@ class DataLocationService:
         if target_data is None:
             target_data = self._node_data[target_node] = []
         moved = 0
-        for datum_id in sorted(data):
+        for datum_id in data:
             holders = self._locations.get(datum_id)
             if holders is None or dead_node not in holders:
                 continue
             holders = tuple(holder for holder in holders if holder != dead_node)
             # A target that already held a copy keeps its earlier position.
-            already_there = target_node in holders
-            if not already_there:
+            if target_node not in holders:
                 holders += (target_node,)
                 target_data.append(datum_id)
             self._locations[datum_id] = holders
             moved += 1
-            digests = self._datum_digests.get(datum_id)
-            if digests:
-                size = self._sizes.get(datum_id, 0.0)
-                if size:
-                    for digest in digests:
-                        scores = self._digest_scores[digest]
-                        delta = size * digest.count(datum_id)
-                        if dead_node in scores:
-                            scores[dead_node] -= delta
-                        if not already_there:
-                            scores[target_node] = (
-                                scores.get(target_node, 0.0) + delta
-                            )
         return moved
 
     # --------------------------------------------------------------- queries
@@ -224,52 +149,20 @@ class DataLocationService:
         which lets dispatch skip the per-task lost-input scan entirely."""
         return self._lost_count > 0
 
-    def local_bytes(self, node_name: str, datum_ids: Iterable[str]) -> float:
-        """Bytes of the given data already present on ``node_name``."""
-        total = 0.0
-        for datum_id in datum_ids:
-            if node_name in self._locations.get(datum_id, ()):
-                total += self._sizes.get(datum_id, 0.0)
-        return total
+    def local_bytes_map(self, datum_ids: Sequence[str]) -> Dict[str, float]:
+        """Per-node locally-held bytes for one input tuple, as a fresh dict.
 
-    def local_bytes_map(self, datum_ids: Sequence[str]) -> Mapping[str, float]:
-        """Per-node locally-held bytes for one input tuple, as a mapping.
-
-        The map is built once per distinct digest and then updated
-        incrementally by ``publish``/``evict_node``, so a
-        policy ranking k candidates pays O(k) lookups instead of
-        O(k x inputs) set-membership probes per placement.  Nodes holding
-        none of the data are absent (callers use ``.get(name, 0.0)``); an
-        entry may reach 0.0 after evictions, which ranks identically.
-        Callers must not mutate the result.
+        Summed from the live holders in read order, so a datum read twice
+        counts twice.  Nodes holding none of the data are absent (callers
+        use ``.get(name, 0.0)``).
         """
-        digest = tuple(datum_ids)
-        scores = self._digest_scores.get(digest)
-        if scores is not None:
-            self._digest_scores.move_to_end(digest)
-            return scores
-        scores = {}
-        for datum_id in digest:
-            # Register the reverse link even for unknown/zero-size data:
-            # a later publish must find and update this digest.
-            links = self._datum_digests.get(datum_id)
-            if links is None:
-                links = self._datum_digests[datum_id] = set()
-            links.add(digest)
+        scores: Dict[str, float] = {}
+        for datum_id in datum_ids:
             size = self._sizes.get(datum_id, 0.0)
             if not size:
                 continue
             for holder in self._locations.get(datum_id, ()):
                 scores[holder] = scores.get(holder, 0.0) + size
-        if len(self._digest_scores) >= _DIGEST_CACHE_LIMIT:
-            evicted_digest, _ = self._digest_scores.popitem(last=False)
-            for datum_id in evicted_digest:
-                links = self._datum_digests.get(datum_id)
-                if links is not None:
-                    links.discard(evicted_digest)
-                    if not links:
-                        del self._datum_digests[datum_id]
-        self._digest_scores[digest] = scores
         return scores
 
 

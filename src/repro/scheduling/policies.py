@@ -64,24 +64,9 @@ class LoadBalancingPolicy:
     ) -> Optional[NodeCapacity]:
         if not candidates:
             return None
-        # Single pass replacing max(key=(free_cores, -busy_cores)): ties on
-        # free cores go to the smaller node (same thing as fewer busy
-        # cores), and the earliest candidate wins full ties, exactly like
-        # max().  The candidate list is most of the platform on an idle
-        # cluster, so the per-candidate tuple the lambda built was hot.
-        it = iter(candidates)
-        best = next(it)
-        best_free = best.free_cores
-        best_total = best.node.cores
-        for state in it:
-            free = state.free_cores
-            if free > best_free:
-                best, best_free, best_total = state, free, state.node.cores
-            elif free == best_free:
-                total = state.node.cores
-                if total < best_total:
-                    best, best_free, best_total = state, free, total
-        return best
+        # Ties on free cores go to the smaller node (same thing as fewer
+        # busy cores), full ties to the earliest candidate.
+        return max(candidates, key=lambda s: (s.free_cores, -s.node.cores))
 
 
 class LocalityPolicy:
@@ -105,9 +90,6 @@ class LocalityPolicy:
         input_ids = task.reads
         if not input_ids:
             return max(candidates, key=lambda s: s.free_cores)
-        # One O(1) lookup per candidate against the digest's incrementally
-        # maintained score map, instead of |inputs| set-membership probes
-        # per candidate per call.
         local_bytes = self.locations.local_bytes_map(input_ids).get
 
         def score(state: NodeCapacity) -> tuple:

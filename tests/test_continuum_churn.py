@@ -215,7 +215,7 @@ class TestRehomeNode:
         # Nothing left on the dead node: a second pass is a no-op.
         assert locations.rehome_node("dead", "store") == 0
 
-    def test_rehome_updates_digest_scores_incrementally(self):
+    def test_rehomed_bytes_are_local_to_the_target(self):
         locations = DataLocationService()
         locations.publish("a", "dead", size_bytes=10.0)
         locations.publish("b", "dead", size_bytes=5.0)

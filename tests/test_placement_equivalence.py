@@ -11,8 +11,8 @@ pins that claim three ways:
   allocate/release/join/leave/fail sequences and compare ``candidates()``
   against the brute-force registration-order filter after every step, and
   check the bucket indexes behind it against the tracked nodes;
-* each policy's single-pass selection is compared against the naive
-  ``max(key=...)`` / per-candidate recomputation it replaced;
+* each policy's selection is compared against a naive ``max(key=...)``
+  / per-candidate recomputation;
 * a ``NaiveDispatchExecutor`` (full-probe ``_dispatch``: no frontier, no
   prefix snapshot) must produce byte-identical makespans and per-task
   assignments on generated GUIDANCE runs — any dispatch window, with or
@@ -405,7 +405,7 @@ _CORES_SPARSER = dict(
 
 
 class TestPolicySelectionEquivalence:
-    """Single-pass / cached policy selections == naive maximizations."""
+    """Policy selections == naive maximizations over the candidates."""
 
     def test_cores_sparser_example_is_in_its_regime(self):
         ledger = _busy_ledger(_CORES_SPARSER["specs"], _CORES_SPARSER["busy"])
@@ -522,12 +522,35 @@ class TestPolicySelectionEquivalence:
         ),
         reads=st.lists(st.integers(0, 5), max_size=6),
         busy=st.lists(st.integers(min_value=0, max_value=8), max_size=5),
+        mutations=st.lists(
+            st.one_of(
+                st.tuples(st.just("evict"), st.integers(0, 4)),
+                st.tuples(st.just("rehome"), st.integers(0, 4), st.integers(0, 4)),
+                st.tuples(
+                    st.just("publish"),
+                    st.integers(0, 5),
+                    st.integers(0, 4),
+                    st.integers(min_value=0, max_value=1_000_000),
+                ),
+            ),
+            max_size=6,
+        ),
     )
     # A saturated platform offers no candidate: the policy and the
     # reference both answer None, with and without reads.
-    @example(publishes=[], reads=[0], busy=[8] * 5)
-    @example(publishes=[], reads=[], busy=[8] * 5)
-    def test_locality_matches_naive_membership_sums(self, publishes, reads, busy):
+    @example(publishes=[], reads=[0], busy=[8] * 5, mutations=[])
+    @example(publishes=[], reads=[], busy=[8] * 5, mutations=[])
+    # A datum read twice counts twice, before and after its holder moves:
+    # n0's doubled d0 outweighs n1's d1 until d0 is re-homed onto n2.
+    @example(
+        publishes=[(0, 0, 300), (1, 1, 500)],
+        reads=[0, 1, 0],
+        busy=[],
+        mutations=[("rehome", 0, 2)],
+    )
+    def test_locality_matches_naive_membership_sums(
+        self, publishes, reads, busy, mutations
+    ):
         nodes = [Node(name=f"n{i}", cores=8, memory_mb=16_000) for i in range(5)]
         ledger = CapacityLedger(nodes)
         locations = DataLocationService()
@@ -539,6 +562,18 @@ class TestPolicySelectionEquivalence:
         task = TaskInstance(task_id=1, label="t", reads=[f"d{i}" for i in reads])
         candidates = ledger.candidates(ResolvedRequirements(cores=1))
         policy = LocalityPolicy(locations)
+        selected = policy.select(task, list(candidates))
+        assert selected is naive_locality(task, candidates, locations)
+        # The same task again after its inputs' holders change: the second
+        # pick must read the live holders, not the first pick's sums.
+        for op in mutations:
+            if op[0] == "evict":
+                locations.evict_node(f"n{op[1]}")
+            elif op[0] == "rehome":
+                if op[1] != op[2]:
+                    locations.rehome_node(f"n{op[1]}", f"n{op[2]}")
+            else:
+                locations.publish(f"d{op[1]}", f"n{op[2]}", size_bytes=float(op[3]))
         selected = policy.select(task, list(candidates))
         assert selected is naive_locality(task, candidates, locations)
 
