@@ -45,12 +45,17 @@ Determinism boundary: lane placement (which zones share a process) affects
 wall-clock only, never results — zone state is never shared and message
 exchange is transport-independent.  Worker counts, core counts, and fork
 availability therefore cannot change a simulation's outcome.
+
+Only the fork path imports :mod:`multiprocessing` (:func:`_fork_context`, the
+first time a run forks lanes): the sequential reference and the inline lanes
+run on what this module and the engine already loaded.  The scenario-sweep
+driver (:mod:`repro.simulation.sweep`) forks its pool through the same
+helper.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import pickle
 import sys
 import time as _time
@@ -65,7 +70,11 @@ from repro.simulation.sharded import (
     check_latency_floor,
     lookahead_horizon,
 )
-from repro.simulation.sweep import _fork_context, _peak_rss_kb
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None
 
 #: ``factory(api) -> result_fn | None``: builds one zone's program against a
 #: :class:`ShardApi` and optionally returns a zero-arg callable evaluated at
@@ -357,6 +366,31 @@ class _InlineLane:
         return results
 
 
+def _peak_rss_kb() -> float:
+    """This process's peak resident set size in KB (0.0 where unavailable):
+    a forked lane's or sweep worker's own, or the driver's when it ran the
+    work inline."""
+    if resource is None:  # pragma: no cover - non-POSIX platforms
+        return 0.0
+    return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _fork_context():
+    """The fork context, or None where unsupported (then the work runs inline).
+
+    Fork (not spawn) keeps worker startup at milliseconds and — because
+    children inherit the parent's loaded modules — lets lane programs and
+    sweep runners be module-level callables of any loaded module.  Only a
+    run that forks imports :mod:`multiprocessing`.
+    """
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return None
+
+
 def _lane_worker(lane: _InlineLane, conn) -> None:
     """Fork-lane main loop: commands in, replies out, one pipe.
 
@@ -526,11 +560,12 @@ class ParallelShardedSimulationEngine:
         """The fork context to put lanes on, or None to run them inline."""
         if self.workers <= 1 or len(self.zones) <= 1:
             return None
+        context = _fork_context()
         # Daemonic pool workers (the sweep driver's children) may not fork
         # grandchildren; the same coordinator runs the lanes inline there.
-        if multiprocessing.current_process().daemon:
+        if context is None or context.current_process().daemon:
             return None
-        return _fork_context()
+        return context
 
     def run(self, until: Optional[float] = None) -> float:
         """Execute the programs to quiescence (or ``until``); one-shot.

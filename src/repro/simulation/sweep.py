@@ -30,18 +30,13 @@ reference.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.simulation.parallel import _fork_context, _peak_rss_kb
 from repro.simulation.random import DeterministicRandom
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    resource = None
 
 #: Fork namespace separating sweep seeds from every other consumer of the
 #: base seed (workload generators fork their own names off the same root).
@@ -207,32 +202,6 @@ def _execute_one(
     else:
         timing["sim_cpu_seconds"] = timing["cpu_seconds"]
     return index, result, timing
-
-
-def _peak_rss_kb() -> float:
-    """This process's peak resident set size in KB (0.0 where unavailable).
-
-    Measured in the process that ran the scenario — a forked worker under
-    ``workers > 1`` / ``fresh_process``, the driver itself inline — so the
-    figure is the memory cost of the run's own working set (plus the warmed
-    parent image it forked from), not the whole fleet's.
-    """
-    if resource is None:  # pragma: no cover - non-POSIX platforms
-        return 0.0
-    return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The fork context, or None where unsupported (then we run inline).
-
-    Fork (not spawn) keeps worker startup at milliseconds and — because
-    children inherit the parent's loaded modules — lets benchmark modules
-    pass their own module-level runners without being installed packages.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
 
 
 def run_sweep(

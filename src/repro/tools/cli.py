@@ -35,8 +35,6 @@ import sys
 from typing import Any, List, Mapping, Optional, Tuple
 
 from repro import __version__
-from repro.executor import SimulatedExecutor
-from repro.infrastructure import make_hpc_cluster
 from repro.metrics.model import analyze_graph
 from repro.scheduling import (
     DataLocationService,
@@ -117,6 +115,9 @@ def run_graph(built, nodes, cores_per_node, policy="fifo"):
     """Run a built workflow (``.graph``, ``.initial_data``) on one timeline —
     the cluster + executor construction of every command:
     ``(executor, report)``."""
+    from repro.executor.simulated import SimulatedExecutor
+    from repro.infrastructure.cluster import make_hpc_cluster
+
     locations = DataLocationService()
     executor = SimulatedExecutor(
         built.graph,
@@ -345,7 +346,7 @@ def build_parser(workload_name: str = DEFAULT_WORKLOAD) -> argparse.ArgumentPars
         add_cluster(simulate)
         simulate.add_argument("--policy", choices=tuple(POLICIES))
 
-    graphs = [name for name, w in WORKLOADS.items() if w.build is not None]
+    graphs = [name for name, w in WORKLOADS.items() if "build" in w.parts]
     analyze = subparsers.add_parser("analyze", help="print workflow-model metrics")
     add_workload(analyze, graphs)
 

@@ -41,6 +41,6 @@ _export_lazily(
         "make_zonal_network": "zonal",
         "make_zone_programs": "zonal",
         "run_zonal": "zonal",
-        "zone_name": "zonal",
+        "zone_name": "zones",
     },
 )

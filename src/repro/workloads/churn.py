@@ -34,6 +34,11 @@ Two execution shapes share one per-zone driver:
   (one platform+bus per zone, epoch digests exchanged on a cross-zone
   ring), runnable on all three zone-program drivers including forked
   lanes, byte-identical across them.
+
+Importing this module loads the fleet half only: the decomposed half imports
+the zone-program scaffold (:mod:`repro.workloads.zonal`, hence the window
+drivers) inside the functions that run it, so a fleet run never loads a
+window driver or :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -53,13 +58,7 @@ from repro.infrastructure.resources import Node, NodeKind, PowerProfile
 from repro.scheduling.locations import DataLocationService
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import DeterministicRandom
-from repro.workloads.zonal import (
-    make_zonal_network,
-    run_campaign,
-    start_ring_report,
-    zone_name,
-    zone_programs,
-)
+from repro.workloads.zones import zone_name
 
 #: One shared power model for the whole worker fleet (50k per-node profile
 #: objects would be pure overhead).
@@ -511,10 +510,6 @@ def run_churn_fleet(
 # ---------------------------------------------------------- decomposed mode
 
 
-#: Inter-zone topology for decomposed mode: the zonal one (a gateway per zone).
-make_churn_network = make_zonal_network
-
-
 def _zone_platform(cfg: ChurnConfig, index: int) -> Platform:
     network = NetworkTopology(
         intra_zone_link=Link(latency_s=2e-3, bandwidth_bps=100e6 / 8),
@@ -525,6 +520,8 @@ def _zone_platform(cfg: ChurnConfig, index: int) -> Platform:
 
 def _churn_zone_program(cfg: ChurnConfig, index: int, api):
     """One zone's program: local fleet + churn driver + epoch-digest ring."""
+    from repro.workloads.zonal import start_ring_report
+
     zone = zone_name(index)
     platform = _zone_platform(cfg, index)
     bus = MessageBus(platform, api, notification=cfg.notification)
@@ -561,6 +558,8 @@ def _churn_zone_program(cfg: ChurnConfig, index: int, api):
 
 def make_churn_programs(cfg: ChurnConfig) -> Dict[str, Any]:
     """``{zone: factory}`` churn programs for the sharded/parallel engines."""
+    from repro.workloads.zonal import zone_programs
+
     return zone_programs(cfg, _churn_zone_program)
 
 
@@ -573,6 +572,8 @@ def run_churn(
     lookahead reference), or ``parallel`` (forked lanes) — byte-identical
     deterministic results on all three.
     """
+    from repro.workloads.zonal import run_campaign
+
     ordered, dispatched, stats = run_campaign(
         cfg, make_churn_programs(cfg), engine, workers
     )

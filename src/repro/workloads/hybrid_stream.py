@@ -36,9 +36,9 @@ from repro.workloads.zonal import (
     run_campaign,
     start_ring_report,
     zone_executor,
-    zone_name,
     zone_programs,
 )
+from repro.workloads.zones import zone_name
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,16 @@ class SyntheticConfig:
     duration: float = 10.0
 
 
+def build_ep(cfg: SyntheticConfig) -> SimWorkflowBuilder:
+    """The ``ep`` workload of the front doors (:mod:`repro.workloads.table`)."""
+    return embarrassingly_parallel(cfg.tasks, duration=cfg.duration)
+
+
+def build_chain(cfg: SyntheticConfig) -> SimWorkflowBuilder:
+    """The ``chain`` workload of the front doors (:mod:`repro.workloads.table`)."""
+    return task_chain(cfg.tasks, duration=cfg.duration)
+
+
 def embarrassingly_parallel(
     num_tasks: int,
     duration: float = 10.0,

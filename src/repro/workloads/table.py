@@ -13,26 +13,19 @@ workers)`` for zone programs any window driver can replay, ``fleet(cfg)``
 where those also have a one-timeline twin; and the ``summary`` lines
 ``simulate`` prints for a zone-program result.
 
-Kept import-light (no ``argparse``, no engine or compiler import): every
-``import repro.workloads`` pays for it.
+A record names the workload's module and what that module calls its config,
+``build``, ``run`` and ``fleet``; reading one of them imports the module the
+first time.  So this file imports no workload module (nor ``argparse``, an
+engine or the compiler): the CLI loads none until it is asked for one, and
+``repro simulate --workload W`` loads W's module alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
-
-from repro.workloads.churn import ChurnConfig, run_churn, run_churn_fleet
-from repro.workloads.guidance import GuidanceConfig, build_guidance_workflow
-from repro.workloads.hybrid_stream import HybridStreamConfig, run_hybrid_stream
-from repro.workloads.nmmb import NmmbConfig, build_nmmb_workflow
-from repro.workloads.synthetic import (
-    SyntheticConfig,
-    embarrassingly_parallel,
-    task_chain,
-)
-from repro.workloads.zonal import ZonalConfig, run_zonal
 
 
 class WorkloadError(ValueError):
@@ -70,17 +63,42 @@ class Workload:
     """One workload, as the front doors see it (module docstring)."""
 
     name: str
-    config: type
+    #: The module under :mod:`repro.workloads` that defines the workload.
+    module: str
     #: ``{option: config field}``; scenario key, flag and option are one word.
     options: Mapping[str, str]
-    #: Static graph: ``cfg -> builder`` (``.graph``, ``.initial_data``).
-    build: Optional[Callable[[Any], Any]] = None
-    #: Zone programs: ``(cfg, engine, workers) -> (result, stats)``.
-    run: Optional[Callable[..., Tuple[Dict[str, Any], Dict[str, Any]]]] = None
-    #: The one-timeline twin of ``run``, ``cfg -> result``.
-    fleet: Optional[Callable[[Any], Dict[str, Any]]] = None
+    #: ``{part: name in module}`` for ``config`` and ``build`` or ``run`` (and
+    #: ``fleet``), each read through the property of the same name.
+    parts: Mapping[str, str]
     #: ``(result, engine) -> lines`` of ``simulate``'s report.
     summary: Optional[Callable[[Dict[str, Any], str], List[str]]] = None
+
+    def _part(self, part: str) -> Any:
+        """``part`` of the workload's module, importing it on first use."""
+        if part not in self.parts:
+            return None
+        module = importlib.import_module(f"repro.workloads.{self.module}")
+        return getattr(module, self.parts[part])
+
+    @property
+    def config(self) -> type:
+        """The config dataclass."""
+        return self._part("config")
+
+    @property
+    def build(self) -> Optional[Callable[[Any], Any]]:
+        """Static graph: ``cfg -> builder`` (``.graph``, ``.initial_data``)."""
+        return self._part("build")
+
+    @property
+    def run(self) -> Optional[Callable[..., Tuple[Dict[str, Any], Dict[str, Any]]]]:
+        """Zone programs: ``(cfg, engine, workers) -> (result, stats)``."""
+        return self._part("run")
+
+    @property
+    def fleet(self) -> Optional[Callable[[Any], Dict[str, Any]]]:
+        """The one-timeline twin of ``run``, ``cfg -> result``."""
+        return self._part("fleet")
 
     @property
     def seeded(self) -> bool:
@@ -101,15 +119,16 @@ class Workload:
         inter-zone lookahead is zero: one timeline, ``single`` only.  A
         ``fleet`` twin runs on ``single`` unless the scenario says ``mode:
         decomposed``.  Window drivers synchronise at least two zones."""
-        if self.run is None:
+        if "run" not in self.parts:
             if engine != "single":
+                zoned = ", ".join(n for n, w in WORKLOADS.items() if "run" in w.parts)
                 raise WorkloadError(
                     f"--engine {engine} needs a zone-decomposed workload "
                     f"({self.name}'s central scheduler has zero inter-zone "
-                    f"lookahead): {', '.join(n for n, w in WORKLOADS.items() if w.run)}"
+                    f"lookahead): {zoned}"
                 )
             return False
-        if self.fleet is not None and engine == "single" and mode == "fleet":
+        if "fleet" in self.parts and engine == "single" and mode == "fleet":
             return False
         if cfg.zones < 2:
             raise WorkloadError(
@@ -180,38 +199,43 @@ WORKLOADS: Dict[str, Workload] = {
     for record in (
         Workload(
             "guidance",
-            GuidanceConfig,
+            "guidance",
             _options("chromosomes", chunks="chunks_per_chromosome"),
-            build=build_guidance_workflow,
+            dict(config="GuidanceConfig", build="build_guidance_workflow"),
         ),
-        Workload("nmmb", NmmbConfig, _options("days"), build=build_nmmb_workflow),
+        Workload(
+            "nmmb",
+            "nmmb",
+            _options("days"),
+            dict(config="NmmbConfig", build="build_nmmb_workflow"),
+        ),
         Workload(
             "ep",
-            SyntheticConfig,
+            "synthetic",
             _options("tasks", "duration"),
-            build=lambda cfg: embarrassingly_parallel(cfg.tasks, duration=cfg.duration),
+            dict(config="SyntheticConfig", build="build_ep"),
         ),
         Workload(
             "chain",
-            SyntheticConfig,
+            "synthetic",
             _options("tasks", "duration"),
-            build=lambda cfg: task_chain(cfg.tasks, duration=cfg.duration),
+            dict(config="SyntheticConfig", build="build_chain"),
         ),
         Workload(
             "zonal",
-            ZonalConfig,
+            "zonal",
             _options(
                 "zones", "nodes_per_zone", "cores_per_node", "tasks_per_zone",
                 duration_median="duration_median_s",
                 inter_zone_latency="inter_zone_latency_s",
                 progress_interval="progress_interval_s",
             ),
-            run=run_zonal,
+            dict(config="ZonalConfig", run="run_zonal"),
             summary=_zonal_summary,
         ),
         Workload(
             "hybrid_stream",
-            HybridStreamConfig,
+            "hybrid_stream",
             _options(
                 "zones", "rate_hz", "batch", "credits", "overflow",
                 sensors="sensors_per_zone",
@@ -219,21 +243,20 @@ WORKLOADS: Dict[str, Workload] = {
                 duration="duration_s",
                 inter_zone_latency="inter_zone_latency_s",
             ),
-            run=run_hybrid_stream,
+            dict(config="HybridStreamConfig", run="run_hybrid_stream"),
             summary=_hybrid_stream_summary,
         ),
         Workload(
             "churn",
-            ChurnConfig,
+            "churn",
             _options(
                 "agents", "zones", "churn_per_s", "notification", "persistence",
                 duration="duration_s",
                 inter_zone_latency="inter_zone_latency_s",
             ),
-            run=run_churn,
             # Fleet churn is one bus, hence one timeline: `single` runs it
             # unless the scenario says `mode: decomposed` (as_zone_programs).
-            fleet=run_churn_fleet,
+            dict(config="ChurnConfig", run="run_churn", fleet="run_churn_fleet"),
             summary=_churn_summary,
         ),
     )

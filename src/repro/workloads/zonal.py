@@ -32,6 +32,7 @@ from repro.scheduling.policies import LoadBalancingPolicy
 from repro.simulation.parallel import run_zone_programs
 from repro.simulation.random import DeterministicRandom
 from repro.workloads.synthetic import layered_random_dag
+from repro.workloads.zones import zone_name
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,6 @@ class ZonalConfig:
     progress_interval_s: float = 25.0
     datum_bytes: float = 1e5
     seed: int = 42
-
-
-def zone_name(index: int) -> str:
-    return f"zone-{index}"
 
 
 def make_zonal_network(cfg) -> NetworkTopology:

@@ -282,3 +282,115 @@ def test_no_timed_region_pays_a_first_import(workload):
         """
     )
     assert added == []
+
+
+def _loaded_by(code):
+    """The modules a fresh interpreter holds after ``code``."""
+    return _fresh(
+        "import io, json, sys\n"
+        + textwrap.dedent(code)
+        + "\nprint(json.dumps(sorted(sys.modules)))\n"
+    )
+
+
+def _under(loaded, *packages):
+    return [n for n in loaded if n.split(".")[:2] in [["repro", p] for p in packages]]
+
+
+def _workload_modules(loaded):
+    """The ``repro.workloads`` modules loaded, less the package and its table."""
+    return [
+        n
+        for n in loaded
+        if n.startswith("repro.workloads.") and n != "repro.workloads.table"
+    ]
+
+
+def test_fleet_churn_loads_no_window_driver():
+    """Fleet churn is one bus on one timeline: the zone-program scaffold,
+    the window drivers, the sweep pool and the zone executor stay unloaded."""
+    loaded = _loaded_by('sys.path.insert(0, ".")\nimport perf.workloads.churn')
+    unloaded = [
+        "repro.workloads.zonal", "repro.simulation.parallel",
+        "repro.simulation.sharded", "repro.simulation.sweep",
+        "repro.executor.simulated", "multiprocessing",
+    ]
+    assert [name for name in unloaded if name in loaded] == []
+
+
+def test_zonal_loads_no_fork_machinery():
+    """Zonal's timed runs are the sequential reference and one inline lane:
+    neither forks, so neither ``multiprocessing`` nor the sweep pool loads."""
+    loaded = _loaded_by('sys.path.insert(0, ".")\nimport perf.workloads.zonal')
+    unloaded = ["multiprocessing", "repro.simulation.sweep"]
+    assert [name for name in unloaded if name in loaded] == []
+
+
+def test_cli_import_loads_no_workload():
+    loaded = _loaded_by("import repro.tools.cli")
+    assert _workload_modules(loaded) == []
+    assert _under(loaded, "agents", "streams", "simulation", "executor") == []
+
+
+def test_info_loads_no_engine():
+    loaded = _loaded_by(
+        """
+        from repro.tools.cli import main
+        assert main(["info"], out=io.StringIO()) == 0
+        """
+    )
+    assert _under(loaded, "agents", "streams") == []
+    engines = [
+        "repro.simulation.engine", "repro.simulation.sharded",
+        "repro.simulation.parallel", "repro.simulation.sweep",
+        "repro.executor.simulated",
+    ]
+    assert [name for name in engines if name in loaded] == []
+
+
+def test_simulate_loads_the_named_workload_alone():
+    loaded = _loaded_by(
+        """
+        from repro.tools.cli import main
+        argv = ["simulate", "--workload", "guidance", "--chunks", "2", "--nodes", "2"]
+        assert main(argv, out=io.StringIO()) == 0
+        """
+    )
+    assert _workload_modules(loaded) == ["repro.workloads.guidance"]
+    assert _under(loaded, "agents", "streams") == []
+    unloaded = [
+        "repro.simulation.parallel", "repro.simulation.sharded",
+        "repro.simulation.sweep", "multiprocessing",
+    ]
+    assert [name for name in unloaded if name in loaded] == []
+
+
+def test_simulate_fleet_churn_loads_no_window_driver():
+    loaded = _loaded_by(
+        """
+        from repro.tools.cli import main
+        argv = ["simulate", "--workload", "churn", "--agents", "40", "--duration", "5"]
+        assert main(argv, out=io.StringIO()) == 0
+        """
+    )
+    assert _workload_modules(loaded) == ["repro.workloads.churn", "repro.workloads.zones"]
+    unloaded = ["repro.simulation.parallel", "repro.simulation.sweep", "multiprocessing"]
+    assert [name for name in unloaded if name in loaded] == []
+
+
+def test_fork_lanes_from_a_cold_start():
+    """The fork path imports ``multiprocessing`` itself: a process that never
+    loaded it forks its lanes and gets the sequential reference's result."""
+    seen = _fresh(
+        """
+        import json, sys
+        from repro.workloads import ZonalConfig, run_zonal
+
+        cold = "multiprocessing" not in sys.modules
+        cfg = ZonalConfig(zones=2, nodes_per_zone=2, cores_per_node=2, tasks_per_zone=40)
+        forked, stats = run_zonal(cfg, engine="parallel", workers=2)
+        reference, _ = run_zonal(cfg, engine="sharded")
+        print(json.dumps([cold, stats["mode"], forked == reference]))
+        """
+    )
+    assert seen == [True, "fork", True]
